@@ -18,8 +18,7 @@ natural partner for link-layer (RIFL) and software selective-repeat
 The implementation is deliberately the textbook core: target-vs-sample
 AIMD on a fractional window, no topology-scaled target (the harness
 passes a target derived from the fabric's base RTT), no flow scaling.
-``window_bytes`` stays ``None`` — the window is dynamic — which also
-tells the NIC's burst path to keep these QPs on the serial pull path.
+``window_bytes`` stays ``None`` — the window is dynamic.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ class SwiftCc(CongestionControl):
     paces = False
     wants_ack = False
     wants_rtt = True
-    # Dynamic window: None keeps the burst dataplane on the serial path.
+    # Dynamic window: transports call available_window() per pull.
     window_bytes = None
 
     def __init__(self, params: SwiftParams) -> None:

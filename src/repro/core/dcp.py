@@ -35,8 +35,7 @@ from repro.core.tracking import CounterTracker
 from repro.net.packet import (Packet, PacketKind, make_ack,
                               make_data_packet, release)
 from repro.rnic.base import (Flow, Message, QueuePair, RestartableTimer,
-                             RnicTransport, TransportConfig,
-                             _BURST_FALLBACK, _GATED, _NO_WORK)
+                             RnicTransport, TransportConfig, _GATED, _NO_WORK)
 from repro.sim import trace
 from repro.sim.engine import Simulator
 
@@ -75,7 +74,6 @@ class DcpTransport(RnicTransport):
 
     name = "dcp"
     dcp_wire = True
-    supports_burst = True
 
     def __init__(self, sim: Simulator, host_id: int, config: TransportConfig) -> None:
         super().__init__(sim, host_id, config)
@@ -99,14 +97,7 @@ class DcpTransport(RnicTransport):
     def inflight_bytes(self) -> int:
         # _DcpSendState tracks no snd_una (acking is message-granular),
         # so the QP-level outstanding-byte accounting is authoritative.
-        total = sum(qp.outstanding_bytes for qp in self.qps.values())
-        nic = self.nic
-        if nic is not None and nic._burst_src is self:
-            # Pre-pulled train packets already count in
-            # outstanding_bytes but are not on the wire yet; the serial
-            # path would not see them until their slot.
-            total -= sum(p.payload_bytes for p in nic._burst)
-        return max(0, total)
+        return sum(qp.outstanding_bytes for qp in self.qps.values())
 
     # ---------------------------------------------------------------- state
     def _send_state(self, qp: QueuePair) -> _DcpSendState:
@@ -179,58 +170,6 @@ class DcpTransport(RnicTransport):
             st = self._send_state(qp)
         return (bool(st.timeout_rtx) or len(st.retransq) > 0
                 or st.snd_nxt < qp.next_psn)
-
-    def _qp_poll_burst(self, qp: QueuePair, now: int, out: list,
-                       gates: list, budget: int):
-        """Multi-packet scheduler probe (see base class).
-
-        Only stage 3 (new data) bursts; recovery rounds interleave
-        RetransQ fetches, stale-entry drops and per-pull awin re-checks
-        and stay on the serial path.
-        """
-        st = qp.tx_state
-        if st is None:
-            st = self._send_state(qp)
-        has_new = st.snd_nxt < qp.next_psn
-        if not (has_new or st.timeout_rtx or len(st.retransq) > 0):
-            return _NO_WORK
-        if qp.next_send_ns > now:
-            return _GATED
-        if st.timeout_rtx or len(st.retransq) > 0:
-            return _BURST_FALLBACK
-        wb = qp.cc.window_bytes     # static: checked by poll_tx_burst
-        mtu = self.config.mtu_payload
-        next_psn = qp.next_psn
-        snd_nxt = st.snd_nxt
-        count = 0
-        while count < budget and snd_nxt < next_psn:
-            msg = qp.psn_to_message(snd_nxt)
-            off = snd_nxt - msg.base_psn
-            if off < msg.num_pkts - 1:
-                payload = mtu
-            else:
-                payload = msg.size_bytes - (msg.num_pkts - 1) * mtu
-            if wb - qp.outstanding_bytes < payload and qp.outstanding_bytes > 0:
-                # Progress guarantee as in _qp_next_packet: with nothing
-                # outstanding one packet is always admissible.
-                break
-            out.append(self._build_data(qp, st, snd_nxt, False))
-            snd_nxt += 1
-            st.snd_nxt = snd_nxt
-            count += 1
-        return count
-
-    def unpull(self, qp: QueuePair, packets) -> None:
-        """Roll back pre-pulled (never transmitted) new-data packets."""
-        st = qp.tx_state
-        st.snd_nxt = packets[0].psn
-        out_bytes = st.msg_out_bytes
-        for p in packets:
-            payload = p.payload_bytes
-            qp.outstanding_bytes -= payload
-            out_bytes[p.msn] = out_bytes.get(p.msn, 0) - payload
-            qp.psn_to_message(p.psn).flow.stats.data_pkts_sent -= 1
-        self.pool.release_many(packets)
 
     def _qp_next_packet(self, qp: QueuePair) -> Optional[Packet]:
         st = qp.tx_state
@@ -320,9 +259,6 @@ class DcpTransport(RnicTransport):
             self.nic.send_control(packet)
             return
         # We are the sender: a precise loss notification arrived.
-        # Roll back any pre-pulled train first: the window bookkeeping
-        # below must observe the serial-path sender state.
-        self._break_burst(qp)
         st = qp.tx_state
         if st is None:
             st = self._send_state(qp)
@@ -350,14 +286,6 @@ class DcpTransport(RnicTransport):
         emsn = packet.emsn
         if emsn <= st.acked_msn:
             return
-        nic = self.nic
-        if (nic is not None and nic._burst_qp is qp and nic._burst
-                and nic._burst[0].msn < emsn):
-            # Safety net: an eMSN advance over a message with pre-pulled
-            # packets (only reachable through duplicate-inflated receive
-            # counters) must observe serial sender state before the
-            # per-message window release below.
-            nic._truncate_burst()
         acked_bytes = 0
         for msn in range(st.acked_msn, emsn):
             msg = qp.messages.get(msn)
@@ -387,7 +315,6 @@ class DcpTransport(RnicTransport):
         self._activate(qp)
 
     def _on_coarse_timeout(self, qp: QueuePair) -> None:
-        self._break_burst(qp)
         st = qp.tx_state
         if st is None:
             st = self._send_state(qp)

@@ -55,14 +55,10 @@ class FailureInjector:
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        # Failure injection must observe the dataplane mid-flight:
-        # precomputed burst schedules would let packets depart (or
-        # arrive) across a link that goes down between the precompute
-        # and the slot time.  Chaos runs therefore stay on the serial
-        # slow path by design.
-        sim.burst_enabled = False
-        # Flag the scenario for the hybrid-fidelity controller: flows
-        # must not run in the analytic tier while failures are armed.
+        # The one contract an armed injector imposes on the rest of the
+        # simulator: ``sim.chaos_active`` keeps every flow out of the
+        # fluid tier (the hybrid-fidelity controller treats it as a
+        # standing falsifier), so failures always meet packets in flight.
         sim.chaos_active = True
         self.events: list[FailureEvent] = []
         #: id(link) -> number of active failures holding the link down.

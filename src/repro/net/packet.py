@@ -294,17 +294,6 @@ class PacketPool:
         self.released += 1
         self._free.append(packet)
 
-    def release_many(self, packets) -> None:
-        """Return a train of dead packets to the free list in one pass."""
-        if not self.enabled:
-            return
-        if self.debug:
-            for packet in packets:
-                self.release(packet)
-            return
-        self.released += len(packets)
-        self._free.extend(packets)
-
     def _check_poison(self, packet: Packet) -> None:
         for name in ("src", "dst", "flow_id", "psn", "msn", "ack_psn",
                      "payload_bytes", "entropy"):

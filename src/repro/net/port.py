@@ -4,36 +4,20 @@ The port is where serialization happens: it pulls one packet at a time
 from its queue set (as chosen by the scheduler), holds the wire for the
 packet's serialization time, then hands the packet to the link for
 propagation.  PFC PAUSE state blocks individual traffic classes.
-
-Burst drain (``REPRO_BURST``, default on): when the serving class is
-uncontended — every buffered packet sits in the selected queue and the
-class is unpaused — the port precomputes the departure times of up to
-``_PORT_BURST`` consecutive packets and bulk-schedules one slot event
-per packet.  Nothing is popped early: each slot pops its successor at
-the exact time the serial path would have, so queue depth, ECN/trim
-observations and ``busy_ns`` stay bit-identical.  A PAUSE or an
-enqueue to another class invalidates the batch: the shared token is
-cancelled and the in-flight packet finishes through the serial
-``_tx_done``, replacing the batch's remaining events one-for-one.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import islice
 from typing import Callable, Optional
 
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.queues import ByteQueue, StrictPriorityScheduler, WrrScheduler
 from repro.obs import spans
-from repro.sim.engine import CancelledToken, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.units import serialization_ns
 
 Scheduler = WrrScheduler | StrictPriorityScheduler
-
-#: Max packets per precomputed burst (the in-flight one included).
-_PORT_BURST = 16
 
 
 class EgressPort:
@@ -71,31 +55,22 @@ class EgressPort:
         self.tx_packets = 0
         self.tx_bytes = 0
         self.busy_ns = 0
-        # Running buffer totals, maintained at every push/pop so PFC
+        # Running buffer total, maintained at every push/pop so PFC
         # threshold checks, adaptive routing and the metrics sampler
-        # read plain ints instead of summing the queue set per call.
+        # read a plain int instead of summing the queue set per call.
         self.buffered_bytes = 0
-        self.buffered_packets = 0
         # Integer line rates (the common case) take a division-free
         # serialization path; must round exactly like serialization_ns.
         self._int_rate = (int(rate_bits_per_ns)
                           if float(rate_bits_per_ns).is_integer() else 0)
-        # Burst-drain state: class being drained (-1 when idle), the
-        # shared cancellation token of the batch, the packet currently
-        # on the wire, and the absolute completion times of it plus
-        # every packet still scheduled behind it.
-        self._burst_cls = -1
-        self._burst_token: Optional[CancelledToken] = None
-        self._inflight: Optional[Packet] = None
-        self._burst_times: deque[int] = deque()
+
+    @property
+    def buffered_packets(self) -> int:
+        return sum(len(q) for q in self.queues)
 
     # ------------------------------------------------------------ control
     def pause(self, cls: int) -> None:
         """PFC PAUSE: stop serving traffic class ``cls``."""
-        if self._burst_cls >= 0:
-            # Precomputed departures assumed an unpaused class; fall
-            # back to the slow path for the packet already on the wire.
-            self._truncate_burst()
         self.paused_classes.add(cls)
 
     def resume(self, cls: int) -> None:
@@ -109,14 +84,9 @@ class EgressPort:
         ok = self.queues[cls].push(packet)
         if ok:
             self.buffered_bytes += packet.size_bytes
-            self.buffered_packets += 1
             sp = spans._active
             if sp is not None:
                 sp.note_enqueue(packet.uid, self.sim.now)
-            if self._burst_cls >= 0 and self._burst_cls != cls:
-                # A second class became servable: the precomputed
-                # drain no longer matches what the scheduler would do.
-                self._truncate_burst()
             self.notify()
         return ok
 
@@ -129,10 +99,8 @@ class EgressPort:
         idx = self.scheduler.select(blocked=self.paused_classes)
         if idx is None:
             return
-        q = self.queues[idx]
-        packet = q.pop()
+        packet = self.queues[idx].pop()
         self.buffered_bytes -= packet.size_bytes
-        self.buffered_packets -= 1
         self.busy = True
         rate = self._int_rate
         if rate:
@@ -140,104 +108,7 @@ class EgressPort:
         else:
             ser = serialization_ns(packet.size_bytes, self.rate)
         self.busy_ns += ser
-        sim = self.sim
-        n = len(q)
-        if n and sim.burst_enabled and self.buffered_packets == n:
-            # Uncontended drain: everything buffered is in this queue,
-            # so the next n selections are foregone conclusions (an
-            # uncontended select never touches scheduler credits).
-            # Peek — do not pop — the head packets and precompute
-            # their departure times.
-            slot = self._burst_slot
-            times = deque()
-            when = sim.now + ser
-            times.append(when)
-            items = [(ser, slot, ())]
-            if n > _PORT_BURST - 1:
-                followers = [p.size_bytes
-                             for p in islice(q._items, _PORT_BURST - 1)]
-            else:
-                followers = [p.size_bytes for p in q._items]
-            # The kernel owns the cumulative serialization arithmetic
-            # (the array backend vectorizes it); follower delays ride on
-            # top of the leader's slot.
-            for d in sim.kernel.departure_delays(followers, rate, self.rate):
-                delay = ser + d
-                times.append(sim.now + delay)
-                items.append((delay, slot, ()))
-            if len(items) > 1:
-                token = CancelledToken()
-                sim.call_after_bulk(items, token)
-                self._burst_token = token
-                self._burst_cls = idx
-                self._inflight = packet
-                self._burst_times = times
-                return
-        sim.call_after(ser, self._tx_done, packet)
-
-    def _burst_slot(self) -> None:
-        packet = self._inflight
-        token = self._burst_token
-        self.tx_packets += 1
-        self.tx_bytes += packet.size_bytes
-        times = self._burst_times
-        times.popleft()
-        sp = spans._active
-        if sp is not None:
-            rate = self._int_rate
-            if rate:
-                ser = -(-packet.size_bytes * 8 // rate)
-            else:
-                ser = serialization_ns(packet.size_bytes, self.rate)
-            sp.port_tx(packet, self.sim.now, ser, self.name)
-        if self.on_dequeue is not None:
-            self.on_dequeue(packet)
-        if self.link is not None:
-            self.link.deliver(packet)
-        if self._burst_token is not token:
-            # on_dequeue invalidated the batch mid-slot; the truncation
-            # already rescheduled the successor.
-            return
-        if times:
-            q = self.queues[self._burst_cls]
-            nxt = q.pop()
-            self.buffered_bytes -= nxt.size_bytes
-            self.buffered_packets -= 1
-            rate = self._int_rate
-            if rate:
-                ser = -(-nxt.size_bytes * 8 // rate)
-            else:
-                ser = serialization_ns(nxt.size_bytes, self.rate)
-            self.busy_ns += ser
-            self._inflight = nxt
-        else:
-            self._burst_token = None
-            self._burst_cls = -1
-            self._inflight = None
-            self.busy = False
-            self._send_next()
-
-    def _truncate_burst(self) -> None:
-        """Invalidate a precomputed drain, keeping the wire consistent.
-
-        The packet currently serializing cannot be taken back — the
-        serial path would also have committed it — so it finishes via
-        a single replacement ``_tx_done`` at its precomputed time.
-        The batch's remaining events die with the shared token (a
-        cancelled wheel entry is skipped without counting, keeping
-        ``events_processed`` bit-identical to the serial path).
-        """
-        token = self._burst_token
-        if token is None:
-            return
-        token.cancel()
-        self._burst_token = None
-        self._burst_cls = -1
-        packet = self._inflight
-        self._inflight = None
-        when = self._burst_times.popleft()
-        self._burst_times = deque()
-        self.sim.call_after(when - self.sim.now, self._tx_done, packet)
+        self.sim.call_after(ser, self._tx_done, packet)
 
     def _tx_done(self, packet: Packet) -> None:
         self.busy = False

@@ -227,14 +227,8 @@ class Switch:
                 self.pfc.charge(in_port, packet)
             data_q.push(packet)
             port.buffered_bytes += size
-            port.buffered_packets += 1
             if not port.busy:
                 port._send_next()
-            elif port._burst_cls >= 0 and port._burst_cls != DATA_CLASS:
-                # Data became servable under a precomputed control-class
-                # drain: the remaining slots no longer match what the
-                # scheduler would pick.
-                port._truncate_burst()
             stats.forwarded += 1
         elif act == _ACT_TRIM:
             packet.trim()

@@ -41,14 +41,6 @@ _flow_counter = itertools.count(1)
 _NO_WORK = object()
 _GATED = object()
 
-#: Sentinels for the burst path: "kick fully handled, nothing to put on
-#: the wire" and "sender state needs the serial path for this pull".
-_BURST_NONE = object()
-_BURST_FALLBACK = object()
-
-#: Max packets pulled per NIC burst (one contiguous wire train).
-_NIC_BURST = 64
-
 
 @dataclass
 class TransportConfig:
@@ -311,25 +303,6 @@ class HostNic:
         # instead of taxing every transmit with a counter indirection.
         self.tx_packets = 0
         self.tx_bytes = 0
-        # Burst-train state: packets pulled ahead of their wire slot
-        # (`_burst`), the QP-quota values to restore if the train is cut
-        # short (`_burst_undo`, parallel to `_burst`), the absolute
-        # completion times of the in-flight packet plus every pending
-        # one, and the shared cancellation token of the slot events.
-        self._burst: deque[Packet] = deque()
-        self._burst_undo: deque[int] = deque()
-        self._burst_times: deque[int] = deque()
-        self._burst_token: Optional[CancelledToken] = None
-        self._inflight: Optional[Packet] = None
-        self._burst_qp = None
-        self._burst_src = None
-        # Paced trains only: pre-pull pacing-gate values (parallel to
-        # `_burst`) so truncation can rewind qp.next_send_ns, the start
-        # times of not-yet-started segments, and the token of a pending
-        # gap-start event.
-        self._burst_gates: deque[int] = deque()
-        self._burst_starts: deque[int] = deque()
-        self._burst_start_token: Optional[CancelledToken] = None
         metrics.gauge(f"nic.{name}.tx_packets",
                       lambda: float(self.tx_packets))
         metrics.gauge(f"nic.{name}.tx_bytes", lambda: float(self.tx_bytes))
@@ -345,13 +318,6 @@ class HostNic:
         return serialization_ns(size_bytes, self.rate)
 
     def send_control(self, packet: Packet) -> None:
-        if self._burst_token is not None:
-            # Control frames preempt data at the next wire slot; the
-            # precomputed data train no longer matches, so the train is
-            # rolled back to the serial state.  A truncation inside a
-            # pacing gap leaves the wire idle (busy=False) and the frame
-            # goes straight out below, exactly like the slow path.
-            self._truncate_burst()
         if self.busy or self.paused or self.link is None:
             self.ctrl.append(packet)
             return
@@ -369,8 +335,6 @@ class HostNic:
         self._call_after(ser, self._tx_done, packet)
 
     def pause(self) -> None:
-        if self._burst_token is not None:
-            self._truncate_burst()
         sp = spans._active
         if sp is not None and not self.paused:
             sp.pause(self.name, self.sim.now)
@@ -391,12 +355,7 @@ class HostNic:
         if self.ctrl:
             packet = self.ctrl.popleft()
         elif self.source is not None:
-            src = self.source
-            if (src.supports_burst and len(src._rr) == 1
-                    and self.sim.burst_enabled):
-                if self._pull_burst(src):
-                    return
-            packet = src.poll_tx()
+            packet = self.source.poll_tx()
         if packet is None:
             return
         self.busy = True
@@ -425,12 +384,7 @@ class HostNic:
         if self.ctrl:
             nxt = self.ctrl.popleft()
         elif self.source is not None:
-            src = self.source
-            if (src.supports_burst and len(src._rr) == 1
-                    and self.sim.burst_enabled):
-                if self._pull_burst(src):
-                    return
-            nxt = src.poll_tx()
+            nxt = self.source.poll_tx()
         else:
             return
         if nxt is None:
@@ -442,219 +396,6 @@ class HostNic:
         else:
             ser = serialization_ns(nxt.size_bytes, self.rate)
         self._call_after(ser, self._tx_done, nxt)
-
-    # -------------------------------------------------------- burst trains
-    def _pull_burst(self, src) -> bool:
-        """Pull a train of packets and schedule their wire slots.
-
-        Returns True when the kick is fully handled (a train or a single
-        serial transmission was scheduled, or the transport decided
-        nothing can go out right now); False means the caller must fall
-        back to the serial ``poll_tx`` pull.
-        """
-        out: list[Packet] = []
-        undo: list[int] = []
-        gates: list[int] = []
-        qp = src.poll_tx_burst(out, undo, gates, _NIC_BURST)
-        if qp is None:
-            return False
-        if qp is _BURST_NONE:
-            return True
-        packet = out[0]
-        self.busy = True
-        rate = self._int_rate
-        if len(out) == 1:
-            if rate:
-                ser = -(-packet.size_bytes * 8 // rate)
-            else:
-                ser = serialization_ns(packet.size_bytes, self.rate)
-            self._call_after(ser, self._tx_done, packet)
-            return True
-        sim = self.sim
-        now = sim.now
-        slot = self._burst_slot
-        times: deque[int] = deque()
-        starts: deque[int] = deque()
-        items = []
-        if gates:
-            # Paced train (per-segment CPU gate): wire slots may be
-            # separated by idle gaps.  Only the completion slots are
-            # scheduled up front; a gap's start event is created by the
-            # completion slot that precedes it, so its queue position
-            # matches the wakeup kick the serial path schedules from
-            # that same transmit completion.
-            g = now
-            prev_done = 0
-            for i, p in enumerate(out):
-                if rate:
-                    ser = -(-p.size_bytes * 8 // rate)
-                else:
-                    ser = serialization_ns(p.size_bytes, self.rate)
-                if i:
-                    gate = gates[i - 1]
-                    g = gate if gate > prev_done else prev_done
-                    starts.append(g)
-                done = g + ser
-                times.append(done)
-                items.append((done - now, slot, ()))
-                prev_done = done
-            gdq = deque(gates)
-            gdq.pop()          # the final gate is already on the QP
-            self._burst_gates = gdq
-        else:
-            # Back-to-back train: the kernel owns the cumulative
-            # serialization arithmetic (the array backend vectorizes it).
-            delays = sim.kernel.departure_delays(
-                [p.size_bytes for p in out], rate, self.rate)
-            for d in delays:
-                times.append(now + d)
-                items.append((d, slot, ()))
-        token = CancelledToken()
-        sim.call_after_bulk(items, token)
-        self._burst_token = token
-        self._inflight = packet
-        pending = deque(out)
-        pending.popleft()
-        self._burst = pending
-        u = deque(undo)
-        u.popleft()            # out[0] is committed; its undo is unused
-        self._burst_undo = u
-        self._burst_times = times
-        self._burst_starts = starts
-        self._burst_qp = qp
-        self._burst_src = src
-        return True
-
-    def _burst_slot(self) -> None:
-        """One precomputed wire-slot completion of a burst train."""
-        packet = self._inflight
-        token = self._burst_token
-        self.tx_packets += 1
-        self.tx_bytes += packet.size_bytes
-        self._burst_times.popleft()
-        sp = spans._active
-        if sp is not None:
-            sp.nic_tx(packet, self.sim.now, self.ser_ns(packet.size_bytes),
-                      self.name)
-        self.link.deliver(packet)
-        if self._burst_token is not token:
-            # deliver()'s fallout truncated the train mid-slot; the
-            # replacement event is already scheduled.
-            return
-        pending = self._burst
-        if pending:
-            starts = self._burst_starts
-            if starts:
-                when = starts[0]
-                if when > self.sim.now:
-                    # Pacing gap: the wire goes idle until the next
-                    # segment's gate.  busy stays True so that kicks in
-                    # the gap stay no-ops (the serial path's kicks here
-                    # are coalesced into the already-pending wakeup).
-                    self._inflight = None
-                    self._burst_start_token = self.sim.schedule(
-                        when - self.sim.now, self._burst_start_slot)
-                    return
-                starts.popleft()
-            self._inflight = pending.popleft()
-            self._burst_undo.popleft()
-            if self._burst_gates:
-                self._burst_gates.popleft()
-            return
-        # Final slot: the train is fully on the wire; behave exactly
-        # like the serial _tx_done tail.
-        self._burst_token = None
-        self._inflight = None
-        self._burst_qp = None
-        self._burst_src = None
-        self.busy = False
-        if self.paused:
-            return
-        if self.ctrl:
-            nxt = self.ctrl.popleft()
-        elif self.source is not None:
-            src = self.source
-            if (src.supports_burst and len(src._rr) == 1
-                    and self.sim.burst_enabled):
-                if self._pull_burst(src):
-                    return
-            nxt = src.poll_tx()
-        else:
-            return
-        if nxt is None:
-            return
-        self.busy = True
-        rate = self._int_rate
-        if rate:
-            ser = -(-nxt.size_bytes * 8 // rate)
-        else:
-            ser = serialization_ns(nxt.size_bytes, self.rate)
-        self._call_after(ser, self._tx_done, nxt)
-
-    def _burst_start_slot(self) -> None:
-        """A gap-delayed train segment reaches its pacing gate."""
-        self._burst_start_token = None
-        self._burst_starts.popleft()
-        self._inflight = self._burst.popleft()
-        self._burst_undo.popleft()
-        if self._burst_gates:
-            self._burst_gates.popleft()
-
-    def _truncate_burst(self) -> None:
-        """Invalidate a precomputed train, keeping the wire consistent.
-
-        The in-flight packet cannot be taken back — the serial path
-        would also have committed it — so it finishes via a single
-        replacement ``_tx_done`` at its precomputed time.  Packets not
-        yet on the wire are handed back to the transport (which rewinds
-        its send pointers as if they were never pulled) and the QP's
-        scheduling quota is restored.  The remaining slot events die
-        with the shared token: a cancelled wheel entry is skipped
-        without counting, so ``events_processed`` stays bit-identical
-        to the serial path.
-        """
-        token = self._burst_token
-        if token is None:
-            return
-        token.cancel()
-        self._burst_token = None
-        pending = self._burst
-        qp = self._burst_qp
-        if pending:
-            self._burst_src.unpull(qp, pending)
-            qp.round_bytes_left = self._burst_undo[0]
-            if self._burst_gates:
-                # Paced train: restore the pacing gate the serial path
-                # would hold after the last committed segment.
-                qp.next_send_ns = self._burst_gates[0]
-        self._burst = deque()
-        self._burst_undo = deque()
-        self._burst_gates = deque()
-        packet = self._inflight
-        self._inflight = None
-        src = self._burst_src
-        self._burst_qp = None
-        self._burst_src = None
-        if packet is None:
-            # Truncated inside a pacing gap: nothing is on the wire.
-            # The serial path would be idle here with a wakeup kick
-            # pending at the next segment's gate — recreate exactly
-            # that (coalescing against a live kick token like the
-            # serial scheduler does).
-            stok = self._burst_start_token
-            if stok is not None:
-                stok.cancel()
-                self._burst_start_token = None
-            when = self._burst_starts[0]
-            self._burst_times = deque()
-            self._burst_starts = deque()
-            self.busy = False
-            src._schedule_kick(when)
-            return
-        when = self._burst_times.popleft()
-        self._burst_times = deque()
-        self._burst_starts = deque()
-        self._call_after(when - self.sim.now, self._tx_done, packet)
 
 
 class RnicTransport(Entity):
@@ -670,10 +411,6 @@ class RnicTransport(Entity):
 
     #: True when the transport speaks the DCP wire format (tagged packets).
     dcp_wire = False
-    #: Transports that implement a rollback-safe ``_qp_poll_burst`` and
-    #: ``unpull`` opt in; everything else keeps the serial pull path
-    #: even when ``REPRO_BURST`` is on.
-    supports_burst = False
     name = "base"
 
     def __init__(self, sim: Simulator, host_id: int, config: TransportConfig) -> None:
@@ -753,12 +490,6 @@ class RnicTransport(Entity):
         if qp.qpn not in self._rr_member:
             self._rr.append(qp)
             self._rr_member.add(qp.qpn)
-            nic = self.nic
-            if (nic is not None and nic._burst_token is not None
-                    and len(self._rr) > 1):
-                # A second QP joined mid-train: the precomputed slots
-                # no longer match what the round-robin would interleave.
-                nic._truncate_burst()
         nic = self.nic
         if nic is not None and not nic.busy:
             nic.kick()
@@ -780,15 +511,6 @@ class RnicTransport(Entity):
 
     def poll_tx(self) -> Optional[Packet]:
         """NIC pull: next packet from the QP scheduler, or None."""
-        nic = self.nic
-        if nic is not None and nic._burst_token is not None:
-            # Out-of-band pull while a train is pending (tests, tools
-            # poking the transport directly): the train's prediction
-            # did not account for this caller, so hand its packets
-            # back first.  In-simulation pulls never reach here with a
-            # pending train — the NIC's burst branch returns before
-            # poll_tx and the final slot clears the token.
-            nic._truncate_burst()
         now = self.sim.now
         rr = self._rr
         earliest_gate: Optional[int] = None
@@ -824,90 +546,6 @@ class RnicTransport(Entity):
         if earliest_gate is not None:
             self._schedule_kick(earliest_gate)
         return None
-
-    def poll_tx_burst(self, out: list, undo: list, gates: list, budget: int):
-        """NIC burst pull: up to ``budget`` packets from a single QP.
-
-        Only the uncontended static-window case bursts: one QP in the
-        ring (so the round-robin and quota cycling are identity maps)
-        and a non-pacing CC whose window never shrinks mid-train.
-        Returns the QP when at least one packet was appended to ``out``
-        (with the pre-pull quota values in ``undo``), ``_BURST_NONE``
-        when the kick is fully handled with nothing sendable, or None
-        when the caller must use the serial :meth:`poll_tx`.
-
-        Transports with a per-segment send gate (software TCP's host
-        overhead) append each pull's post-pull ``next_send_ns`` to
-        ``gates``; the NIC turns those into paced wire slots.  An empty
-        ``gates`` means the train is back-to-back.
-        """
-        rr = self._rr
-        if len(rr) != 1:
-            return None
-        qp = rr[0]
-        cc = qp.cc
-        if cc.paces or cc.window_bytes is None:
-            return None
-        r = self._qp_poll_burst(qp, self.sim.now, out, gates, budget)
-        if r is _NO_WORK:
-            rr.popleft()
-            self._rr_member.discard(qp.qpn)
-            return _BURST_NONE
-        if r is _GATED:
-            self._schedule_kick(qp.next_send_ns)
-            return _BURST_NONE
-        if r is _BURST_FALLBACK:
-            return None
-        if r == 0:
-            # Window-blocked with work posted: the serial loop would
-            # likewise return nothing (an ACK re-kicks the NIC).
-            return _BURST_NONE
-        # Apply the QP-scheduler quota exactly as the serial loop does
-        # per pull, recording the prior value so a truncation can put
-        # the not-yet-transmitted packets back.
-        left = qp.round_bytes_left
-        quota = self.config.round_quota_bytes
-        for p in out:
-            undo.append(left)
-            left -= p.size_bytes
-            if left <= 0:
-                left = quota
-        qp.round_bytes_left = left
-        return qp
-
-    def _qp_poll_burst(self, qp: QueuePair, now: int, out: list,
-                       gates: list, budget: int):
-        """Burst scheduler probe: append up to ``budget`` packets.
-
-        Returns ``_NO_WORK`` / ``_GATED`` (nothing appended),
-        ``_BURST_FALLBACK`` (sender state needs the serial path), or
-        the number of packets appended.  The default delegates a single
-        pull to :meth:`_qp_poll`; transports with rollback support
-        override it with a real multi-packet loop.
-        """
-        r = self._qp_poll(qp, now)
-        if r is _NO_WORK or r is _GATED:
-            return r
-        if r is None:
-            return 0
-        out.append(r)
-        return 1
-
-    def unpull(self, qp: QueuePair, packets) -> None:
-        """Roll back packets pulled by :meth:`_qp_poll_burst` but never
-        transmitted, restoring the exact pre-pull sender state."""
-        raise NotImplementedError(
-            "transport advertised supports_burst but does not implement "
-            "unpull")
-
-    def _break_burst(self, qp: QueuePair) -> None:
-        """Redirect hook: a NAK/RTO/HO handler is about to rewind
-        ``qp``'s send pointers; roll back any pre-pulled train first so
-        the handler observes exactly the serial-path state."""
-        nic = self.nic
-        if (nic is not None and nic._burst_token is not None
-                and nic._burst_qp is qp):
-            nic._truncate_burst()
 
     def _schedule_kick(self, at_ns: int) -> None:
         """Wake the NIC at ``at_ns`` (coalescing duplicate wakeups)."""
@@ -1056,12 +694,7 @@ class RnicTransport(Entity):
                 nxt = getattr(st, "snd_nxt", None)
                 if una is not None and nxt is not None:
                     total += max(0, nxt - una) * mtu
-            nic = self.nic
-            if nic is not None and nic._burst_src is self:
-                # Pre-pulled train packets are not on the wire yet; the
-                # serial path would not count them until their slot.
-                total -= len(nic._burst) * mtu
-            return max(0, total)
+            return total
         return sum(qp.outstanding_bytes for qp in self.qps.values())
 
     def count_retransmit(self, flow: Flow) -> None:

@@ -17,8 +17,7 @@ from typing import Optional
 
 from repro.net.packet import Packet, PacketKind, make_ack, make_data_packet
 from repro.rnic.base import (Flow, Message, QueuePair, RestartableTimer,
-                             RnicTransport, TransportConfig,
-                             _BURST_FALLBACK, _GATED, _NO_WORK)
+                             RnicTransport, TransportConfig, _GATED, _NO_WORK)
 from repro.sim.engine import Simulator
 
 
@@ -49,7 +48,6 @@ class GbnTransport(RnicTransport):
     """Go-Back-N sender/receiver state machines."""
 
     name = "gbn"
-    supports_burst = True
 
     def __init__(self, sim: Simulator, host_id: int, config: TransportConfig) -> None:
         super().__init__(sim, host_id, config)
@@ -119,76 +117,6 @@ class GbnTransport(RnicTransport):
             timer.restart(self.config.rto_ns)
         return packet
 
-    def _qp_poll_burst(self, qp: QueuePair, now: int, out: list,
-                       gates: list, budget: int):
-        """Multi-packet scheduler probe (see base class).
-
-        Pulls consecutive new-data packets while the static window
-        admits them.  Replay (``snd_nxt <= max_sent`` after a NAK/RTO
-        rewind) falls back to the serial path: retransmissions bump CC
-        and flow counters per pull and are not rollback-safe.
-        """
-        st = qp.tx_state
-        if st is None:
-            st = self._send_state(qp)
-        snd_nxt = st.snd_nxt
-        if snd_nxt >= qp.next_psn:
-            return _NO_WORK
-        if qp.next_send_ns > now:
-            return _GATED
-        if snd_nxt <= st.max_sent:
-            return _BURST_FALLBACK
-        mtu = self.config.mtu_payload
-        wb = qp.cc.window_bytes     # static: checked by poll_tx_burst
-        una = st.snd_una
-        next_psn = qp.next_psn
-        host_id = self.host_id
-        peer = qp.peer_host_id
-        peer_qpn = qp.peer_qpn
-        qpn = qp.qpn
-        entropy = qp.entropy
-        pool = self.pool
-        count = 0
-        while count < budget and snd_nxt < next_psn:
-            msg = qp.psn_to_message(snd_nxt)
-            off = snd_nxt - msg.base_psn
-            if off < msg.num_pkts - 1:
-                payload = mtu
-            else:
-                payload = msg.size_bytes - (msg.num_pkts - 1) * mtu
-            if wb - (snd_nxt - una) * mtu < payload:
-                break
-            out.append(make_data_packet(
-                host_id, peer, msg.flow.flow_id, peer_qpn, qpn, snd_nxt,
-                msg.msn, payload, mtu, msg.num_pkts, msg.size_bytes, off,
-                False, -1, 0, entropy, False, 0, pool))
-            msg.flow.stats.data_pkts_sent += 1
-            count += 1
-            snd_nxt += 1
-        if count:
-            st.max_sent = snd_nxt - 1
-            st.snd_nxt = snd_nxt
-            timer = st.timer
-            token = timer._token
-            if token is None or token.cancelled:
-                timer.restart(self.config.rto_ns)
-        return count
-
-    def unpull(self, qp: QueuePair, packets) -> None:
-        """Roll back pre-pulled (never transmitted) new-data packets.
-
-        ``packets`` are PSN-consecutive and all beyond the committed
-        prefix of the train, so rewinding the pointers and the per-flow
-        counters restores the exact serial-path sender state.
-        """
-        st = qp.tx_state
-        first = packets[0].psn
-        st.snd_nxt = first
-        st.max_sent = first - 1
-        for p in packets:
-            qp.psn_to_message(p.psn).flow.stats.data_pkts_sent -= 1
-        self.pool.release_many(packets)
-
     def _qp_has_work(self, qp: QueuePair) -> bool:
         st = qp.tx_state
         if st is None:
@@ -226,7 +154,6 @@ class GbnTransport(RnicTransport):
         return packet
 
     def _on_rto(self, qp: QueuePair) -> None:
-        self._break_burst(qp)
         st = qp.tx_state
         if st is None:
             st = self._send_state(qp)
@@ -270,9 +197,6 @@ class GbnTransport(RnicTransport):
         return all(m.acked for m in qp.messages.values() if m.flow is flow)
 
     def _on_nak(self, qp: QueuePair, packet: Packet) -> None:
-        # Roll back any pre-pulled train before the epsn/snd_nxt
-        # comparison: the rewind must observe serial-path pointers.
-        self._break_burst(qp)
         st = qp.tx_state
         if st is None:
             st = self._send_state(qp)

@@ -29,7 +29,11 @@ from typing import Any, Optional
 #: blocks (per-flow FCT attribution) to their payloads.
 #: v6: NetworkSpec gained the ``fidelity`` field (hybrid-fidelity tier),
 #: which changes every spec hash.
-CACHE_VERSION = 6
+#: v7: the burst-train dataplane is gone.  Packet-tier payloads of
+#: contended points (multi-QP NICs, shared egress ports) move from the
+#: train path's answer to the serial pull path's, so a v6 cache would
+#: replay stale tables; single-flow points are unchanged.
+CACHE_VERSION = 7
 
 
 def default_cache_dir() -> Path:

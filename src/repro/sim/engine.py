@@ -20,10 +20,10 @@ Backends are required to produce bit-identical event streams — same
 payload is byte-identical regardless of ``REPRO_KERNEL``.
 
 :class:`Simulator` holds the run-visible state (``now``,
-``events_processed``, the packet-sequence counter, the packet pool, the
-burst gate) and binds the kernel's entry points as instance attributes
-at construction, so hot callers pay no delegation cost: ``sim.schedule``
-*is* the kernel's bound method.
+``events_processed``, the packet-sequence counter, the packet pool) and
+binds the kernel's entry points as instance attributes at construction,
+so hot callers pay no delegation cost: ``sim.schedule`` *is* the
+kernel's bound method.
 
 Callbacks are plain callables; there is no coroutine machinery, which
 keeps the per-event overhead low enough for packet-level simulation in
@@ -37,7 +37,6 @@ live in :mod:`repro.sim.units`.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional
 
 from repro.sim.kernel import make_kernel
@@ -62,10 +61,9 @@ class Simulator:
 
     The event queue lives in ``self.kernel`` (an
     :class:`~repro.sim.kernel.base.EventKernel`); ``schedule``,
-    ``call_after``, ``call_after_bulk``, ``run``, ``peek_time`` and
-    ``pending`` are the kernel's bound methods, installed as instance
-    attributes.  Only the kernel's drain loop writes ``now`` and
-    ``events_processed``.
+    ``call_after``, ``run``, ``peek_time`` and ``pending`` are the
+    kernel's bound methods, installed as instance attributes.  Only the
+    kernel's drain loop writes ``now`` and ``events_processed``.
     """
 
     def __init__(self, kernel: Optional[str] = None) -> None:
@@ -79,12 +77,6 @@ class Simulator:
         #: Slot for a per-simulation packet free-list pool; installed by
         #: the net layer (the engine itself is packet-agnostic).
         self.packet_pool = None
-        #: Burst-mode dataplane gate (``REPRO_BURST=0`` reverts every
-        #: layer to one-event-per-call scheduling).  The chaos subsystem
-        #: clears it at injector construction: failure injection must
-        #: observe the dataplane mid-flight, so chaos runs stay on the
-        #: slow path by design.
-        self.burst_enabled: bool = os.environ.get("REPRO_BURST", "1") != "0"
         #: Set by the chaos subsystem when a failure scenario is armed;
         #: the hybrid-fidelity controller treats it as a standing
         #: falsifier (chaos runs are packet-level end to end).
@@ -95,7 +87,6 @@ class Simulator:
         self.kernel = make_kernel(self, kernel)
         self.schedule = self.kernel.schedule
         self.call_after = self.kernel.call_after
-        self.call_after_bulk = self.kernel.schedule_bulk
         self.run = self.kernel.drain
         self.peek_time = self.kernel.peek_time
         self.pending = self.kernel.pending

@@ -20,18 +20,14 @@ Python operations:
   place and are dropped in batch at rebuild time (the rebuild filters
   the live set and re-sorts), mirroring the reference kernel's lazy
   heap compaction.
-* **Vectorized serialization arithmetic.**  Burst trains ask the kernel
-  for the cumulative departure times of N frames in one
-  :meth:`departure_delays` call; integral line rates use an exact
-  vectorized ceil-division + prefix sum.
 
 The contract is the reference kernel's, bit for bit: identical
 ``(when, seq)`` pop order, identical FIFO ties, identical
 ``events_processed`` accounting (cancelled entries skip without
 counting).  The equivalence is pinned by a hypothesis property over
-arbitrary schedule/cancel/bulk interleavings across all three timer
-tiers, and by the full burst x pool x jobs gate matrix in
-``tests/integration/test_burst_identity.py``.
+arbitrary schedule/cancel interleavings across all three timer tiers,
+and by the pool x kernel x jobs gate matrix in
+``tests/integration/test_gate_identity.py``.
 """
 
 from __future__ import annotations
@@ -48,9 +44,6 @@ from repro.sim.kernel.ref import (_G0_BITS, _L0_MASK, _L0_SLOTS, _L1_MASK,
 #: Below this many entries, plain ``list.sort`` beats column extraction
 #: plus ``np.lexsort``; measured on the fig8-quick hot path.
 _LEXSORT_MIN = 64
-
-#: Minimum burst-train length for the vectorized serialization path.
-_VEC_SER_MIN = 8
 
 
 class ArrayKernel(EventKernel):
@@ -221,57 +214,6 @@ class ArrayKernel(EventKernel):
             self._wheel_count += 1
         else:
             self._far_push((when, seq, None, fn, args))
-
-    def schedule_bulk(self, items: list[tuple],
-                      token: Optional[CancelledToken] = None) -> None:
-        """See :meth:`RefKernel.schedule_bulk` — identical semantics."""
-        now = self.sim.now
-        seq = self._seqn
-        base0 = self._base0
-        base1 = base0 >> 8
-        l0 = self._l0
-        l1 = self._l1
-        active = self._active
-        aidx = self._active_idx
-        added = 0
-        for delay, fn, args in items:
-            if delay < 0:
-                raise ValueError(f"cannot schedule in the past (delay={delay})")
-            when = now + delay
-            seq += 1
-            b0 = when >> _G0_BITS
-            off = b0 - base0
-            if off < _L0_SLOTS:
-                if off <= 0:
-                    insort(active, (when, seq, token, fn, args), lo=aidx)
-                else:
-                    l0[b0 & _L0_MASK].append((when, seq, token, fn, args))
-                added += 1
-            elif (b0 >> 8) - base1 < _L1_SLOTS:
-                l1[(b0 >> 8) & _L1_MASK].append((when, seq, token, fn, args))
-                added += 1
-            else:
-                if token is not None:
-                    token._owner = self
-                self._far_push((when, seq, token, fn, args))
-        self._seqn = seq
-        self._wheel_count += added
-
-    # ------------------------------------------------- batch arithmetic
-    def departure_delays(self, sizes: list[int], int_rate: int,
-                         rate: float) -> list[int]:
-        """Vectorized cumulative serialization delays (integral rates).
-
-        ``-(-bits // rate)`` on an ``int64`` column is the exact
-        elementwise twin of the scalar ceil-division the serial paths
-        use, and the prefix sum of exact integers is order-free — the
-        result is the scalar loop's, element for element.  Non-integral
-        rates (float rounding) stay on the scalar reference path.
-        """
-        if int_rate and len(sizes) >= _VEC_SER_MIN:
-            bits = np.asarray(sizes, dtype=np.int64) * 8
-            return np.cumsum(-(-bits // int_rate)).tolist()
-        return EventKernel.departure_delays(self, sizes, int_rate, rate)
 
     # ----------------------------------------------------------- internals
     def _wheel_head(self) -> Optional[tuple]:

@@ -1,28 +1,26 @@
 """The event-kernel interface: the seam all dataplane backends plug into.
 
 An :class:`EventKernel` owns the engine's inner loop — the event stores,
-insertion (single, fast-path, bulk), lazy cancellation, and the drain
-loop that advances the simulation clock.  :class:`~repro.sim.engine.Simulator`
+insertion (single, fast-path), lazy cancellation, and the drain loop
+that advances the simulation clock.  :class:`~repro.sim.engine.Simulator`
 is a thin facade: it holds the run-visible state (``now``,
-``events_processed``, ``packet_seq``, the packet pool, the burst gate)
-and binds the selected kernel's entry points as instance attributes, so
-callers pay no delegation cost.
+``events_processed``, ``packet_seq``, the packet pool) and binds the
+selected kernel's entry points as instance attributes, so callers pay
+no delegation cost.
 
 The contract every backend must honour (enforced by
 ``tests/unit/test_engine.py`` and the bit-identity gate matrix in
-``tests/integration/test_burst_identity.py``):
+``tests/integration/test_gate_identity.py``):
 
 * **Total order is ``(when, seq)``.**  Every scheduled event gets a
   globally unique, monotonically increasing sequence number; events
   fire in exact ``(when, seq)`` order.  FIFO tie-breaking at equal
   timestamps is load-bearing — transports rely on ACK-before-data
   causality at shared timestamps.
-* **Bulk insertion is indistinguishable from N single insertions** in
-  list order: consecutive sequence numbers, identical tie-breaking.
 * **Cancellation is lazy and count-neutral.**  A cancelled entry stays
   queued but is skipped when due *without* counting toward
-  ``events_processed`` — the burst dataplane's truncation protocol
-  ("cancel N slots, schedule 1 replacement") depends on the skip being
+  ``events_processed`` — :class:`~repro.rnic.base.RestartableTimer`
+  cancels and re-arms once per ACK, and those dead entries must stay
   invisible in the event count.
 * **Clock accounting lives in the kernel.**  Only the drain loop writes
   ``sim.now`` and ``sim.events_processed``; a backend must update them
@@ -37,8 +35,6 @@ byte-identical across backends.
 from __future__ import annotations
 
 from typing import Callable, Optional
-
-from repro.sim.units import serialization_ns
 
 
 class CancelledToken:
@@ -70,9 +66,7 @@ class CancelledToken:
 class EventKernel:
     """Base class for event-kernel backends.
 
-    Subclasses implement the full interface; the base provides only the
-    backend-agnostic batch serialization arithmetic (which array-style
-    backends override with vectorized versions).
+    Subclasses implement the full interface.
 
     Interface
     ---------
@@ -81,9 +75,6 @@ class EventKernel:
     ``call_after(delay, fn, *args) -> None``
         Uncancellable fast path: no token allocation, positional args
         ride in the entry itself.
-    ``schedule_bulk(items, token=None) -> None``
-        Insert many ``(delay, fn, args)`` entries with consecutive
-        sequence numbers; an optional shared token cancels the batch.
     ``drain(until=None, max_events=None) -> None``
         The inner loop: pop events in ``(when, seq)`` order, advance
         ``sim.now``/``sim.events_processed``, run callbacks.  Exposed
@@ -92,8 +83,6 @@ class EventKernel:
         Time of the next live event, or None.
     ``pending() -> int``
         Number of queued (possibly cancelled) events.
-    ``departure_delays(sizes, int_rate, rate) -> list[int]``
-        Batch serialization arithmetic for burst trains (below).
     """
 
     #: Backend name as selected by ``REPRO_KERNEL``.
@@ -105,42 +94,12 @@ class EventKernel:
         #: :meth:`CancelledToken.cancel` increments it directly.
         self._heap_dead = 0
 
-    # ------------------------------------------------- batch arithmetic
-    def departure_delays(self, sizes: list[int], int_rate: int,
-                         rate: float) -> list[int]:
-        """Cumulative serialization delays of back-to-back frames.
-
-        ``sizes`` are frame sizes in bytes; the result's ``i``-th entry
-        is the delay (ns from now) at which frame ``i`` finishes
-        serializing, assuming frames go out back to back starting now.
-        ``int_rate`` is the integer line rate in bits/ns when the rate
-        is integral (the division-free path), else 0 and ``rate`` is
-        used through :func:`repro.sim.units.serialization_ns` — the
-        rounding of both paths must match the scalar per-packet sites
-        exactly, or burst and serial event streams diverge.
-        """
-        delays: list[int] = []
-        total = 0
-        if int_rate:
-            for size in sizes:
-                total += -(-size * 8 // int_rate)
-                delays.append(total)
-        else:
-            for size in sizes:
-                total += serialization_ns(size, rate)
-                delays.append(total)
-        return delays
-
     # ---------------------------------------------------- interface stubs
     def schedule(self, delay: int,
                  callback: Callable[[], None]) -> CancelledToken:
         raise NotImplementedError
 
     def call_after(self, delay: int, fn: Callable, *args) -> None:
-        raise NotImplementedError
-
-    def schedule_bulk(self, items: list[tuple],
-                      token: Optional[CancelledToken] = None) -> None:
         raise NotImplementedError
 
     def drain(self, until: Optional[int] = None,

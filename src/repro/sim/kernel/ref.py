@@ -122,53 +122,6 @@ class RefKernel(EventKernel):
         else:
             heapq.heappush(self._heap, (when, seq, None, fn, args))
 
-    def schedule_bulk(self, items: list[tuple],
-                      token: Optional[CancelledToken] = None) -> None:
-        """Schedule many ``(delay, fn, args)`` entries in one call.
-
-        Equivalent to issuing ``call_after(delay, fn, *args)`` once per
-        item, in list order: sequence numbers are assigned
-        consecutively, so FIFO tie-breaking matches the individual
-        calls exactly.  ``token``, when given, is shared by every
-        entry — cancelling it invalidates the whole batch (the entries
-        are skipped when due without counting as processed events,
-        which is what lets burst callers replace a cancelled batch
-        with a single slow-path event and keep ``events_processed``
-        bit-identical).
-        """
-        now = self.sim.now
-        seq = self._seqn
-        base0 = self._base0
-        base1 = base0 >> 8
-        l0 = self._l0
-        l1 = self._l1
-        active = self._active
-        aidx = self._active_idx
-        heap = self._heap
-        added = 0
-        for delay, fn, args in items:
-            if delay < 0:
-                raise ValueError(f"cannot schedule in the past (delay={delay})")
-            when = now + delay
-            seq += 1
-            b0 = when >> _G0_BITS
-            off = b0 - base0
-            if off < _L0_SLOTS:
-                if off <= 0:
-                    insort(active, (when, seq, token, fn, args), lo=aidx)
-                else:
-                    l0[b0 & _L0_MASK].append((when, seq, token, fn, args))
-                added += 1
-            elif (b0 >> 8) - base1 < _L1_SLOTS:
-                l1[(b0 >> 8) & _L1_MASK].append((when, seq, token, fn, args))
-                added += 1
-            else:
-                if token is not None:
-                    token._owner = self
-                heapq.heappush(heap, (when, seq, token, fn, args))
-        self._seqn = seq
-        self._wheel_count += added
-
     # ----------------------------------------------------------- internals
     def _compact_heap(self) -> None:
         """Drop cancelled entries and re-heapify.

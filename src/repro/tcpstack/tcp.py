@@ -21,8 +21,7 @@ from repro.net.packet import (Packet, PacketKind, make_ack,
                               make_data_packet, release)
 from repro.obs import spans
 from repro.rnic.base import (QueuePair, RestartableTimer, RnicTransport,
-                             TransportConfig, _BURST_FALLBACK, _GATED,
-                             _NO_WORK)
+                             TransportConfig, _GATED, _NO_WORK)
 from repro.sim.engine import Simulator
 
 #: per-packet CPU cost of the software stack (send or receive), ns.
@@ -58,7 +57,6 @@ class TcpTransport(RnicTransport):
     """Software TCP endpoint with modelled host overheads."""
 
     name = "tcp"
-    supports_burst = True
 
     def __init__(self, sim: Simulator, host_id: int, config: TransportConfig,
                  host_overhead_ns: int = DEFAULT_HOST_OVERHEAD_NS,
@@ -105,66 +103,6 @@ class TcpTransport(RnicTransport):
         # CPU cost of the send path: pace the next segment.
         qp.next_send_ns = max(qp.next_send_ns, now + self.host_overhead_ns)
         return packet
-
-    def _qp_poll_burst(self, qp: QueuePair, now: int, out: list,
-                       gates: list, budget: int):
-        """Multi-segment scheduler probe (see base class).
-
-        The software stack's per-segment CPU cost paces the sender, so
-        the train simulates the gate's progression: segment *i* leaves
-        the stack at ``g_i`` with ``g_{i+1} = max(g_i + overhead,
-        wire-completion of i)``, exactly the times at which the serial
-        path's wakeup kicks would pull.  The post-pull gate values are
-        handed to the NIC via ``gates`` so it can place the (possibly
-        gapped) wire slots and rewind the gate on truncation.  Replay
-        segments are not rollback-safe, so a rewound send pointer falls
-        back to the serial path; the window check uses the cwnd of the
-        pull instant, which only grows until a loss event — and every
-        loss-recovery entry point truncates the train first.
-        """
-        st = qp.tx_state
-        if st is None:
-            st = self._send_state(qp)
-        snd_nxt = st.snd_nxt
-        if snd_nxt >= qp.next_psn:
-            return _NO_WORK
-        if qp.next_send_ns > now:
-            return _GATED
-        if snd_nxt <= st.max_sent:
-            return _BURST_FALLBACK
-        oh = self.host_overhead_ns
-        ser_ns = self.nic.ser_ns
-        snd_una = st.snd_una
-        next_psn = qp.next_psn
-        wnd = max(1, int(st.cwnd))
-        g = now
-        count = 0
-        while count < budget and snd_nxt < next_psn:
-            if snd_nxt - snd_una >= wnd:
-                break
-            packet = self._build(qp, st, snd_nxt, False)
-            st.max_sent = snd_nxt
-            snd_nxt += 1
-            st.snd_nxt = snd_nxt
-            gate = g + oh
-            qp.next_send_ns = gate
-            out.append(packet)
-            count += 1
-            if oh:
-                gates.append(gate)
-                done = g + ser_ns(packet.size_bytes)
-                g = gate if gate > done else done
-        return count
-
-    def unpull(self, qp: QueuePair, packets) -> None:
-        """Roll back pre-pulled (never transmitted) new-data segments."""
-        st = qp.tx_state
-        first = packets[0].psn
-        st.snd_nxt = first
-        st.max_sent = first - 1
-        for p in packets:
-            qp.psn_to_message(p.psn).flow.stats.data_pkts_sent -= 1
-        self.pool.release_many(packets)
 
     def _qp_has_work(self, qp: QueuePair) -> bool:
         st = qp.tx_state
@@ -213,7 +151,6 @@ class TcpTransport(RnicTransport):
         return packet
 
     def _on_rto(self, qp: QueuePair) -> None:
-        self._break_burst(qp)
         st = qp.tx_state
         if st is None:
             st = self._send_state(qp)
@@ -258,7 +195,6 @@ class TcpTransport(RnicTransport):
             st.dupacks += 1
             if st.dupacks == 3 and st.snd_una > st.recover:
                 # Fast retransmit / NewReno recovery.
-                self._break_burst(qp)
                 st.ssthresh = max(2.0, st.cwnd / 2)
                 st.cwnd = st.ssthresh
                 st.recover = st.snd_nxt - 1

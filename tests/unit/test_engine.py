@@ -196,7 +196,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sim.kernel as kernel_pkg
-from repro.sim.engine import CancelledToken
 
 try:
     import numpy  # noqa: F401
@@ -256,8 +255,8 @@ def test_array_present_is_listed_or_absent_consistently():
 
 # ------------------------------------- ref == array kernel equivalence
 #
-# The property: for arbitrary interleavings of schedule / bulk-schedule
-# / cancel operations whose delays span all three timer tiers (wheel
+# The property: for arbitrary interleavings of schedule / cancel
+# operations whose delays span all three timer tiers (wheel
 # L0 < 2**18 ns, wheel L1 < 2**24 ns, far store beyond the horizon),
 # the two kernels fire the exact same (when, tag) sequence, with the
 # same events_processed accounting.  Half the operations are applied
@@ -273,9 +272,6 @@ _TIERED_DELAY = st.one_of(
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("one"), _TIERED_DELAY, st.booleans()),
-        st.tuples(st.just("bulk"),
-                  st.lists(_TIERED_DELAY, min_size=1, max_size=16),
-                  st.booleans()),
         st.tuples(st.just("cancel"), st.integers(0, 10**6), st.just(False)),
     ),
     min_size=1, max_size=30)
@@ -298,13 +294,6 @@ def _drive(kernel_name, ops):
             tokens.append(sim.schedule(delay, lambda tag=tag: note(tag)))
             if cancel_mid and tokens:
                 tokens[len(tokens) // 2].cancel()
-        elif kind == "bulk":
-            _, delays, cancel_batch = op
-            token = CancelledToken()
-            items = [(d, note, (next(tags),)) for d in delays]
-            sim.call_after_bulk(items, token)
-            if cancel_batch:
-                token.cancel()
         else:
             _, pick, _ = op
             if tokens:
@@ -328,3 +317,32 @@ def _drive(kernel_name, ops):
 @given(ops=_OPS)
 def test_ref_and_array_kernels_pop_identically(ops):
     assert _drive("ref", ops) == _drive("array", ops)
+
+
+@settings(deadline=None, max_examples=100)
+@given(delays=st.lists(_TIERED_DELAY, min_size=2, max_size=16),
+       cancel_at=_TIERED_DELAY,
+       kernel=st.sampled_from(kernel_pkg.available_backends()))
+def test_cancelled_entries_do_not_fire_or_count(delays, cancel_at, kernel):
+    """Entries whose token is cancelled mid-run are skipped when due —
+    in the wheel and in the far store alike — without counting toward
+    ``events_processed``.  ``RestartableTimer`` cancels and re-arms once
+    per ACK, so a counted skip would make the event count depend on how
+    many timers were superseded."""
+    sim = Simulator(kernel=kernel)
+    fired = []
+    tokens = []
+
+    def cancel_all():
+        for token in tokens:
+            token.cancel()
+
+    # Scheduled first, so the cancel wins same-time ties: only entries
+    # strictly earlier than it may fire.
+    sim.schedule(cancel_at, cancel_all)
+    tokens.extend(sim.schedule(d, lambda i=i: fired.append(i))
+                  for i, d in enumerate(delays))
+    sim.run()
+    assert sim.pending() == 0
+    assert sorted(fired) == [i for i, d in enumerate(delays) if d < cancel_at]
+    assert sim.events_processed == 1 + len(fired)
