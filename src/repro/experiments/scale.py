@@ -12,9 +12,8 @@ packet cost linearly to score the hybrid speedup at scale.
 Caveat: ``wall_s`` is measured inside the point runner, so it rides the
 result cache like any other payload field — a cached replay reports the
 wall time of the run that *produced* the entry.  That is deliberate:
-the benchmark harness (``benchmarks/bench_scale.py``) always runs with
-the cache disabled, and cached experiment reruns should not overwrite a
-real measurement with a near-zero one.
+cached experiment reruns should not overwrite a real measurement with a
+near-zero one; pass ``--no-cache`` to measure afresh.
 """
 
 from __future__ import annotations

@@ -257,7 +257,7 @@ class RestartableTimer:
         return self._token is not None and not self._token.cancelled
 
     def restart(self, delay_ns: int) -> None:
-        # token.cancel() handles the kernel's dead-entry accounting;
+        # token.cancel() handles the engine's dead-heap-entry accounting;
         # this runs once per ACK on every transport.
         token = self._token
         if token is not None:

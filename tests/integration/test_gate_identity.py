@@ -1,13 +1,12 @@
-"""Bit-identity of the mechanical gates: packet pool and event kernel.
+"""Bit-identity of the mechanical gate: the packet pool.
 
-``REPRO_PACKET_POOL`` (on / off / poison-debug) and ``REPRO_KERNEL``
-(ref / array) only change *how* the event stream is produced — packet
-recycling, the event-store backend — never the stream itself.  These
-tests pin that contract across the gate matrix, over a clean direct
-point, a lossy Clos point (retransmission timers, release paths under
-loss), a chaos link flap and a contended Clos cell, and then across
-the runner's execution modes: serial == ``--jobs 2`` == cache replay,
-per kernel and across kernels.
+``REPRO_PACKET_POOL`` (on / off / poison-debug) only changes *how* the
+event stream is produced — packet recycling — never the stream itself.
+These tests pin that contract across the gate matrix, over a clean
+direct point, a lossy Clos point (retransmission timers, release paths
+under loss), a chaos link flap and a contended Clos cell, and then
+across the runner's execution modes: serial == ``--jobs 2`` == cache
+replay.
 
 There is one transmit path — the NIC pulls one packet per wire slot —
 and the contended cell pins it to reference values, so a fast path
@@ -31,18 +30,6 @@ from repro.runner.points import simulate_flows
 from repro.workload.distributions import websearch
 from repro.workload.flows import IncastWorkload, PoissonWorkload
 
-try:
-    import numpy  # noqa: F401
-    _HAVE_NUMPY = True
-except ImportError:
-    _HAVE_NUMPY = False
-
-_needs_array = pytest.mark.skipif(
-    not _HAVE_NUMPY, reason="numpy not installed ([kernel] extra)")
-
-#: Event-kernel backends (REPRO_KERNEL).
-KERNELS = ("ref", "array")
-
 TRANSPORTS = ("gbn", "dcp", "tcp", "sdr", "rifl")
 
 #: (REPRO_PACKET_POOL, REPRO_PACKET_POOL_DEBUG)
@@ -53,17 +40,15 @@ GATE_MATRIX = (
 )
 
 
-def _run_payload(monkeypatch, pool, debug, spec, params, kernel="ref"):
+def _run_payload(monkeypatch, pool, debug, spec, params):
     monkeypatch.setenv("REPRO_PACKET_POOL", pool)
     monkeypatch.setenv("REPRO_PACKET_POOL_DEBUG", debug)
-    monkeypatch.setenv("REPRO_KERNEL", kernel)
     return simulate_flows(spec, params)
 
 
-def _run(monkeypatch, pool, debug, spec, params, kernel="ref"):
+def _run(monkeypatch, pool, debug, spec, params):
     # Canonical form so a mismatch diffs cleanly in pytest output.
-    return json.dumps(_run_payload(monkeypatch, pool, debug, spec, params,
-                                   kernel),
+    return json.dumps(_run_payload(monkeypatch, pool, debug, spec, params),
                       sort_keys=True, default=str)
 
 
@@ -200,67 +185,17 @@ def test_pool_matrix_contended_clos(monkeypatch, cell):
     _assert_pool_invisible(monkeypatch, *_contended_point(cell))
 
 
-# --------------------------------------------- kernel backend identity axis
-
-def _assert_kernel_invisible(monkeypatch, spec, params):
-    for gates in GATE_MATRIX:
-        ref = _run(monkeypatch, *gates, spec, params, kernel="ref")
-        arr = _run(monkeypatch, *gates, spec, params, kernel="array")
-        assert arr == ref, f"kernel divergence under pool gates {gates}"
-
-
-@_needs_array
-@pytest.mark.kernel_array
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_kernel_axis_direct_matrix(monkeypatch, transport):
-    """REPRO_KERNEL=array matches ref bit for bit across the whole pool
-    gate matrix on the clean direct point."""
-    _assert_kernel_invisible(monkeypatch, *_direct_point(transport))
-
-
-@_needs_array
-@pytest.mark.kernel_array
-@pytest.mark.parametrize("transport", ("dcp", "gbn"))
-def test_kernel_axis_lossy_clos(monkeypatch, transport):
-    """Injected loss drives retransmission timers through the far store
-    (heap / record array); the kernels must not diverge."""
-    _assert_kernel_invisible(monkeypatch, *_lossy_clos_point(transport))
-
-
-@_needs_array
-@pytest.mark.kernel_array
-@pytest.mark.parametrize("cell", CONTENDED_CELLS)
-def test_kernel_axis_contended_clos(monkeypatch, cell):
-    """Many QPs per NIC, DCQCN timers and PFC pause/resume put far more
-    same-nanosecond ties in the queue than any single-flow point."""
-    _assert_kernel_invisible(monkeypatch, *_contended_point(cell))
-
-
-@pytest.mark.parametrize("kernel", (
-    "ref",
-    pytest.param("array", marks=(_needs_array, pytest.mark.kernel_array)),
-))
-def test_chaos_link_flap_identity(monkeypatch, kernel):
-    """A link that goes down mid-flow: every pool mode on every kernel
-    reproduces the default stack's payload, chaos block included."""
-    spec, params = _link_flap_point()
-    reference = _run(monkeypatch, *GATE_MATRIX[0], spec, params, kernel="ref")
-    for gates in GATE_MATRIX:
-        assert _run(monkeypatch, *gates, spec, params,
-                    kernel=kernel) == reference, (
-            f"payload diverged under pool gates {gates} on {kernel}")
+def test_chaos_link_flap_identity(monkeypatch):
+    """A link that goes down mid-flow: every pool mode reproduces the
+    default stack's payload, chaos block included."""
+    _assert_pool_invisible(monkeypatch, *_link_flap_point())
 
 
 # ------------------------------------------------- runner execution modes
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_fig8_quick_serial_jobs_replay_per_kernel(monkeypatch, tmp_path,
-                                                  kernel):
-    """serial == --jobs 2 == cache replay, bit for bit, on each backend;
-    replay executes nothing."""
-    if kernel == "array" and not _HAVE_NUMPY:
-        pytest.skip("numpy not installed ([kernel] extra)")
-    monkeypatch.setenv("REPRO_KERNEL", kernel)
+def test_fig8_quick_serial_jobs_replay(tmp_path):
+    """serial == --jobs 2 == cache replay, bit for bit; replay executes
+    nothing."""
     serial = ExperimentRunner(jobs=1, cache=ResultCache(enabled=False))
     r_serial = fig8.run("quick", runner=serial)
 
@@ -273,29 +208,6 @@ def test_fig8_quick_serial_jobs_replay_per_kernel(monkeypatch, tmp_path,
     assert replay.simulations_executed == 0
 
     assert r_serial.rows == r_par.rows == r_replay.rows
-
-
-@_needs_array
-@pytest.mark.kernel_array
-def test_fig8_quick_cross_kernel_cache_replay(monkeypatch, tmp_path):
-    """A cache warmed under ref replays under array with zero executions
-    and identical rows: REPRO_KERNEL must not enter the cache key, and
-    payloads must not move between backends."""
-    cache_root = tmp_path / "cache"
-    monkeypatch.setenv("REPRO_KERNEL", "ref")
-    warm = ExperimentRunner(jobs=1, cache=ResultCache(root=cache_root))
-    r_ref = fig8.run("quick", runner=warm)
-
-    monkeypatch.setenv("REPRO_KERNEL", "array")
-    replay = ExperimentRunner(jobs=2, cache=ResultCache(root=cache_root))
-    r_arr = fig8.run("quick", runner=replay)
-    assert replay.simulations_executed == 0
-    assert r_arr.rows == r_ref.rows
-
-    # And a cold array run reproduces the ref rows from scratch.
-    fresh = ExperimentRunner(jobs=1, cache=ResultCache(enabled=False))
-    r_cold = fig8.run("quick", runner=fresh)
-    assert r_cold.rows == r_ref.rows
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
 """Unit tests for the discrete-event engine."""
 
-import pytest
+import heapq
 
-from repro.sim.engine import Entity, Simulator
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.engine import CancelledToken, Entity, Simulator
 
 
 def test_events_run_in_time_order():
@@ -188,85 +192,53 @@ def test_mid_run_heap_compaction_keeps_event_stream_intact():
     assert sim.events_processed == 1 + 40 + 1 + 1
 
 
-# ------------------------------------------------- kernel backend selection
-
-import sys
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-import repro.sim.kernel as kernel_pkg
-
-try:
-    import numpy  # noqa: F401
-    _HAVE_NUMPY = True
-except ImportError:
-    _HAVE_NUMPY = False
-
-def test_default_kernel_is_ref(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    assert Simulator().kernel.name == "ref"
-
-
-def test_env_selects_kernel(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "ref")
-    assert Simulator().kernel.name == "ref"
-
-
-def test_explicit_kernel_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "nonsense")
-    assert Simulator(kernel="ref").kernel.name == "ref"
-
-
-def test_unknown_kernel_is_a_hard_error(monkeypatch):
-    """A typo in REPRO_KERNEL must not silently change the backend."""
-    monkeypatch.setenv("REPRO_KERNEL", "typo")
-    with pytest.raises(ValueError, match="typo"):
-        Simulator()
-
-
-def test_array_requested_without_numpy_falls_back_to_ref(monkeypatch):
-    """Always-on fallback check: runs whether or not numpy is installed.
-
-    Simulates numpy's absence by poisoning ``sys.modules``, so the
-    selection path degrades to ``ref`` with a RuntimeWarning instead of
-    crashing — experiment scripts must keep working on a bare install.
-    """
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    monkeypatch.delitem(sys.modules, "repro.sim.kernel.array_np",
-                        raising=False)
-    monkeypatch.setattr(kernel_pkg, "_FALLBACK_WARNED", False)
-    monkeypatch.setenv("REPRO_KERNEL", "array")
-    assert kernel_pkg.available_backends() == ["ref"]
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        sim = Simulator()
-    assert sim.kernel.name == "ref"
-    fired = []
-    sim.schedule(5, lambda: fired.append(sim.now))
-    sim.run()
-    assert fired == [5] and sim.events_processed == 1
-
-
-def test_array_present_is_listed_or_absent_consistently():
-    backends = kernel_pkg.available_backends()
-    assert backends[0] == "ref"
-    assert ("array" in backends) == _HAVE_NUMPY
-
-
-# ------------------------------------- ref == array kernel equivalence
+# ------------------------------------ engine == single-heap reference
 #
 # The property: for arbitrary interleavings of schedule / cancel
 # operations whose delays span all three timer tiers (wheel
-# L0 < 2**18 ns, wheel L1 < 2**24 ns, far store beyond the horizon),
-# the two kernels fire the exact same (when, tag) sequence, with the
-# same events_processed accounting.  Half the operations are applied
-# from *inside* callbacks, so mid-run insertion (including behind the
-# ring position) and mid-run cancellation are exercised too.
+# L0 < 2**18 ns, wheel L1 < 2**24 ns, heap beyond the horizon), the
+# engine fires the exact same (when, tag) sequence, with the same
+# events_processed accounting, as one heapq ordered by (when, seq).
+# Half the operations are applied from *inside* callbacks, so mid-run
+# insertion (including behind the ring position) and mid-run
+# cancellation are exercised too.
+
+class _HeapScheduler:
+    """The differential oracle: one ``(when, seq)`` heap, nothing else."""
+
+    def __init__(self):
+        self.now = self.events_processed = self._seq = 0
+        self._heap = []
+
+    def schedule(self, delay, callback):
+        return self._push(delay, CancelledToken(), callback, ())
+
+    def call_after(self, delay, fn, *args):
+        self._push(delay, None, fn, args)
+
+    def _push(self, delay, token, fn, args):
+        self._seq += 1
+        heapq.heappush(self._heap,
+                       (self.now + delay, self._seq, token, fn, args))
+        return token
+
+    def pending(self):
+        return len(self._heap)
+
+    def run(self):
+        while self._heap:
+            when, _, token, fn, args = heapq.heappop(self._heap)
+            if token is not None and token.cancelled:
+                continue        # skipped uncounted
+            self.now = when
+            self.events_processed += 1
+            fn(*args)
+
 
 _TIERED_DELAY = st.one_of(
     st.integers(0, 2**18),            # wheel level 0 span
     st.integers(2**18, 2**24 - 1),    # wheel level 1 span
-    st.integers(2**24, 2**30),        # beyond the horizon: far store
+    st.integers(2**24, 2**30),        # beyond the horizon: heap
 )
 
 _OPS = st.lists(
@@ -277,8 +249,7 @@ _OPS = st.lists(
     min_size=1, max_size=30)
 
 
-def _drive(kernel_name, ops):
-    sim = Simulator(kernel=kernel_name)
+def _drive(sim, ops):
     fired = []
     tokens = []
     tags = iter(range(10**9))
@@ -310,26 +281,22 @@ def _drive(kernel_name, ops):
     return fired, sim.events_processed, sim.now
 
 
-@pytest.mark.kernel_array
-@pytest.mark.skipif(not _HAVE_NUMPY,
-                    reason="numpy not installed ([kernel] extra)")
 @settings(deadline=None, max_examples=60)
 @given(ops=_OPS)
-def test_ref_and_array_kernels_pop_identically(ops):
-    assert _drive("ref", ops) == _drive("array", ops)
+def test_engine_pops_like_a_single_heap(ops):
+    assert _drive(Simulator(), ops) == _drive(_HeapScheduler(), ops)
 
 
 @settings(deadline=None, max_examples=100)
 @given(delays=st.lists(_TIERED_DELAY, min_size=2, max_size=16),
-       cancel_at=_TIERED_DELAY,
-       kernel=st.sampled_from(kernel_pkg.available_backends()))
-def test_cancelled_entries_do_not_fire_or_count(delays, cancel_at, kernel):
+       cancel_at=_TIERED_DELAY)
+def test_cancelled_entries_do_not_fire_or_count(delays, cancel_at):
     """Entries whose token is cancelled mid-run are skipped when due —
-    in the wheel and in the far store alike — without counting toward
+    in the wheel and in the heap alike — without counting toward
     ``events_processed``.  ``RestartableTimer`` cancels and re-arms once
     per ACK, so a counted skip would make the event count depend on how
     many timers were superseded."""
-    sim = Simulator(kernel=kernel)
+    sim = Simulator()
     fired = []
     tokens = []
 
