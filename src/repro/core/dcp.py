@@ -35,9 +35,8 @@ from repro.core.tracking import CounterTracker
 from repro.net.packet import (Packet, PacketKind, make_ack,
                               make_data_packet, release)
 from repro.rnic.base import (Flow, Message, QueuePair, RestartableTimer,
-                             RnicTransport, TransportConfig, _GATED, _NO_WORK)
+                             RnicTransport, _GATED, _NO_WORK)
 from repro.sim import trace
-from repro.sim.engine import Simulator
 
 
 class _DcpSendState:
@@ -75,11 +74,6 @@ class DcpTransport(RnicTransport):
     name = "dcp"
     dcp_wire = True
 
-    def __init__(self, sim: Simulator, host_id: int, config: TransportConfig) -> None:
-        super().__init__(sim, host_id, config)
-        self._snd: dict[int, _DcpSendState] = {}
-        self._rcv: dict[int, _DcpRecvState] = {}
-
     # HO accounting lives in the registry-backed TransportStats block;
     # these views keep the original attribute API for tests/experiments.
     @property
@@ -95,31 +89,24 @@ class DcpTransport(RnicTransport):
         return self.stats.stale_ho
 
     def inflight_bytes(self) -> int:
-        # _DcpSendState tracks no snd_una (acking is message-granular),
-        # so the QP-level outstanding-byte accounting is authoritative.
+        # Acking is message-granular (no snd_una), so the QP-level
+        # outstanding-byte accounting is authoritative.
         return sum(qp.outstanding_bytes for qp in self.qps.values())
 
     # ---------------------------------------------------------------- state
-    def _send_state(self, qp: QueuePair) -> _DcpSendState:
-        st = qp.tx_state
-        if st is None:
-            st = _DcpSendState()
-            st.retransq = RetransQ(
-                self.sim, pcie_rtt_ns=self.config.pcie_rtt_ns,
-                batch=self.config.retrans_batch,
-                naive=self.config.dcp_naive_retrans,
-                on_ready=lambda q=qp: self._activate(q))
-            st.timer = RestartableTimer(self.sim, lambda q=qp: self._on_coarse_timeout(q))
-            self._snd[qp.qpn] = qp.tx_state = st
+    def _new_send_state(self, qp: QueuePair) -> _DcpSendState:
+        st = _DcpSendState()
+        st.retransq = RetransQ(
+            self.sim, pcie_rtt_ns=self.config.pcie_rtt_ns,
+            batch=self.config.retrans_batch,
+            naive=self.config.dcp_naive_retrans,
+            on_ready=lambda: self._activate(qp))
+        st.timer = RestartableTimer(self.sim,
+                                    lambda: self._on_coarse_timeout(qp))
         return st
 
-    def _recv_state(self, qp: QueuePair) -> _DcpRecvState:
-        st = qp.rx_state
-        if st is None:
-            st = _DcpRecvState(tracked_messages=8)
-            self._rcv[qp.qpn] = qp.rx_state = st
-        return st
-
+    def _new_recv_state(self, qp: QueuePair) -> _DcpRecvState:
+        return _DcpRecvState(tracked_messages=8)
 
     def _coarse_ns(self, qp: QueuePair, st: _DcpSendState) -> int:
         """Coarse-timeout duration, scaled to the unacked backlog.
@@ -287,19 +274,14 @@ class DcpTransport(RnicTransport):
         if emsn <= st.acked_msn:
             return
         acked_bytes = 0
-        for msn in range(st.acked_msn, emsn):
-            msg = qp.messages.get(msn)
-            if msg is None:
-                continue
-            msg.acked = True
+        queue = qp.send_queue
+        while queue and queue[0].msn < emsn:
+            msg = qp.complete_head(self.sim.now)
             acked_bytes += msg.size_bytes
-            st.acked_bytes += msg.size_bytes
             qp.outstanding_bytes = max(
-                0, qp.outstanding_bytes - st.msg_out_bytes.pop(msn, 0))
-            st.sretry.pop(msn, None)
-            if msg.flow.tx_complete_ns is None and all(
-                    m.acked for m in qp.messages.values() if m.flow is msg.flow):
-                msg.flow.tx_complete_ns = self.sim.now
+                0, qp.outstanding_bytes - st.msg_out_bytes.pop(msg.msn, 0))
+            st.sretry.pop(msg.msn, None)
+        st.acked_bytes += acked_bytes
         st.acked_msn = emsn
         st.backoff = 0
         cc = qp.cc

@@ -12,7 +12,8 @@ The model mirrors the microarchitecture described in §4.3 of the paper:
   packets) into a small control FIFO served with strict priority.
 
 Transports subclass :class:`RnicTransport` and implement the sender and
-receiver state machines.
+receiver state machines; every baseline does so through the PSN-window
+skeleton in :mod:`repro.rnic.window`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.cc.base import CongestionControl, StaticWindowCc
-from repro.net.packet import Packet, PacketKind, pool_of
+from repro.net.packet import Packet, PacketKind, make_cnp, pool_of
 from repro.obs import registry as metrics
 from repro.obs import spans
 from repro.obs.registry import CounterBlock
@@ -179,8 +180,8 @@ class Message:
 class QueuePair:
     """A reliable connection endpoint.
 
-    The same object carries both the sender-side send queue and a
-    ``rx`` dictionary for receiver-side per-transport state.
+    The same object carries the sender-side send queue and the
+    transport's private per-QP sender and receiver state.
     """
 
     def __init__(self, host_id: int, peer_host_id: int,
@@ -191,7 +192,8 @@ class QueuePair:
         self.peer_host_id = peer_host_id
         self.cc = cc or StaticWindowCc(window_bytes=1 << 30)
         # --- sender state -------------------------------------------------
-        self.send_queue: deque[Message] = deque()
+        self.send_queue: deque[Message] = deque()   # posted, not yet acked
+        self.unacked_msgs: dict[Flow, int] = {}     # per flow, within it
         self.messages: dict[int, Message] = {}
         self.next_msn = 0
         self.next_psn = 0
@@ -202,8 +204,7 @@ class QueuePair:
         self.entropy = 0                 # default path entropy (ECMP)
         self._bases: list[int] = []      # base_psn per message, for bisect
         self._last_msg = None            # psn_to_message single-entry cache
-        # --- generic receiver state ----------------------------------------
-        self.rx: dict = {}
+        self.last_cnp_ns = -1 << 60      # receiver-side CNP moderation
         # Transport-private per-QP state, cached here so the per-packet
         # paths skip a dict lookup (each QP belongs to one transport).
         self.tx_state = None
@@ -218,9 +219,38 @@ class QueuePair:
         self.next_psn += num_pkts
         self.posted_bytes += size_bytes
         self.send_queue.append(msg)
+        self.unacked_msgs[flow] = self.unacked_msgs.get(flow, 0) + 1
         self.messages[msg.msn] = msg
         self._bases.append(msg.base_psn)
         return msg
+
+    def complete_head(self, now_ns: int) -> Message:
+        """Retire the oldest unacknowledged message (acks are in order).
+
+        The flow's ``tx_complete_ns`` is set when its last message posted
+        so far on this QP is acknowledged; the per-flow count makes that
+        one dict update instead of a walk over every message ever posted.
+        """
+        msg = self.send_queue.popleft()
+        msg.acked = True
+        flow = msg.flow
+        left = self.unacked_msgs[flow] - 1
+        if left:
+            self.unacked_msgs[flow] = left
+        else:
+            del self.unacked_msgs[flow]
+            if flow.tx_complete_ns is None:
+                flow.tx_complete_ns = now_ns
+        return msg
+
+    def complete_through(self, snd_una: int, now_ns: int) -> None:
+        """Retire every message wholly below the cumulative ack point."""
+        queue = self.send_queue
+        while queue:
+            head = queue[0]
+            if snd_una < head.base_psn + head.num_pkts:
+                return
+            self.complete_head(now_ns)
 
     def psn_to_message(self, psn: int) -> Message:
         """Locate the message containing ``psn`` (binary search by base).
@@ -403,10 +433,12 @@ class RnicTransport(Entity):
 
     Subclasses implement:
 
-    * :meth:`_qp_next_packet` — the sender state machine: the next packet
-      this QP wants on the wire, or None;
-    * :meth:`_qp_has_work` — whether the QP should stay in the scheduler;
-    * ``_on_data`` / ``_on_ack`` / other receive handlers.
+    * :meth:`_qp_poll` — the one scheduler hook: work check, pacing gate
+      and the next packet this QP wants on the wire, in a single call;
+    * :meth:`_new_send_state` / :meth:`_new_recv_state` — the per-QP
+      state, created lazily by :meth:`_send_state` / :meth:`_recv_state`;
+    * ``_on_data`` / ``_on_ack`` / other receive handlers;
+    * :meth:`inflight_bytes` for the sampler gauge.
     """
 
     #: True when the transport speaks the DCP wire format (tagged packets).
@@ -432,6 +464,9 @@ class RnicTransport(Entity):
                       lambda: float(self.inflight_bytes()))
         #: flow_id -> Flow for flows whose data this host receives.
         self.rx_flows: dict[int, Flow] = {}
+        #: qpn -> private sender / receiver state (also cached on the QP).
+        self._snd: dict = {}
+        self._rcv: dict = {}
 
     # ------------------------------------------------------------- wiring
     def attach_nic(self, nic: HostNic) -> None:
@@ -494,20 +529,17 @@ class RnicTransport(Entity):
         if nic is not None and not nic.busy:
             nic.kick()
 
-    def _qp_poll(self, qp: QueuePair, now: int):
-        """Combined scheduler probe for one QP.
+    def _send_state(self, qp: QueuePair):
+        st = qp.tx_state
+        if st is None:
+            self._snd[qp.qpn] = qp.tx_state = st = self._new_send_state(qp)
+        return st
 
-        Returns ``_NO_WORK`` (nothing posted — leave the ring),
-        ``_GATED`` (pacing/CPU gate at ``qp.next_send_ns`` — stay),
-        ``None`` (has work but cannot send yet — stay), or the next
-        packet.  The base implementation composes the fine-grained
-        hooks; hot transports override it to answer in a single call.
-        """
-        if not self._qp_has_work(qp):
-            return _NO_WORK
-        if qp.next_send_ns > now:
-            return _GATED
-        return self._qp_next_packet(qp)
+    def _recv_state(self, qp: QueuePair):
+        st = qp.rx_state
+        if st is None:
+            self._rcv[qp.qpn] = qp.rx_state = st = self._new_recv_state(qp)
+        return st
 
     def poll_tx(self) -> Optional[Packet]:
         """NIC pull: next packet from the QP scheduler, or None."""
@@ -613,15 +645,25 @@ class RnicTransport(Entity):
         else:
             pool.release(packet)
 
-    def on_packet(self, packet: Packet) -> None:
-        """Compatibility alias for :meth:`receive` (no port argument)."""
-        self.receive(packet, 0)
+    # --- hooks subclasses override ---------------------------------------
+    def _qp_poll(self, qp: QueuePair, now: int):
+        """Scheduler probe for one QP.
 
-    # --- handlers subclasses override ------------------------------------
-    def _qp_next_packet(self, qp: QueuePair) -> Optional[Packet]:
+        Returns ``_NO_WORK`` (nothing posted — leave the ring),
+        ``_GATED`` (pacing/CPU gate at ``qp.next_send_ns`` — stay),
+        ``None`` (has work but cannot send yet — stay), or the next
+        packet.
+        """
         raise NotImplementedError
 
-    def _qp_has_work(self, qp: QueuePair) -> bool:
+    def _new_send_state(self, qp: QueuePair):
+        raise NotImplementedError
+
+    def _new_recv_state(self, qp: QueuePair):
+        raise NotImplementedError
+
+    def inflight_bytes(self) -> int:
+        """Bytes sent but not yet acknowledged (the sampler gauge)."""
         raise NotImplementedError
 
     def _on_data(self, qp: QueuePair, packet: Packet) -> None:
@@ -647,11 +689,9 @@ class RnicTransport(Entity):
         """Echo an ECN mark as a CNP, rate-limited per QP (DCQCN)."""
         if not packet.ecn_ce:
             return
-        last = qp.rx.get("last_cnp_ns", -1 << 60)
-        if self.sim.now - last < self.config.cnp_interval_ns:
+        if self.sim.now - qp.last_cnp_ns < self.config.cnp_interval_ns:
             return
-        qp.rx["last_cnp_ns"] = self.sim.now
-        from repro.net.packet import make_cnp
+        qp.last_cnp_ns = self.sim.now
         cnp = make_cnp(self.host_id, qp.peer_host_id, flow_id=packet.flow_id,
                        qpn=qp.peer_qpn, src_qpn=qp.qpn, dcp=self.dcp_wire,
                        pool=self.pool)
@@ -662,41 +702,6 @@ class RnicTransport(Entity):
         return self.rx_flows.get(packet.flow_id)
 
     # ------------------------------------------------------------- stats
-    @property
-    def total_retransmits(self) -> int:
-        return self.stats.retx_pkts
-
-    @total_retransmits.setter
-    def total_retransmits(self, value: int) -> None:
-        self.stats.retx_pkts = value
-
-    @property
-    def total_timeouts(self) -> int:
-        return self.stats.timeouts
-
-    @total_timeouts.setter
-    def total_timeouts(self, value: int) -> None:
-        self.stats.timeouts = value
-
-    def inflight_bytes(self) -> int:
-        """Bytes sent but not yet cumulatively acknowledged.
-
-        Sequence-window transports (IRN, MP-RDMA, TCP stacks) keep
-        per-QP ``_snd`` states with ``snd_una``/``snd_nxt``; everything
-        else falls back to the QP-level outstanding-byte accounting.
-        """
-        snd = getattr(self, "_snd", None)
-        if snd:
-            mtu = self.config.mtu_payload
-            total = 0
-            for st in snd.values():
-                una = getattr(st, "snd_una", None)
-                nxt = getattr(st, "snd_nxt", None)
-                if una is not None and nxt is not None:
-                    total += max(0, nxt - una) * mtu
-            return total
-        return sum(qp.outstanding_bytes for qp in self.qps.values())
-
     def count_retransmit(self, flow: Flow) -> None:
         flow.stats.retx_pkts_sent += 1
         self.stats.retx_pkts += 1

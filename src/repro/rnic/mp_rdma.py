@@ -19,11 +19,10 @@ R1/R3).  Modelled behaviours:
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.net.packet import Packet, PacketKind, make_ack, make_data_packet
-from repro.rnic.base import (QueuePair, RestartableTimer, RnicTransport,
-                             TransportConfig)
+from repro.net.packet import Packet, PacketKind
+from repro.rnic.base import QueuePair, TransportConfig, _GATED, _NO_WORK
+from repro.rnic.window import (BEYOND_BOUND, IN_ORDER, NakRecvState,
+                               SendState, WindowTransport)
 from repro.sim.engine import Simulator
 
 #: Virtual paths per QP (entropy values cycled per packet).
@@ -32,33 +31,24 @@ DEFAULT_NUM_VP = 8
 DEFAULT_OOO_WINDOW = 64
 
 
-class _MpSendState:
-    __slots__ = ("snd_una", "snd_nxt", "max_sent", "cwnd_pkts", "vp_cursor",
-                 "timer", "awaiting_rewind")
+class _MpSendState(SendState):
+    """Go-back pointer plus the native AIMD window and path cursor."""
 
-    def __init__(self, initial_cwnd: float) -> None:
-        self.snd_una = 0
-        self.snd_nxt = 0
-        self.max_sent = -1
-        self.cwnd_pkts = initial_cwnd
+    __slots__ = ("cwnd_pkts", "vp_cursor", "awaiting_rewind")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.cwnd_pkts = 0.0
         self.vp_cursor = 0
-        self.timer: Optional[RestartableTimer] = None
         self.awaiting_rewind = False
 
 
-class _MpRecvState:
-    __slots__ = ("epsn", "ooo", "nak_outstanding")
-
-    def __init__(self) -> None:
-        self.epsn = 0
-        self.ooo: set[int] = set()
-        self.nak_outstanding = False
-
-
-class MpRdmaTransport(RnicTransport):
+class MpRdmaTransport(WindowTransport):
     """Multipath sender with bounded-OOO receiver and GBN recovery."""
 
     name = "mp_rdma"
+    SendState = _MpSendState
+    RecvState = NakRecvState
 
     def __init__(self, sim: Simulator, host_id: int, config: TransportConfig,
                  num_vp: int = DEFAULT_NUM_VP,
@@ -66,73 +56,45 @@ class MpRdmaTransport(RnicTransport):
         super().__init__(sim, host_id, config)
         self.num_vp = num_vp
         self.ooo_window = ooo_window
-        self._snd: dict[int, _MpSendState] = {}
-        self._rcv: dict[int, _MpRecvState] = {}
 
     @property
     def ooo_drops(self) -> int:
         return self.stats.ooo_drops
 
-    def _send_state(self, qp: QueuePair) -> _MpSendState:
-        st = qp.tx_state
-        if st is None:
-            initial = max(4.0, self.config.window_bytes / self.config.mtu_payload)
-            st = _MpSendState(initial_cwnd=initial)
-            st.timer = RestartableTimer(self.sim, lambda q=qp: self._on_rto(q))
-            self._snd[qp.qpn] = qp.tx_state = st
-        return st
-
-    def _recv_state(self, qp: QueuePair) -> _MpRecvState:
-        st = qp.rx_state
-        if st is None:
-            st = _MpRecvState()
-            self._rcv[qp.qpn] = qp.rx_state = st
+    def _new_send_state(self, qp: QueuePair) -> _MpSendState:
+        st = super()._new_send_state(qp)
+        st.cwnd_pkts = max(4.0, self.config.window_bytes / self.config.mtu_payload)
         return st
 
     # -------------------------------------------------------------- sender
-    def _qp_has_work(self, qp: QueuePair) -> bool:
+    def _qp_poll(self, qp: QueuePair, now: int):
+        """Go-back pointer under the native packet window."""
         st = qp.tx_state
         if st is None:
             st = self._send_state(qp)
-        return st.snd_nxt < qp.next_psn
-
-    def _qp_next_packet(self, qp: QueuePair) -> Optional[Packet]:
-        st = qp.tx_state
-        if st is None:
-            st = self._send_state(qp)
-        if st.snd_nxt >= qp.next_psn:
+        psn = st.snd_nxt
+        if psn >= qp.next_psn:
+            return _NO_WORK
+        if qp.next_send_ns > now:
+            return _GATED
+        if psn - st.snd_una >= max(1, int(st.cwnd_pkts)):
             return None
-        if st.snd_nxt - st.snd_una >= max(1, int(st.cwnd_pkts)):
-            return None
-        msg = qp.psn_to_message(st.snd_nxt)
-        payload = msg.payload_of(st.snd_nxt - msg.base_psn, self.config.mtu_payload)
-        is_retx = st.snd_nxt <= st.max_sent
+        msg = qp.psn_to_message(psn)
+        packet = self._build(
+            qp, msg, psn,
+            msg.payload_of(psn - msg.base_psn, self.config.mtu_payload),
+            is_retx=psn <= st.max_sent)
         # Per-packet virtual path: cycle entropy values so ECMP spreads the
         # QP across num_vp paths.
-        entropy = (qp.entropy * self.num_vp) + st.vp_cursor
+        packet.entropy = (qp.entropy * self.num_vp) + st.vp_cursor
         st.vp_cursor = (st.vp_cursor + 1) % self.num_vp
-        packet = make_data_packet(
-            self.host_id, qp.peer_host_id, flow_id=msg.flow.flow_id,
-            qpn=qp.peer_qpn, src_qpn=qp.qpn, psn=st.snd_nxt, msn=msg.msn,
-            payload=payload, mtu_payload=self.config.mtu_payload,
-            msg_len_pkts=msg.num_pkts, msg_len_bytes=msg.size_bytes,
-            msg_offset_pkts=st.snd_nxt - msg.base_psn, dcp=False,
-            entropy=entropy, is_retransmit=is_retx, pool=self.pool,
-        )
-        if is_retx:
-            self.count_retransmit(msg.flow)
-        else:
-            msg.flow.stats.data_pkts_sent += 1
-            st.max_sent = st.snd_nxt
-        st.snd_nxt += 1
-        if not st.timer.armed:
-            st.timer.restart(self.config.rto_ns)
+        st.max_sent = max(st.max_sent, psn)
+        st.snd_nxt = psn + 1
+        self._on_transmit(qp, st, psn, packet)
         return packet
 
     def _on_rto(self, qp: QueuePair) -> None:
-        st = qp.tx_state
-        if st is None:
-            st = self._send_state(qp)
+        st = self._send_state(qp)
         if st.snd_una >= qp.next_psn:
             return
         flow = qp.psn_to_message(st.snd_una).flow
@@ -143,9 +105,7 @@ class MpRdmaTransport(RnicTransport):
         self._activate(qp)
 
     def _on_ack(self, qp: QueuePair, packet: Packet) -> None:
-        st = qp.tx_state
-        if st is None:
-            st = self._send_state(qp)
+        st = self._send_state(qp)
         # MP-RDMA's adaptive window: AIMD driven by the ECN echo.
         if packet.ecn_ce:
             st.cwnd_pkts = max(2.0, st.cwnd_pkts - 0.5)
@@ -153,29 +113,16 @@ class MpRdmaTransport(RnicTransport):
             st.cwnd_pkts += 1.0 / max(1.0, st.cwnd_pkts)
         new_una = packet.ack_psn + 1
         if new_una > st.snd_una:
-            cc = qp.cc
-            if cc.wants_ack:
-                cc.on_ack((new_una - st.snd_una) * self.config.mtu_payload,
-                         self.sim.now)
-            st.snd_una = new_una
+            self._advance_una(qp, st, new_una)
             st.awaiting_rewind = False
-            for msg in qp.send_queue:
-                if not msg.acked and st.snd_una >= msg.base_psn + msg.num_pkts:
-                    msg.acked = True
-                    if msg.flow.tx_complete_ns is None and all(
-                            m.acked for m in qp.messages.values()
-                            if m.flow is msg.flow):
-                        msg.flow.tx_complete_ns = self.sim.now
-            if st.snd_una >= qp.next_psn:
+            if new_una >= qp.next_psn:
                 st.timer.cancel()
             else:
                 st.timer.restart(self.config.rto_ns)
         self._activate(qp)
 
     def _on_nak(self, qp: QueuePair, packet: Packet) -> None:
-        st = qp.tx_state
-        if st is None:
-            st = self._send_state(qp)
+        st = self._send_state(qp)
         epsn = packet.ack_psn
         if epsn >= st.snd_nxt or st.awaiting_rewind:
             return
@@ -193,38 +140,14 @@ class MpRdmaTransport(RnicTransport):
         if st is None:
             st = self._recv_state(qp)
         self.maybe_send_cnp(qp, packet)
-        flow = self.flow_of(packet)
-        if packet.psn < st.epsn or packet.psn in st.ooo:
-            if flow is not None:
-                flow.stats.dup_pkts_received += 1
-            self._send_ack(qp, st, ecn=packet.ecn_ce)
-            return
-        if packet.psn - st.epsn >= self.ooo_window:
+        verdict = self._accept(st, packet, self.ooo_window)
+        if verdict == BEYOND_BOUND:
             # Beyond the OOO bitmap: the RNIC cannot track it; drop + NAK.
-            self.stats.ooo_drops += 1
             if not st.nak_outstanding:
                 st.nak_outstanding = True
-                nak = make_ack(self.host_id, qp.peer_host_id, flow_id=-1,
-                               qpn=qp.peer_qpn, src_qpn=qp.qpn,
-                               kind=PacketKind.NAK, ack_psn=st.epsn,
-                               dcp=False, entropy=qp.entropy, pool=self.pool)
-                self.nic.send_control(nak)
+                self._send_ack(qp, PacketKind.NAK, st.epsn)
             return
-        if flow is not None:
-            flow.deliver(packet.payload_bytes, self.sim.now)
-        if packet.psn == st.epsn:
-            st.epsn += 1
-            while st.epsn in st.ooo:
-                st.ooo.discard(st.epsn)
-                st.epsn += 1
+        if verdict == IN_ORDER:
             st.nak_outstanding = False
-        else:
-            st.ooo.add(packet.psn)
-        self._send_ack(qp, st, ecn=packet.ecn_ce)
-
-    def _send_ack(self, qp: QueuePair, st: _MpRecvState, ecn: bool) -> None:
-        ack = make_ack(self.host_id, qp.peer_host_id, flow_id=-1,
-                       qpn=qp.peer_qpn, src_qpn=qp.qpn, kind=PacketKind.ACK,
-                       ack_psn=st.epsn - 1, dcp=False, entropy=qp.entropy, pool=self.pool)
-        ack.ecn_ce = ecn  # ECN echo drives the sender's adaptive window
-        self.nic.send_control(ack)
+        # The ECN echo drives the sender's adaptive window.
+        self._send_ack(qp, PacketKind.ACK, st.epsn - 1, ecn_ce=packet.ecn_ce)

@@ -1,8 +1,15 @@
-"""Property tests for the reliability-scheme frontier (SDR and RIFL).
+"""Property tests for the reliability-scheme frontier (SDR and RIFL)
+and for the receiver every order-tolerant transport shares.
 
 Hypothesis drives arbitrary arrival orders and loss seeds through the
 invariants prose tests can only spot-check:
 
+* **Shared receiver** — for every transport built on the skeleton's
+  order-tolerant tracker (all but GBN's in-order receiver and DCP's
+  counter tracker) and any arrival permutation with duplicates: each
+  PSN is delivered exactly once, ``epsn`` is the smallest undelivered
+  PSN, ``ooo`` holds exactly the delivered PSNs above it, and a
+  duplicate only bumps ``dup_pkts_received``.
 * **SDR ack vector** — after any arrival permutation, every delivered
   packet is acknowledged (cumulatively or by its vector bit) in the
   very next ack: no hole is ever un-acked after delivery.
@@ -19,10 +26,11 @@ invariants prose tests can only spot-check:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.common import build_network
+from repro.experiments.common import _transport_registry, build_network
 from repro.rnic.base import TransportConfig
 from repro.rnic.sdr import SACK_VECTOR_BITS
 from tests.transport.test_sdr import _recv_harness
@@ -39,6 +47,39 @@ def _vector_psns(ack) -> set[int]:
         psns.add(base + low.bit_length() - 1)
         bitmap ^= low
     return psns
+
+
+#: Transports whose receiver is the skeleton's (epsn, ooo) tracker;
+#: MP-RDMA's 64-packet OOO window and SDR's reorder bound are wider
+#: than the ten PSNs driven here.
+SHARED_TRACKER = ("irn", "mp_rdma", "rack_tlp", "rifl", "sdr", "tcp",
+                  "timeout")
+
+
+@pytest.mark.parametrize("name", SHARED_TRACKER)
+@_fast
+@given(order=st.permutations(tuple(range(10))),
+       repeats=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 9)),
+                        max_size=12))
+def test_shared_receiver_delivers_each_psn_exactly_once(name, order, repeats):
+    arrivals = list(order)
+    for position, psn in repeats:
+        arrivals.insert(position % (len(arrivals) + 1), psn)
+    sim, rnic, flow, acks, push = _recv_harness(
+        transport_cls=_transport_registry()[name])
+    mtu = rnic.config.mtu_payload
+    seen: set[int] = set()
+    dups = 0
+    for psn in arrivals:
+        dups += psn in seen
+        seen.add(psn)
+        push(psn)
+        state = rnic._rcv[next(iter(rnic._rcv))]
+        assert flow.rx_bytes == len(seen) * mtu          # exactly once
+        assert flow.stats.dup_pkts_received == dups
+        assert state.epsn == min(set(range(11)) - seen)  # first undelivered
+        assert state.ooo == {p for p in seen if p > state.epsn}
+    assert state.epsn == 10 and not state.ooo
 
 
 @_fast

@@ -15,9 +15,21 @@ byte leaves it short and a double-delivered byte pushes it over.
 Receiver-side duplicate *packets* are fine (that's what
 ``dup_pkts_received`` counts) as long as they are discarded, not
 re-delivered.
+
+Every cell also pins its **event stream**: a digest over each flow's
+``(fct_ns, tx_complete_ns, rx_bytes, retx_pkts_sent, timeouts,
+dup_pkts_received)`` plus ``sim.now``, ``sim.events_processed`` and
+``sim.packet_seq``.  The simulator is deterministic, so a refactor that
+moves transport code must reproduce these bit for bit; a change that
+means to alter a transport's behaviour regenerates them.  The values in
+``_DIGESTS`` were generated at commit 2f39c13 with
+
+    PYTHONPATH=src:. python tests/transport/test_conformance_matrix.py
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -64,6 +76,73 @@ def _run_matrix_cell(transport: str, topology: str, loss_rate: float):
     return net, flows
 
 
+def _digest(net, flows) -> str:
+    """Fingerprint of one cell's event stream (see module docstring)."""
+    rows = [(f.fct_ns(), f.tx_complete_ns, f.rx_bytes, f.stats.retx_pkts_sent,
+             f.stats.timeouts, f.stats.dup_pkts_received) for f in flows]
+    stream = (rows, net.sim.now, net.sim.events_processed,
+              net.sim.packet_seq)
+    return hashlib.sha256(repr(stream).encode()).hexdigest()[:16]
+
+
+_DIGESTS = {
+    ('dcp', 'direct', 0.0): 'fcf9cdbd997c65d6',
+    ('dcp', 'direct', 0.01): '29a01d024e63e4c7',
+    ('dcp', 'direct', 0.05): '037a07d8e9ad3f83',
+    ('dcp', 'clos', 0.0): 'b4e99e59b887821a',
+    ('dcp', 'clos', 0.01): 'd695c5d2b57d5a18',
+    ('dcp', 'clos', 0.05): 'c262ef7d60c95a3a',
+    ('gbn', 'direct', 0.0): '7a302835199f749f',
+    ('gbn', 'direct', 0.01): '8e477d09c2bb4aed',
+    ('gbn', 'direct', 0.05): 'b228412f92508a8f',
+    ('gbn', 'clos', 0.0): '0c1c798916ee1da0',
+    ('gbn', 'clos', 0.01): 'bd85cb36abc96ec2',
+    ('gbn', 'clos', 0.05): 'f36405aae9f97aed',
+    ('irn', 'direct', 0.0): '7a302835199f749f',
+    ('irn', 'direct', 0.01): '85ba65d2394facb7',
+    ('irn', 'direct', 0.05): 'dd38d690fd9843c2',
+    ('irn', 'clos', 0.0): '0c1c798916ee1da0',
+    ('irn', 'clos', 0.01): '56bd244d4755bdde',
+    ('irn', 'clos', 0.05): '5201b75ae1b16647',
+    ('mp_rdma', 'direct', 0.0): '7a302835199f749f',
+    ('mp_rdma', 'direct', 0.01): '3d648914814efd01',
+    ('mp_rdma', 'direct', 0.05): '37cc5e15d70f395a',
+    ('mp_rdma', 'clos', 0.0): 'c6fd88674a12fb34',
+    ('mp_rdma', 'clos', 0.01): 'df8f9429ff46b8c5',
+    ('mp_rdma', 'clos', 0.05): '227ac65d11a2c4db',
+    ('rack_tlp', 'direct', 0.0): '7a302835199f749f',
+    ('rack_tlp', 'direct', 0.01): '5f335b93004ea95d',
+    ('rack_tlp', 'direct', 0.05): 'bd36a4d13c99e251',
+    ('rack_tlp', 'clos', 0.0): '0c1c798916ee1da0',
+    ('rack_tlp', 'clos', 0.01): '1fce0032c623d230',
+    ('rack_tlp', 'clos', 0.05): 'ec6d12ad2ef8dcc3',
+    ('rifl', 'direct', 0.0): '7a302835199f749f',
+    ('rifl', 'direct', 0.01): '7a302835199f749f',
+    ('rifl', 'direct', 0.05): '7fafe13243095a13',
+    ('rifl', 'clos', 0.0): '0c1c798916ee1da0',
+    ('rifl', 'clos', 0.01): '5ed4f7428fb27cb5',
+    ('rifl', 'clos', 0.05): '8b3b04913c088fc6',
+    ('sdr', 'direct', 0.0): '7a302835199f749f',
+    ('sdr', 'direct', 0.01): 'dc2e33365342dc46',
+    ('sdr', 'direct', 0.05): 'df4832ce6f3fe357',
+    ('sdr', 'clos', 0.0): '0c1c798916ee1da0',
+    ('sdr', 'clos', 0.01): 'ac6e1c39f1134e8e',
+    ('sdr', 'clos', 0.05): '5c1edb7d98eb8b3d',
+    ('tcp', 'direct', 0.0): '26ad918fb0d2c61e',
+    ('tcp', 'direct', 0.01): '10433814cf316815',
+    ('tcp', 'direct', 0.05): '2f4edcc4a64b8089',
+    ('tcp', 'clos', 0.0): 'd666544459a75880',
+    ('tcp', 'clos', 0.01): '0a9f682b2763f2e3',
+    ('tcp', 'clos', 0.05): '70eb483649917b3e',
+    ('timeout', 'direct', 0.0): '7a302835199f749f',
+    ('timeout', 'direct', 0.01): '6572ef05bc126dba',
+    ('timeout', 'direct', 0.05): '65072371795b0f33',
+    ('timeout', 'clos', 0.0): '0c1c798916ee1da0',
+    ('timeout', 'clos', 0.01): '6d0fd18f4c526015',
+    ('timeout', 'clos', 0.05): '43deb3318163f125',
+}
+
+
 @pytest.mark.parametrize("loss_rate", LOSS_RATES)
 @pytest.mark.parametrize("topology", ("direct", "clos"))
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -81,6 +160,8 @@ def test_exactly_once_delivery(transport: str, topology: str,
             f"for a {flow.size_bytes}-byte flow "
             f"({'duplicate' if flow.rx_bytes > flow.size_bytes else 'missing'}"
             " delivery)")
+    assert _digest(net, flows) == _DIGESTS[transport, topology, loss_rate], (
+        f"{transport}/{topology}/loss={loss_rate}: event stream moved")
 
 
 @pytest.mark.parametrize("topology", ("direct", "clos"))
@@ -113,3 +194,13 @@ def test_loss_injection_actually_bites(transport: str, topology: str) -> None:
         links = [h.nic.link for h in net.hosts]
         assert sum(l.dropped_packets for l in links) > 0, (
             f"{transport}/direct: no forced link losses observed at 5%")
+
+
+if __name__ == "__main__":
+    print("_DIGESTS = {")
+    for _t in TRANSPORTS:
+        for _topo in ("direct", "clos"):
+            for _loss in LOSS_RATES:
+                _d = _digest(*_run_matrix_cell(_t, _topo, _loss))
+                print(f"    ({_t!r}, {_topo!r}, {_loss!r}): {_d!r},")
+    print("}")

@@ -1,9 +1,14 @@
 """Protocol edge cases across transports: boundary conditions the main
 behavioural suites do not pin down."""
 
+from collections import deque
+
+import pytest
+
 from repro.core.dcp import DcpTransport
+from repro.experiments.common import _transport_registry
 from repro.net.packet import PacketKind, make_ack
-from repro.rnic.base import TransportConfig
+from repro.rnic.base import Flow, RnicTransport, TransportConfig
 from repro.rnic.gbn import GbnTransport
 from repro.rnic.irn import IrnTransport
 from tests.conftest import drain, make_direct_pair, send_flow
@@ -193,6 +198,77 @@ class TestMalformedInput:
                                  mtu_payload=1000, msg_len_pkts=1,
                                  msg_len_bytes=1000, msg_offset_pkts=0,
                                  dcp=True)
-        b.on_packet(stray)  # silently ignored (stale/destroyed QP)
+        b.receive(stray)  # silently ignored (stale/destroyed QP)
         drain(sim)
         assert flow.completed
+
+
+class _CountingQueue(deque):
+    """A send queue that counts every message the transport looks at."""
+
+    visits = 0
+
+    def __iter__(self):
+        for msg in super().__iter__():
+            self.visits += 1
+            yield msg
+
+    def __getitem__(self, index):
+        self.visits += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("name", sorted(_transport_registry()))
+class TestMessageCompletion:
+    """Send-side completion is incremental: each cumulative ACK touches
+    the messages it newly acknowledges, not every message ever posted."""
+
+    def test_bounded_work_and_nothing_left_behind(self, name):
+        cfg = TransportConfig(max_message_bytes=4_000)
+        sim, fab, a, b = make_direct_pair(_transport_registry()[name], cfg)
+        qp, _ = RnicTransport.connect(a, b)
+        queue = qp.send_queue = _CountingQueue()
+        acks = []
+        send_control = b.nic.send_control
+
+        def count(pkt):
+            if pkt.kind in (PacketKind.ACK, PacketKind.SACK, PacketKind.NAK,
+                            PacketKind.TCP_ACK):
+                acks.append(pkt)
+            send_control(pkt)
+
+        b.nic.send_control = count
+        # Two flows back to back on one (reused) QP, ten messages each.
+        flows = [send_flow(sim, a, b, 40_000, qp=qp),
+                 send_flow(sim, a, b, 40_000, start_ns=100_000, qp=qp)]
+        drain(sim)
+        visits = queue.visits
+        assert all(f.completed and f.tx_complete_ns is not None
+                   for f in flows)
+        assert flows[0].tx_complete_ns < flows[1].tx_complete_ns
+        assert qp.next_msn == 20
+        # Quiesced: the completion bookkeeping holds no acknowledged message.
+        assert not any(msg.acked for msg in queue)
+        assert not qp.unacked_msgs
+        assert visits <= qp.next_msn + len(acks)
+
+    def test_interleaved_posting_completes_each_flow_at_its_last_message(
+            self, name):
+        """verbs-style posting: two flows alternate messages on one QP."""
+        sim, fab, a, b = make_direct_pair(_transport_registry()[name])
+        qp, _ = RnicTransport.connect(a, b)
+        first, second = (Flow(0, 1, 8_000, 0), Flow(0, 1, 8_000, 0))
+        for flow in (first, second):
+            b.expect_flow(flow)
+
+        def post():
+            for flow in (first, second, first, second):
+                a.post_message(qp, flow, 4_000)
+
+        sim.schedule(0, post)
+        drain(sim)
+        assert first.completed and second.completed
+        # first's last message is acknowledged one message before
+        # second's; neither waits for the other's.
+        assert first.tx_complete_ns < second.tx_complete_ns
+        assert not qp.send_queue and not qp.unacked_msgs

@@ -40,18 +40,21 @@ def test_loss_repaired_by_holes_not_rtos():
 
 
 # ----------------------------------------------------------- ack vector
-def _recv_harness(config: TransportConfig | None = None):
+def _recv_harness(config: TransportConfig | None = None,
+                  transport_cls=SdrTransport):
     """B-side receive harness: crafted data in, captured acks out."""
-    sim, fab, a, b = make_direct_pair(SdrTransport, config=config)
+    sim, fab, a, b = make_direct_pair(transport_cls, config=config)
     qp_a, qp_b = RnicTransport.connect(a, b)
     flow = Flow(0, 1, 10_000, 0)
     b.expect_flow(flow)
     acks = []
     b.nic.send_control = acks.append
     mtu = b.config.mtu_payload
+    # The software TCP stack names its (post-stack-delay) handler apart.
+    on_data = getattr(b, "_on_tcp_data", b._on_data)
 
     def push(psn: int) -> None:
-        b._on_data(qp_b, make_data_packet(
+        on_data(qp_b, make_data_packet(
             0, 1, flow_id=flow.flow_id, qpn=qp_b.qpn, src_qpn=qp_a.qpn,
             psn=psn, msn=0, payload=mtu, mtu_payload=mtu, msg_len_pkts=10,
             msg_len_bytes=10 * mtu, msg_offset_pkts=psn, dcp=False,
