@@ -24,6 +24,8 @@ Packages:
 
 __version__ = "1.0.0"
 
-from repro.sim.engine import Simulator
+from repro._lazy import lazy_exports
 
 __all__ = ["Simulator", "__version__"]
+
+__getattr__ = lazy_exports(__name__, {"repro.sim.engine": ("Simulator",)})

@@ -29,9 +29,9 @@ from typing import Any, Optional, Sequence
 from repro.campaigns.metrics import DEFAULT_METRICS, METRIC_COLUMNS
 from repro.campaigns.spec import (CHAOS_BUILDERS, CampaignError,
                                   validate_campaign, validate_chaos_schedule)
-from repro.experiments.common import NetworkSpec, _transport_registry
 from repro.experiments.presets import ScalePreset, get_preset
 from repro.experiments.result import ExperimentResult
+from repro.experiments.spec import TRANSPORTS, NetworkSpec
 from repro.runner.runner import ExperimentRunner, SweepPoint
 from repro.sim.rng import SeedSequence
 from repro.workload.distributions import (FixedSizeDistribution, websearch)
@@ -201,7 +201,7 @@ def compile_campaign(spec: dict, preset: str | ScalePreset = "default"
     name = spec["name"]
     seed = spec.get("seed", 1)
     groups = spec["groups"]
-    known_transports = sorted(_transport_registry())
+    known_transports = sorted(TRANSPORTS)
 
     base_topo: dict = {f: getattr(scale, f) for f in _PRESET_TOPOLOGY_FIELDS}
     base_topo.update(spec.get("topology", {}))

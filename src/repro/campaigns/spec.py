@@ -73,7 +73,7 @@ from typing import Any, Callable
 
 from repro.campaigns.metrics import METRIC_COLUMNS
 from repro.chaos import scenarios as chaos_scenarios
-from repro.experiments.common import NetworkSpec
+from repro.experiments.spec import NetworkSpec
 
 
 class CampaignError(ValueError):

@@ -14,12 +14,7 @@ The ``robustness`` experiment in the registry sweeps scenario x
 transport over this machinery.
 """
 
-from repro.chaos.recovery import (chaos_summary, delivery_stalls,
-                                  goodput_recovery)
-from repro.chaos.scenarios import (SCENARIOS, apply_scenario, event_payloads,
-                                   get_scenario, link_flap, loss_burst,
-                                   pfc_storm, resolve_target, scenario_names,
-                                   switch_blackout)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SCENARIOS",
@@ -36,3 +31,12 @@ __all__ = [
     "scenario_names",
     "switch_blackout",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.chaos.recovery": ("chaos_summary", "delivery_stalls",
+                             "goodput_recovery"),
+    "repro.chaos.scenarios": ("SCENARIOS", "apply_scenario", "event_payloads",
+                              "get_scenario", "link_flap", "loss_burst",
+                              "pfc_storm", "resolve_target", "scenario_names",
+                              "switch_blackout"),
+})

@@ -50,10 +50,11 @@ to every topology a sweep uses:
 from __future__ import annotations
 
 import copy
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.net.failures import FailureEvent, FailureInjector
-from repro.net.switch import Switch
+if TYPE_CHECKING:   # the library is data; only applying it loads net/
+    from repro.net.failures import FailureInjector
+    from repro.net.switch import Switch
 
 
 # ----------------------------------------------------------------- builders
@@ -141,6 +142,7 @@ def get_scenario(name: str) -> dict:
 def _inter_switch_ports(fabric) -> list[tuple[Switch, int]]:
     """Every (switch, port) whose neighbor is another switch, in stable
     (switch index, port index) scan order."""
+    from repro.net.switch import Switch
     out = []
     for sw in fabric.switches:
         for port_idx in sorted(sw.neighbors):
@@ -187,6 +189,7 @@ def apply_scenario(net, scenario: dict,
     injector's refcounted restore semantics make overlapping events
     (e.g. a blackout spanning a link flap) recover correctly.
     """
+    from repro.net.failures import FailureInjector
     injector = injector or FailureInjector(net.sim)
     for event in scenario.get("events", ()):
         kind = event["kind"]

@@ -4,12 +4,17 @@ Use :func:`repro.experiments.registry.run_experiment` or the
 ``dcp-experiment`` CLI to regenerate any result.
 """
 
-from repro.experiments.common import Network, NetworkSpec, build_network
-from repro.experiments.presets import PRESETS, ScalePreset, get_preset
-from repro.experiments.registry import REGISTRY, run_experiment
-from repro.experiments.result import ExperimentResult
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ExperimentResult", "Network", "NetworkSpec", "PRESETS", "REGISTRY",
     "ScalePreset", "build_network", "get_preset", "run_experiment",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.experiments.common": ("Network", "build_network"),
+    "repro.experiments.spec": ("NetworkSpec",),
+    "repro.experiments.presets": ("PRESETS", "ScalePreset", "get_preset"),
+    "repro.experiments.registry": ("REGISTRY", "run_experiment"),
+    "repro.experiments.result": ("ExperimentResult",),
+})

@@ -7,13 +7,13 @@ generators) and reads the flow records back for analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import importlib
 from typing import Callable, Optional, Sequence
 
-from repro.cc.base import CongestionControl, StaticWindowCc, UnlimitedCc
+from repro.cc.base import CongestionControl, StaticWindowCc
 from repro.cc.dcqcn import DcqcnCc, DcqcnParams
-from repro.core.dcp import DcpTransport
 from repro.core.dcp_switch import DcpSwitchProfile, dcp_switch_config
+from repro.experiments.spec import TRANSPORTS, NetworkSpec
 from repro.net.ecn import RedProfile, default_red_profile
 from repro.net.pfc import PfcConfig
 from repro.net.routing import make_load_balancer
@@ -21,111 +21,20 @@ from repro.net.switch import SwitchConfig
 from repro.net.topology import Fabric, build_clos, build_direct, build_testbed
 from repro.rnic.base import (Flow, Host, HostNic, QueuePair, RnicTransport,
                              TransportConfig)
-from repro.rnic.gbn import GbnTransport
-from repro.rnic.irn import IrnTransport
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedSequence
 from repro.sim.units import bdp_bytes, serialization_ns
 
 
+def _transport_class(name: str) -> type[RnicTransport]:
+    """Import the class :data:`TRANSPORTS` names for ``name``."""
+    module_name, _, cls_name = TRANSPORTS[name].rpartition(".")
+    return getattr(importlib.import_module(module_name), cls_name)
+
+
 def _transport_registry() -> dict[str, type[RnicTransport]]:
-    # Imported lazily to avoid import cycles for optional transports.
-    from repro.rnic.mp_rdma import MpRdmaTransport
-    from repro.rnic.rack_tlp import RackTlpTransport
-    from repro.rnic.rifl import RiflTransport
-    from repro.rnic.sdr import SdrTransport
-    from repro.rnic.timeout import TimeoutTransport
-    from repro.tcpstack.tcp import TcpTransport
-    return {
-        "gbn": GbnTransport,
-        "irn": IrnTransport,
-        "dcp": DcpTransport,
-        "mp_rdma": MpRdmaTransport,
-        "rack_tlp": RackTlpTransport,
-        "timeout": TimeoutTransport,
-        "tcp": TcpTransport,
-        # Reliability-scheme frontier (transports 8 and 9): software
-        # selective repeat and hop-by-hop link-layer retransmission.
-        "sdr": SdrTransport,
-        "rifl": RiflTransport,
-    }
-
-
-@dataclass
-class NetworkSpec:
-    """Declarative description of one simulated network."""
-
-    transport: str = "dcp"                 # any _transport_registry() key
-    cc: str = "none"                       # none|window|dcqcn|swift
-    lb: str = "ar"                         # ecmp|ar|spray
-    topology: str = "clos"                 # clos|testbed|direct
-    num_hosts: int = 32
-    num_leaves: int = 4
-    num_spines: int = 4
-    link_rate: float = 10.0                # bits/ns (Gbps)
-    host_link_delay_ns: int = 1_000
-    spine_link_delay_ns: int = 1_000
-    buffer_bytes: int = 4_000_000
-    mtu_payload: int = 1000
-    window_bytes: Optional[int] = None     # None -> one BDP
-    seed: int = 1
-    # DCP-Switch knobs
-    trim_threshold_bytes: Optional[int] = None
-    incast_radix: int = 16
-    control_queue_bytes: int = 1_000_000
-    # PFC (lossless baselines)
-    pfc_headroom_frac: float = 0.25
-    # loss injection
-    loss_rate: float = 0.0
-    # fidelity tier: "packet" simulates every byte; "hybrid" runs
-    # uncontended flows analytically and escalates on falsifiers
-    # (see repro.sim.fidelity)
-    fidelity: str = "packet"
-    # transport overrides
-    transport_overrides: dict = field(default_factory=dict)
-    # testbed-specific
-    cross_links: int = 8
-    cross_port_rates: Optional[dict[int, float]] = None
-
-    def needs_pfc(self) -> bool:
-        """GBN ("PFC" baseline) and MP-RDMA require a lossless fabric."""
-        return self.transport in ("gbn", "mp_rdma") and self.loss_rate == 0.0
-
-    def is_dcp(self) -> bool:
-        return self.transport == "dcp"
-
-    # ------------------------------------------------- stable serialization
-    def to_dict(self) -> dict:
-        """JSON-safe dict that round-trips through :meth:`from_dict`.
-
-        Field order is the declaration order (stable), ``cross_port_rates``
-        int keys become a sorted pair list (JSON objects only carry string
-        keys), and ``transport_overrides`` values must already be JSON
-        scalars.  Used by the runner's cache-key hashing, so any change
-        here invalidates every cached result — bump
-        :data:`repro.runner.cache.CACHE_VERSION` alongside.
-        """
-        out: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "cross_port_rates" and value is not None:
-                value = [[int(k), float(v)] for k, v in sorted(value.items())]
-            elif f.name == "transport_overrides":
-                value = dict(sorted(value.items()))
-            out[f.name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NetworkSpec":
-        """Rebuild a spec from :meth:`to_dict` output (cache round-trip)."""
-        kwargs = dict(data)
-        unknown = set(kwargs) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown NetworkSpec fields {sorted(unknown)}")
-        rates = kwargs.get("cross_port_rates")
-        if rates is not None:
-            kwargs["cross_port_rates"] = {int(k): float(v) for k, v in rates}
-        return cls(**kwargs)
+    """Every registered transport class by name (imports all of them)."""
+    return {name: _transport_class(name) for name in TRANSPORTS}
 
 
 class Network:
@@ -141,7 +50,7 @@ class Network:
         self.tconfig = self._transport_config()
         self.transports: list[RnicTransport] = []
         self.hosts: list[Host] = []
-        transport_cls = _transport_registry()[spec.transport]
+        transport_cls = _transport_class(spec.transport)
         for hid in range(spec.num_hosts):
             nic = HostNic(self.sim, spec.link_rate, name=f"nic{hid}")
             transport = transport_cls(self.sim, hid, self.tconfig)

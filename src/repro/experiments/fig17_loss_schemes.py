@@ -20,15 +20,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.experiments.common import NetworkSpec, _transport_registry
 from repro.experiments.presets import ScalePreset, get_preset
 from repro.experiments.result import ExperimentResult
+from repro.experiments.spec import TRANSPORTS, NetworkSpec
 from repro.runner import ExperimentRunner, SweepPoint, serial_runner
 
 LOSS_RATES = (0.0, 0.0001, 0.001, 0.005, 0.01, 0.02, 0.05)
 #: Every transport in the registry, so a newly registered scheme lands
 #: in this comparison automatically (alphabetical: column order only).
-SCHEMES = tuple(sorted(_transport_registry()))
+SCHEMES = tuple(sorted(TRANSPORTS))
 
 #: Point runner shared with other single/multi-flow sweeps.
 POINT_RUNNER = "repro.runner.points.simulate_flows"

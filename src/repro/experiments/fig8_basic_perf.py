@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.experiments.common import NetworkSpec
 from repro.experiments.presets import ScalePreset, get_preset
 from repro.experiments.result import ExperimentResult
+from repro.experiments.spec import NetworkSpec
 from repro.runner import ExperimentRunner, SweepPoint, serial_runner
 
 SCHEMES = ("gbn", "dcp", "tcp")

@@ -29,15 +29,15 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.chaos.scenarios import get_scenario, scenario_names
-from repro.experiments.common import NetworkSpec, _transport_registry
 from repro.experiments.presets import ScalePreset, get_preset
 from repro.experiments.result import ExperimentResult
+from repro.experiments.spec import NetworkSpec, TRANSPORTS as TRANSPORT_PATHS
 from repro.runner import ExperimentRunner, SweepPoint, serial_runner
 
 #: Sweep order: baseline first, then escalating failure severity.
 SCENARIO_KEYS = ("none", "link_flap", "switch_blackout", "loss_burst",
                  "pfc_storm")
-TRANSPORTS = tuple(sorted(_transport_registry()))
+TRANSPORTS = tuple(sorted(TRANSPORT_PATHS))
 
 #: Failure timers shrunk to the scenario timescale (§4.5 timings scaled
 #: like everything else in the presets); overrides win over the

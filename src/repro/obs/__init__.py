@@ -18,6 +18,7 @@ check per component *construction* and nothing per event — the same
 discipline as :mod:`repro.sim.trace`.
 """
 
+from repro._lazy import lazy_exports
 from repro.obs import registry as metrics
 from repro.obs import spans
 from repro.obs.export import (SCHEMA_VERSION, breakdown_records,
@@ -33,15 +34,12 @@ from repro.obs.spans import (SPAN_KINDS, SpanTracker, perfetto_trace,
                              write_perfetto)
 
 
-def __getattr__(name: str):
-    # MetricsSampler is loaded lazily: it pulls in repro.analysis, which
-    # itself imports repro.rnic.base — and the instrumented components
-    # (net/, rnic/) import this package at *their* import time, so an
-    # eager import here would be circular.
-    if name == "MetricsSampler":
-        from repro.obs.sampler import MetricsSampler
-        return MetricsSampler
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# MetricsSampler is loaded lazily: it pulls in repro.analysis, which
+# itself imports repro.rnic.base — and the instrumented components
+# (net/, rnic/) import this package at *their* import time, so an
+# eager import here would be circular.
+__getattr__ = lazy_exports(__name__,
+                           {"repro.obs.sampler": ("MetricsSampler",)})
 
 __all__ = [
     "Counter",

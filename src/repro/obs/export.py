@@ -47,8 +47,9 @@ from repro.sim.trace import Tracer
 SCHEMA_VERSION = 1
 
 
-def _dump(record: dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+#: One encoder for every record: ``json.dumps`` with non-default options
+#: builds a new ``JSONEncoder`` per call, once per exported line.
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 # ------------------------------------------------------------------ metrics

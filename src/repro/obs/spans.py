@@ -293,7 +293,8 @@ def perfetto_trace(points: dict[str, dict[str, Any]]) -> dict[str, Any]:
 def write_perfetto(fh: TextIO, points: dict[str, dict[str, Any]]) -> int:
     """Write a Perfetto/Chrome trace file; returns the event count."""
     trace = perfetto_trace(points)
-    json.dump(trace, fh, sort_keys=True, separators=(",", ":"))
+    # dumps, not dump: json.dump never uses the C encoder.
+    fh.write(json.dumps(trace, sort_keys=True, separators=(",", ":")))
     fh.write("\n")
     return len(trace["traceEvents"])
 

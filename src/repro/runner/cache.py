@@ -4,7 +4,8 @@ One file per cache key under ``~/.cache/repro`` (or ``--cache-dir`` /
 ``$REPRO_CACHE_DIR``).  Entries are written atomically (tempfile +
 ``os.replace``) so parallel workers and concurrent CLI invocations
 never observe torn files; a corrupt or version-mismatched entry reads
-as a miss and is rewritten on the next run.
+as a miss (also counted under ``corrupt``) and is rewritten on the next
+run.
 
 The cache is optionally size-bounded (``--cache-max-mb``): when a store
 pushes the directory past the budget, the oldest entries by mtime are
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Optional
 
@@ -61,6 +61,9 @@ class ResultCache:
                           else max(1, int(max_mb * 1_000_000)))
         self.hits = 0
         self.misses = 0
+        #: Misses whose file was there but unusable: truncated or
+        #: non-UTF-8 bytes, or an envelope for another version or key.
+        self.corrupt = 0
         self.stores = 0
         self.evictions = 0
         # Running size estimate, initialized lazily on the first put so
@@ -80,13 +83,16 @@ class ResultCache:
         try:
             with open(path, encoding="utf-8") as fh:
                 envelope = json.load(fh)
-        except (OSError, ValueError):
+        except FileNotFoundError:
             self.misses += 1
             return None
+        except (OSError, ValueError):
+            envelope = None     # unreadable, truncated or not UTF-8
         if (not isinstance(envelope, dict)
                 or envelope.get("version") != CACHE_VERSION
                 or envelope.get("key") != key):
             self.misses += 1
+            self.corrupt += 1
             return None
         self.hits += 1
         return envelope["payload"]
@@ -98,10 +104,14 @@ class ResultCache:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         envelope = {"version": CACHE_VERSION, "key": key, "payload": payload}
+        import tempfile     # here, not at the top: a replay writes nothing
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(envelope, fh, sort_keys=True, separators=(",", ":"))
+                # dumps, not dump: only dumps runs the C encoder, and
+                # the bytes are the same.
+                fh.write(json.dumps(envelope, sort_keys=True,
+                                    separators=(",", ":")))
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -201,4 +211,5 @@ class ResultCache:
 
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "evictions": self.evictions}
+                "corrupt": self.corrupt, "stores": self.stores,
+                "evictions": self.evictions}

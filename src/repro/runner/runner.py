@@ -19,6 +19,11 @@ properties hold by construction:
   regardless of worker completion order, and every payload is passed
   through :func:`canonicalize` whether it came from a worker, the
   inline path or the cache, so the merge input is identical either way.
+
+This module is harness-side (DESIGN.md "Import layers"): it imports the
+spec, never the simulator.  The point runner is resolved by dotted path
+only when a point actually executes, so a run served wholly from the
+cache loads no simulator code at all.
 """
 
 from __future__ import annotations
@@ -26,10 +31,9 @@ from __future__ import annotations
 import importlib
 import random as _global_random
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Any, Callable, Optional, Sequence
 
-from repro.experiments.common import NetworkSpec
+from repro.experiments.spec import NetworkSpec
 from repro.runner.cache import ResultCache
 from repro.runner.spec_hash import cache_key, canonicalize
 from repro.sim.rng import SeedSequence
@@ -95,10 +99,8 @@ class ExperimentRunner:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache if cache is not None else ResultCache()
-        if mp_method is None:
-            from multiprocessing import get_all_start_methods
-            available = get_all_start_methods()
-            mp_method = next(m for m in _MP_METHODS if m in available)
+        #: Start method for the pool; ``None`` picks the first available
+        #: of ``_MP_METHODS`` when a pool is actually made.
         self.mp_method = mp_method
         #: Extra ``telemetry`` param injected into every point (tracing,
         #: gauge sampling).  Injection happens *before* cache keys are
@@ -145,7 +147,17 @@ class ExperimentRunner:
         if pending:
             self.simulations_executed += len(pending)
             if self.jobs > 1 and len(pending) > 1:
-                ctx = get_context(self.mp_method)
+                # multiprocessing is imported only where a pool is made:
+                # serial runs and cache replays never load it.
+                import multiprocessing
+                method = self.mp_method or next(
+                    m for m in _MP_METHODS
+                    if m in multiprocessing.get_all_start_methods())
+                # Load the point runner's module (and through it the
+                # simulator) once, before forking, so every worker
+                # inherits it instead of importing it again.
+                _resolve(point_runner)
+                ctx = multiprocessing.get_context(method)
                 workers = min(self.jobs, len(pending))
                 with ctx.Pool(processes=workers) as pool:
                     # Unordered for wall-clock; the index restores order.

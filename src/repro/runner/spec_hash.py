@@ -14,7 +14,7 @@ import hashlib
 import json
 from typing import Any
 
-from repro.experiments.common import NetworkSpec
+from repro.experiments.spec import NetworkSpec
 
 _SAFE_SCALARS = (str, int, float, bool, type(None))
 

@@ -1,8 +1,6 @@
 """Discrete-event simulation substrate (clock, events, RNG, units)."""
 
-from repro.sim.engine import CancelledToken, Entity, Simulator, run_until_quiet
-from repro.sim.rng import SeedSequence
-from repro.sim import units
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CancelledToken",
@@ -12,3 +10,9 @@ __all__ = [
     "run_until_quiet",
     "units",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.sim.engine": ("CancelledToken", "Entity", "Simulator",
+                         "run_until_quiet"),
+    "repro.sim.rng": ("SeedSequence",),
+})

@@ -170,6 +170,36 @@ class TestExport:
         meta = json.loads(buf1.getvalue().splitlines()[0])
         assert meta["type"] == "meta" and meta["points"] == ["p0", "p1"]
 
+    def test_metrics_jsonl_bytes_are_pinned(self):
+        # The export format, byte for byte: a faster encoder may not
+        # move key order, separators or float rendering unnoticed.
+        by_point = {"p0": {
+            "counters": {"svc.hits": 2, "svc.misses": 0},
+            "gauges": {"link.l0.g": 1.0, "ratio": 0.1},
+            "histograms": {"flow.fct_us": {
+                "bounds": [10.0, 1e3], "counts": [0, 1, 0],
+                "total": 1, "sum": 12.5}},
+            "series": {"q": {"times_ns": [0, 20_000],
+                             "values": [0.0, 1e-09]}},
+        }}
+        buf = io.StringIO()
+        assert write_metrics_jsonl(buf, "unit", by_point) == 7
+        assert buf.getvalue() == (
+            '{"experiment":"unit","points":["p0"],"schema":1,"type":"meta"}\n'
+            '{"experiment":"unit","name":"svc.hits","point":"p0",'
+            '"type":"counter","value":2}\n'
+            '{"experiment":"unit","name":"svc.misses","point":"p0",'
+            '"type":"counter","value":0}\n'
+            '{"experiment":"unit","name":"link.l0.g","point":"p0",'
+            '"type":"gauge","value":1.0}\n'
+            '{"experiment":"unit","name":"ratio","point":"p0",'
+            '"type":"gauge","value":0.1}\n'
+            '{"bounds":[10.0,1000.0],"counts":[0,1,0],"experiment":"unit",'
+            '"name":"flow.fct_us","point":"p0","sum":12.5,"total":1,'
+            '"type":"histogram"}\n'
+            '{"experiment":"unit","name":"q","point":"p0",'
+            '"times_ns":[0,20000],"type":"series","values":[0.0,1e-09]}\n')
+
     def test_tracer_payload_and_trace_jsonl(self):
         tracer = Tracer(max_records=2)
         trace.install(tracer)

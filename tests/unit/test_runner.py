@@ -90,9 +90,26 @@ class TestResultCache:
         assert cache.get("k" * 64) is None
         cache.put("k" * 64, {"rows": [1, 2, 3]})
         assert cache.get("k" * 64) == {"rows": [1, 2, 3]}
-        assert cache.stats() == {"hits": 1, "misses": 1, "stores": 1,
-                                 "evictions": 0}
+        assert cache.stats() == {"hits": 1, "misses": 1, "corrupt": 0,
+                                 "stores": 1, "evictions": 0}
         assert len(cache) == 1
+
+    def test_put_writes_the_pinned_canonical_bytes(self, tmp_path):
+        # The on-disk format any faster encoder must reproduce byte for
+        # byte: sorted keys, compact separators, repr floats, null.
+        payload = {"z": {"b": 1.5, "a": {"deep": [1, 2.25, None]}},
+                   "flows": [[0, 1, 60_000, 0], [1, 0, 1e-9, 5_000]],
+                   "none": None, "ratio": 0.1, "big": 1e22, "ok": True}
+        cache = ResultCache(root=tmp_path)
+        cache.put("pinned", payload)
+        assert cache._path("pinned").read_text(encoding="utf-8") == json.dumps(
+            {"version": CACHE_VERSION, "key": "pinned", "payload": payload},
+            sort_keys=True, separators=(",", ":"))
+        assert cache._path("pinned").read_bytes() == (
+            b'{"key":"pinned","payload":{"big":1e+22,"flows":[[0,1,60000,0],'
+            b'[1,0,1e-09,5000]],"none":null,"ok":true,"ratio":0.1,'
+            b'"z":{"a":{"deep":[1,2.25,null]},"b":1.5}},"version":%d}'
+            % CACHE_VERSION)
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = ResultCache(root=tmp_path)
@@ -110,6 +127,48 @@ class TestResultCache:
         envelope["version"] = CACHE_VERSION + 1
         path.write_text(json.dumps(envelope), encoding="utf-8")
         assert cache.get("versioned") is None
+
+    # An entry that is there but unusable is a miss *and* counted as
+    # corrupt; an absent one is only a miss.  Either way the next put
+    # rewrites it.
+    def _assert_corrupt_then_rewritten(self, cache, key):
+        assert cache.get("absent") is None
+        assert cache.stats()["corrupt"] == 0
+        assert cache.get(key) is None
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["corrupt"]) == (0, 2, 1)
+        cache.put(key, {"x": 2})
+        assert cache.get(key) == {"x": 2}
+        assert cache.stats()["corrupt"] == 1
+
+    def test_truncated_entry_is_counted_corrupt(self, tmp_path):
+        cache = ResultCache(root=tmp_path)
+        cache.put("torn", {"x": 1})
+        path = cache._path("torn")
+        path.write_bytes(path.read_bytes()[:-7])
+        self._assert_corrupt_then_rewritten(cache, "torn")
+
+    def test_non_utf8_entry_is_counted_corrupt(self, tmp_path):
+        cache = ResultCache(root=tmp_path)
+        cache.put("garbage", {"x": 1})
+        cache._path("garbage").write_bytes(b"\xff\xfe\x00garbage\x80")
+        self._assert_corrupt_then_rewritten(cache, "garbage")
+
+    def test_wrong_version_entry_is_counted_corrupt(self, tmp_path):
+        cache = ResultCache(root=tmp_path)
+        cache._path("old").parent.mkdir(parents=True)
+        cache._path("old").write_text(json.dumps(
+            {"version": CACHE_VERSION - 1, "key": "old", "payload": {"x": 1}}),
+            encoding="utf-8")
+        self._assert_corrupt_then_rewritten(cache, "old")
+
+    def test_wrong_key_entry_is_counted_corrupt(self, tmp_path):
+        cache = ResultCache(root=tmp_path)
+        cache._path("mine").parent.mkdir(parents=True)
+        cache._path("mine").write_text(json.dumps(
+            {"version": CACHE_VERSION, "key": "theirs", "payload": {"x": 1}}),
+            encoding="utf-8")
+        self._assert_corrupt_then_rewritten(cache, "mine")
 
     def test_disabled_cache_never_stores(self, tmp_path):
         cache = ResultCache(root=tmp_path, enabled=False)

@@ -266,6 +266,19 @@ class TestPerfetto:
         write_perfetto(buf2, self._points())
         assert buf.getvalue() == buf2.getvalue()
 
+    def test_written_bytes_equal_the_streaming_encoders(self, tmp_path):
+        # write_perfetto encodes with json.dumps (the C encoder); the
+        # file must stay what json.dump(trace, fh, ...) used to stream.
+        old = io.StringIO()
+        json.dump(perfetto_trace(self._points()), old, sort_keys=True,
+                  separators=(",", ":"))
+        old.write("\n")
+        path = tmp_path / "run.json"
+        with open(path, "w") as fh:
+            write_perfetto(fh, self._points())
+        assert path.read_text() == old.getvalue()
+        assert spans.main(["--validate", str(path)]) == 0
+
     def test_validator_rejects_malformed_events(self):
         assert validate_perfetto([]) == ["trace is not a JSON object"]
         assert validate_perfetto({}) == ["trace has no traceEvents list"]
