@@ -154,6 +154,10 @@ def main(argv: list[str] | None = None) -> int:
                              "dump raw pstats to PATH if given (requires "
                              "--jobs 1: workers cannot be profiled)")
     args = parser.parse_args(argv)
+    valid = ("list", "all", "campaign", *REGISTRY)
+    if args.experiment not in valid:
+        parser.error(f"unknown experiment {args.experiment!r} "
+                     f"(choose from {', '.join(valid)})")
     if args.chaos == "list":
         from repro.chaos.scenarios import SCENARIOS
         print(f"{'scenario':20s} events")

@@ -77,24 +77,6 @@ class Link:
         # arrival callback is resolved once instead of per packet.
         self._rx = dst.receive
 
-    # Attribute views kept for the pre-registry API (tests, experiments).
-    @property
-    def delivered_packets(self) -> int:
-        return self.stats.delivered_packets
-
-    @property
-    def delivered_bytes(self) -> int:
-        return self.stats.delivered_bytes
-
-    @property
-    def dropped_packets(self) -> int:
-        """Injected-loss discards (down-link discards count separately)."""
-        return self.stats.dropped_loss
-
-    @property
-    def dropped_link_down(self) -> int:
-        return self.stats.dropped_link_down
-
     def deliver(self, packet: "Packet") -> None:
         """Start propagating ``packet``; it arrives after the link delay.
 

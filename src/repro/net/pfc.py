@@ -91,15 +91,6 @@ class PfcController:
         self.paused_time_ns = [0] * num_ports
         self._pause_start = [0] * num_ports
 
-    # Attribute views kept for the pre-registry API.
-    @property
-    def pause_frames(self) -> int:
-        return self.stats.pause_frames
-
-    @property
-    def resume_frames(self) -> int:
-        return self.stats.resume_frames
-
     def charge(self, in_port: int, packet: Packet) -> None:
         """Account a packet buffered after arriving on ``in_port``."""
         if in_port < 0:

@@ -23,7 +23,7 @@ stats dataclasses (``SwitchStats``, ``FlowStats``, link counters): a
 subclass declares ``FIELDS`` (doubling as ``__slots__``), each field is
 a plain slot int, and registration wraps the fields in read-through
 :class:`FieldCounter` views — ``stats.trimmed += 1`` keeps working for
-every existing call site at exactly its pre-registry cost.
+every call site at the cost of a plain attribute increment.
 
 Serialization (:meth:`MetricsRegistry.to_payload`) is deterministic:
 JSON-safe scalars only, names in registration (insertion) order, and
@@ -138,7 +138,7 @@ class CounterBlock:
 
     Subclasses declare ``FIELDS`` and ``__slots__ = FIELDS``; every
     field is a plain int initialized to zero, so ``stats.field += 1``
-    costs exactly what the pre-registry stats dataclasses did.  The
+    costs a plain attribute increment and nothing more.  The
     registry sees the live values through :class:`FieldCounter` views
     created at registration time and read only at export.
     """

@@ -36,7 +36,7 @@ def test_pfc_pause_resume_balanced(seed):
     net.run_until_flows_done(max_events=40_000_000)
     assert all(f.completed for f in flows)
     for sw in net.fabric.switches:
-        assert sw.pfc.pause_frames == sw.pfc.resume_frames
+        assert sw.pfc.stats.pause_frames == sw.pfc.stats.resume_frames
         assert all(b == 0 for b in sw.pfc.ingress_bytes)
         assert not any(sw.pfc.pause_sent)
 

@@ -192,7 +192,7 @@ def test_loss_injection_actually_bites(transport: str, topology: str) -> None:
             f"{transport}/clos: no forced losses observed at 5%")
     else:
         links = [h.nic.link for h in net.hosts]
-        assert sum(l.dropped_packets for l in links) > 0, (
+        assert sum(l.stats.dropped_loss for l in links) > 0, (
             f"{transport}/direct: no forced link losses observed at 5%")
 
 

@@ -121,3 +121,20 @@ class TestMetricsAttachmentSymmetry:
                   "--metrics-out", str(tmp_path / "m.jsonl")])
         with_flag = set(captured["result"].metrics)
         assert without_flag == with_flag == {"run"}
+
+
+def test_unknown_experiment_key_is_a_usage_error(tmp_path, monkeypatch,
+                                                 capsys):
+    """An unknown key is rejected at parse time: exit status 2, the
+    valid keys on stderr, nothing simulated and no cache directory."""
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail(
+        "an experiment ran for an unknown key"))
+    cache_dir = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["nosuchkey", "--cache-dir", str(cache_dir),
+                  "--clear-cache"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown experiment 'nosuchkey'" in err
+    assert "choose from" in err and "fig8" in err and "campaign" in err
+    assert not cache_dir.exists()

@@ -1,12 +1,11 @@
 """Unit tests for the discrete-event engine."""
 
-import heapq
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import CancelledToken, Entity, Simulator
+from repro.rnic.base import RestartableTimer
+from repro.sim.engine import Entity, Simulator
 
 
 def test_events_run_in_time_order():
@@ -161,7 +160,6 @@ def test_mid_run_heap_compaction_keeps_event_stream_intact():
     """
     sim = Simulator()
     fired = []
-    # Far enough out to land in the heap, not the timer wheel.
     tokens = [sim.schedule(30_000_000 + i * 1_000,
                            lambda i=i: fired.append((sim.now, i)))
               for i in range(100)]
@@ -177,8 +175,7 @@ def test_mid_run_heap_compaction_keeps_event_stream_intact():
         fired.append((sim.now, "late"))
         # Scheduled *after* the compaction: with the rebinding bug this
         # lands in a list the running loop no longer drains and is
-        # silently lost (far-future on purpose — it must hit the heap,
-        # not the timer wheel).
+        # silently lost.
         sim.schedule(50_000_000, lambda: fired.append((sim.now, "final")))
 
     sim.schedule(1_000, sabotage)
@@ -192,108 +189,192 @@ def test_mid_run_heap_compaction_keeps_event_stream_intact():
     assert sim.events_processed == 1 + 40 + 1 + 1
 
 
-# ------------------------------------ engine == single-heap reference
+# ------------------------------------------ fired order == sorted keys
 #
-# The property: for arbitrary interleavings of schedule / cancel
-# operations whose delays span all three timer tiers (wheel
-# L0 < 2**18 ns, wheel L1 < 2**24 ns, heap beyond the horizon), the
-# engine fires the exact same (when, tag) sequence, with the same
-# events_processed accounting, as one heapq ordered by (when, seq).
-# Half the operations are applied from *inside* callbacks, so mid-run
-# insertion (including behind the ring position) and mid-run
-# cancellation are exercised too.
+# The engine *is* one heap, so a heap-based reference would only copy
+# it.  The oracle here is implementation-independent: the test numbers
+# every scheduling call itself and records ``(when, n)`` for it; the
+# fired list must equal ``sorted()`` of the recorded keys, minus the
+# entries cancelled by something ordered before them.  Half the
+# operations are applied from *inside* callbacks, so mid-run insertion
+# and mid-run cancellation are exercised too.
 
-class _HeapScheduler:
-    """The differential oracle: one ``(when, seq)`` heap, nothing else."""
-
-    def __init__(self):
-        self.now = self.events_processed = self._seq = 0
-        self._heap = []
-
-    def schedule(self, delay, callback):
-        return self._push(delay, CancelledToken(), callback, ())
-
-    def call_after(self, delay, fn, *args):
-        self._push(delay, None, fn, args)
-
-    def _push(self, delay, token, fn, args):
-        self._seq += 1
-        heapq.heappush(self._heap,
-                       (self.now + delay, self._seq, token, fn, args))
-        return token
-
-    def pending(self):
-        return len(self._heap)
-
-    def run(self):
-        while self._heap:
-            when, _, token, fn, args = heapq.heappop(self._heap)
-            if token is not None and token.cancelled:
-                continue        # skipped uncounted
-            self.now = when
-            self.events_processed += 1
-            fn(*args)
-
-
-_TIERED_DELAY = st.one_of(
-    st.integers(0, 2**18),            # wheel level 0 span
-    st.integers(2**18, 2**24 - 1),    # wheel level 1 span
-    st.integers(2**24, 2**30),        # beyond the horizon: heap
+# 0 ns ... 2**30 ns; the first arm makes equal-timestamp ties common.
+_DELAY = st.one_of(
+    st.integers(0, 4),
+    st.integers(0, 2**18),
+    st.integers(2**18, 2**30),
 )
 
-_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("one"), _TIERED_DELAY, st.booleans()),
-        st.tuples(st.just("cancel"), st.integers(0, 10**6), st.just(False)),
-    ),
-    min_size=1, max_size=30)
+# ("one", delay, also-cancel-some-earlier-token) | ("cancel", pick)
+_SCHEDULE_OR_CANCEL = st.one_of(
+    st.tuples(st.just("one"), _DELAY, st.booleans()),
+    st.tuples(st.just("cancel"), st.integers(0, 10**6)),
+)
 
 
-def _drive(sim, ops):
-    fired = []
-    tokens = []
-    tags = iter(range(10**9))
+def _dead_in_heap(sim):
+    return sum(1 for e in sim._heap if e[2] is not None and e[2].cancelled)
 
-    def note(tag):
-        fired.append((sim.now, tag))
 
-    def apply(op):
-        kind = op[0]
-        if kind == "one":
+class _Recorder:
+    """Schedules through the public API and keeps the expected order."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.fired = []
+        self.keys = []              # (when, n) of every scheduling call
+        self.tokens = []            # (key, token) of the cancellable ones
+        self.cancelled_by = {}      # key -> key of the event that cancelled it
+        self._running = (-1, 0)     # sorts before every real key
+
+    def _key(self, delay):
+        key = (self.sim.now + delay, len(self.keys) + 1)
+        self.keys.append(key)
+        return key
+
+    def _fire(self, key, fn=None, args=()):
+        assert self.sim.now == key[0]
+        assert self.sim._heap_dead == _dead_in_heap(self.sim)
+        self._running = key
+        self.fired.append(key)
+        if fn is not None:
+            fn(*args)
+
+    def schedule(self, delay):
+        key = self._key(delay)
+        token = self.sim.schedule(delay, lambda: self._fire(key))
+        self.tokens.append((key, token))
+
+    def call_after(self, delay, fn, *args):
+        self.sim.call_after(delay, self._fire, self._key(delay), fn, args)
+
+    def cancel(self, pick):
+        if self.tokens:
+            key, token = self.tokens[pick % len(self.tokens)]
+            token.cancel()
+            self.cancelled_by.setdefault(key, self._running)
+
+    def apply(self, op):
+        if op[0] == "one":
             _, delay, cancel_mid = op
-            tag = next(tags)
-            tokens.append(sim.schedule(delay, lambda tag=tag: note(tag)))
-            if cancel_mid and tokens:
-                tokens[len(tokens) // 2].cancel()
+            self.schedule(delay)
+            if cancel_mid:
+                self.cancel(len(self.tokens) // 2)
         else:
-            _, pick, _ = op
-            if tokens:
-                tokens[pick % len(tokens)].cancel()
+            self.cancel(op[1])
 
-    # Half up front, half from inside callbacks at staggered times, so
-    # insertion happens both before and during the drain.
-    for op in ops[::2]:
-        apply(op)
-    for i, op in enumerate(ops[1::2]):
-        sim.call_after(1 + i * 700, apply, op)
-    sim.run()
-    assert sim.pending() == 0
-    return fired, sim.events_processed, sim.now
+    def expected(self):
+        # Cancelled by an earlier-ordered event (or up front): never
+        # fires.  Cancelled by itself or by a later event: it had
+        # already fired, the late cancel() changes nothing.
+        return sorted(k for k in self.keys
+                      if self.cancelled_by.get(k, k) >= k)
 
 
 @settings(deadline=None, max_examples=60)
-@given(ops=_OPS)
-def test_engine_pops_like_a_single_heap(ops):
-    assert _drive(Simulator(), ops) == _drive(_HeapScheduler(), ops)
+@given(ops=st.lists(_SCHEDULE_OR_CANCEL, min_size=1, max_size=30))
+def test_fired_stream_is_the_sorted_when_seq_order(ops):
+    sim = Simulator()
+    rec = _Recorder(sim)
+    # Half up front, half from inside callbacks at staggered times, so
+    # insertion happens both before and during the drain.
+    for op in ops[::2]:
+        rec.apply(op)
+    for i, op in enumerate(ops[1::2]):
+        rec.call_after(1 + i * 700, rec.apply, op)
+    sim.run()
+    expected = rec.expected()
+    assert rec.fired == expected
+    assert sim.events_processed == len(expected)
+    assert sim.now == (expected[-1][0] if expected else 0)
+    assert sim.pending() == 0 and sim._heap_dead == 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(ops=st.lists(
+    st.one_of(
+        _SCHEDULE_OR_CANCEL,
+        st.tuples(st.just("run_until"), _DELAY),
+        st.tuples(st.just("run_events"), st.integers(0, 5)),
+        st.tuples(st.just("peek")),
+    ),
+    min_size=1, max_size=40))
+def test_dead_count_matches_cancelled_entries_in_heap(ops):
+    """White box: ``_heap_dead`` is exactly the number of cancelled
+    entries still in ``_heap`` after any interleaving of schedule,
+    cancel (before, at and after the entry fired), partial runs and
+    ``peek_time`` — it is what the 50 % compaction trigger reads — and
+    a full drain leaves neither dead entries nor a dead count."""
+    sim = Simulator()
+    rec = _Recorder(sim)
+    for op in ops:
+        if op[0] == "run_until":
+            sim.run(until=sim.now + op[1])
+        elif op[0] == "run_events":
+            sim.run(max_events=op[1])
+        elif op[0] == "peek":
+            sim.peek_time()
+        else:
+            rec.apply(op)
+        assert sim._heap_dead == _dead_in_heap(sim)
+    sim.run()
+    assert rec.fired == rec.expected()
+    assert sim.pending() == 0 and sim._heap_dead == 0
+
+
+def test_timer_churn_keeps_the_heap_bounded():
+    """Every ``restart()`` leaves a dead entry behind; compaction at
+    > 50 % dead must keep the heap within twice its live entries
+    however long the churn lasts (each transport restarts its RTO once
+    per ACK)."""
+    sim = Simulator()
+    timers = [RestartableTimer(sim, lambda: None) for _ in range(8)]
+    live = len(timers) + 1          # + the one in-flight chain event
+    restarts = 0
+    worst = 0
+
+    def hop():
+        nonlocal restarts, worst
+        for _ in range(5):
+            timers[restarts % len(timers)].restart(1_000_000 + restarts)
+            restarts += 1
+            worst = max(worst, sim.pending())
+        if restarts < 50_000:
+            sim.call_after(100, hop)
+
+    for timer in timers:
+        timer.restart(1_000_000)
+    sim.call_after(100, hop)
+    sim.run()
+    assert restarts == 50_000
+    assert worst <= 2 * live + 2
+    assert sim.pending() == 0 and sim._heap_dead == 0
+
+
+def test_run_until_skips_a_cancelled_head_and_keeps_the_live_tail():
+    sim = Simulator()
+    fired = []
+    sim.schedule(50, lambda: None).cancel()
+    sim.schedule(200, lambda: fired.append(("first", sim.now)))
+    sim.schedule(200, lambda: fired.append(("second", sim.now)))
+    sim.run(until=100)
+    assert fired == [] and sim.now == 100
+    assert sim.events_processed == 0
+    assert sim.pending() == 2 and sim._heap_dead == 0
+    # Scheduled later for the same instant: fires after both.
+    sim.schedule(100, lambda: fired.append(("third", sim.now)))
+    sim.run()
+    assert fired == [("first", 200), ("second", 200), ("third", 200)]
+    assert sim.events_processed == 3
 
 
 @settings(deadline=None, max_examples=100)
-@given(delays=st.lists(_TIERED_DELAY, min_size=2, max_size=16),
-       cancel_at=_TIERED_DELAY)
+@given(delays=st.lists(_DELAY, min_size=2, max_size=16),
+       cancel_at=_DELAY)
 def test_cancelled_entries_do_not_fire_or_count(delays, cancel_at):
-    """Entries whose token is cancelled mid-run are skipped when due —
-    in the wheel and in the heap alike — without counting toward
-    ``events_processed``.  ``RestartableTimer`` cancels and re-arms once
+    """Entries whose token is cancelled mid-run are skipped when due
+    without counting toward ``events_processed``.  ``RestartableTimer`` cancels and re-arms once
     per ACK, so a counted skip would make the event count depend on how
     many timers were superseded."""
     sim = Simulator()

@@ -36,8 +36,8 @@ class TestLink:
         p = _pkt(500)
         link.deliver(p)
         sim.run()
-        assert link.delivered_packets == 1
-        assert link.delivered_bytes == 500
+        assert link.stats.delivered_packets == 1
+        assert link.stats.delivered_bytes == 500
         assert p.hops == 1
 
     def test_down_link_discards(self):

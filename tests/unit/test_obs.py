@@ -293,9 +293,9 @@ class TestLinkDropTracing:
         sim, link = self._link()
         link.up = False
         link.deliver(self._packet())
-        assert link.dropped_link_down == 1
-        assert link.dropped_packets == 0      # loss counted separately
-        assert link.delivered_packets == 0
+        assert link.stats.dropped_link_down == 1
+        assert link.stats.dropped_loss == 0    # loss counted separately
+        assert link.stats.delivered_packets == 0
         (rec,) = tracer.records
         assert rec.category == "drop"
         assert rec.detail == {"flow_id": 42, "psn": 7, "reason": "link_down"}
@@ -306,8 +306,8 @@ class TestLinkDropTracing:
         sim, link = self._link(loss_rate=0.999, loss_seed=3)
         for _ in range(8):
             link.deliver(self._packet())
-        assert link.dropped_packets > 0
-        assert link.dropped_link_down == 0
+        assert link.stats.dropped_loss > 0
+        assert link.stats.dropped_link_down == 0
         assert {r.detail["reason"] for r in tracer.records} == {"loss"}
 
 

@@ -92,5 +92,5 @@ def test_end_to_end_lossless_under_pfc():
     assert net.fabric.switch_stats_sum("dropped_congestion") == 0
     assert net.fabric.switch_stats_sum("dropped_buffer") == 0
     # the incast on the single cross link must actually have paused
-    assert any(sw.pfc.pause_frames > 0 for sw in net.fabric.switches)
+    assert any(sw.pfc.stats.pause_frames > 0 for sw in net.fabric.switches)
     assert all(f.stats.retx_pkts_sent == 0 for f in flows)
