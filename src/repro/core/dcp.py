@@ -33,7 +33,7 @@ from typing import Optional
 from repro.core.retransq import RetransQ
 from repro.core.tracking import CounterTracker
 from repro.net.packet import (Packet, PacketKind, make_ack,
-                              make_data_packet, release)
+                              make_data_packet)
 from repro.rnic.base import (Flow, Message, QueuePair, RestartableTimer,
                              RnicTransport, _GATED, _NO_WORK)
 from repro.sim import trace
@@ -224,7 +224,7 @@ class DcpTransport(RnicTransport):
             self.host_id, qp.peer_host_id, msg.flow.flow_id, qp.peer_qpn,
             qp.qpn, psn, msg.msn, payload, mtu, msg.num_pkts,
             msg.size_bytes, off, True, msg.ssn, st.sretry.get(msg.msn, 0),
-            qp.entropy, is_retx, 0, self.pool)
+            qp.entropy, is_retx, 0, self.sim)
         qp.outstanding_bytes += payload
         st.msg_out_bytes[msg.msn] = st.msg_out_bytes.get(msg.msn, 0) + payload
         if is_retx:
@@ -256,14 +256,12 @@ class DcpTransport(RnicTransport):
         msg.flow.stats.trims_seen += 1
         if msg.msn < st.acked_msn:
             self.stats.stale_ho += 1
-            release(self.sim, packet)
             return
         payload = msg.payload_of(packet.psn - msg.base_psn, self.config.mtu_payload)
         qp.outstanding_bytes = max(0, qp.outstanding_bytes - payload)
         out = st.msg_out_bytes.get(msg.msn, 0)
         st.msg_out_bytes[msg.msn] = max(0, out - payload)
         st.retransq.write(msg.msn, packet.psn)
-        release(self.sim, packet)
         self._activate(qp)
 
     def _on_ack(self, qp: QueuePair, packet: Packet) -> None:
@@ -350,7 +348,7 @@ class DcpTransport(RnicTransport):
     def _send_emsn_ack(self, qp: QueuePair, emsn: int) -> None:
         ack = make_ack(self.host_id, qp.peer_host_id, flow_id=-1,
                        qpn=qp.peer_qpn, src_qpn=qp.qpn, kind=PacketKind.ACK,
-                       emsn=emsn, dcp=True, entropy=qp.entropy, pool=self.pool)
+                       emsn=emsn, dcp=True, entropy=qp.entropy, sim=self.sim)
         self.nic.send_control(ack)
 
     # ------------------------------------------------- unsupported handlers

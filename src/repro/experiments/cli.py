@@ -53,6 +53,13 @@ from repro.runner import ExperimentRunner, ResultCache
 from repro.sim import trace
 
 
+#: Experiments whose ``run()`` takes the flag; ``all`` hands it to
+#: these and run_experiment's signature filter drops it for the rest.
+#: Tables, not ``inspect``: checking must not import experiment modules.
+TAKES_CHAOS = ("robustness",)
+TAKES_FIDELITY = ("fig13", "fig14")
+
+
 def build_telemetry(args: argparse.Namespace) -> dict | None:
     """The ``telemetry`` param injected into sweep points, or None."""
     telemetry: dict = {}
@@ -158,13 +165,22 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment not in valid:
         parser.error(f"unknown experiment {args.experiment!r} "
                      f"(choose from {', '.join(valid)})")
-    if args.chaos == "list":
+    if args.chaos is not None:
         from repro.chaos.scenarios import SCENARIOS
-        print(f"{'scenario':20s} events")
-        for name, scenario in SCENARIOS.items():
-            kinds = ", ".join(e["kind"] for e in scenario["events"]) or "-"
-            print(f"{name:20s} {kinds}")
-        return 0
+        if args.chaos == "list":
+            print(f"{'scenario':20s} events")
+            for name, scenario in SCENARIOS.items():
+                kinds = ", ".join(e["kind"] for e in scenario["events"]) or "-"
+                print(f"{name:20s} {kinds}")
+            return 0
+        if args.chaos not in SCENARIOS:
+            parser.error(f"unknown chaos scenario {args.chaos!r} "
+                         f"(choose from {', '.join(SCENARIOS)}, or 'list')")
+    for flag, value, takers in (("--chaos", args.chaos, TAKES_CHAOS),
+                                ("--fidelity", args.fidelity, TAKES_FIDELITY)):
+        if value is not None and args.experiment not in (*takers, "all"):
+            parser.error(f"{flag} does not apply to {args.experiment!r} "
+                         f"(accepted by {', '.join(takers)}, or 'all')")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.cache_max_mb is not None and args.cache_max_mb <= 0:
@@ -271,12 +287,8 @@ def main(argv: list[str] | None = None) -> int:
                         from repro.campaigns import run_compiled
                         result = run_compiled(campaigns_by_key[key], runner)
                     else:
-                        # ``chaos`` only reaches experiments whose run()
-                        # accepts it (the robustness campaign);
-                        # signature filtering in run_experiment drops it
-                        # everywhere else.
                         # ``chaos`` and ``fidelity`` only reach run()
-                        # signatures that accept them.
+                        # signatures that accept them (under ``all``).
                         kwargs = {}
                         if args.fidelity is not None:
                             kwargs["fidelity"] = args.fidelity

@@ -12,7 +12,7 @@ import random
 import zlib
 from typing import TYPE_CHECKING, Protocol
 
-from repro.net.packet import PAYLOAD_KINDS, release
+from repro.net.packet import PAYLOAD_KINDS
 from repro.obs.registry import CounterBlock
 from repro.obs import registry as metrics
 from repro.obs import spans
@@ -89,7 +89,6 @@ class Link:
             trace.emit(self.sim.now, "drop", self.name,
                        flow_id=packet.flow_id, psn=packet.psn,
                        reason="link_down")
-            release(self.sim, packet)
             return
         if self.loss_rate > 0.0:
             if (packet.kind in PAYLOAD_KINDS
@@ -98,7 +97,6 @@ class Link:
                 trace.emit(self.sim.now, "drop", self.name,
                            flow_id=packet.flow_id, psn=packet.psn,
                            reason="loss")
-                release(self.sim, packet)
                 return
         stats = self.stats
         stats.delivered_packets += 1

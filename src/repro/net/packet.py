@@ -16,25 +16,18 @@ DCP_DATA    10     payload trimmed; becomes an HO packet
 DCP_HO      11     enqueued in the (prioritized) control queue
 ==========  =====  =================================================
 
-Packets on the hot path come from a per-:class:`~repro.sim.engine.Simulator`
-:class:`PacketPool`: a free list of recycled :class:`Packet` instances
-with explicit ``alloc``/``release`` at the RNIC delivery and drop
-sites.  ``Packet`` is a plain ``__slots__`` class (no dataclass
-machinery) and re-initialising a recycled instance rewrites every slot,
-so a released-then-reallocated packet can never leak prior fields.
-Pool behaviour is environment-switchable:
-
-* ``REPRO_PACKET_POOL=0`` disables recycling (every alloc constructs a
-  fresh object; results are bit-identical either way);
-* ``REPRO_PACKET_POOL_DEBUG=1`` poisons released packets and verifies
-  the poison on realloc, catching use-after-free and double-free.
+``Packet`` is a plain ``__slots__`` class (no dataclass machinery) and
+a packet nobody references any more is freed by CPython's refcount.
+There is no free-list pool: on ten interleaved whole-benchmark pairs
+(EXPERIMENTS.md "Performance") recycling instances won no resolved pair
+on any of the seven workloads.  It saved ~50 ns of a multi-µs packet
+trip and paid that back in one extra call at every drop and delivery.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import os
 from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,7 +86,7 @@ PAUSE_FRAME_BYTES = 64
 
 #: Fallback uid source for packets built outside a simulation (unit
 #: tests, hand-rolled reprs).  Simulation packets get deterministic
-#: per-run uids from ``Simulator.packet_seq`` via the pool.
+#: per-run uids from ``Simulator.packet_seq`` via the factories below.
 _packet_ids = itertools.count()
 
 
@@ -127,8 +120,6 @@ class Packet:
                  is_retransmit: bool = False, ho_returned: bool = False,
                  timestamp_ns: int = -1, hops: int = 0,
                  ingress_hint: int = -1, uid: int = -1) -> None:
-        # Assigns every slot unconditionally: the packet pool relies on
-        # re-running __init__ to scrub a recycled instance completely.
         self.src = src
         self.dst = dst
         self.kind = kind
@@ -200,23 +191,6 @@ class Packet:
         """§4.2: non-DCP and DCP ACK packets are dropped when congested."""
         return self.dcp_tag in (DcpTag.NON_DCP, DcpTag.DCP_ACK)
 
-    def clone_header(self) -> "Packet":
-        """Copy of the packet with a fresh uid (used by retransmission)."""
-        clone = Packet(
-            src=self.src, dst=self.dst, kind=self.kind,
-            size_bytes=self.size_bytes, payload_bytes=self.payload_bytes,
-            flow_id=self.flow_id, qpn=self.qpn, src_qpn=self.src_qpn,
-            psn=self.psn, msn=self.msn, ssn=self.ssn,
-            msg_len_pkts=self.msg_len_pkts, msg_len_bytes=self.msg_len_bytes,
-            msg_offset_pkts=self.msg_offset_pkts, sretry_no=self.sretry_no,
-            emsn=self.emsn, ack_psn=self.ack_psn, sack_psn=self.sack_psn,
-            sack_bitmap=self.sack_bitmap,
-            dcp_tag=self.dcp_tag, ecn_capable=self.ecn_capable,
-            entropy=self.entropy, priority=self.priority,
-            is_retransmit=self.is_retransmit, timestamp_ns=self.timestamp_ns,
-        )
-        return clone
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Packet({self.kind.name} {self.src}->{self.dst} flow={self.flow_id} "
                 f"psn={self.psn} msn={self.msn} size={self.size_bytes}"
@@ -224,108 +198,12 @@ class Packet:
                 f"{' CE' if self.ecn_ce else ''})")
 
 
-#: Poison written into a released packet's identity fields in debug
-#: mode.  A write-after-release changes it (caught at realloc); a read
-#: surfaces as an absurd address/PSN in whatever consumed it.
-_POISON = -0x7EADBEEF
-
-
-class PacketPool:
-    """Per-simulation free list of :class:`Packet` instances.
-
-    Allocation always assigns the uid from ``sim.packet_seq`` — a
-    per-run counter — so packet identities are deterministic regardless
-    of process-level import order or how many sims ran before this one,
-    and identical whether recycling is enabled or not.
-    """
-
-    __slots__ = ("sim", "enabled", "debug", "_free",
-                 "allocated", "reused", "released")
-
-    def __init__(self, sim: "Simulator", enabled: Optional[bool] = None,
-                 debug: Optional[bool] = None) -> None:
-        if enabled is None:
-            enabled = os.environ.get("REPRO_PACKET_POOL", "1") != "0"
-        if debug is None:
-            debug = os.environ.get("REPRO_PACKET_POOL_DEBUG", "") == "1"
-        self.sim = sim
-        self.enabled = enabled
-        self.debug = debug
-        self._free: list[Packet] = []
-        self.allocated = 0      # fresh constructions
-        self.reused = 0         # free-list hits
-        self.released = 0
-
-    def alloc(self, *args, **kw) -> Packet:
-        """Build a packet (recycled when possible); args as for Packet."""
-        sim = self.sim
-        sim.packet_seq = uid = sim.packet_seq + 1
-        free = self._free
-        if free:
-            packet = free.pop()
-            if self.debug:
-                self._check_poison(packet)
-            packet.__init__(*args, uid=uid, **kw)
-            self.reused += 1
-        else:
-            packet = Packet(*args, uid=uid, **kw)
-            self.allocated += 1
-        return packet
-
-    def release(self, packet: Packet) -> None:
-        """Return ``packet`` to the free list (terminal delivery/drop).
-
-        The caller promises the packet is dead: no queue, event or
-        protocol state may still reference it.
-        """
-        if not self.enabled:
-            return
-        if self.debug:
-            if packet.src == _POISON and packet.psn == _POISON:
-                raise RuntimeError(f"double release of packet uid={packet.uid}")
-            packet.src = _POISON
-            packet.dst = _POISON
-            packet.flow_id = _POISON
-            packet.psn = _POISON
-            packet.msn = _POISON
-            packet.ack_psn = _POISON
-            packet.payload_bytes = _POISON
-            packet.entropy = _POISON
-        self.released += 1
-        self._free.append(packet)
-
-    def _check_poison(self, packet: Packet) -> None:
-        for name in ("src", "dst", "flow_id", "psn", "msn", "ack_psn",
-                     "payload_bytes", "entropy"):
-            if getattr(packet, name) != _POISON:
-                raise RuntimeError(
-                    f"use-after-release: field {name!r} of packet "
-                    f"uid={packet.uid} was written while on the free list")
-
-
-def pool_of(sim: "Simulator") -> PacketPool:
-    """The simulation's packet pool, creating it on first use."""
-    pool = sim.packet_pool
-    if pool is None:
-        pool = sim.packet_pool = PacketPool(sim)
-    return pool
-
-
-def release(sim: "Simulator", packet: Packet) -> None:
-    """Release ``packet`` into ``sim``'s pool, if one is attached.
-
-    Terminal sites (drops, consumed deliveries) call this; packets of
-    pool-less simulations (hand-built unit-test fixtures) pass through
-    untouched.
-    """
-    pool = sim.packet_pool
-    if pool is not None:
-        if pool.enabled and not pool.debug:
-            # PacketPool.release inlined for the per-packet fast path.
-            pool.released += 1
-            pool._free.append(packet)
-        else:
-            pool.release(packet)
+def next_uid(sim: Optional["Simulator"]) -> int:
+    """Per-run uid from ``sim.packet_seq``; module counter without a sim."""
+    if sim is None:
+        return next(_packet_ids)
+    sim.packet_seq = uid = sim.packet_seq + 1
+    return uid
 
 
 def make_data_packet(src: int, dst: int, flow_id: int = -1, qpn: int = -1,
@@ -336,7 +214,7 @@ def make_data_packet(src: int, dst: int, flow_id: int = -1, qpn: int = -1,
                      ssn: int = -1, sretry_no: int = 0,
                      entropy: int = 0, is_retransmit: bool = False,
                      priority: int = 0,
-                     pool: Optional[PacketPool] = None) -> Packet:
+                     sim: Optional["Simulator"] = None) -> Packet:
     """Build a data packet with the right header overhead.
 
     DCP data packets carry the extended header (RETH in every packet,
@@ -346,30 +224,15 @@ def make_data_packet(src: int, dst: int, flow_id: int = -1, qpn: int = -1,
     if payload <= 0 or payload > mtu_payload:
         raise ValueError(f"payload {payload} outside (0, {mtu_payload}]")
     header = DCP_DATA_HEADER_BYTES if dcp else ROCE_DATA_HEADER_BYTES
-    if pool is None:
-        return Packet(
-            src=src, dst=dst, kind=PacketKind.DATA,
-            size_bytes=header + payload, payload_bytes=payload,
-            flow_id=flow_id, qpn=qpn, src_qpn=src_qpn, psn=psn, msn=msn,
-            ssn=ssn, msg_len_pkts=msg_len_pkts, msg_len_bytes=msg_len_bytes,
-            msg_offset_pkts=msg_offset_pkts, sretry_no=sretry_no,
-            dcp_tag=DcpTag.DCP_DATA if dcp else DcpTag.NON_DCP,
-            entropy=entropy, is_retransmit=is_retransmit, priority=priority,
-        )
-    # Pooled fast path: every slot is stored explicitly (same scrub
-    # guarantee as __init__) without the alloc/__init__ call frames or
-    # a second round of keyword marshalling.
-    sim = pool.sim
-    sim.packet_seq = uid = sim.packet_seq + 1
-    free = pool._free
-    if free:
-        p = free.pop()
-        if pool.debug:
-            pool._check_poison(p)
-        pool.reused += 1
+    # Every slot is stored by hand and next_uid is inlined: a keyword
+    # ``Packet(...)`` call costs more than twice as much per packet
+    # (tests/unit/test_packet.py checks these stores against
+    # ``Packet.__init__``).
+    if sim is None:
+        uid = next(_packet_ids)
     else:
-        p = Packet.__new__(Packet)
-        pool.allocated += 1
+        sim.packet_seq = uid = sim.packet_seq + 1
+    p = Packet.__new__(Packet)
     p.src = src
     p.dst = dst
     p.kind = PacketKind.DATA
@@ -410,34 +273,19 @@ def make_ack(src: int, dst: int, flow_id: int = -1, qpn: int = -1,
              ack_psn: int = -1, emsn: int = -1, sack_psn: int = -1,
              sack_bitmap: int = 0, timestamp_ns: int = -1,
              dcp: bool = False, entropy: int = 0, priority: int = 0,
-             pool: Optional[PacketPool] = None) -> Packet:
+             sim: Optional["Simulator"] = None) -> Packet:
     """Build an acknowledgment (ACK/SACK/NAK) packet.
 
     ``sack_bitmap`` is SDR's ack vector (bit *i* acknowledges PSN
     ``ack_psn + 1 + i``); ``timestamp_ns`` echoes the data packet's send
     timestamp so delay-based CC (Swift) can sample RTT at the sender.
     """
-    if pool is None:
-        return Packet(
-            src=src, dst=dst, kind=kind, size_bytes=ACK_PACKET_BYTES,
-            flow_id=flow_id, qpn=qpn, src_qpn=src_qpn,
-            ack_psn=ack_psn, emsn=emsn, sack_psn=sack_psn,
-            sack_bitmap=sack_bitmap, timestamp_ns=timestamp_ns,
-            dcp_tag=DcpTag.DCP_ACK if dcp else DcpTag.NON_DCP,
-            entropy=entropy, priority=priority,
-        )
-    # Pooled fast path; see make_data_packet.
-    sim = pool.sim
-    sim.packet_seq = uid = sim.packet_seq + 1
-    free = pool._free
-    if free:
-        p = free.pop()
-        if pool.debug:
-            pool._check_poison(p)
-        pool.reused += 1
+    # Slot stores and uid by hand; see make_data_packet.
+    if sim is None:
+        uid = next(_packet_ids)
     else:
-        p = Packet.__new__(Packet)
-        pool.allocated += 1
+        sim.packet_seq = uid = sim.packet_seq + 1
+    p = Packet.__new__(Packet)
     p.src = src
     p.dst = dst
     p.kind = kind
@@ -474,11 +322,11 @@ def make_ack(src: int, dst: int, flow_id: int = -1, qpn: int = -1,
 
 
 def make_cnp(src: int, dst: int, *, flow_id: int, qpn: int, src_qpn: int,
-             dcp: bool = False, pool: Optional[PacketPool] = None) -> Packet:
+             dcp: bool = False, sim: Optional["Simulator"] = None) -> Packet:
     """Build a DCQCN congestion notification packet."""
-    new = Packet if pool is None else pool.alloc
-    return new(
+    return Packet(
         src=src, dst=dst, kind=PacketKind.CNP, size_bytes=CNP_PACKET_BYTES,
         flow_id=flow_id, qpn=qpn, src_qpn=src_qpn,
         dcp_tag=DcpTag.DCP_ACK if dcp else DcpTag.NON_DCP,
+        uid=next_uid(sim),
     )

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.net.packet import (Packet, PacketKind, PacketPool,
-                              PAUSE_FRAME_BYTES, pool_of)
+from repro.net.packet import (Packet, PacketKind, PAUSE_FRAME_BYTES,
+                              next_uid)
 from repro.obs import registry as metrics
 from repro.obs import spans
 from repro.obs.registry import CounterBlock
@@ -51,20 +51,18 @@ class PfcConfig:
             raise ValueError("thresholds must be non-negative")
 
 
-def make_pause(priority: int, pool: Optional[PacketPool] = None) -> Packet:
+def make_pause(priority: int, sim: Optional["Simulator"] = None) -> Packet:
     """Build a PAUSE frame for ``priority``."""
-    new = Packet if pool is None else pool.alloc
-    return new(src=-1, dst=-1, kind=PacketKind.PAUSE,
-               size_bytes=PAUSE_FRAME_BYTES, pause_priority=priority,
-               ecn_capable=False)
+    return Packet(src=-1, dst=-1, kind=PacketKind.PAUSE,
+                  size_bytes=PAUSE_FRAME_BYTES, pause_priority=priority,
+                  ecn_capable=False, uid=next_uid(sim))
 
 
-def make_resume(priority: int, pool: Optional[PacketPool] = None) -> Packet:
+def make_resume(priority: int, sim: Optional["Simulator"] = None) -> Packet:
     """Build a RESUME (zero-quanta PAUSE) frame for ``priority``."""
-    new = Packet if pool is None else pool.alloc
-    return new(src=-1, dst=-1, kind=PacketKind.RESUME,
-               size_bytes=PAUSE_FRAME_BYTES, pause_priority=priority,
-               ecn_capable=False)
+    return Packet(src=-1, dst=-1, kind=PacketKind.RESUME,
+                  size_bytes=PAUSE_FRAME_BYTES, pause_priority=priority,
+                  ecn_capable=False, uid=next_uid(sim))
 
 
 class PfcController:
@@ -81,7 +79,6 @@ class PfcController:
         self.config = config
         self.send_frame = send_frame
         self.name = name
-        self.pool = pool_of(sim)
         self.ingress_bytes = [0] * num_ports
         self.pause_sent = [False] * num_ports
         self.stats = PfcStats()
@@ -104,7 +101,7 @@ class PfcController:
             trace.emit(self.sim.now, "pfc", self.name, action="pause",
                        port=in_port, ingress_bytes=self.ingress_bytes[in_port])
             self.send_frame(in_port,
-                            make_pause(self.config.priority, pool=self.pool))
+                            make_pause(self.config.priority, sim=self.sim))
 
     def release(self, in_port: int, packet: Packet) -> None:
         """Account a buffered packet leaving the switch."""
@@ -123,4 +120,4 @@ class PfcController:
             trace.emit(self.sim.now, "pfc", self.name, action="resume",
                        port=in_port, ingress_bytes=self.ingress_bytes[in_port])
             self.send_frame(in_port,
-                            make_resume(self.config.priority, pool=self.pool))
+                            make_resume(self.config.priority, sim=self.sim))

@@ -25,8 +25,7 @@ from typing import Optional
 
 from repro.net.ecn import EcnMarker, RedProfile
 from repro.net.link import Link
-from repro.net.packet import (DcpTag, Packet, PacketKind, PAYLOAD_KINDS,
-                              release)
+from repro.net.packet import DcpTag, Packet, PacketKind, PAYLOAD_KINDS
 from repro.net.pfc import PfcConfig, PfcController
 from repro.net.port import EgressPort
 from repro.net.queues import ByteQueue, WrrScheduler
@@ -185,11 +184,9 @@ class Switch:
         kind = packet.kind
         if kind is PacketKind.PAUSE:
             self.ports[in_port].pause(DATA_CLASS)
-            release(self.sim, packet)
             return
         if kind is PacketKind.RESUME:
             self.ports[in_port].resume(DATA_CLASS)
-            release(self.sim, packet)
             return
         candidates = self.routing_table.get(packet.dst)
         if not candidates:
@@ -208,7 +205,6 @@ class Switch:
             size = packet.size_bytes
             if self.buffered_bytes + size > self.config.buffer_bytes:
                 stats.dropped_buffer += 1
-                release(self.sim, packet)
                 return
             marker = self.ecn_markers[egress]
             if marker is not None and kind is PacketKind.DATA:
@@ -220,7 +216,6 @@ class Switch:
             packet.ingress_hint = in_port
             if data_q.would_overflow(packet):
                 stats.dropped_congestion += 1
-                release(self.sim, packet)
                 return
             self.buffered_bytes += size
             if self.pfc is not None:
@@ -245,7 +240,6 @@ class Switch:
             trace.emit(self.sim.now, "drop", self.name,
                        flow_id=packet.flow_id, psn=packet.psn,
                        reason="congestion")
-            release(self.sim, packet)
 
     # ------------------------------------------------------------ enqueue
     def enqueue_egress(self, packet: Packet, egress: int, in_port: int) -> None:
@@ -270,7 +264,6 @@ class Switch:
                 trace.emit(self.sim.now, "drop", self.name,
                            flow_id=packet.flow_id, psn=packet.psn,
                            reason="forced")
-                release(self.sim, packet)
             return
 
         # DCP packet trimming module (§4.2).
@@ -289,13 +282,11 @@ class Switch:
                 trace.emit(self.sim.now, "drop", self.name,
                            flow_id=packet.flow_id, psn=packet.psn,
                            reason="congestion")
-                release(self.sim, packet)
             return
 
         # Shared-buffer admission.
         if self.buffered_bytes + packet.size_bytes > self.config.buffer_bytes:
             self.stats.dropped_buffer += 1
-            release(self.sim, packet)
             return
 
         marker = self.ecn_markers[egress]
@@ -309,7 +300,6 @@ class Switch:
         packet.ingress_hint = in_port
         if data_q.would_overflow(packet):
             self.stats.dropped_congestion += 1
-            release(self.sim, packet)
             return
         self.buffered_bytes += packet.size_bytes
         if self.pfc is not None:
@@ -325,7 +315,6 @@ class Switch:
             # "HO packet loss is very rare" (footnote 1) but not impossible:
             # count it so Table 5 can measure the loss ratio.
             self.stats.ho_dropped += 1
-            release(self.sim, packet)
             return
         packet.ingress_hint = in_port
         self.buffered_bytes += packet.size_bytes

@@ -12,9 +12,8 @@ trace-event file loadable in ui.perfetto.dev.
 Instrumented components call the tracker through the module-level
 ``_active`` global, exactly like the Tracer: disabled (the default) the
 whole subsystem costs one ``None`` check per emit site, and enabled it
-only *reads* simulation state — no events, no RNG draws — so the
-packet pool and ``--jobs N`` sharding stay bit-identical with spans on
-or off.
+only *reads* simulation state — no events, no RNG draws — so serial,
+``--jobs N`` and cache replay stay bit-identical with spans on or off.
 
 Span kinds (see :data:`SPAN_KINDS`):
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.cc.base import CongestionControl, StaticWindowCc
-from repro.net.packet import Packet, PacketKind, make_cnp, pool_of
+from repro.net.packet import Packet, PacketKind, make_cnp
 from repro.obs import registry as metrics
 from repro.obs import spans
 from repro.obs.registry import CounterBlock
@@ -449,9 +449,6 @@ class RnicTransport(Entity):
         super().__init__(sim)
         self.host_id = host_id
         self.config = config
-        #: Per-simulation packet free list; all tx packets come from it
-        #: and terminal rx packets return to it (see repro.net.packet).
-        self.pool = pool_of(sim)
         self.nic: Optional[HostNic] = None
         self.qps: dict[int, QueuePair] = {}
         self._rr: deque[QueuePair] = deque()
@@ -596,13 +593,11 @@ class RnicTransport(Entity):
         """Wire-side entry point: dispatch straight to the handler.
 
         Hosts bind their ingress links directly to this method, so a
-        delivered packet pays exactly one dispatch frame.  Delivery is
-        terminal for every kind but HO: handlers only read the packet
-        (retransmissions are rebuilt from message state), so it returns
-        to the pool here.  HO packets manage their own lifetime — the
-        receiver turns the *same object* around and re-sends it (§4.1),
-        so :meth:`_on_ho` decides.  PFC frames act on the NIC and stop
-        here.
+        delivered packet pays exactly one dispatch frame.  Handlers only
+        read the packet (retransmissions are rebuilt from message
+        state); the one exception is HO, which the receiver turns around
+        and re-sends as the *same object* (§4.1).  PFC frames act on the
+        NIC and stop here.
         """
         qp = self.qps.get(packet.qpn)
         if qp is None:
@@ -628,7 +623,6 @@ class RnicTransport(Entity):
                 self._on_nak(qp, packet)
             elif kind is PacketKind.HO:
                 self._on_ho(qp, packet)
-                return
             elif kind is PacketKind.CNP:
                 qp.cc.on_cnp(self.sim.now)
             elif kind is PacketKind.PAUSE:
@@ -637,13 +631,6 @@ class RnicTransport(Entity):
                 self.nic.resume()
             else:  # pragma: no cover
                 raise ValueError(f"unexpected packet kind {kind}")
-        # Terminal: return the packet to the pool (release() inlined).
-        pool = self.pool
-        if pool.enabled and not pool.debug:
-            pool.released += 1
-            pool._free.append(packet)
-        else:
-            pool.release(packet)
 
     # --- hooks subclasses override ---------------------------------------
     def _qp_poll(self, qp: QueuePair, now: int):
@@ -694,7 +681,7 @@ class RnicTransport(Entity):
         qp.last_cnp_ns = self.sim.now
         cnp = make_cnp(self.host_id, qp.peer_host_id, flow_id=packet.flow_id,
                        qpn=qp.peer_qpn, src_qpn=qp.qpn, dcp=self.dcp_wire,
-                       pool=self.pool)
+                       sim=self.sim)
         self.nic.send_control(cnp)
 
     def flow_of(self, packet: Packet) -> Optional[Flow]:

@@ -72,7 +72,7 @@ class GbnTransport(WindowTransport):
             self.host_id, qp.peer_host_id, msg.flow.flow_id, qp.peer_qpn,
             qp.qpn, snd_nxt, msg.msn, payload, mtu, msg.num_pkts,
             msg.size_bytes, off, False, -1, 0, qp.entropy, is_retx, 0,
-            self.pool)
+            self.sim)
         if is_retx:
             self.count_retransmit(msg.flow)
         else:

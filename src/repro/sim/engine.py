@@ -74,8 +74,8 @@ class Simulator:
         #: Monotone packet-sequence counter: packet uids are per-run,
         #: not per-process import order.
         self.packet_seq: int = 0
-        #: Slot for a per-simulation packet free-list pool; installed by
-        #: the net layer (the engine itself is packet-agnostic).
+        #: Always None: the packet free list is gone, but bench/child.py
+        #: (frozen) still reads this attribute.  Nothing in src/ may.
         self.packet_pool = None
         #: Set by the chaos subsystem when a failure scenario is armed;
         #: the hybrid-fidelity controller treats it as a standing

@@ -15,7 +15,7 @@ essential software costs:
 
 from __future__ import annotations
 
-from repro.net.packet import Packet, PacketKind, release
+from repro.net.packet import Packet, PacketKind
 from repro.obs import spans
 from repro.rnic.base import QueuePair, TransportConfig, _GATED, _NO_WORK
 from repro.rnic.window import SendState, WindowTransport
@@ -118,7 +118,6 @@ class TcpTransport(WindowTransport):
                 st.snd_nxt = st.snd_una
                 self.count_retransmit(qp.psn_to_message(st.snd_una).flow)
         self._activate(qp)
-        release(self.sim, packet)
 
     # ------------------------------------------------------------ receiver
     def _on_tcp_data(self, qp: QueuePair, packet: Packet) -> None:
@@ -133,27 +132,23 @@ class TcpTransport(WindowTransport):
                             self._actor)
         self._accept(st, packet)
         self._send_ack(qp, PacketKind.TCP_ACK, st.epsn - 1)
-        release(self.sim, packet)
 
     # ----------------------------------------------------------- dispatch
     def receive(self, packet: Packet, in_port: int = 0) -> None:
         """Every packet pays the receive-path stack costs first.
 
         The deferred callback is the kind-specific handler itself (no
-        dispatch trampoline); handlers release the packet when done.
+        dispatch trampoline).
         """
         kind = packet.kind
         if kind is PacketKind.PAUSE:
             self.nic.pause()
-            release(self.sim, packet)
             return
         if kind is PacketKind.RESUME:
             self.nic.resume()
-            release(self.sim, packet)
             return
         qp = self.qps.get(packet.qpn)
         if qp is None:
-            release(self.sim, packet)
             return
         if kind is PacketKind.TCP_DATA:
             fn = self._on_tcp_data
@@ -164,7 +159,8 @@ class TcpTransport(WindowTransport):
         self.sim.call_after(self._rx_delay_ns, fn, qp, packet)
 
     def _drop(self, qp: QueuePair, packet: Packet) -> None:
-        release(self.sim, packet)
+        """No-op, but still scheduled: the deferred event is part of the
+        pinned event stream."""
 
     # unused RNIC handlers
     def _on_data(self, qp, packet):  # pragma: no cover

@@ -1,12 +1,11 @@
-"""Bit-identity of the mechanical gate: the packet pool.
+"""Bit-identity of what is left to compare: one run against another.
 
-``REPRO_PACKET_POOL`` (on / off / poison-debug) only changes *how* the
-event stream is produced — packet recycling — never the stream itself.
-These tests pin that contract across the gate matrix, over a clean
-direct point, a lossy Clos point (retransmission timers, release paths
-under loss), a chaos link flap and a contended Clos cell, and then
-across the runner's execution modes: serial == ``--jobs 2`` == cache
-replay.
+There is one dataplane and no mode switch under it, so the gates are
+(1) determinism — the same point simulated twice in one process gives
+byte-equal payloads, over a clean direct point, a lossy Clos point
+(retransmission timers under loss), a chaos link flap and a contended
+Clos cell — and (2) the runner's execution modes: serial ==
+``--jobs 2`` == cache replay.
 
 There is one transmit path — the NIC pulls one packet per wire slot —
 and the contended cell pins it to reference values, so a fast path
@@ -17,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 
 import pytest
 
@@ -31,25 +31,6 @@ from repro.workload.distributions import websearch
 from repro.workload.flows import IncastWorkload, PoissonWorkload
 
 TRANSPORTS = ("gbn", "dcp", "tcp", "sdr", "rifl")
-
-#: (REPRO_PACKET_POOL, REPRO_PACKET_POOL_DEBUG)
-GATE_MATRIX = (
-    ("1", ""),      # pool on (the default stack)
-    ("0", ""),      # pool off
-    ("1", "1"),     # pool poison/debug mode
-)
-
-
-def _run_payload(monkeypatch, pool, debug, spec, params):
-    monkeypatch.setenv("REPRO_PACKET_POOL", pool)
-    monkeypatch.setenv("REPRO_PACKET_POOL_DEBUG", debug)
-    return simulate_flows(spec, params)
-
-
-def _run(monkeypatch, pool, debug, spec, params):
-    # Canonical form so a mismatch diffs cleanly in pytest output.
-    return json.dumps(_run_payload(monkeypatch, pool, debug, spec, params),
-                      sort_keys=True, default=str)
 
 
 def _direct_point(transport):
@@ -133,7 +114,7 @@ def _contended_observables(payload):
 
 
 @pytest.mark.parametrize("cell", CONTENDED_CELLS)
-def test_contended_clos_matches_serial_reference(monkeypatch, cell):
+def test_contended_clos_matches_serial_reference(cell):
     """The transmit path is the reference serial path on contended
     traffic: per-flow ``(fct_ns, rx_bytes, retx, timeouts)`` digest,
     ``end_ns``, trimmed, ECN-marked and pause-frame counts equal the
@@ -149,46 +130,32 @@ def test_contended_clos_matches_serial_reference(monkeypatch, cell):
         env REPRO_"BURST"=0 PYTHONPATH=src python tests/integration/test_gate_identity.py
     """
     spec, params = _contended_point(cell)
-    payload = _run_payload(monkeypatch, *GATE_MATRIX[0], spec, params)
+    payload = simulate_flows(spec, params)
     assert all(f["completed"] for f in payload["flows"])
     assert _contended_observables(payload) == CONTENDED_REFERENCE[cell]
 
 
-# ------------------------------------------------------- packet-pool axis
+# ------------------------------------------------------------ determinism
 
-def _assert_pool_invisible(monkeypatch, spec, params):
-    reference = _run(monkeypatch, *GATE_MATRIX[0], spec, params)
-    for gates in GATE_MATRIX[1:]:
-        assert _run(monkeypatch, *gates, spec, params) == reference, (
-            f"payload diverged under pool gates {gates}")
-
-
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_pool_matrix_direct(monkeypatch, transport):
-    """Every pool mode yields the same payload on the clean direct
-    point every figure sweep is built from."""
-    _assert_pool_invisible(monkeypatch, *_direct_point(transport))
+POINTS = {
+    **{f"direct-{t}": partial(_direct_point, t) for t in TRANSPORTS},
+    **{f"lossy_clos-{t}": partial(_lossy_clos_point, t) for t in TRANSPORTS},
+    "link_flap": _link_flap_point,
+    **{f"contended-{c}": partial(_contended_point, c) for c in CONTENDED_CELLS},
+}
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_pool_matrix_lossy_clos(monkeypatch, transport):
-    """Injected loss drives NAK, RTO and fast-retransmit recovery, whose
-    packets are rebuilt and released off the common path; the payload
-    must not move."""
-    _assert_pool_invisible(monkeypatch, *_lossy_clos_point(transport))
+@pytest.mark.parametrize("point", POINTS)
+def test_same_point_twice_is_byte_identical(point):
+    """Nothing per-process (a module counter, an interned object, a
+    registry left over from the last run) may leak into a payload: the
+    second simulation of a point in one process equals the first."""
+    def run():
+        # Canonical form so a mismatch diffs cleanly in pytest output.
+        return json.dumps(simulate_flows(*POINTS[point]()), sort_keys=True,
+                          default=str)
 
-
-@pytest.mark.parametrize("cell", CONTENDED_CELLS)
-def test_pool_matrix_contended_clos(monkeypatch, cell):
-    """Trimmed, ECN-marked, paused and turned-around packets all return
-    to the pool from different sites; none may show in the payload."""
-    _assert_pool_invisible(monkeypatch, *_contended_point(cell))
-
-
-def test_chaos_link_flap_identity(monkeypatch):
-    """A link that goes down mid-flow: every pool mode reproduces the
-    default stack's payload, chaos block included."""
-    _assert_pool_invisible(monkeypatch, *_link_flap_point())
+    assert run() == run()
 
 
 # ------------------------------------------------- runner execution modes

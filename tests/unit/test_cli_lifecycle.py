@@ -138,3 +138,58 @@ def test_unknown_experiment_key_is_a_usage_error(tmp_path, monkeypatch,
     assert "unknown experiment 'nosuchkey'" in err
     assert "choose from" in err and "fig8" in err and "campaign" in err
     assert not cache_dir.exists()
+
+
+@pytest.mark.parametrize("argv,needles", [
+    (["robustness", "--preset", "quick", "--chaos", "bogus"],
+     ("unknown chaos scenario 'bogus'", "choose from", "link_flap")),
+    (["table1", "--chaos", "bogus", "--fidelity", "hybrid"],
+     ("unknown chaos scenario 'bogus'",)),
+    (["table1", "--chaos", "link_flap"],
+     ("--chaos does not apply to 'table1'", "robustness")),
+    (["fig8", "--fidelity", "hybrid"],
+     ("--fidelity does not apply to 'fig8'", "fig13, fig14")),
+])
+def test_misapplied_chaos_or_fidelity_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, argv, needles):
+    """A scenario that does not exist, or a flag the experiment would
+    silently drop, is rejected at parse time like an unknown key."""
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail(
+        "an experiment ran despite a usage error"))
+    cache_dir = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--cache-dir", str(cache_dir), "--clear-cache"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    for needle in needles:
+        assert needle in err
+    assert not cache_dir.exists()
+
+
+def test_flag_tables_match_the_run_signatures():
+    """The tables the usage check reads name exactly the experiments
+    whose run() has the parameter."""
+    import inspect
+    from repro.experiments.registry import REGISTRY
+
+    def takers(param):
+        return tuple(key for key, entry in REGISTRY.items() if param in
+                     inspect.signature(entry.load_module().run).parameters)
+
+    assert takers("chaos") == cli.TAKES_CHAOS
+    assert takers("fidelity") == cli.TAKES_FIDELITY
+
+
+def test_all_still_accepts_chaos_and_fidelity(monkeypatch):
+    calls = []
+
+    def fake_run(key, **kwargs):
+        calls.append((key, kwargs.get("chaos"), kwargs.get("fidelity")))
+        return ExperimentResult(key, "stub")
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    monkeypatch.setattr(cli, "REGISTRY", {"robustness": None, "fig13": None})
+    assert cli.main(["all", "--chaos", "link_flap", "--fidelity", "hybrid",
+                     "--no-cache"]) == 0
+    assert calls == [("robustness", "link_flap", "hybrid"),
+                     ("fig13", "link_flap", "hybrid")]

@@ -1,10 +1,16 @@
 """Unit tests for the packet model and DCP header extensions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.net.packet import (ACK_PACKET_BYTES, DCP_DATA_HEADER_BYTES,
-                              HO_PACKET_BYTES, DcpTag, Packet, PacketKind,
-                              make_ack, make_cnp, make_data_packet)
+from repro.net.packet import (ACK_PACKET_BYTES, CNP_PACKET_BYTES,
+                              DCP_DATA_HEADER_BYTES, HO_PACKET_BYTES,
+                              PAUSE_FRAME_BYTES, ROCE_DATA_HEADER_BYTES,
+                              DcpTag, Packet, PacketKind, make_ack, make_cnp,
+                              make_data_packet)
+from repro.net.pfc import make_pause, make_resume
+from repro.sim.engine import Simulator
 
 
 def _data(dcp=True, payload=1000):
@@ -110,16 +116,121 @@ def test_uids_unique():
     assert _data().uid != _data().uid
 
 
-def test_clone_header_copies_fields_new_uid():
-    pkt = _data()
-    clone = pkt.clone_header()
-    assert clone.uid != pkt.uid
-    assert (clone.psn, clone.msn, clone.size_bytes) == (pkt.psn, pkt.msn,
-                                                        pkt.size_bytes)
-
-
 def test_last_packet_shorter_payload():
     pkt = make_data_packet(1, 2, flow_id=1, qpn=1, src_qpn=2, psn=0, msn=0,
                            payload=100, mtu_payload=1000, msg_len_pkts=1,
                            msg_len_bytes=100, msg_offset_pkts=0, dcp=True)
     assert pkt.size_bytes == DCP_DATA_HEADER_BYTES + 100
+
+
+# ------------------------------------------- factories vs Packet.__init__
+#
+# make_data_packet and make_ack store every slot by hand (a keyword
+# Packet(...) call costs twice as much per packet), so this is the only
+# guard on those bodies: a forgotten store is an AttributeError here, a
+# wrong default is a slot mismatch.
+
+def _slots(packet):
+    return {name: getattr(packet, name) for name in Packet.__slots__}
+
+
+def _assert_same_as_init(packet, **fields):
+    assert _slots(packet) == _slots(Packet(uid=packet.uid, **fields))
+
+
+_ids = st.integers(-1, 1 << 20)
+_data_args = st.fixed_dictionaries({
+    "flow_id": _ids, "qpn": _ids, "src_qpn": _ids,
+    "psn": st.integers(-1, 1 << 24), "msn": st.integers(-1, 1 << 24),
+    "payload": st.integers(1, 4096),
+    "msg_len_pkts": st.integers(0, 1 << 16),
+    "msg_len_bytes": st.integers(0, 1 << 30),
+    "msg_offset_pkts": st.integers(0, 1 << 16),
+    "dcp": st.booleans(), "ssn": _ids, "sretry_no": st.integers(0, 7),
+    "entropy": st.integers(0, 1 << 16), "is_retransmit": st.booleans(),
+    "priority": st.integers(0, 7),
+})
+_ack_args = st.fixed_dictionaries({
+    "flow_id": _ids, "qpn": _ids, "src_qpn": _ids,
+    "kind": st.sampled_from([PacketKind.ACK, PacketKind.SACK, PacketKind.NAK,
+                             PacketKind.TCP_ACK]),
+    "ack_psn": st.integers(-1, 1 << 24), "emsn": st.integers(-1, 1 << 24),
+    "sack_psn": st.integers(-1, 1 << 24),
+    "sack_bitmap": st.integers(0, (1 << 64) - 1),
+    "timestamp_ns": st.integers(-1, 1 << 40), "dcp": st.booleans(),
+    "entropy": st.integers(0, 1 << 16), "priority": st.integers(0, 7),
+})
+
+
+@given(args=_data_args, with_sim=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_make_data_packet_stores_every_slot(args, with_sim):
+    sim = Simulator() if with_sim else None
+    packet = make_data_packet(1, 2, mtu_payload=4096, sim=sim, **args)
+    fields = dict(args)
+    dcp, payload = fields.pop("dcp"), fields.pop("payload")
+    header = DCP_DATA_HEADER_BYTES if dcp else ROCE_DATA_HEADER_BYTES
+    _assert_same_as_init(
+        packet, src=1, dst=2, kind=PacketKind.DATA,
+        size_bytes=header + payload, payload_bytes=payload,
+        dcp_tag=DcpTag.DCP_DATA if dcp else DcpTag.NON_DCP, **fields)
+
+
+@given(args=_ack_args, with_sim=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_make_ack_stores_every_slot(args, with_sim):
+    sim = Simulator() if with_sim else None
+    packet = make_ack(3, 4, sim=sim, **args)
+    fields = dict(args)
+    dcp = fields.pop("dcp")
+    _assert_same_as_init(
+        packet, src=3, dst=4, size_bytes=ACK_PACKET_BYTES,
+        dcp_tag=DcpTag.DCP_ACK if dcp else DcpTag.NON_DCP, **fields)
+
+
+@given(flow_id=_ids, qpn=_ids, src_qpn=_ids, dcp=st.booleans(),
+       priority=st.integers(0, 7))
+@settings(max_examples=25, deadline=None)
+def test_control_frame_factories_store_every_slot(flow_id, qpn, src_qpn, dcp,
+                                                  priority):
+    _assert_same_as_init(
+        make_cnp(5, 6, flow_id=flow_id, qpn=qpn, src_qpn=src_qpn, dcp=dcp),
+        src=5, dst=6, kind=PacketKind.CNP, size_bytes=CNP_PACKET_BYTES,
+        flow_id=flow_id, qpn=qpn, src_qpn=src_qpn,
+        dcp_tag=DcpTag.DCP_ACK if dcp else DcpTag.NON_DCP)
+    for make, kind in ((make_pause, PacketKind.PAUSE),
+                       (make_resume, PacketKind.RESUME)):
+        _assert_same_as_init(
+            make(priority), src=-1, dst=-1, kind=kind,
+            size_bytes=PAUSE_FRAME_BYTES, pause_priority=priority,
+            ecn_capable=False)
+
+
+# ------------------------------------------------------------------- uids
+
+def _build_one_of_each(sim):
+    return [
+        make_data_packet(1, 2, psn=0, payload=100, mtu_payload=100, sim=sim),
+        make_ack(2, 1, ack_psn=0, sim=sim),
+        make_cnp(2, 1, flow_id=0, qpn=0, src_qpn=0, sim=sim),
+        make_pause(0, sim=sim),
+        make_resume(0, sim=sim),
+        make_data_packet(1, 2, psn=1, payload=100, mtu_payload=100, sim=sim),
+    ]
+
+
+def test_uids_are_per_run_not_per_process():
+    """Two fresh simulators in one process number their packets alike,
+    from 1, whatever was built before or in between."""
+    runs = []
+    for _ in range(2):
+        sim = Simulator()
+        _data()                       # a sim-less packet in between
+        runs.append([p.uid for p in _build_one_of_each(sim)])
+        assert sim.packet_seq == 6
+    assert runs[0] == runs[1] == [1, 2, 3, 4, 5, 6]
+
+
+def test_uids_without_a_sim_come_from_the_module_counter():
+    uids = [p.uid for p in _build_one_of_each(None)]
+    assert uids == list(range(uids[0], uids[0] + 6))
