@@ -7,13 +7,14 @@ an uncontended flow on an idle path delivers exactly on the schedule
 the link rates and propagation delays dictate.  This module exploits
 that with two cooperating pieces:
 
-* :class:`FluidTimeline` — the closed-form delivery timeline of one
-  flow on an otherwise idle store-and-forward path.  It replicates the
-  transport's packetization (message chunking, MTU splitting, per-wire
-  header bytes) and the NIC's integer serialization arithmetic, so for
-  an uncontended flow at zero loss its FCT matches the packet engine
-  *exactly* (a hypothesis property in tests/property/test_fluid_props.py
-  holds this bar).
+* :class:`FluidTimeline` — the closed-form, start-relative delivery
+  timeline of a flow on an otherwise idle store-and-forward path, built
+  in O(1) and shared by every flow of equal (size, NIC rate, hops,
+  one-way delay).  It replicates the transport's packetization
+  (message chunking, MTU splitting, per-wire header bytes) and the
+  NIC's integer serialization arithmetic, so for an uncontended flow at
+  zero loss its FCT matches the packet engine *exactly* (a hypothesis
+  property in tests/property/test_fluid_props.py holds this bar).
 
 * :class:`FidelityController` — the per-flow admission/escalation
   authority a hybrid :class:`~repro.experiments.common.Network` defers
@@ -21,9 +22,11 @@ that with two cooperating pieces:
   is quiet; otherwise (or the moment a falsifier fires mid-flight) it
   runs on the ordinary packet path.  Falsifiers, in the order checked:
 
-  - spec-level: injected loss, a transport whose dynamics are under
-    test (tcp/mp_rdma/rifl), adaptive congestion control, zero-size
-    flows (the packet engine never completes those either);
+  - spec-level: injected loss, unequal link rates (``cross_port_rates``:
+    the timeline assumes every hop serializes at the source NIC's
+    rate), a transport whose dynamics are under test
+    (tcp/mp_rdma/rifl), adaptive congestion control, zero-size flows
+    (the packet engine never completes those either);
   - an active chaos scenario (``sim.chaos_active``);
   - fabric queue buildup (any buffered byte in any switch);
   - congestion signals since the last check: ECN marks, trims, drops,
@@ -66,6 +69,11 @@ FLUID_TRANSPORTS = frozenset({"gbn", "irn", "dcp", "sdr", "timeout",
 #: never throttles an uncontended flow below line rate).
 FLUID_CCS = frozenset({"none", "window"})
 
+#: Most (timeline, quantum rows) pairs a controller keeps for sharing.
+#: A constant, not a tunable: a collective needs a handful, and a
+#: heavy-tailed size distribution must not grow the memo without limit.
+SCHEDULE_MEMO_BOUND = 256
+
 
 class FluidTimeline:
     """Closed-form delivery schedule of one flow on an idle path.
@@ -74,160 +82,128 @@ class FluidTimeline:
     recurrence ``finish_h(i) = max(finish_h(i-1), finish_{h-1}(i)) + s_i``
     solves to::
 
-        delivery(i) = start + C(i) + hops * max_{k<=i} s_k + oneway
+        delivery(i) = C(i) + hops * max_{k<=i} s_k + oneway
 
-    where ``C(i)`` is the cumulative NIC serialization of the first
-    ``i`` packets, ``s_k`` the serialization of packet ``k``, ``hops``
-    the number of switch egress serializations after the NIC, and
-    ``oneway`` the summed propagation delay of the path.  Packetization
-    replicates :meth:`RnicTransport.post_flow`: the flow splits into
-    messages of ``chunk_bytes``, each message into MTU-payload packets
-    plus a remainder, each packet carrying ``header_bytes`` on the wire.
+    measured from the flow's start, where ``C(i)`` is the cumulative NIC
+    serialization of the first ``i`` packets, ``s_k`` the serialization
+    of packet ``k``, ``hops`` the number of switch egress serializations
+    after the NIC, and ``oneway`` the summed propagation delay of the
+    path.  Packetization replicates :meth:`RnicTransport.post_flow`: the
+    flow splits into messages of ``chunk_bytes``, each message into
+    MTU-payload packets plus a remainder, each packet carrying
+    ``header_bytes`` on the wire.
 
-    Packets are grouped into runs of identical size, so every query is
-    O(#runs) — a handful even for multi-MB flows.
+    A flow is therefore ``size // chunk`` identical messages plus one
+    short one, and a message is MTU packets plus a tail, so building the
+    timeline and every query on it are a few ``divmod``s — O(1) in the
+    flow size.  Every time is **relative to the flow's start** and the
+    object is never written after construction, so one instance serves
+    every flow of equal (size, NIC rate, hops, one-way delay); the
+    controller shares them on exactly that key.
     """
 
-    __slots__ = ("start_ns", "hops", "oneway_ns", "total_pkts",
-                 "_runs", "_cum_pkts", "_cum_ser", "_cum_payload",
-                 "_cum_wire", "_prefix_max_ser")
+    __slots__ = ("hops", "oneway_ns", "total_pkts", "_mtu", "_chunk",
+                 "_header", "_msgs", "_msg_full", "_msg_pkts", "_msg_ser",
+                 "_mtu_ser", "_msg_tail_ser", "_rest_full", "_rest_tail",
+                 "_rest_tail_ser")
 
     def __init__(self, size_bytes: int, mtu_payload: int, chunk_bytes: int,
                  header_bytes: int, ser_fn: Callable[[int], int],
-                 hops: int, oneway_ns: int, start_ns: int) -> None:
+                 hops: int, oneway_ns: int) -> None:
         if size_bytes <= 0:
             raise ValueError("fluid timeline needs a positive flow size")
-        self.start_ns = start_ns
         self.hops = hops
         self.oneway_ns = oneway_ns
-        # (count, ser_ns, payload_bytes, wire_bytes) per run of equal pkts.
-        runs: list[tuple[int, int, int, int]] = []
-
-        def add_run(count: int, payload: int) -> None:
-            wire = payload + header_bytes
-            ser = ser_fn(wire)
-            if runs and runs[-1][1] == ser and runs[-1][2] == payload:
-                prev = runs[-1]
-                runs[-1] = (prev[0] + count, ser, payload, wire)
-            else:
-                runs.append((count, ser, payload, wire))
-
-        remaining = size_bytes
-        while remaining > 0:
-            part = min(chunk_bytes, remaining)
-            remaining -= part
-            full = (part - 1) // mtu_payload  # packets 0..n-2 of the message
-            tail = part - full * mtu_payload
-            if full:
-                add_run(full, mtu_payload)
-            add_run(1, tail)
-
-        self._runs = runs
-        self._cum_pkts = []
-        self._cum_ser = []
-        self._cum_payload = []
-        self._cum_wire = []
-        self._prefix_max_ser = []
-        pkts = ser = payload = wire = max_ser = 0
-        for count, s, p, w in runs:
-            pkts += count
-            ser += count * s
-            payload += count * p
-            wire += count * w
-            max_ser = max(max_ser, s)
-            self._cum_pkts.append(pkts)
-            self._cum_ser.append(ser)
-            self._cum_payload.append(payload)
-            self._cum_wire.append(wire)
-            self._prefix_max_ser.append(max_ser)
-        self.total_pkts = pkts
+        self._mtu = mtu_payload
+        self._chunk = chunk_bytes
+        self._header = header_bytes
+        # A whole message: ``_msg_full`` MTU packets, then its tail.
+        self._msg_full = (chunk_bytes - 1) // mtu_payload
+        self._msg_pkts = self._msg_full + 1
+        self._mtu_ser = ser_fn(mtu_payload + header_bytes)
+        self._msg_tail_ser = ser_fn(
+            chunk_bytes - self._msg_full * mtu_payload + header_bytes)
+        self._msg_ser = self._msg_full * self._mtu_ser + self._msg_tail_ser
+        # The short last message, if any (``_rest_tail`` 0: there is none,
+        # and no query reaches its tail).
+        self._msgs, rest = divmod(size_bytes, chunk_bytes)
+        self._rest_full = (rest - 1) // mtu_payload if rest else 0
+        self._rest_tail = rest - self._rest_full * mtu_payload
+        self._rest_tail_ser = ser_fn(self._rest_tail + header_bytes)
+        self.total_pkts = (self._msgs * self._msg_pkts
+                           + (self._rest_full + 1 if rest else 0))
 
     # ----------------------------------------------------------- queries
-    def _locate(self, n: int) -> int:
-        """Index of the run containing packet ``n`` (1-based count)."""
-        for i, cum in enumerate(self._cum_pkts):
-            if n <= cum:
-                return i
-        raise IndexError(f"packet {n} beyond flow of {self.total_pkts}")
+    def _split(self, n: int) -> tuple[int, int, bool]:
+        """The first ``n`` packets as (whole messages, MTU packets of the
+        message after them, whether the short message's tail is in)."""
+        if not 0 <= n <= self.total_pkts:
+            raise IndexError(f"packet {n} outside flow of {self.total_pkts}")
+        msgs = min(n // self._msg_pkts, self._msgs)
+        k = n - msgs * self._msg_pkts
+        if msgs < self._msgs:
+            return msgs, k, False   # k <= _msg_full: a tail would end it
+        return msgs, min(k, self._rest_full), k > self._rest_full
 
     def serialized_ns(self, n: int) -> int:
         """C(n): NIC busy time to put the first ``n`` packets on the wire."""
-        if n <= 0:
-            return 0
-        i = self._locate(n)
-        base_pkts = self._cum_pkts[i - 1] if i else 0
-        base_ser = self._cum_ser[i - 1] if i else 0
-        return base_ser + (n - base_pkts) * self._runs[i][1]
+        msgs, k, tail = self._split(n)
+        return (msgs * self._msg_ser + k * self._mtu_ser
+                + tail * self._rest_tail_ser)
 
     def payload_upto(self, n: int) -> int:
-        if n <= 0:
-            return 0
-        i = self._locate(n)
-        base_pkts = self._cum_pkts[i - 1] if i else 0
-        base = self._cum_payload[i - 1] if i else 0
-        return base + (n - base_pkts) * self._runs[i][2]
+        msgs, k, tail = self._split(n)
+        return msgs * self._chunk + k * self._mtu + tail * self._rest_tail
 
     def wire_upto(self, n: int) -> int:
-        if n <= 0:
-            return 0
-        i = self._locate(n)
-        base_pkts = self._cum_pkts[i - 1] if i else 0
-        base = self._cum_wire[i - 1] if i else 0
-        return base + (n - base_pkts) * self._runs[i][3]
+        return self.payload_upto(n) + n * self._header
 
     def delivery_ns(self, n: int) -> int:
-        """Absolute time packet ``n`` lands in receiver memory."""
-        i = self._locate(n)
-        return (self.start_ns + self.serialized_ns(n)
-                + self.hops * self._prefix_max_ser[i] + self.oneway_ns)
-
-    def completion_ns(self) -> int:
-        return self.delivery_ns(self.total_pkts)
+        """Time after the flow's start that packet ``n`` (1-based) lands
+        in receiver memory."""
+        msgs, k, tail = self._split(n)
+        widest = self._mtu_ser if k or (msgs and self._msg_full) else 0
+        if msgs:
+            widest = max(widest, self._msg_tail_ser)
+        if tail:
+            widest = max(widest, self._rest_tail_ser)
+        return self.serialized_ns(n) + self.hops * widest + self.oneway_ns
 
     def fct_ns(self) -> int:
-        return self.completion_ns() - self.start_ns
+        return self.delivery_ns(self.total_pkts)
 
-    def sent_count_by(self, t_ns: int) -> int:
-        """Packets fully serialized at the source NIC by time ``t_ns``."""
-        elapsed = t_ns - self.start_ns
-        if elapsed <= 0:
+    def sent_count_by(self, elapsed_ns: int) -> int:
+        """Packets fully serialized at the source NIC ``elapsed_ns`` after
+        the flow's start."""
+        if elapsed_ns <= 0:
             return 0
-        sent = 0
-        for i, (count, ser, _p, _w) in enumerate(self._runs):
-            base_ser = self._cum_ser[i - 1] if i else 0
-            if elapsed >= self._cum_ser[i]:
-                sent = self._cum_pkts[i]
-                continue
-            sent = (self._cum_pkts[i - 1] if i else 0) \
-                + (elapsed - base_ser) // ser
-            break
-        return min(sent, self.total_pkts)
-
-    def sample_counts(self, max_quanta: int) -> list[int]:
-        """Evenly spaced delivery checkpoints, always ending at the last
-        packet — the quanta the controller schedules instead of per-packet
-        events."""
-        total = self.total_pkts
-        quanta = max(1, min(max_quanta, total))
-        step = -(-total // quanta)
-        counts = list(range(step, total, step))
-        counts.append(total)
-        return counts
+        msgs = min(elapsed_ns // self._msg_ser, self._msgs)
+        left = elapsed_ns - msgs * self._msg_ser
+        full, tail_ser = ((self._msg_full, self._msg_tail_ser)
+                          if msgs < self._msgs
+                          else (self._rest_full, self._rest_tail_ser))
+        k = min(left // self._mtu_ser, full)
+        if left - full * self._mtu_ser >= tail_ser:
+            k = full + 1
+        return min(msgs * self._msg_pkts + k, self.total_pkts)
 
     def sample_schedule(self, max_quanta: int, min_spacing_ns: int
-                        ) -> list[tuple[int, int, int, int]]:
-        """Precomputed quantum rows ``(n, delivery_ns, cum_payload,
-        cum_wire)``.
+                        ) -> tuple[tuple[int, int, int, int], ...]:
+        """Quantum rows ``(n, delivery_ns, cum_payload, cum_wire)`` — the
+        evenly spaced checkpoints, always ending at the last packet, that
+        the controller schedules instead of per-packet events.
 
         The quantum count adapts to the flow: one checkpoint per
         ``min_spacing_ns`` of delivery time (so short flows get one or
         two events, not ``max_quanta``), capped at ``max_quanta``.
         """
-        duration = max(1, self.completion_ns() - self.delivery_ns(1))
-        quanta = min(max_quanta, 1 + duration // max(1, min_spacing_ns))
-        return [(n, self.delivery_ns(n), self.payload_upto(n),
-                 self.wire_upto(n))
-                for n in self.sample_counts(int(quanta))]
+        total = self.total_pkts
+        duration = max(1, self.fct_ns() - self.delivery_ns(1))
+        quanta = min(max_quanta, total, 1 + duration // max(1, min_spacing_ns))
+        step = -(-total // max(1, quanta))
+        return tuple((n, self.delivery_ns(n), self.payload_upto(n),
+                      self.wire_upto(n))
+                     for n in (*range(step, total, step), total))
 
 
 class FidelityConfig:
@@ -251,16 +227,20 @@ class FidelityConfig:
 class _FluidFlow:
     """Book-keeping for one flow currently running in the fluid tier."""
 
-    __slots__ = ("flow", "qp", "timeline", "samples", "next_sample",
-                 "delivered_pkts", "delivered_payload", "delivered_wire",
-                 "token", "state")
+    __slots__ = ("flow", "qp", "nic", "start_ns", "timeline", "samples",
+                 "next_sample", "delivered_pkts", "delivered_payload",
+                 "delivered_wire", "tick", "token", "state")
 
-    def __init__(self, flow, qp, timeline: FluidTimeline,
-                 samples: list[tuple[int, int, int, int]]) -> None:
+    def __init__(self, flow, qp, nic, start_ns: int,
+                 timeline: FluidTimeline,
+                 samples: tuple[tuple[int, int, int, int], ...]) -> None:
         self.flow = flow
         self.qp = qp
-        self.timeline = timeline
-        self.samples = samples        # (n, delivery_ns, payload, wire) rows
+        self.nic = nic                # the source NIC (tx gauges)
+        self.start_ns = start_ns      # what the shared times are relative to
+        self.timeline = timeline      # shared and read-only, like the rows:
+        self.samples = samples        # (n, delivery_ns, payload, wire)
+        self.tick = None              # the flow's one quantum callback
         self.next_sample = 0
         self.delivered_pkts = 0
         self.delivered_payload = 0
@@ -295,6 +275,9 @@ class FidelityController:
         self._static_reason: Optional[str] = None
         if spec.loss_rate > 0:
             self._static_reason = "injected_loss"
+        elif spec.cross_port_rates:
+            # The timeline serializes every hop at the source NIC's rate.
+            self._static_reason = "unequal_link_rates"
         elif spec.transport not in FLUID_TRANSPORTS:
             self._static_reason = "transport_under_test"
         elif spec.cc not in FLUID_CCS:
@@ -308,13 +291,14 @@ class FidelityController:
         cfgt = net.tconfig
         self._chunk = max(cfgt.mtu_payload, cfgt.max_message_bytes)
         self._mtu = cfgt.mtu_payload
-        from repro.net.packet import (ACK_PACKET_BYTES, DCP_DATA_HEADER_BYTES,
+        from repro.net.packet import (DCP_DATA_HEADER_BYTES,
                                       ROCE_DATA_HEADER_BYTES)
         dcp_wire = getattr(net.transports[0], "dcp_wire", False) \
             if net.transports else False
         self._header = (DCP_DATA_HEADER_BYTES if dcp_wire
                         else ROCE_DATA_HEADER_BYTES)
-        self._ack_bytes = ACK_PACKET_BYTES
+        # (size, NIC rate, hops, oneway_ns) -> shared (timeline, rows)
+        self._schedules: dict[tuple, tuple] = {}
         # --- resource occupancy ------------------------------------------
         self._active: dict[int, _Active] = {}      # flow_id -> footprint
         self._src_count: dict[int, int] = {}       # host -> active egress flows
@@ -523,31 +507,42 @@ class FidelityController:
         self.net.transports[flow.src].post_flow(qp, flow)
 
     # --------------------------------------------------------- fluid path
-    def timeline_for(self, flow, start_ns: Optional[int] = None
-                     ) -> FluidTimeline:
-        """The analytic timeline this controller would give ``flow``."""
+    def schedule_for(self, flow) -> tuple:
+        """The (timeline, quantum rows) ``flow`` runs on in the fluid tier.
+
+        Both are start-relative and read-only, so every flow of equal
+        (size, NIC rate, store-and-forward hops, one-way delay) shares
+        one pair, kept least-recently-used-first in ``_schedules``.
+        """
         fab = self.net.fabric
         nic = self.net.hosts[flow.src].nic
-        return FluidTimeline(
-            flow.size_bytes, self._mtu, self._chunk, self._header,
-            nic.ser_ns, fab.store_forward_hops(flow.src, flow.dst),
-            fab.base_oneway_ns(flow.src, flow.dst),
-            self.sim.now if start_ns is None else start_ns)
+        hops = fab.store_forward_hops(flow.src, flow.dst)
+        oneway_ns = fab.base_oneway_ns(flow.src, flow.dst)
+        key = (flow.size_bytes, nic.rate, hops, oneway_ns)
+        memo = self._schedules
+        entry = memo.pop(key, None)
+        if entry is None:
+            timeline = FluidTimeline(flow.size_bytes, self._mtu, self._chunk,
+                                     self._header, nic.ser_ns, hops, oneway_ns)
+            entry = (timeline, timeline.sample_schedule(self.cfg.max_quanta,
+                                                        self.refresh_ns))
+            if len(memo) >= SCHEDULE_MEMO_BOUND:
+                del memo[next(iter(memo))]
+        memo[key] = entry
+        return entry
 
     def _start_fluid(self, qp, flow) -> None:
-        timeline = self.timeline_for(flow)
-        ff = _FluidFlow(flow, qp, timeline,
-                        timeline.sample_schedule(self.cfg.max_quanta,
-                                                 self.refresh_ns))
+        ff = _FluidFlow(flow, qp, self.net.hosts[flow.src].nic, self.sim.now,
+                        *self.schedule_for(flow))
+        ff.tick = partial(self._quantum, ff)
         self.fluid_flows += 1
         self._occupy(flow, "fluid", ff)
         self._note(flow, "fluid", "uncontended")
         self._schedule_quantum(ff)
 
     def _schedule_quantum(self, ff: _FluidFlow) -> None:
-        when = ff.samples[ff.next_sample][1]
-        ff.token = self.sim.schedule(max(0, when - self.sim.now),
-                                     partial(self._quantum, ff))
+        when = ff.start_ns + ff.samples[ff.next_sample][1]
+        ff.token = self.sim.schedule(max(0, when - self.sim.now), ff.tick)
 
     def _advance(self, ff: _FluidFlow, n: int, payload_cum: int,
                  wire_cum: int) -> None:
@@ -557,7 +552,7 @@ class FidelityController:
             return
         flow = ff.flow
         payload = payload_cum - ff.delivered_payload
-        nic = self.net.hosts[flow.src].nic
+        nic = ff.nic
         nic.tx_packets += delta
         nic.tx_bytes += wire_cum - ff.delivered_wire
         flow.stats.data_pkts_sent += delta
@@ -567,7 +562,7 @@ class FidelityController:
         ff.delivered_wire = wire_cum
         tl = ff.timeline
         if n == tl.total_pkts:
-            flow.tx_complete_ns = tl.start_ns + tl.serialized_ns(n)
+            flow.tx_complete_ns = ff.start_ns + tl.serialized_ns(n)
         flow.deliver(payload, self.sim.now)
 
     def _quantum(self, ff: _FluidFlow) -> None:
@@ -597,7 +592,8 @@ class FidelityController:
         flow = ff.flow
         self._note(flow, "escalate", reason)
         tl = ff.timeline
-        sent = max(tl.sent_count_by(self.sim.now), ff.delivered_pkts)
+        sent = max(tl.sent_count_by(self.sim.now - ff.start_ns),
+                   ff.delivered_pkts)
         self._advance(ff, sent, tl.payload_upto(sent), tl.wire_upto(sent))
         rec = self._active.get(flow.flow_id)
         if rec is not None:
@@ -609,7 +605,7 @@ class FidelityController:
             del self._dst_fluid[flow.dst]
         if flow.completed:
             return
-        remaining = flow.size_bytes - ff.timeline.payload_upto(sent)
+        remaining = flow.size_bytes - tl.payload_upto(sent)
         transport = self.net.transports[flow.src]
         while remaining > 0:
             part = min(self._chunk, remaining)

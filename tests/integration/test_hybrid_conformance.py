@@ -125,3 +125,46 @@ def test_injected_loss_spec_is_packet_identical():
     summary = net.fidelity.summary()
     assert summary["fluid_flows"] == 0
     assert summary["reasons"] == {"injected_loss": 1}
+
+
+@pytest.mark.parametrize("lb, fct_ns", [("ecmp", 691_518), ("ar", 349_836)])
+def test_unequal_link_rates_spec_is_packet_identical(lb, fct_ns):
+    """Slower cross links (fig11's fabric) falsify the timeline's
+    every-hop-at-the-NIC-rate premise a priori.  The tier used to admit
+    this flow and report 176 518 ns as exact."""
+    runs = {}
+    for fidelity in ("packet", "hybrid"):
+        net = build_network(transport="dcp", topology="testbed", num_hosts=4,
+                            cross_links=2, link_rate=10.0, lb=lb, cc="none",
+                            seed=3, fidelity=fidelity,
+                            cross_port_rates={0: 2.5, 1: 2.5})
+        flow = net.open_flow(0, 3, 200_000, 0)
+        net.run_until_flows_done(max_events=50_000_000)
+        assert flow.completed
+        runs[fidelity] = (flow.fct_ns(), net.sim.events_processed)
+    assert runs["hybrid"] == runs["packet"]
+    assert runs["hybrid"][0] == fct_ns
+    summary = net.fidelity.summary()
+    assert summary["fluid_flows"] == 0
+    assert summary["reasons"] == {"unequal_link_rates": 1}
+
+
+# ------------------------------------------------- pinned event stream
+@pytest.mark.parametrize("hosts, events, flows",
+                         [(16, 1_568, 224), (64, 6_272, 896)])
+def test_scale_hybrid_event_stream_pinned(hosts, events, flows):
+    """The `scale` quick hybrid rows, exactly: the quanta a fluid flow
+    is replayed in (how many, and when) are part of the model, so any
+    change to how a timeline is built must leave these where they are."""
+    from repro.experiments import scale
+
+    spec, params = scale.point_spec(get_preset("quick"), "hybrid", hosts)
+    payload = scale.run_scale_point(spec, params)
+    assert payload["events"] == events
+    assert payload["flows"] == flows
+    assert payload["incomplete"] == 0
+    assert round(payload["mean_jct_ns"] / 1e6, 4) == 0.6413
+    assert payload["fluid"]["fluid_flows"] == flows
+    assert payload["fluid"]["packet_flows"] == 0
+    assert payload["fluid"]["escalations"] == 0
+    assert payload["fluid"]["reasons"] == {"uncontended": flows}
