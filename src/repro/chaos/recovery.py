@@ -111,17 +111,26 @@ def chaos_summary(net, injector: FailureInjector, scenario: dict,
     Per-flow recovery metrics come from the sampler series the point
     runner registered (``chaos.flow.<i>.rx_bytes``); aggregate storm
     counters come straight from the flow/transport counter blocks.
+    A scenario that injected something needs every flow's series and
+    raises :class:`KeyError` naming the gauge when one is missing.
     """
     events = event_payloads(injector)
     first_fail = min((e["fail_at_ns"] for e in events), default=None)
     recovery = []
     for i, flow in enumerate(flows):
-        series = registry.series.get(f"chaos.flow.{i}.rx_bytes")
-        if first_fail is None or series is None:
+        if first_fail is None:
             # No injections (baseline scenario): nothing to recover from.
             rec = {"pre_goodput_gbps": 0.0, "stall_ns": 0,
                    "recovery_ns": 0, "recovered": True}
         else:
+            gauge = f"chaos.flow.{i}.rx_bytes"
+            series = registry.series.get(gauge)
+            if series is None:
+                # Reading this as "recovered in 0 ns" would zero the
+                # robustness table without a single failing check.
+                raise KeyError(
+                    f"no sampled series for gauge {gauge!r}: recovery "
+                    "cannot be measured (is the sampler watching it?)")
             rec = goodput_recovery(series.times_ns, series.values,
                                    first_fail, size_bytes=flow.size_bytes)
         rec["flow"] = i

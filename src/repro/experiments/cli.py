@@ -16,7 +16,8 @@ flags); ``dcp-experiment campaign list`` enumerates the library.
 Telemetry export:
 
 * ``--metrics-out FILE`` writes every point's counters/gauges/histograms
-  (plus sampled time series, with ``--sample-interval-ns``) as JSONL —
+  (plus sampled time series: every gauge with ``--sample-interval-ns``,
+  otherwise only a chaos point's per-flow delivery series) as JSONL —
   validate with ``python -m repro.obs.schema FILE``;
 * ``--trace-out FILE`` enables event tracing inside every point and
   writes the records as JSONL;
@@ -150,8 +151,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="per-point span record cap (default: 1000000)")
     parser.add_argument("--sample-interval-ns", type=int, default=0,
                         metavar="NS",
-                        help="sample registered gauges every NS of simulated "
-                             "time into exported series (default: off)")
+                        help="sample every registered gauge every NS of "
+                             "simulated time into exported series (default: "
+                             "off; chaos points then sample only each "
+                             "flow's delivered bytes)")
     parser.add_argument("--chaos", default=None, metavar="SCENARIO",
                         help="restrict the robustness experiment to one "
                              "named failure scenario ('list' to enumerate)")

@@ -81,14 +81,15 @@ class EgressPort:
     # --------------------------------------------------------------- data
     def enqueue(self, packet: Packet, cls: int = 0) -> bool:
         """Queue ``packet`` in class ``cls`` and kick the transmitter."""
-        ok = self.queues[cls].push(packet)
-        if ok:
-            self.buffered_bytes += packet.size_bytes
-            sp = spans._active
-            if sp is not None:
-                sp.note_enqueue(packet.uid, self.sim.now)
-            self.notify()
-        return ok
+        if not self.queues[cls].push(packet):
+            return False
+        self.buffered_bytes += packet.size_bytes
+        sp = spans._active
+        if sp is not None:
+            sp.note_enqueue(packet.uid, self.sim.now)
+        if not self.busy:
+            self._send_next()
+        return True
 
     def notify(self) -> None:
         """Start transmitting if idle and something is servable."""

@@ -49,15 +49,20 @@ class ByteQueue:
 
     def push(self, packet: Packet) -> bool:
         """Enqueue; returns False (and counts a drop) on overflow."""
-        if self.would_overflow(packet):
+        # The capacity test is would_overflow() spelled out: push runs
+        # once per packet per hop, usually right after the switch asked.
+        size = packet.size_bytes
+        total = self.bytes + size
+        cap = self.capacity_bytes
+        if cap is not None and total > cap:
             self.dropped_packets += 1
-            self.dropped_bytes += packet.size_bytes
+            self.dropped_bytes += size
             return False
         self._items.append(packet)
-        self.bytes += packet.size_bytes
+        self.bytes = total
         self.enqueued_packets += 1
-        if self.bytes > self.max_bytes_seen:
-            self.max_bytes_seen = self.bytes
+        if total > self.max_bytes_seen:
+            self.max_bytes_seen = total
         return True
 
     def pop(self) -> Packet:

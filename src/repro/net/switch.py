@@ -25,7 +25,7 @@ from typing import Optional
 
 from repro.net.ecn import EcnMarker, RedProfile
 from repro.net.link import Link
-from repro.net.packet import DcpTag, Packet, PacketKind, PAYLOAD_KINDS
+from repro.net.packet import Packet, PacketKind, PAYLOAD_KINDS
 from repro.net.pfc import PfcConfig, PfcController
 from repro.net.port import EgressPort
 from repro.net.queues import ByteQueue, WrrScheduler
@@ -37,15 +37,16 @@ from repro.sim.engine import Simulator
 DATA_CLASS = 0
 CONTROL_CLASS = 1
 
-# Fast-path branch-table actions, indexed by (DcpTag << 1) | congested.
-# The table bakes the §4.2 decision matrix (module docstring) into one
-# lookup: what happens to a packet of a given tag when the egress data
-# queue is/isn't past the trim threshold.
+# Branch-table actions, indexed by (DcpTag << 1) | congested.  The table
+# bakes the §4.2 decision matrix (module docstring) into one lookup:
+# what happens to a packet of a given tag when the egress data queue
+# is/isn't past the trim threshold.
 _ACT_DATA = 0        # data-queue admission pipeline
 _ACT_TRIM = 1        # DCP_DATA under congestion: trim to HO
 _ACT_DROP = 2        # NON_DCP under congestion
 _ACT_DROP_ACK = 3    # DCP_ACK under congestion (extra acks_dropped count)
 _ACT_CTRL = 4        # header-only packets: control queue
+_ACT_DROP_FORCED = 5  # forced loss of anything but trimmable DCP data
 
 
 @dataclass
@@ -138,11 +139,7 @@ class Switch:
             self.pfc = PfcController(sim, config.num_ports, config.pfc,
                                      self._send_pfc_frame, name=self.name)
         self.buffered_bytes = 0
-        # --- flattened fast path ---------------------------------------
-        # Forced loss draws an RNG per payload packet, so those configs
-        # keep the (verbatim) slow path; everything else resolves the
-        # trim/drop/control decision through one precomputed table.
-        self._slow_path = config.loss_rate > 0.0
+        # --- forwarding decision tables --------------------------------
         # With trimming off the "congested" comparison can never fire.
         self._trim_threshold = (config.trim_threshold_bytes
                                 if config.enable_trimming else 1 << 62)
@@ -153,6 +150,11 @@ class Switch:
             _ACT_DATA, _ACT_TRIM if trimming else _ACT_DATA,  # DCP_DATA
             _ACT_CTRL, _ACT_CTRL,                       # DCP_HO
         )
+        # What a forced loss does, indexed by DcpTag: for DCP data the
+        # "drop" executes the trimming module (module docstring).
+        self._forced_actions = (
+            _ACT_DROP_FORCED, _ACT_DROP_FORCED,
+            _ACT_TRIM if trimming else _ACT_DROP_FORCED, _ACT_DROP_FORCED)
 
     def __repr__(self) -> str:
         # Stable across processes: link names derive from device reprs
@@ -170,16 +172,15 @@ class Switch:
 
     # ------------------------------------------------------------ receive
     def receive(self, packet: Packet, in_port: int) -> None:
-        """Ingress pipeline: PFC control, routing/LB, egress enqueue.
+        """The forwarding pipeline, the same for every configuration.
 
-        The forwarding fast path runs inline here: one branch-table
-        lookup keyed on ``(DcpTag, queue-state)`` resolves trim/drop/
-        control-queue, and admitted packets go straight into the egress
-        queue.  PAUSE/RESUME frames and forced-loss configurations fall
-        back to the slow path, which is preserved verbatim in
-        :meth:`enqueue_egress`.  Decision ordering (trim -> shared
-        buffer -> ECN -> per-queue admission -> PFC charge) is identical
-        on both paths — see DESIGN.md "Hot-path invariants".
+        Decision order: PFC control frames -> routing/LB -> forced-loss
+        draw (one RNG draw per payload packet, only where ``loss_rate >
+        0``) -> branch table keyed on ``(DcpTag, queue-state)`` that
+        resolves trim / drop / control queue -> shared buffer -> ECN ->
+        per-queue admission -> PFC charge -> enqueue.  Every admitted
+        packet, data or control, is queued by the one ``port.enqueue``
+        call at the end, which is also where its queue span starts.
         """
         kind = packet.kind
         if kind is PacketKind.PAUSE:
@@ -192,18 +193,19 @@ class Switch:
         if not candidates:
             raise KeyError(f"{self.name}: no route to host {packet.dst}")
         egress = self.lb.pick(self, packet, candidates)
-        if self._slow_path:
-            self.enqueue_egress(packet, egress, in_port)
-            return
-
         port = self.ports[egress]
         data_q = port.queues[DATA_CLASS]
         stats = self.stats
-        act = self._actions[(packet.dcp_tag << 1)
-                            | (data_q.bytes > self._trim_threshold)]
+        config = self.config
+        # Forced loss injection (Fig 10/17 testbed methodology).
+        if (config.loss_rate > 0.0 and kind in PAYLOAD_KINDS
+                and self._loss_rng.random() < config.loss_rate):
+            act = self._forced_actions[packet.dcp_tag]
+        else:
+            act = self._actions[(packet.dcp_tag << 1)
+                                | (data_q.bytes > self._trim_threshold)]
         if act == _ACT_DATA:
-            size = packet.size_bytes
-            if self.buffered_bytes + size > self.config.buffer_bytes:
+            if self.buffered_bytes + packet.size_bytes > config.buffer_bytes:
                 stats.dropped_buffer += 1
                 return
             marker = self.ecn_markers[egress]
@@ -213,115 +215,44 @@ class Switch:
                     trace.emit(self.sim.now, "ecn", self.name,
                                flow_id=packet.flow_id, psn=packet.psn,
                                queue_bytes=data_q.bytes)
-            packet.ingress_hint = in_port
             if data_q.would_overflow(packet):
                 stats.dropped_congestion += 1
                 return
-            self.buffered_bytes += size
-            if self.pfc is not None:
-                self.pfc.charge(in_port, packet)
-            data_q.push(packet)
-            port.buffered_bytes += size
-            if not port.busy:
-                port._send_next()
+            cls = DATA_CLASS
             stats.forwarded += 1
-        elif act == _ACT_TRIM:
-            packet.trim()
-            stats.trimmed += 1
-            trace.emit(self.sim.now, "trim", self.name,
-                       flow_id=packet.flow_id, psn=packet.psn)
-            self._enqueue_control(packet, port, in_port)
-        elif act == _ACT_CTRL:
-            self._enqueue_control(packet, port, in_port)
+        elif act == _ACT_TRIM or act == _ACT_CTRL:
+            if act == _ACT_TRIM:
+                # DCP packet trimming module (§4.2).
+                packet.trim()
+                stats.trimmed += 1
+                trace.emit(self.sim.now, "trim", self.name,
+                           flow_id=packet.flow_id, psn=packet.psn)
+            if (port.queues[CONTROL_CLASS].would_overflow(packet)
+                    or self.buffered_bytes + packet.size_bytes
+                    > config.buffer_bytes):
+                # "HO packet loss is very rare" (footnote 1) but not
+                # impossible: count it so Table 5 can measure the ratio.
+                stats.ho_dropped += 1
+                return
+            cls = CONTROL_CLASS
+            stats.ho_enqueued += 1
         else:
-            if act == _ACT_DROP_ACK:
-                stats.acks_dropped += 1
-            stats.dropped_congestion += 1
+            if act == _ACT_DROP_FORCED:
+                stats.dropped_forced += 1
+                reason = "forced"
+            else:
+                if act == _ACT_DROP_ACK:
+                    stats.acks_dropped += 1
+                stats.dropped_congestion += 1
+                reason = "congestion"
             trace.emit(self.sim.now, "drop", self.name,
-                       flow_id=packet.flow_id, psn=packet.psn,
-                       reason="congestion")
-
-    # ------------------------------------------------------------ enqueue
-    def enqueue_egress(self, packet: Packet, egress: int, in_port: int) -> None:
-        port = self.ports[egress]
-        data_q = port.queues[DATA_CLASS]
-
-        if packet.kind is PacketKind.HO:
-            self._enqueue_control(packet, port, in_port)
-            return
-
-        # Forced loss injection (Fig 10/17 testbed methodology).
-        if (self.config.loss_rate > 0.0 and packet.kind in PAYLOAD_KINDS
-                and self._loss_rng.random() < self.config.loss_rate):
-            if self.config.enable_trimming and packet.dcp_tag is DcpTag.DCP_DATA:
-                packet.trim()
-                self.stats.trimmed += 1
-                trace.emit(self.sim.now, "trim", self.name,
-                           flow_id=packet.flow_id, psn=packet.psn)
-                self._enqueue_control(packet, port, in_port)
-            else:
-                self.stats.dropped_forced += 1
-                trace.emit(self.sim.now, "drop", self.name,
-                           flow_id=packet.flow_id, psn=packet.psn,
-                           reason="forced")
-            return
-
-        # DCP packet trimming module (§4.2).
-        if (self.config.enable_trimming
-                and data_q.bytes > self.config.trim_threshold_bytes):
-            if packet.dcp_tag is DcpTag.DCP_DATA:
-                packet.trim()
-                self.stats.trimmed += 1
-                trace.emit(self.sim.now, "trim", self.name,
-                           flow_id=packet.flow_id, psn=packet.psn)
-                self._enqueue_control(packet, port, in_port)
-            else:
-                if packet.dcp_tag is DcpTag.DCP_ACK:
-                    self.stats.acks_dropped += 1
-                self.stats.dropped_congestion += 1
-                trace.emit(self.sim.now, "drop", self.name,
-                           flow_id=packet.flow_id, psn=packet.psn,
-                           reason="congestion")
-            return
-
-        # Shared-buffer admission.
-        if self.buffered_bytes + packet.size_bytes > self.config.buffer_bytes:
-            self.stats.dropped_buffer += 1
-            return
-
-        marker = self.ecn_markers[egress]
-        if marker is not None and packet.kind is PacketKind.DATA:
-            if marker.maybe_mark(packet, data_q.bytes):
-                self.stats.ecn_marked += 1
-                trace.emit(self.sim.now, "ecn", self.name,
-                           flow_id=packet.flow_id, psn=packet.psn,
-                           queue_bytes=data_q.bytes)
-
-        packet.ingress_hint = in_port
-        if data_q.would_overflow(packet):
-            self.stats.dropped_congestion += 1
-            return
-        self.buffered_bytes += packet.size_bytes
-        if self.pfc is not None:
-            self.pfc.charge(in_port, packet)
-        port.enqueue(packet, DATA_CLASS)
-        self.stats.forwarded += 1
-
-    def _enqueue_control(self, packet: Packet, port: EgressPort, in_port: int) -> None:
-        """Enqueue an HO packet into the (prioritized) control queue."""
-        ctrl_q = port.queues[CONTROL_CLASS]
-        if (ctrl_q.would_overflow(packet)
-                or self.buffered_bytes + packet.size_bytes > self.config.buffer_bytes):
-            # "HO packet loss is very rare" (footnote 1) but not impossible:
-            # count it so Table 5 can measure the loss ratio.
-            self.stats.ho_dropped += 1
+                       flow_id=packet.flow_id, psn=packet.psn, reason=reason)
             return
         packet.ingress_hint = in_port
         self.buffered_bytes += packet.size_bytes
         if self.pfc is not None:
             self.pfc.charge(in_port, packet)
-        port.enqueue(packet, CONTROL_CLASS)
-        self.stats.ho_enqueued += 1
+        port.enqueue(packet, cls)
 
     # ------------------------------------------------------------ dequeue
     def _on_dequeue(self, packet: Packet) -> None:

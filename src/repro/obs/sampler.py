@@ -1,12 +1,19 @@
 """Sim-clock-driven periodic sampling of registered gauges.
 
 A :class:`MetricsSampler` is an :class:`repro.analysis.timeseries.Sampler`
-wired to a :class:`~repro.obs.registry.MetricsRegistry`: every gauge
-registered at construction time is snapshotted each ``interval_ns`` of
-*simulated* time into a :class:`repro.analysis.timeseries.Series`, and
-the resulting series dict is shared with the registry so
-``registry.to_payload()`` carries the time series alongside the final
-counter values.
+wired to a :class:`~repro.obs.registry.MetricsRegistry`: each gauge it
+is handed (by default every gauge registered at construction time) is
+snapshotted each ``interval_ns`` of *simulated* time into a
+:class:`repro.analysis.timeseries.Series`, and the resulting series
+dict is shared with the registry so ``registry.to_payload()`` carries
+the time series alongside the final counter values.
+
+Sampling scope is declared, not ambient: a series costs a float per
+tick in the sampler and again in every copy of the payload (worker
+pipe, cache file, ``--metrics-out``), so a caller that needs two
+gauges hands over those two.  The point runner does exactly that for
+chaos scenarios (:func:`repro.runner.points.simulate_flows`); asking
+for sampling with ``--sample-interval-ns`` watches everything.
 
 Typical cadence: one sample per ~10 packet serialization times keeps
 the series small (a few hundred points for a quick-preset run) while
@@ -16,24 +23,30 @@ CLI exposes it as ``--sample-interval-ns``.
 
 from __future__ import annotations
 
+from typing import Iterable, Optional
+
 from repro.analysis.timeseries import Sampler
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Gauge, MetricsRegistry
 from repro.sim.engine import Simulator
 
 
 class MetricsSampler(Sampler):
-    """Samples every gauge of ``registry`` into shared time series.
+    """Samples ``gauges`` (default: every gauge of ``registry``) into
+    time series shared with the registry.
 
     Gauges registered *after* construction are not watched — build the
     network (which registers its gauges) first, then the sampler.
     """
 
     def __init__(self, sim: Simulator, registry: MetricsRegistry,
-                 interval_ns: int) -> None:
+                 interval_ns: int,
+                 gauges: Optional[Iterable[Gauge]] = None) -> None:
         super().__init__(sim, interval_ns)
         self.registry = registry
-        for name, gauge in registry.gauges():
-            self.watch(name, gauge.read)
+        if gauges is None:
+            gauges = [gauge for _, gauge in registry.gauges()]
+        for gauge in gauges:
+            self.watch(gauge.name, gauge.read)
         # Share the dict: series appear in registry.to_payload().
         registry.series = self.series
 

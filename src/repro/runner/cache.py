@@ -33,7 +33,11 @@ from typing import Any, Optional
 #: contended points (multi-QP NICs, shared egress ports) move from the
 #: train path's answer to the serial pull path's, so a v6 cache would
 #: replay stale tables; single-flow points are unchanged.
-CACHE_VERSION = 7
+#: v8: a chaos point's ``metrics.series`` holds only the per-flow
+#: delivery series (``chaos.flow.<i>.rx_bytes``) unless sampling was
+#: asked for; a v7 entry would replay the all-gauges payload into
+#: ``--metrics-out``.  Loss-free ``breakdown`` blocks gain ``queue_ns``.
+CACHE_VERSION = 8
 
 
 def default_cache_dir() -> Path:

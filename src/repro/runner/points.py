@@ -12,7 +12,10 @@ always on — the registry costs nothing extra once components hold their
 counter handles).  Tracing and gauge sampling are opt-in via the
 ``telemetry`` param the :class:`~repro.runner.runner.ExperimentRunner`
 injects, and *participate in the cache key* — a traced run is a
-different computation than an untraced one::
+different computation than an untraced one.  Telemetry volume is
+opt-in too: a point records the series somebody asked for (all gauges
+with ``sample_interval_ns``; a chaos scenario's delivery series
+otherwise; none by default)::
 
     {"telemetry": {"trace": {"categories": [...], "max_records": N},
                    "spans": {"max_spans": N},
@@ -67,11 +70,15 @@ def simulate_flows(spec: NetworkSpec, params: dict) -> dict[str, Any]:
     (:mod:`repro.chaos.scenarios`), applied to the built network before
     the run.  It lives in ``params``, so it participates in the cache
     key like every other input.  Chaos runs always sample each flow's
-    delivered bytes (gauge ``chaos.flow.<i>.rx_bytes``) at the
-    scenario's ``sample_interval_ns`` and attach a ``chaos`` block —
-    recovery times, retransmission-storm size, duplicate deliveries,
-    per-link downtime — to the payload
-    (:func:`repro.chaos.recovery.chaos_summary`).
+    delivered bytes (gauge ``chaos.flow.<i>.rx_bytes``) — and nothing
+    else — at the scenario's ``sample_interval_ns`` and attach a
+    ``chaos`` block — recovery times, retransmission-storm size,
+    duplicate deliveries, per-link downtime — to the payload
+    (:func:`repro.chaos.recovery.chaos_summary`).  Asking for sampling
+    (``telemetry.sample_interval_ns > 0``, the CLI's
+    ``--sample-interval-ns``) adds a series for every other registered
+    gauge — switch queue depths, port busy time, NIC counters — at the
+    asked cadence, on chaos and plain points alike.
     """
     telemetry = params.get("telemetry") or {}
     registry = MetricsRegistry(per_flow=bool(telemetry.get("per_flow")))
@@ -114,22 +121,27 @@ def simulate_flows(spec: NetworkSpec, params: dict) -> dict[str, Any]:
         if tracker is not None:
             for f in flows:
                 tracker.note_flow(f.flow_id, f.start_ns)
+        sampler = None
+        interval_ns = int(telemetry.get("sample_interval_ns", 0))
+        watched = None      # the user asked for sampling: every gauge
         if chaos_cfg:
             # Receiver-side delivery progress per flow — the raw series
             # the recovery-time metric is computed from.  Registered
             # before the sampler so it watches them from t=0.
-            for i, flow in enumerate(flows):
+            delivery_gauges = [
                 registry.gauge(f"chaos.flow.{i}.rx_bytes",
                                lambda f=flow: float(f.rx_bytes))
-        sampler = None
-        interval_ns = int(telemetry.get("sample_interval_ns", 0))
-        if interval_ns <= 0 and chaos_cfg:
-            interval_ns = int(chaos_cfg.get("sample_interval_ns", 10_000))
+                for i, flow in enumerate(flows)]
+            if interval_ns <= 0:
+                # Sampling is on only because recovery needs these
+                # series, so they are all it records.
+                interval_ns = int(chaos_cfg.get("sample_interval_ns", 10_000))
+                watched = delivery_gauges
         if interval_ns > 0:
             # Import here: the sampler pulls in repro.analysis, which is
             # heavier than this hot module needs by default.
             from repro.obs.sampler import MetricsSampler
-            sampler = MetricsSampler(net.sim, registry, interval_ns)
+            sampler = MetricsSampler(net.sim, registry, interval_ns, watched)
             sampler.start()
         net.run_until_flows_done(
             max_events=int(params.get("max_events", 20_000_000)),

@@ -110,6 +110,35 @@ def test_span_recording_does_not_perturb_simulation(transport: str) -> None:
     assert spans_mod.active() is None     # global restored
 
 
+def test_switch_queue_wait_is_recorded_without_forced_loss() -> None:
+    """A 6-to-1 incast spends ~1 ms queued at the last-hop switch, on a
+    loss-free fabric as on one configured for (never-firing) forced
+    loss: same simulation, same attribution, and the wait is booked to
+    ``queue_ns`` rather than smeared over the other components."""
+    def run(loss_rate: float) -> dict:
+        spec = NetworkSpec(transport="irn", topology="clos", num_hosts=8,
+                           num_leaves=2, num_spines=2, lb="ecmp", cc="none",
+                           link_rate=10.0, loss_rate=loss_rate, seed=1)
+        return simulate_flows(spec, {
+            "flows": [[src, 7, 200_000, 0] for src in range(6)],
+            "telemetry": {"spans": {"max_spans": 10_000_000}}})
+
+    clean, lossy = run(0.0), run(1e-12)
+    assert clean["spans"]["dropped_spans"] == 0
+    assert clean["events"] == lossy["events"]
+    assert canonical_json(clean["flows"]) == canonical_json(lossy["flows"])
+    assert canonical_json(clean["breakdown"]) == canonical_json(
+        lossy["breakdown"])
+    for entry, rec in zip(clean["breakdown"], clean["flows"]):
+        assert entry["fct_ns"] == rec["fct_ns"]
+        assert entry["queue_ns"] > entry["fct_ns"] // 2, entry
+        assert entry["residual_ns"] == 0
+    queue_spans = sum(1 for span in clean["spans"]["spans"]
+                      if span[2] == "queue")
+    assert queue_spans == sum(1 for span in lossy["spans"]["spans"]
+                              if span[2] == "queue") > 0
+
+
 class TestBreakdownDeterminism:
     POINT_RUNNER = "repro.runner.points.simulate_flows"
 

@@ -5,8 +5,10 @@ import pytest
 from repro.net.ecn import RedProfile
 from repro.net.packet import (DcpTag, Packet, PacketKind, make_ack,
                               make_data_packet)
+from repro.net.pfc import PfcConfig
 from repro.net.routing import EcmpLoadBalancer
 from repro.net.switch import CONTROL_CLASS, DATA_CLASS, Switch, SwitchConfig
+from repro.sim import trace
 from repro.sim.engine import Simulator
 
 
@@ -194,3 +196,129 @@ def test_wrr_control_priority_under_contention():
     # among the first 10 arrivals HO should dominate (weight 4:1)
     head = arrivals[:10]
     assert head.count(PacketKind.HO) >= 6
+
+
+# ------------------------------------------------ one forwarding pipeline
+class ScriptedRng:
+    """Stands in for the forced-loss RNG: counts draws, loses on cue."""
+
+    def __init__(self, lose_on=()):
+        self.draws = 0
+        self.lose_on = set(lose_on)
+
+    def random(self):
+        self.draws += 1
+        return 0.0 if self.draws in self.lose_on else 0.99
+
+
+def _scripted_arrivals():
+    """One burst: DCP data, non-DCP data, DCP ACKs and HO packets, long
+    enough to push every variant below past its trim / ECN / PFC /
+    overflow thresholds while the egress port is still busy with the
+    first packet."""
+    arrivals = []
+    for i in range(24):
+        if i % 6 == 4:
+            pkt = make_ack(9, 1, flow_id=1, qpn=1, src_qpn=2, ack_psn=i,
+                           dcp=True)
+        elif i % 6 == 5:
+            pkt = data_pkt(psn=i)
+            pkt.trim()
+        else:
+            pkt = data_pkt(psn=i, dcp=(i % 3 != 2))
+        arrivals.append(pkt)
+    return arrivals
+
+
+_VARIANTS = {
+    "dcp": dict(enable_trimming=True, trim_threshold_bytes=3000,
+                control_queue_bytes=150,
+                red=RedProfile(kmin_bytes=1000, kmax_bytes=2000, pmax=1.0)),
+    "lossless": dict(pfc=PfcConfig(xoff_bytes=4000, xon_bytes=2000),
+                     red=RedProfile(kmin_bytes=1000, kmax_bytes=2000,
+                                    pmax=1.0)),
+    # Sized so the queue cap trips first and the shared buffer later,
+    # once header-only packets have piled into the control queue.
+    "lossy": dict(data_queue_bytes=4400, buffer_bytes=6560),
+}
+
+
+def _decisions(loss_rate, variant):
+    """Everything observable about a scripted run: the switch's trace
+    (trim / drop / ecn / pfc / ctrlq records, in emission order), its
+    counters, and what left each side, in order."""
+    sim = Simulator()
+    tracer = trace.Tracer()
+    trace.install(tracer)
+    try:
+        sw = make_switch(sim, loss_rate=loss_rate, **_VARIANTS[variant])
+        rng = ScriptedRng()
+        sw._loss_rng = rng
+        sink = attach_sink(sim, sw, 1)
+        upstream = attach_sink(sim, sw, 0)      # receives PAUSE/RESUME
+        payload_pkts = 0
+        for _ in range(2):
+            for pkt in _scripted_arrivals():
+                payload_pkts += pkt.kind is PacketKind.DATA
+                sw.receive(pkt, in_port=0)
+            sim.run()
+    finally:
+        trace.install(None)
+    log = [(r.time_ns, r.category, sorted(r.detail.items()))
+           for r in tracer.records]
+    out = [(p.kind, p.psn, p.ecn_ce) for p in sink.received]
+    back = [p.kind for p in upstream.received]
+    return log, sw.stats.as_dict(), out, back, rng.draws, payload_pkts
+
+
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+def test_loss_configured_switch_decides_like_a_loss_free_one(variant):
+    """Forced loss is one extra branch in front of the same pipeline:
+    when the draw never hits, trim / drop / ECN / PFC decisions, their
+    order and the departures are those of a loss-free switch."""
+    free = _decisions(0.0, variant)
+    lossy = _decisions(0.25, variant)
+    assert lossy[:4] == free[:4]
+    log, stats, out, back, draws, payload_pkts = lossy
+    # The scenario must actually exercise the variant's machinery.
+    categories = {category for _, category, _ in log}
+    if variant == "dcp":
+        assert {"trim", "drop", "ecn", "ctrlq"} <= categories
+        assert stats["ho_dropped"] > 0 and stats["acks_dropped"] > 0
+    elif variant == "lossless":
+        assert {"pfc", "ecn"} <= categories
+        assert PacketKind.PAUSE in back and PacketKind.RESUME in back
+    else:
+        assert stats["dropped_congestion"] > 0 and stats["dropped_buffer"] > 0
+    # One draw per payload packet whatever the queue state — and none
+    # at all on the loss-free switch.
+    assert draws == payload_pkts > 0
+    assert free[4] == 0
+
+
+def test_forced_loss_is_drawn_before_the_trim_decision():
+    """A payload packet that loses the draw is a *forced* loss even when
+    the queue it was headed for is past the trim threshold; control
+    packets never draw."""
+    sim = Simulator()
+    sw = make_switch(sim, loss_rate=0.25, enable_trimming=True,
+                     trim_threshold_bytes=1500)
+    attach_sink(sim, sw, 1)
+    rng = sw._loss_rng = ScriptedRng(lose_on={5, 6})
+    for i in range(4):              # draws 1-4, all kept: congest the queue
+        sw.receive(data_pkt(psn=i), in_port=0)
+    assert sw.ports[1].queues[DATA_CLASS].bytes > 1500
+    assert sw.stats.trimmed == 1
+    sw.receive(data_pkt(psn=10, dcp=False), in_port=0)      # draw 5: lost
+    assert sw.stats.dropped_forced == 1
+    assert sw.stats.dropped_congestion == 0
+    sw.receive(data_pkt(psn=11), in_port=0)                 # draw 6: lost
+    assert sw.stats.trimmed == 2 and sw.stats.dropped_forced == 1
+    sw.receive(data_pkt(psn=12, dcp=False), in_port=0)      # draw 7: kept,
+    assert sw.stats.dropped_congestion == 1                 # then congested
+    ack = make_ack(9, 1, flow_id=1, qpn=1, src_qpn=2, ack_psn=0, dcp=True)
+    sw.receive(ack, in_port=0)
+    ho = data_pkt(psn=13)
+    ho.trim()
+    sw.receive(ho, in_port=0)
+    assert rng.draws == 7
