@@ -454,6 +454,7 @@ class RnicTransport(Entity):
         self._rr: deque[QueuePair] = deque()
         self._rr_member: set[int] = set()
         self._kick_token: Optional[CancelledToken] = None
+        self._kick_at = 0                # when the pending wake-up fires
         self.stats = TransportStats()
         self._actor = f"{self.name}{host_id}"
         metrics.register_block(f"rnic.{self._actor}", self.stats)
@@ -577,11 +578,21 @@ class RnicTransport(Entity):
         return None
 
     def _schedule_kick(self, at_ns: int) -> None:
-        """Wake the NIC at ``at_ns`` (coalescing duplicate wakeups)."""
-        if self._kick_token is not None and not self._kick_token.cancelled:
-            return
-        delay = max(0, at_ns - self.sim.now)
-        self._kick_token = self.sim.schedule(delay, self._kick_now)
+        """Wake the NIC at ``at_ns``.
+
+        One wake-up is pending at a time, the earliest asked for: a
+        later one is cancelled and replaced (cancelled events are not
+        counted), because a QP gated until ``at_ns`` must not wait for
+        another QP's longer pacing gap.
+        """
+        token = self._kick_token
+        if token is not None and not token.cancelled:
+            if self._kick_at <= at_ns:
+                return
+            token.cancel()
+        self._kick_at = at_ns
+        self._kick_token = self.sim.schedule(max(0, at_ns - self.sim.now),
+                                             self._kick_now)
 
     def _kick_now(self) -> None:
         self._kick_token = None

@@ -37,7 +37,10 @@ from typing import Any, Optional
 #: delivery series (``chaos.flow.<i>.rx_bytes``) unless sampling was
 #: asked for; a v7 entry would replay the all-gauges payload into
 #: ``--metrics-out``.  Loss-free ``breakdown`` blocks gain ``queue_ns``.
-CACHE_VERSION = 8
+#: v9: a NIC's pending wake-up is the earliest one asked for; a later
+#: pending one used to swallow it and hold a paced QP past its gate.
+#: Multi-QP NICs under rate-based CC move (fig16's dcqcn/irn row).
+CACHE_VERSION = 9
 
 
 def default_cache_dir() -> Path:

@@ -257,7 +257,7 @@ def test_robustness_bytes_identical_serial_parallel_replay(tmp_path, capsys):
     assert len(serial[3]) < 900_000
 
 
-def test_v7_cache_entry_is_a_counted_miss_and_rewritten_as_v8(tmp_path):
+def test_v7_cache_entry_is_a_counted_miss_and_rewritten_as_current(tmp_path):
     """A v7 entry holds the all-gauges series: replaying it would put
     them back into ``--metrics-out``."""
     point = SweepPoint("dcp-flap", robustness._spec("dcp", QUICK),
@@ -267,7 +267,7 @@ def test_v7_cache_entry_is_a_counted_miss_and_rewritten_as_v8(tmp_path):
         "scope", [point], robustness.POINT_RUNNER)
     (path,) = (tmp_path / "cache").rglob("*.json")
     envelope = json.loads(path.read_text(encoding="utf-8"))
-    assert envelope["version"] == CACHE_VERSION == 8
+    assert envelope["version"] == CACHE_VERSION == 9
     fresh = path.read_bytes()
     envelope["version"] = 7
     path.write_text(json.dumps(envelope), encoding="utf-8")
