@@ -50,23 +50,23 @@ class RetransQ:
         self.batch = batch
         self.naive = naive
         self.on_ready = on_ready
-        self._pending: deque[RetransEntry] = deque()   # in host memory
-        self._ready: deque[RetransEntry] = deque()     # fetched into the RNIC
+        self.pending: deque[RetransEntry] = deque()   # in host memory
+        self.ready: deque[RetransEntry] = deque()     # fetched into the RNIC
         self._fetch_in_flight = False
         self.entries_written = 0
         self.fetches = 0
         self.pcie_transactions = 0
 
     def __len__(self) -> int:
-        return len(self._pending) + len(self._ready)
+        return len(self.pending) + len(self.ready)
 
     @property
     def host_len(self) -> int:
-        return len(self._pending)
+        return len(self.pending)
 
     def write(self, msn: int, psn: int) -> None:
         """Rx path: DMA-write a retransmission entry into host memory."""
-        self._pending.append(RetransEntry(msn, psn))
+        self.pending.append(RetransEntry(msn, psn))
         self.entries_written += 1
         self.pcie_transactions += 1  # posted DMA write
 
@@ -76,14 +76,14 @@ class RetransQ:
         ``max_entries`` encodes the CC gate: min(16, len, awin/MTU)
         from §4.3.  A fetch already in flight is left alone.
         """
-        if self._fetch_in_flight or not self._pending or max_entries <= 0:
+        if self._fetch_in_flight or not self.pending or max_entries <= 0:
             return
         if self.naive:
             count = 1
             latency = 2 * self.pcie_rtt_ns  # WQE fetch + data fetch
             self.pcie_transactions += 2
         else:
-            count = min(self.batch, len(self._pending), max_entries)
+            count = min(self.batch, len(self.pending), max_entries)
             latency = self.pcie_rtt_ns
             self.pcie_transactions += 1
         self._fetch_in_flight = True
@@ -92,16 +92,16 @@ class RetransQ:
 
     def _fetch_done(self, count: int) -> None:
         self._fetch_in_flight = False
-        for _ in range(min(count, len(self._pending))):
-            self._ready.append(self._pending.popleft())
+        for _ in range(min(count, len(self.pending))):
+            self.ready.append(self.pending.popleft())
         if self.on_ready is not None:
             self.on_ready()
 
     def pop_ready(self) -> Optional[RetransEntry]:
         """Tx path: next entry whose data can be retransmitted now."""
-        if self._ready:
-            return self._ready.popleft()
+        if self.ready:
+            return self.ready.popleft()
         return None
 
     def has_ready(self) -> bool:
-        return bool(self._ready)
+        return bool(self.ready)

@@ -7,7 +7,7 @@ from repro.net.packet import (DcpTag, Packet, PacketKind, make_ack, make_cnp,
                               make_data_packet)
 from repro.net.pfc import PfcConfig, PfcController
 from repro.net.port import EgressPort
-from repro.net.queues import ByteQueue, StrictPriorityScheduler, WrrScheduler
+from repro.net.queues import ByteQueue, WrrScheduler
 from repro.net.routing import (AdaptiveLoadBalancer, EcmpLoadBalancer,
                                SprayLoadBalancer, WeightedLoadBalancer,
                                make_load_balancer)
@@ -20,8 +20,8 @@ __all__ = [
     "DcpTag", "EcmpLoadBalancer", "EcnMarker", "EgressPort", "Fabric",
     "FailureEvent", "FailureInjector",
     "Link", "Packet", "PacketKind", "PfcConfig", "PfcController",
-    "RedProfile", "SprayLoadBalancer", "StrictPriorityScheduler", "Switch",
-    "SwitchConfig", "WeightedLoadBalancer", "WrrScheduler", "build_clos",
+    "RedProfile", "SprayLoadBalancer", "Switch", "SwitchConfig",
+    "WeightedLoadBalancer", "WrrScheduler", "build_clos",
     "build_direct", "build_testbed", "default_red_profile", "full_duplex",
     "make_ack", "make_cnp", "make_data_packet", "make_load_balancer",
 ]

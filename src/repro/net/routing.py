@@ -65,10 +65,23 @@ class AdaptiveLoadBalancer:
     def pick(self, switch: "Switch", packet: Packet, candidates: Sequence[int]) -> int:
         if len(candidates) == 1:
             return candidates[0]
-        best = min(switch.ports[c].buffered_bytes for c in candidates)
-        ties = [c for c in candidates if switch.ports[c].buffered_bytes == best]
-        if len(ties) == 1:
-            return ties[0]
+        # One scan: the least-loaded candidates, in candidate order.
+        ports = switch.ports
+        choice = candidates[0]
+        best = ports[choice].buffered_bytes
+        ties = None
+        for i in range(1, len(candidates)):
+            c = candidates[i]
+            load = ports[c].buffered_bytes
+            if load < best:
+                best, choice, ties = load, c, None
+            elif load == best:
+                if ties is None:
+                    ties = [choice, c]
+                else:
+                    ties.append(c)
+        if ties is None:
+            return choice
         return ties[flow_hash(packet) % len(ties)]
 
 

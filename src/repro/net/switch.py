@@ -28,7 +28,7 @@ from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind, PAYLOAD_KINDS
 from repro.net.pfc import PfcConfig, PfcController
 from repro.net.port import EgressPort
-from repro.net.queues import ByteQueue, WrrScheduler
+from repro.net.queues import ByteQueue
 from repro.obs import registry as metrics
 from repro.obs.registry import CounterBlock
 from repro.sim import trace
@@ -109,10 +109,8 @@ class Switch:
             data_q = ByteQueue(f"{self.name}.p{i}.data", capacity_bytes=data_cap)
             ctrl_q = ByteQueue(f"{self.name}.p{i}.ctrl",
                                capacity_bytes=config.control_queue_bytes)
-            sched = WrrScheduler([data_q, ctrl_q], [1.0, config.wrr_weight])
             rate = config.per_port_rate.get(i, config.rate_bits_per_ns)
-            port = EgressPort(sim, rate, [data_q, ctrl_q], scheduler=sched,
-                              on_dequeue=self._on_dequeue,
+            port = EgressPort(self, rate, [data_q, ctrl_q],
                               name=f"{self.name}.p{i}")
             self.ports.append(port)
             # Per-port occupancy/utilization gauges for the sampler:
@@ -180,7 +178,8 @@ class Switch:
         resolves trim / drop / control queue -> shared buffer -> ECN ->
         per-queue admission -> PFC charge -> enqueue.  Every admitted
         packet, data or control, is queued by the one ``port.enqueue``
-        call at the end, which is also where its queue span starts.
+        call at the end, which is also where its queue span starts and
+        where an idle port starts sending it.
         """
         kind = packet.kind
         if kind is PacketKind.PAUSE:
@@ -215,7 +214,9 @@ class Switch:
                     trace.emit(self.sim.now, "ecn", self.name,
                                flow_id=packet.flow_id, psn=packet.psn,
                                queue_bytes=data_q.bytes)
-            if data_q.would_overflow(packet):
+            # data_q.would_overflow(packet), spelled out: the switch
+            # built every data queue with a byte cap.
+            if data_q.bytes + packet.size_bytes > data_q.capacity_bytes:
                 stats.dropped_congestion += 1
                 return
             cls = DATA_CLASS
@@ -254,18 +255,7 @@ class Switch:
             self.pfc.charge(in_port, packet)
         port.enqueue(packet, cls)
 
-    # ------------------------------------------------------------ dequeue
-    def _on_dequeue(self, packet: Packet) -> None:
-        self.buffered_bytes -= packet.size_bytes
-        if packet.kind is PacketKind.HO:
-            # WRR served the control queue ahead of data (§4.2): this
-            # drain latency is what keeps the control plane lossless.
-            trace.emit(self.sim.now, "ctrlq", self.name,
-                       flow_id=packet.flow_id, psn=packet.psn)
-        if self.pfc is not None:
-            self.pfc.release(packet.ingress_hint, packet)
-        packet.ingress_hint = -1
-
+    # ------------------------------------------------------------ control
     def _send_pfc_frame(self, in_port: int, frame: Packet) -> None:
         """Deliver a PAUSE/RESUME to the neighbour behind ``in_port``.
 

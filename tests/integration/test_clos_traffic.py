@@ -56,8 +56,8 @@ def test_flow_conservation_counters():
     assert all(f.completed for f in flows)
     trims = net.fabric.switch_stats_sum("trimmed")
     ho_lost = net.fabric.switch_stats_sum("ho_dropped")
-    turned = sum(tr.ho_turned for tr in net.transports)
-    received = sum(tr.ho_received for tr in net.transports)
+    turned = sum(tr.stats.ho_turned for tr in net.transports)
+    received = sum(tr.stats.ho_received for tr in net.transports)
     # every trim that wasn't dropped in a control queue reached the
     # receiver, was turned around, and (minus in-flight none, since the
     # run drained) reached the sender

@@ -35,7 +35,8 @@ def test_dcp_reliability_invariants(loss, size, seed):
     assert flow.stats.timeouts <= acks_dropped        # never from data loss
     # conservation: every HO the sender saw produced one retransmission
     sender = net.transports[0]
-    assert flow.stats.retx_pkts_sent >= sender.ho_received - sender.stale_ho
+    stats = sender.stats
+    assert flow.stats.retx_pkts_sent >= stats.ho_received - stats.stale_ho
 
 
 @_slow
@@ -77,7 +78,7 @@ def test_dcp_ho_conservation(seed):
     assert all(f.completed for f in flows)
     trims = net.fabric.switch_stats_sum("trimmed")
     ho_dropped = net.fabric.switch_stats_sum("ho_dropped")
-    turned = sum(tr.ho_turned for tr in net.transports)
-    received = sum(tr.ho_received for tr in net.transports)
+    turned = sum(tr.stats.ho_turned for tr in net.transports)
+    received = sum(tr.stats.ho_received for tr in net.transports)
     assert turned + ho_dropped >= trims
     assert received <= turned

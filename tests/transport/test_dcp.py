@@ -47,10 +47,10 @@ def test_trims_recovered_precisely():
     assert trims > 0
     sender = net.transports[0]
     receiver = net.transports[2]
-    assert receiver.ho_turned == trims
+    assert receiver.stats.ho_turned == trims
     # HO travel is lossless here, so the sender saw them all and
     # retransmitted precisely once per trim (minus re-trimmed ones).
-    assert sender.ho_received == flow.stats.trims_seen == trims
+    assert sender.stats.ho_received == flow.stats.trims_seen == trims
     assert flow.stats.retx_pkts_sent == trims
     assert flow.stats.timeouts == 0
     assert flow.stats.dup_pkts_received == 0
@@ -153,8 +153,9 @@ def test_ho_turnaround_swaps_and_returns():
     flow = net.open_flow(0, 2, 100_000, 0)
     net.run_until_flows_done(max_events=30_000_000)
     assert flow.completed
-    assert net.transports[2].ho_turned > 0
-    assert net.transports[0].ho_received == net.transports[2].ho_turned
+    assert net.transports[2].stats.ho_turned > 0
+    assert (net.transports[0].stats.ho_received
+            == net.transports[2].stats.ho_turned)
 
 
 def test_retransq_batching_under_burst_loss():
@@ -165,7 +166,7 @@ def test_retransq_batching_under_burst_loss():
     assert flow.completed
     tr = net.transports[0]
     st = tr._snd[list(tr.qps.values())[0].qpn]
-    assert st.retransq.entries_written == tr.ho_received
+    assert st.retransq.entries_written == tr.stats.ho_received
     assert st.retransq.fetches >= 1
     # batching: strictly fewer fetches than entries whenever bursts occur
     if st.retransq.entries_written > 16:

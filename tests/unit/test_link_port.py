@@ -2,8 +2,8 @@
 
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
-from repro.net.queues import ByteQueue, WrrScheduler
-from repro.net.port import EgressPort
+from repro.net.routing import EcmpLoadBalancer
+from repro.net.switch import Switch, SwitchConfig
 from repro.sim.engine import Simulator
 
 
@@ -51,10 +51,15 @@ class TestLink:
 
 
 class TestEgressPort:
-    def _port(self, sim, sink, rate=100.0, queues=None, sched=None):
-        queues = queues or [ByteQueue()]
-        link = Link(sim, sink, 0, prop_delay_ns=100)
-        return EgressPort(sim, rate, queues, link=link, scheduler=sched)
+    def _switch(self, sim, sink, rate=100.0):
+        """A one-port switch whose port drives a 100 ns link to ``sink``."""
+        sw = Switch(sim, 0, SwitchConfig(num_ports=1, rate_bits_per_ns=rate),
+                    EcmpLoadBalancer())
+        sw.attach(0, Link(sim, sink, 0, prop_delay_ns=100), sink, 0)
+        return sw
+
+    def _port(self, sim, sink, rate=100.0):
+        return self._switch(sim, sink, rate).ports[0]
 
     def test_serialization_plus_propagation(self):
         sim = Simulator()
@@ -91,9 +96,7 @@ class TestEgressPort:
     def test_wrr_between_classes(self):
         sim = Simulator()
         sink = Sink()
-        data, ctrl = ByteQueue(), ByteQueue()
-        sched = WrrScheduler([data, ctrl], [1.0, 4.0])
-        port = self._port(sim, sink, queues=[data, ctrl], sched=sched)
+        port = self._port(sim, sink)
         for _ in range(10):
             port.enqueue(_pkt(1000), cls=0)
             port.enqueue(Packet(src=0, dst=1, kind=PacketKind.HO,
@@ -110,18 +113,17 @@ class TestEgressPort:
         assert port.utilization(80) == 1.0
         assert port.tx_bytes == 1000
 
-    def test_on_dequeue_hook(self):
+    def test_tx_done_releases_the_switch_buffer(self):
         sim = Simulator()
         sink = Sink()
-        seen = []
-        queues = [ByteQueue()]
-        link = Link(sim, sink, 0, 1)
-        port = EgressPort(sim, 100.0, queues, link=link,
-                          on_dequeue=seen.append)
+        sw = self._switch(sim, sink)
+        sw.add_route(1, 0)
         p = _pkt()
-        port.enqueue(p)
+        sw.receive(p, in_port=0)
+        assert sw.buffered_bytes == 1000 and p.ingress_hint == 0
         sim.run()
-        assert seen == [p]
+        assert sink.received == [(p, 0)]
+        assert sw.buffered_bytes == 0 and p.ingress_hint == -1
 
     def test_buffered_bytes(self):
         sim = Simulator()

@@ -1,9 +1,9 @@
-"""Unit tests for byte queues and the WRR / strict-priority schedulers."""
+"""Unit tests for byte queues and the WRR scheduler."""
 
 import pytest
 
 from repro.net.packet import Packet, PacketKind
-from repro.net.queues import ByteQueue, StrictPriorityScheduler, WrrScheduler
+from repro.net.queues import ByteQueue, WrrScheduler
 
 
 def _pkt(size=100):
@@ -111,23 +111,3 @@ class TestWrrScheduler:
         with pytest.raises(ValueError):
             WrrScheduler([ByteQueue(), ByteQueue()], [1.0])
 
-
-class TestStrictPriority:
-    def test_prefers_lowest_index(self):
-        queues = [ByteQueue(), ByteQueue()]
-        sched = StrictPriorityScheduler(queues)
-        queues[0].push(_pkt())
-        queues[1].push(_pkt())
-        assert sched.select() == 0
-
-    def test_falls_through_when_empty(self):
-        queues = [ByteQueue(), ByteQueue()]
-        sched = StrictPriorityScheduler(queues)
-        queues[1].push(_pkt())
-        assert sched.select() == 1
-
-    def test_blocked(self):
-        queues = [ByteQueue(), ByteQueue()]
-        sched = StrictPriorityScheduler(queues)
-        queues[0].push(_pkt())
-        assert sched.select(blocked={0}) is None
