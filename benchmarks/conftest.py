@@ -8,16 +8,16 @@ wall time.
 
 Benchmarks execute through :class:`repro.runner.ExperimentRunner` with
 the cache *disabled* — a benchmark that read its result from disk would
-time nothing.  Set ``REPRO_BENCH_JOBS=N`` to fan sweep-aware
-experiments out over N processes (results are identical either way;
-only wall time changes).
+time nothing.  Set ``REPRO_BENCH_JOBS=N`` to fan the sweep points out
+over N processes (results are identical either way; only wall time
+changes).
 """
 
 from __future__ import annotations
 
-import inspect
 import os
 
+from repro.experiments.registry import run_experiment
 from repro.runner import ExperimentRunner, ResultCache
 
 
@@ -27,16 +27,13 @@ def bench_runner() -> ExperimentRunner:
     return ExperimentRunner(jobs=jobs, cache=ResultCache(enabled=False))
 
 
-def _accepts_runner(fn) -> bool:
-    params = inspect.signature(fn).parameters
-    return ("runner" in params
-            or any(p.kind is inspect.Parameter.VAR_KEYWORD
-                   for p in params.values()))
-
-
 def run_once(benchmark, fn, **kwargs):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
-    if _accepts_runner(fn):
-        kwargs.setdefault("runner", bench_runner())
     return benchmark.pedantic(fn, kwargs=kwargs, rounds=1, iterations=1,
                               warmup_rounds=0)
+
+
+def run_key(benchmark, key: str, **kwargs):
+    """Regenerate experiment ``key`` once, through the cache-free runner."""
+    return run_once(benchmark, run_experiment, key=key,
+                    runner=bench_runner(), **kwargs)

@@ -1,11 +1,10 @@
 """Benchmarks for the analytic results: Tables 1-4 and Fig 7."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.registry import run_experiment
+from benchmarks.conftest import run_key
 
 
 def test_table1_lossless_distance(benchmark):
-    result = run_once(benchmark, run_experiment, key="table1")
+    result = run_key(benchmark, "table1")
     rows = {r["asic"]: r for r in result.rows}
     # paper: ~4.1 km for Tomahawk 3, ~2.6 km for the 800G parts
     assert 3.5 < rows["Tomahawk 3"]["max_km_1_queue"] < 4.5
@@ -15,7 +14,7 @@ def test_table1_lossless_distance(benchmark):
 
 
 def test_table2_requirements(benchmark):
-    result = run_once(benchmark, run_experiment, key="table2")
+    result = run_key(benchmark, "table2")
     dcp = result.row_by("scheme", "DCP")
     assert all(dcp[r] == "yes" for r in ("R1", "R2", "R3", "R4"))
     others = [r for r in result.rows if r["scheme"] != "DCP"]
@@ -24,14 +23,14 @@ def test_table2_requirements(benchmark):
 
 
 def test_table3_tracking_memory(benchmark):
-    result = run_once(benchmark, run_experiment, key="table3")
+    result = run_key(benchmark, "table3")
     by = {r["scheme"]: r for r in result.rows}
     assert by["BDP-sized"]["per_qp"] == "320B"
     assert by["DCP"]["per_qp"] == "32B"
 
 
 def test_table4_resources(benchmark):
-    result = run_once(benchmark, run_experiment, key="table4")
+    result = run_key(benchmark, "table4")
     dcp = result.row_by("scheme", "dcp")
     # paper: +1.7% LUT / +1.1% BRAM; ours must stay in the same class
     assert float(dcp["logic_delta"].strip("%+")) < 3.0
@@ -39,7 +38,7 @@ def test_table4_resources(benchmark):
 
 
 def test_fig7_packet_rate(benchmark):
-    result = run_once(benchmark, run_experiment, key="fig7")
+    result = run_key(benchmark, "fig7")
     first, last = result.rows[0], result.rows[-1]
     assert first["dcp_mpps"] == last["dcp_mpps"]          # flat ~50 Mpps
     assert 45 <= first["dcp_mpps"] <= 55

@@ -1,11 +1,10 @@
 """Fig 1 benchmark: IRN's spurious retransmissions vs DCP under AR."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.registry import run_experiment
+from benchmarks.conftest import run_key
 
 
 def test_fig1_spurious_retransmissions(benchmark):
-    result = run_once(benchmark, run_experiment, key="fig1", preset="quick")
+    result = run_key(benchmark, "fig1", preset="quick")
     irn = result.row_by("scheme", "irn")
     dcp = result.row_by("scheme", "dcp")
     # no real loss in either setup

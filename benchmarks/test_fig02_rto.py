@@ -1,11 +1,10 @@
 """Fig 2 benchmark: RTO counts for IRN-ECMP / IRN-AR / DCP."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.registry import run_experiment
+from benchmarks.conftest import run_key
 
 
 def test_fig2_excessive_rtos(benchmark):
-    result = run_once(benchmark, run_experiment, key="fig2", preset="quick")
+    result = run_key(benchmark, "fig2", preset="quick")
     by = {r["scheme"]: r for r in result.rows}
     irn_total = {k: by[k]["bg_timeouts"] + by[k]["incast_timeouts"]
                  for k in ("irn-ecmp", "irn-ar")}

@@ -1,11 +1,10 @@
 """Fig 8 benchmark: throughput/latency of DCP vs GBN vs TCP."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.registry import run_experiment
+from benchmarks.conftest import run_key
 
 
 def test_fig8_offloading_preserved(benchmark):
-    result = run_once(benchmark, run_experiment, key="fig8", preset="quick")
+    result = run_key(benchmark, "fig8", preset="quick")
     by = {r["scheme"]: r for r in result.rows}
     # DCP keeps RNIC-class performance (paper: ~97 Gbps both)
     assert by["dcp"]["throughput_gbps"] > 0.9 * by["gbn"]["throughput_gbps"]

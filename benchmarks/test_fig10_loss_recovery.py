@@ -1,11 +1,10 @@
 """Fig 10 benchmark: DCP vs CX5 goodput under forced loss."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.registry import run_experiment
+from benchmarks.conftest import run_key
 
 
 def test_fig10_loss_recovery_efficiency(benchmark):
-    result = run_once(benchmark, run_experiment, key="fig10", preset="quick")
+    result = run_key(benchmark, "fig10", preset="quick")
     ratios = {r["loss_rate"]: r["dcp_over_cx5"] for r in result.rows}
     # equal at zero loss...
     assert 0.8 < ratios["0.00%"] < 1.3

@@ -1,11 +1,10 @@
 """Fig 11 benchmark: adaptive routing over unequal-capacity paths."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.registry import run_experiment
+from benchmarks.conftest import run_key
 
 
 def test_fig11_ar_adapts_to_unequal_paths(benchmark):
-    result = run_once(benchmark, run_experiment, key="fig11", preset="quick")
+    result = run_key(benchmark, "fig11", preset="quick")
     by = {r["capacity_ratio"]: r for r in result.rows}
     # DCP+AR holds goodput across ratios (paper: stable at every ratio,
     # modulo the shrinking aggregate capacity)

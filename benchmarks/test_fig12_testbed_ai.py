@@ -1,11 +1,10 @@
 """Fig 12 benchmark: testbed AllReduce/AllToAll, DCP+AR vs CX5+ECMP."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.registry import run_experiment
+from benchmarks.conftest import run_key
 
 
 def test_fig12_testbed_collectives(benchmark):
-    result = run_once(benchmark, run_experiment, key="fig12", preset="quick")
+    result = run_key(benchmark, "fig12", preset="quick")
     for workload in ("allreduce", "alltoall"):
         rows = {r["scheme"]: r for r in result.rows
                 if r["workload"] == workload}

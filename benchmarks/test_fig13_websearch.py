@@ -1,13 +1,11 @@
 """Fig 13 benchmark: WebSearch FCT slowdown across the four schemes."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.registry import run_experiment
+from benchmarks.conftest import run_key
 
 
 def test_fig13_websearch_slowdown(benchmark):
-    result = run_once(benchmark, run_experiment, key="fig13", preset="quick",
-                      loads=(0.3,))
-    rows = {r["scheme"]: r for r in result.rows}
+    result = run_key(benchmark, "fig13", preset="quick")
+    rows = {r["scheme"]: r for r in result.rows if r["load"] == 0.3}
     # all schemes completed a comparable flow population
     assert all(r["flows"] > 20 for r in rows.values())
     # DCP posts the best (or tied-best) tail among fine-grained schemes

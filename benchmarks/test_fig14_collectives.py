@@ -1,12 +1,10 @@
 """Fig 14 benchmark: simulated AllReduce/AllToAll JCT per scheme."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.registry import run_experiment
+from benchmarks.conftest import run_key
 
 
 def test_fig14_collective_jct(benchmark):
-    result = run_once(benchmark, run_experiment, key="fig14", preset="quick",
-                      kinds=("allreduce",))
+    result = run_key(benchmark, "fig14", preset="quick")
     rows = {r["scheme"]: r for r in result.rows
             if r["collective"] == "allreduce"}
     ideal = rows["ideal"]["mean_jct_ms"]

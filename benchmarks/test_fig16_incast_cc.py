@@ -1,11 +1,10 @@
 """Fig 16 benchmark: incast at high load, with and without DCQCN."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.registry import run_experiment
+from benchmarks.conftest import run_key
 
 
 def test_fig16_cc_integration(benchmark):
-    result = run_once(benchmark, run_experiment, key="fig16", preset="quick")
+    result = run_key(benchmark, "fig16", preset="quick")
     def row(cc, scheme):
         return next(r for r in result.rows
                     if r["cc"] == cc and r["scheme"] == scheme)

@@ -1,11 +1,10 @@
 """Fig 17 benchmark: recovery schemes vs loss rate."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.registry import run_experiment
+from benchmarks.conftest import run_key
 
 
 def test_fig17_scheme_ordering(benchmark):
-    result = run_once(benchmark, run_experiment, key="fig17", preset="quick")
+    result = run_key(benchmark, "fig17", preset="quick")
     at_2pct = result.row_by("loss_rate", "2.00%")
     # paper's ordering at meaningful loss: DCP >= RACK-TLP >= IRN >> timeout
     assert at_2pct["dcp_gbps"] >= 0.95 * at_2pct["rack_tlp_gbps"]

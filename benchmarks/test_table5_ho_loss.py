@@ -1,12 +1,10 @@
 """Table 5 benchmark: lossless-control-plane robustness under incast."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.registry import run_experiment
+from benchmarks.conftest import run_key
 
 
 def test_table5_control_plane_robustness(benchmark):
-    result = run_once(benchmark, run_experiment, key="table5",
-                      preset="quick")
+    result = run_key(benchmark, "table5", preset="quick")
     # the incast really produced HO traffic
     assert any(r["ho_packets"] > 0 for r in result.rows)
     # larger N -> larger weight (the §4.2 dial)

@@ -1,8 +1,9 @@
 """FCT/JCT statistics: percentiles, slowdown binning, CDFs.
 
-These helpers turn raw :class:`~repro.rnic.base.Flow` records into the
-rows the paper's figures plot: per-size-bin P50/P95/P99 FCT slowdown
-(Fig 13, 15, 16), FCT CDFs (Fig 14b/d) and goodput (Fig 10, 17).
+These helpers turn flow results into the rows the paper's figures plot:
+per-size-bin P50/P95/P99 FCT slowdown over ``(size_bytes, slowdown)``
+pairs (Fig 13, 15, 16), FCT CDFs (Fig 14b/d) and goodput of a
+:class:`~repro.rnic.base.Flow` (Fig 10, 17).
 """
 
 from __future__ import annotations
@@ -55,13 +56,13 @@ def _nearest_bin(size_bytes: int, bins_kb: Sequence[int], scale: float) -> int:
     return best
 
 
-def slowdown_bins(slowdowns: Iterable[tuple[Flow, float]],
+def slowdown_bins(slowdowns: Iterable[tuple[int, float]],
                   bins_kb: Sequence[int] = WEBSEARCH_BINS_KB,
                   scale: float = 1.0) -> list[BinStat]:
-    """Group (flow, slowdown) pairs into the paper's size bins."""
+    """Group (size_bytes, slowdown) pairs into the paper's size bins."""
     grouped: dict[int, list[float]] = {}
-    for flow, sd in slowdowns:
-        grouped.setdefault(_nearest_bin(flow.size_bytes, bins_kb, scale),
+    for size_bytes, sd in slowdowns:
+        grouped.setdefault(_nearest_bin(size_bytes, bins_kb, scale),
                            []).append(sd)
     stats = []
     for bin_kb in bins_kb:
@@ -76,8 +77,10 @@ def slowdown_bins(slowdowns: Iterable[tuple[Flow, float]],
     return stats
 
 
-def overall_percentiles(slowdowns: Iterable[tuple[Flow, float]]
+def overall_percentiles(slowdowns: Iterable[tuple[int, float]]
                         ) -> dict[str, float]:
+    """P50/P95/P99/mean of the slowdowns of (size_bytes, slowdown)
+    pairs."""
     vals = [sd for _f, sd in slowdowns]
     if not vals:
         return {"p50": float("nan"), "p95": float("nan"), "p99": float("nan")}

@@ -322,7 +322,7 @@ def run_compiled(compiled: CompiledCampaign,
     payloads = runner.run_points(compiled.key, list(compiled.points),
                                  POINT_RUNNER)
     result = merge_campaign(compiled, payloads)
-    attach_runner_telemetry(result, runner, compiled.key)
+    attach_runner_telemetry(result, runner)
     return result
 
 

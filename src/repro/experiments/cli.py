@@ -1,8 +1,8 @@
 """Command-line entry point: ``dcp-experiment <key> [--preset NAME]``.
 
-Sweep-aware experiments (those declaring sweep points, see
-:mod:`repro.experiments.registry`) execute through
-:class:`repro.runner.ExperimentRunner`: ``--jobs N`` fans their points
+Every experiment declares sweep points (see
+:mod:`repro.experiments.registry`) and executes through
+:class:`repro.runner.ExperimentRunner`: ``--jobs N`` fans its points
 out over N processes, and completed points are cached by spec hash in
 ``--cache-dir`` (default ``~/.cache/repro``) so re-runs are free.
 Serial, parallel and cached runs produce bit-identical results.
@@ -44,19 +44,16 @@ import sys
 import time
 from contextlib import ExitStack
 
-from repro.experiments.registry import (REGISTRY, attach_runner_telemetry,
-                                        run_experiment)
-from repro.obs import (metrics, spans, write_breakdown_jsonl,
-                       write_metrics_jsonl, write_perfetto, write_trace_jsonl)
-from repro.obs.export import tracer_payload, write_campaign_jsonl
-from repro.obs.registry import MetricsRegistry
+from repro.experiments.registry import REGISTRY, run_experiment
+from repro.obs import (write_breakdown_jsonl, write_metrics_jsonl,
+                       write_perfetto, write_trace_jsonl)
+from repro.obs.export import write_campaign_jsonl
 from repro.runner import ExperimentRunner, ResultCache
-from repro.sim import trace
 
 
-#: Experiments whose ``run()`` takes the flag; ``all`` hands it to
-#: these and run_experiment's signature filter drops it for the rest.
-#: Tables, not ``inspect``: checking must not import experiment modules.
+#: Experiments whose ``sweep()`` takes the flag; ``all`` hands it to
+#: these only.  Tables, not ``inspect``: checking must not import
+#: experiment modules.
 TAKES_CHAOS = ("robustness",)
 TAKES_FIDELITY = ("fig13", "fig14")
 
@@ -107,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
                         choices=("quick", "default", "full"),
                         help="simulation scale preset")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for sweep-aware experiments "
+                        help="worker processes for sweep points "
                              "(default: 1, serial)")
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore and do not write the result cache")
@@ -208,11 +205,10 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
     if args.experiment == "list":
-        print(f"{'key':10s} {'paper':8s} sim  sweep  description")
+        print(f"{'key':10s} {'paper':8s} sim  description")
         for key, entry in REGISTRY.items():
             print(f"{key:10s} {entry.paper_ref:8s} "
                   f"{'yes' if entry.simulation else 'no ':3s}  "
-                  f"{'yes' if entry.has_sweep() else 'no ':5s}  "
                   f"{entry.description}")
         print()
         print_campaign_list()
@@ -236,8 +232,6 @@ def main(argv: list[str] | None = None) -> int:
         campaigns_by_key[compiled.key] = compiled
 
     runner = build_runner(args)
-    spans_on = args.breakdown or bool(args.perfetto_out)
-    exporting = args.metrics_out or args.trace_out or spans_on
     metrics_lines = trace_lines = 0
     #: key -> {"<experiment>/<point>": span payload}, flattened into one
     #: Perfetto trace at exit so multi-experiment runs stay one file.
@@ -268,55 +262,27 @@ def main(argv: list[str] | None = None) -> int:
                     else [args.experiment])
             for key in keys:
                 start = time.time()
-                # Non-sweep (analytic / inline) experiments never reach
-                # a point runner; give them a process-global
-                # registry/tracer so their activity is still captured.
-                global_reg = global_tracer = global_spans = None
-                prev_reg, prev_tracer = metrics.active(), trace.active()
-                prev_spans = spans.active()
-                if exporting:
-                    global_reg = MetricsRegistry()
-                    metrics.install(global_reg)
-                    if trace_fh is not None:
-                        global_tracer = trace.Tracer(
-                            max_records=args.trace_max_records)
-                        trace.install(global_tracer)
-                    if spans_on:
-                        global_spans = spans.SpanTracker(
-                            max_spans=args.span_max_spans)
-                        spans.install(global_spans)
-                try:
-                    if key in campaigns_by_key:
-                        from repro.campaigns import run_compiled
-                        result = run_compiled(campaigns_by_key[key], runner)
-                    else:
-                        # ``chaos`` and ``fidelity`` only reach run()
-                        # signatures that accept them (under ``all``).
-                        kwargs = {}
-                        if args.fidelity is not None:
-                            kwargs["fidelity"] = args.fidelity
-                        result = run_experiment(key, preset=args.preset,
-                                                runner=runner,
-                                                chaos=args.chaos, **kwargs)
-                finally:
-                    metrics.install(prev_reg)
-                    trace.install(prev_tracer)
-                    spans.install(prev_spans)
+                if key in campaigns_by_key:
+                    from repro.campaigns import run_compiled
+                    result = run_compiled(campaigns_by_key[key], runner)
+                else:
+                    # ``chaos`` and ``fidelity`` reach only the sweeps
+                    # that take them (under ``all``).
+                    opts = {}
+                    if args.chaos is not None and key in TAKES_CHAOS:
+                        opts["chaos"] = args.chaos
+                    if args.fidelity is not None and key in TAKES_FIDELITY:
+                        opts["fidelity"] = args.fidelity
+                    result = run_experiment(key, preset=args.preset,
+                                            runner=runner, **opts)
                 result.print_table()
                 if args.breakdown:
                     print(result.format_breakdown())
                     print()
                 print(f"[{key} finished in {time.time() - start:.1f}s]\n")
 
-                # Metrics reach result.metrics whether or not an export
-                # flag was set, so programmatic callers (and tests) see
-                # the same result object either way; the JSONL export
-                # below reads from the result rather than deciding the
-                # attachment.
-                swept = (runner.last_experiment == key)
-                attach_runner_telemetry(result, runner, key)
-                if not result.metrics and global_reg is not None:
-                    result.metrics = {"run": global_reg.to_payload()}
+                # The exports read the points the runner just harvested
+                # (cached points carry their telemetry too).
                 if metrics_fh is not None:
                     if key in campaigns_by_key:
                         compiled = campaigns_by_key[key]
@@ -327,19 +293,14 @@ def main(argv: list[str] | None = None) -> int:
                             [p.point_id for p in compiled.points])
                     metrics_lines += write_metrics_jsonl(
                         metrics_fh, key, result.metrics)
-                    if args.breakdown and swept and runner.last_breakdowns:
+                    if args.breakdown:
                         metrics_lines += write_breakdown_jsonl(
                             metrics_fh, key, runner.last_breakdowns)
                 if trace_fh is not None:
-                    by_point = (runner.last_traces
-                                if swept and runner.last_traces
-                                else {"run": tracer_payload(global_tracer)})
-                    trace_lines += write_trace_jsonl(trace_fh, key, by_point)
+                    trace_lines += write_trace_jsonl(trace_fh, key,
+                                                     runner.last_traces)
                 if args.perfetto_out:
-                    by_point = (runner.last_spans
-                                if swept and runner.last_spans
-                                else {"run": global_spans.to_payload()})
-                    for point, payload in by_point.items():
+                    for point, payload in runner.last_spans.items():
                         perfetto_points[f"{key}/{point}"] = payload
     except BaseException:
         # A failure partway through (e.g. experiment 7 of 'all') must

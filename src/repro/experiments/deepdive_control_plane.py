@@ -8,79 +8,91 @@ leaf port while an N-to-1 burst lands, and reports:
 * HO conservation (trims == HO packets enqueued at the trimming hop);
 * whether any HO packet was lost.
 
-This is the microscopic view behind Table 5's robustness claim.
+This is the microscopic view behind Table 5's robustness claim.  Its
+one point runs in :func:`run_point`, which samples the victim port's
+queues alongside the flows.
 """
 
 from __future__ import annotations
 
-from repro.analysis.timeseries import Sampler
-from repro.experiments.common import build_network
-from repro.experiments.presets import get_preset
+from typing import Any, Optional
+
+from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
+from repro.experiments.spec import NetworkSpec
+from repro.runner import SweepPoint
+
+POINT_RUNNER = "repro.experiments.deepdive_control_plane.run_point"
+
+RECEIVER = 0
 
 
-def run(preset: str = "default", fan_in: int | None = None,
-        flow_bytes: int = 100_000) -> ExperimentResult:
-    p = get_preset(preset)
+def sweep(p: ScalePreset, fan_in: Optional[int] = None,
+          flow_bytes: int = 100_000) -> list[SweepPoint]:
+    """One point: ``fan_in`` (default: the preset's) senders to host 0."""
     fan_in = fan_in or p.incast_fan_in
-    net = build_network(
+    spec = NetworkSpec(
         transport="dcp", lb="ar", topology="clos", num_hosts=p.num_hosts,
         num_leaves=p.num_leaves, num_spines=p.num_spines,
         link_rate=p.link_rate, seed=131, incast_radix=p.incast_fan_in,
         buffer_bytes=p.buffer_bytes // 4)
-    receiver = 0
-    victim_leaf = net.fabric.switches[0]
-    victim_port = 0  # receiver 0's down port on leaf 0
-    sampler = Sampler(net.sim, interval_ns=2_000)
-    data_series = sampler.watch(
-        "data_q", lambda: victim_leaf.ports[victim_port].queues[0].bytes)
-    ctrl_series = sampler.watch(
-        "ctrl_q", lambda: victim_leaf.ports[victim_port].queues[1].bytes)
-    sampler.start(until_ns=5_000_000)
-
-    senders = [h for h in range(p.num_hosts) if h != receiver][:fan_in]
-    flows = [net.open_flow(s, receiver, flow_bytes, 0) for s in senders]
-    net.run_until_flows_done(max_events=100_000_000)
-    sampler.stop()
-
-    trims = net.fabric.switch_stats_sum("trimmed")
-    ho_enq_victim = victim_leaf.stats.ho_enqueued
-    ho_lost = net.fabric.switch_stats_sum("ho_dropped")
-    cfg = victim_leaf.config
-    result = ExperimentResult(
-        "deepdive", f"Control plane under a {fan_in}-to-1 incast")
-    result.rows.append({
-        "metric": "peak data queue (KB)",
-        "value": data_series.max() / 1000,
-        "reference": f"trim threshold {cfg.trim_threshold_bytes / 1000} KB",
-    })
-    result.rows.append({
-        "metric": "peak control queue (KB)",
-        "value": ctrl_series.max() / 1000,
-        "reference": f"capacity {cfg.control_queue_bytes / 1000} KB",
-    })
-    result.rows.append({
-        "metric": "packets trimmed",
-        "value": trims,
-        "reference": f"{ho_enq_victim} HO enqueued at the victim leaf",
-    })
-    result.rows.append({
-        "metric": "HO packets lost",
-        "value": ho_lost,
-        "reference": "paper: 'HO packet loss is very rare'",
-    })
-    result.rows.append({
-        "metric": "flows completed",
-        "value": sum(1 for f in flows if f.completed),
-        "reference": f"of {len(flows)}; timeouts "
-                     f"{sum(f.stats.timeouts for f in flows)}",
-    })
-    return result
+    senders = [h for h in range(p.num_hosts) if h != RECEIVER][:fan_in]
+    return [SweepPoint(f"incast{fan_in}", spec, {
+        "flows": [[s, RECEIVER, flow_bytes, 0] for s in senders],
+        "max_events": 100_000_000})]
 
 
-def main() -> None:
-    run().print_table()
+def run_point(spec: NetworkSpec, params: dict) -> dict[str, Any]:
+    """Run the incast while sampling the victim port's two queues."""
+    from repro.analysis.timeseries import Sampler
+    from repro.runner.points import PointTelemetry
+    with PointTelemetry(params) as tel:
+        net = tel.network(spec)
+        victim_leaf = net.fabric.switches[0]
+        victim_port = victim_leaf.ports[RECEIVER]   # its down port on leaf 0
+        sampler = Sampler(net.sim, interval_ns=2_000)
+        data_series = sampler.watch("data_q",
+                                    lambda: victim_port.queues[0].bytes)
+        ctrl_series = sampler.watch("ctrl_q",
+                                    lambda: victim_port.queues[1].bytes)
+        sampler.start(until_ns=5_000_000)
+        flows = [net.open_flow(int(s), int(d), int(size), int(start))
+                 for s, d, size, start in params["flows"]]
+        net.run_until_flows_done(max_events=int(params["max_events"]))
+        sampler.stop()
+        cfg = victim_leaf.config
+        return {
+            "peak_data_bytes": data_series.max(),
+            "peak_ctrl_bytes": ctrl_series.max(),
+            "trim_threshold_bytes": cfg.trim_threshold_bytes,
+            "control_queue_bytes": cfg.control_queue_bytes,
+            "trimmed": net.fabric.switch_stats_sum("trimmed"),
+            "victim_ho_enqueued": victim_leaf.stats.ho_enqueued,
+            "ho_lost": net.fabric.switch_stats_sum("ho_dropped"),
+            "completed": sum(1 for f in flows if f.completed),
+            "flows": len(flows),
+            "timeouts": sum(f.stats.timeouts for f in flows),
+            **tel.report(net, flows),
+        }
 
 
-if __name__ == "__main__":
-    main()
+def merge(payloads: list, p: ScalePreset, fan_in: Optional[int] = None,
+          flow_bytes: int = 100_000) -> ExperimentResult:
+    (pl,) = payloads
+    rows = (
+        ("peak data queue (KB)", pl["peak_data_bytes"] / 1000,
+         f"trim threshold {pl['trim_threshold_bytes'] / 1000} KB"),
+        ("peak control queue (KB)", pl["peak_ctrl_bytes"] / 1000,
+         f"capacity {pl['control_queue_bytes'] / 1000} KB"),
+        ("packets trimmed", pl["trimmed"],
+         f"{pl['victim_ho_enqueued']} HO enqueued at the victim leaf"),
+        ("HO packets lost", pl["ho_lost"],
+         "paper: 'HO packet loss is very rare'"),
+        ("flows completed", pl["completed"],
+         f"of {pl['flows']}; timeouts {pl['timeouts']}"),
+    )
+    return ExperimentResult(
+        "deepdive",
+        f"Control plane under a {fan_in or p.incast_fan_in}-to-1 incast",
+        rows=[{"metric": m, "value": v, "reference": r}
+              for m, v, r in rows])

@@ -8,35 +8,42 @@ grows (1.6x-72x worse than DCP between 0.01% and 5%).
 
 from __future__ import annotations
 
-from repro.analysis.fct import goodput_gbps
-from repro.experiments.common import build_network
-from repro.experiments.presets import get_preset
+from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
+from repro.experiments.spec import NetworkSpec
+from repro.runner import SweepPoint
 
 LOSS_RATES = (0.0, 0.0001, 0.001, 0.005, 0.01, 0.02, 0.05)
+SCHEMES = ("dcp", "gbn")     # gbn: the CX5's Go-Back-N
+
+POINT_RUNNER = "repro.runner.points.simulate_flows"
 
 
-def _goodput(scheme: str, loss: float, preset) -> float:
-    net = build_network(
-        transport=scheme, topology="testbed", num_hosts=preset.testbed_hosts,
-        cross_links=preset.testbed_cross_links, link_rate=preset.link_rate,
-        loss_rate=loss, lb="ecmp", seed=11,
-        buffer_bytes=preset.buffer_bytes)
-    src, dst = 0, preset.testbed_hosts // 2  # cross-switch pair
-    flow = net.open_flow(src, dst, preset.long_flow_bytes, 0, tag="long")
-    net.run_until_flows_done(max_events=80_000_000)
-    if not flow.completed:
-        return 0.0
-    return goodput_gbps(flow)
+def sweep(p: ScalePreset) -> list[SweepPoint]:
+    """One point per (loss rate, scheme): a cross-switch long flow."""
+    points = []
+    for loss in LOSS_RATES:
+        for scheme in SCHEMES:
+            spec = NetworkSpec(
+                transport=scheme, topology="testbed",
+                num_hosts=p.testbed_hosts, cross_links=p.testbed_cross_links,
+                link_rate=p.link_rate, loss_rate=loss, lb="ecmp", seed=11,
+                buffer_bytes=p.buffer_bytes)
+            flow = [0, p.testbed_hosts // 2, p.long_flow_bytes, 0, "long"]
+            points.append(SweepPoint(f"{scheme}-loss{loss:g}", spec,
+                                     {"flows": [flow],
+                                      "max_events": 80_000_000}))
+    return points
 
 
-def run(preset: str = "default") -> ExperimentResult:
-    p = get_preset(preset)
+def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "fig10", f"Loss recovery efficiency at {p.link_rate:.0f} Gbps links")
+    it = iter(payloads)
     for loss in LOSS_RATES:
-        dcp = _goodput("dcp", loss, p)
-        cx5 = _goodput("gbn", loss, p)
+        # goodput_gbps is 0.0 for a flow that did not complete
+        dcp = next(it)["flows"][0]["goodput_gbps"]
+        cx5 = next(it)["flows"][0]["goodput_gbps"]
         result.rows.append({
             "loss_rate": f"{loss:.2%}",
             "dcp_gbps": dcp,
@@ -45,11 +52,3 @@ def run(preset: str = "default") -> ExperimentResult:
         })
     result.notes = "paper: DCP 1.6x (0.01%) to 72x (5%) over CX5"
     return result
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

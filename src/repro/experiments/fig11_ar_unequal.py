@@ -6,52 +6,66 @@ through 1:1, 1:4 and 1:10.  DCP + adaptive routing keeps aggregate
 goodput at the sum of the path capacities (order-tolerant reception
 absorbs the reordering); CX5 + ECMP pins each flow to one hashed path
 and collapses when flows land on the slow link.
+
+CX5+ECMP's fate depends on which paths the flow hashes draw, so it is
+reported as a mean and a worst case over several seeds; the paper's
+testbed plot corresponds to the collision (worst) draw.
 """
 
 from __future__ import annotations
 
-from repro.analysis.fct import goodput_gbps
-from repro.experiments.common import build_network
-from repro.experiments.presets import get_preset
+from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
+from repro.experiments.spec import NetworkSpec
+from repro.runner import SweepPoint
 
 CAPACITY_RATIOS = ((1, 1), (1, 4), (1, 10))
+DCP_SEED = 21
+CX5_SEEDS = (21, 22, 23, 24, 25)
+
+POINT_RUNNER = "repro.runner.points.simulate_flows"
 
 
-def _avg_goodput(scheme: str, lb: str, ratio: tuple[int, int], preset,
-                 seed: int = 21) -> float:
-    rate = preset.link_rate
-    slow = rate / ratio[1]
-    net = build_network(
+def _point(scheme: str, lb: str, ratio: tuple[int, int], p: ScalePreset,
+           seed: int) -> SweepPoint:
+    rate = p.link_rate
+    spec = NetworkSpec(
         transport=scheme, topology="testbed", num_hosts=4, cross_links=2,
-        link_rate=rate, lb=lb, seed=seed, buffer_bytes=preset.buffer_bytes,
+        link_rate=rate, lb=lb, seed=seed, buffer_bytes=p.buffer_bytes,
         # window flow control so offered load tracks the path capacity
         # (the FPGA testbed's DCP-RNIC is window-limited too)
         cc="window" if scheme == "dcp" else "none",
-        cross_port_rates={0: rate, 1: slow})
-    flows = [net.open_flow(0, 2, preset.long_flow_bytes, 0, tag="a"),
-             net.open_flow(1, 3, preset.long_flow_bytes, 0, tag="b")]
-    net.run_until_flows_done(max_events=120_000_000)
-    goodputs = [goodput_gbps(f) for f in flows if f.completed]
-    if not goodputs:
-        return 0.0
-    return sum(goodputs) / len(goodputs)
+        cross_port_rates={0: rate, 1: rate / ratio[1]})
+    return SweepPoint(
+        f"{ratio[0]}to{ratio[1]}-{scheme}-{lb}-seed{seed}", spec,
+        {"flows": [[0, 2, p.long_flow_bytes, 0, "a"],
+                   [1, 3, p.long_flow_bytes, 0, "b"]],
+         "max_events": 120_000_000})
 
 
-def run(preset: str = "default", cx5_seeds: tuple[int, ...] = (21, 22, 23, 24, 25)
-        ) -> ExperimentResult:
-    """CX5+ECMP's fate depends on which paths the flow hashes draw, so it
-    is reported as a mean and a worst case over several seeds; the paper's
-    testbed plot corresponds to the collision (worst) draw."""
-    p = get_preset(preset)
+def sweep(p: ScalePreset) -> list[SweepPoint]:
+    """Per capacity ratio: one DCP+AR point, then CX5+ECMP per seed."""
+    return [pt for ratio in CAPACITY_RATIOS
+            for pt in [_point("dcp", "ar", ratio, p, DCP_SEED),
+                       *(_point("gbn", "ecmp", ratio, p, s)
+                         for s in CX5_SEEDS)]]
+
+
+def _avg_goodput(payload: dict) -> float:
+    goodputs = [f["goodput_gbps"] for f in payload["flows"] if f["completed"]]
+    return sum(goodputs) / len(goodputs) if goodputs else 0.0
+
+
+def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "fig11", "Average goodput of 2 flows over unequal paths (Gbps)")
+    it = iter(payloads)
     for ratio in CAPACITY_RATIOS:
-        cx5 = [_avg_goodput("gbn", "ecmp", ratio, p, seed=s)
-               for s in cx5_seeds]
+        dcp = _avg_goodput(next(it))
+        cx5 = [_avg_goodput(next(it)) for _ in CX5_SEEDS]
         result.rows.append({
             "capacity_ratio": f"{ratio[0]}:{ratio[1]}",
-            "dcp_ar_gbps": _avg_goodput("dcp", "ar", ratio, p),
+            "dcp_ar_gbps": dcp,
             "cx5_ecmp_mean_gbps": sum(cx5) / len(cx5),
             "cx5_ecmp_worst_gbps": min(cx5),
         })
@@ -59,11 +73,3 @@ def run(preset: str = "default", cx5_seeds: tuple[int, ...] = (21, 22, 23, 24, 2
                     "under non-equal capacities (its testbed draw matches "
                     "our worst-case hash)")
     return result
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

@@ -9,52 +9,51 @@ parallel links serialize some groups' traffic.
 
 from __future__ import annotations
 
-from repro.experiments.common import Network, build_network
-from repro.experiments.presets import get_preset
+from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.workload.collective import run_grouped_collectives
+from repro.experiments.spec import NetworkSpec
+from repro.runner import SweepPoint
 
 SCHEMES = (("dcp-ar", "dcp", "ar"), ("cx5-ecmp", "gbn", "ecmp"))
+KINDS = (("allreduce", "ar"), ("alltoall", "a2a"))
+
+POINT_RUNNER = "repro.runner.points.simulate_collectives"
 
 
-def _run(kind: str, transport: str, lb: str, preset, seed: int = 81
-         ) -> tuple[list, Network]:
-    hosts = preset.testbed_hosts
-    net = build_network(
-        transport=transport, topology="testbed", num_hosts=hosts,
-        cross_links=preset.testbed_cross_links, link_rate=preset.link_rate,
-        lb=lb, seed=seed, buffer_bytes=preset.buffer_bytes)
-    # Interleave group membership across the two switches so every
-    # collective crosses the fabric (like the paper's cabling).
-    group_size = 4
-    num_groups = hosts // group_size
+def _groups(hosts: int, group_size: int = 4) -> list[list[int]]:
+    """Interleave group membership across the two switches so every
+    collective crosses the fabric (like the paper's cabling)."""
     half = hosts // 2
-    groups = []
-    for g in range(num_groups):
-        members = [g * 2, g * 2 + 1, half + g * 2, half + g * 2 + 1]
-        groups.append([m for m in members if m < hosts])
-    from repro.workload.collective import AllToAll, RingAllReduce
-    results = []
-    for g, members in enumerate(groups):
-        if kind == "allreduce":
-            coll = RingAllReduce(net, members, preset.collective_bytes,
-                                 tag=f"ar.g{g}")
-        else:
-            coll = AllToAll(net, members, preset.collective_bytes,
-                            tag=f"a2a.g{g}")
-        results.append(coll.start())
-    net.run_until_flows_done(max_events=200_000_000)
-    return results, net
+    return [[m for m in (2 * g, 2 * g + 1, half + 2 * g, half + 2 * g + 1)
+             if m < hosts]
+            for g in range(hosts // group_size)]
 
 
-def run(preset: str = "default") -> ExperimentResult:
-    p = get_preset(preset)
+def sweep(p: ScalePreset) -> list[SweepPoint]:
+    """One point per (collective, scheme)."""
+    points = []
+    for kind, tag in KINDS:
+        for label, transport, lb in SCHEMES:
+            spec = NetworkSpec(
+                transport=transport, topology="testbed",
+                num_hosts=p.testbed_hosts,
+                cross_links=p.testbed_cross_links, link_rate=p.link_rate,
+                lb=lb, seed=81, buffer_bytes=p.buffer_bytes)
+            params = {"kind": kind, "tag": tag,
+                      "groups": _groups(p.testbed_hosts),
+                      "total_bytes": p.collective_bytes,
+                      "max_events": 200_000_000}
+            points.append(SweepPoint(f"{kind}-{label}", spec, params))
+    return points
+
+
+def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "fig12", "Testbed AI workloads: per-group completion time (ms)")
-    for kind in ("allreduce", "alltoall"):
-        for label, transport, lb in SCHEMES:
-            groups, _ = _run(kind, transport, lb, p)
-            jcts = sorted(g.jct_ns() / 1e6 for g in groups)
+    it = iter(payloads)
+    for kind, _tag in KINDS:
+        for label, _transport, _lb in SCHEMES:
+            jcts = sorted(jct / 1e6 for jct in next(it)["jcts_ns"])
             result.rows.append({
                 "workload": kind,
                 "scheme": label,
@@ -64,11 +63,3 @@ def run(preset: str = "default") -> ExperimentResult:
             })
     result.notes = "paper: DCP cuts JCT up to 33% (AllReduce) / 42% (AllToAll)"
     return result
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

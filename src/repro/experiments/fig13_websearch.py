@@ -9,12 +9,16 @@ slowdown among them (paper: 5-16% under IRN/MP-RDMA tails).
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.analysis.fct import overall_percentiles, slowdown_bins
-from repro.experiments.common import Network, build_network
-from repro.experiments.presets import get_preset
+from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
+from repro.experiments.spec import NetworkSpec
+from repro.runner import SweepPoint
+from repro.runner.points import slowdowns
 from repro.workload.distributions import websearch
-from repro.workload.flows import PoissonWorkload
+from repro.workload.flows import PoissonWorkload, layout
 
 #: (row label, transport, load balancer) — the Fig 13 legend.
 SCHEMES = (
@@ -23,37 +27,47 @@ SCHEMES = (
     ("mp-rdma", "mp_rdma", "ecmp"),
     ("dcp-ar", "dcp", "ar"),
 )
+LOADS = (0.3, 0.5)
+
+POINT_RUNNER = "repro.runner.points.simulate_flows"
 
 
-def run_scheme(label: str, transport: str, lb: str, load: float, preset,
-               seed: int = 61, spine_delay_ns: int | None = None,
-               cc: str = "none", buffer_override: int | None = None,
-               fidelity: str = "packet") -> Network:
+def websearch_point(point_id: str, transport: str, lb: str, load: float,
+                    p: ScalePreset, seed: int = 61,
+                    spine_delay_ns: int = 1_000,
+                    buffer_bytes: Optional[int] = None,
+                    fidelity: str = "packet") -> SweepPoint:
     """One Fig 13/15 cell: a WebSearch run for one scheme at one load."""
-    net = build_network(
-        transport=transport, topology="clos", num_hosts=preset.num_hosts,
-        num_leaves=preset.num_leaves, num_spines=preset.num_spines,
-        link_rate=preset.link_rate, lb=lb, seed=seed, cc=cc,
-        buffer_bytes=buffer_override or preset.buffer_bytes,
-        spine_link_delay_ns=spine_delay_ns or 1_000, fidelity=fidelity)
-    wl = PoissonWorkload(load=load, size_dist=websearch(scale=preset.ws_scale),
-                         duration_ns=preset.duration_ns, seed=seed,
-                         max_flows=preset.max_flows)
-    wl.generate(net)
-    net.run_until_flows_done(max_events=250_000_000)
-    return net
+    spec = NetworkSpec(
+        transport=transport, topology="clos", num_hosts=p.num_hosts,
+        num_leaves=p.num_leaves, num_spines=p.num_spines,
+        link_rate=p.link_rate, lb=lb, seed=seed,
+        buffer_bytes=buffer_bytes or p.buffer_bytes,
+        spine_link_delay_ns=spine_delay_ns, fidelity=fidelity)
+    wl = PoissonWorkload(load=load, size_dist=websearch(scale=p.ws_scale),
+                         duration_ns=p.duration_ns, seed=seed,
+                         max_flows=p.max_flows)
+    return SweepPoint(point_id, spec, {"flows": layout(spec, wl),
+                                       "max_events": 250_000_000})
 
 
-def run(preset: str = "default", loads: tuple[float, ...] = (0.3, 0.5),
-        fidelity: str = "packet") -> ExperimentResult:
-    p = get_preset(preset)
+def sweep(p: ScalePreset, fidelity: str = "packet") -> list[SweepPoint]:
+    """One point per (load, scheme)."""
+    return [websearch_point(f"load{load:g}-{label}", transport, lb, load, p,
+                            fidelity=fidelity)
+            for load in LOADS for label, transport, lb in SCHEMES]
+
+
+def merge(payloads: list, p: ScalePreset,
+          fidelity: str = "packet") -> ExperimentResult:
     result = ExperimentResult(
         "fig13", "WebSearch FCT slowdown (P50/P95) per scheme and load")
-    for load in loads:
-        for label, transport, lb in SCHEMES:
-            net = run_scheme(label, transport, lb, load, p,
-                             fidelity=fidelity)
-            sds = net.slowdowns()
+    it = iter(payloads)
+    for load in LOADS:
+        for label, _transport, _lb in SCHEMES:
+            payload = next(it)
+            sds = slowdowns(payload)
+            done = [f for f in payload["flows"] if f["completed"]]
             stats = overall_percentiles(sds)
             bins = slowdown_bins(sds, scale=p.ws_scale)
             large_bins = [b for b in bins if b.bin_kb >= 1000]
@@ -66,24 +80,26 @@ def run(preset: str = "default", loads: tuple[float, ...] = (0.3, 0.5),
                 "p99": stats["p99"],
                 "large_flow_p95": (max(b.p95 for b in large_bins)
                                    if large_bins else float("nan")),
-                "timeouts": sum(f.stats.timeouts for f, _ in sds),
-                "retx": sum(f.stats.retx_pkts_sent for f, _ in sds),
+                "timeouts": sum(f["timeouts"] for f in done),
+                "retx": sum(f["retx_pkts"] for f in done),
             })
     result.notes = ("paper: DCP lowest tail; ~5%/16% under IRN/MP-RDMA at "
                     "load 0.3, ~10%/12% at 0.5")
     return result
 
 
-def per_bin_table(preset: str = "default", load: float = 0.5,
+def per_bin_table(payloads: list, p: ScalePreset, load: float = 0.5,
                   percentile_key: str = "p95") -> ExperimentResult:
-    """The full per-size-bin curves (the actual Fig 13 x-axis)."""
-    p = get_preset(preset)
+    """The full per-size-bin curves (the actual Fig 13 x-axis), from the
+    payloads of :func:`sweep`."""
+    by_point = dict(zip(((l, label) for l in LOADS
+                         for label, _t, _lb in SCHEMES), payloads))
     result = ExperimentResult(
         "fig13-bins", f"Per-bin {percentile_key} slowdown at load {load}")
     curves = {}
-    for label, transport, lb in SCHEMES:
-        net = run_scheme(label, transport, lb, load, p)
-        bins = slowdown_bins(net.slowdowns(), scale=p.ws_scale)
+    for label, _transport, _lb in SCHEMES:
+        bins = slowdown_bins(slowdowns(by_point[load, label]),
+                             scale=p.ws_scale)
         curves[label] = {b.bin_kb: getattr(b, percentile_key) for b in bins}
     all_bins = sorted({kb for c in curves.values() for kb in c})
     for kb in all_bins:
@@ -92,11 +108,3 @@ def per_bin_table(preset: str = "default", load: float = 0.5,
             row[label] = curves[label].get(kb, float("nan"))
         result.rows.append(row)
     return result
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

@@ -10,10 +10,10 @@ PFC for AllReduce, 5-46% for AllToAll).
 from __future__ import annotations
 
 from repro.analysis.fct import cdf_points, percentile
-from repro.experiments.common import Network, build_network
-from repro.experiments.presets import get_preset
+from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.workload.collective import run_grouped_collectives
+from repro.experiments.spec import NetworkSpec
+from repro.runner import SweepPoint
 
 SCHEMES = (
     ("pfc-ecmp", "gbn", "ecmp"),
@@ -21,21 +21,30 @@ SCHEMES = (
     ("mp-rdma", "mp_rdma", "ecmp"),
     ("dcp-ar", "dcp", "ar"),
 )
+KINDS = ("allreduce", "alltoall")
+
+POINT_RUNNER = "repro.runner.points.simulate_collectives"
 
 
-def _run_collective(kind: str, transport: str, lb: str, preset,
-                    seed: int = 71,
-                    fidelity: str = "packet") -> tuple[list, Network]:
-    net = build_network(
-        transport=transport, topology="clos", num_hosts=preset.num_hosts,
-        num_leaves=preset.num_leaves, num_spines=preset.num_spines,
-        link_rate=preset.link_rate, lb=lb, seed=seed,
-        buffer_bytes=preset.buffer_bytes, fidelity=fidelity)
-    results = run_grouped_collectives(
-        net, kind, preset.collective_groups, preset.collective_group_size,
-        preset.collective_bytes)
-    net.run_until_flows_done(max_events=300_000_000)
-    return results, net
+def sweep(p: ScalePreset, fidelity: str = "packet") -> list[SweepPoint]:
+    """One point per (collective, scheme); groups are contiguous host
+    ranges, like the paper's 16-servers-per-group arrangement."""
+    k = p.collective_group_size
+    groups = [list(range(g * k, (g + 1) * k))
+              for g in range(p.collective_groups)]
+    points = []
+    for kind in KINDS:
+        for label, transport, lb in SCHEMES:
+            spec = NetworkSpec(
+                transport=transport, topology="clos", num_hosts=p.num_hosts,
+                num_leaves=p.num_leaves, num_spines=p.num_spines,
+                link_rate=p.link_rate, lb=lb, seed=71,
+                buffer_bytes=p.buffer_bytes, fidelity=fidelity)
+            params = {"kind": kind, "tag": kind, "groups": groups,
+                      "total_bytes": p.collective_bytes,
+                      "max_events": 300_000_000}
+            points.append(SweepPoint(f"{kind}-{label}", spec, params))
+    return points
 
 
 def ideal_jct_ns(kind: str, preset) -> float:
@@ -48,26 +57,23 @@ def ideal_jct_ns(kind: str, preset) -> float:
     return (k - 1) * wire  # all slices leave one NIC serially at best
 
 
-def run(preset: str = "default",
-        kinds: tuple[str, ...] = ("allreduce", "alltoall"),
-        fidelity: str = "packet") -> ExperimentResult:
-    p = get_preset(preset)
+def merge(payloads: list, p: ScalePreset,
+          fidelity: str = "packet") -> ExperimentResult:
     result = ExperimentResult(
         "fig14", "Collective JCT (ms) and per-flow tail FCT")
-    for kind in kinds:
-        for label, transport, lb in SCHEMES:
-            groups, net = _run_collective(kind, transport, lb, p,
-                                          fidelity=fidelity)
-            jcts = [g.jct_ns() for g in groups]
-            fcts = [fct for g in groups for fct in g.fcts_ns()]
+    it = iter(payloads)
+    for kind in KINDS:
+        for label, _transport, _lb in SCHEMES:
+            payload = next(it)
+            jcts = payload["jcts_ns"]
             result.rows.append({
                 "collective": kind,
                 "scheme": label,
                 "mean_jct_ms": sum(jcts) / len(jcts) / 1e6,
                 "max_jct_ms": max(jcts) / 1e6,
-                "p95_fct_ms": percentile(fcts, 95) / 1e6,
-                "timeouts": sum(f.stats.timeouts for f in net.flows),
-                "retx": sum(f.stats.retx_pkts_sent for f in net.flows),
+                "p95_fct_ms": percentile(payload["fcts_ns"], 95) / 1e6,
+                "timeouts": payload["timeouts"],
+                "retx": payload["retx"],
             })
         result.rows.append({
             "collective": kind,
@@ -80,20 +86,12 @@ def run(preset: str = "default",
     return result
 
 
-def fct_cdf(kind: str, preset: str = "default") -> dict[str, list]:
-    """Fig 14b/d: CDF of individual flow FCTs per scheme."""
-    p = get_preset(preset)
-    out = {}
-    for label, transport, lb in SCHEMES:
-        groups, _net = _run_collective(kind, transport, lb, p)
-        fcts = [fct / 1e6 for g in groups for fct in g.fcts_ns()]
-        out[label] = cdf_points(fcts, points=50)
-    return out
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()
+def fct_cdf(payloads: list, kind: str) -> dict[str, list]:
+    """Fig 14b/d: CDF of individual flow FCTs (ms) per scheme, from the
+    payloads of :func:`sweep`."""
+    by_point = dict(zip(((k, label) for k in KINDS
+                         for label, _t, _lb in SCHEMES), payloads))
+    return {label: cdf_points([fct / 1e6
+                               for fct in by_point[kind, label]["fcts_ns"]],
+                              points=50)
+            for label, _transport, _lb in SCHEMES}

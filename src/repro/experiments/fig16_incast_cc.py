@@ -10,62 +10,67 @@ below MP-RDMA/IRN).  MP-RDMA always runs its native adaptive window.
 from __future__ import annotations
 
 from repro.analysis.fct import overall_percentiles
-from repro.experiments.common import Network, build_network
-from repro.experiments.presets import get_preset
+from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
+from repro.experiments.spec import NetworkSpec
+from repro.runner import SweepPoint
+from repro.runner.points import slowdowns, switch_total
 from repro.workload.distributions import websearch
-from repro.workload.flows import IncastWorkload, PoissonWorkload
+from repro.workload.flows import IncastWorkload, PoissonWorkload, layout
 
 SCHEMES = (("irn", "ar"), ("mp_rdma", "ecmp"), ("dcp", "ar"))
+CCS = ("none", "dcqcn")
+
+SEED = 101
+
+POINT_RUNNER = "repro.runner.points.simulate_flows"
 
 
-def _run(transport: str, lb: str, cc: str, preset, seed: int = 101) -> Network:
-    net = build_network(
-        transport=transport, topology="clos", num_hosts=preset.num_hosts,
-        num_leaves=preset.num_leaves, num_spines=preset.num_spines,
-        link_rate=preset.link_rate, lb=lb, seed=seed, cc=cc,
-        buffer_bytes=preset.buffer_bytes // 2)
-    bg = PoissonWorkload(load=0.5, size_dist=websearch(scale=preset.ws_scale),
-                         duration_ns=preset.duration_ns, seed=seed,
-                         max_flows=preset.max_flows, tag="bg")
-    incast = IncastWorkload(load=0.05, fan_in=preset.incast_fan_in,
-                            flow_bytes=preset.incast_flow_bytes,
-                            duration_ns=preset.duration_ns, seed=seed + 1)
-    bg.generate(net)
-    incast.generate(net)
-    net.run_until_flows_done(max_events=250_000_000)
-    return net
+def sweep(p: ScalePreset) -> list[SweepPoint]:
+    """One point per (CC, scheme)."""
+    points = []
+    for cc in CCS:
+        for transport, lb in SCHEMES:
+            spec = NetworkSpec(
+                transport=transport, topology="clos", num_hosts=p.num_hosts,
+                num_leaves=p.num_leaves, num_spines=p.num_spines,
+                link_rate=p.link_rate, lb=lb, seed=SEED,
+                # MP-RDMA keeps its native window CC
+                cc="none" if transport == "mp_rdma" else cc,
+                buffer_bytes=p.buffer_bytes // 2)
+            bg = PoissonWorkload(
+                load=0.5, size_dist=websearch(scale=p.ws_scale),
+                duration_ns=p.duration_ns, seed=SEED,
+                max_flows=p.max_flows, tag="bg")
+            incast = IncastWorkload(
+                load=0.05, fan_in=p.incast_fan_in,
+                flow_bytes=p.incast_flow_bytes, duration_ns=p.duration_ns,
+                seed=SEED + 1)
+            points.append(SweepPoint(
+                f"{cc}-{transport}", spec,
+                {"flows": layout(spec, bg, incast),
+                 "max_events": 250_000_000}))
+    return points
 
 
-def run(preset: str = "default") -> ExperimentResult:
-    p = get_preset(preset)
+def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "fig16", "Incast + WebSearch 0.5: P50/P99 slowdown w/ and w/o CC")
-    for cc_label, cc in (("none", "none"), ("dcqcn", "dcqcn")):
-        for transport, lb in SCHEMES:
-            if transport == "mp_rdma" and cc == "dcqcn":
-                cc_actual = "none"  # MP-RDMA keeps its native window CC
-            else:
-                cc_actual = cc
-            net = _run(transport, lb, cc_actual, p)
-            stats = overall_percentiles(net.slowdowns())
+    it = iter(payloads)
+    for cc in CCS:
+        for transport, _lb in SCHEMES:
+            payload = next(it)
+            sds = slowdowns(payload)
+            stats = overall_percentiles(sds)
             result.rows.append({
-                "cc": cc_label,
+                "cc": cc,
                 "scheme": transport,
-                "flows": len(net.completed_flows()),
+                "flows": len(sds),
                 "p50": stats["p50"],
                 "p99": stats["p99"],
-                "timeouts": sum(f.stats.timeouts for f in net.flows),
-                "trims": net.fabric.switch_stats_sum("trimmed"),
+                "timeouts": sum(f["timeouts"] for f in payload["flows"]),
+                "trims": switch_total(payload, "trimmed"),
             })
     result.notes = ("paper: DCP best P50 always; worst P99 w/o CC, best P99 "
                     "with DCQCN")
     return result
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

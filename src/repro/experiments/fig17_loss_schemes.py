@@ -18,12 +18,10 @@ goodput measurement by spec hash.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.experiments.presets import ScalePreset, get_preset
+from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import TRANSPORTS, NetworkSpec
-from repro.runner import ExperimentRunner, SweepPoint, serial_runner
+from repro.runner import SweepPoint
 
 LOSS_RATES = (0.0, 0.0001, 0.001, 0.005, 0.01, 0.02, 0.05)
 #: Every transport in the registry, so a newly registered scheme lands
@@ -66,18 +64,3 @@ def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
                     "timeout; timeout degrades sharply with loss")
     return result
 
-
-def run(preset: str = "default",
-        runner: Optional[ExperimentRunner] = None) -> ExperimentResult:
-    p = get_preset(preset)
-    runner = runner if runner is not None else serial_runner()
-    payloads = runner.run_points("fig17", sweep(p), POINT_RUNNER)
-    return merge(payloads, p)
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

@@ -12,52 +12,62 @@ flow size (Fig 1a) and the CDF of the ratio per size class (Fig 1b).
 
 from __future__ import annotations
 
-from repro.analysis.fct import percentile, retransmission_ratio
-from repro.experiments.common import Network, build_network
-from repro.experiments.presets import get_preset
+from repro.analysis.fct import percentile
+from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
+from repro.experiments.spec import NetworkSpec
+from repro.runner import SweepPoint
+from repro.runner.points import switch_total
 from repro.workload.distributions import websearch, websearch_class
-from repro.workload.flows import PoissonWorkload
+from repro.workload.flows import PoissonWorkload, layout
+
+SCHEMES = ("irn", "dcp")
+
+SEED = 41
+
+POINT_RUNNER = "repro.runner.points.simulate_flows"
 
 
-def _run_scheme(scheme: str, preset, seed: int = 41) -> Network:
-    net = build_network(
-        transport=scheme, topology="clos", num_hosts=preset.num_hosts,
-        num_leaves=preset.num_leaves, num_spines=preset.num_spines,
-        link_rate=preset.link_rate, lb="ar", seed=seed,
-        # Large buffer + high trim threshold: congestion never drops or
-        # trims, isolating the pure reordering effect the figure targets.
-        buffer_bytes=8 * preset.buffer_bytes,
-        trim_threshold_bytes=2 * preset.buffer_bytes)
-    wl = PoissonWorkload(load=0.3, size_dist=websearch(scale=preset.ws_scale),
-                         duration_ns=preset.duration_ns, seed=seed,
-                         max_flows=preset.max_flows)
-    wl.generate(net)
-    net.run_until_flows_done(max_events=150_000_000)
-    return net
+def sweep(p: ScalePreset) -> list[SweepPoint]:
+    """One point per scheme."""
+    points = []
+    for scheme in SCHEMES:
+        spec = NetworkSpec(
+            transport=scheme, topology="clos", num_hosts=p.num_hosts,
+            num_leaves=p.num_leaves, num_spines=p.num_spines,
+            link_rate=p.link_rate, lb="ar", seed=SEED,
+            # Large buffer + high trim threshold: congestion never drops
+            # or trims, isolating the pure reordering effect the figure
+            # targets.
+            buffer_bytes=8 * p.buffer_bytes,
+            trim_threshold_bytes=2 * p.buffer_bytes)
+        wl = PoissonWorkload(load=0.3, size_dist=websearch(scale=p.ws_scale),
+                             duration_ns=p.duration_ns, seed=SEED,
+                             max_flows=p.max_flows)
+        points.append(SweepPoint(scheme, spec, {"flows": layout(spec, wl),
+                                                "max_events": 150_000_000}))
+    return points
 
 
-def run(preset: str = "default") -> ExperimentResult:
-    p = get_preset(preset)
+def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "fig1", "Spurious retransmissions: IRN vs DCP with AR, WebSearch 0.3")
-    nets = {scheme: _run_scheme(scheme, p) for scheme in ("irn", "dcp")}
-    for scheme, net in nets.items():
-        flows = net.completed_flows()
-        drops = net.fabric.switch_stats_sum("dropped_congestion") \
-            + net.fabric.switch_stats_sum("dropped_buffer")
-        trims = net.fabric.switch_stats_sum("trimmed")
+    for scheme, payload in zip(SCHEMES, payloads):
+        flows = [f for f in payload["flows"] if f["completed"]]
         ratios = {"small": [], "medium": [], "large": []}
         for f in flows:
-            cls = websearch_class(f.size_bytes, scale=p.ws_scale)
-            ratios[cls].append(retransmission_ratio(f))
+            # retransmitted packets over the packets the flow needed
+            sent = f["data_pkts_sent"]
+            ratios[websearch_class(f["size_bytes"], scale=p.ws_scale)].append(
+                f["retx_pkts"] / sent if sent else 0.0)
         all_ratios = [r for rs in ratios.values() for r in rs]
         spurious = sum(1 for r in all_ratios if r > 0)
         row = {
             "scheme": scheme,
             "flows": len(flows),
-            "real_drops": drops,
-            "trims": trims,
+            "real_drops": (switch_total(payload, "dropped_congestion")
+                           + switch_total(payload, "dropped_buffer")),
+            "trims": switch_total(payload, "trimmed"),
             "flows_with_retx": f"{spurious / max(1, len(all_ratios)):.0%}",
             "mean_retx_ratio": (sum(all_ratios) / len(all_ratios)
                                 if all_ratios else 0.0),
@@ -71,11 +81,3 @@ def run(preset: str = "default") -> ExperimentResult:
     result.notes = ("paper Fig 1b: ~50%/80%/90% of small/medium/large IRN "
                     "flows retransmit spuriously; DCP: none")
     return result
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

@@ -3,31 +3,32 @@
 from __future__ import annotations
 
 from repro.analysis.models import theoretical_packet_rate_mpps
+from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 
 OOO_DEGREES = tuple(range(0, 449, 64))
+CLOCK_MHZ = 300.0
+
+POINT_RUNNER = None     # analytic: the sweep is empty
 
 
-def run(clock_mhz: float = 300.0) -> ExperimentResult:
+def sweep(p: ScalePreset) -> list:
+    return []
+
+
+def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
-        "fig7", f"Theoretical packet rate (Mpps) at {clock_mhz:.0f} MHz")
+        "fig7", f"Theoretical packet rate (Mpps) at {CLOCK_MHZ:.0f} MHz")
     for ooo in OOO_DEGREES:
         result.rows.append({
             "ooo_degree": ooo,
             "bdp_bitmap_mpps": theoretical_packet_rate_mpps("bdp", ooo,
-                                                            clock_mhz),
-            "dcp_mpps": theoretical_packet_rate_mpps("dcp", ooo, clock_mhz),
+                                                            CLOCK_MHZ),
+            "dcp_mpps": theoretical_packet_rate_mpps("dcp", ooo, CLOCK_MHZ),
             "linked_chunk_mpps": theoretical_packet_rate_mpps(
-                "linked_chunk", ooo, clock_mhz),
+                "linked_chunk", ooo, CLOCK_MHZ),
         })
     result.notes = ("flat ~50 Mpps for BDP-bitmap and DCP; linked chunk "
                     "decays with OOO degree (paper Fig 7)")
     return result
 
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

@@ -12,12 +12,10 @@ Declared as six sweep points — (scheme x {throughput, latency}) — so
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.experiments.presets import ScalePreset, get_preset
+from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
-from repro.runner import ExperimentRunner, SweepPoint, serial_runner
+from repro.runner import SweepPoint
 
 SCHEMES = ("gbn", "dcp", "tcp")
 
@@ -67,18 +65,3 @@ def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
                     "both axes")
     return result
 
-
-def run(preset: str = "default",
-        runner: Optional[ExperimentRunner] = None) -> ExperimentResult:
-    p = get_preset(preset)
-    runner = runner if runner is not None else serial_runner()
-    payloads = runner.run_points("fig8", sweep(p), POINT_RUNNER)
-    return merge(payloads, p)
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

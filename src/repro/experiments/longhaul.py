@@ -16,10 +16,10 @@ end-to-end one) separate from RTO-prone recovery as distance grows.
 
 from __future__ import annotations
 
-from repro.analysis.fct import goodput_gbps
-from repro.experiments.common import build_network
-from repro.experiments.presets import get_preset
+from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
+from repro.experiments.spec import NetworkSpec
+from repro.runner import SweepPoint
 from repro.sim.units import fiber_delay_ns
 
 DISTANCES_KM = (0.1, 1.0, 10.0)
@@ -29,43 +29,46 @@ TRANSPORTS = ("dcp", "irn", "sdr", "rifl")
 #: stays lossless to preserve the paper's original claim).
 LOSS_RATE = 1e-3
 
+POINT_RUNNER = "repro.runner.points.simulate_flows"
 
-def _haul_goodput(p, transport: str, delay: int, loss: float) -> float:
-    net = build_network(
+
+def _point(p: ScalePreset, km: float, transport: str,
+           loss: float) -> SweepPoint:
+    delay = fiber_delay_ns(km)
+    spec = NetworkSpec(
         transport=transport, topology="testbed", num_hosts=4, cross_links=1,
         link_rate=p.link_rate, loss_rate=loss, lb="ecmp", seed=31,
         buffer_bytes=p.buffer_bytes, spine_link_delay_ns=delay)
     size = max(p.long_flow_bytes,
                int(p.link_rate / 8 * delay * 6))  # several BDPs
-    flow = net.open_flow(0, 2, size, 0, tag="haul")
-    net.run_until_flows_done(max_events=120_000_000)
-    return goodput_gbps(flow) if flow.completed else 0.0
+    return SweepPoint(f"{km:g}km-{transport}-loss{loss:g}", spec,
+                      {"flows": [[0, 2, size, 0, "haul"]],
+                       "max_events": 120_000_000})
 
 
-def run(preset: str = "default") -> ExperimentResult:
-    p = get_preset(preset)
+def sweep(p: ScalePreset) -> list[SweepPoint]:
+    """Per distance: lossless DCP, then every transport under loss."""
+    return [pt for km in DISTANCES_KM
+            for pt in [_point(p, km, "dcp", 0.0),
+                       *(_point(p, km, t, LOSS_RATE) for t in TRANSPORTS)]]
+
+
+def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "longhaul", "Goodput over long-haul cross-switch links")
+    it = iter(payloads)
     for km in DISTANCES_KM:
-        delay = fiber_delay_ns(km)
+        # goodput_gbps is 0.0 for a flow that did not complete
         row = {
             "distance_km": km,
-            "one_hop_delay_us": delay / 1000,
-            "goodput_gbps": _haul_goodput(p, "dcp", delay, 0.0),
+            "one_hop_delay_us": fiber_delay_ns(km) / 1000,
+            "goodput_gbps": next(it)["flows"][0]["goodput_gbps"],
             "line_rate_gbps": p.link_rate,
         }
         for transport in TRANSPORTS:
-            row[f"{transport}_lossy_gbps"] = _haul_goodput(
-                p, transport, delay, LOSS_RATE)
+            row[f"{transport}_lossy_gbps"] = next(it)["flows"][0][
+                "goodput_gbps"]
         result.rows.append(row)
     result.notes = ("paper: ~85 Gbps of 100 Gbps at 10 km, stable; "
                     f"*_lossy columns add {LOSS_RATE:.1%} forced loss")
     return result
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

@@ -1,25 +1,27 @@
 """Registry mapping every paper table/figure to its regeneration module.
 
-Sweep-aware experiments additionally export three module attributes the
-runner uses to shard them:
+Every experiment module exports the three attributes the runner uses to
+shard it:
 
-* ``sweep(preset) -> list[SweepPoint]`` — the experiment's grid;
-* ``merge(payloads, preset) -> ExperimentResult`` — fold ordered point
-  payloads back into the table;
-* ``POINT_RUNNER`` — dotted path of the per-point worker function.
+* ``sweep(preset, **opts) -> list[SweepPoint]`` — the experiment's grid
+  (empty for the analytic tables, which simulate nothing);
+* ``merge(payloads, preset, **opts) -> ExperimentResult`` — fold ordered
+  point payloads back into the table;
+* ``POINT_RUNNER`` — dotted path of the per-point worker function (None
+  when the sweep is empty).
 
-Experiments without these run whole as before; ``run_experiment`` only
-forwards the runner to ``run`` functions that accept one.
+:func:`run_experiment` is the one driver from spec to table.
 """
 
 from __future__ import annotations
 
 import importlib
-import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
+from repro.experiments.presets import get_preset
 from repro.experiments.result import ExperimentResult
+from repro.runner.runner import ExperimentRunner, serial_runner
 
 
 @dataclass(frozen=True)
@@ -34,19 +36,6 @@ class ExperimentEntry:
 
     def load_module(self) -> Any:
         return importlib.import_module(self.module)
-
-    def load(self) -> Callable[..., ExperimentResult]:
-        return self.load_module().run
-
-    def load_sweep(self) -> Optional[tuple[Callable, Callable, str]]:
-        """``(sweep, merge, point_runner)`` for sweep-aware experiments."""
-        mod = self.load_module()
-        if not all(hasattr(mod, a) for a in ("sweep", "merge", "POINT_RUNNER")):
-            return None
-        return mod.sweep, mod.merge, mod.POINT_RUNNER
-
-    def has_sweep(self) -> bool:
-        return self.load_sweep() is not None
 
 
 REGISTRY: dict[str, ExperimentEntry] = {
@@ -106,43 +95,28 @@ def get_entry(key: str) -> ExperimentEntry:
                          f"choose from {sorted(REGISTRY)}") from None
 
 
-def sweep_points(key: str, preset: str = "default") -> Optional[list]:
-    """The sweep grid for ``key`` at ``preset``, or None if not sharded."""
-    from repro.experiments.presets import get_preset
-    hooks = get_entry(key).load_sweep()
-    if hooks is None:
-        return None
-    sweep, _merge, _pr = hooks
-    return sweep(get_preset(preset))
-
-
-def attach_runner_telemetry(result: ExperimentResult, runner: Any,
-                            key: str) -> ExperimentResult:
-    """Attach telemetry ``runner`` harvested while executing ``key``.
-
-    The ``last_experiment`` token guards against a runner reused across
-    keys handing out stale metrics.  Shared by :func:`run_experiment`,
-    the campaign executor and the CLI so every path hands back the same
-    result object whether or not an export flag was set.
-    """
-    if (runner is not None
-            and getattr(runner, "last_experiment", None) == key):
-        if getattr(runner, "last_metrics", None) and not result.metrics:
-            result.metrics = dict(runner.last_metrics)
-        if getattr(runner, "last_breakdowns", None) and not result.breakdown:
-            result.breakdown = dict(runner.last_breakdowns)
+def attach_runner_telemetry(result: ExperimentResult,
+                            runner: ExperimentRunner) -> ExperimentResult:
+    """Attach the metrics and breakdowns of the points ``runner`` just
+    ran.  Shared by :func:`run_experiment` and the campaign executor, so
+    every path hands back the same result object whether or not an
+    export flag was set."""
+    result.metrics = dict(runner.last_metrics)
+    result.breakdown = dict(runner.last_breakdowns)
     return result
 
 
-def run_experiment(key: str, **kwargs) -> ExperimentResult:
-    """Run one experiment by key (e.g. ``fig13``).
+def run_experiment(key: str, preset: str = "default",
+                   runner: Optional[ExperimentRunner] = None,
+                   **opts: Any) -> ExperimentResult:
+    """Run one experiment by key (e.g. ``fig13``): sweep, run, merge.
 
-    An ``ExperimentRunner`` passed as ``runner=`` reaches sweep-aware
-    experiments (parallel + cached execution); other keyword arguments
-    are filtered against the target's signature as before.
+    ``runner`` executes the points (default: serial, uncached); ``opts``
+    reach both the module's ``sweep`` and its ``merge`` (robustness's
+    ``chaos``, fig13/fig14's ``fidelity``).
     """
-    run = get_entry(key).load()
-    params = inspect.signature(run).parameters
-    accepted = {k: v for k, v in kwargs.items() if k in params}
-    result = run(**accepted)
-    return attach_runner_telemetry(result, kwargs.get("runner"), key)
+    mod = get_entry(key).load_module()
+    p = get_preset(preset)
+    runner = runner if runner is not None else serial_runner()
+    payloads = runner.run_points(key, mod.sweep(p, **opts), mod.POINT_RUNNER)
+    return attach_runner_telemetry(mod.merge(payloads, p, **opts), runner)

@@ -15,7 +15,7 @@ class ExperimentResult:
     rows: list[dict[str, Any]] = field(default_factory=list)
     notes: str = ""
     #: point_id -> metrics payload (``MetricsRegistry.to_payload`` form);
-    #: attached by the CLI / run_experiment when telemetry was collected.
+    #: attached by run_experiment from the points' payloads.
     metrics: dict[str, Any] = field(default_factory=dict)
     #: point_id -> list of per-flow FCT breakdown dicts
     #: (:func:`repro.analysis.latency.flow_breakdown` components);
@@ -98,7 +98,7 @@ class ExperimentResult:
         """
         if not self.breakdown:
             return (f"== {self.experiment}: breakdown == (no span data; "
-                    "run with --breakdown on a sweep-aware experiment)")
+                    "run with --breakdown on a simulation experiment)")
         from repro.analysis.latency import breakdown_rows
         ordered = {point: self.breakdown[point]
                    for point in sorted(self.breakdown)}

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.chaos.scenarios import get_scenario, scenario_names
-from repro.experiments.presets import ScalePreset, get_preset
+from repro.chaos.scenarios import get_scenario
+from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec, TRANSPORTS as TRANSPORT_PATHS
-from repro.runner import ExperimentRunner, SweepPoint, serial_runner
+from repro.runner import SweepPoint
 
 #: Sweep order: baseline first, then escalating failure severity.
 SCENARIO_KEYS = ("none", "link_flap", "switch_blackout", "loss_burst",
@@ -62,10 +62,16 @@ def _spec(transport: str, p: ScalePreset) -> NetworkSpec:
         loss_rate=1e-9, seed=29, transport_overrides=dict(_TIMERS))
 
 
-def _points(p: ScalePreset, scenarios: Sequence[str]) -> list[SweepPoint]:
+def _scenarios(chaos: Optional[str]) -> Sequence[str]:
+    return SCENARIO_KEYS if chaos is None else (chaos,)
+
+
+def sweep(p: ScalePreset, chaos: Optional[str] = None) -> list[SweepPoint]:
+    """The scenario x transport grid; ``chaos`` keeps one scenario
+    (:func:`get_scenario` rejects an unknown name)."""
     size = _flow_bytes(p)
     points = []
-    for scenario_key in scenarios:
+    for scenario_key in _scenarios(chaos):
         scenario = get_scenario(scenario_key)
         for transport in TRANSPORTS:
             params = {
@@ -78,20 +84,17 @@ def _points(p: ScalePreset, scenarios: Sequence[str]) -> list[SweepPoint]:
     return points
 
 
-def sweep(p: ScalePreset) -> list[SweepPoint]:
-    """The full scenario x transport grid."""
-    return _points(p, SCENARIO_KEYS)
-
-
-def _merge(payloads: list, scenarios: Sequence[str]) -> ExperimentResult:
+def merge(payloads: list, p: ScalePreset,
+          chaos: Optional[str] = None) -> ExperimentResult:
+    """Fold ordered payloads back into the table."""
     result = ExperimentResult(
         "robustness",
         "Failure recovery per scenario and transport (chaos campaign)")
     it = iter(payloads)
-    for scenario_key in scenarios:
+    for scenario_key in _scenarios(chaos):
         for transport in TRANSPORTS:
             payload = next(it)
-            chaos = payload["chaos"]
+            summary = payload["chaos"]
             flows = payload["flows"]
             completed = [f for f in flows if f["completed"]]
             goodput = (sum(f["goodput_gbps"] for f in completed)
@@ -101,44 +104,14 @@ def _merge(payloads: list, scenarios: Sequence[str]) -> ExperimentResult:
                 "transport": transport,
                 "completed": f"{len(completed)}/{len(flows)}",
                 "goodput_gbps": goodput,
-                "recovery_us": chaos["recovery_ns"] / 1000.0,
-                "retx_storm": chaos["retx_storm_pkts"],
-                "dup_pkts": chaos["dup_pkts"],
-                "timeouts": chaos["timeouts"],
-                "coarse_to": chaos["coarse_timeouts"],
+                "recovery_us": summary["recovery_ns"] / 1000.0,
+                "retx_storm": summary["retx_storm_pkts"],
+                "dup_pkts": summary["dup_pkts"],
+                "timeouts": summary["timeouts"],
+                "coarse_to": summary["coarse_timeouts"],
             })
     result.notes = ("recovery_us: first-failure injection to delivery "
                     "resuming (sampled rx_bytes series); scenarios ride the "
                     "spec-hash cache, so serial == --jobs N == replay")
     return result
 
-
-def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
-    """Fold ordered full-grid payloads back into the table."""
-    return _merge(payloads, SCENARIO_KEYS)
-
-
-def run(preset: str = "default",
-        runner: Optional[ExperimentRunner] = None,
-        chaos: Optional[str] = None) -> ExperimentResult:
-    """Run the campaign; ``chaos`` restricts it to one named scenario."""
-    p = get_preset(preset)
-    runner = runner if runner is not None else serial_runner()
-    if chaos is not None:
-        if chaos not in scenario_names():
-            raise ValueError(f"unknown chaos scenario {chaos!r}; choose "
-                             f"from {scenario_names()}")
-        scenarios: Sequence[str] = (chaos,)
-    else:
-        scenarios = SCENARIO_KEYS
-    payloads = runner.run_points("robustness", _points(p, scenarios),
-                                 POINT_RUNNER)
-    return _merge(payloads, scenarios)
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

@@ -9,7 +9,8 @@ host count with the fidelity tier (``packet`` | ``hybrid``,
 full-grid run stays inside a CI budget, and the merge extrapolates the
 packet cost linearly to score the hybrid speedup at scale.
 
-Caveat: ``wall_s`` is measured inside the point runner, so it rides the
+Caveat: ``wall_s`` is measured inside the point runner
+(:func:`repro.runner.points.simulate_collectives`), so it rides the
 result cache like any other payload field — a cached replay reports the
 wall time of the run that *produced* the entry.  That is deliberate:
 cached experiment reruns should not overwrite a real measurement with a
@@ -18,16 +19,11 @@ near-zero one; pass ``--no-cache`` to measure afresh.
 
 from __future__ import annotations
 
-import time
-
-from repro.analysis.fct import percentile
-from repro.experiments.common import Network, NetworkSpec
-from repro.experiments.presets import get_preset
 from repro.experiments.result import ExperimentResult
-from repro.runner import SweepPoint, serial_runner
-from repro.workload.collective import run_grouped_collectives
+from repro.experiments.spec import NetworkSpec
+from repro.runner import SweepPoint
 
-POINT_RUNNER = "repro.experiments.scale.run_scale_point"
+POINT_RUNNER = "repro.runner.points.simulate_collectives"
 
 #: Host grid per preset.  Hybrid runs the whole grid; packet mode stops
 #: at PACKET_MAX_HOSTS and the merge extrapolates beyond it.
@@ -38,11 +34,6 @@ HOST_GRIDS = {
 }
 PACKET_MAX_HOSTS = 64
 HOSTS_PER_LEAF = 8
-
-
-def _hosts_for(p) -> tuple[int, ...]:
-    return HOST_GRIDS.get(getattr(p, "name", "default"),
-                          HOST_GRIDS["default"])
 
 
 def point_spec(p, fidelity: str, hosts: int) -> tuple[NetworkSpec, dict]:
@@ -59,8 +50,10 @@ def point_spec(p, fidelity: str, hosts: int) -> tuple[NetworkSpec, dict]:
         num_spines=max(2, leaves // 2),
         link_rate=p.link_rate, buffer_bytes=p.buffer_bytes,
         seed=73, fidelity=fidelity)
-    params = {"kind": "allreduce", "groups": leaves,
-              "group_size": HOSTS_PER_LEAF,
+    params = {"kind": "allreduce", "tag": "allreduce",
+              "groups": [list(range(g * HOSTS_PER_LEAF,
+                                    (g + 1) * HOSTS_PER_LEAF))
+                         for g in range(leaves)],
               "total_bytes": p.collective_bytes,
               "max_events": 400_000_000}
     return spec, params
@@ -69,40 +62,12 @@ def point_spec(p, fidelity: str, hosts: int) -> tuple[NetworkSpec, dict]:
 def sweep(p) -> list[SweepPoint]:
     points = []
     for fidelity in ("packet", "hybrid"):
-        for hosts in _hosts_for(p):
+        for hosts in HOST_GRIDS.get(p.name, HOST_GRIDS["default"]):
             if fidelity == "packet" and hosts > PACKET_MAX_HOSTS:
                 continue
             spec, params = point_spec(p, fidelity, hosts)
             points.append(SweepPoint(f"{fidelity}-{hosts}", spec, params))
     return points
-
-
-def run_scale_point(spec: NetworkSpec, params: dict) -> dict:
-    """Build, run and time one collective; JSON-safe payload."""
-    t0 = time.perf_counter()
-    net = Network(spec)
-    groups = run_grouped_collectives(
-        net, params["kind"], params["groups"], params["group_size"],
-        params["total_bytes"])
-    net.run_until_flows_done(max_events=params.get("max_events",
-                                                   400_000_000))
-    wall_s = time.perf_counter() - t0
-    jcts = [g.jct_ns() for g in groups]
-    payload = {
-        "hosts": spec.num_hosts,
-        "fidelity": spec.fidelity,
-        "wall_s": wall_s,
-        "events": net.sim.events_processed,
-        "flows": len(net.flows),
-        "incomplete": sum(1 for f in net.flows if not f.completed),
-        "mean_jct_ns": sum(jcts) / len(jcts),
-        "max_jct_ns": max(jcts),
-        "p95_fct_ns": percentile(
-            [fct for g in groups for fct in g.fcts_ns()], 95),
-    }
-    if net.fidelity is not None:
-        payload["fluid"] = net.fidelity.summary()
-    return payload
 
 
 def merge(payloads, p) -> ExperimentResult:
@@ -123,7 +88,7 @@ def merge(payloads, p) -> ExperimentResult:
             "events_per_sec": pl["events"] / pl["wall_s"]
             if pl["wall_s"] > 0 else float("inf"),
             "flows": pl["flows"],
-            "mean_jct_ms": pl["mean_jct_ns"] / 1e6,
+            "mean_jct_ms": sum(pl["jcts_ns"]) / len(pl["jcts_ns"]) / 1e6,
         }
         if pl["fidelity"] == "hybrid":
             fluid = pl.get("fluid") or {}
@@ -139,17 +104,3 @@ def merge(payloads, p) -> ExperimentResult:
         "wall_s rides the cache (see module docstring)")
     return result
 
-
-def run(preset: str = "default", runner=None) -> ExperimentResult:
-    p = get_preset(preset)
-    runner = runner or serial_runner()
-    payloads = runner.run_points("scale", sweep(p), POINT_RUNNER)
-    return merge(payloads, p)
-
-
-def main() -> None:
-    run(preset="quick").print_table()
-
-
-if __name__ == "__main__":
-    main()

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 from repro.analysis.models import ASIC_CATALOG, lossless_distance_km
+from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 
+POINT_RUNNER = None     # analytic: the sweep is empty
 
-def run() -> ExperimentResult:
+
+def sweep(p: ScalePreset) -> list:
+    return []
+
+
+def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "table1", "Max lossless communication distance with PFC (Eq. 1)")
     for asic in ASIC_CATALOG:
@@ -21,10 +28,3 @@ def run() -> ExperimentResult:
     result.notes = "last column is meters (paper prints 8-queue row in m)"
     return result
 
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

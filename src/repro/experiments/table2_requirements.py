@@ -9,10 +9,17 @@ both the matrix and the observable simulator evidence for DCP's row.
 from __future__ import annotations
 
 from repro.analysis.models import REQUIREMENTS_MATRIX
+from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 
+POINT_RUNNER = None     # analytic: the sweep is empty
 
-def run() -> ExperimentResult:
+
+def sweep(p: ScalePreset) -> list:
+    return []
+
+
+def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult("table2", "DCP vs closely related works (R1-R4)")
     for scheme, reqs in REQUIREMENTS_MATRIX.items():
         row = {"scheme": scheme}
@@ -22,10 +29,3 @@ def run() -> ExperimentResult:
                     "retransmit, R4 hardware-oriented")
     return result
 
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

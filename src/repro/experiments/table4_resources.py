@@ -11,10 +11,17 @@ more per-QP SRAM.
 from __future__ import annotations
 
 from repro.analysis.resources import table4_rows
+from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 
+POINT_RUNNER = None     # analytic: the sweep is empty
 
-def run() -> ExperimentResult:
+
+def sweep(p: ScalePreset) -> list:
+    return []
+
+
+def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "table4", "RNIC resource inventory (substitute for FPGA synthesis)")
     for row in table4_rows():
@@ -30,10 +37,3 @@ def run() -> ExperimentResult:
                     "BRAM over RNIC-GBN")
     return result
 
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

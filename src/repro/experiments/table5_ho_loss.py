@@ -11,64 +11,75 @@ host count allows.
 
 from __future__ import annotations
 
-from repro.experiments.common import build_network
-from repro.experiments.presets import get_preset
+from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
+from repro.experiments.spec import NetworkSpec
+from repro.runner import SweepPoint
+from repro.runner.points import switch_total
 from repro.workload.distributions import websearch
-from repro.workload.flows import IncastWorkload, PoissonWorkload
+from repro.workload.flows import IncastWorkload, PoissonWorkload, layout
+
+RADICES = (22, 16)
+CCS = ("none", "dcqcn")
+SEED = 111
+
+POINT_RUNNER = "repro.runner.points.simulate_flows"
 
 
-def _ho_loss(radix: int, fan_in: int, cc: str, preset, seed: int = 111
-             ) -> dict:
-    net = build_network(
-        transport="dcp", topology="clos", num_hosts=preset.num_hosts,
-        num_leaves=preset.num_leaves, num_spines=preset.num_spines,
-        link_rate=preset.link_rate, lb="ar", seed=seed, cc=cc,
-        incast_radix=radix, buffer_bytes=preset.buffer_bytes // 2,
-        control_queue_bytes=64_000)
-    bg = PoissonWorkload(load=0.3, size_dist=websearch(scale=preset.ws_scale),
-                         duration_ns=preset.duration_ns, seed=seed,
-                         max_flows=preset.max_flows)
-    incast = IncastWorkload(load=0.1, fan_in=fan_in,
-                            flow_bytes=preset.incast_flow_bytes,
-                            duration_ns=preset.duration_ns, seed=seed + 1)
-    bg.generate(net)
-    incast.generate(net)
-    net.run_until_flows_done(max_events=250_000_000)
-    ho_total = net.fabric.switch_stats_sum("ho_enqueued")
-    ho_lost = net.fabric.switch_stats_sum("ho_dropped")
-    return {"ho_total": ho_total, "ho_lost": ho_lost,
-            "weight": net.fabric.switches[0].config.wrr_weight,
-            "incomplete": sum(1 for f in net.flows if not f.completed)}
+def _fans(p: ScalePreset) -> tuple[int, int]:
+    return (p.incast_fan_in, min(p.num_hosts - 1, 2 * p.incast_fan_in))
 
 
-def run(preset: str = "default") -> ExperimentResult:
-    p = get_preset(preset)
-    fans = (p.incast_fan_in, min(p.num_hosts - 1, 2 * p.incast_fan_in))
+def sweep(p: ScalePreset) -> list[SweepPoint]:
+    """One point per (N, fan-in, CC)."""
+    points = []
+    for radix in RADICES:
+        for fan in _fans(p):
+            for cc in CCS:
+                spec = NetworkSpec(
+                    transport="dcp", topology="clos", num_hosts=p.num_hosts,
+                    num_leaves=p.num_leaves, num_spines=p.num_spines,
+                    link_rate=p.link_rate, lb="ar", seed=SEED, cc=cc,
+                    incast_radix=radix, buffer_bytes=p.buffer_bytes // 2,
+                    control_queue_bytes=64_000)
+                bg = PoissonWorkload(
+                    load=0.3, size_dist=websearch(scale=p.ws_scale),
+                    duration_ns=p.duration_ns, seed=SEED,
+                    max_flows=p.max_flows)
+                incast = IncastWorkload(
+                    load=0.1, fan_in=fan, flow_bytes=p.incast_flow_bytes,
+                    duration_ns=p.duration_ns, seed=SEED + 1)
+                points.append(SweepPoint(
+                    f"n{radix}-fan{fan}-{cc}", spec,
+                    {"flows": layout(spec, bg, incast),
+                     "max_events": 250_000_000}))
+    return points
+
+
+def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
+    # The weight is a pure function of N (§4.2); the simulator's switch
+    # configuration derives it the same way.
+    from repro.core.dcp_switch import DcpSwitchProfile
     result = ExperimentResult(
         "table5", "HO packet loss ratio under severe incast")
-    for radix in (22, 16):
-        for fan in fans:
-            for cc in ("none", "dcqcn"):
-                row = _ho_loss(radix, fan, cc, p)
-                total = max(1, row["ho_total"] + row["ho_lost"])
+    it = iter(payloads)
+    for radix in RADICES:
+        for fan in _fans(p):
+            for cc in CCS:
+                payload = next(it)
+                ho_total = switch_total(payload, "ho_enqueued")
+                ho_lost = switch_total(payload, "ho_dropped")
+                total = max(1, ho_total + ho_lost)
                 result.rows.append({
                     "N": radix,
                     "incast": f"{fan}-to-1",
                     "cc": cc,
-                    "wrr_weight": round(row["weight"], 2),
-                    "ho_packets": row["ho_total"],
-                    "ho_lost": row["ho_lost"],
-                    "loss_ratio": f"{row['ho_lost'] / total:.3%}",
+                    "wrr_weight": round(
+                        DcpSwitchProfile(incast_radix=radix).weight(), 2),
+                    "ho_packets": ho_total,
+                    "ho_lost": ho_lost,
+                    "loss_ratio": f"{ho_lost / total:.3%}",
                 })
     result.notes = ("paper: 0% everywhere except N=16, 255:1, no CC "
                     "(0.16%); CC removes all HO loss")
     return result
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

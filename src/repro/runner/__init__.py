@@ -6,7 +6,7 @@ Public surface::
 
     runner = ExperimentRunner(jobs=4)
     payloads = runner.run_points("fig17", points,
-                                 "repro.experiments.fig17_loss_schemes.run_point")
+                                 "repro.runner.points.simulate_flows")
 
 See :mod:`repro.runner.runner` for the determinism and caching
 contract.

@@ -40,7 +40,9 @@ from typing import Any, Optional
 #: v9: a NIC's pending wake-up is the earliest one asked for; a later
 #: pending one used to swallow it and hold a paced QP past its gate.
 #: Multi-QP NICs under rate-based CC move (fig16's dcqcn/irn row).
-CACHE_VERSION = 9
+#: v10: ``simulate_flows`` records gain ``tag``, ``ideal_fct_ns`` and
+#: ``data_pkts_sent``; a v9 fig8/fig17/robustness entry lacks them.
+CACHE_VERSION = 10
 
 
 def default_cache_dir() -> Path:

@@ -121,12 +121,13 @@ class ExperimentRunner:
 
     # ----------------------------------------------------------- execution
     def run_points(self, experiment: str, points: Sequence[SweepPoint],
-                   point_runner: str) -> list[Any]:
+                   point_runner: Optional[str]) -> list[Any]:
         """Run every point, serving from cache; returns payloads in order.
 
         ``point_runner`` is the dotted path of a module-level callable
         ``fn(spec, params) -> payload`` — a path rather than a function
         object so it pickles into pool workers under any start method.
+        An analytic experiment's empty sweep passes None.
         """
         if self.telemetry is not None:
             points = [SweepPoint(p.point_id, p.spec,
@@ -195,13 +196,7 @@ class ExperimentRunner:
                     self.last_breakdowns[point.point_id] = payload["breakdown"]
         return ordered
 
-    def run_sweep(self, experiment: str, points: Sequence[SweepPoint],
-                  point_runner: str,
-                  merge: Callable[[list[Any]], Any]) -> Any:
-        """Run a whole sweep and merge the ordered payloads."""
-        return merge(self.run_points(experiment, points, point_runner))
-
 
 def serial_runner() -> ExperimentRunner:
-    """Inline runner with caching off — the drop-in for legacy call sites."""
+    """Inline runner with caching off: ``run_experiment``'s default."""
     return ExperimentRunner(jobs=1, cache=ResultCache(enabled=False))

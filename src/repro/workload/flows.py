@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.experiments.common import Network
+from repro.experiments.common import Network, NetworkSpec
 from repro.rnic.base import Flow
 from repro.workload.distributions import EmpiricalSizeDistribution
 
@@ -120,3 +120,14 @@ class IncastWorkload:
                               on_complete=on_complete)
                 for src, dst, size, start in self.schedule(
                     net.spec.num_hosts, net.spec.link_rate)]
+
+
+def layout(spec: NetworkSpec,
+           *workloads: PoissonWorkload | IncastWorkload) -> list[list]:
+    """The flows ``generate`` would open on ``spec``'s network, workload
+    by workload, as :func:`repro.runner.points.simulate_flows` rows
+    ``[src, dst, size_bytes, start_ns, tag]``."""
+    return [[src, dst, size, start, wl.tag]
+            for wl in workloads
+            for src, dst, size, start in wl.schedule(spec.num_hosts,
+                                                     spec.link_rate)]

@@ -16,6 +16,7 @@ import pytest
 from repro.chaos.scenarios import SCENARIOS, apply_scenario, get_scenario
 from repro.experiments import cli, robustness
 from repro.experiments.presets import get_preset
+from repro.experiments.registry import run_experiment
 from repro.runner import (CACHE_VERSION, ExperimentRunner, ResultCache,
                           SweepPoint)
 from repro.runner.points import simulate_flows
@@ -109,15 +110,18 @@ def test_robustness_serial_parallel_replay_identical(tmp_path):
     """serial == --jobs 2 == cache replay, bit for bit; replay executes
     nothing."""
     serial = ExperimentRunner(jobs=1, cache=ResultCache(enabled=False))
-    r_serial = robustness.run("quick", runner=serial, chaos="link_flap")
+    r_serial = run_experiment("robustness", "quick", runner=serial,
+                              chaos="link_flap")
 
     cache = ResultCache(root=tmp_path / "cache")
     par = ExperimentRunner(jobs=2, cache=cache)
-    r_par = robustness.run("quick", runner=par, chaos="link_flap")
+    r_par = run_experiment("robustness", "quick", runner=par,
+                           chaos="link_flap")
     assert par.simulations_executed == len(robustness.TRANSPORTS)
 
     replay = ExperimentRunner(jobs=2, cache=ResultCache(root=tmp_path / "cache"))
-    r_replay = robustness.run("quick", runner=replay, chaos="link_flap")
+    r_replay = run_experiment("robustness", "quick", runner=replay,
+                              chaos="link_flap")
     assert replay.simulations_executed == 0
 
     assert r_serial.rows == r_par.rows == r_replay.rows
@@ -128,9 +132,11 @@ def test_chaos_params_change_the_cache_key(tmp_path):
     entries."""
     cache = ResultCache(root=tmp_path / "cache")
     runner = ExperimentRunner(jobs=1, cache=cache)
-    r_flap = robustness.run("quick", runner=runner, chaos="link_flap")
+    r_flap = run_experiment("robustness", "quick", runner=runner,
+                            chaos="link_flap")
     executed = runner.simulations_executed
-    r_none = robustness.run("quick", runner=runner, chaos="none")
+    r_none = run_experiment("robustness", "quick", runner=runner,
+                            chaos="none")
     assert runner.simulations_executed == 2 * executed  # all misses
     assert r_flap.rows != r_none.rows
 
@@ -267,7 +273,7 @@ def test_v7_cache_entry_is_a_counted_miss_and_rewritten_as_current(tmp_path):
         "scope", [point], robustness.POINT_RUNNER)
     (path,) = (tmp_path / "cache").rglob("*.json")
     envelope = json.loads(path.read_text(encoding="utf-8"))
-    assert envelope["version"] == CACHE_VERSION == 9
+    assert envelope["version"] == CACHE_VERSION == 10
     fresh = path.read_bytes()
     envelope["version"] = 7
     path.write_text(json.dumps(envelope), encoding="utf-8")

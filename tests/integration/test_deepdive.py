@@ -1,10 +1,11 @@
 """Integration test for the §6.3 control-plane deep dive."""
 
-from repro.experiments.deepdive_control_plane import run
+from repro.experiments.registry import run_experiment
 
 
 def test_deepdive_invariants():
-    result = run(preset="quick", fan_in=6, flow_bytes=50_000)
+    result = run_experiment("deepdive", preset="quick", fan_in=6,
+                            flow_bytes=50_000)
     rows = {r["metric"]: r for r in result.rows}
     # the data queue saturates around the trim threshold (never far past)
     peak_kb = rows["peak data queue (KB)"]["value"]

@@ -21,10 +21,10 @@ from functools import partial
 import pytest
 
 from repro.chaos.scenarios import get_scenario
-from repro.experiments import fig8_basic_perf as fig8
 from repro.experiments import robustness
 from repro.experiments.common import NetworkSpec
 from repro.experiments.presets import get_preset
+from repro.experiments.registry import run_experiment
 from repro.runner import ExperimentRunner, ResultCache
 from repro.runner.points import simulate_flows
 from repro.workload.distributions import websearch
@@ -160,21 +160,35 @@ def test_same_point_twice_is_byte_identical(point):
 
 # ------------------------------------------------- runner execution modes
 
-def test_fig8_quick_serial_jobs_replay(tmp_path):
+def _serial_jobs_replay(key, tmp_path):
     """serial == --jobs 2 == cache replay, bit for bit; replay executes
     nothing."""
     serial = ExperimentRunner(jobs=1, cache=ResultCache(enabled=False))
-    r_serial = fig8.run("quick", runner=serial)
+    r_serial = run_experiment(key, "quick", runner=serial)
 
     cache_root = tmp_path / "cache"
     par = ExperimentRunner(jobs=2, cache=ResultCache(root=cache_root))
-    r_par = fig8.run("quick", runner=par)
+    r_par = run_experiment(key, "quick", runner=par)
 
     replay = ExperimentRunner(jobs=2, cache=ResultCache(root=cache_root))
-    r_replay = fig8.run("quick", runner=replay)
+    r_replay = run_experiment(key, "quick", runner=replay)
     assert replay.simulations_executed == 0
 
     assert r_serial.rows == r_par.rows == r_replay.rows
+
+
+def test_fig8_quick_serial_jobs_replay(tmp_path):
+    _serial_jobs_replay("fig8", tmp_path)
+
+
+def test_fig2_quick_serial_jobs_replay(tmp_path):
+    """Poisson + incast flows laid out at sweep time, tagged records."""
+    _serial_jobs_replay("fig2", tmp_path)
+
+
+def test_fig12_quick_serial_jobs_replay(tmp_path):
+    """Collectives over interleaved member lists."""
+    _serial_jobs_replay("fig12", tmp_path)
 
 
 if __name__ == "__main__":

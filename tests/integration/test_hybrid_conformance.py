@@ -22,10 +22,11 @@ import pytest
 
 from repro.analysis.fct import overall_percentiles
 from repro.experiments import fig8_basic_perf as fig8
+from repro.experiments import fig13_websearch as fig13
 from repro.experiments.common import build_network
-from repro.experiments.fig13_websearch import run_scheme
 from repro.experiments.presets import get_preset
-from repro.runner.points import simulate_flows
+from repro.runner.points import (simulate_collectives, simulate_flows,
+                                 slowdowns)
 from repro.sim.fidelity import FLUID_TRANSPORTS
 from repro.workload.collective import run_grouped_collectives
 
@@ -59,18 +60,24 @@ def test_fig8_point_exact(point):
 
 
 # -------------------------------------------------------------- fig13
+def _fig13_dcp(load: float, fidelity: str) -> dict:
+    """fig13's dcp-ar point at ``load``, simulated at ``fidelity``."""
+    (point,) = [pt for pt in fig13.sweep(get_preset("quick"), fidelity)
+                if pt.point_id == f"load{load:g}-dcp-ar"]
+    return simulate_flows(point.spec, point.params)
+
+
 def test_fig13_websearch_within_tolerance():
     """Contended WebSearch: hybrid tracks packet-level percentiles.
 
     Measured divergence at build time (quick preset, dcp-ar, load 0.3):
     p50 +1.2%, p95 -2.0%, p99 +3.6%.  Bounds are ~2x that.
     """
-    p = get_preset("quick")
     stats = {}
     for fidelity in ("packet", "hybrid"):
-        net = run_scheme("dcp-ar", "dcp", "ar", 0.3, p, fidelity=fidelity)
-        assert all(f.completed for f in net.flows)
-        stats[fidelity] = overall_percentiles(net.slowdowns())
+        payload = _fig13_dcp(0.3, fidelity)
+        assert all(f["completed"] for f in payload["flows"])
+        stats[fidelity] = overall_percentiles(slowdowns(payload))
     assert _rel_diff(stats["hybrid"]["p50"], stats["packet"]["p50"]) < 0.08
     assert _rel_diff(stats["hybrid"]["p95"], stats["packet"]["p95"]) < 0.08
     assert _rel_diff(stats["hybrid"]["p99"], stats["packet"]["p99"]) < 0.15
@@ -79,11 +86,11 @@ def test_fig13_websearch_within_tolerance():
 def test_fig13_hybrid_escalates_under_load():
     """The controller must actually *use* the packet tier here — a
     WebSearch mix saturating a 2-leaf CLOS is not fluid territory."""
-    p = get_preset("quick")
-    net = run_scheme("dcp-ar", "dcp", "ar", 0.5, p, fidelity="hybrid")
-    summary = net.fidelity.summary()
+    payload = _fig13_dcp(0.5, "hybrid")
+    summary = payload["fluid"]
     assert summary["packet_flows"] + summary["escalations"] > 0
-    assert summary["packet_flows"] + summary["fluid_flows"] == len(net.flows)
+    assert (summary["packet_flows"] + summary["fluid_flows"]
+            == len(payload["flows"]))
 
 
 # ---------------------------------------------- fig14-style collective
@@ -159,11 +166,12 @@ def test_scale_hybrid_event_stream_pinned(hosts, events, flows):
     from repro.experiments import scale
 
     spec, params = scale.point_spec(get_preset("quick"), "hybrid", hosts)
-    payload = scale.run_scale_point(spec, params)
+    payload = simulate_collectives(spec, params)
     assert payload["events"] == events
     assert payload["flows"] == flows
     assert payload["incomplete"] == 0
-    assert round(payload["mean_jct_ns"] / 1e6, 4) == 0.6413
+    jcts = payload["jcts_ns"]
+    assert round(sum(jcts) / len(jcts) / 1e6, 4) == 0.6413
     assert payload["fluid"]["fluid_flows"] == flows
     assert payload["fluid"]["packet_flows"] == 0
     assert payload["fluid"]["escalations"] == 0

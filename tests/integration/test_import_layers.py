@@ -66,6 +66,8 @@ assert simulator_modules() == [], simulator_modules()
     ["robustness", "--preset", "quick", "--chaos", "none"],
     ["fig8", "--preset", "quick"],
     ["fig17", "--preset", "quick"],
+    ["fig12", "--preset", "quick"],
+    ["scale", "--preset", "quick"],
 ], ids=lambda argv: argv[0])
 def test_cache_replay_never_loads_the_simulator(argv, tmp_path, capsys):
     argv = argv + ["--cache-dir", str(tmp_path / "cache")]

@@ -43,7 +43,7 @@ class TestZeroLengthFlows:
     def test_slowdown_bins_accept_zero_size(self):
         # A zero-byte flow has no meaningful size bin; it must land in
         # *some* bin deterministically, not raise on log(0).
-        stats = slowdown_bins([(_flow(0, 1_000), 1.0)])
+        stats = slowdown_bins([(0, 1.0)])
         assert sum(b.count for b in stats) == 1
 
     def test_empty_inputs(self):
@@ -61,13 +61,13 @@ class TestZeroLengthFlows:
 
 class TestSubMtuFlows:
     def test_single_probe_percentiles_collapse(self):
-        stats = slowdown_bins([(_flow(64, 2_000, sent=1), 1.5)])
+        stats = slowdown_bins([(64, 1.5)])
         (b,) = stats
         assert b.count == 1
         assert b.p50 == b.p95 == b.p99 == 1.5
 
     def test_sub_mtu_sizes_share_the_smallest_bin(self):
-        pairs = [(_flow(s, 2_000, sent=1), 1.0) for s in (1, 64, 512, 1000)]
+        pairs = [(s, 1.0) for s in (1, 64, 512, 1000)]
         stats = slowdown_bins(pairs)
         assert len(stats) == 1
         assert stats[0].count == len(pairs)

@@ -12,6 +12,7 @@ import json
 import pytest
 
 import repro.experiments.cli as cli
+from repro.obs import spans
 from repro.experiments.result import ExperimentResult
 
 
@@ -66,10 +67,12 @@ class TestPartialPerfettoFlush:
         perfetto_path = tmp_path / "run.perfetto.json"
         calls = []
 
-        def fake_run(key, **kwargs):
+        def fake_run(key, runner, **kwargs):
             calls.append(key)
             if len(calls) >= 2:
                 raise RuntimeError("experiment 2 exploded")
+            # What the runner harvests from a span-recording point.
+            runner.last_spans = {"p0": spans.SpanTracker().to_payload()}
             return ExperimentResult(key, "fake", rows=[{"v": 1}])
 
         # Two fake registry keys; the second raises after the first has
@@ -100,27 +103,31 @@ class TestMetricsAttachmentSymmetry:
         monkeypatch.setattr(cli, "run_experiment", wrapper)
         return captured
 
-    def test_global_registry_metrics_attach_without_metrics_out(
+    def test_point_metrics_attach_without_metrics_out(
             self, tmp_path, monkeypatch, capsys):
-        # --trace-out builds the global registry but (pre-fix) only
-        # --metrics-out ever copied it into result.metrics.
+        # --trace-out alone: the points' metrics still reach
+        # result.metrics (pre-fix only --metrics-out copied them).
         captured = self.capture_result(monkeypatch)
         trace_path = tmp_path / "t.jsonl"
-        assert cli.main(["table2", "--trace-out", str(trace_path)]) == 0
+        assert cli.main(["fig8", "--preset", "quick", "--no-cache",
+                         "--trace-out", str(trace_path)]) == 0
         assert captured["result"].metrics, \
-            "global-registry metrics not attached without --metrics-out"
-        assert "run" in captured["result"].metrics
+            "point metrics not attached without --metrics-out"
+        assert "dcp-tput" in captured["result"].metrics
 
     def test_attachment_identical_with_and_without_metrics_out(
             self, tmp_path, monkeypatch, capsys):
         captured = self.capture_result(monkeypatch)
         trace_path = tmp_path / "t.jsonl"
-        cli.main(["table2", "--trace-out", str(trace_path)])
+        argv = ["fig8", "--preset", "quick", "--no-cache",
+                "--trace-out", str(trace_path)]
+        cli.main(argv)
         without_flag = set(captured["result"].metrics)
-        cli.main(["table2", "--trace-out", str(trace_path),
-                  "--metrics-out", str(tmp_path / "m.jsonl")])
+        cli.main([*argv, "--metrics-out", str(tmp_path / "m.jsonl")])
         with_flag = set(captured["result"].metrics)
-        assert without_flag == with_flag == {"run"}
+        assert without_flag == with_flag == {
+            f"{scheme}-{kind}" for scheme in ("gbn", "dcp", "tcp")
+            for kind in ("tput", "lat")}
 
 
 def test_unknown_experiment_key_is_a_usage_error(tmp_path, monkeypatch,
@@ -166,21 +173,22 @@ def test_misapplied_chaos_or_fidelity_is_a_usage_error(
     assert not cache_dir.exists()
 
 
-def test_flag_tables_match_the_run_signatures():
+def test_flag_tables_match_the_sweep_signatures():
     """The tables the usage check reads name exactly the experiments
-    whose run() has the parameter."""
+    whose sweep() has the parameter."""
     import inspect
     from repro.experiments.registry import REGISTRY
 
     def takers(param):
         return tuple(key for key, entry in REGISTRY.items() if param in
-                     inspect.signature(entry.load_module().run).parameters)
+                     inspect.signature(entry.load_module().sweep).parameters)
 
     assert takers("chaos") == cli.TAKES_CHAOS
     assert takers("fidelity") == cli.TAKES_FIDELITY
 
 
 def test_all_still_accepts_chaos_and_fidelity(monkeypatch):
+    """Under ``all`` each flag reaches only the sweeps that take it."""
     calls = []
 
     def fake_run(key, **kwargs):
@@ -188,8 +196,10 @@ def test_all_still_accepts_chaos_and_fidelity(monkeypatch):
         return ExperimentResult(key, "stub")
 
     monkeypatch.setattr(cli, "run_experiment", fake_run)
-    monkeypatch.setattr(cli, "REGISTRY", {"robustness": None, "fig13": None})
+    monkeypatch.setattr(cli, "REGISTRY", {"robustness": None, "fig13": None,
+                                          "table1": None})
     assert cli.main(["all", "--chaos", "link_flap", "--fidelity", "hybrid",
                      "--no-cache"]) == 0
-    assert calls == [("robustness", "link_flap", "hybrid"),
-                     ("fig13", "link_flap", "hybrid")]
+    assert calls == [("robustness", "link_flap", None),
+                     ("fig13", None, "hybrid"),
+                     ("table1", None, None)]

@@ -45,9 +45,8 @@ class TestPercentile:
 
 class TestSlowdownBins:
     def test_bins_group_by_nearest_size(self):
-        flows = [( _flow(3_000, 100), 1.5), (_flow(3_100, 100), 2.5),
-                 (_flow(29_995_000, 100), 4.0)]
-        bins = slowdown_bins(flows)
+        pairs = [(3_000, 1.5), (3_100, 2.5), (29_995_000, 4.0)]
+        bins = slowdown_bins(pairs)
         by = {b.bin_kb: b for b in bins}
         assert by[3].count == 2
         assert by[3].p50 == 2.0
@@ -55,21 +54,20 @@ class TestSlowdownBins:
 
     def test_scale_maps_back_to_nominal_bins(self):
         # a 300 B flow at scale 10 represents a nominal 3 KB flow
-        flows = [(_flow(300, 100), 1.0)]
-        bins = slowdown_bins(flows, scale=10.0)
+        bins = slowdown_bins([(300, 1.0)], scale=10.0)
         assert bins[0].bin_kb == 3
 
     def test_percentiles_computed(self):
-        flows = [(_flow(3_000, 100), float(i)) for i in range(1, 101)]
-        b = slowdown_bins(flows)[0]
+        pairs = [(3_000, float(i)) for i in range(1, 101)]
+        b = slowdown_bins(pairs)[0]
         assert b.p50 == pytest.approx(50.5)
         assert b.p99 == pytest.approx(99.01)
 
 
 class TestOverall:
     def test_overall(self):
-        flows = [(_flow(1000, 100), float(i)) for i in range(1, 11)]
-        stats = overall_percentiles(flows)
+        pairs = [(1000, float(i)) for i in range(1, 11)]
+        stats = overall_percentiles(pairs)
         assert stats["p50"] == pytest.approx(5.5)
         assert stats["mean"] == pytest.approx(5.5)
 

@@ -14,7 +14,8 @@ import os
 import pytest
 
 from repro.experiments.common import NetworkSpec
-from repro.experiments.registry import get_entry, sweep_points
+from repro.experiments.presets import get_preset
+from repro.experiments.registry import REGISTRY
 from repro.experiments.result import ExperimentResult
 from repro.runner import (ExperimentRunner, ResultCache, SweepPoint,
                           cache_key, canonical_json, canonicalize,
@@ -434,18 +435,29 @@ class TestTelemetryDeterminism:
 
 # ------------------------------------------------------ registry wiring
 class TestRegistryIntegration:
-    def test_sweep_aware_experiments_declare_points(self):
-        assert get_entry("fig8").has_sweep()
-        assert get_entry("fig17").has_sweep()
-        assert not get_entry("table1").has_sweep()
+    @pytest.mark.parametrize("key", list(REGISTRY))
+    def test_every_experiment_declares_a_sweep(self, key):
+        """One path from spec to table: every key exports sweep/merge/
+        POINT_RUNNER, and every point's spec and params canonicalize
+        (so it hashes into a cache key)."""
+        mod = REGISTRY[key].load_module()
+        points = mod.sweep(get_preset("quick"))
+        assert callable(mod.merge)
+        assert bool(points) == REGISTRY[key].simulation
+        assert (mod.POINT_RUNNER is None) == (not points)
+        assert len({p.point_id for p in points}) == len(points)
+        for point in points:
+            assert isinstance(point.spec, NetworkSpec)
+            assert canonicalize(point.spec.to_dict()) == point.spec.to_dict()
+            canonicalize(point.params)
+            cache_key(key, point.point_id, point.spec, point.params)
 
     def test_sweep_points_shapes(self):
         from repro.experiments import fig17_loss_schemes as fig17
-        pts = sweep_points("fig17", preset="quick")
+        pts = fig17.sweep(get_preset("quick"))
         assert len(fig17.SCHEMES) == 9                    # full registry
-        assert pts is not None and len(pts) == 7 * 9      # loss x scheme grid
+        assert len(pts) == 7 * 9                          # loss x scheme grid
         assert len({p.point_id for p in pts}) == len(pts)
-        assert sweep_points("table1", preset="quick") is None
 
     def test_result_payload_round_trip(self):
         result = ExperimentResult("unit", "t", rows=[
