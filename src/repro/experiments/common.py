@@ -32,11 +32,6 @@ def _transport_class(name: str) -> type[RnicTransport]:
     return getattr(importlib.import_module(module_name), cls_name)
 
 
-def _transport_registry() -> dict[str, type[RnicTransport]]:
-    """Every registered transport class by name (imports all of them)."""
-    return {name: _transport_class(name) for name in TRANSPORTS}
-
-
 class Network:
     """A fully wired simulated network ready to carry flows."""
 

@@ -4,7 +4,7 @@ The paper simulates 256 servers at 100 Gbps in NS3; a pure-Python
 simulator needs smaller defaults.  Every experiment accepts a preset
 name:
 
-* ``quick``   — seconds-scale runs for pytest-benchmark;
+* ``quick``   — seconds-scale runs, the committed oracle tables;
 * ``default`` — the documented EXPERIMENTS.md configuration (minutes);
 * ``full``    — closest to the paper's scale Python can stomach.
 

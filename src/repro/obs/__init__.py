@@ -20,26 +20,28 @@ discipline as :mod:`repro.sim.trace`.
 
 from repro._lazy import lazy_exports
 from repro.obs import registry as metrics
-from repro.obs import spans
 from repro.obs.export import (SCHEMA_VERSION, breakdown_records,
                               metrics_records, span_records, trace_records,
                               tracer_payload, write_breakdown_jsonl,
                               write_metrics_jsonl, write_trace_jsonl)
 from repro.obs.registry import (Counter, CounterBlock, Gauge, Histogram,
                                 MetricsRegistry)
-from repro.obs.schema import (KNOWN_METRIC_PATTERNS, known_metric,
-                              validate_file, validate_lines, validate_path,
-                              validate_perfetto)
-from repro.obs.spans import (SPAN_KINDS, SpanTracker, perfetto_trace,
-                             write_perfetto)
 
 
 # MetricsSampler is loaded lazily: it pulls in repro.analysis, which
 # itself imports repro.rnic.base — and the instrumented components
 # (net/, rnic/) import this package at *their* import time, so an
-# eager import here would be circular.
-__getattr__ = lazy_exports(__name__,
-                           {"repro.obs.sampler": ("MetricsSampler",)})
+# eager import here would be circular.  schema and spans are lazy
+# because both run as ``python -m``: importing them here would load
+# each a second time as ``__main__``.
+__getattr__ = lazy_exports(__name__, {
+    "repro.obs.sampler": ("MetricsSampler",),
+    "repro.obs.schema": ("KNOWN_METRIC_PATTERNS", "known_metric",
+                         "validate_file", "validate_lines", "validate_path",
+                         "validate_perfetto"),
+    "repro.obs.spans": ("SPAN_KINDS", "SpanTracker", "perfetto_trace",
+                        "write_perfetto"),
+})
 
 __all__ = [
     "Counter",

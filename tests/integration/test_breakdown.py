@@ -19,15 +19,16 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.latency import COMPONENTS
-from repro.experiments.common import NetworkSpec, _transport_registry
+from repro.experiments.common import NetworkSpec
 from repro.experiments.registry import run_experiment
+from repro.experiments.spec import TRANSPORTS as TRANSPORT_PATHS
 from repro.obs import spans as spans_mod
 from repro.runner import (ExperimentRunner, ResultCache, SweepPoint,
                           canonical_json)
 from repro.runner.points import simulate_flows
 
 LOSS_RATES = (0.0, 0.01, 0.05)
-TRANSPORTS = sorted(_transport_registry())
+TRANSPORTS = sorted(TRANSPORT_PATHS)
 SPAN_TELEMETRY = {"spans": {"max_spans": 1_000_000}}
 
 _FLOWS = [[0, 1, 40_000, 0], [1, 0, 20_000, 5_000]]

@@ -107,6 +107,23 @@ assert cli.main(["fig8", "--preset", "quick", "--jobs", "2",
     assert "[runner: 6 simulations executed" in out
 
 
+@pytest.mark.parametrize("argv", [["repro.obs.schema"],
+                                  ["repro.obs.spans", "--validate"]],
+                         ids=lambda argv: argv[0])
+def test_obs_validator_runs_as_main_without_a_second_import(argv, tmp_path):
+    # Were the package to import the module, ``-m`` would load it a
+    # second time as __main__ and warn.
+    trace = tmp_path / "trace.json"
+    trace.write_text('{"traceEvents": '
+                     '[{"ph": "i", "pid": 0, "tid": 0, "ts": 0}]}')
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", *argv,
+         str(trace)],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{trace}: OK\n"
+
+
 def test_package_level_names_still_resolve():
     _python('''
 from repro import Simulator
@@ -122,8 +139,12 @@ assert Simulator is repro.sim.engine.Simulator is repro.sim.Simulator
 assert build_network(transport="dcp", num_hosts=8, num_leaves=2,
                      num_spines=2).spec == NetworkSpec(
     transport="dcp", num_hosts=8, num_leaves=2, num_spines=2)
+from repro.obs import SpanTracker, spans, validate_path
+import repro.obs.schema
+assert SpanTracker is spans.SpanTracker
+assert validate_path is repro.obs.schema.validate_path
 import repro.chaos, repro.sim
-for package in (repro, repro.sim, repro.experiments, repro.chaos):
+for package in (repro, repro.sim, repro.experiments, repro.chaos, repro.obs):
     for name in package.__all__:
         getattr(package, name)      # every advertised name resolves
 try:

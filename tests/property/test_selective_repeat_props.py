@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.common import _transport_registry, build_network
+from repro.experiments.common import _transport_class, build_network
 from repro.rnic.base import TransportConfig
 from repro.rnic.sdr import SACK_VECTOR_BITS
 from tests.transport.test_sdr import _recv_harness
@@ -66,7 +66,7 @@ def test_shared_receiver_delivers_each_psn_exactly_once(name, order, repeats):
     for position, psn in repeats:
         arrivals.insert(position % (len(arrivals) + 1), psn)
     sim, rnic, flow, acks, push = _recv_harness(
-        transport_cls=_transport_registry()[name])
+        transport_cls=_transport_class(name))
     mtu = rnic.config.mtu_payload
     seen: set[int] = set()
     dups = 0

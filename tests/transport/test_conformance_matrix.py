@@ -33,10 +33,11 @@ import hashlib
 
 import pytest
 
-from repro.experiments.common import Network, NetworkSpec, _transport_registry
+from repro.experiments.common import Network, NetworkSpec
+from repro.experiments.spec import TRANSPORTS as TRANSPORT_PATHS
 
 LOSS_RATES = (0.0, 0.01, 0.05)
-TRANSPORTS = sorted(_transport_registry())
+TRANSPORTS = sorted(TRANSPORT_PATHS)
 
 #: The matrix is parametrized straight off the registry, so adding
 #: transport #10 is a one-line change *there*; this pin makes the

@@ -7,7 +7,8 @@ import pytest
 
 from repro.cc.base import CongestionControl
 from repro.core.dcp import DcpTransport
-from repro.experiments.common import _transport_registry
+from repro.experiments.common import _transport_class
+from repro.experiments.spec import TRANSPORTS
 from repro.net.packet import PacketKind, make_ack
 from repro.rnic.base import Flow, RnicTransport, TransportConfig
 from repro.rnic.gbn import GbnTransport
@@ -260,14 +261,14 @@ class _CountingQueue(deque):
         return super().__getitem__(index)
 
 
-@pytest.mark.parametrize("name", sorted(_transport_registry()))
+@pytest.mark.parametrize("name", sorted(TRANSPORTS))
 class TestMessageCompletion:
     """Send-side completion is incremental: each cumulative ACK touches
     the messages it newly acknowledges, not every message ever posted."""
 
     def test_bounded_work_and_nothing_left_behind(self, name):
         cfg = TransportConfig(max_message_bytes=4_000)
-        sim, fab, a, b = make_direct_pair(_transport_registry()[name], cfg)
+        sim, fab, a, b = make_direct_pair(_transport_class(name), cfg)
         qp, _ = RnicTransport.connect(a, b)
         queue = qp.send_queue = _CountingQueue()
         acks = []
@@ -297,7 +298,7 @@ class TestMessageCompletion:
     def test_interleaved_posting_completes_each_flow_at_its_last_message(
             self, name):
         """verbs-style posting: two flows alternate messages on one QP."""
-        sim, fab, a, b = make_direct_pair(_transport_registry()[name])
+        sim, fab, a, b = make_direct_pair(_transport_class(name))
         qp, _ = RnicTransport.connect(a, b)
         first, second = (Flow(0, 1, 8_000, 0), Flow(0, 1, 8_000, 0))
         for flow in (first, second):

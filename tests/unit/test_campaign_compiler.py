@@ -249,8 +249,7 @@ class TestLibrary:
         assert len(c.points) == len(fanins) * len(transports)
 
     def test_soak_covers_all_transports(self):
-        from repro.experiments.common import _transport_registry
+        from repro.experiments.spec import TRANSPORTS
         c = compile_campaign(get_campaign("link_integrity_soak"), "quick")
-        assert ({a["transport"] for a in c.assignments}
-                == set(_transport_registry()))
+        assert {a["transport"] for a in c.assignments} == set(TRANSPORTS)
         assert all("chaos" in p.params for p in c.points)
