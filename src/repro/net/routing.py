@@ -2,7 +2,8 @@
 
 The switch routing table maps a destination host to a list of candidate
 egress ports (one for hosts below, several for uplinks).  A load
-balancer picks among the candidates:
+balancer picks among two or more candidates (the switch forwards a
+single-candidate route without consulting it):
 
 * :class:`EcmpLoadBalancer` — flow-level hashing (the RoCE default).
 * :class:`AdaptiveLoadBalancer` — per-packet least-queue adaptive
@@ -46,8 +47,6 @@ class EcmpLoadBalancer:
     packet_level = False
 
     def pick(self, switch: "Switch", packet: Packet, candidates: Sequence[int]) -> int:
-        if len(candidates) == 1:
-            return candidates[0]
         return candidates[flow_hash(packet) % len(candidates)]
 
 
@@ -63,8 +62,6 @@ class AdaptiveLoadBalancer:
     packet_level = True
 
     def pick(self, switch: "Switch", packet: Packet, candidates: Sequence[int]) -> int:
-        if len(candidates) == 1:
-            return candidates[0]
         # One scan: the least-loaded candidates, in candidate order.
         ports = switch.ports
         choice = candidates[0]
@@ -95,8 +92,6 @@ class SprayLoadBalancer:
         self._cursor: dict[int, int] = {}
 
     def pick(self, switch: "Switch", packet: Packet, candidates: Sequence[int]) -> int:
-        if len(candidates) == 1:
-            return candidates[0]
         key = id(switch) & 0xFFFFFFFF
         cur = self._cursor.get(key, 0)
         self._cursor[key] = cur + 1
@@ -126,8 +121,6 @@ class FlowletLoadBalancer:
         self.flowlet_switches = 0
 
     def pick(self, switch: "Switch", packet: Packet, candidates: Sequence[int]) -> int:
-        if len(candidates) == 1:
-            return candidates[0]
         key = (switch.switch_id, packet.flow_id)
         now = switch.sim.now
         last = self._state.get(key)
@@ -161,8 +154,6 @@ class WeightedLoadBalancer:
         self._rng = random.Random(seed)
 
     def pick(self, switch: "Switch", packet: Packet, candidates: Sequence[int]) -> int:
-        if len(candidates) == 1:
-            return candidates[0]
         weights = [self.weights.get(c, 1.0) for c in candidates]
         return self._rng.choices(list(candidates), weights=weights, k=1)[0]
 

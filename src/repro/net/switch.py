@@ -172,7 +172,8 @@ class Switch:
     def receive(self, packet: Packet, in_port: int) -> None:
         """The forwarding pipeline, the same for every configuration.
 
-        Decision order: PFC control frames -> routing/LB -> forced-loss
+        Decision order: PFC control frames -> routing/LB (consulted only
+        when the route has more than one candidate) -> forced-loss
         draw (one RNG draw per payload packet, only where ``loss_rate >
         0``) -> branch table keyed on ``(DcpTag, queue-state)`` that
         resolves trim / drop / control queue -> shared buffer -> ECN ->
@@ -191,7 +192,11 @@ class Switch:
         candidates = self.routing_table.get(packet.dst)
         if not candidates:
             raise KeyError(f"{self.name}: no route to host {packet.dst}")
-        egress = self.lb.pick(self, packet, candidates)
+        # A single candidate (every down-port) needs no load balancer.
+        if len(candidates) == 1:
+            egress = candidates[0]
+        else:
+            egress = self.lb.pick(self, packet, candidates)
         port = self.ports[egress]
         data_q = port.queues[DATA_CLASS]
         stats = self.stats

@@ -152,17 +152,16 @@ def build_clos(sim: Simulator, hosts: Sequence, num_leaves: int, num_spines: int
             _wire_switch_to_switch(sim, leaf, hosts_per_leaf + si, spine, li,
                                    spine_link_delay_ns)
 
-    # Routing tables.
+    # Routing tables, one list per (switch, destination): the failure
+    # injector edits entries in place, so no two may share a list.
+    uplinks = [hosts_per_leaf + si for si in range(num_spines)]
     for dst, host in enumerate(hosts):
         dst_leaf = dst // hosts_per_leaf
         for li, leaf in enumerate(leaves):
-            if li == dst_leaf:
-                leaf.add_route(host.host_id, dst % hosts_per_leaf)
-            else:
-                for si in range(num_spines):
-                    leaf.add_route(host.host_id, hosts_per_leaf + si)
+            leaf.routing_table[host.host_id] = (
+                [dst % hosts_per_leaf] if li == dst_leaf else uplinks.copy())
         for spine in spines:
-            spine.add_route(host.host_id, dst_leaf)
+            spine.routing_table[host.host_id] = [dst_leaf]
 
     def oneway(src: int, dst: int) -> int:
         if src // hosts_per_leaf == dst // hosts_per_leaf:
@@ -219,11 +218,12 @@ def build_testbed(sim: Simulator, hosts: Sequence,
         _wire_switch_to_switch(sim, sw1, half + c, sw2, half + c,
                                cross_link_delay_ns)
 
+    # One list per (switch, destination), as in build_clos.
+    uplinks = [half + c for c in range(cross_links)]
     for dst, host in enumerate(hosts):
         local_sw, remote_sw = (sw1, sw2) if dst < half else (sw2, sw1)
-        local_sw.add_route(host.host_id, dst % half)
-        for c in range(cross_links):
-            remote_sw.add_route(host.host_id, half + c)
+        local_sw.routing_table[host.host_id] = [dst % half]
+        remote_sw.routing_table[host.host_id] = uplinks.copy()
 
     def oneway(src: int, dst: int) -> int:
         if (src < half) == (dst < half):

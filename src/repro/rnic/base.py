@@ -275,7 +275,7 @@ class QueuePair:
 
 
 class RestartableTimer:
-    """A cancel-and-reschedule timer built on simulator events."""
+    """A restartable timer built on :meth:`Simulator.reschedule`."""
 
     def __init__(self, sim: Simulator, callback: Callable[[], None]) -> None:
         self.sim = sim
@@ -287,12 +287,9 @@ class RestartableTimer:
         return self._token is not None and not self._token.cancelled
 
     def restart(self, delay_ns: int) -> None:
-        # token.cancel() handles the engine's dead-heap-entry accounting;
-        # this runs once per ACK on every transport.
-        token = self._token
-        if token is not None:
-            token.cancel()
-        self._token = self.sim.schedule(delay_ns, self._fire)
+        # Once per ACK on every transport: a later deadline moves the
+        # token's key and leaves its one heap entry where it is.
+        self._token = self.sim.reschedule(self._token, delay_ns, self._fire)
 
     def cancel(self) -> None:
         token = self._token

@@ -13,7 +13,10 @@ beats bucket bookkeeping written in Python by 11-14 % end to end;
 bucketing pays back (5-7 %) only at the ~550 pending entries of
 ``collective64`` (EXPERIMENTS.md "Performance").  Cancelled entries are
 dropped lazily and the heap is compacted once more than half of it is
-dead, so per-flow timer re-arming does not grow it unboundedly.
+dead.  A timer restart to a later deadline (:meth:`Simulator.reschedule`,
+once per ACK on every transport) pushes nothing: the token records the
+new ``(when, seq)`` key and its old entry is re-filed there, uncounted,
+when it surfaces, so an armed timer owns exactly one heap entry.
 
 Callbacks are plain callables, no coroutine machinery: per-event overhead
 stays low enough for packet-level simulation in pure Python.  Times are
@@ -35,13 +38,21 @@ class CancelledToken:
     due.  Every token reports its death to its simulator, which compacts
     once more than half the heap is dead and detaches ``_owner`` when the
     event fires, so a late ``cancel()`` is never miscounted.
+
+    ``_at`` is the time of the token's heap entry and ``_seq`` the
+    sequence number of the key it fires at.  The two disagree with the
+    entry only after :meth:`Simulator.reschedule` deferred it; ``_when``
+    and ``_callback`` then hold the rest of the recorded event.
     """
 
-    __slots__ = ("cancelled", "_owner")
+    __slots__ = ("cancelled", "_owner", "_at", "_seq", "_when", "_callback")
 
-    def __init__(self, owner: Optional["Simulator"] = None) -> None:
+    def __init__(self, owner: Optional["Simulator"] = None,
+                 at: int = 0, seq: int = 0) -> None:
         self.cancelled: bool = False
         self._owner = owner
+        self._at = at
+        self._seq = seq
 
     def cancel(self) -> None:
         """Mark the event so the simulator discards it when due."""
@@ -61,10 +72,10 @@ class Simulator:
         sim.run()
 
     Cancellation is count-neutral: a cancelled entry is skipped when due
-    *without* counting toward ``events_processed`` (``RestartableTimer``
-    cancels and re-arms once per ACK; those dead entries must stay
-    invisible in the event count).  Only :meth:`run` writes ``now`` and
-    ``events_processed``, exactly once per fired event, before the callback.
+    *without* counting toward ``events_processed``, and so is a deferred
+    entry (:meth:`reschedule`) re-filed at its recorded key.  Only
+    :meth:`run` writes ``now`` and ``events_processed``, exactly once per
+    fired event, before the callback.
     """
 
     def __init__(self) -> None:
@@ -97,10 +108,36 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         self._seqn = seq = self._seqn + 1
-        token = CancelledToken(self)
-        heapq.heappush(self._heap, (self.now + delay, seq, token, callback, ()))
+        when = self.now + delay
+        token = CancelledToken(self, when, seq)
+        heapq.heappush(self._heap, (when, seq, token, callback, ()))
         if self._heap_dead * 2 > len(self._heap):
             self._compact_heap()
+        return token
+
+    def reschedule(self, token: Optional[CancelledToken], delay: int,
+                   callback: Callable[[], None]) -> CancelledToken:
+        """Move a pending event: observably ``token.cancel()`` followed by
+        ``schedule(delay, callback)``, and returns the new event's handle
+        (``token`` may be None, fired or cancelled; the old handle must
+        not be used afterwards).
+
+        A time not earlier than the token's heap entry takes the next
+        sequence number exactly as :meth:`schedule` would, records the
+        ``(when, seq)`` key on the token and pushes nothing: :meth:`run`
+        and :meth:`peek_time` re-file the entry at that key when it
+        surfaces, without firing or counting it.  This is what keeps a
+        restarted timer at one heap entry.  An earlier time cancels and
+        schedules.
+        """
+        if (token is None or token._owner is None or token.cancelled
+                or self.now + delay < token._at):
+            if token is not None:
+                token.cancel()
+            return self.schedule(delay, callback)
+        self._seqn = token._seq = self._seqn + 1
+        token._when = self.now + delay
+        token._callback = callback
         return token
 
     def call_after(self, delay: int, fn: Callable, *args) -> None:
@@ -134,12 +171,28 @@ class Simulator:
         heap[:] = live
         self._heap_dead = 0
 
+    def _refile(self, token: CancelledToken) -> None:
+        """Move the heap's top entry, deferred by :meth:`reschedule`, to
+        the key recorded on its token."""
+        token._at = token._when
+        heapq.heapreplace(self._heap, (token._when, token._seq, token,
+                                       token._callback, ()))
+
     def peek_time(self) -> Optional[int]:
         """Time of the next pending (non-cancelled) event, or None."""
         heap = self._heap
-        while heap and heap[0][2] is not None and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._heap_dead -= 1
+        while heap:
+            entry = heap[0]
+            token = entry[2]
+            if token is None:
+                break
+            if token.cancelled:
+                heapq.heappop(heap)
+                self._heap_dead -= 1
+            elif token._seq != entry[1]:
+                self._refile(token)
+            else:
+                break
         return heap[0][0] if heap else None
 
     def pending(self) -> int:
@@ -151,10 +204,14 @@ class Simulator:
         """Run events until the heap empties, ``until`` is reached, or
         ``max_events`` have been processed.
 
-        ``until`` is an absolute time in ns; events scheduled exactly at
-        it are executed.  On return ``now`` is the time of the last
-        executed event (or ``until`` if provided and reached).
+        ``until`` is an absolute time in ns, not earlier than ``now``;
+        events scheduled exactly at it are executed.  On return ``now``
+        is the time of the last executed event (or ``until`` if provided
+        and reached).
         """
+        if until is not None and until < self.now:
+            raise ValueError(
+                f"cannot run back to {until} ns (now={self.now} ns)")
         stop = self.events_processed + (
             max_events if max_events is not None else 0x7FFFFFFFFFFFFFFF)
         horizon = until if until is not None else 0x7FFFFFFFFFFFFFFF
@@ -162,15 +219,21 @@ class Simulator:
         pop = heapq.heappop
         while self.events_processed < stop:
             if not heap:
-                if until is not None and self.now < until:
+                if until is not None:
                     self.now = until
                 return
             entry = heap[0]
             token = entry[2]
-            if token is not None and token.cancelled:
-                pop(heap)
-                self._heap_dead -= 1
-                continue
+            if token is not None:
+                if token.cancelled:
+                    pop(heap)
+                    self._heap_dead -= 1
+                    continue
+                if token._seq != entry[1]:
+                    # Deferred by reschedule(): nothing fires and
+                    # nothing is counted.
+                    self._refile(token)
+                    continue
             when = entry[0]
             if when > horizon:
                 self.now = until

@@ -195,9 +195,11 @@ def test_mid_run_heap_compaction_keeps_event_stream_intact():
 # it.  The oracle here is implementation-independent: the test numbers
 # every scheduling call itself and records ``(when, n)`` for it; the
 # fired list must equal ``sorted()`` of the recorded keys, minus the
-# entries cancelled by something ordered before them.  Half the
-# operations are applied from *inside* callbacks, so mid-run insertion
-# and mid-run cancellation are exercised too.
+# entries cancelled by something ordered before them.  A reschedule and
+# a timer restart are modelled as exactly that: a cancel of the old key
+# plus a newly numbered one.  Half the operations are applied from
+# *inside* callbacks, so mid-run insertion, cancellation and restarts
+# are exercised too.
 
 # 0 ns ... 2**30 ns; the first arm makes equal-timestamp ties common.
 _DELAY = st.one_of(
@@ -206,15 +208,31 @@ _DELAY = st.one_of(
     st.integers(2**18, 2**30),
 )
 
+_PICK = st.integers(0, 10**6)
+
 # ("one", delay, also-cancel-some-earlier-token) | ("cancel", pick)
-_SCHEDULE_OR_CANCEL = st.one_of(
+# | ("resched", pick, delay) on a schedule() handle
+# | ("restart", pick, delay) | ("stop", pick) on a RestartableTimer
+# | ("rearm", pick, delay): that timer restarts itself when it fires
+_OP = st.one_of(
     st.tuples(st.just("one"), _DELAY, st.booleans()),
-    st.tuples(st.just("cancel"), st.integers(0, 10**6)),
+    st.tuples(st.just("cancel"), _PICK),
+    st.tuples(st.just("resched"), _PICK, _DELAY),
+    st.tuples(st.just("restart"), _PICK, _DELAY),
+    st.tuples(st.just("stop"), _PICK),
+    st.tuples(st.just("rearm"), _PICK, _DELAY),
 )
+
+_TIMERS = 3
 
 
 def _dead_in_heap(sim):
     return sum(1 for e in sim._heap if e[2] is not None and e[2].cancelled)
+
+
+def _assert_one_entry_per_token(sim):
+    ids = [id(e[2]) for e in sim._heap if e[2] is not None]
+    assert len(ids) == len(set(ids))
 
 
 class _Recorder:
@@ -227,11 +245,21 @@ class _Recorder:
         self.tokens = []            # (key, token) of the cancellable ones
         self.cancelled_by = {}      # key -> key of the event that cancelled it
         self._running = (-1, 0)     # sorts before every real key
+        self.timers = [RestartableTimer(sim, lambda i=i: self._on_timer(i))
+                       for i in range(_TIMERS)]
+        self.timer_keys = [None] * _TIMERS  # key of each timer's last arm
+        self.rearm = [None] * _TIMERS       # delay to restart with on fire
 
     def _key(self, delay):
         key = (self.sim.now + delay, len(self.keys) + 1)
         self.keys.append(key)
         return key
+
+    def _kill(self, key):
+        """Model of cancel(): the key never fires, unless it already has
+        (cancelled by itself or by a later-ordered event)."""
+        if key is not None:
+            self.cancelled_by.setdefault(key, self._running)
 
     def _fire(self, key, fn=None, args=()):
         assert self.sim.now == key[0]
@@ -240,6 +268,12 @@ class _Recorder:
         self.fired.append(key)
         if fn is not None:
             fn(*args)
+
+    def _on_timer(self, i):
+        self._fire(self.timer_keys[i])
+        delay, self.rearm[i] = self.rearm[i], None
+        if delay is not None:
+            self.restart(i, delay)
 
     def schedule(self, delay):
         key = self._key(delay)
@@ -253,16 +287,45 @@ class _Recorder:
         if self.tokens:
             key, token = self.tokens[pick % len(self.tokens)]
             token.cancel()
-            self.cancelled_by.setdefault(key, self._running)
+            self._kill(key)
+
+    def reschedule(self, pick, delay):
+        if not self.tokens:
+            return
+        i = pick % len(self.tokens)
+        old, token = self.tokens[i]
+        self._kill(old)
+        key = self._key(delay)
+        # The old handle is consumed: the slot now holds the new event's.
+        self.tokens[i] = (key, self.sim.reschedule(
+            token, delay, lambda: self._fire(key)))
+
+    def restart(self, i, delay):
+        self._kill(self.timer_keys[i])
+        self.timer_keys[i] = self._key(delay)
+        self.timers[i].restart(delay)
+
+    def stop(self, i):
+        self._kill(self.timer_keys[i])
+        self.timers[i].cancel()
 
     def apply(self, op):
-        if op[0] == "one":
+        kind = op[0]
+        if kind == "one":
             _, delay, cancel_mid = op
             self.schedule(delay)
             if cancel_mid:
                 self.cancel(len(self.tokens) // 2)
-        else:
+        elif kind == "cancel":
             self.cancel(op[1])
+        elif kind == "resched":
+            self.reschedule(op[1], op[2])
+        elif kind == "restart":
+            self.restart(op[1] % _TIMERS, op[2])
+        elif kind == "stop":
+            self.stop(op[1] % _TIMERS)
+        else:
+            self.rearm[op[1] % _TIMERS] = op[2]
 
     def expected(self):
         # Cancelled by an earlier-ordered event (or up front): never
@@ -272,8 +335,8 @@ class _Recorder:
                       if self.cancelled_by.get(k, k) >= k)
 
 
-@settings(deadline=None, max_examples=60)
-@given(ops=st.lists(_SCHEDULE_OR_CANCEL, min_size=1, max_size=30))
+@settings(deadline=None, max_examples=150)
+@given(ops=st.lists(_OP, min_size=1, max_size=30))
 def test_fired_stream_is_the_sorted_when_seq_order(ops):
     sim = Simulator()
     rec = _Recorder(sim)
@@ -291,21 +354,25 @@ def test_fired_stream_is_the_sorted_when_seq_order(ops):
     assert sim.pending() == 0 and sim._heap_dead == 0
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=150)
 @given(ops=st.lists(
     st.one_of(
-        _SCHEDULE_OR_CANCEL,
+        _OP,
         st.tuples(st.just("run_until"), _DELAY),
         st.tuples(st.just("run_events"), st.integers(0, 5)),
         st.tuples(st.just("peek")),
+        st.tuples(st.just("step")),
     ),
     min_size=1, max_size=40))
 def test_dead_count_matches_cancelled_entries_in_heap(ops):
     """White box: ``_heap_dead`` is exactly the number of cancelled
     entries still in ``_heap`` after any interleaving of schedule,
-    cancel (before, at and after the entry fired), partial runs and
-    ``peek_time`` — it is what the 50 % compaction trigger reads — and
-    a full drain leaves neither dead entries nor a dead count."""
+    cancel (before, at and after the entry fired), reschedule, timer
+    restarts, partial runs, ``step`` and ``peek_time`` — it is what the
+    50 % compaction trigger reads — no token ever owns two entries, and
+    a full drain leaves neither dead entries nor a dead count.  The
+    fired stream and the event count still follow the cancel-plus-
+    schedule model however the drain is cut."""
     sim = Simulator()
     rec = _Recorder(sim)
     for op in ops:
@@ -314,20 +381,26 @@ def test_dead_count_matches_cancelled_entries_in_heap(ops):
         elif op[0] == "run_events":
             sim.run(max_events=op[1])
         elif op[0] == "peek":
-            sim.peek_time()
+            head = sim.peek_time()
+            live = [k for k in rec.expected() if k not in rec.fired]
+            assert head == (live[0][0] if live else None)
+        elif op[0] == "step":
+            sim.step()
         else:
             rec.apply(op)
         assert sim._heap_dead == _dead_in_heap(sim)
+        _assert_one_entry_per_token(sim)
+        assert sim.events_processed == len(rec.fired)
     sim.run()
     assert rec.fired == rec.expected()
     assert sim.pending() == 0 and sim._heap_dead == 0
 
 
 def test_timer_churn_keeps_the_heap_bounded():
-    """Every ``restart()`` leaves a dead entry behind; compaction at
-    > 50 % dead must keep the heap within twice its live entries
-    however long the churn lasts (each transport restarts its RTO once
-    per ACK)."""
+    """A restart to an earlier deadline leaves a dead entry behind (a
+    later one moves its key, see below); compaction at > 50 % dead must
+    keep the heap within twice its live entries however long the churn
+    lasts (each transport restarts its RTO once per ACK)."""
     sim = Simulator()
     timers = [RestartableTimer(sim, lambda: None) for _ in range(8)]
     live = len(timers) + 1          # + the one in-flight chain event
@@ -337,7 +410,9 @@ def test_timer_churn_keeps_the_heap_bounded():
     def hop():
         nonlocal restarts, worst
         for _ in range(5):
-            timers[restarts % len(timers)].restart(1_000_000 + restarts)
+            # Deadlines wander up and down: both restart paths run.
+            timers[restarts % len(timers)].restart(
+                300_000 + (restarts * 7919) % 700_000)
             restarts += 1
             worst = max(worst, sim.pending())
         if restarts < 50_000:
@@ -350,6 +425,73 @@ def test_timer_churn_keeps_the_heap_bounded():
     assert restarts == 50_000
     assert worst <= 2 * live + 2
     assert sim.pending() == 0 and sim._heap_dead == 0
+
+
+def test_later_deadline_restarts_keep_one_heap_entry():
+    """White box: a restart to a later deadline moves the token's key
+    and pushes nothing, so an armed timer owns exactly one heap entry
+    and leaves no dead one behind.  Every restart still takes a
+    sequence number, as the cancel-plus-schedule it stands for would."""
+    sim = Simulator()
+    fired = []
+    timer = RestartableTimer(sim, lambda: fired.append(sim.now))
+    timer.restart(1_000)
+    seqn = sim._seqn
+    for i in range(1_000):
+        timer.restart(1_000 + i)
+        assert sim.pending() == 1 and sim._heap_dead == 0
+    assert sim._seqn == seqn + 1_000
+    assert sim.peek_time() == 1_999
+    sim.run()
+    assert fired == [1_999]
+    assert sim.events_processed == 1
+    assert sim.pending() == 0 and sim._heap_dead == 0
+
+
+def test_run_until_between_a_deferred_entry_and_its_recorded_time():
+    """The deferred entry surfaces at its old time inside the window; it
+    is re-filed, neither fired nor counted, and fires at its new key
+    after the events scheduled before the reschedule for that instant."""
+    sim = Simulator()
+    fired = []
+    token = sim.schedule(100, lambda: fired.append(("moved", sim.now)))
+    sim.schedule(300, lambda: fired.append(("first", sim.now)))
+    token = sim.reschedule(token, 300, lambda: fired.append(("moved", sim.now)))
+    sim.schedule(300, lambda: fired.append(("last", sim.now)))
+    assert sim.pending() == 3
+    sim.run(until=200)
+    assert fired == [] and sim.now == 200 and sim.events_processed == 0
+    assert sim.pending() == 3 and sim._heap_dead == 0
+    sim.run()
+    assert fired == [("first", 300), ("moved", 300), ("last", 300)]
+    assert sim.events_processed == 3
+
+
+def test_reschedule_to_an_earlier_time_cancels_and_schedules():
+    sim = Simulator()
+    fired = []
+    old = sim.schedule(500, lambda: fired.append("old"))
+    new = sim.reschedule(old, 200, lambda: fired.append("new"))
+    assert new is not old and old.cancelled
+    assert sim.pending() == 2 and sim._heap_dead == 1
+    sim.run()
+    assert fired == ["new"] and sim.now == 200
+    assert sim.events_processed == 1
+
+
+def test_run_until_earlier_than_now_is_rejected():
+    """Regression: ``run(until=T)`` with ``T < now`` used to set the
+    clock back to T, so an event scheduled next fired before one that
+    had already run."""
+    sim = Simulator()
+    sim.schedule(10, lambda: None)
+    sim.run()
+    sim.schedule(100, lambda: None)
+    with pytest.raises(ValueError):
+        sim.run(until=5)
+    assert sim.now == 10
+    sim.run(until=10)
+    assert sim.now == 10 and sim.events_processed == 1
 
 
 def test_run_until_skips_a_cancelled_head_and_keeps_the_live_tail():

@@ -90,13 +90,6 @@ def test_weighted_follows_capacity():
     assert 0.82 <= frac0 <= 0.97
 
 
-def test_single_candidate_short_circuits():
-    sw = _switch()
-    for lb in (EcmpLoadBalancer(), AdaptiveLoadBalancer(),
-               SprayLoadBalancer()):
-        assert lb.pick(sw, _pkt(), [2]) == 2
-
-
 def test_factory():
     assert isinstance(make_load_balancer("ecmp"), EcmpLoadBalancer)
     assert isinstance(make_load_balancer("ar"), AdaptiveLoadBalancer)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.ecn import RedProfile
+from repro.net.link import Link
 from repro.net.packet import (DcpTag, Packet, PacketKind, make_ack,
                               make_data_packet)
 from repro.net.pfc import PfcConfig
@@ -30,7 +31,6 @@ def make_switch(sim, **cfg_overrides):
 
 
 def attach_sink(sim, sw, port):
-    from repro.net.link import Link
     sink = Sink()
     link = Link(sim, sink, 0, prop_delay_ns=10)
     sw.attach(port, link, sink, 0)
@@ -322,3 +322,41 @@ def test_forced_loss_is_drawn_before_the_trim_decision():
     ho.trim()
     sw.receive(ho, in_port=0)
     assert rng.draws == 7
+
+
+class _RecordingBalancer:
+    """Raises if consulted for a single-candidate route."""
+
+    def __init__(self):
+        self.calls = []
+
+    def pick(self, switch, packet, candidates):
+        if len(candidates) == 1:
+            raise AssertionError("load balancer consulted for one candidate")
+        self.calls.append(list(candidates))
+        return candidates[-1]
+
+
+def test_single_candidate_short_circuits():
+    """A one-port route forwards without the load balancer; a multi-port
+    route still asks it.  Exact for every balancer: each used to return
+    ``candidates[0]`` for one candidate without touching its RNG, cursor
+    or flowlet state."""
+    sim = Simulator()
+    cfg = SwitchConfig(num_ports=3, rate_bits_per_ns=100.0,
+                       buffer_bytes=1_000_000)
+    lb = _RecordingBalancer()
+    sw = Switch(sim, 0, cfg, lb)
+    sinks = []
+    for port in range(3):
+        sink = Sink()
+        sw.attach(port, Link(sim, sink, 0, prop_delay_ns=10), sink, 0)
+        sinks.append(sink)
+    sw.add_route(dst=1, port_idx=1)
+    sw.add_route(dst=2, port_idx=0)
+    sw.add_route(dst=2, port_idx=2)
+    sw.receive(data_pkt(dst=1), in_port=0)
+    sw.receive(data_pkt(dst=2, psn=1), in_port=1)
+    sim.run()
+    assert [len(s.received) for s in sinks] == [0, 1, 1]
+    assert lb.calls == [[0, 2]]

@@ -125,3 +125,66 @@ class TestDelivery:
     def test_direct_topology_requires_two_hosts(self):
         with pytest.raises(ValueError):
             build_network(transport="gbn", topology="direct", num_hosts=3)
+
+
+# ------------------------------------------ routing tables, one list each
+def _clos_by_add_route(fab, num_leaves, num_spines):
+    """The per-port ``add_route`` construction the builder replaced."""
+    hosts_per_leaf = len(fab.hosts) // num_leaves
+    leaves, spines = fab.switches[:num_leaves], fab.switches[num_leaves:]
+    for dst, host in enumerate(fab.hosts):
+        dst_leaf = dst // hosts_per_leaf
+        for li, leaf in enumerate(leaves):
+            if li == dst_leaf:
+                leaf.add_route(host.host_id, dst % hosts_per_leaf)
+            else:
+                for si in range(num_spines):
+                    leaf.add_route(host.host_id, hosts_per_leaf + si)
+        for spine in spines:
+            spine.add_route(host.host_id, dst_leaf)
+
+
+def _testbed_by_add_route(fab, cross_links):
+    half = len(fab.hosts) // 2
+    sw1, sw2 = fab.switches
+    for dst, host in enumerate(fab.hosts):
+        local_sw, remote_sw = (sw1, sw2) if dst < half else (sw2, sw1)
+        local_sw.add_route(host.host_id, dst % half)
+        for c in range(cross_links):
+            remote_sw.add_route(host.host_id, half + c)
+
+
+def _assert_tables_match_add_route(fab, rebuild):
+    built = [list(sw.routing_table.items()) for sw in fab.switches]
+    entries = [ports for table in built for _, ports in table]
+    # FailureInjector(converge_routing=True) edits entries in place.
+    assert len({id(ports) for ports in entries}) == len(entries)
+    for sw in fab.switches:
+        sw.routing_table = {}
+    rebuild()
+    # Same keys, same insertion order, same candidate order.
+    assert built == [list(sw.routing_table.items()) for sw in fab.switches]
+
+
+@pytest.mark.parametrize("num_hosts,num_leaves,num_spines", [
+    (8, 2, 2),          # the unit-test clos
+    (64, 8, 4),         # collective64
+    (256, 32, 16),      # hybrid256
+])
+def test_clos_tables_equal_the_add_route_construction(
+        num_hosts, num_leaves, num_spines):
+    sim = Simulator()
+    fab = build_clos(sim, _hosts(sim, num_hosts), num_leaves, num_spines,
+                     _cfg, EcmpLoadBalancer)
+    _assert_tables_match_add_route(
+        fab, lambda: _clos_by_add_route(fab, num_leaves, num_spines))
+
+
+@pytest.mark.parametrize("num_hosts,cross_links", [(8, 4), (16, 8), (4, 1)])
+def test_testbed_tables_equal_the_add_route_construction(num_hosts,
+                                                         cross_links):
+    sim = Simulator()
+    fab = build_testbed(sim, _hosts(sim, num_hosts), _cfg, EcmpLoadBalancer,
+                        cross_links=cross_links)
+    _assert_tables_match_add_route(
+        fab, lambda: _testbed_by_add_route(fab, cross_links))
