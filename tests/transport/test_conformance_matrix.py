@@ -25,6 +25,11 @@ means to alter a transport's behaviour regenerates them.  The values in
 ``_DIGESTS`` were generated at commit 2f39c13 with
 
     PYTHONPATH=src:. python tests/transport/test_conformance_matrix.py
+
+None of those cells congests a queue, so a second set pins a 12->1
+incast on a 16-host Clos under each congestion control (``_INCAST_CCS``):
+ECN marks, CNPs, DCQCN pacing gates and Swift's adaptive window are
+what its ``_INCAST_DIGESTS`` exercise.  The same command prints both.
 """
 
 from __future__ import annotations
@@ -144,6 +149,57 @@ _DIGESTS = {
 }
 
 
+#: Congestion controls of the incast cells: a static window, rate-based
+#: DCQCN (ECN marks -> CNPs -> pacing) and delay-based Swift (no fixed
+#: window).
+_INCAST_CCS = ("none", "dcqcn", "swift")
+_INCAST_SENDERS = range(1, 13)
+_INCAST_BYTES = 40_000
+
+
+def _run_incast_cell(transport: str, cc: str):
+    """Twelve senders into host 0 through one ECMP leaf-spine fabric."""
+    net = Network(NetworkSpec(transport=transport, cc=cc, lb="ecmp",
+                              topology="clos", num_hosts=16, num_leaves=2,
+                              num_spines=2, link_rate=10.0,
+                              buffer_bytes=300_000, seed=7))
+    flows = [net.open_flow(src, 0, _INCAST_BYTES, 0)
+             for src in _INCAST_SENDERS]
+    net.run_until_flows_done(max_events=50_000_000)
+    return net, flows
+
+
+_INCAST_DIGESTS = {
+    ('dcp', 'none'): '9a83a0acadf5d9a0',
+    ('dcp', 'dcqcn'): '32706428f520cfb0',
+    ('dcp', 'swift'): '9a83a0acadf5d9a0',
+    ('gbn', 'none'): 'a66d5699c835f469',
+    ('gbn', 'dcqcn'): 'a66d5699c835f469',
+    ('gbn', 'swift'): 'a66d5699c835f469',
+    ('irn', 'none'): '884838d1cd464e44',
+    ('irn', 'dcqcn'): '386279fe50975bcc',
+    ('irn', 'swift'): '1e6498d000120b17',
+    ('mp_rdma', 'none'): '28078942ffb7c092',
+    ('mp_rdma', 'dcqcn'): 'fb598f16977a26f1',
+    ('mp_rdma', 'swift'): '28078942ffb7c092',
+    ('rack_tlp', 'none'): 'd91b2015482812b7',
+    ('rack_tlp', 'dcqcn'): '72020101cdf47471',
+    ('rack_tlp', 'swift'): 'd91b2015482812b7',
+    ('rifl', 'none'): '78f64bf34de3953c',
+    ('rifl', 'dcqcn'): '6886927f37231974',
+    ('rifl', 'swift'): 'cdbaeb603134151f',
+    ('sdr', 'none'): '83d0767d3e170ce4',
+    ('sdr', 'dcqcn'): 'fa67236e085d6c89',
+    ('sdr', 'swift'): 'ad764ffa9ea8093e',
+    ('tcp', 'none'): '66f21ca3196ad40a',
+    ('tcp', 'dcqcn'): '66f21ca3196ad40a',
+    ('tcp', 'swift'): '66f21ca3196ad40a',
+    ('timeout', 'none'): '78f64bf34de3953c',
+    ('timeout', 'dcqcn'): '6886927f37231974',
+    ('timeout', 'swift'): 'b11a6cba8b2d3c9e',
+}
+
+
 @pytest.mark.parametrize("loss_rate", LOSS_RATES)
 @pytest.mark.parametrize("topology", ("direct", "clos"))
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -163,6 +219,18 @@ def test_exactly_once_delivery(transport: str, topology: str,
             " delivery)")
     assert _digest(net, flows) == _DIGESTS[transport, topology, loss_rate], (
         f"{transport}/{topology}/loss={loss_rate}: event stream moved")
+
+
+@pytest.mark.parametrize("cc", _INCAST_CCS)
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_incast_under_congestion_control(transport: str, cc: str) -> None:
+    net, flows = _run_incast_cell(transport, cc)
+    for flow in flows:
+        assert flow.completed and flow.rx_bytes == flow.size_bytes, (
+            f"{transport}/incast/{cc}: flow {flow.src}->0 delivered "
+            f"{flow.rx_bytes}/{flow.size_bytes} bytes")
+    assert _digest(net, flows) == _INCAST_DIGESTS[transport, cc], (
+        f"{transport}/incast/{cc}: event stream moved")
 
 
 @pytest.mark.parametrize("topology", ("direct", "clos"))
@@ -204,4 +272,10 @@ if __name__ == "__main__":
             for _loss in LOSS_RATES:
                 _d = _digest(*_run_matrix_cell(_t, _topo, _loss))
                 print(f"    ({_t!r}, {_topo!r}, {_loss!r}): {_d!r},")
+    print("}")
+    print("_INCAST_DIGESTS = {")
+    for _t in TRANSPORTS:
+        for _cc in _INCAST_CCS:
+            _d = _digest(*_run_incast_cell(_t, _cc))
+            print(f"    ({_t!r}, {_cc!r}): {_d!r},")
     print("}")
