@@ -115,6 +115,7 @@ class GbnTransport(WindowTransport):
         st = qp.rx_state
         if st is None:
             st = self._recv_state(qp)
+        self.maybe_send_cnp(qp, packet)
         if packet.psn == st.epsn:
             st.epsn += 1
             st.nak_outstanding = False

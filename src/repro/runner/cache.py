@@ -42,7 +42,9 @@ from typing import Any, Optional
 #: Multi-QP NICs under rate-based CC move (fig16's dcqcn/irn row).
 #: v10: ``simulate_flows`` records gain ``tag``, ``ideal_fct_ns`` and
 #: ``data_pkts_sent``; a v9 fig8/fig17/robustness entry lacks them.
-CACHE_VERSION = 10
+#: v11: GBN receivers echo ECN marks as CNPs; a v10 gbn+dcqcn point
+#: replays a DCQCN that never saw one.
+CACHE_VERSION = 11
 
 
 def default_cache_dir() -> Path:

@@ -174,7 +174,7 @@ _INCAST_DIGESTS = {
     ('dcp', 'dcqcn'): '32706428f520cfb0',
     ('dcp', 'swift'): '9a83a0acadf5d9a0',
     ('gbn', 'none'): 'a66d5699c835f469',
-    ('gbn', 'dcqcn'): 'a66d5699c835f469',
+    ('gbn', 'dcqcn'): '68659672a2d98eec',
     ('gbn', 'swift'): 'a66d5699c835f469',
     ('irn', 'none'): '884838d1cd464e44',
     ('irn', 'dcqcn'): '386279fe50975bcc',
@@ -231,6 +231,17 @@ def test_incast_under_congestion_control(transport: str, cc: str) -> None:
             f"{flow.rx_bytes}/{flow.size_bytes} bytes")
     assert _digest(net, flows) == _INCAST_DIGESTS[transport, cc], (
         f"{transport}/incast/{cc}: event stream moved")
+
+
+@pytest.mark.parametrize("transport", [t for t in TRANSPORTS if t != "tcp"])
+def test_roce_receivers_echo_ecn_marks_as_cnps(transport: str) -> None:
+    """Every RoCE receiver turns ECN marks into CNPs, so DCQCN senders
+    under an incast really are cut back (TCP ignores the fabric CC)."""
+    net, _flows = _run_incast_cell(transport, "dcqcn")
+    assert net.fabric.switch_stats_sum("ecn_marked") > 0
+    cnps = sum(qp.cc.cnps_received for src in _INCAST_SENDERS
+               for qp in net.transports[src].qps.values())
+    assert cnps > 0, f"{transport}: ECN marks never came back as CNPs"
 
 
 @pytest.mark.parametrize("topology", ("direct", "clos"))
