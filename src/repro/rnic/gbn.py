@@ -13,8 +13,8 @@ loss rate (Fig 10).
 
 from __future__ import annotations
 
-from repro.net.packet import Packet, PacketKind, make_data_packet
-from repro.rnic.base import QueuePair, _GATED, _NO_WORK
+from repro.net.packet import Packet, PacketKind
+from repro.rnic.base import QueuePair
 from repro.rnic.window import NakRecvState, SendState, WindowTransport
 
 
@@ -37,54 +37,6 @@ class GbnTransport(WindowTransport):
     RecvState = NakRecvState
 
     # -------------------------------------------------------------- sender
-    def _qp_poll(self, qp: QueuePair, now: int):
-        """One-call scheduler probe — the GBN fast path.
-
-        The skeleton's probe specialised to the go-back pointer (no
-        retransmit queue; a PSN at or below ``max_sent`` is a
-        retransmission), with ``payload_of``, the static-window check,
-        packet construction and the RTO arm inlined.
-        """
-        st = qp.tx_state
-        if st is None:
-            st = self._send_state(qp)
-        snd_nxt = st.snd_nxt
-        if snd_nxt >= qp.next_psn:
-            return _NO_WORK
-        if qp.next_send_ns > now:
-            return _GATED
-        mtu = self.config.mtu_payload
-        msg = qp.psn_to_message(snd_nxt)
-        off = snd_nxt - msg.base_psn
-        if off < msg.num_pkts - 1:
-            payload = mtu
-        else:
-            payload = msg.size_bytes - (msg.num_pkts - 1) * mtu
-        cc = qp.cc
-        wb = cc.window_bytes
-        if wb is None:
-            if cc.available_window((snd_nxt - st.snd_una) * mtu) < payload:
-                return None
-        elif wb - (snd_nxt - st.snd_una) * mtu < payload:
-            return None
-        is_retx = snd_nxt <= st.max_sent
-        packet = make_data_packet(
-            self.host_id, qp.peer_host_id, msg.flow.flow_id, qp.peer_qpn,
-            qp.qpn, snd_nxt, msg.msn, payload, mtu, msg.num_pkts,
-            msg.size_bytes, off, False, -1, 0, qp.entropy, is_retx, 0,
-            self.sim)
-        if is_retx:
-            self.count_retransmit(msg.flow)
-        else:
-            msg.flow.stats.data_pkts_sent += 1
-            st.max_sent = snd_nxt
-        st.snd_nxt = snd_nxt + 1
-        timer = st.timer
-        token = timer._token
-        if token is None or token.cancelled:
-            timer.restart(self.config.rto_ns)
-        return packet
-
     def _on_rto(self, qp: QueuePair) -> None:
         st = self._send_state(qp)
         if st.snd_una >= qp.next_psn:

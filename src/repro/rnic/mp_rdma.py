@@ -20,7 +20,7 @@ R1/R3).  Modelled behaviours:
 from __future__ import annotations
 
 from repro.net.packet import Packet, PacketKind
-from repro.rnic.base import QueuePair, TransportConfig, _GATED, _NO_WORK
+from repro.rnic.base import QueuePair, TransportConfig
 from repro.rnic.window import (BEYOND_BOUND, IN_ORDER, NakRecvState,
                                SendState, WindowTransport)
 from repro.sim.engine import Simulator
@@ -67,31 +67,18 @@ class MpRdmaTransport(WindowTransport):
         return st
 
     # -------------------------------------------------------------- sender
-    def _qp_poll(self, qp: QueuePair, now: int):
-        """Go-back pointer under the native packet window."""
-        st = qp.tx_state
-        if st is None:
-            st = self._send_state(qp)
-        psn = st.snd_nxt
-        if psn >= qp.next_psn:
-            return _NO_WORK
-        if qp.next_send_ns > now:
-            return _GATED
-        if psn - st.snd_una >= max(1, int(st.cwnd_pkts)):
-            return None
-        msg = qp.psn_to_message(psn)
-        packet = self._build(
-            qp, msg, psn,
-            msg.payload_of(psn - msg.base_psn, self.config.mtu_payload),
-            is_retx=psn <= st.max_sent)
+    def _window_open(self, qp: QueuePair, st: _MpSendState, psn: int,
+                     payload: int) -> bool:
+        """The native AIMD packet window, not the CC's."""
+        return psn - st.snd_una < max(1, int(st.cwnd_pkts))
+
+    def _on_transmit(self, qp: QueuePair, st: _MpSendState, psn: int,
+                     packet: Packet) -> None:
         # Per-packet virtual path: cycle entropy values so ECMP spreads the
         # QP across num_vp paths.
         packet.entropy = (qp.entropy * self.num_vp) + st.vp_cursor
         st.vp_cursor = (st.vp_cursor + 1) % self.num_vp
-        st.max_sent = max(st.max_sent, psn)
-        st.snd_nxt = psn + 1
-        self._on_transmit(qp, st, psn, packet)
-        return packet
+        super()._on_transmit(qp, st, psn, packet)
 
     def _on_rto(self, qp: QueuePair) -> None:
         st = self._send_state(qp)

@@ -10,9 +10,14 @@ holds the window once:
 * per-QP sender state (``snd_una``/``snd_nxt``/``max_sent``, the SACK
   scoreboard, the retransmit queue, one RTO timer) and receiver state
   (``epsn`` + the out-of-order set), created lazily;
-* the scheduler probe: work check, pacing gate, drain the retransmit
-  queue skipping PSNs repaired meanwhile, then new data under
-  ``cc.available_window``;
+* the scheduler probe, the only one the window transports have: work
+  check, pacing gate, drain the retransmit queue skipping PSNs repaired
+  meanwhile, then the PSN at ``snd_nxt`` if :meth:`_window_open` allows
+  it.  That PSN is new data, or a retransmission when a go-back rewind
+  put ``snd_nxt`` at or below ``max_sent``.  Two hooks shape it:
+  :meth:`_window_open` (default: the CC's window; MP-RDMA and TCP use
+  their own packet windows) and :meth:`_on_transmit` (timestamps,
+  timers, per-packet path entropy, software-stack pacing);
 * data-packet construction with its sent/retransmit accounting;
 * the cumulative-ACK advance (CC credit, message completion);
 * the order-tolerant exactly-once receive step and ACK/SACK emission.
@@ -128,14 +133,38 @@ class WindowTransport(RnicTransport):
         if psn >= qp.next_psn:
             return None
         msg = qp.psn_to_message(psn)
-        payload = msg.payload_of(psn - msg.base_psn, mtu)
-        if qp.cc.available_window((psn - st.snd_una) * mtu) < payload:
+        # Message.payload_of, inlined: every probe of a QP with new data
+        # computes it, including those the window then turns away.
+        last = msg.num_pkts - 1
+        if psn - msg.base_psn < last:
+            payload = mtu
+        else:
+            payload = msg.size_bytes - last * mtu
+        if not self._window_open(qp, st, psn, payload):
             return None
-        packet = self._build(qp, msg, psn, payload, is_retx=False)
+        # After a go-back rewind, "new" data at or below max_sent is a
+        # retransmission.
+        is_retx = psn <= st.max_sent
+        packet = self._build(qp, msg, psn, payload, is_retx)
         self._on_transmit(qp, st, psn, packet)
-        st.max_sent = max(st.max_sent, psn)
+        if not is_retx:
+            st.max_sent = psn
         st.snd_nxt = psn + 1
         return packet
+
+    def _window_open(self, qp: QueuePair, st: SendState, psn: int,
+                     payload: int) -> bool:
+        """May ``psn`` (``payload`` bytes) leave at the head of the window?
+
+        The CC's window, read straight off ``window_bytes`` when it is a
+        static cap.  Transports with a native packet window override it.
+        """
+        cc = qp.cc
+        inflight = (psn - st.snd_una) * self.config.mtu_payload
+        wb = cc.window_bytes
+        if wb is None:
+            return cc.available_window(inflight) >= payload
+        return wb - inflight >= payload
 
     def _build(self, qp: QueuePair, msg: Message, psn: int, payload: int,
                is_retx: bool) -> Packet:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.net.packet import Packet, PacketKind
 from repro.obs import spans
-from repro.rnic.base import QueuePair, TransportConfig, _GATED, _NO_WORK
+from repro.rnic.base import QueuePair, TransportConfig
 from repro.rnic.window import SendState, WindowTransport
 from repro.sim.engine import Simulator
 
@@ -56,30 +56,18 @@ class TcpTransport(WindowTransport):
         self._rx_delay_ns = stack_latency_ns + host_overhead_ns
 
     # -------------------------------------------------------------- sender
-    def _qp_poll(self, qp: QueuePair, now: int):
-        """Go-back pointer under the NewReno window, paced by CPU cost."""
-        st = qp.tx_state
-        if st is None:
-            st = self._send_state(qp)
-        psn = st.snd_nxt
-        if psn >= qp.next_psn:
-            return _NO_WORK
-        if qp.next_send_ns > now:
-            return _GATED
-        if psn - st.snd_una >= max(1, int(st.cwnd)):
-            return None
-        msg = qp.psn_to_message(psn)
-        packet = self._build(
-            qp, msg, psn,
-            msg.payload_of(psn - msg.base_psn, self.config.mtu_payload),
-            is_retx=psn <= st.max_sent)
+    def _window_open(self, qp: QueuePair, st: _TcpSendState, psn: int,
+                     payload: int) -> bool:
+        """NewReno's packet window, not the CC's."""
+        return psn - st.snd_una < max(1, int(st.cwnd))
+
+    def _on_transmit(self, qp: QueuePair, st: _TcpSendState, psn: int,
+                     packet: Packet) -> None:
         packet.kind = PacketKind.TCP_DATA
-        self._on_transmit(qp, st, psn, packet)
-        st.max_sent = max(st.max_sent, psn)
-        st.snd_nxt = psn + 1
+        super()._on_transmit(qp, st, psn, packet)
         # CPU cost of the send path: pace the next segment.
-        qp.next_send_ns = max(qp.next_send_ns, now + self.host_overhead_ns)
-        return packet
+        qp.next_send_ns = max(qp.next_send_ns,
+                              self.sim.now + self.host_overhead_ns)
 
     def _on_rto(self, qp: QueuePair) -> None:
         st = self._send_state(qp)
