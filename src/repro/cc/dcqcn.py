@@ -3,7 +3,8 @@
 The paper integrates DCQCN into DCP and IRN for the high-load
 experiments (§6.3).  This is the standard rate-based algorithm:
 
-* the receiver echoes ECN marks as CNPs (at most one per ``cnp_interval``);
+* the receiver echoes ECN marks as CNPs (at most one per
+  ``TransportConfig.cnp_interval_ns``);
 * on a CNP the sender cuts the current rate ``Rc`` multiplicatively by
   ``alpha/2`` and remembers the pre-cut rate as the target ``Rt``;
 * ``alpha`` is an EWMA of observed congestion, decayed every
@@ -36,7 +37,6 @@ class DcqcnParams:
     rhai: float = 50.0                  # hyper increase
     fast_recovery_rounds: int = 5
     window_bytes: int = 1 << 30         # optional cap on outstanding bytes
-    cnp_interval_ns: int = 50_000       # receiver-side CNP moderation
 
 
 class DcqcnCc(CongestionControl):
@@ -51,7 +51,6 @@ class DcqcnCc(CongestionControl):
         self.rate = params.line_rate      # Rc
         self.target_rate = params.line_rate  # Rt
         self.alpha = 1.0
-        self._last_cnp_ns = -1
         self._last_alpha_update_ns = 0
         self._last_increase_ns = 0
         self._bytes_since_increase = 0
@@ -69,7 +68,6 @@ class DcqcnCc(CongestionControl):
         self._byte_stage = 0
         self._bytes_since_increase = 0
         self._last_increase_ns = now_ns
-        self._last_cnp_ns = now_ns
 
     def on_ack(self, acked_bytes: int, now_ns: int) -> None:
         self._update_alpha(now_ns, congested=False)

@@ -53,12 +53,10 @@ class TransportConfig:
     rto_ns: int = 2_000_000              # retransmission timeout (RTO_high)
     rto_low_ns: int = 300_000            # IRN's RTO_low for few outstanding pkts
     rto_low_threshold_pkts: int = 3
-    ack_every_packet: bool = True
     # --- DCP (§4.3, §4.5) -------------------------------------------------
     pcie_rtt_ns: int = 1_000             # host <-> RNIC round trip
     retrans_batch: int = 16              # RetransQ entries fetched per batch
     round_quota_bytes: int = 16_384      # per-QP scheduling round quota
-    wqe_fetch_n: int = 8
     coarse_timeout_ns: int = 4_000_000   # DCP fallback timer (§4.5)
     dcp_naive_retrans: bool = False      # ablation: per-HO fetch (2 PCIe RTs each)
     # --- SDR selective repeat (reliability-scheme frontier) ----------------
@@ -67,7 +65,6 @@ class TransportConfig:
     sdr_sack_gap_pkts: int = 3           # ack-vector gap triggering fast retx
     # --- misc --------------------------------------------------------------
     cnp_interval_ns: int = 50_000        # DCQCN receiver CNP moderation
-    debug_oracle: bool = False           # ground-truth exactly-once checking
 
 
 class FlowStats(CounterBlock):
