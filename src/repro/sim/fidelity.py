@@ -37,11 +37,11 @@ that with two cooperating pieces:
     escalates the incumbent and runs itself at packet level);
   - cross-zone capacity: flows crossing leaves (clos) or sides
     (testbed) are admitted fluid only while the zone's aggregate stays
-    under ``utilization_threshold`` of its parallel uplinks — and under
+    under ``UTILIZATION_THRESHOLD`` of its parallel uplinks — and under
     ECMP only while they are the *sole* cross-zone flow, since hashing
     may stack two flows on one spine.
 
-  De-escalation is admission-side only: once ``quiet_rtts`` round-trip
+  De-escalation is admission-side only: once ``QUIET_RTTS`` round-trip
   times pass with empty queues and no new signals, *new* flows qualify
   for the fluid tier again.  An escalated flow never returns to fluid.
 
@@ -56,8 +56,8 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Optional
 
-__all__ = ["FluidTimeline", "FidelityController", "FidelityConfig",
-           "FLUID_TRANSPORTS", "FLUID_CCS"]
+__all__ = ["FluidTimeline", "FidelityController", "FLUID_TRANSPORTS",
+           "FLUID_CCS"]
 
 #: Transports whose zero-loss, uncontended dynamics the fluid timeline
 #: reproduces exactly.  Excluded: tcp (host-stack overhead model),
@@ -73,6 +73,18 @@ FLUID_CCS = frozenset({"none", "window"})
 #: A constant, not a tunable: a collective needs a handful, and a
 #: heavy-tailed size distribution must not grow the memo without limit.
 SCHEDULE_MEMO_BOUND = 256
+
+#: Cross-zone fluid flows stay under this share of the zone's parallel
+#: uplinks (the ``zone_utilization`` falsifier, non-ECMP fabrics).
+UTILIZATION_THRESHOLD = 0.85
+#: Quiet base RTTs (empty queues, no congestion signal) before new
+#: flows may run fluid again.
+QUIET_RTTS = 8
+#: Most quanta a fluid flow's deliveries are replayed in; the
+#: controller refreshes once per base RTT and spaces quanta by that.
+MAX_QUANTA = 32
+#: Most decisions kept in :attr:`FidelityController.log`.
+MAX_LOG = 512
 
 
 class FluidTimeline:
@@ -206,24 +218,6 @@ class FluidTimeline:
                      for n in (*range(step, total, step), total))
 
 
-class FidelityConfig:
-    """Tunables of the hybrid tier (defaults documented in DESIGN.md)."""
-
-    __slots__ = ("utilization_threshold", "quiet_rtts", "max_quanta",
-                 "max_log", "refresh_interval_ns")
-
-    def __init__(self, utilization_threshold: float = 0.85,
-                 quiet_rtts: int = 8, max_quanta: int = 32,
-                 max_log: int = 512,
-                 refresh_interval_ns: Optional[int] = None) -> None:
-        self.utilization_threshold = utilization_threshold
-        self.quiet_rtts = quiet_rtts
-        self.max_quanta = max_quanta
-        self.max_log = max_log
-        # None -> one base RTT (resolved by the controller).
-        self.refresh_interval_ns = refresh_interval_ns
-
-
 class _FluidFlow:
     """Book-keeping for one flow currently running in the fluid tier."""
 
@@ -267,10 +261,9 @@ class _Active:
 class FidelityController:
     """Per-flow fluid/packet arbiter for a hybrid-fidelity Network."""
 
-    def __init__(self, net, config: Optional[FidelityConfig] = None) -> None:
+    def __init__(self, net) -> None:
         self.net = net
         self.sim = net.sim
-        self.cfg = config or FidelityConfig()
         spec = net.spec
         self._static_reason: Optional[str] = None
         if spec.loss_rate > 0:
@@ -283,10 +276,8 @@ class FidelityController:
         elif spec.cc not in FLUID_CCS:
             self._static_reason = "cc_dynamics"
         base_rtt = 2 * net._estimate_oneway_ns()
-        self.quiet_ns = self.cfg.quiet_rtts * base_rtt
-        self.refresh_ns = (self.cfg.refresh_interval_ns
-                           if self.cfg.refresh_interval_ns is not None
-                           else base_rtt)
+        self.quiet_ns = QUIET_RTTS * base_rtt
+        self.refresh_ns = base_rtt
         # Flow packetization mirrors RnicTransport.post_flow.
         cfgt = net.tconfig
         self._chunk = max(cfgt.mtu_payload, cfgt.max_message_bytes)
@@ -429,7 +420,7 @@ class FidelityController:
                 if self._cross_total:
                     return "ecmp_cross_path"
             else:
-                cap = int(self.cfg.utilization_threshold
+                cap = int(UTILIZATION_THRESHOLD
                           * (fab.cross_capacity or 1))
                 cap = max(1, cap)
                 if (self._zone_out.get(src_zone, 0) >= cap
@@ -488,7 +479,7 @@ class FidelityController:
 
     def _note(self, flow, action: str, reason: str) -> None:
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
-        if len(self.log) < self.cfg.max_log:
+        if len(self.log) < MAX_LOG:
             self.log.append({"t_ns": self.sim.now, "flow_id": flow.flow_id,
                              "src": flow.src, "dst": flow.dst,
                              "size_bytes": flow.size_bytes,
@@ -524,7 +515,7 @@ class FidelityController:
         if entry is None:
             timeline = FluidTimeline(flow.size_bytes, self._mtu, self._chunk,
                                      self._header, nic.ser_ns, hops, oneway_ns)
-            entry = (timeline, timeline.sample_schedule(self.cfg.max_quanta,
+            entry = (timeline, timeline.sample_schedule(MAX_QUANTA,
                                                         self.refresh_ns))
             if len(memo) >= SCHEDULE_MEMO_BOUND:
                 del memo[next(iter(memo))]
