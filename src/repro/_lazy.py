@@ -5,7 +5,8 @@ re-export names whose modules load the simulator.  Importing a package
 must not: ``repro.experiments.spec`` or ``repro.sim.trace`` would then
 cost as much as ``repro.experiments.common`` (DESIGN.md "Import
 layers").  ``from repro.sim import Simulator`` reads the same as ever.
-``repro.obs`` defers its sampler (an import cycle) and its ``-m`` tools.
+``repro.obs`` defers its sampler (it loads the engine) and its ``-m``
+tools.
 """
 
 from __future__ import annotations

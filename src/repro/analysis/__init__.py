@@ -1,29 +1,1 @@
 """Analysis: FCT statistics, analytic models, resource inventories."""
-
-from repro.analysis.fct import (BinStat, cdf_points, goodput_gbps,
-                                jain_fairness, overall_percentiles,
-                                percentile, retransmission_ratio,
-                                slowdown_bins)
-from repro.analysis.latency import (COMPONENTS, breakdown_rows,
-                                    flow_breakdown)
-from repro.analysis.models import (ASIC_CATALOG, REQUIREMENTS_MATRIX,
-                                   SwitchAsic, lossless_distance_km,
-                                   table3_rows, theoretical_packet_rate_mpps,
-                                   tracking_access_cycles,
-                                   tracking_memory_bytes)
-from repro.analysis.onload import OnloadModel, onload_comparison
-from repro.analysis.resources import ResourceEstimate, estimate, table4_rows
-from repro.analysis.timeseries import Sampler, Series, watch_switch_queues
-
-__all__ = [
-    "ASIC_CATALOG", "BinStat", "COMPONENTS", "OnloadModel",
-    "REQUIREMENTS_MATRIX",
-    "ResourceEstimate", "breakdown_rows", "flow_breakdown",
-    "onload_comparison",
-    "Sampler", "Series", "SwitchAsic", "cdf_points", "estimate",
-    "goodput_gbps", "jain_fairness", "watch_switch_queues",
-    "lossless_distance_km", "overall_percentiles", "percentile",
-    "retransmission_ratio", "slowdown_bins", "table3_rows", "table4_rows",
-    "theoretical_packet_rate_mpps", "tracking_access_cycles",
-    "tracking_memory_bytes",
-]

@@ -3,17 +3,22 @@
 These helpers turn flow results into the rows the paper's figures plot:
 per-size-bin P50/P95/P99 FCT slowdown over ``(size_bytes, slowdown)``
 pairs (Fig 13, 15, 16), FCT CDFs (Fig 14b/d) and goodput of a
-:class:`~repro.rnic.base.Flow` (Fig 10, 17).
+:class:`~repro.rnic.base.Flow` (Fig 10, 17).  :func:`slowdowns` and
+:func:`switch_total` read a :func:`repro.runner.points.simulate_flows`
+payload back in a figure's ``merge``; nothing here needs the simulator
+loaded, so a cache replay does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.rnic.base import Flow
 from repro.workload.distributions import WEBSEARCH_BINS_KB
+
+if TYPE_CHECKING:
+    from repro.rnic.base import Flow
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -86,6 +91,22 @@ def overall_percentiles(slowdowns: Iterable[tuple[int, float]]
         return {"p50": float("nan"), "p95": float("nan"), "p99": float("nan")}
     return {"p50": percentile(vals, 50), "p95": percentile(vals, 95),
             "p99": percentile(vals, 99), "mean": sum(vals) / len(vals)}
+
+
+def slowdowns(payload: dict) -> list[tuple[int, float]]:
+    """``(size_bytes, slowdown)`` per completed flow of a
+    :func:`~repro.runner.points.simulate_flows` payload, in posting
+    order; the slowdown is the FCT over the empty-fabric ideal, floored
+    at 1."""
+    return [(r["size_bytes"], max(1.0, r["fct_ns"] / r["ideal_fct_ns"]))
+            for r in payload["flows"] if r["completed"]]
+
+
+def switch_total(payload: dict, field: str) -> int:
+    """A :class:`~repro.net.switch.SwitchStats` field summed over every
+    switch of the point (its ``switch.<name>.<field>`` counters)."""
+    return sum(value for name, value in payload["metrics"]["counters"].items()
+               if name.startswith("switch.") and name.endswith("." + field))
 
 
 def cdf_points(values: Sequence[float], points: int = 100

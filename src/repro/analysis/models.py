@@ -31,10 +31,6 @@ class SwitchAsic:
     port_gbps: int
     buffer_mb: float
 
-    @property
-    def capacity_gbps(self) -> int:
-        return self.ports * self.port_gbps
-
     def buffer_per_port_per_100g_mb(self) -> float:
         """Table 1 row 3: buffer normalized per port per 100 Gbps."""
         return self.buffer_mb / self.ports / (self.port_gbps / 100)

@@ -1,15 +1,1 @@
 """Congestion-control modules (pluggable into every transport)."""
-
-from repro.cc.base import CongestionControl, StaticWindowCc, UnlimitedCc
-from repro.cc.dcqcn import DcqcnCc, DcqcnParams
-from repro.cc.swift import SwiftCc, SwiftParams
-
-__all__ = [
-    "CongestionControl",
-    "StaticWindowCc",
-    "UnlimitedCc",
-    "DcqcnCc",
-    "DcqcnParams",
-    "SwiftCc",
-    "SwiftParams",
-]

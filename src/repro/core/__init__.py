@@ -1,33 +1,10 @@
 """DCP: the paper's primary contribution.
 
-* :class:`DcpTransport` — DCP-RNIC (HO-based retransmission,
-  order-tolerant reception, bitmap-free tracking, coarse timeout).
-* :func:`dcp_switch_config` — DCP-Switch (packet trimming + WRR
-  lossless control plane) parameterization.
+* :class:`~repro.core.dcp.DcpTransport` — DCP-RNIC (HO-based
+  retransmission, order-tolerant reception, bitmap-free tracking,
+  coarse timeout).
+* :func:`~repro.core.dcp_switch.dcp_switch_config` — DCP-Switch (packet
+  trimming + WRR lossless control plane) parameterization.
 * :mod:`repro.core.tracking` — the three packet-tracking schemes of
   Fig 6 / Table 3 / Fig 7.
 """
-
-from repro.core.dcp import DcpTransport
-from repro.core.dcp_switch import DcpSwitchProfile, dcp_switch_config
-from repro.core.header import (control_queue_share, ho_data_size_ratio,
-                               max_lossless_incast, wrr_weight)
-from repro.core.retransq import RetransEntry, RetransQ
-from repro.core.tracking import (BdpBitmapTracker, CounterTracker,
-                                 LinkedChunkTracker, MessageTrack)
-
-__all__ = [
-    "BdpBitmapTracker",
-    "CounterTracker",
-    "DcpSwitchProfile",
-    "DcpTransport",
-    "LinkedChunkTracker",
-    "MessageTrack",
-    "RetransEntry",
-    "RetransQ",
-    "control_queue_share",
-    "dcp_switch_config",
-    "ho_data_size_ratio",
-    "max_lossless_incast",
-    "wrr_weight",
-]

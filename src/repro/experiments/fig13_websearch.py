@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.fct import overall_percentiles, slowdown_bins
+from repro.analysis.fct import overall_percentiles, slowdown_bins, slowdowns
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
-from repro.runner.points import slowdowns
 from repro.workload.distributions import websearch
 from repro.workload.flows import PoissonWorkload, layout
 

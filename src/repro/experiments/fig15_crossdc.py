@@ -10,13 +10,12 @@ lossless schemes).
 
 from __future__ import annotations
 
-from repro.analysis.fct import overall_percentiles
+from repro.analysis.fct import overall_percentiles, slowdowns
 from repro.experiments.fig13_websearch import SCHEMES as _FIG13_SCHEMES
 from repro.experiments.fig13_websearch import websearch_point
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.runner import SweepPoint
-from repro.runner.points import slowdowns
 
 #: (label, spine one-way delay ns) — scaled-down analogues of 100/1000 km.
 DISTANCES = (("100km", 500_000), ("1000km", 5_000_000))

@@ -9,12 +9,11 @@ below MP-RDMA/IRN).  MP-RDMA always runs its native adaptive window.
 
 from __future__ import annotations
 
-from repro.analysis.fct import overall_percentiles
+from repro.analysis.fct import overall_percentiles, slowdowns, switch_total
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
-from repro.runner.points import slowdowns, switch_total
 from repro.workload.distributions import websearch
 from repro.workload.flows import IncastWorkload, PoissonWorkload, layout
 

@@ -12,12 +12,11 @@ flow size (Fig 1a) and the CDF of the ratio per size class (Fig 1b).
 
 from __future__ import annotations
 
-from repro.analysis.fct import percentile
+from repro.analysis.fct import percentile, switch_total
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
-from repro.runner.points import switch_total
 from repro.workload.distributions import websearch, websearch_class
 from repro.workload.flows import PoissonWorkload, layout
 

@@ -9,11 +9,11 @@ HO packets and hits zero timeouts.
 
 from __future__ import annotations
 
+from repro.analysis.fct import switch_total
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
-from repro.runner.points import switch_total
 from repro.workload.distributions import websearch
 from repro.workload.flows import IncastWorkload, PoissonWorkload, layout
 

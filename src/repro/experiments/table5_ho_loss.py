@@ -11,11 +11,12 @@ host count allows.
 
 from __future__ import annotations
 
+from repro.analysis.fct import switch_total
+from repro.core.header import ho_data_size_ratio, wrr_weight
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
-from repro.runner.points import switch_total
 from repro.workload.distributions import websearch
 from repro.workload.flows import IncastWorkload, PoissonWorkload, layout
 
@@ -58,8 +59,7 @@ def sweep(p: ScalePreset) -> list[SweepPoint]:
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     # The weight is a pure function of N (§4.2); the simulator's switch
-    # configuration derives it the same way.
-    from repro.core.dcp_switch import DcpSwitchProfile
+    # configuration derives it the same way (DcpSwitchProfile.weight).
     result = ExperimentResult(
         "table5", "HO packet loss ratio under severe incast")
     it = iter(payloads)
@@ -75,7 +75,7 @@ def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
                     "incast": f"{fan}-to-1",
                     "cc": cc,
                     "wrr_weight": round(
-                        DcpSwitchProfile(incast_radix=radix).weight(), 2),
+                        wrr_weight(radix, ho_data_size_ratio()), 2),
                     "ho_packets": ho_total,
                     "ho_lost": ho_lost,
                     "loss_ratio": f"{ho_lost / total:.3%}",

@@ -277,7 +277,3 @@ class Switch:
     # -------------------------------------------------------------- stats
     def queue_bytes(self, egress: int) -> int:
         return self.ports[egress].buffered_bytes
-
-    def total_drops(self) -> int:
-        s = self.stats
-        return s.dropped_congestion + s.dropped_forced + s.dropped_buffer

@@ -28,12 +28,11 @@ from repro.obs.registry import (Counter, CounterBlock, Gauge, Histogram,
                                 MetricsRegistry)
 
 
-# MetricsSampler is loaded lazily: it pulls in repro.analysis, which
-# itself imports repro.rnic.base — and the instrumented components
-# (net/, rnic/) import this package at *their* import time, so an
-# eager import here would be circular.  schema and spans are lazy
-# because both run as ``python -m``: importing them here would load
-# each a second time as ``__main__``.
+# MetricsSampler is loaded lazily: it imports repro.sim.engine, which
+# an import of this harness-side package must not load (DESIGN.md
+# "Import layers").  schema and spans are lazy because both run as
+# ``python -m``: importing them here would load each a second time as
+# ``__main__``.
 __getattr__ = lazy_exports(__name__, {
     "repro.obs.sampler": ("MetricsSampler",),
     "repro.obs.schema": ("KNOWN_METRIC_PATTERNS", "known_metric",

@@ -3,23 +3,3 @@
 The DCP transport itself lives in :mod:`repro.core` (it is the paper's
 contribution); everything here is substrate or baseline.
 """
-
-from repro.rnic.base import (Flow, FlowStats, Host, HostNic, Message,
-                             QueuePair, RestartableTimer, RnicTransport,
-                             TransportConfig)
-from repro.rnic.gbn import GbnTransport
-from repro.rnic.irn import IrnTransport
-from repro.rnic.mp_rdma import MpRdmaTransport
-from repro.rnic.rack_tlp import RackTlpTransport
-from repro.rnic.rifl import RiflTransport
-from repro.rnic.sdr import SdrTransport
-from repro.rnic.timeout import TimeoutTransport
-from repro.rnic.verbs import CompletionEntry, RdmaOp, VerbsEndpoint
-
-__all__ = [
-    "CompletionEntry", "Flow", "FlowStats", "GbnTransport", "Host",
-    "HostNic", "IrnTransport", "Message", "MpRdmaTransport", "QueuePair",
-    "RackTlpTransport", "RdmaOp", "RestartableTimer", "RiflTransport",
-    "RnicTransport", "SdrTransport", "TimeoutTransport", "TransportConfig",
-    "VerbsEndpoint",
-]

@@ -50,10 +50,6 @@ class IrnTransport(WindowTransport):
     count_spurious = True
     _on_data = WindowTransport._on_data_sack
 
-    @property
-    def spurious_retransmits(self) -> int:
-        return self.stats.spurious_retx
-
     # -------------------------------------------------------------- sender
     def _rto(self, st: _IrnSendState) -> int:
         outstanding = st.snd_nxt - st.snd_una

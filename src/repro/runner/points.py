@@ -7,8 +7,11 @@ generic runners cover nearly every experiment: :func:`simulate_flows`
 campaigns, the conformance suite) and :func:`simulate_collectives`
 ("start one collective per member group, report JCTs": fig12, fig14,
 scale).  A figure-specific runner lives next to its experiment module
-(deepdive's queue sampler).  :func:`slowdowns` and :func:`switch_total`
-read a :func:`simulate_flows` payload back in a figure's ``merge``.
+(deepdive's queue sampler).  This module only writes payloads: a
+figure's ``merge`` reads a :func:`simulate_flows` payload back with
+:func:`repro.analysis.fct.slowdowns` and
+:func:`repro.analysis.fct.switch_total`, which a cache replay can
+import without the simulator.
 
 Telemetry: every point carries a ``metrics`` payload (counters are
 always on — the registry costs nothing extra once components hold their
@@ -279,19 +282,3 @@ def simulate_collectives(spec: NetworkSpec, params: dict) -> dict[str, Any]:
             "retx": sum(f.stats.retx_pkts_sent for f in net.flows),
             **tel.report(net, net.flows),
         }
-
-
-# ------------------------------------------------- reading payloads back
-def slowdowns(payload: dict) -> list[tuple[int, float]]:
-    """``(size_bytes, slowdown)`` per completed flow of a
-    :func:`simulate_flows` payload, in posting order; the slowdown is
-    the FCT over the empty-fabric ideal, floored at 1."""
-    return [(r["size_bytes"], max(1.0, r["fct_ns"] / r["ideal_fct_ns"]))
-            for r in payload["flows"] if r["completed"]]
-
-
-def switch_total(payload: dict, field: str) -> int:
-    """A :class:`~repro.net.switch.SwitchStats` field summed over every
-    switch of the point (its ``switch.<name>.<field>`` counters)."""
-    return sum(value for name, value in payload["metrics"]["counters"].items()
-               if name.startswith("switch.") and name.endswith("." + field))

@@ -1,7 +1,1 @@
 """Software TCP comparison stack (Fig 8)."""
-
-from repro.tcpstack.tcp import (DEFAULT_HOST_OVERHEAD_NS,
-                                DEFAULT_STACK_LATENCY_NS, TcpTransport)
-
-__all__ = ["DEFAULT_HOST_OVERHEAD_NS", "DEFAULT_STACK_LATENCY_NS",
-           "TcpTransport"]

@@ -1,16 +1,1 @@
 """Workload generators: WebSearch, Poisson arrivals, incast, collectives."""
-
-from repro.workload.collective import (AllToAll, CollectiveResult,
-                                       RingAllReduce, run_grouped_collectives)
-from repro.workload.distributions import (WEBSEARCH_BINS_KB,
-                                          EmpiricalSizeDistribution,
-                                          FixedSizeDistribution, websearch,
-                                          websearch_class)
-from repro.workload.flows import IncastWorkload, PoissonWorkload
-
-__all__ = [
-    "AllToAll", "CollectiveResult", "EmpiricalSizeDistribution",
-    "FixedSizeDistribution", "IncastWorkload", "PoissonWorkload",
-    "RingAllReduce", "WEBSEARCH_BINS_KB", "run_grouped_collectives",
-    "websearch", "websearch_class",
-]

@@ -9,10 +9,8 @@ per-bin statistics line up with the paper's plots bin-for-bin.
 
 from __future__ import annotations
 
-import bisect
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 #: Fig 13's twenty flow-size bins (KB), one per 5% probability bucket.
 WEBSEARCH_BINS_KB: tuple[int, ...] = (
@@ -44,20 +42,6 @@ class EmpiricalSizeDistribution:
         else:
             spread = 1.0
         return max(1, int(base * spread / self.scale))
-
-    def bin_of(self, size_bytes: int) -> int:
-        """Index of the nominal bin a (scaled) size falls into."""
-        scaled = size_bytes * self.scale
-        edges = _bin_edges(self.bins_bytes)
-        return min(len(self.bins_bytes) - 1, bisect.bisect_right(edges, scaled))
-
-
-def _bin_edges(bins: Sequence[int]) -> list[float]:
-    """Geometric midpoints between consecutive bin centres."""
-    edges = []
-    for a, b in zip(bins, bins[1:]):
-        edges.append((a * b) ** 0.5)
-    return edges
 
 
 def websearch(scale: float = 1.0, jitter: float = 0.25) -> EmpiricalSizeDistribution:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.experiments.common import Network, NetworkSpec
-from repro.rnic.base import Flow
+from repro.experiments.spec import NetworkSpec
 from repro.workload.distributions import EmpiricalSizeDistribution
 
 
@@ -36,9 +35,7 @@ class PoissonWorkload:
         """Pure arrival schedule: ``(src, dst, size_bytes, start_ns)``.
 
         Depends only on the workload fields plus ``(num_hosts,
-        link_rate)``, so the campaign compiler can lay out flows before
-        any network exists; :meth:`generate` posts exactly this
-        schedule, draw for draw.
+        link_rate)``, so flows are laid out before any network exists.
         """
         if not 0 < self.load < 1:
             raise ValueError("load must be in (0, 1)")
@@ -64,14 +61,6 @@ class PoissonWorkload:
             arrivals.append((src, dst, size, int(t)))
         return arrivals
 
-    def generate(self, net: Network,
-                 on_complete: Optional[Callable[[Flow], None]] = None) -> list[Flow]:
-        """Pre-compute arrivals and open every flow on ``net``."""
-        return [net.open_flow(src, dst, size, start, tag=self.tag,
-                              on_complete=on_complete)
-                for src, dst, size, start in self.schedule(
-                    net.spec.num_hosts, net.spec.link_rate)]
-
 
 @dataclass
 class IncastWorkload:
@@ -92,7 +81,7 @@ class IncastWorkload:
 
     def schedule(self, num_hosts: int, link_rate: float
                  ) -> list[tuple[int, int, int, int]]:
-        """Pure arrival schedule mirroring :meth:`generate` draw for draw."""
+        """Pure arrival schedule: ``(src, dst, size_bytes, start_ns)``."""
         if not 0 < self.load < 1:
             raise ValueError("load must be in (0, 1)")
         if self.fan_in >= num_hosts:
@@ -114,18 +103,11 @@ class IncastWorkload:
                 arrivals.append((s, receiver, self.flow_bytes, int(t)))
         return arrivals
 
-    def generate(self, net: Network,
-                 on_complete: Optional[Callable[[Flow], None]] = None) -> list[Flow]:
-        return [net.open_flow(src, dst, size, start, tag=self.tag,
-                              on_complete=on_complete)
-                for src, dst, size, start in self.schedule(
-                    net.spec.num_hosts, net.spec.link_rate)]
-
 
 def layout(spec: NetworkSpec,
            *workloads: PoissonWorkload | IncastWorkload) -> list[list]:
-    """The flows ``generate`` would open on ``spec``'s network, workload
-    by workload, as :func:`repro.runner.points.simulate_flows` rows
+    """The :meth:`schedule` of each workload in turn, on ``spec``'s hosts
+    and link rate, as :func:`repro.runner.points.simulate_flows` rows
     ``[src, dst, size_bytes, start_ns, tag]``."""
     return [[src, dst, size, start, wl.tag]
             for wl in workloads

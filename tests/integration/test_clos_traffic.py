@@ -4,11 +4,17 @@ import pytest
 
 from repro.experiments.common import build_network
 from repro.workload.distributions import websearch
-from repro.workload.flows import IncastWorkload, PoissonWorkload
+from repro.workload.flows import IncastWorkload, PoissonWorkload, layout
 
 TRANSPORT_LB = [("dcp", "ar"), ("irn", "ar"), ("irn", "ecmp"),
                 ("gbn", "ecmp"), ("mp_rdma", "ecmp"),
                 ("rack_tlp", "ecmp"), ("timeout", "ecmp")]
+
+
+def _open(net, workload):
+    """Open every ``layout`` row of ``workload`` on ``net``."""
+    return [net.open_flow(src, dst, size, start, tag=tag)
+            for src, dst, size, start, tag in layout(net.spec, workload)]
 
 
 @pytest.mark.parametrize("transport,lb", TRANSPORT_LB)
@@ -18,7 +24,7 @@ def test_websearch_all_flows_complete(transport, lb):
                         link_rate=10.0, seed=71, buffer_bytes=2_000_000)
     wl = PoissonWorkload(load=0.3, size_dist=websearch(scale=50),
                          duration_ns=1_000_000, seed=71, max_flows=60)
-    flows = wl.generate(net)
+    flows = _open(net, wl)
     assert len(flows) > 10
     net.run_until_flows_done(max_events=60_000_000)
     incomplete = [f for f in flows if not f.completed]
@@ -33,7 +39,7 @@ def test_incast_under_dcp_completes_without_timeouts():
                         link_rate=10.0, seed=72, buffer_bytes=1_000_000)
     wl = IncastWorkload(load=0.1, fan_in=8, flow_bytes=20_000,
                         duration_ns=1_000_000, seed=72)
-    flows = wl.generate(net)
+    flows = _open(net, wl)
     assert flows
     net.run_until_flows_done(max_events=60_000_000)
     assert all(f.completed for f in flows)
@@ -77,7 +83,7 @@ def test_deterministic_given_seed():
                             link_rate=10.0, seed=99, buffer_bytes=1_000_000)
         wl = PoissonWorkload(load=0.3, size_dist=websearch(scale=50),
                              duration_ns=500_000, seed=99, max_flows=30)
-        flows = wl.generate(net)
+        flows = _open(net, wl)
         net.run_until_flows_done(max_events=30_000_000)
         # flow_ids come from a process-global counter; compare by position
         return [(f.src, f.dst, f.size_bytes, f.rx_complete_ns) for f in flows]

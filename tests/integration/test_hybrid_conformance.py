@@ -20,13 +20,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis.fct import overall_percentiles
+from repro.analysis.fct import overall_percentiles, slowdowns
 from repro.experiments import fig8_basic_perf as fig8
 from repro.experiments import fig13_websearch as fig13
 from repro.experiments.common import build_network
 from repro.experiments.presets import get_preset
-from repro.runner.points import (simulate_collectives, simulate_flows,
-                                 slowdowns)
+from repro.runner.points import simulate_collectives, simulate_flows
 from repro.sim.fidelity import FLUID_TRANSPORTS
 from repro.workload.collective import run_grouped_collectives
 

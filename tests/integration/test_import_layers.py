@@ -1,10 +1,10 @@
 """Import layers: declaring or replaying a sweep never loads the simulator.
 
-Harness-side modules (``experiments.spec``, ``runner``, ``obs.export``,
-the CLI) must import without pulling in anything ``common.Network``
-touches, and a cache replay must stay that way to its last line
-(DESIGN.md "Import layers").  Every check runs in a fresh interpreter:
-this process has long since imported everything.
+Declaring every sweep and campaign, importing the CLI and replaying a
+cached key load only the harness-side modules DESIGN.md "Import layers"
+names (:data:`HARNESS`); anything else in ``sys.modules`` afterwards is
+a failure.  Every check runs in a fresh interpreter: this process has
+long since imported everything.
 """
 
 from __future__ import annotations
@@ -18,21 +18,48 @@ import pytest
 
 import repro
 from repro.experiments import cli
+from repro.experiments.registry import REGISTRY
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
-#: Prepended to every child script: ``simulator_modules()`` lists what
-#: of the execute side is loaded.
-PRELUDE = '''
+#: The harness side (DESIGN.md "Import layers"): every ``repro`` module
+#: that declaring a sweep, compiling a campaign or replaying a cached
+#: point may load.  The 21 registry modules declare points, so they are
+#: on it; ``experiments.common`` and ``sim.engine`` are not.
+HARNESS = frozenset({
+    "repro", "repro._lazy",
+    "repro.experiments", "repro.experiments.cli",
+    "repro.experiments.presets", "repro.experiments.registry",
+    "repro.experiments.result", "repro.experiments.spec",
+    *(entry.module for entry in REGISTRY.values()),
+    "repro.runner", "repro.runner.cache", "repro.runner.runner",
+    "repro.runner.spec_hash",
+    "repro.obs", "repro.obs.export", "repro.obs.registry",
+    "repro.obs.schema", "repro.obs.spans",
+    "repro.sim", "repro.sim.rng", "repro.sim.trace", "repro.sim.units",
+    "repro.chaos", "repro.chaos.scenarios",
+    "repro.campaigns", "repro.campaigns.compiler",
+    "repro.campaigns.library", "repro.campaigns.metrics",
+    "repro.campaigns.spec",
+    "repro.workload", "repro.workload.distributions",
+    "repro.workload.flows",
+    "repro.analysis", "repro.analysis.fct", "repro.analysis.latency",
+    "repro.analysis.models", "repro.analysis.resources",
+    "repro.core", "repro.core.header", "repro.core.tracking",
+    "repro.net", "repro.net.packet",
+})
+
+#: Prepended to every child script: ``simulator_modules()`` lists the
+#: loaded ``repro`` modules that are not harness-side.
+PRELUDE = f'''
 import sys
 
+HARNESS = set({sorted(HARNESS)!r})
+
 def simulator_modules():
-    exact = ("repro.sim.engine", "repro.sim.fidelity")
-    packages = ("repro.net", "repro.rnic", "repro.core", "repro.cc",
-                "repro.tcpstack", "repro.workload", "repro.analysis")
     return sorted(m for m in sys.modules
-                  if m in exact or m in packages
-                  or m.startswith(tuple(p + "." for p in packages)))
+                  if (m == "repro" or m.startswith("repro."))
+                  and m not in HARNESS)
 '''
 
 
@@ -62,17 +89,47 @@ assert simulator_modules() == [], simulator_modules()
 ''', module)
 
 
+def test_declaring_every_sweep_and_campaign_stays_harness_side():
+    # What the first cache hit of any key needs: its module, its points
+    # (flow layout included) and every library campaign compiled.
+    out = _python('''
+import importlib
+from repro.campaigns import CAMPAIGNS, compile_campaign, get_campaign
+from repro.experiments.presets import get_preset
+from repro.experiments.registry import REGISTRY
+
+quick = get_preset("quick")
+points = [len(importlib.import_module(entry.module).sweep(quick))
+          for entry in REGISTRY.values()]
+points += [len(compile_campaign(get_campaign(name), quick).points)
+           for name in sorted(CAMPAIGNS)]
+assert simulator_modules() == [], simulator_modules()
+print(len(REGISTRY), len(CAMPAIGNS), sum(points))
+''')
+    keys, campaigns, points = map(int, out.split())
+    assert (keys, campaigns) == (21, 4)
+    assert points > 200
+
+
 @pytest.mark.parametrize("argv", [
     ["robustness", "--preset", "quick", "--chaos", "none"],
     ["fig8", "--preset", "quick"],
     ["fig17", "--preset", "quick"],
     ["fig12", "--preset", "quick"],
     ["scale", "--preset", "quick"],
-], ids=lambda argv: argv[0])
+    ["fig1", "--preset", "quick"],
+    ["fig14", "--preset", "quick"],
+    ["table3", "--preset", "quick"],
+    ["campaign", "multi_tenant_mix", "--preset", "quick"],
+], ids=lambda argv: argv[0] if argv[0] != "campaign" else argv[1])
 def test_cache_replay_never_loads_the_simulator(argv, tmp_path, capsys):
+    # An analytic key (table3) declares no points and prints no runner
+    # line; its replay is a plain rerun.
+    simulated = argv[0] == "campaign" or REGISTRY[argv[0]].simulation
     argv = argv + ["--cache-dir", str(tmp_path / "cache")]
     assert cli.main(argv) == 0
     populated = capsys.readouterr().out
+    assert ("[runner: " in populated) == simulated
     assert "0 simulations executed" not in populated
     replayed = _python('''
 from repro.experiments import cli
@@ -80,7 +137,8 @@ assert cli.main(sys.argv[1:]) == 0
 assert simulator_modules() == [], simulator_modules()
 assert "multiprocessing" not in sys.modules
 ''', *argv, "--metrics-out", str(tmp_path / "metrics.jsonl"))
-    assert "[runner: 0 simulations executed" in replayed
+    if simulated:
+        assert "[runner: 0 simulations executed" in replayed
     assert _table(replayed) == _table(populated)
 
 

@@ -1,102 +1,96 @@
-"""Unit tests for the Poisson and incast workload generators."""
+"""Unit tests for the Poisson and incast workload generators.
+
+A workload is laid out as :func:`repro.workload.flows.layout` rows
+``[src, dst, size_bytes, start_ns, tag]`` — the flows
+``simulate_flows`` opens — so no network is built here.
+"""
 
 import pytest
 
-from repro.experiments.common import build_network
+from repro.experiments.spec import NetworkSpec
 from repro.workload.distributions import websearch
-from repro.workload.flows import IncastWorkload, PoissonWorkload
+from repro.workload.flows import IncastWorkload, PoissonWorkload, layout
 
-
-def _net(num_hosts=8):
-    return build_network(transport="dcp", num_hosts=num_hosts, num_leaves=2,
-                         num_spines=2, link_rate=10.0, seed=5)
+SPEC = NetworkSpec(transport="dcp", num_hosts=8, num_leaves=2, num_spines=2,
+                   link_rate=10.0, seed=5)
 
 
 class TestPoisson:
     def test_generates_flows_within_horizon(self):
-        net = _net()
         wl = PoissonWorkload(load=0.3, size_dist=websearch(scale=10),
                              duration_ns=1_000_000, seed=5)
-        flows = wl.generate(net)
-        assert flows
-        assert all(0 <= f.start_ns < 1_000_000 for f in flows)
-        assert all(f.src != f.dst for f in flows)
+        rows = layout(SPEC, wl)
+        assert rows
+        assert all(0 <= start < 1_000_000 for _s, _d, _b, start, _t in rows)
+        assert all(src != dst for src, dst, *_ in rows)
 
     def test_load_controls_arrival_rate(self):
-        net_lo, net_hi = _net(), _net()
-        lo = PoissonWorkload(load=0.1, size_dist=websearch(scale=10),
-                             duration_ns=3_000_000, seed=5).generate(net_lo)
-        hi = PoissonWorkload(load=0.5, size_dist=websearch(scale=10),
-                             duration_ns=3_000_000, seed=5).generate(net_hi)
+        lo = layout(SPEC, PoissonWorkload(load=0.1,
+                                          size_dist=websearch(scale=10),
+                                          duration_ns=3_000_000, seed=5))
+        hi = layout(SPEC, PoissonWorkload(load=0.5,
+                                          size_dist=websearch(scale=10),
+                                          duration_ns=3_000_000, seed=5))
         assert len(hi) > 2 * len(lo)
 
     def test_offered_load_approximates_target(self):
-        net = _net()
         wl = PoissonWorkload(load=0.4, size_dist=websearch(scale=10),
                              duration_ns=20_000_000, seed=6)
-        flows = wl.generate(net)
-        offered_bits = sum(f.size_bytes for f in flows) * 8
+        offered_bits = sum(size for _s, _d, size, *_ in layout(SPEC, wl)) * 8
         capacity_bits = 8 * 10.0 * 20_000_000  # hosts x rate x time
         assert offered_bits / capacity_bits == pytest.approx(0.4, rel=0.35)
 
     def test_max_flows_cap(self):
-        net = _net()
         wl = PoissonWorkload(load=0.5, size_dist=websearch(scale=10),
                              duration_ns=50_000_000, seed=5, max_flows=25)
-        assert len(wl.generate(net)) == 25
+        assert len(layout(SPEC, wl)) == 25
 
     def test_host_subset(self):
-        net = _net()
         wl = PoissonWorkload(load=0.3, size_dist=websearch(scale=10),
                              duration_ns=1_000_000, seed=5, hosts=[0, 1, 2])
-        flows = wl.generate(net)
-        assert all(f.src in (0, 1, 2) and f.dst in (0, 1, 2) for f in flows)
+        rows = layout(SPEC, wl)
+        assert all(src in (0, 1, 2) and dst in (0, 1, 2)
+                   for src, dst, *_ in rows)
 
     def test_same_seed_same_flows(self):
         def gen():
-            net = _net()
             wl = PoissonWorkload(load=0.3, size_dist=websearch(scale=10),
                                  duration_ns=1_000_000, seed=9)
-            return [(f.src, f.dst, f.size_bytes, f.start_ns)
-                    for f in wl.generate(net)]
+            return layout(SPEC, wl)
 
         assert gen() == gen()
 
     def test_load_validation(self):
-        net = _net()
         with pytest.raises(ValueError):
-            PoissonWorkload(load=0.0, size_dist=websearch(),
-                            duration_ns=1000).generate(net)
+            layout(SPEC, PoissonWorkload(load=0.0, size_dist=websearch(),
+                                         duration_ns=1000))
         with pytest.raises(ValueError):
-            PoissonWorkload(load=1.5, size_dist=websearch(),
-                            duration_ns=1000).generate(net)
+            layout(SPEC, PoissonWorkload(load=1.5, size_dist=websearch(),
+                                         duration_ns=1000))
 
 
 class TestIncast:
     def test_events_have_fan_in_senders(self):
-        net = _net()
         wl = IncastWorkload(load=0.2, fan_in=5, flow_bytes=10_000,
                             duration_ns=2_000_000, seed=5)
-        flows = wl.generate(net)
-        assert flows
-        assert len(flows) % 5 == 0
+        rows = layout(SPEC, wl)
+        assert rows
+        assert len(rows) % 5 == 0
         by_event = {}
-        for f in flows:
-            by_event.setdefault((f.start_ns, f.dst), set()).add(f.src)
+        for src, dst, _size, start, _tag in rows:
+            by_event.setdefault((start, dst), set()).add(src)
         for (start, dst), senders in by_event.items():
             assert len(senders) == 5
             assert dst not in senders
 
     def test_fan_in_validation(self):
-        net = _net()
         with pytest.raises(ValueError):
-            IncastWorkload(load=0.1, fan_in=8, flow_bytes=1000,
-                           duration_ns=1000).generate(net)
+            layout(SPEC, IncastWorkload(load=0.1, fan_in=8, flow_bytes=1000,
+                                        duration_ns=1000))
 
     def test_flows_are_fixed_size(self):
-        net = _net()
         wl = IncastWorkload(load=0.2, fan_in=3, flow_bytes=12_345,
                             duration_ns=2_000_000, seed=5)
-        flows = wl.generate(net)
-        assert all(f.size_bytes == 12_345 for f in flows)
-        assert all(f.tag == "incast" for f in flows)
+        rows = layout(SPEC, wl)
+        assert all(size == 12_345 for _s, _d, size, _t0, _tag in rows)
+        assert all(tag == "incast" for *_, tag in rows)
