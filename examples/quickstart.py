@@ -17,9 +17,8 @@ second invocation replays instantly from cache.
 import argparse
 
 from repro.experiments.common import NetworkSpec, build_network
+from repro.obs import spans
 from repro.runner import ExperimentRunner, ResultCache, SweepPoint
-from repro.sim import trace
-from repro.sim.trace import Tracer
 
 
 def main() -> None:
@@ -86,39 +85,36 @@ def sweep_demo(jobs: int, cache_dir: str | None) -> None:
 
 
 def trace_demo() -> None:
-    """Trace a lossy transfer and show the timeline around a retransmit.
+    """Record a lossy transfer and show the timeline around a retransmit.
 
     IRN over a direct 2-host cable with 2% injected loss: every dropped
-    data packet surfaces in the trace as a ``drop`` record, followed by
-    the selective retransmission (``retx``) that repairs it.
+    data packet surfaces in the flight recorder as a ``drop`` marker,
+    followed by the selective retransmission (``retx``) that repairs it.
     """
-    tracer = Tracer(categories={"retx", "timeout", "drop", "trim", "ho"})
-    trace.install(tracer)
+    tracker = spans.SpanTracker()
+    spans.install(tracker)
     try:
         net = build_network(transport="irn", topology="direct", num_hosts=2,
                             link_rate=10.0, loss_rate=0.02, seed=7)
         flow = net.open_flow(src=0, dst=1, size_bytes=500_000, start_ns=0)
         net.run_until_flows_done()
     finally:
-        trace.install(None)
+        spans.install(None)
 
-    retx = tracer.by_category("retx")
+    timeline = [m for m in tracker.marks if m[2] == flow.flow_id]
+    kinds = [m[1] for m in timeline]
     print(f"\ntrace demo: IRN over a lossy cable, 2% loss — "
-          f"{len(tracer.records)} records "
-          f"({len(tracer.by_category('drop'))} drops, {len(retx)} retx), "
-          f"FCT {flow.fct_ns() / 1000:.1f} us")
-    if retx:
-        first = retx[0]
-        timeline = tracer.flow_timeline(flow.flow_id)
-        idx = timeline.index(first)
-        window = timeline[max(0, idx - 3):idx + 3]
+          f"{len(timeline)} markers ({kinds.count('drop')} drops, "
+          f"{kinds.count('retx')} retx), FCT {flow.fct_ns() / 1000:.1f} us")
+    if "retx" in kinds:
+        idx = kinds.index("retx")
         print(f"timeline around the first retransmission "
-              f"(t={first.time_ns} ns):")
-        for r in window:
-            detail = " ".join(f"{k}={v}" for k, v in r.detail.items())
-            mark = " <-- first retx" if r is first else ""
-            print(f"  {r.time_ns:>9} ns  {r.category:<6} {r.actor:<14} "
-                  f"{detail}{mark}")
+              f"(t={timeline[idx][0]} ns):")
+        for i in range(max(0, idx - 3), min(len(timeline), idx + 3)):
+            time_ns, kind, _flow, actor, detail = timeline[i]
+            fields = " ".join(f"{k}={v}" for k, v in detail.items())
+            line = f"  {time_ns:>9} ns  {kind:<6} {actor:<14} {fields}"
+            print(line.rstrip() + (" <-- first retx" if i == idx else ""))
 
 
 if __name__ == "__main__":

@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Flight recorder demo: trace a lossy transfer and explain its FCT.
 
-Runs two GBN flows over a single lossy cable with the event tracer and
-the span flight recorder both enabled, then shows the three views the
-observability layer gives you of the *same* run:
+Runs two GBN flows over a single lossy cable with the span flight
+recorder enabled, then shows the three views it gives you of the run:
 
-1. the tracer's event listing (drops, retransmissions, timeouts);
+1. its event markers (drops, retransmissions, timeouts);
 2. the per-flow FCT breakdown — which nanoseconds went to queueing,
    holding the wire, propagation, host time, retransmission stalls;
 3. a Perfetto/Chrome trace-event file you can load at
@@ -31,8 +30,7 @@ FLOWS = [[0, 1, 60_000, 0], [1, 0, 30_000, 5_000]]
 def main(out_path: str | None = None) -> None:
     payload = simulate_flows(SPEC, {
         "flows": FLOWS,
-        "telemetry": {"trace": {"categories": ["drop", "retx", "timeout"]},
-                      "spans": {"max_spans": 1_000_000}},
+        "telemetry": {"spans": {"max_spans": 1_000_000}},
     })
 
     print(f"transport={SPEC.transport}  loss={SPEC.loss_rate:.0%}  "
@@ -40,10 +38,12 @@ def main(out_path: str | None = None) -> None:
           f"events={payload['events']}\n")
 
     print("recovery events (drops, retransmissions, timer fires):")
-    for time_ns, category, actor, detail in payload["trace"]["records"][:12]:
-        fields = " ".join(f"{k}={v}" for k, v in detail.items())
-        print(f"  {time_ns:>9} ns  {category:<7} {actor:<10} {fields}")
-    extra = len(payload["trace"]["records"]) - 12
+    marks = payload["spans"]["marks"]
+    for time_ns, kind, flow_id, actor, detail in marks[:12]:
+        fields = " ".join(f"{k}={v}" for k, v in
+                          {"flow": flow_id, **detail}.items())
+        print(f"  {time_ns:>9} ns  {kind:<7} {actor:<12} {fields}")
+    extra = len(marks) - 12
     if extra > 0:
         print(f"  ... {extra} more")
 
@@ -67,8 +67,8 @@ def main(out_path: str | None = None) -> None:
     print(f"\nperfetto: {events} events -> {out_path} "
           f"(validated: {'OK' if not problems else problems})")
     print("open it at https://ui.perfetto.dev -- each flow is a track, "
-          "packet lifecycle phases are nested slices, retx/timeouts are "
-          "instant markers")
+          "packet lifecycle phases are nested slices, drops/retx/timeouts "
+          "are instant markers")
 
 
 if __name__ == "__main__":

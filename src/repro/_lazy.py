@@ -2,7 +2,7 @@
 
 ``repro``, ``repro.sim``, ``repro.experiments`` and ``repro.chaos``
 re-export names whose modules load the simulator.  Importing a package
-must not: ``repro.experiments.spec`` or ``repro.sim.trace`` would then
+must not: ``repro.experiments.spec`` or ``repro.sim.units`` would then
 cost as much as ``repro.experiments.common`` (DESIGN.md "Import
 layers").  ``from repro.sim import Simulator`` reads the same as ever.
 ``repro.obs`` defers its sampler (it loads the engine) and its ``-m``

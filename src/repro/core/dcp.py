@@ -34,9 +34,9 @@ from repro.core.retransq import RetransQ
 from repro.core.tracking import CounterTracker
 from repro.net.packet import (Packet, PacketKind, make_ack,
                               make_data_packet)
+from repro.obs import spans
 from repro.rnic.base import (Flow, Message, QueuePair, RestartableTimer,
                              RnicTransport, _GATED, _NO_WORK)
-from repro.sim import trace
 
 
 class _DcpSendState:
@@ -253,8 +253,10 @@ class DcpTransport(RnicTransport):
             # via the control-priority path (§4.1 step 2).
             packet.turn_around()
             self.stats.ho_turned += 1
-            trace.emit(self.sim.now, "ho", self._actor, dir="turn",
-                       flow_id=packet.flow_id, psn=packet.psn)
+            sp = spans._active
+            if sp is not None:
+                sp.mark(self.sim.now, "ho", packet.flow_id, self._actor,
+                        {"dir": "turn", "psn": packet.psn})
             self.nic.send_control(packet)
             return
         # We are the sender: a precise loss notification arrived.
@@ -262,8 +264,10 @@ class DcpTransport(RnicTransport):
         if st is None:
             st = self._send_state(qp)
         self.stats.ho_received += 1
-        trace.emit(self.sim.now, "ho", self._actor, dir="recv",
-                   flow_id=packet.flow_id, psn=packet.psn)
+        sp = spans._active
+        if sp is not None:
+            sp.mark(self.sim.now, "ho", packet.flow_id, self._actor,
+                    {"dir": "recv", "psn": packet.psn})
         msg = qp.psn_to_message(packet.psn)
         msg.flow.stats.trims_seen += 1
         if msg.msn < st.acked_msn:
@@ -319,13 +323,11 @@ class DcpTransport(RnicTransport):
             return
         # Fallback: resend every packet of the unaMSN message with a new
         # retry number; the receiver recounts from zero (§4.5).
-        self.count_coarse_timeout(msg.flow)
+        sretry = st.sretry.get(msg.msn, 0) + 1
+        self.count_coarse_timeout(msg.flow, msn=msg.msn, sretry=sretry)
         qp.cc.on_timeout(self.sim.now)
-        trace.emit(self.sim.now, "timer", f"dcp{self.host_id}",
-                   flow_id=msg.flow.flow_id, msn=msg.msn,
-                   sretry=st.sretry.get(msg.msn, 0) + 1)
         st.backoff += 1
-        st.sretry[msg.msn] = st.sretry.get(msg.msn, 0) + 1
+        st.sretry[msg.msn] = sretry
         st.timeout_rtx.extend(
             (msg.msn, msg.base_psn + i) for i in range(msg.num_pkts))
         st.timer.restart(self._coarse_ns(qp, st))

@@ -19,22 +19,24 @@ Telemetry export:
   (plus sampled time series: every gauge with ``--sample-interval-ns``,
   otherwise only a chaos point's per-flow delivery series) as JSONL —
   validate with ``python -m repro.obs.schema FILE``;
-* ``--trace-out FILE`` enables event tracing inside every point and
-  writes the records as JSONL;
 * ``--breakdown`` enables span tracing (:mod:`repro.obs.spans`) and
   prints a per-flow FCT attribution table after each experiment —
   queue wait vs serialization vs propagation vs host vs retx/pause
   stalls vs reorder holds (with ``--metrics-out``, the breakdown rows
   are appended to the JSONL as ``breakdown`` records);
 * ``--perfetto-out FILE`` also enables span tracing and writes every
-  point's packet-lifecycle spans as one Chrome trace-event file —
-  load it at https://ui.perfetto.dev, validate with
+  point's packet-lifecycle spans and event markers (drops, trims, HO
+  turnarounds, retransmissions, timeouts, hop repairs, PFC and failure
+  events) as one Chrome trace-event file — load it at
+  https://ui.perfetto.dev, count it by kind with
+  ``python -m repro.obs.spans FILE``, validate with
   ``python -m repro.obs.spans --validate FILE``.
 
-``--metrics-out`` alone changes nothing about the computation (counters
-are always on), so it serves from the same cache entries as an
-unflagged run.  Tracing, sampling and span recording *do* change the
-cache key: a traced point is a different computation.
+Both span flags record under one per-point budget,
+``--span-max-spans``.  ``--metrics-out`` alone changes nothing about
+the computation (counters are always on), so it serves from the same
+cache entries as an unflagged run.  Sampling and span recording *do*
+change the cache key: a traced point is a different computation.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from contextlib import ExitStack
+from contextlib import nullcontext
 
 from repro.experiments.registry import REGISTRY, run_experiment
 from repro.obs import (write_breakdown_jsonl, write_metrics_jsonl,
-                       write_perfetto, write_trace_jsonl)
+                       write_perfetto)
 from repro.obs.export import write_campaign_jsonl
 from repro.runner import ExperimentRunner, ResultCache
 
@@ -61,8 +63,6 @@ TAKES_FIDELITY = ("fig13", "fig14")
 def build_telemetry(args: argparse.Namespace) -> dict | None:
     """The ``telemetry`` param injected into sweep points, or None."""
     telemetry: dict = {}
-    if args.trace_out:
-        telemetry["trace"] = {"max_records": args.trace_max_records}
     if args.breakdown or args.perfetto_out:
         telemetry["spans"] = {"max_spans": args.span_max_spans}
     if args.sample_interval_ns > 0:
@@ -128,24 +128,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--metrics-out", default=None, metavar="FILE",
                         help="write per-point metrics as JSONL "
                              "(validate with python -m repro.obs.schema)")
-    parser.add_argument("--trace-out", default=None, metavar="FILE",
-                        help="enable event tracing and write records as JSONL")
-    parser.add_argument("--trace-max-records", type=int, default=100_000,
-                        metavar="N",
-                        help="per-point trace record cap (default: 100000)")
     parser.add_argument("--breakdown", action="store_true",
                         help="record packet-lifecycle spans and print a "
                              "per-flow FCT attribution table (queue / "
                              "serialization / propagation / host / retx / "
                              "pause / reorder)")
     parser.add_argument("--perfetto-out", default=None, metavar="FILE",
-                        help="record packet-lifecycle spans and write them "
-                             "as one Chrome trace-event file (open at "
+                        help="record packet-lifecycle spans and event "
+                             "markers and write them as one Chrome "
+                             "trace-event file (open at "
                              "ui.perfetto.dev; validate with "
                              "python -m repro.obs.spans --validate)")
     parser.add_argument("--span-max-spans", type=int, default=1_000_000,
                         metavar="N",
-                        help="per-point span record cap (default: 1000000)")
+                        help="per-point cap on spans plus markers "
+                             "(default: 1000000)")
     parser.add_argument("--sample-interval-ns", type=int, default=0,
                         metavar="NS",
                         help="sample every registered gauge every NS of "
@@ -232,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         campaigns_by_key[compiled.key] = compiled
 
     runner = build_runner(args)
-    metrics_lines = trace_lines = 0
+    metrics_lines = 0
     #: key -> {"<experiment>/<point>": span payload}, flattened into one
     #: Perfetto trace at exit so multi-experiment runs stay one file.
     perfetto_points: dict[str, dict] = {}
@@ -247,16 +244,9 @@ def main(argv: list[str] | None = None) -> int:
             events = write_perfetto(fh, perfetto_points)
         print(f"[perfetto: {events} events -> {args.perfetto_out}]")
 
-    # Both export handles live on one ExitStack: if the second open()
-    # raises, the stack unwinds the first, and any exception inside the
-    # loop closes both (the old two-bare-opens form leaked metrics_fh
-    # whenever the trace_fh open failed).
     try:
-        with ExitStack() as stack:
-            metrics_fh = (stack.enter_context(open(args.metrics_out, "w"))
-                          if args.metrics_out else None)
-            trace_fh = (stack.enter_context(open(args.trace_out, "w"))
-                        if args.trace_out else None)
+        with (open(args.metrics_out, "w") if args.metrics_out
+              else nullcontext()) as metrics_fh:
             keys = (list(REGISTRY) if args.experiment == "all"
                     else list(campaigns_by_key) if campaigns_by_key
                     else [args.experiment])
@@ -296,9 +286,6 @@ def main(argv: list[str] | None = None) -> int:
                     if args.breakdown:
                         metrics_lines += write_breakdown_jsonl(
                             metrics_fh, key, runner.last_breakdowns)
-                if trace_fh is not None:
-                    trace_lines += write_trace_jsonl(trace_fh, key,
-                                                     runner.last_traces)
                 if args.perfetto_out:
                     for point, payload in runner.last_spans.items():
                         perfetto_points[f"{key}/{point}"] = payload
@@ -322,8 +309,6 @@ def main(argv: list[str] | None = None) -> int:
                   f"(inspect with python -m pstats)]")
     if args.metrics_out:
         print(f"[metrics: {metrics_lines} records -> {args.metrics_out}]")
-    if args.trace_out:
-        print(f"[trace: {trace_lines} records -> {args.trace_out}]")
     if args.perfetto_out:
         flush_perfetto()
     stats = runner.cache.stats()

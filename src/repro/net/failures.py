@@ -21,7 +21,7 @@ Observability
 -------------
 
 Every injected failure and recovery emits a ``failure.inject`` /
-``failure.recover`` trace record, bumps the ``chaos.injected`` /
+``failure.recover`` marker, bumps the ``chaos.injected`` /
 ``chaos.recovered`` counters, and each targeted link gets a
 ``chaos.link.<name>.down_ns`` gauge accumulating its total downtime —
 the raw material for the recovery-time analysis in
@@ -36,7 +36,7 @@ from typing import Optional
 from repro.net.link import Link
 from repro.net.switch import DATA_CLASS, Switch
 from repro.obs import registry as metrics
-from repro.sim import trace
+from repro.obs import spans
 from repro.sim.engine import Simulator
 
 
@@ -124,9 +124,11 @@ class FailureInjector:
                                            + self.sim.now - since)
 
     # --------------------------------------------------------------- emits
-    def _emit(self, action: str, event: FailureEvent, **detail) -> None:
-        trace.emit(self.sim.now, f"failure.{action}", event.target,
-                   kind=event.kind, **detail)
+    def _emit(self, action: str, event: FailureEvent) -> None:
+        sp = spans._active
+        if sp is not None:
+            sp.mark(self.sim.now, f"failure.{action}", -1, event.target,
+                    {"kind": event.kind})
         metrics.counter(f"chaos.{'injected' if action == 'inject' else 'recovered'}").inc()
 
     def _schedule(self, event: FailureEvent, fail, recover) -> FailureEvent:

@@ -16,7 +16,6 @@ from repro.net.packet import PAYLOAD_KINDS
 from repro.obs.registry import CounterBlock
 from repro.obs import registry as metrics
 from repro.obs import spans
-from repro.sim import trace
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,7 +52,7 @@ class Link:
     :meth:`Switch._forward`.  Drops are drawn from a private RNG seeded
     from ``(loss_seed, name)`` so a rebuilt topology replays the same
     loss pattern.  Every discard — injected loss or a downed link —
-    emits a ``drop`` trace record with a ``reason`` field.
+    leaves a ``drop`` marker with a ``reason`` field.
     """
 
     def __init__(self, sim: Simulator, dst: Device, dst_port: int,
@@ -82,21 +81,23 @@ class Link:
 
         A downed link (``up = False``) discards traffic, which models
         the link/switch failures that DCP's coarse timeout fallback
-        (§4.5) must cover — visibly: the discard is counted and traced.
+        (§4.5) must cover — visibly: the discard is counted and marked.
         """
         if not self.up:
             self.stats.dropped_link_down += 1
-            trace.emit(self.sim.now, "drop", self.name,
-                       flow_id=packet.flow_id, psn=packet.psn,
-                       reason="link_down")
+            sp = spans._active
+            if sp is not None:
+                sp.mark(self.sim.now, "drop", packet.flow_id, self.name,
+                        {"psn": packet.psn, "reason": "link_down"})
             return
         if self.loss_rate > 0.0:
             if (packet.kind in PAYLOAD_KINDS
                     and self._loss_rng.random() < self.loss_rate):
                 self.stats.dropped_loss += 1
-                trace.emit(self.sim.now, "drop", self.name,
-                           flow_id=packet.flow_id, psn=packet.psn,
-                           reason="loss")
+                sp = spans._active
+                if sp is not None:
+                    sp.mark(self.sim.now, "drop", packet.flow_id, self.name,
+                            {"psn": packet.psn, "reason": "loss"})
                 return
         stats = self.stats
         stats.delivered_packets += 1

@@ -23,7 +23,6 @@ from repro.net.packet import (Packet, PacketKind, PAUSE_FRAME_BYTES,
 from repro.obs import registry as metrics
 from repro.obs import spans
 from repro.obs.registry import CounterBlock
-from repro.sim import trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -98,8 +97,11 @@ class PfcController:
             self.pause_sent[in_port] = True
             self.stats.pause_frames += 1
             self._pause_start[in_port] = self.sim.now
-            trace.emit(self.sim.now, "pfc", self.name, action="pause",
-                       port=in_port, ingress_bytes=self.ingress_bytes[in_port])
+            sp = spans._active
+            if sp is not None:
+                sp.mark(self.sim.now, "pfc", -1, self.name,
+                        {"action": "pause", "port": in_port,
+                         "ingress_bytes": self.ingress_bytes[in_port]})
             self.send_frame(in_port,
                             make_pause(self.config.priority, sim=self.sim))
 
@@ -115,9 +117,8 @@ class PfcController:
             self.paused_time_ns[in_port] += self.sim.now - self._pause_start[in_port]
             sp = spans._active
             if sp is not None:
-                sp.add(self._pause_start[in_port], self.sim.now, "pause",
-                       -1, -1, f"{self.name}.p{in_port}")
-            trace.emit(self.sim.now, "pfc", self.name, action="resume",
-                       port=in_port, ingress_bytes=self.ingress_bytes[in_port])
+                sp.mark(self.sim.now, "pfc", -1, self.name,
+                        {"action": "resume", "port": in_port,
+                         "ingress_bytes": self.ingress_bytes[in_port]})
             self.send_frame(in_port,
                             make_resume(self.config.priority, sim=self.sim))

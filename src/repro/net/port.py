@@ -20,7 +20,6 @@ from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
 from repro.net.queues import ByteQueue, WrrScheduler
 from repro.obs import spans
-from repro.sim import trace
 from repro.sim.units import serialization_ns
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,9 +32,10 @@ class EgressPort:
     Parameters
     ----------
     switch:
-        The owning switch: its shared-buffer total, PFC ingress counters
-        and ``ctrlq`` trace are updated as packets leave, and its
-        ``config.wrr_weight`` weights the control class over data (§4.2).
+        The owning switch: its shared-buffer total and PFC ingress
+        counters are updated as packets leave (an HO packet also leaves
+        a ``ctrlq`` marker), and its ``config.wrr_weight`` weights the
+        control class over data (§4.2).
     rate_bits_per_ns:
         Line rate.  ``100.0`` is 100 Gbps.
     queues:
@@ -76,11 +76,17 @@ class EgressPort:
     # ------------------------------------------------------------ control
     def pause(self, cls: int) -> None:
         """PFC PAUSE: stop serving traffic class ``cls``."""
+        sp = spans._active
+        if sp is not None and not self.paused_classes:
+            sp.pause(self.name, self.sim.now)
         self.paused_classes.add(cls)
 
     def resume(self, cls: int) -> None:
         """PFC RESUME: allow traffic class ``cls`` again."""
         self.paused_classes.discard(cls)
+        sp = spans._active
+        if sp is not None and not self.paused_classes:
+            sp.resume(self.name, self.sim.now)
         if not self.busy:
             self._send_next()
 
@@ -154,14 +160,14 @@ class EgressPort:
             else:
                 ser = serialization_ns(size, self.rate)
             sp.port_tx(packet, self.sim.now, ser, self.name)
-        # The packet leaves the switch: shared buffer, the ctrlq trace
+        # The packet leaves the switch: shared buffer, the ctrlq marker
         # (WRR served the control queue ahead of data, §4.2 — this drain
         # latency keeps the control plane lossless), PFC ingress counter.
         switch = self.switch
         switch.buffered_bytes -= size
-        if packet.kind is PacketKind.HO:
-            trace.emit(self.sim.now, "ctrlq", switch.name,
-                       flow_id=packet.flow_id, psn=packet.psn)
+        if sp is not None and packet.kind is PacketKind.HO:
+            sp.mark(self.sim.now, "ctrlq", packet.flow_id, switch.name,
+                    {"psn": packet.psn})
         pfc = switch.pfc
         if pfc is not None:
             pfc.release(packet.ingress_hint, packet)

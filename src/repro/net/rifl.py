@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.net.packet import PAYLOAD_KINDS
 from repro.obs import registry as metrics
 from repro.obs.registry import CounterBlock
-from repro.sim import trace
+from repro.obs import spans
 from repro.sim.engine import CancelledToken, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -96,8 +96,10 @@ class RiflShim:
     def _hold(self, packet: "Packet") -> None:
         self.stats.held_link_down += 1
         self._held.append(packet)
-        trace.emit(self.sim.now, "rifl_hold", self.link.name,
-                   flow_id=packet.flow_id, psn=packet.psn)
+        sp = spans._active
+        if sp is not None:
+            sp.mark(self.sim.now, "rifl_hold", packet.flow_id,
+                    self.link.name, {"psn": packet.psn})
         self._arm_retry()
 
     def _try_send(self, packet: "Packet") -> None:
@@ -110,8 +112,10 @@ class RiflShim:
             # Corrupted on the wire: the hop receiver's CRC rejects it,
             # the hop sender re-sends after one hop round trip.
             self.stats.hop_retx += 1
-            trace.emit(self.sim.now, "rifl_retx", self.link.name,
-                       flow_id=packet.flow_id, psn=packet.psn)
+            sp = spans._active
+            if sp is not None:
+                sp.mark(self.sim.now, "rifl_retx", packet.flow_id,
+                        self.link.name, {"psn": packet.psn})
             self.sim.call_after(self.retx_delay_ns, self._retry_frame,
                                 packet)
             return
@@ -132,6 +136,9 @@ class RiflShim:
         stats.delivered_bytes += packet.size_bytes
         self.stats.delivered += 1
         packet.hops += 1
+        sp = spans._active
+        if sp is not None:
+            sp.propagate(packet, self.sim.now, link.prop_delay_ns, link.name)
         self.sim.call_after(link.prop_delay_ns, link._rx, packet,
                             link.dst_port)
 

@@ -30,8 +30,8 @@ from repro.net.pfc import PfcConfig, PfcController
 from repro.net.port import EgressPort
 from repro.net.queues import ByteQueue
 from repro.obs import registry as metrics
+from repro.obs import spans
 from repro.obs.registry import CounterBlock
-from repro.sim import trace
 from repro.sim.engine import Simulator
 
 DATA_CLASS = 0
@@ -216,9 +216,11 @@ class Switch:
             if marker is not None and kind is PacketKind.DATA:
                 if marker.maybe_mark(packet, data_q.bytes):
                     stats.ecn_marked += 1
-                    trace.emit(self.sim.now, "ecn", self.name,
-                               flow_id=packet.flow_id, psn=packet.psn,
-                               queue_bytes=data_q.bytes)
+                    sp = spans._active
+                    if sp is not None:
+                        sp.mark(self.sim.now, "ecn", packet.flow_id,
+                                self.name, {"psn": packet.psn,
+                                            "queue_bytes": data_q.bytes})
             # data_q.would_overflow(packet), spelled out: the switch
             # built every data queue with a byte cap.
             if data_q.bytes + packet.size_bytes > data_q.capacity_bytes:
@@ -231,8 +233,10 @@ class Switch:
                 # DCP packet trimming module (§4.2).
                 packet.trim()
                 stats.trimmed += 1
-                trace.emit(self.sim.now, "trim", self.name,
-                           flow_id=packet.flow_id, psn=packet.psn)
+                sp = spans._active
+                if sp is not None:
+                    sp.mark(self.sim.now, "trim", packet.flow_id, self.name,
+                            {"psn": packet.psn})
             if (port.queues[CONTROL_CLASS].would_overflow(packet)
                     or self.buffered_bytes + packet.size_bytes
                     > config.buffer_bytes):
@@ -251,8 +255,10 @@ class Switch:
                     stats.acks_dropped += 1
                 stats.dropped_congestion += 1
                 reason = "congestion"
-            trace.emit(self.sim.now, "drop", self.name,
-                       flow_id=packet.flow_id, psn=packet.psn, reason=reason)
+            sp = spans._active
+            if sp is not None:
+                sp.mark(self.sim.now, "drop", packet.flow_id, self.name,
+                        {"psn": packet.psn, "reason": reason})
             return
         packet.ingress_hint = in_port
         self.buffered_bytes += packet.size_bytes

@@ -1,4 +1,4 @@
-"""Unified telemetry: metrics registry, time-series sampling, export.
+"""Unified telemetry: metrics registry, sampling, spans, export.
 
 Public surface::
 
@@ -14,16 +14,16 @@ Public surface::
     metrics.install(None)
 
 Disabled (no registry installed) the whole subsystem costs one ``None``
-check per component *construction* and nothing per event — the same
-discipline as :mod:`repro.sim.trace`.
+check per component *construction* and nothing per event.  The flight
+recorder, :mod:`repro.obs.spans`, follows the same install/``None``
+discipline per emit site.
 """
 
 from repro._lazy import lazy_exports
 from repro.obs import registry as metrics
 from repro.obs.export import (SCHEMA_VERSION, breakdown_records,
-                              metrics_records, span_records, trace_records,
-                              tracer_payload, write_breakdown_jsonl,
-                              write_metrics_jsonl, write_trace_jsonl)
+                              metrics_records, write_breakdown_jsonl,
+                              write_metrics_jsonl)
 from repro.obs.registry import (Counter, CounterBlock, Gauge, Histogram,
                                 MetricsRegistry)
 
@@ -58,10 +58,7 @@ __all__ = [
     "metrics",
     "metrics_records",
     "perfetto_trace",
-    "span_records",
     "spans",
-    "trace_records",
-    "tracer_payload",
     "validate_file",
     "validate_lines",
     "validate_path",
@@ -69,5 +66,4 @@ __all__ = [
     "write_breakdown_jsonl",
     "write_metrics_jsonl",
     "write_perfetto",
-    "write_trace_jsonl",
 ]

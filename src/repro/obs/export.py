@@ -1,4 +1,4 @@
-"""JSONL export of metrics payloads and trace records.
+"""JSONL export of metrics payloads and flow breakdowns.
 
 One JSON object per line, ``sort_keys=True`` with compact separators so
 the byte stream is deterministic for a given input.  The documented
@@ -14,12 +14,6 @@ record shapes (validated by :mod:`repro.obs.schema`):
     ``counts`` has ``len(bounds) + 1`` entries (last = overflow).
 ``{"type": "series", ..., "times_ns": [...], "values": [...]}``
     A sampled gauge time series (present when sampling was enabled).
-``{"type": "trace", "experiment": K, "point": P, "time_ns": T,
-   "category": C, "actor": A, "detail": {...}}``
-    One :class:`repro.sim.trace.TraceRecord` (``--trace-out`` files).
-``{"type": "span", ..., "start_ns": S, "end_ns": E, "kind": K,
-   "flow_id": F, "uid": U, "actor": A}``
-    One :class:`repro.obs.spans.SpanTracker` interval.
 ``{"type": "breakdown", ..., "flow": F, "fct_ns": T, "completed": B,
    "components": {...}}``
     One flow's FCT attribution
@@ -40,8 +34,6 @@ from __future__ import annotations
 
 import json
 from typing import Any, Iterator, TextIO
-
-from repro.sim.trace import Tracer
 
 #: Schema version stamped into every meta record.
 SCHEMA_VERSION = 1
@@ -96,52 +88,7 @@ def write_campaign_jsonl(fh: TextIO, experiment: str, name: str,
     return 1
 
 
-# ------------------------------------------------------------------- traces
-def tracer_payload(tracer: Tracer) -> dict[str, Any]:
-    """JSON-safe snapshot of a tracer (rides inside sweep-point payloads)."""
-    return {
-        "records": [[r.time_ns, r.category, r.actor, dict(r.detail)]
-                    for r in tracer.records],
-        "dropped_records": tracer.dropped_records,
-    }
-
-
-def trace_records(experiment: str,
-                  traces_by_point: dict[str, dict]) -> Iterator[dict]:
-    """Flatten per-point tracer payloads into JSONL record dicts."""
-    yield {"type": "meta", "schema": SCHEMA_VERSION, "experiment": experiment,
-           "points": list(traces_by_point),
-           "dropped_records": {p: t.get("dropped_records", 0)
-                               for p, t in traces_by_point.items()}}
-    for point, payload in traces_by_point.items():
-        for time_ns, category, actor, detail in payload.get("records", []):
-            yield {"type": "trace", "experiment": experiment, "point": point,
-                   "time_ns": time_ns, "category": category, "actor": actor,
-                   "detail": detail}
-
-
-def write_trace_jsonl(fh: TextIO, experiment: str,
-                      traces_by_point: dict[str, dict]) -> int:
-    """Write one experiment's trace records to ``fh``; returns lines."""
-    n = 0
-    for record in trace_records(experiment, traces_by_point):
-        fh.write(_dump(record) + "\n")
-        n += 1
-    return n
-
-
-# -------------------------------------------------------- spans / breakdowns
-def span_records(experiment: str,
-                 spans_by_point: dict[str, dict]) -> Iterator[dict]:
-    """Flatten per-point span payloads into JSONL record dicts."""
-    for point, payload in spans_by_point.items():
-        for start_ns, end_ns, kind, flow_id, uid, actor in \
-                payload.get("spans", []):
-            yield {"type": "span", "experiment": experiment, "point": point,
-                   "start_ns": start_ns, "end_ns": end_ns, "kind": kind,
-                   "flow_id": flow_id, "uid": uid, "actor": actor}
-
-
+# --------------------------------------------------------------- breakdowns
 def breakdown_records(experiment: str,
                       breakdowns_by_point: dict[str, list]) -> Iterator[dict]:
     """Flatten per-point flow breakdowns into JSONL record dicts."""

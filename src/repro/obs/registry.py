@@ -1,6 +1,6 @@
 """The metrics registry: counters, gauges and fixed-bucket histograms.
 
-The registry follows the same discipline as :mod:`repro.sim.trace`: a
+The registry follows the same discipline as :mod:`repro.obs.spans`: a
 module-level ``_active`` registry that components consult once at
 *construction* time, so the steady-state disabled path costs a single
 ``None`` check (and the per-event path costs nothing at all — counters

@@ -4,7 +4,7 @@ Validates three kinds of export:
 
 1. **record shape** — every JSONL line is a JSON object of a known
    ``type`` with that type's required keys (see :mod:`repro.obs.export`
-   for the documented shapes, including the span/breakdown families);
+   for the documented shapes, including the breakdown family);
 2. **metric names** — every name matches the catalog below, which
    enumerates the instruments the instrumented components register.
    An unknown name fails validation, so silently renamed or drive-by
@@ -66,17 +66,9 @@ _REQUIRED_KEYS = {
     "histogram": ("experiment", "point", "name", "bounds", "counts",
                   "total", "sum"),
     "series": ("experiment", "point", "name", "times_ns", "values"),
-    "trace": ("experiment", "point", "time_ns", "category", "actor",
-              "detail"),
-    "span": ("experiment", "point", "start_ns", "end_ns", "kind",
-             "flow_id", "actor"),
     "breakdown": ("experiment", "point", "flow", "fct_ns", "components"),
     "campaign": ("experiment", "name", "groups", "points"),
 }
-
-#: Interval kinds a span record may carry (repro.obs.spans.SPAN_KINDS).
-SPAN_KINDS = frozenset({"queue", "serialization", "propagation", "pause",
-                        "retx_stall", "reorder"})
 
 #: Component keys a breakdown record may carry
 #: (repro.analysis.latency.COMPONENTS).
@@ -117,13 +109,6 @@ def validate_record(record: object) -> list[str]:
         if len(record["times_ns"]) != len(record["values"]):
             errors.append(f"series {record['name']!r} times/values "
                           "length mismatch")
-    elif rtype == "span":
-        kind = record["kind"]
-        if kind not in SPAN_KINDS:
-            errors.append(f"span kind {kind!r} not in catalog")
-        if record["end_ns"] < record["start_ns"]:
-            errors.append(f"span interval inverted: "
-                          f"[{record['start_ns']}, {record['end_ns']}]")
     elif rtype == "campaign":
         groups = record["groups"]
         if not isinstance(groups, list) or not groups:

@@ -1,19 +1,21 @@
-"""Per-packet span tracing: the flight recorder behind ``--breakdown``.
+"""The flight recorder behind ``--breakdown`` and ``--perfetto-out``.
 
-Where :mod:`repro.sim.trace` collects point events, this module records
-*causal intervals*: how long a packet waited in an egress queue, held
-the wire, propagated down a cable; how long a port was PAUSE-blocked;
-how long a receiver sat on a sequence hole; how long a sender stalled
-between the last delivery progress and a retransmission timer firing.
-:mod:`repro.analysis.latency` folds these intervals into a per-flow FCT
-breakdown, and :func:`write_perfetto` turns them into a Chrome
+A :class:`SpanTracker` records *causal intervals* — how long a packet
+waited in an egress queue, held the wire, propagated down a cable; how
+long a port was PAUSE-blocked; how long a receiver sat on a sequence
+hole; how long a sender stalled between the last delivery progress and
+a retransmission timer firing — and *instant markers* for the point
+events in between (drops, trims, HO turnarounds, hop repairs, ...).
+:mod:`repro.analysis.latency` folds the intervals into a per-flow FCT
+breakdown, and :func:`write_perfetto` turns both into a Chrome
 trace-event file loadable in ui.perfetto.dev.
 
-Instrumented components call the tracker through the module-level
-``_active`` global, exactly like the Tracer: disabled (the default) the
-whole subsystem costs one ``None`` check per emit site, and enabled it
-only *reads* simulation state — no events, no RNG draws — so serial,
-``--jobs N`` and cache replay stay bit-identical with spans on or off.
+Instrumented components reach the tracker through the module-level
+``_active`` global (``sp = spans._active; if sp is not None: ...``):
+disabled (the default) the whole subsystem costs one ``None`` check per
+emit site, and enabled it only *reads* simulation state — no events, no
+RNG draws — so serial, ``--jobs N`` and cache replay stay bit-identical
+with spans on or off.
 
 Span kinds (see :data:`SPAN_KINDS`):
 
@@ -25,8 +27,9 @@ Span kinds (see :data:`SPAN_KINDS`):
 ``propagation``
     Packet was in flight on a link.
 ``pause``
-    A transmitter (switch ingress via PFC, or a host NIC) was
-    PAUSE-blocked.  Emitted with ``flow_id == -1``: a paused wire
+    A transmitter (a switch egress port or a host NIC) was
+    PAUSE-blocked, by a PFC frame or a chaos PFC storm; one span per
+    paused transmitter.  Emitted with ``flow_id == -1``: a paused wire
     stalls every flow crossing it.
 ``retx_stall``
     A retransmission timer fired after a window with no delivery
@@ -35,8 +38,34 @@ Span kinds (see :data:`SPAN_KINDS`):
     A receiver-side sequence hole was open: packets beyond the hole
     had arrived before the missing PSN did (SDR's hole-repair latency).
 
-Instant markers (``retx``, ``timeout``) record retransmissions and
-timer firings; they become Perfetto instant events.
+Marker kinds (see :data:`MARK_KINDS`) carry a ``detail`` dict with the
+fields below (``psn`` is the packet's; flowless markers use
+``flow_id == -1``).  They become Perfetto instant events, the detail in
+``args``:
+
+``drop``
+    A packet was discarded: ``psn``, ``reason`` (``link_down``/``loss``
+    on a link, ``forced``/``congestion`` at a switch).
+``trim`` / ``ecn``
+    A switch trimmed a payload to its header (``psn``) or CE-marked it
+    (``psn``, ``queue_bytes``).
+``ctrlq``
+    A header-only packet left a switch's control queue (``psn``).
+``pfc``
+    A switch PFC controller sent PAUSE/RESUME: ``action``, ``port``,
+    ``ingress_bytes``.
+``ho``
+    DCP's header-only loss notification: ``dir`` is ``turn`` at the
+    receiver, ``recv`` back at the sender; ``psn``.
+``rifl_hold`` / ``rifl_retx``
+    A RIFL hop held a frame behind a down link, or re-sent one its hop
+    receiver rejected (``psn``).
+``failure.inject`` / ``failure.recover``
+    The chaos injector's failure windows; the actor is the target and
+    ``kind`` the failure kind.
+``retx`` / ``timeout``
+    A transport retransmission, and a retransmission timer firing (a
+    DCP coarse timeout adds the ``msn`` and its ``sretry``).
 
 Offline use::
 
@@ -54,8 +83,10 @@ from typing import Any, Iterable, Optional, TextIO
 SPAN_KINDS = ("queue", "serialization", "propagation", "pause",
               "retx_stall", "reorder")
 
-#: Instant-marker kinds.
-MARK_KINDS = ("retx", "timeout")
+#: Every instant-marker kind a tracker can record.
+MARK_KINDS = ("drop", "trim", "ecn", "ctrlq", "pfc", "ho", "rifl_hold",
+              "rifl_retx", "failure.inject", "failure.recover", "retx",
+              "timeout")
 
 #: Receiver-side hole table bound per flow: beyond this many buffered
 #: out-of-order arrivals the flow's hole state resets (counted in
@@ -67,15 +98,15 @@ class SpanTracker:
     """Collects lifecycle intervals and instant markers for one run.
 
     Spans are plain tuples ``(start_ns, end_ns, kind, flow_id, uid,
-    actor)`` and markers ``(time_ns, kind, flow_id, actor)``; both share
-    the ``max_spans`` budget, with overflow counted in
-    ``dropped_spans`` (mirroring the Tracer's capture-drop contract).
+    actor)`` and markers ``(time_ns, kind, flow_id, actor, detail)``;
+    both share the ``max_spans`` budget, with overflow counted in
+    ``dropped_spans``.
     """
 
     def __init__(self, max_spans: int = 1_000_000) -> None:
         self.max_spans = max_spans
         self.spans: list[tuple[int, int, str, int, int, str]] = []
-        self.marks: list[tuple[int, str, int, str]] = []
+        self.marks: list[tuple[int, str, int, str, dict[str, Any]]] = []
         self.dropped_spans = 0
         self.reorder_resets = 0
         # --- bookkeeping the emit sites feed ------------------------------
@@ -95,12 +126,13 @@ class SpanTracker:
             return
         self.spans.append((start_ns, end_ns, kind, flow_id, uid, actor))
 
-    def mark(self, time_ns: int, kind: str, flow_id: int, actor: str) -> None:
+    def mark(self, time_ns: int, kind: str, flow_id: int, actor: str,
+             detail: dict[str, Any]) -> None:
         """Record one instant marker (shares the ``max_spans`` budget)."""
         if len(self.spans) + len(self.marks) >= self.max_spans:
             self.dropped_spans += 1
             return
-        self.marks.append((time_ns, kind, flow_id, actor))
+        self.marks.append((time_ns, kind, flow_id, actor, detail))
 
     # ------------------------------------------------------- emit-site hooks
     def note_flow(self, flow_id: int, start_ns: int) -> None:
@@ -187,12 +219,10 @@ class SpanTracker:
             pending.setdefault(psn, now_ns)
         # psn < nxt: duplicate of already-contiguous data; no hole state.
 
-    def retransmit(self, flow_id: int, now_ns: int, actor: str) -> None:
-        self.mark(now_ns, "retx", flow_id, actor)
-
-    def timeout(self, flow_id: int, now_ns: int, actor: str) -> None:
+    def timeout(self, flow_id: int, now_ns: int, actor: str,
+                detail: dict[str, Any]) -> None:
         """A retransmission timer fired: mark it and span the stall."""
-        self.mark(now_ns, "timeout", flow_id, actor)
+        self.mark(now_ns, "timeout", flow_id, actor, detail)
         last = self._progress.get(flow_id)
         if last is None:
             last = self._flow_start.get(flow_id)
@@ -243,8 +273,8 @@ def perfetto_events(points: dict[str, dict[str, Any]]) -> list[dict[str, Any]]:
     ``points`` maps a point label to a :meth:`SpanTracker.to_payload`
     dict.  Each point becomes one Perfetto *process* (pid), each flow
     inside it one *thread* (tid) — flows render as named tracks with
-    packet-lifecycle slices nested by time, and retx/timeout markers as
-    instant events.  Timestamps are microseconds (the trace-event
+    packet-lifecycle slices nested by time, and markers as instant
+    events carrying their detail in ``args``.  Timestamps are microseconds (the trace-event
     unit); durations keep nanosecond precision as fractions.
     """
     events: list[dict[str, Any]] = []
@@ -273,12 +303,12 @@ def perfetto_events(points: dict[str, dict[str, Any]]) -> list[dict[str, Any]]:
                 "pid": pid, "tid": tid_of(flow_id),
                 "args": {"actor": actor, "uid": uid, "flow": flow_id},
             })
-        for time_ns, kind, flow_id, actor in payload.get("marks", []):
+        for time_ns, kind, flow_id, actor, detail in payload.get("marks", []):
             events.append({
                 "ph": "i", "name": kind, "cat": "mark", "s": "t",
                 "ts": time_ns / 1000.0,
                 "pid": pid, "tid": tid_of(flow_id),
-                "args": {"actor": actor},
+                "args": {**detail, "actor": actor, "flow": flow_id},
             })
     return events
 
@@ -313,12 +343,12 @@ def summarize(trace: dict[str, Any]) -> str:
         by_kind[e["name"]] = (count + 1, total + float(e.get("dur", 0.0)))
     for kind in sorted(by_kind):
         count, total = by_kind[kind]
-        lines.append(f"  {kind:<14} {count:>8} slices  {total:>14.3f} us")
+        lines.append(f"  {kind:<16} {count:>8} slices  {total:>14.3f} us")
     by_mark: dict[str, int] = {}
     for e in marks:
         by_mark[e["name"]] = by_mark.get(e["name"], 0) + 1
     for kind in sorted(by_mark):
-        lines.append(f"  {kind:<14} {by_mark[kind]:>8} markers")
+        lines.append(f"  {kind:<16} {by_mark[kind]:>8} markers")
     return "\n".join(lines)
 
 

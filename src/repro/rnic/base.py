@@ -29,7 +29,6 @@ from repro.net.packet import Packet, PacketKind, make_cnp
 from repro.obs import registry as metrics
 from repro.obs import spans
 from repro.obs.registry import CounterBlock
-from repro.sim import trace
 from repro.sim.engine import CancelledToken, Entity, Simulator
 from repro.sim.units import serialization_ns
 
@@ -699,18 +698,17 @@ class RnicTransport(Entity):
         self.stats.retx_pkts += 1
         sp = spans._active
         if sp is not None:
-            sp.retransmit(flow.flow_id, self.sim.now, self._actor)
-        trace.emit(self.sim.now, "retx", self._actor, flow_id=flow.flow_id)
+            sp.mark(self.sim.now, "retx", flow.flow_id, self._actor, {})
 
-    def count_timeout(self, flow: Flow) -> None:
+    def count_timeout(self, flow: Flow, **detail: int) -> None:
+        """A retransmission timer fired; ``detail`` rides on its marker."""
         flow.stats.timeouts += 1
         self.stats.timeouts += 1
         sp = spans._active
         if sp is not None:
-            sp.timeout(flow.flow_id, self.sim.now, self._actor)
-        trace.emit(self.sim.now, "timeout", self._actor, flow_id=flow.flow_id)
+            sp.timeout(flow.flow_id, self.sim.now, self._actor, detail)
 
-    def count_coarse_timeout(self, flow: Flow) -> None:
+    def count_coarse_timeout(self, flow: Flow, **detail: int) -> None:
         """A coarse-grained fallback timer fired (§4.5).
 
         Counted separately from regular RTOs: the chaos campaign uses
@@ -718,7 +716,7 @@ class RnicTransport(Entity):
         crash-survival path.
         """
         self.stats.coarse_timeouts += 1
-        self.count_timeout(flow)
+        self.count_timeout(flow, **detail)
 
 
 class Host(Entity):

@@ -44,7 +44,11 @@ from typing import Any, Optional
 #: ``data_pkts_sent``; a v9 fig8/fig17/robustness entry lacks them.
 #: v11: GBN receivers echo ECN marks as CNPs; a v10 gbn+dcqcn point
 #: replays a DCQCN that never saw one.
-CACHE_VERSION = 11
+#: v12: span payload markers gain a ``detail`` dict and every marker
+#: kind (drops, trims, HO, PFC, hop repairs, failures); RIFL hops record
+#: propagation and paused switch ports record pause spans.  Untraced
+#: payloads are unchanged.
+CACHE_VERSION = 12
 
 
 def default_cache_dir() -> Path:

@@ -15,7 +15,7 @@ import without the simulator.
 
 Telemetry: every point carries a ``metrics`` payload (counters are
 always on — the registry costs nothing extra once components hold their
-counter handles).  Tracing and gauge sampling are opt-in via the
+counter handles).  Span recording and gauge sampling are opt-in via the
 ``telemetry`` param the :class:`~repro.runner.runner.ExperimentRunner`
 injects, and *participate in the cache key* — a traced run is a
 different computation than an untraced one.  Telemetry volume is
@@ -23,15 +23,16 @@ opt-in too: a point records the series somebody asked for (all gauges
 with ``sample_interval_ns``; a chaos scenario's delivery series
 otherwise; none by default)::
 
-    {"telemetry": {"trace": {"categories": [...], "max_records": N},
-                   "spans": {"max_spans": N},
+    {"telemetry": {"spans": {"max_spans": N},
                    "sample_interval_ns": 20_000,
                    "per_flow": false}}
 
 With ``spans`` present a :class:`repro.obs.spans.SpanTracker` records
-per-packet lifecycle intervals and the payload gains ``spans`` (the raw
-tracker snapshot) and ``breakdown`` (per-flow FCT attribution from
-:func:`repro.analysis.latency.flow_breakdown`) blocks.
+per-packet lifecycle intervals and instant markers (drops, trims,
+retransmissions, ...), and the payload gains ``spans`` (the raw tracker
+snapshot) and ``breakdown`` (per-flow FCT attribution from
+:func:`repro.analysis.latency.flow_breakdown`) blocks.  Any other
+``telemetry`` key is an error.
 
 Because the payload rides through :func:`canonicalize` like everything
 else, metrics survive the result cache and merge deterministically
@@ -48,10 +49,8 @@ from repro.analysis.latency import flow_breakdown
 from repro.experiments.common import Network, NetworkSpec
 from repro.obs import registry as metrics
 from repro.obs import spans
-from repro.obs.export import tracer_payload
 from repro.obs.registry import Gauge, MetricsRegistry
 from repro.rnic.base import Flow
-from repro.sim import trace
 from repro.workload.collective import AllToAll, RingAllReduce
 
 #: Fixed FCT histogram buckets (microseconds): sub-RTT to multi-ms tail.
@@ -64,44 +63,40 @@ COLLECTIVES = {"allreduce": RingAllReduce, "alltoall": AllToAll}
 class PointTelemetry:
     """A point's ``telemetry`` param, installed while the point runs.
 
-    Holds the point's metrics registry, plus the tracer and span tracker
-    when asked for; :meth:`report` turns them into payload blocks.  On
-    exit the previously installed instruments come back.
+    Holds the point's metrics registry, plus the span tracker when asked
+    for; :meth:`report` turns them into payload blocks.  On exit the
+    previously installed instruments come back.  An unknown
+    ``telemetry`` key raises :class:`ValueError`: a misspelt or retired
+    key would otherwise record nothing, silently.
     """
 
     def __init__(self, params: dict) -> None:
         telemetry = params.get("telemetry") or {}
+        known = ("per_flow", "sample_interval_ns", "spans")
+        for key in sorted(telemetry):
+            if key not in known:
+                raise ValueError(f"unknown telemetry key {key!r} "
+                                 f"(known: {', '.join(known)})")
         self.registry = MetricsRegistry(
             per_flow=bool(telemetry.get("per_flow")))
         #: Gauge-sampling cadence the user asked for (0: none).
         self.interval_ns = int(telemetry.get("sample_interval_ns", 0))
-        self.tracer = self.tracker = self._sampler = None
-        trace_cfg = telemetry.get("trace")
-        if trace_cfg is not None:
-            categories = trace_cfg.get("categories")
-            flow_ids = trace_cfg.get("flow_ids")
-            self.tracer = trace.Tracer(
-                categories=set(categories) if categories else None,
-                flow_ids=set(flow_ids) if flow_ids else None,
-                max_records=int(trace_cfg.get("max_records", 100_000)))
+        self.tracker = self._sampler = None
         span_cfg = telemetry.get("spans")
         if span_cfg is not None:
             self.tracker = spans.SpanTracker(
                 max_spans=int(span_cfg.get("max_spans", 1_000_000)))
 
     def __enter__(self) -> "PointTelemetry":
-        self._prev = (metrics.active(), trace.active(), spans.active())
+        self._prev = (metrics.active(), spans.active())
         metrics.install(self.registry)
-        if self.tracer is not None:
-            trace.install(self.tracer)
         if self.tracker is not None:
             spans.install(self.tracker)
         return self
 
     def __exit__(self, *exc: object) -> None:
         metrics.install(self._prev[0])
-        trace.install(self._prev[1])
-        spans.install(self._prev[2])
+        spans.install(self._prev[1])
 
     def network(self, spec: NetworkSpec) -> Network:
         """Build ``spec``'s network with an ``engine.events`` gauge."""
@@ -122,14 +117,12 @@ class PointTelemetry:
 
     def report(self, net: Network, flows: Sequence[Flow]) -> dict[str, Any]:
         """``metrics``, plus ``fluid`` on a hybrid network and
-        ``trace``/``spans``/``breakdown`` when asked for."""
+        ``spans``/``breakdown`` when asked for."""
         if self._sampler is not None:
             self._sampler.stop()
         blocks: dict[str, Any] = {"metrics": self.registry.to_payload()}
         if net.fidelity is not None:
             blocks["fluid"] = net.fidelity.summary()
-        if self.tracer is not None:
-            blocks["trace"] = tracer_payload(self.tracer)
         if self.tracker is not None:
             self.tracker.finalize(net.sim.now)
             blocks["spans"] = self.tracker.to_payload()

@@ -102,16 +102,14 @@ class ExperimentRunner:
         #: Start method for the pool; ``None`` picks the first available
         #: of ``_MP_METHODS`` when a pool is actually made.
         self.mp_method = mp_method
-        #: Extra ``telemetry`` param injected into every point (tracing,
+        #: Extra ``telemetry`` param injected into every point (spans,
         #: gauge sampling).  Injection happens *before* cache keys are
         #: computed: a traced run is a different computation, so it must
         #: not serve (or poison) untraced cache entries.
         self.telemetry = telemetry
-        #: point_id -> metrics payload / tracer payload / span payload /
-        #: flow breakdowns from the latest run_points call, in
+        #: point_id -> metrics payload / span payload / flow breakdowns from the latest run_points call, in
         #: sweep-point order (for JSONL and Perfetto export).
         self.last_metrics: dict[str, Any] = {}
-        self.last_traces: dict[str, Any] = {}
         self.last_spans: dict[str, Any] = {}
         self.last_breakdowns: dict[str, Any] = {}
         #: Experiment key of the latest run_points call.
@@ -180,7 +178,6 @@ class ExperimentRunner:
         # experiment resets the harvest.
         if self.last_experiment != experiment:
             self.last_metrics = {}
-            self.last_traces = {}
             self.last_spans = {}
             self.last_breakdowns = {}
         self.last_experiment = experiment
@@ -188,8 +185,6 @@ class ExperimentRunner:
             if isinstance(payload, dict):
                 if "metrics" in payload:
                     self.last_metrics[point.point_id] = payload["metrics"]
-                if "trace" in payload:
-                    self.last_traces[point.point_id] = payload["trace"]
                 if "spans" in payload:
                     self.last_spans[point.point_id] = payload["spans"]
                 if "breakdown" in payload:

@@ -1,6 +1,6 @@
 """Integration tests for the span flight recorder across all transports.
 
-Three contracts from the flight-recorder issue:
+Three contracts hold for every transport:
 
 * **attribution** — for every registered transport at 0/1/5% forced
   loss, the per-flow FCT breakdown partitions the completion time:
@@ -12,6 +12,9 @@ Three contracts from the flight-recorder issue:
   with spans on or off;
 * **determinism** — the breakdown block (and its formatted table) is
   bit-identical across serial, ``--jobs 2`` and cache-replay runs.
+
+Besides them: RIFL hop delivery and a chaos PFC storm leave the spans
+the breakdown needs, and every marker kind carries its pinned detail.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.latency import COMPONENTS
+from repro.chaos.scenarios import get_scenario
+from repro.experiments import robustness
 from repro.experiments.common import NetworkSpec
+from repro.experiments.presets import PRESETS
 from repro.experiments.registry import run_experiment
 from repro.experiments.spec import TRANSPORTS as TRANSPORT_PATHS
 from repro.obs import spans as spans_mod
@@ -88,17 +94,17 @@ def test_spans_nest_inside_run(transport: str, loss_rate: float) -> None:
 def test_loss_shows_up_as_stall_or_reorder_time(transport: str) -> None:
     """At 5% loss, recovery must leave a visible footprint: some flow
     attributes time to retx stalls, reorder holds, or at minimum the
-    tracker saw retransmission markers (hop-level repair for RIFL)."""
+    tracker saw a repair marker — an end-to-end retransmission or
+    timeout, or a RIFL hop retransmission.  Drop markers do not count:
+    they show the loss, not its recovery."""
     payload = _run(transport, 0.05, telemetry=SPAN_TELEMETRY)
     stall = sum(e["retx_stall_ns"] + e["reorder_ns"]
                 for e in payload["breakdown"])
-    marks = payload["spans"]["marks"]
-    if transport == "rifl":
-        # Link-layer repair: no transport-visible stalls required.
-        return
-    assert stall > 0 or marks, (
-        f"{transport}: 5% loss left no stall time and no retx/timeout "
-        "markers")
+    repairs = [m for m in payload["spans"]["marks"]
+               if m[1] in ("retx", "timeout", "rifl_retx")]
+    assert stall > 0 or repairs, (
+        f"{transport}: 5% loss left no stall time and no retx/timeout/"
+        "rifl_retx markers")
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -138,6 +144,143 @@ def test_switch_queue_wait_is_recorded_without_forced_loss() -> None:
                       if span[2] == "queue")
     assert queue_spans == sum(1 for span in lossy["spans"]["spans"]
                               if span[2] == "queue") > 0
+
+
+def test_rifl_hops_record_propagation() -> None:
+    """RIFL forwards through its hop shim, not ``Link.deliver``; the
+    shim records the same flight time, so at 0% loss RIFL books exactly
+    GBN's propagation."""
+    gbn = _run("gbn", 0.0, telemetry=SPAN_TELEMETRY)
+    rifl = _run("rifl", 0.0, telemetry=SPAN_TELEMETRY)
+    propagation = [e["propagation_ns"] for e in rifl["breakdown"]]
+    assert propagation == [e["propagation_ns"] for e in gbn["breakdown"]]
+    assert all(ns > 0 for ns in propagation)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_pfc_storm_freeze_is_pause_time(transport: str) -> None:
+    """The robustness ``pfc_storm`` point freezes the only inter-switch
+    port for a window.  The frozen port records one pause span covering
+    the window, which every flow books as ``pause_stall_ns``."""
+    (point,) = [p for p in robustness.sweep(PRESETS["quick"],
+                                            chaos="pfc_storm")
+                if p.spec.transport == transport]
+    (event,) = point.params["chaos"]["events"]
+    payload = simulate_flows(point.spec, {**point.params,
+                                          "telemetry": SPAN_TELEMETRY})
+    for entry in payload["breakdown"]:
+        assert entry["completed"]
+        assert entry["pause_stall_ns"] == event["duration_ns"]
+        assert entry["residual_ns"] == 0
+    (inject,) = [m for m in payload["spans"]["marks"]
+                 if m[1] == "failure.inject"]
+    pauses = [s for s in payload["spans"]["spans"] if s[2] == "pause"]
+    at_ns = event["at_ns"]
+    assert pauses == [[at_ns, at_ns + event["duration_ns"], "pause", -1, -1,
+                       inject[3]]]
+
+
+#: The detail keys each marker kind carries (a DCP timeout is its
+#: coarse timer, which names the message and its retry count).
+MARK_DETAIL = {
+    "drop": {"psn", "reason"}, "trim": {"psn"},
+    "ecn": {"psn", "queue_bytes"}, "ctrlq": {"psn"},
+    "pfc": {"action", "port", "ingress_bytes"}, "ho": {"dir", "psn"},
+    "rifl_hold": {"psn"}, "rifl_retx": {"psn"},
+    "failure.inject": {"kind"}, "failure.recover": {"kind"},
+    "retx": set(), "timeout": {"msn", "sretry"},
+}
+
+#: (marker kind, detail filter) -> the counters (prefix, field) whose
+#: sum the marker count must equal.
+MARK_COUNTERS = {
+    ("drop", "link_down"): ("link", "dropped_link_down"),
+    ("drop", "loss"): ("link", "dropped_loss"),
+    ("drop", "forced"): ("switch", "dropped_forced"),
+    ("drop", "congestion"): ("switch", "dropped_congestion"),
+    ("trim", None): ("switch", "trimmed"),
+    ("ecn", None): ("switch", "ecn_marked"),
+    ("pfc", "pause"): ("pfc", "pause_frames"),
+    ("pfc", "resume"): ("pfc", "resume_frames"),
+    ("ho", "turn"): ("rnic", "ho_turned"),
+    ("ho", "recv"): ("rnic", "ho_received"),
+    ("rifl_hold", None): ("rifl", "held_link_down"),
+    ("rifl_retx", None): ("rifl", "hop_retx"),
+    ("failure.inject", None): ("chaos", "injected"),
+    ("failure.recover", None): ("chaos", "recovered"),
+    ("retx", None): ("rnic", "retx_pkts"),
+    ("timeout", None): ("rnic", "timeouts"),
+}
+
+
+def _marker_runs() -> dict[str, dict]:
+    """Three small runs that between them leave every marker kind: DCP
+    with DCQCN over a lossy two-switch fabric whose cable flaps, RIFL
+    through the same flap, and a GBN incast on a lossless fabric."""
+    flap = get_scenario("link_flap")
+    cross = dict(topology="testbed", num_hosts=4, cross_links=1, lb="ecmp",
+                 link_rate=10.0, buffer_bytes=300_000, loss_rate=0.01,
+                 seed=29)
+    runs = {
+        "dcp": (NetworkSpec(transport="dcp", cc="dcqcn", **cross,
+                            transport_overrides={"coarse_timeout_ns":
+                                                 400_000}),
+                [[0, 2, 240_000, 0], [1, 3, 240_000, 0],
+                 [0, 3, 240_000, 0], [1, 2, 240_000, 0]], flap),
+        "rifl": (NetworkSpec(transport="rifl", **cross),
+                 [[0, 2, 240_000, 0], [1, 3, 240_000, 10_000]], flap),
+        "gbn_pfc": (NetworkSpec(transport="gbn", topology="clos",
+                                num_hosts=8, num_leaves=2, num_spines=2,
+                                lb="ecmp", link_rate=10.0,
+                                buffer_bytes=300_000, seed=3),
+                    [[src, 7, 60_000, 0] for src in range(6)], None),
+    }
+    return {name: simulate_flows(spec, {"flows": flows, "chaos": chaos,
+                                        "telemetry": SPAN_TELEMETRY})
+            for name, (spec, flows, chaos) in runs.items()}
+
+
+def test_markers_pin_kind_and_detail() -> None:
+    """Every kind in ``MARK_KINDS`` shows up, with exactly its detail
+    keys, on its flow (or on no flow: PFC and failure markers), and as
+    often as the counter that counts the same event."""
+    seen = set()
+    for name, payload in _marker_runs().items():
+        assert payload["spans"]["dropped_spans"] == 0
+        flow_ids = {e["flow_id"] for e in payload["breakdown"]}
+        counters = payload["metrics"]["counters"]
+        counts: dict[tuple, int] = {}
+        for _t, kind, flow_id, actor, detail in payload["spans"]["marks"]:
+            seen.add(kind)
+            assert set(detail) == MARK_DETAIL[kind], (name, kind, detail)
+            assert actor, (name, kind)
+            if kind == "pfc" or kind.startswith("failure."):
+                assert flow_id == -1, (name, kind)
+            elif kind in ("drop", "rifl_hold"):
+                # A down cable drops (or a RIFL hop holds) flowless
+                # control frames too.
+                assert flow_id in flow_ids | {-1}, (name, kind, flow_id)
+            else:
+                assert flow_id in flow_ids, (name, kind, flow_id)
+            key = detail.get("reason") or detail.get("action") \
+                or detail.get("dir")
+            counts[kind, key] = counts.get((kind, key), 0) + 1
+            if kind.startswith("failure."):
+                assert detail["kind"] == "link"
+        def total(prefix: str, field: str) -> int:
+            return sum(v for n, v in counters.items()
+                       if n.startswith(prefix + ".")
+                       and n.endswith("." + field))
+
+        # No counter counts HO departures; every trimmed packet the
+        # switch did not then drop leaves its trimming switch once.
+        assert counts.pop(("ctrlq", None), 0) >= (
+            counts.get(("trim", None), 0) - total("switch", "ho_dropped"))
+        assert set(counts) <= set(MARK_COUNTERS), (name, counts)
+        for (kind, key), (prefix, field) in MARK_COUNTERS.items():
+            assert counts.get((kind, key), 0) == total(prefix, field), (
+                name, kind, key)
+    assert seen == set(spans_mod.MARK_KINDS)
 
 
 class TestBreakdownDeterminism:

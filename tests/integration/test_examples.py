@@ -71,6 +71,7 @@ def test_trace_demo(capsys, tmp_path):
     finally:
         sys.modules.pop(spec.name, None)
     out = capsys.readouterr().out
+    assert "drop" in out and "retx" in out      # the marker listing
     assert "where the time went" in out
     assert "validated: OK" in out
     assert (tmp_path / "demo.json").exists()

@@ -36,7 +36,7 @@ HARNESS = frozenset({
     "repro.runner.spec_hash",
     "repro.obs", "repro.obs.export", "repro.obs.registry",
     "repro.obs.schema", "repro.obs.spans",
-    "repro.sim", "repro.sim.rng", "repro.sim.trace", "repro.sim.units",
+    "repro.sim", "repro.sim.rng", "repro.sim.units",
     "repro.chaos", "repro.chaos.scenarios",
     "repro.campaigns", "repro.campaigns.compiler",
     "repro.campaigns.library", "repro.campaigns.metrics",

@@ -107,7 +107,7 @@ def test_timeout_stalls_chain_without_overlap(gaps):
     now = 0
     for gap in gaps:
         now += gap
-        t.timeout(7, now, "rnic7")
+        t.timeout(7, now, "rnic7", {})
     stalls = [s for s in t.spans if s[2] == "retx_stall"]
     assert len(stalls) == len(gaps)
     prev_end = 0

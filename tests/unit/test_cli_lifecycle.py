@@ -1,9 +1,9 @@
 """CLI export/handle lifecycle regressions.
 
-Pins the three bugfix behaviors: the metrics handle no longer leaks
-when the trace open fails, Perfetto points collected before a mid-run
-failure are flushed, and harvested metrics reach ``result.metrics``
-whether or not ``--metrics-out`` was given.
+Pins the three bugfix behaviors: the metrics handle does not leak when
+the Perfetto trace open fails, Perfetto points collected before a
+mid-run failure are flushed, and harvested metrics reach
+``result.metrics`` whether or not ``--metrics-out`` was given.
 """
 
 import builtins
@@ -36,10 +36,10 @@ class TestHandleLifecycle:
     def test_metrics_fh_closed_when_trace_open_fails(self, tmp_path,
                                                      open_tracker):
         metrics_path = tmp_path / "metrics.jsonl"
-        bad_trace = tmp_path / "nosuchdir" / "trace.jsonl"
+        bad_trace = tmp_path / "nosuchdir" / "run.perfetto.json"
         with pytest.raises(OSError):
             cli.main(["table2", "--metrics-out", str(metrics_path),
-                      "--trace-out", str(bad_trace)])
+                      "--perfetto-out", str(bad_trace)])
         metrics_handles = [fh for path, fh in open_tracker
                            if path == str(metrics_path)]
         assert metrics_handles, "metrics file was never opened"
@@ -105,12 +105,11 @@ class TestMetricsAttachmentSymmetry:
 
     def test_point_metrics_attach_without_metrics_out(
             self, tmp_path, monkeypatch, capsys):
-        # --trace-out alone: the points' metrics still reach
+        # --breakdown alone: the points' metrics still reach
         # result.metrics (pre-fix only --metrics-out copied them).
         captured = self.capture_result(monkeypatch)
-        trace_path = tmp_path / "t.jsonl"
         assert cli.main(["fig8", "--preset", "quick", "--no-cache",
-                         "--trace-out", str(trace_path)]) == 0
+                         "--breakdown"]) == 0
         assert captured["result"].metrics, \
             "point metrics not attached without --metrics-out"
         assert "dcp-tput" in captured["result"].metrics
@@ -118,9 +117,7 @@ class TestMetricsAttachmentSymmetry:
     def test_attachment_identical_with_and_without_metrics_out(
             self, tmp_path, monkeypatch, capsys):
         captured = self.capture_result(monkeypatch)
-        trace_path = tmp_path / "t.jsonl"
-        argv = ["fig8", "--preset", "quick", "--no-cache",
-                "--trace-out", str(trace_path)]
+        argv = ["fig8", "--preset", "quick", "--no-cache", "--breakdown"]
         cli.main(argv)
         without_flag = set(captured["result"].metrics)
         cli.main([*argv, "--metrics-out", str(tmp_path / "m.jsonl")])

@@ -2,9 +2,9 @@
 
 Covers the registry primitives, the CounterBlock migration contract
 (attribute API unchanged, live registry views), gauge sampling into
-time series, JSONL export + schema validation, the link-drop trace
-records, and the headline acceptance property: the sampled queue-depth
-series peaks where the tracer recorded trim events.
+time series, JSONL export + schema validation, the link-drop markers,
+and the headline acceptance property: the sampled queue-depth series
+peaks where the flight recorder marked trim events.
 """
 
 from __future__ import annotations
@@ -17,15 +17,14 @@ import pytest
 from repro.experiments.common import build_network
 from repro.net.link import Link
 from repro.obs import registry as metrics
-from repro.obs.export import (metrics_records, tracer_payload,
-                              write_metrics_jsonl, write_trace_jsonl)
+from repro.obs import spans
+from repro.obs.export import metrics_records, write_metrics_jsonl
 from repro.obs.registry import (Counter, CounterBlock, Gauge, Histogram,
                                 MetricsRegistry)
 from repro.obs.sampler import MetricsSampler
 from repro.obs.schema import known_metric, validate_lines, validate_record
-from repro.sim import trace
+from repro.obs.spans import SpanTracker
 from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 
 
 class _Block(CounterBlock):
@@ -37,7 +36,7 @@ class _Block(CounterBlock):
 def _clean_globals():
     yield
     metrics.install(None)
-    trace.install(None)
+    spans.install(None)
 
 
 # ------------------------------------------------------------ primitives
@@ -200,26 +199,6 @@ class TestExport:
             '{"experiment":"unit","name":"q","point":"p0",'
             '"times_ns":[0,20000],"type":"series","values":[0.0,1e-09]}\n')
 
-    def test_tracer_payload_and_trace_jsonl(self):
-        tracer = Tracer(max_records=2)
-        trace.install(tracer)
-        trace.emit(5, "trim", "leaf0", flow_id=1, psn=2)
-        trace.emit(6, "drop", "leaf0", flow_id=1, psn=3, reason="forced")
-        trace.emit(7, "drop", "leaf0", flow_id=1, psn=4, reason="forced")
-        payload = tracer_payload(tracer)
-        assert payload["records"] == [[5, "trim", "leaf0",
-                                       {"flow_id": 1, "psn": 2}],
-                                      [6, "drop", "leaf0",
-                                       {"flow_id": 1, "psn": 3,
-                                        "reason": "forced"}]]
-        assert payload["dropped_records"] == 1
-        buf = io.StringIO()
-        n = write_trace_jsonl(buf, "unit", {"p0": payload})
-        lines = buf.getvalue().splitlines()
-        assert n == len(lines) == 3
-        assert json.loads(lines[0])["dropped_records"] == {"p0": 1}
-        assert json.loads(lines[1])["category"] == "trim"
-
 
 # ---------------------------------------------------------------- schema
 class TestSchema:
@@ -288,27 +267,28 @@ class TestLinkDropTracing:
                                 msg_offset_pkts=0, dcp=False)
 
     def test_down_link_drop_is_counted_and_traced(self):
-        tracer = Tracer()
-        trace.install(tracer)
+        tracker = SpanTracker()
+        spans.install(tracker)
         sim, link = self._link()
         link.up = False
         link.deliver(self._packet())
         assert link.stats.dropped_link_down == 1
         assert link.stats.dropped_loss == 0    # loss counted separately
         assert link.stats.delivered_packets == 0
-        (rec,) = tracer.records
-        assert rec.category == "drop"
-        assert rec.detail == {"flow_id": 42, "psn": 7, "reason": "link_down"}
+        (mark,) = tracker.marks
+        assert mark[1] == "drop"
+        assert mark[2] == 42
+        assert mark[4] == {"psn": 7, "reason": "link_down"}
 
     def test_injected_loss_drop_is_traced_with_reason(self):
-        tracer = Tracer()
-        trace.install(tracer)
+        tracker = SpanTracker()
+        spans.install(tracker)
         sim, link = self._link(loss_rate=0.999, loss_seed=3)
         for _ in range(8):
             link.deliver(self._packet())
         assert link.stats.dropped_loss > 0
         assert link.stats.dropped_link_down == 0
-        assert {r.detail["reason"] for r in tracer.records} == {"loss"}
+        assert {m[4]["reason"] for m in tracker.marks} == {"loss"}
 
 
 # ------------------------------------------- end-to-end (acceptance prop)
@@ -330,12 +310,12 @@ class TestEndToEnd:
 
     def test_queue_depth_peak_coincides_with_trim_events(self):
         """Fig 8-style check: the sampled data-queue series must peak
-        in the neighbourhood of the trim events the tracer recorded."""
+        in the neighbourhood of the trim events the recorder marked."""
         interval = 5_000
         reg = MetricsRegistry()
-        tracer = Tracer(categories={"trim"})
+        tracker = SpanTracker()
         metrics.install(reg)
-        trace.install(tracer)
+        spans.install(tracker)
         net = build_network(transport="dcp", topology="clos", num_hosts=8,
                             num_leaves=2, num_spines=2, link_rate=10.0,
                             lb="ar", seed=3, buffer_bytes=300_000)
@@ -345,8 +325,8 @@ class TestEndToEnd:
         net.run_until_flows_done(max_events=20_000_000)
         sampler.stop()
         assert all(f.completed for f in flows)
-        assert tracer.records, "incast at 10G must trim"
-        trim_times = [r.time_ns for r in tracer.records]
+        trim_times = [m[0] for m in tracker.marks if m[1] == "trim"]
+        assert trim_times, "incast at 10G must trim"
 
         series = reg.to_payload()["series"]
         data_series = [s for n, s in series.items()
@@ -366,7 +346,7 @@ class TestEndToEnd:
         spec = NetworkSpec(transport="dcp", topology="direct", num_hosts=2,
                            link_rate=10.0, loss_rate=0.05, seed=5)
         params = {"flows": [[0, 1, 60_000, 0]],
-                  "telemetry": {"trace": {"categories": ["drop", "retx"]},
+                  "telemetry": {"spans": {"max_spans": 100_000},
                                 "sample_interval_ns": 10_000}}
         payload = simulate_flows(spec, params)
         assert payload["flows"][0]["completed"]
@@ -374,8 +354,8 @@ class TestEndToEnd:
         assert m["counters"]["link.host0->host1.dropped_loss"] > 0
         assert m["histograms"]["flow.fct_us"]["total"] == 1
         assert any(v["values"] for v in m["series"].values())
-        cats = {r[1] for r in payload["trace"]["records"]}
-        assert "drop" in cats
+        kinds = {m[1] for m in payload["spans"]["marks"]}
+        assert "drop" in kinds
         # the installed globals were restored afterwards
         assert metrics.active() is None
-        assert trace.active() is None
+        assert spans.active() is None

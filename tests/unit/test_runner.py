@@ -361,8 +361,7 @@ class TestDeterminism:
 
 
 # ------------------------------------------------- telemetry determinism
-TELEMETRY = {"trace": {"categories": ["drop", "retx", "timeout"],
-                       "max_records": 50_000},
+TELEMETRY = {"spans": {"max_spans": 50_000},
              "sample_interval_ns": 20_000}
 
 
@@ -381,8 +380,8 @@ class TestTelemetryDeterminism:
         assert canonical_json(pay_s) == canonical_json(pay_p)
         assert canonical_json(serial.last_metrics) == canonical_json(
             parallel.last_metrics)
-        assert canonical_json(serial.last_traces) == canonical_json(
-            parallel.last_traces)
+        assert canonical_json(serial.last_spans) == canonical_json(
+            parallel.last_spans)
 
         replay = ExperimentRunner(jobs=2, telemetry=TELEMETRY,
                                   cache=ResultCache(root=tmp_path / "p"))
@@ -391,8 +390,8 @@ class TestTelemetryDeterminism:
         assert canonical_json(pay_c) == canonical_json(pay_s)
         assert canonical_json(replay.last_metrics) == canonical_json(
             serial.last_metrics)
-        assert canonical_json(replay.last_traces) == canonical_json(
-            serial.last_traces)
+        assert canonical_json(replay.last_spans) == canonical_json(
+            serial.last_spans)
 
     def test_points_carry_metrics_and_requested_traces(self):
         runner = ExperimentRunner(jobs=1, telemetry=TELEMETRY,
@@ -400,12 +399,25 @@ class TestTelemetryDeterminism:
         payloads = runner.run_points("tel", _points(2), POINT_RUNNER)
         for p in payloads:
             assert p["metrics"]["counters"]    # instrumented fleet counted
-            assert "trace" in p
+            assert "spans" in p
         # loss_rate=0.02 points must record drops somewhere
-        assert any(rec[1] == "drop"
-                   for t in runner.last_traces.values()
-                   for rec in t["records"])
+        assert any(mark[1] == "drop"
+                   for t in runner.last_spans.values()
+                   for mark in t["marks"])
         assert runner.last_experiment == "tel"
+
+    @pytest.mark.parametrize("telemetry", [
+        {"trace": {"max_records": 10}},
+        {"spans": {}, "sample_interval": 10_000},
+    ])
+    def test_unknown_telemetry_key_is_rejected(self, telemetry):
+        """A retired or misspelt ``telemetry`` key fails, naming the
+        key, instead of silently recording nothing."""
+        runner = ExperimentRunner(jobs=1, telemetry=telemetry,
+                                  cache=ResultCache(enabled=False))
+        (bad,) = set(telemetry) - {"spans"}
+        with pytest.raises(ValueError, match=f"unknown telemetry key '{bad}'"):
+            runner.run_points("tel", _points(1), POINT_RUNNER)
 
     def test_telemetry_changes_cache_key(self, tmp_path):
         """A traced/sampled run is a different computation: it must not

@@ -1,10 +1,10 @@
 """Unit tests for the span flight recorder and FCT latency attribution.
 
 Covers the SpanTracker recording surface (queue/serialization/
-propagation/pause/retx_stall spans, retx/timeout markers, the shared
+propagation/pause/retx_stall spans, markers and their detail, the shared
 max_spans budget), the receiver-side reorder hole tracking, the exact
 partition contract of flow_breakdown, the Perfetto conversion (and its
-schema validator), and the span/breakdown JSONL record validation.
+schema validator), and the breakdown JSONL record validation.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import pytest
 
 from repro.analysis.latency import COMPONENTS, breakdown_rows, flow_breakdown
 from repro.obs import spans
-from repro.obs.export import (breakdown_records, span_records,
-                              write_breakdown_jsonl)
+from repro.obs.export import breakdown_records, write_breakdown_jsonl
 from repro.obs.schema import (validate_path, validate_perfetto,
                               validate_record)
 from repro.obs.spans import (SPAN_KINDS, SpanTracker, perfetto_events,
@@ -85,8 +84,8 @@ class TestSpanTracker:
         t = SpanTracker()
         t.note_flow(5, 0)
         t.data_arrival(5, 0, 1_000, "rnic5")
-        t.timeout(5, 9_000, "rnic5")
-        t.timeout(5, 12_000, "rnic5")  # second stall: only new silence
+        t.timeout(5, 9_000, "rnic5", {})
+        t.timeout(5, 12_000, "rnic5", {})  # second stall: only new silence
         stalls = [s for s in t.spans if s[2] == "retx_stall"]
         assert stalls == [(1_000, 9_000, "retx_stall", 5, -1, "rnic5"),
                           (9_000, 12_000, "retx_stall", 5, -1, "rnic5")]
@@ -94,26 +93,28 @@ class TestSpanTracker:
 
     def test_retransmit_marks(self):
         t = SpanTracker()
-        t.retransmit(4, 77, "rnic4")
-        assert t.marks == [(77, "retx", 4, "rnic4")]
+        t.mark(77, "retx", 4, "rnic4", {})
+        t.timeout(4, 90, "dcp4", {"msn": 2, "sretry": 1})
+        assert t.marks == [(77, "retx", 4, "rnic4", {}),
+                           (90, "timeout", 4, "dcp4", {"msn": 2, "sretry": 1})]
 
     def test_max_spans_budget_shared_with_marks(self):
         t = SpanTracker(max_spans=3)
         t.add(0, 1, "queue", 1, 1, "a")
-        t.mark(2, "retx", 1, "a")
+        t.mark(2, "retx", 1, "a", {})
         t.add(3, 4, "queue", 1, 2, "a")
         t.add(5, 6, "queue", 1, 3, "a")     # over budget
-        t.mark(7, "retx", 1, "a")           # over budget
+        t.mark(7, "drop", 1, "a", {"psn": 3, "reason": "loss"})  # over
         assert len(t.spans) + len(t.marks) == 3
         assert t.dropped_spans == 2
 
     def test_payload_shape(self):
         t = SpanTracker()
         t.add(0, 5, "queue", 1, 2, "a")
-        t.mark(3, "retx", 1, "a")
+        t.mark(3, "trim", 1, "a", {"psn": 9})
         payload = t.to_payload()
         assert payload["spans"] == [[0, 5, "queue", 1, 2, "a"]]
-        assert payload["marks"] == [[3, "retx", 1, "a"]]
+        assert payload["marks"] == [[3, "trim", 1, "a", {"psn": 9}]]
         assert payload["dropped_spans"] == 0
         assert payload["reorder_resets"] == 0
         json.dumps(payload)                  # JSON-safe
@@ -234,7 +235,9 @@ class TestPerfetto:
         t = SpanTracker()
         t.add(1_000, 2_000, "queue", 1, 9, "leaf0.p0")
         t.add(2_000, 2_500, "serialization", 1, 9, "leaf0.p0")
-        t.mark(2_600, "retx", 1, "rnic1")
+        t.mark(2_600, "retx", 1, "rnic1", {})
+        t.mark(2_700, "pfc", -1, "leaf0",
+               {"action": "pause", "port": 2, "ingress_bytes": 9_000})
         t.add(0, 100, "pause", -1, -1, "nic0")
         return {"fig8/p0": t.to_payload()}
 
@@ -253,6 +256,11 @@ class TestPerfetto:
         assert q["ts"] == pytest.approx(1.0)    # ns -> us
         assert q["dur"] == pytest.approx(1.0)
         assert instants[0]["name"] == "retx" and instants[0]["s"] == "t"
+        # A marker's detail rides in the instant's args.
+        assert instants[0]["args"] == {"actor": "rnic1", "flow": 1}
+        assert instants[1]["args"] == {"actor": "leaf0", "flow": -1,
+                                       "action": "pause", "port": 2,
+                                       "ingress_bytes": 9_000}
 
     def test_trace_validates_and_round_trips(self, tmp_path):
         trace_obj = perfetto_trace(self._points())
@@ -298,6 +306,7 @@ class TestPerfetto:
         assert spans.main([str(path)]) == 0
         out = capsys.readouterr().out
         assert "slices" in out
+        assert "2 markers" in out and "pfc" in out
         assert spans.main(["--validate", str(path)]) == 0
         assert "OK" in capsys.readouterr().out
         assert spans.main([]) == 2
@@ -313,24 +322,13 @@ class TestPerfetto:
         assert validate_path(str(pf)) == []
         jl = tmp_path / "records.jsonl"
         jl.write_text(json.dumps(
-            {"type": "span", "experiment": "e", "point": "p",
-             "start_ns": 0, "end_ns": 5, "kind": "queue", "flow_id": 1,
-             "uid": 2, "actor": "a"}) + "\n")
+            {"type": "counter", "experiment": "e", "point": "p",
+             "name": "engine.events", "value": 5}) + "\n")
         assert validate_path(str(jl)) == []
 
 
 # -------------------------------------------------------- export + schema
 class TestSpanRecords:
-    def test_span_records_validate(self):
-        t = SpanTracker()
-        t.add(0, 5, "queue", 1, 2, "a")
-        t.add(5, 9, "propagation", 1, 2, "l")
-        records = list(span_records("fig8", {"p0": t.to_payload()}))
-        assert len(records) == 2
-        for r in records:
-            assert validate_record(r) == []
-        assert records[0]["kind"] == "queue"
-
     def test_breakdown_records_validate_and_write(self):
         entry = flow_breakdown([(0, 60, "serialization", 3, 1, "a")],
                                3, 0, 100)
@@ -344,12 +342,9 @@ class TestSpanRecords:
         assert write_breakdown_jsonl(buf, "fig8", {"p0": [entry]}) == 1
 
     def test_schema_rejects_bad_span_and_breakdown(self):
-        bad_kind = {"type": "span", "experiment": "e", "point": "p",
-                    "start_ns": 0, "end_ns": 5, "kind": "teleport",
-                    "flow_id": 1, "actor": "a"}
-        assert any("not in catalog" in e for e in validate_record(bad_kind))
-        inverted = dict(bad_kind, kind="queue", start_ns=9, end_ns=5)
-        assert any("inverted" in e for e in validate_record(inverted))
+        inverted = {"traceEvents": [{"ph": "X", "name": "queue", "pid": 1,
+                                     "tid": 1, "ts": 9, "dur": -4}]}
+        assert any("dur" in e for e in validate_perfetto(inverted))
         bad_comp = {"type": "breakdown", "experiment": "e", "point": "p",
                     "flow": 1, "fct_ns": 10,
                     "components": {"warp_ns": 1}}
@@ -359,7 +354,7 @@ class TestSpanRecords:
         assert any("negative" in e for e in validate_record(negative))
 
     def test_span_kinds_catalogs_agree(self):
+        from repro.analysis.latency import KIND_TO_COMPONENT
         from repro.obs.schema import BREAKDOWN_COMPONENTS
-        from repro.obs.schema import SPAN_KINDS as SCHEMA_KINDS
-        assert SCHEMA_KINDS == frozenset(SPAN_KINDS)
+        assert set(KIND_TO_COMPONENT) == set(SPAN_KINDS)
         assert BREAKDOWN_COMPONENTS == frozenset(COMPONENTS)

@@ -9,7 +9,7 @@ from repro.net.packet import (DcpTag, Packet, PacketKind, make_ack,
 from repro.net.pfc import PfcConfig
 from repro.net.routing import EcmpLoadBalancer
 from repro.net.switch import CONTROL_CLASS, DATA_CLASS, Switch, SwitchConfig
-from repro.sim import trace
+from repro.obs import spans
 from repro.sim.engine import Simulator
 
 
@@ -244,12 +244,12 @@ _VARIANTS = {
 
 
 def _decisions(loss_rate, variant):
-    """Everything observable about a scripted run: the switch's trace
-    (trim / drop / ecn / pfc / ctrlq records, in emission order), its
-    counters, and what left each side, in order."""
+    """Everything observable about a scripted run: the switch's markers
+    (trim / drop / ecn / pfc / ctrlq, in emission order), its counters,
+    and what left each side, in order."""
     sim = Simulator()
-    tracer = trace.Tracer()
-    trace.install(tracer)
+    tracker = spans.SpanTracker()
+    spans.install(tracker)
     try:
         sw = make_switch(sim, loss_rate=loss_rate, **_VARIANTS[variant])
         rng = ScriptedRng()
@@ -263,9 +263,9 @@ def _decisions(loss_rate, variant):
                 sw.receive(pkt, in_port=0)
             sim.run()
     finally:
-        trace.install(None)
-    log = [(r.time_ns, r.category, sorted(r.detail.items()))
-           for r in tracer.records]
+        spans.install(None)
+    log = [(t, kind, flow_id, sorted(detail.items()))
+           for t, kind, flow_id, _actor, detail in tracker.marks]
     out = [(p.kind, p.psn, p.ecn_ce) for p in sink.received]
     back = [p.kind for p in upstream.received]
     return log, sw.stats.as_dict(), out, back, rng.draws, payload_pkts
@@ -281,7 +281,7 @@ def test_loss_configured_switch_decides_like_a_loss_free_one(variant):
     assert lossy[:4] == free[:4]
     log, stats, out, back, draws, payload_pkts = lossy
     # The scenario must actually exercise the variant's machinery.
-    categories = {category for _, category, _ in log}
+    categories = {category for _, category, *_ in log}
     if variant == "dcp":
         assert {"trim", "drop", "ecn", "ctrlq"} <= categories
         assert stats["ho_dropped"] > 0 and stats["acks_dropped"] > 0

@@ -1,161 +1,11 @@
-"""Unit tests for tracing, time-series sampling and failure injection."""
+"""Unit tests for time-series sampling and failure injection."""
 
 import pytest
 
 from repro.analysis.timeseries import Sampler, Series, watch_switch_queues
 from repro.experiments.common import build_network
 from repro.net.failures import FailureInjector
-from repro.sim import trace
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecord, Tracer
-
-
-class TestTracer:
-    def teardown_method(self):
-        trace.install(None)
-
-    def test_disabled_by_default(self):
-        assert trace.active() is None
-        trace.emit(0, "tx", "x")  # must be a silent no-op
-
-    def test_records_collected(self):
-        tracer = Tracer()
-        trace.install(tracer)
-        trace.emit(10, "trim", "leaf0", flow_id=3, psn=7)
-        trace.emit(20, "drop", "leaf0", flow_id=4, psn=1, reason="forced")
-        assert len(tracer.records) == 2
-        assert tracer.by_category("trim")[0].detail["psn"] == 7
-
-    def test_category_filter(self):
-        tracer = Tracer(categories={"trim"})
-        trace.install(tracer)
-        trace.emit(0, "trim", "x", flow_id=1)
-        trace.emit(0, "drop", "x", flow_id=1)
-        assert [r.category for r in tracer.records] == ["trim"]
-
-    def test_flow_filter_and_timeline(self):
-        tracer = Tracer(flow_ids={5})
-        trace.install(tracer)
-        trace.emit(0, "trim", "x", flow_id=5)
-        trace.emit(1, "trim", "x", flow_id=6)
-        assert len(tracer.flow_timeline(5)) == 1
-        assert tracer.flow_timeline(6) == []
-
-    def test_max_records_bound(self):
-        tracer = Tracer(max_records=2)
-        trace.install(tracer)
-        for i in range(5):
-            trace.emit(i, "tx", "x")
-        assert len(tracer.records) == 2
-        assert tracer.dropped_records == 3
-
-    def test_switch_emits_trim_records(self):
-        tracer = Tracer(categories={"trim"})
-        trace.install(tracer)
-        net = build_network(transport="dcp", topology="clos", num_hosts=8,
-                            num_leaves=2, num_spines=2, link_rate=10.0,
-                            lb="ar", seed=3, buffer_bytes=300_000)
-        flows = [net.open_flow(s, 7, 60_000, 0) for s in range(4)]
-        net.run_until_flows_done(max_events=20_000_000)
-        assert all(f.completed for f in flows)
-        trims = net.fabric.switch_stats_sum("trimmed")
-        assert len(tracer.records) == trims > 0
-
-    def test_format(self):
-        tracer = Tracer()
-        trace.install(tracer)
-        trace.emit(100, "trim", "leaf0", psn=1)
-        assert "trim" in tracer.format()
-
-    def test_format_category_filter(self):
-        tracer = Tracer()
-        trace.install(tracer)
-        trace.emit(0, "trim", "leaf0", psn=1)
-        trace.emit(1, "drop", "leaf0", psn=2)
-        out = tracer.format(category="drop")
-        assert "drop" in out and "trim" not in out
-
-    def test_format_tail_shows_newest_records(self):
-        tracer = Tracer()
-        trace.install(tracer)
-        for i in range(10):
-            trace.emit(i, "tx", "x", psn=i)
-        head = tracer.format(limit=3)
-        tail = tracer.format(limit=3, tail=True)
-        assert "psn=0" in head and "psn=9" not in head
-        assert "psn=9" in tail and "psn=0" not in tail
-        assert "7 more records" in head
-        assert "7 earlier records" in tail
-
-    def test_format_reports_capture_time_drops(self):
-        tracer = Tracer(max_records=2)
-        trace.install(tracer)
-        for i in range(5):
-            trace.emit(i, "tx", "x")
-        out = tracer.format()
-        assert "3 records dropped at capture" in out
-        assert "max_records=2" in out
-
-    def test_format_footer_drops_are_capture_wide_not_filter_scoped(self):
-        """The drop footer counts capture-time drops, which happen
-        before any view filter — a category-filtered listing must say
-        so (same number, 'across all categories') instead of implying
-        the drops belonged to the filtered category."""
-        tracer = Tracer(max_records=3)
-        trace.install(tracer)
-        trace.emit(0, "rare", "x")
-        for i in range(6):
-            trace.emit(i, "tx", "x")          # 2 kept, 4 dropped
-        out = tracer.format(category="rare")
-        assert "4 records dropped at capture" in out
-        assert "across all categories" in out
-
-    def test_format_header_names_the_active_filter(self):
-        tracer = Tracer()
-        trace.install(tracer)
-        trace.emit(0, "rare", "x")
-        for i in range(5):
-            trace.emit(i, "tx", "x")
-        out = tracer.format(category="rare")
-        assert "[category=rare: 1 of 6 captured records]" in out
-        assert "[category=" not in tracer.format()   # no filter, no header
-
-    def test_category_and_flow_indexes_match_linear_scan(self):
-        tracer = Tracer()
-        trace.install(tracer)
-        for i in range(50):
-            trace.emit(i, "tx" if i % 3 else "drop", "x", flow_id=i % 4)
-        for cat in ("tx", "drop", "absent"):
-            assert tracer.by_category(cat) == [
-                r for r in tracer.records if r.category == cat]
-        for fid in (0, 1, 2, 3, 99):
-            assert tracer.flow_timeline(fid) == [
-                r for r in tracer.records
-                if r.detail.get("flow_id") == fid]
-
-    def test_by_category_is_indexed_not_a_records_scan(self):
-        """Looking up 10 rare records among 200k bulk ones must not pay
-        for the bulk: the emit-time index makes by_category O(result).
-        Pinned against an inline linear scan with a generous margin
-        (best of 3 to shrug off scheduler noise)."""
-        import timeit
-        tracer = Tracer()
-        trace.install(tracer)
-        for i in range(200_000):
-            trace.emit(i, "bulk", "x", flow_id=1)
-        for i in range(10):
-            trace.emit(i, "rare", "x", flow_id=2)
-
-        def linear_scan():
-            return [r for r in tracer.records if r.category == "rare"]
-
-        assert tracer.by_category("rare") == linear_scan()
-        indexed_t = min(timeit.repeat(
-            lambda: tracer.by_category("rare"), number=20, repeat=3))
-        scan_t = min(timeit.repeat(linear_scan, number=20, repeat=3))
-        assert indexed_t * 5 < scan_t, (
-            f"by_category no faster than a records scan "
-            f"({indexed_t:.6f}s vs {scan_t:.6f}s)")
 
 
 class TestSeries:
