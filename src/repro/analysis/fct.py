@@ -142,8 +142,7 @@ def retransmission_ratio(flow: Flow) -> float:
 def jain_fairness(values: Sequence[float]) -> float:
     """Jain's fairness index: 1.0 = perfectly fair, 1/n = one hog.
 
-    Used to quantify how evenly concurrent flows share the fabric
-    (e.g. the Fig 11 unequal-path experiment).
+    Quantifies how evenly concurrent flows share the fabric.
     """
     if not values:
         raise ValueError("fairness of empty sequence")

@@ -67,10 +67,3 @@ class StaticWindowCc(CongestionControl):
 
     def available_window(self, outstanding_bytes: int) -> int:
         return max(0, self.window_bytes - outstanding_bytes)
-
-
-class UnlimitedCc(CongestionControl):
-    """No congestion control at all (used by micro-benchmarks)."""
-
-    def available_window(self, outstanding_bytes: int) -> int:
-        return 1 << 40

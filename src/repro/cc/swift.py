@@ -27,6 +27,13 @@ from dataclasses import dataclass
 
 from repro.cc.base import CongestionControl
 
+#: Window growth, in bytes, over one RTT of ACKs below the target delay.
+AI_BYTES = 1000
+#: Multiplicative-decrease gain on the fractional overshoot.
+BETA = 0.8
+#: Largest fractional window cut per decrease event.
+MAX_MDF = 0.5
+
 
 @dataclass(frozen=True)
 class SwiftParams:
@@ -37,9 +44,6 @@ class SwiftParams:
     initial_cwnd_bytes: int = 125_000
     min_cwnd_bytes: int = 2_000        # floor: ~2 MTUs keeps the ACK clock
     max_cwnd_bytes: int = 1 << 24
-    ai_bytes: int = 1000               # additive increase per RTT of ACKs
-    beta: float = 0.8                  # multiplicative-decrease gain
-    max_mdf: float = 0.5               # max fractional decrease per event
 
 
 class SwiftCc(CongestionControl):
@@ -70,15 +74,15 @@ class SwiftCc(CongestionControl):
         self.last_rtt_ns = rtt_ns
         if rtt_ns < p.target_delay_ns:
             # Additive increase, scaled per sample so one RTT's worth of
-            # ACKs (cwnd/mtu of them) grows the window by ~ai_bytes.
-            self.cwnd += p.ai_bytes * p.mtu_bytes / self.cwnd
+            # ACKs (cwnd/mtu of them) grows the window by ~AI_BYTES.
+            self.cwnd += AI_BYTES * p.mtu_bytes / self.cwnd
         elif now_ns - self._last_decrease_ns >= rtt_ns:
             # Multiplicative decrease proportional to the overshoot,
-            # clamped at max_mdf, at most once per RTT.
+            # clamped at MAX_MDF, at most once per RTT.
             self._last_decrease_ns = now_ns
             self.decreases += 1
-            ratio = 1.0 - p.beta * (rtt_ns - p.target_delay_ns) / rtt_ns
-            self.cwnd *= max(ratio, 1.0 - p.max_mdf)
+            ratio = 1.0 - BETA * (rtt_ns - p.target_delay_ns) / rtt_ns
+            self.cwnd *= max(ratio, 1.0 - MAX_MDF)
         if self.cwnd < p.min_cwnd_bytes:
             self.cwnd = float(p.min_cwnd_bytes)
         elif self.cwnd > p.max_cwnd_bytes:

@@ -28,7 +28,6 @@ __all__ = [
     "loss_burst",
     "pfc_storm",
     "resolve_target",
-    "scenario_names",
     "switch_blackout",
 ]
 
@@ -37,6 +36,5 @@ __getattr__ = lazy_exports(__name__, {
                              "goodput_recovery"),
     "repro.chaos.scenarios": ("SCENARIOS", "apply_scenario", "event_payloads",
                               "get_scenario", "link_flap", "loss_burst",
-                              "pfc_storm", "resolve_target", "scenario_names",
-                              "switch_blackout"),
+                              "pfc_storm", "resolve_target", "switch_blackout"),
 })

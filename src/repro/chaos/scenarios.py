@@ -125,17 +125,13 @@ SCENARIOS: dict[str, dict] = {
 }
 
 
-def scenario_names() -> list[str]:
-    return list(SCENARIOS)
-
-
 def get_scenario(name: str) -> dict:
     """A deep copy of a library scenario (callers may mutate freely)."""
     try:
         return copy.deepcopy(SCENARIOS[name])
     except KeyError:
         raise ValueError(f"unknown chaos scenario {name!r}; choose from "
-                         f"{scenario_names()}") from None
+                         f"{list(SCENARIOS)}") from None
 
 
 # --------------------------------------------------------------- resolution

@@ -38,6 +38,9 @@ from repro.obs import spans
 from repro.rnic.base import (Flow, Message, QueuePair, RestartableTimer,
                              RnicTransport, _GATED, _NO_WORK)
 
+#: RetransQ entries the RNIC fetches per host round trip (§4.3).
+RETRANS_BATCH = 16
+
 
 class _DcpSendState:
     """Per-QP DCP sender variables."""
@@ -84,7 +87,7 @@ class DcpTransport(RnicTransport):
         st = _DcpSendState()
         st.retransq = RetransQ(
             self.sim, pcie_rtt_ns=self.config.pcie_rtt_ns,
-            batch=self.config.retrans_batch,
+            batch=RETRANS_BATCH,
             naive=self.config.dcp_naive_retrans,
             on_ready=lambda: self._activate(qp))
         st.timer = RestartableTimer(self.sim,

@@ -8,47 +8,31 @@ parameterization: the trim threshold, the WRR weight derived from the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.header import ho_data_size_ratio, wrr_weight
 from repro.net.ecn import RedProfile
 from repro.net.switch import SwitchConfig
 
+#: WRR weight where the §4.2 formula has no solution (``r <= N - 1``).
+WEIGHT_FALLBACK = 8.0
 
-@dataclass(frozen=True)
-class DcpSwitchProfile:
-    """High-level DCP-Switch tuning.
+
+def dcp_switch_config(num_ports: int, *, rate_bits_per_ns: float,
+                      buffer_bytes: int, incast_radix: int, mtu_payload: int,
+                      trim_threshold_bytes: int, control_queue_bytes: int,
+                      red: Optional[RedProfile], loss_rate: float,
+                      loss_seed: int) -> SwitchConfig:
+    """Build a :class:`SwitchConfig` running the DCP lossless control plane.
 
     ``incast_radix`` is the ``N`` of §4.2: the incast degree the control
-    plane must absorb losslessly.  Table 5 evaluates N = 16 and N = 22.
+    plane must absorb losslessly (Table 5 evaluates N = 16 and N = 22).
     """
-
-    incast_radix: int = 16
-    mtu_payload: int = 1000
-    trim_threshold_bytes: int = 100_000
-    control_queue_bytes: int = 1_000_000
-    weight_fallback: float = 8.0
-
-    def weight(self) -> float:
-        r = ho_data_size_ratio(self.mtu_payload)
-        return wrr_weight(self.incast_radix, r, fallback=self.weight_fallback)
-
-
-def dcp_switch_config(num_ports: int, *, rate_bits_per_ns: float = 100.0,
-                      buffer_bytes: int = 32_000_000,
-                      profile: Optional[DcpSwitchProfile] = None,
-                      red: Optional[RedProfile] = None,
-                      loss_rate: float = 0.0,
-                      loss_seed: int = 1) -> SwitchConfig:
-    """Build a :class:`SwitchConfig` running the DCP lossless control plane."""
-    profile = profile or DcpSwitchProfile()
     # The data queue must be able to grow beyond the trim threshold,
     # otherwise congestion overflows (drops, no HO packets) before the
     # trimming module ever fires and DCP degrades to timeout recovery.
     per_port = buffer_bytes // max(1, num_ports)
-    trim_threshold = min(profile.trim_threshold_bytes,
-                         max(10_000, per_port // 2))
+    trim_threshold = min(trim_threshold_bytes, max(10_000, per_port // 2))
     data_queue = max(per_port, 2 * trim_threshold)
     return SwitchConfig(
         num_ports=num_ports,
@@ -57,8 +41,9 @@ def dcp_switch_config(num_ports: int, *, rate_bits_per_ns: float = 100.0,
         data_queue_bytes=data_queue,
         enable_trimming=True,
         trim_threshold_bytes=trim_threshold,
-        control_queue_bytes=profile.control_queue_bytes,
-        wrr_weight=profile.weight(),
+        control_queue_bytes=control_queue_bytes,
+        wrr_weight=wrr_weight(incast_radix, ho_data_size_ratio(mtu_payload),
+                              fallback=WEIGHT_FALLBACK),
         red=red,
         loss_rate=loss_rate,
         loss_seed=loss_seed,

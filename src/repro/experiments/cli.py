@@ -30,7 +30,7 @@ Telemetry export:
   events) as one Chrome trace-event file — load it at
   https://ui.perfetto.dev, count it by kind with
   ``python -m repro.obs.spans FILE``, validate with
-  ``python -m repro.obs.spans --validate FILE``.
+  ``python -m repro.obs.schema FILE``.
 
 Both span flags record under one per-point budget,
 ``--span-max-spans``.  ``--metrics-out`` alone changes nothing about
@@ -138,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
                              "markers and write them as one Chrome "
                              "trace-event file (open at "
                              "ui.perfetto.dev; validate with "
-                             "python -m repro.obs.spans --validate)")
+                             "python -m repro.obs.schema)")
     parser.add_argument("--span-max-spans", type=int, default=1_000_000,
                         metavar="N",
                         help="per-point cap on spans plus markers "

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.cc.base import CongestionControl, StaticWindowCc
 from repro.cc.dcqcn import DcqcnCc, DcqcnParams
-from repro.core.dcp_switch import DcpSwitchProfile, dcp_switch_config
+from repro.core.dcp_switch import dcp_switch_config
 from repro.experiments.spec import TRANSPORTS, NetworkSpec
 from repro.net.ecn import RedProfile, default_red_profile
 from repro.net.pfc import PfcConfig
@@ -98,19 +98,16 @@ class Network:
     def _switch_config(self, num_ports: int) -> SwitchConfig:
         spec = self.spec
         if spec.is_dcp():
-            profile = DcpSwitchProfile(
+            return dcp_switch_config(
+                num_ports, rate_bits_per_ns=spec.link_rate,
+                buffer_bytes=spec.buffer_bytes,
                 incast_radix=spec.incast_radix,
                 mtu_payload=spec.mtu_payload,
                 trim_threshold_bytes=(spec.trim_threshold_bytes
                                       or max(50_000, spec.buffer_bytes // (4 * num_ports))),
                 control_queue_bytes=spec.control_queue_bytes,
-            )
-            cfg = dcp_switch_config(
-                num_ports, rate_bits_per_ns=spec.link_rate,
-                buffer_bytes=spec.buffer_bytes, profile=profile,
                 red=self._red_profile(), loss_rate=spec.loss_rate,
                 loss_seed=spec.seed)
-            return cfg
         # RIFL owns loss at the link layer: the hop shims take over the
         # injected corruption rate, so switches must not also drop.
         loss_rate = 0.0 if spec.transport == "rifl" else spec.loss_rate
@@ -263,10 +260,6 @@ class Network:
         return flow
 
     # ----------------------------------------------------------------- run
-    def run(self, until_ns: Optional[int] = None,
-            max_events: Optional[int] = None) -> None:
-        self.sim.run(until=until_ns, max_events=max_events)
-
     def run_until_flows_done(self, flows: Optional[Sequence[Flow]] = None,
                              max_events: int = 500_000_000,
                              settle_ns: int = 0) -> None:

@@ -44,13 +44,13 @@ def sweep(p: ScalePreset, fan_in: Optional[int] = None,
 
 def run_point(spec: NetworkSpec, params: dict) -> dict[str, Any]:
     """Run the incast while sampling the victim port's two queues."""
-    from repro.analysis.timeseries import Sampler
+    from repro.obs.sampler import MetricsSampler
     from repro.runner.points import PointTelemetry
     with PointTelemetry(params) as tel:
         net = tel.network(spec)
         victim_leaf = net.fabric.switches[0]
         victim_port = victim_leaf.ports[RECEIVER]   # its down port on leaf 0
-        sampler = Sampler(net.sim, interval_ns=2_000)
+        sampler = MetricsSampler(net.sim, None, interval_ns=2_000)
         data_series = sampler.watch("data_q",
                                     lambda: victim_port.queues[0].bytes)
         ctrl_series = sampler.watch("ctrl_q",

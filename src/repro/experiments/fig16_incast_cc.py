@@ -25,40 +25,54 @@ SEED = 101
 POINT_RUNNER = "repro.runner.points.simulate_flows"
 
 
-def sweep(p: ScalePreset) -> list[SweepPoint]:
-    """One point per (CC, scheme)."""
-    points = []
+def _runs_cc(transport: str, cc: str) -> str:
+    """The CC a row's simulation runs: MP-RDMA keeps its native window
+    whatever the column says, so both its rows read one point."""
+    return "none" if transport == "mp_rdma" else cc
+
+
+def _point_keys() -> list[tuple[str, str, str]]:
+    """``(cc, transport, lb)`` of each distinct simulation."""
+    keys = []
     for cc in CCS:
         for transport, lb in SCHEMES:
-            spec = NetworkSpec(
-                transport=transport, topology="clos", num_hosts=p.num_hosts,
-                num_leaves=p.num_leaves, num_spines=p.num_spines,
-                link_rate=p.link_rate, lb=lb, seed=SEED,
-                # MP-RDMA keeps its native window CC
-                cc="none" if transport == "mp_rdma" else cc,
-                buffer_bytes=p.buffer_bytes // 2)
-            bg = PoissonWorkload(
-                load=0.5, size_dist=websearch(scale=p.ws_scale),
-                duration_ns=p.duration_ns, seed=SEED,
-                max_flows=p.max_flows, tag="bg")
-            incast = IncastWorkload(
-                load=0.05, fan_in=p.incast_fan_in,
-                flow_bytes=p.incast_flow_bytes, duration_ns=p.duration_ns,
-                seed=SEED + 1)
-            points.append(SweepPoint(
-                f"{cc}-{transport}", spec,
-                {"flows": layout(spec, bg, incast),
-                 "max_events": 250_000_000}))
+            key = (_runs_cc(transport, cc), transport, lb)
+            if key not in keys:
+                keys.append(key)
+    return keys
+
+
+def sweep(p: ScalePreset) -> list[SweepPoint]:
+    """One point per distinct (CC, scheme)."""
+    points = []
+    for cc, transport, lb in _point_keys():
+        spec = NetworkSpec(
+            transport=transport, topology="clos", num_hosts=p.num_hosts,
+            num_leaves=p.num_leaves, num_spines=p.num_spines,
+            link_rate=p.link_rate, lb=lb, seed=SEED, cc=cc,
+            buffer_bytes=p.buffer_bytes // 2)
+        bg = PoissonWorkload(
+            load=0.5, size_dist=websearch(scale=p.ws_scale),
+            duration_ns=p.duration_ns, seed=SEED,
+            max_flows=p.max_flows, tag="bg")
+        incast = IncastWorkload(
+            load=0.05, fan_in=p.incast_fan_in,
+            flow_bytes=p.incast_flow_bytes, duration_ns=p.duration_ns,
+            seed=SEED + 1)
+        points.append(SweepPoint(
+            f"{cc}-{transport}", spec,
+            {"flows": layout(spec, bg, incast),
+             "max_events": 250_000_000}))
     return points
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "fig16", "Incast + WebSearch 0.5: P50/P99 slowdown w/ and w/o CC")
-    it = iter(payloads)
+    by_key = dict(zip(_point_keys(), payloads))
     for cc in CCS:
-        for transport, _lb in SCHEMES:
-            payload = next(it)
+        for transport, lb in SCHEMES:
+            payload = by_key[_runs_cc(transport, cc), transport, lb]
             sds = slowdowns(payload)
             stats = overall_percentiles(sds)
             result.rows.append({

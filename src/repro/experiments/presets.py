@@ -15,7 +15,7 @@ result) are preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,3 @@ def get_preset(name: str | ScalePreset) -> ScalePreset:
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; expected one of "
                          f"{sorted(PRESETS)}") from None
-
-
-def custom_preset(base: str = "default", **overrides) -> ScalePreset:
-    """A preset with selected fields overridden."""
-    return replace(get_preset(base), name=f"{base}+custom", **overrides)

@@ -60,32 +60,6 @@ class ExperimentResult:
     def print_table(self) -> None:
         print(self.format_table())
 
-    # ------------------------------------------------- stable serialization
-    def to_payload(self) -> dict[str, Any]:
-        """Canonical JSON-safe form that round-trips via :meth:`from_payload`.
-
-        Tuples inside rows become lists (JSON has no tuple), so a result
-        rebuilt from the runner's cache compares equal — byte for byte
-        once serialized — to one produced by a fresh simulation.
-        """
-        from repro.runner.spec_hash import canonicalize
-        return {
-            "experiment": self.experiment,
-            "title": self.title,
-            "rows": canonicalize(self.rows),
-            "notes": self.notes,
-            "metrics": canonicalize(self.metrics),
-            "breakdown": canonicalize(self.breakdown),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "ExperimentResult":
-        return cls(experiment=payload["experiment"], title=payload["title"],
-                   rows=[dict(row) for row in payload["rows"]],
-                   notes=payload.get("notes", ""),
-                   metrics=dict(payload.get("metrics", {})),
-                   breakdown=dict(payload.get("breakdown", {})))
-
     def format_breakdown(self) -> str:
         """Per-flow FCT attribution table (``--breakdown``).
 

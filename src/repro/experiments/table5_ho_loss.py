@@ -59,7 +59,7 @@ def sweep(p: ScalePreset) -> list[SweepPoint]:
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     # The weight is a pure function of N (§4.2); the simulator's switch
-    # configuration derives it the same way (DcpSwitchProfile.weight).
+    # configuration derives it the same way (core.dcp_switch).
     result = ExperimentResult(
         "table5", "HO packet loss ratio under severe incast")
     it = iter(payloads)

@@ -9,13 +9,10 @@ single-candidate route without consulting it):
 * :class:`AdaptiveLoadBalancer` — per-packet least-queue adaptive
   routing, as implemented in the paper's P4 switch (§5).
 * :class:`SprayLoadBalancer` — per-packet round-robin packet spraying.
-* :class:`WeightedLoadBalancer` — per-packet weighted random choice,
-  used for the unequal-path testbed experiment (Fig 11).
 """
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Sequence
 
 from repro.net.packet import Packet
@@ -139,27 +136,8 @@ class FlowletLoadBalancer:
         return port
 
 
-class WeightedLoadBalancer:
-    """Per-packet weighted random choice proportional to path capacity.
-
-    Used for the Fig 11 unequal-path experiment where AR "forwards
-    traffic according to the capacity ratio of the links".
-    """
-
-    name = "weighted"
-    packet_level = True
-
-    def __init__(self, weights: dict[int, float], seed: int = 7) -> None:
-        self.weights = dict(weights)
-        self._rng = random.Random(seed)
-
-    def pick(self, switch: "Switch", packet: Packet, candidates: Sequence[int]) -> int:
-        weights = [self.weights.get(c, 1.0) for c in candidates]
-        return self._rng.choices(list(candidates), weights=weights, k=1)[0]
-
-
 def make_load_balancer(name: str, **kwargs) -> object:
-    """Factory used by experiment configs ("ecmp" | "ar" | "spray")."""
+    """Factory for ``NetworkSpec.lb``: "ecmp", "ar", "spray" or "flowlet"."""
     table = {
         "ecmp": EcmpLoadBalancer,
         "ar": AdaptiveLoadBalancer,

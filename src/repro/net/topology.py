@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.net.link import Link
+from repro.net.packet import HO_PACKET_BYTES
 from repro.net.switch import Switch, SwitchConfig
 from repro.sim.engine import Simulator
 from repro.sim.units import serialization_ns
@@ -29,7 +30,6 @@ class Fabric:
     # per host pair or uniform: one-way propagation+hop delay estimate (ns)
     base_oneway_ns: Callable[[int, int], int] = None  # type: ignore[assignment]
     mtu_payload: int = 1000
-    header_bytes: int = 57
     # --- fidelity-tier metadata (set by the builders below) -------------
     # switch egress serializations after the source NIC, per host pair
     store_forward_hops: Callable[[int, int], int] = None  # type: ignore[assignment]
@@ -42,11 +42,11 @@ class Fabric:
     def ideal_fct_ns(self, src: int, dst: int, size_bytes: int) -> int:
         """Lower-bound FCT: store-and-forward pipe at line rate, empty net.
 
-        one-way delay + serialization of the whole flow (with per-packet
-        header overhead) at the host line rate.
+        one-way delay + serialization of the whole flow at the host line
+        rate, each packet charged the 57 B base header (``HO_PACKET_BYTES``).
         """
         num_pkts = max(1, -(-size_bytes // self.mtu_payload))
-        wire_bytes = size_bytes + num_pkts * self.header_bytes
+        wire_bytes = size_bytes + num_pkts * HO_PACKET_BYTES
         ser = serialization_ns(wire_bytes, self.host_rate)
         return self.base_oneway_ns(src, dst) + ser
 

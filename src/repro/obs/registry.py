@@ -122,10 +122,6 @@ class FieldCounter:
     def value(self) -> int:
         return getattr(self.block, self.field)
 
-    @value.setter
-    def value(self, v: int) -> None:
-        setattr(self.block, self.field, v)
-
     def inc(self, n: int = 1) -> None:
         setattr(self.block, self.field, getattr(self.block, self.field) + n)
 

@@ -1,12 +1,14 @@
-"""Sim-clock-driven periodic sampling of registered gauges.
+"""Sim-clock-driven periodic sampling into time series.
 
-A :class:`MetricsSampler` is an :class:`repro.analysis.timeseries.Sampler`
-wired to a :class:`~repro.obs.registry.MetricsRegistry`: each gauge it
-is handed (by default every gauge registered at construction time) is
-snapshotted each ``interval_ns`` of *simulated* time into a
-:class:`repro.analysis.timeseries.Series`, and the resulting series
-dict is shared with the registry so ``registry.to_payload()`` carries
-the time series alongside the final counter values.
+A :class:`MetricsSampler` snapshots named probes each ``interval_ns``
+of *simulated* time into :class:`Series`.  Handed a
+:class:`~repro.obs.registry.MetricsRegistry`, it watches that
+registry's gauges (by default every gauge registered at construction
+time) and shares its series dict with the registry, so
+``registry.to_payload()`` carries the time series alongside the final
+counter values.  Without a registry the caller adds probes with
+:meth:`MetricsSampler.watch` and reads the series off the sampler (the
+deep-dive watches a victim port's two queues this way).
 
 Sampling scope is declared, not ambient: a series costs a float per
 tick in the sampler and again in every copy of the payload (worker
@@ -23,32 +25,90 @@ CLI exposes it as ``--sample-interval-ns``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Optional
 
-from repro.analysis.timeseries import Sampler
 from repro.obs.registry import Gauge, MetricsRegistry
 from repro.sim.engine import Simulator
 
 
-class MetricsSampler(Sampler):
-    """Samples ``gauges`` (default: every gauge of ``registry``) into
-    time series shared with the registry.
+@dataclass
+class Series:
+    """One sampled signal."""
+
+    name: str
+    times_ns: list[int] = field(default_factory=list)
+    values: list[float] = field(default_factory=list)
+
+    def append(self, t: int, v: float) -> None:
+        self.times_ns.append(t)
+        self.values.append(v)
+
+    def max(self) -> float:
+        return max(self.values) if self.values else 0.0
+
+
+class MetricsSampler:
+    """Samples ``gauges`` (default: every gauge of ``registry``), plus
+    any probe passed to :meth:`watch`, into named :class:`Series`.
 
     Gauges registered *after* construction are not watched — build the
     network (which registers its gauges) first, then the sampler.
     """
 
-    def __init__(self, sim: Simulator, registry: MetricsRegistry,
+    def __init__(self, sim: Simulator, registry: Optional[MetricsRegistry],
                  interval_ns: int,
                  gauges: Optional[Iterable[Gauge]] = None) -> None:
-        super().__init__(sim, interval_ns)
-        self.registry = registry
+        if interval_ns <= 0:
+            raise ValueError("interval must be positive")
+        self.sim = sim
+        self.interval_ns = interval_ns
+        self.series: dict[str, Series] = {}
+        self._probes: dict[str, Callable[[], float]] = {}
+        self._stop_at: Optional[int] = None
+        self._running = False
+        if registry is None:
+            return
         if gauges is None:
             gauges = [gauge for _, gauge in registry.gauges()]
         for gauge in gauges:
             self.watch(gauge.name, gauge.read)
         # Share the dict: series appear in registry.to_payload().
         registry.series = self.series
+
+    def watch(self, name: str, probe: Callable[[], float]) -> Series:
+        series = Series(name)
+        self.series[name] = series
+        self._probes[name] = probe
+        return series
+
+    def start(self, until_ns: Optional[int] = None) -> None:
+        self._stop_at = until_ns
+        if not self._running:
+            self._running = True
+            self._sample()
+            self.sim.schedule(self.interval_ns, self._tick)
+
+    def stop(self) -> None:
+        self._stop_at = self.sim.now
+
+    def _sample(self) -> None:
+        for name, probe in self._probes.items():
+            self.series[name].append(self.sim.now, float(probe()))
+
+    def _tick(self) -> None:
+        if self._stop_at is not None and self.sim.now > self._stop_at:
+            self._running = False
+            return
+        self._sample()
+        if self._stop_at is None and self.sim.peek_time() is None:
+            # Unbounded sampling with nothing else pending: the tick
+            # would keep the heap alive forever and every further
+            # sample would repeat this one.  Go dormant instead, so a
+            # run-to-empty simulation still terminates.
+            self._running = False
+            return
+        self.sim.schedule(self.interval_ns, self._tick)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"MetricsSampler(interval={self.interval_ns}ns, "

@@ -69,8 +69,8 @@ fields below (``psn`` is the packet's; flowless markers use
 
 Offline use::
 
-    python -m repro.obs.spans run.json              # summarize
-    python -m repro.obs.spans --validate run.json   # schema check
+    python -m repro.obs.spans run.json    # summarize
+    python -m repro.obs.schema run.json   # schema check
 """
 
 from __future__ import annotations
@@ -354,30 +354,17 @@ def summarize(trace: dict[str, Any]) -> str:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    validate = "--validate" in argv
-    paths = [a for a in argv if a != "--validate"]
-    if len(paths) != 1:
-        print("usage: python -m repro.obs.spans [--validate] <trace.json>",
+    if len(argv) != 1:
+        print("usage: python -m repro.obs.spans <trace.json>",
               file=sys.stderr)
         return 2
-    path = paths[0]
+    path = argv[0]
     try:
         with open(path, encoding="utf-8") as fh:
             trace = json.load(fh)
     except (OSError, ValueError) as exc:
         print(f"{path}: unreadable ({exc})", file=sys.stderr)
         return 1
-    if validate:
-        from repro.obs.schema import validate_perfetto
-        errors = validate_perfetto(trace)
-        if errors:
-            for e in errors[:50]:
-                print(e, file=sys.stderr)
-            print(f"{path}: INVALID ({len(errors)} problems)",
-                  file=sys.stderr)
-            return 1
-        print(f"{path}: OK")
-        return 0
     print(summarize(trace))
     return 0
 

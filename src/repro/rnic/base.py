@@ -3,7 +3,7 @@
 The model mirrors the microarchitecture described in §4.3 of the paper:
 
 * a **QP scheduler** round-robins among active QPs, giving each QP up to
-  ``round_quota`` bytes per scheduling round (fetch-and-drop WQE
+  ``ROUND_QUOTA_BYTES`` per scheduling round (fetch-and-drop WQE
   handling is abstracted to this quota);
 * the NIC transmitter *pulls* packets from the transport
   (:meth:`RnicTransport.poll_tx`), so per-QP congestion-control pacing
@@ -41,6 +41,9 @@ _flow_counter = itertools.count(1)
 _NO_WORK = object()
 _GATED = object()
 
+#: Bytes a QP may send per QP-scheduler round before the next QP's turn.
+ROUND_QUOTA_BYTES = 16_384
+
 
 @dataclass
 class TransportConfig:
@@ -50,18 +53,13 @@ class TransportConfig:
     max_message_bytes: int = 256_000     # flows split into <=this WQEs (NCCL-style)
     window_bytes: int = 125_000          # default BDP window (100G x 10us)
     rto_ns: int = 2_000_000              # retransmission timeout (RTO_high)
-    rto_low_ns: int = 300_000            # IRN's RTO_low for few outstanding pkts
-    rto_low_threshold_pkts: int = 3
+    rto_low_ns: int = 300_000            # IRN's RTO_low; SDR's per-hole timer
     # --- DCP (§4.3, §4.5) -------------------------------------------------
     pcie_rtt_ns: int = 1_000             # host <-> RNIC round trip
-    retrans_batch: int = 16              # RetransQ entries fetched per batch
-    round_quota_bytes: int = 16_384      # per-QP scheduling round quota
     coarse_timeout_ns: int = 4_000_000   # DCP fallback timer (§4.5)
     dcp_naive_retrans: bool = False      # ablation: per-HO fetch (2 PCIe RTs each)
     # --- SDR selective repeat (reliability-scheme frontier) ----------------
-    sdr_hole_timeout_ns: int = 0         # per-hole retx timer; 0 -> rto_low_ns
     sdr_reorder_window_pkts: int = 0     # rx reorder bound; 0 -> 2x window/mtu
-    sdr_sack_gap_pkts: int = 3           # ack-vector gap triggering fast retx
     # --- misc --------------------------------------------------------------
     cnp_interval_ns: int = 50_000        # DCQCN receiver CNP moderation
 
@@ -147,7 +145,7 @@ class Message:
     """One work request (WQE) posted to a QP's send queue."""
 
     __slots__ = ("msn", "ssn", "flow", "size_bytes", "num_pkts", "base_psn",
-                 "acked", "completed_rx", "op", "wr_id")
+                 "acked", "completed_rx")
 
     def __init__(self, msn: int, ssn: int, flow: Flow, size_bytes: int,
                  num_pkts: int, base_psn: int) -> None:
@@ -159,8 +157,6 @@ class Message:
         self.base_psn = base_psn
         self.acked = False
         self.completed_rx = False
-        self.op = None          # RdmaOp, set by the verbs layer
-        self.wr_id = 0
 
     def payload_of(self, offset_pkts: int, mtu_payload: int) -> int:
         """Payload size of packet ``offset_pkts`` within this message."""
@@ -563,7 +559,7 @@ class RnicTransport(Entity):
                     qp.next_send_ns = now + gap
             qp.round_bytes_left -= r.size_bytes
             if qp.round_bytes_left <= 0:
-                qp.round_bytes_left = self.config.round_quota_bytes
+                qp.round_bytes_left = ROUND_QUOTA_BYTES
                 rr.rotate(-1)
             return r
         if earliest_gate is not None:

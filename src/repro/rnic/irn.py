@@ -29,6 +29,9 @@ from repro.net.packet import Packet
 from repro.rnic.base import QueuePair
 from repro.rnic.window import SendState, WindowTransport
 
+#: At or below this many packets outstanding the RTO is ``rto_low_ns``.
+RTO_LOW_THRESHOLD_PKTS = 3
+
 
 class _IrnSendState(SendState):
     """The skeleton's sender bitmap plus the recovery episode."""
@@ -53,7 +56,7 @@ class IrnTransport(WindowTransport):
     # -------------------------------------------------------------- sender
     def _rto(self, st: _IrnSendState) -> int:
         outstanding = st.snd_nxt - st.snd_una
-        if outstanding <= self.config.rto_low_threshold_pkts:
+        if outstanding <= RTO_LOW_THRESHOLD_PKTS:
             return self.config.rto_low_ns
         return self.config.rto_ns
 

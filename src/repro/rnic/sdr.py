@@ -18,7 +18,7 @@ fabrics).  Three mechanisms distinguish it from the NIC baselines:
   expired hole retransmits *that packet only*: no window-wide blast, no
   ``cc.on_timeout`` penalty, which is what keeps goodput up on
   high-BDP paths where a full RTO costs a pipe's worth of data.  An
-  ack-vector gap (``sdr_sack_gap_pkts`` packets SACKed above a hole)
+  ack-vector gap (``SACK_GAP_PKTS`` packets SACKed above a hole)
   retransmits the hole immediately, once per episode — the common-case
   fast path; repeated losses of the same PSN always fall back to the
   hole timer.
@@ -45,6 +45,9 @@ from repro.sim.engine import Simulator
 #: field would be).  The receiver may buffer more than 64 packets ahead;
 #: bits beyond the vector are simply re-reported as ePSN advances.
 SACK_VECTOR_BITS = 64
+
+#: Packets SACKed above a hole before the vector presumes it lost.
+SACK_GAP_PKTS = 3
 
 
 class _SdrSendState(SendState):
@@ -73,7 +76,7 @@ class SdrTransport(WindowTransport):
     def __init__(self, sim: Simulator, host_id: int,
                  config: TransportConfig) -> None:
         super().__init__(sim, host_id, config)
-        self._hole_to = config.sdr_hole_timeout_ns or config.rto_low_ns
+        self._hole_to = config.rto_low_ns
         self._reorder_bound = config.sdr_reorder_window_pkts or max(
             64, (2 * config.window_bytes) // max(1, config.mtu_payload))
 
@@ -184,10 +187,10 @@ class SdrTransport(WindowTransport):
                 if psn > high:
                     high = psn
             bitmap ^= low
-        # Vector-driven fast retransmit: a hole with sdr_sack_gap_pkts
+        # Vector-driven fast retransmit: a hole with SACK_GAP_PKTS
         # packets SACKed above it is presumed lost.  Once per episode —
         # a re-lost fast retransmission waits for its hole timer.
-        gap = self.config.sdr_sack_gap_pkts
+        gap = SACK_GAP_PKTS
         queued = False
         for psn in range(st.snd_una, high - gap + 1):
             if (psn not in st.sacked and psn not in st.fast_retx

@@ -108,8 +108,7 @@ class PointTelemetry:
     def sample(self, net: Network, interval_ns: int,
                watched: Optional[list[Gauge]] = None) -> None:
         """Sample ``watched`` (default: every gauge) until :meth:`report`."""
-        # Import here: the sampler pulls in repro.analysis, which is
-        # heavier than this hot module needs by default.
+        # Import here: most points never sample.
         from repro.obs.sampler import MetricsSampler
         self._sampler = MetricsSampler(net.sim, self.registry, interval_ns,
                                        watched)

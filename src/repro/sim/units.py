@@ -22,11 +22,6 @@ KIB = 1024
 MIB = 1024 * 1024
 
 
-def gbps(rate: float) -> float:
-    """Convert Gbps to bits/ns (identity, for readability)."""
-    return float(rate)
-
-
 def serialization_ns(size_bytes: int, rate_bits_per_ns: float) -> int:
     """Time to clock ``size_bytes`` onto a wire at ``rate_bits_per_ns``.
 

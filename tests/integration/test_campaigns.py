@@ -7,7 +7,7 @@ import pytest
 import repro.experiments.cli as cli
 from repro.campaigns import compile_campaign, run_campaign, run_compiled
 from repro.obs.schema import validate_file
-from repro.runner import ExperimentRunner, ResultCache
+from repro.runner import ExperimentRunner, ResultCache, canonical_json
 
 TINY = {
     "name": "tiny-int",
@@ -37,9 +37,8 @@ class TestBitIdentity:
                                     cache=ResultCache(root=serial_cache))
         replay = run_compiled(compiled, replayer)
         assert replayer.simulations_executed == 0   # pure cache replay
-        s = json.dumps(serial.to_payload(), sort_keys=True)
-        p = json.dumps(parallel.to_payload(), sort_keys=True)
-        r = json.dumps(replay.to_payload(), sort_keys=True)
+        s, p, r = (canonical_json([res.rows, res.metrics, res.breakdown])
+                   for res in (serial, parallel, replay))
         assert s == p == r
         assert serial.format_table() == parallel.format_table() \
             == replay.format_table()

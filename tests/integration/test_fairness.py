@@ -27,7 +27,7 @@ class TestJain:
 
 class TestQpSchedulerFairness:
     def test_concurrent_qps_share_the_nic(self):
-        """The DRR QP scheduler (round_quota) splits one NIC evenly."""
+        """The DRR QP scheduler (ROUND_QUOTA_BYTES) splits one NIC evenly."""
         net = build_network(transport="dcp", topology="testbed", num_hosts=4,
                             cross_links=2, link_rate=10.0, lb="ar", seed=7,
                             window_bytes=200_000)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.common import Network, NetworkSpec, build_network
-from repro.experiments.presets import PRESETS, custom_preset, get_preset
+from repro.experiments.presets import PRESETS, get_preset
 
 
 class TestNetworkSpec:
@@ -117,8 +117,3 @@ class TestPresets:
         assert get_preset(p) is p
         with pytest.raises(ValueError):
             get_preset("huge")
-
-    def test_custom_preset_overrides(self):
-        p = custom_preset("quick", num_hosts=8, num_leaves=2, num_spines=2)
-        assert p.num_hosts == 8
-        assert p.link_rate == get_preset("quick").link_rate

@@ -166,20 +166,25 @@ assert cli.main(["fig8", "--preset", "quick", "--jobs", "2",
 
 
 @pytest.mark.parametrize("argv", [["repro.obs.schema"],
-                                  ["repro.obs.spans", "--validate"]],
+                                  ["repro.obs.spans"]],
                          ids=lambda argv: argv[0])
 def test_obs_validator_runs_as_main_without_a_second_import(argv, tmp_path):
     # Were the package to import the module, ``-m`` would load it a
     # second time as __main__ and warn.
     trace = tmp_path / "trace.json"
     trace.write_text('{"traceEvents": '
-                     '[{"ph": "i", "pid": 0, "tid": 0, "ts": 0}]}')
+                     '[{"ph": "i", "pid": 0, "tid": 0, "ts": 0, '
+                     '"name": "drop"}]}')
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", *argv,
          str(trace)],
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{trace}: OK\n"
+    assert proc.stdout == {
+        "repro.obs.schema": f"{trace}: OK\n",
+        "repro.obs.spans": "1 events: 0 slices, 1 markers on 1 tracks\n"
+                           "  drop                    1 markers\n",
+    }[argv[0]]
 
 
 def test_package_level_names_still_resolve():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cc.base import StaticWindowCc, UnlimitedCc
+from repro.cc.base import StaticWindowCc
 from repro.cc.dcqcn import DcqcnCc, DcqcnParams
 
 
@@ -16,12 +16,6 @@ class TestStaticWindow:
 
     def test_no_pacing(self):
         assert StaticWindowCc(1000).pacing_delay_ns(1000) == 0
-
-
-class TestUnlimited:
-    def test_always_open(self):
-        cc = UnlimitedCc()
-        assert cc.available_window(10**12) > 0
 
 
 class TestDcqcn:

@@ -37,6 +37,11 @@ def _points(n: int = 4, seed0: int = 11) -> list[SweepPoint]:
     ]
 
 
+def _result_json(result: ExperimentResult) -> str:
+    """Everything a result carries, in its canonical JSON form."""
+    return canonical_json([result.rows, result.metrics, result.breakdown])
+
+
 # --------------------------------------------------------- spec hashing
 class TestSpecHashing:
     def test_canonicalize_normalizes_tuples_and_key_order(self):
@@ -350,14 +355,12 @@ class TestDeterminism:
         runner_p = ExperimentRunner(jobs=4,
                                     cache=ResultCache(root=tmp_path))
         res_p = run_experiment("fig8", preset="quick", runner=runner_p)
-        assert canonical_json(res_s.to_payload()) == canonical_json(
-            res_p.to_payload())
+        assert _result_json(res_s) == _result_json(res_p)
         # immediate re-run: the whole figure comes from cache
         rerun = ExperimentRunner(jobs=4, cache=ResultCache(root=tmp_path))
         res_c = run_experiment("fig8", preset="quick", runner=rerun)
         assert rerun.simulations_executed == 0
-        assert canonical_json(res_c.to_payload()) == canonical_json(
-            res_s.to_payload())
+        assert _result_json(res_c) == _result_json(res_s)
 
 
 # ------------------------------------------------- telemetry determinism
@@ -437,12 +440,16 @@ class TestTelemetryDeterminism:
         assert plain2.simulations_executed == 0   # untraced entries intact
 
     def test_metrics_survive_result_round_trip(self, tmp_path):
+        """Metrics attached by run_experiment come back unchanged when
+        the whole figure replays from the cache."""
         from repro.experiments.registry import run_experiment
         runner = ExperimentRunner(jobs=1, cache=ResultCache(root=tmp_path))
         result = run_experiment("fig8", preset="quick", runner=runner)
         assert result.metrics                    # attached by run_experiment
-        clone = ExperimentResult.from_payload(result.to_payload())
-        assert canonical_json(clone.metrics) == canonical_json(result.metrics)
+        replayer = ExperimentRunner(jobs=1, cache=ResultCache(root=tmp_path))
+        replay = run_experiment("fig8", preset="quick", runner=replayer)
+        assert replayer.simulations_executed == 0
+        assert canonical_json(replay.metrics) == canonical_json(result.metrics)
 
 
 # ------------------------------------------------------ registry wiring
@@ -464,6 +471,18 @@ class TestRegistryIntegration:
             canonicalize(point.params)
             cache_key(key, point.point_id, point.spec, point.params)
 
+    @pytest.mark.parametrize("preset", ["quick", "default", "full"])
+    @pytest.mark.parametrize("key", list(REGISTRY))
+    def test_no_sweep_simulates_the_same_point_twice(self, key, preset):
+        """Two points with one spec and one params dict would simulate
+        the same thing twice; the merge should reuse one payload."""
+        points = REGISTRY[key].load_module().sweep(get_preset(preset))
+        seen = {}
+        for point in points:
+            what = canonical_json([point.spec.to_dict(), point.params])
+            assert what not in seen, (point.point_id, seen.get(what))
+            seen[what] = point.point_id
+
     def test_sweep_points_shapes(self):
         from repro.experiments import fig17_loss_schemes as fig17
         pts = fig17.sweep(get_preset("quick"))
@@ -472,10 +491,10 @@ class TestRegistryIntegration:
         assert len({p.point_id for p in pts}) == len(pts)
 
     def test_result_payload_round_trip(self):
-        result = ExperimentResult("unit", "t", rows=[
-            {"a": 1, "span": (2, 3)}, {"a": 2, "span": (4, 5)}])
-        clone = ExperimentResult.from_payload(result.to_payload())
-        # tuples canonicalize to lists; the formatted table is unchanged
+        """Rows merged from JSON payloads hold lists where a live merge
+        held tuples; the formatted table is the same."""
+        rows = [{"a": 1, "span": (2, 3)}, {"a": 2, "span": (4, 5)}]
+        result = ExperimentResult("unit", "t", rows=rows)
+        clone = ExperimentResult("unit", "t", rows=canonicalize(rows))
         assert clone.rows[0]["span"] == [2, 3]
         assert clone.format_table() == result.format_table()
-        assert clone.to_payload() == result.to_payload()

@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.analysis.latency import COMPONENTS, breakdown_rows, flow_breakdown
-from repro.obs import spans
+from repro.obs import schema, spans
 from repro.obs.export import breakdown_records, write_breakdown_jsonl
 from repro.obs.schema import (validate_path, validate_perfetto,
                               validate_record)
@@ -285,7 +285,7 @@ class TestPerfetto:
         with open(path, "w") as fh:
             write_perfetto(fh, self._points())
         assert path.read_text() == old.getvalue()
-        assert spans.main(["--validate", str(path)]) == 0
+        assert validate_path(str(path)) == []
 
     def test_validator_rejects_malformed_events(self):
         assert validate_perfetto([]) == ["trace is not a JSON object"]
@@ -307,12 +307,13 @@ class TestPerfetto:
         out = capsys.readouterr().out
         assert "slices" in out
         assert "2 markers" in out and "pfc" in out
-        assert spans.main(["--validate", str(path)]) == 0
+        assert schema.main([str(path)]) == 0
         assert "OK" in capsys.readouterr().out
         assert spans.main([]) == 2
+        assert spans.main(["--validate", str(path)]) == 2
         bad = tmp_path / "bad.json"
         bad.write_text('{"traceEvents": [{"ph": "Q"}]}')
-        assert spans.main(["--validate", str(bad)]) == 1
+        assert schema.main([str(bad)]) == 1
         assert spans.main([str(tmp_path / "missing.json")]) == 1
 
     def test_validate_path_sniffs_perfetto_vs_jsonl(self, tmp_path):
