@@ -14,9 +14,6 @@ from repro.core.header import ho_data_size_ratio, wrr_weight
 from repro.net.ecn import RedProfile
 from repro.net.switch import SwitchConfig
 
-#: WRR weight where the §4.2 formula has no solution (``r <= N - 1``).
-WEIGHT_FALLBACK = 8.0
-
 
 def dcp_switch_config(num_ports: int, *, rate_bits_per_ns: float,
                       buffer_bytes: int, incast_radix: int, mtu_payload: int,
@@ -27,6 +24,8 @@ def dcp_switch_config(num_ports: int, *, rate_bits_per_ns: float,
 
     ``incast_radix`` is the ``N`` of §4.2: the incast degree the control
     plane must absorb losslessly (Table 5 evaluates N = 16 and N = 22).
+    Where §4.2 has no solution the weight is :func:`wrr_weight`'s
+    fallback, the value Table 5's merge reports too.
     """
     # The data queue must be able to grow beyond the trim threshold,
     # otherwise congestion overflows (drops, no HO packets) before the
@@ -42,8 +41,7 @@ def dcp_switch_config(num_ports: int, *, rate_bits_per_ns: float,
         enable_trimming=True,
         trim_threshold_bytes=trim_threshold,
         control_queue_bytes=control_queue_bytes,
-        wrr_weight=wrr_weight(incast_radix, ho_data_size_ratio(mtu_payload),
-                              fallback=WEIGHT_FALLBACK),
+        wrr_weight=wrr_weight(incast_radix, ho_data_size_ratio(mtu_payload)),
         red=red,
         loss_rate=loss_rate,
         loss_seed=loss_seed,
