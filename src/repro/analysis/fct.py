@@ -1,8 +1,8 @@
-"""FCT/JCT statistics: percentiles, slowdown binning, CDFs.
+"""FCT/JCT statistics: percentiles, slowdown binning, goodput.
 
 These helpers turn flow results into the rows the paper's figures plot:
 per-size-bin P50/P95/P99 FCT slowdown over ``(size_bytes, slowdown)``
-pairs (Fig 13, 15, 16), FCT CDFs (Fig 14b/d) and goodput of a
+pairs (Fig 13, 15, 16) and goodput of a
 :class:`~repro.rnic.base.Flow` (Fig 10, 17).  :func:`slowdowns` and
 :func:`switch_total` read a :func:`repro.runner.points.simulate_flows`
 payload back in a figure's ``merge``; nothing here needs the simulator
@@ -107,20 +107,6 @@ def switch_total(payload: dict, field: str) -> int:
     switch of the point (its ``switch.<name>.<field>`` counters)."""
     return sum(value for name, value in payload["metrics"]["counters"].items()
                if name.startswith("switch.") and name.endswith("." + field))
-
-
-def cdf_points(values: Sequence[float], points: int = 100
-               ) -> list[tuple[float, float]]:
-    """(value, cumulative probability) pairs for CDF plots."""
-    if not values:
-        return []
-    ordered = sorted(values)
-    n = len(ordered)
-    step = max(1, n // points)
-    out = [(ordered[i], (i + 1) / n) for i in range(0, n, step)]
-    if out[-1][1] < 1.0:
-        out.append((ordered[-1], 1.0))
-    return out
 
 
 def goodput_gbps(flow: Flow) -> float:

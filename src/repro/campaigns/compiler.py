@@ -11,8 +11,9 @@ serial == parallel == cache-replay bit-identity the runner guarantees
 carries over to campaigns for free.
 
 Workload layers are laid out at *compile* time (every flow becomes an
-explicit ``[src, dst, size_bytes, start_ns]`` quadruple in the point's
-params), so stochastic layers contribute nothing at run time: the
+explicit ``[src, dst, size_bytes, start_ns, layer name]`` row in the
+point's params; the layer name is the flow's tag, which only a merge
+reads), so stochastic layers contribute nothing at run time: the
 Poisson/incast schedules come from the pure ``schedule()`` methods in
 :mod:`repro.workload.flows`, seeded per layer from the campaign seed via
 :class:`~repro.sim.rng.SeedSequence`.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.campaigns.metrics import DEFAULT_METRICS, METRIC_COLUMNS
-from repro.campaigns.spec import (CHAOS_BUILDERS, CampaignError,
+from repro.campaigns.spec import (CHAOS_BUILDERS, CampaignError, group_axes,
                                   validate_campaign, validate_chaos_schedule)
 from repro.experiments.presets import ScalePreset, get_preset
 from repro.experiments.result import ExperimentResult
@@ -62,7 +63,7 @@ class CompiledCampaign:
     key: str                       # runner experiment key ("campaign-<name>")
     title: str
     preset: str
-    groups: tuple[tuple[str, str], ...]   # (group name, axis) in grid order
+    groups: tuple[dict, ...]       # the spec's groups without their values
     metrics: tuple[str, ...]
     points: tuple[SweepPoint, ...]
     assignments: tuple[dict, ...]  # per point: group name -> axis value
@@ -78,8 +79,8 @@ def _layer_seed(campaign_name: str, campaign_seed: int, layer: dict) -> int:
 
 def _layer_flows(layer: dict, num_hosts: int, link_rate: float,
                  preset: ScalePreset, campaign_name: str,
-                 campaign_seed: int, path: str) -> list[list[int]]:
-    """Lay one workload layer out as explicit flow quadruples."""
+                 campaign_seed: int, path: str) -> Sequence[Sequence[int]]:
+    """Lay one workload layer out as ``(src, dst, size, start)`` rows."""
     kind = layer["kind"]
     hosts = layer.get("hosts")
     if hosts is not None:
@@ -94,7 +95,7 @@ def _layer_flows(layer: dict, num_hosts: int, link_rate: float,
                 raise CampaignError(f"{path}.flows[{i}]",
                                     f"host out of range for "
                                     f"num_hosts={num_hosts}")
-        return [list(f) for f in layer["flows"]]
+        return layer["flows"]
     if kind == "poisson":
         if layer.get("size_dist", "websearch") == "fixed":
             dist = FixedSizeDistribution(layer["size_bytes"])
@@ -107,7 +108,7 @@ def _layer_flows(layer: dict, num_hosts: int, link_rate: float,
             seed=_layer_seed(campaign_name, campaign_seed, layer),
             hosts=list(hosts) if hosts is not None else None,
             max_flows=layer.get("max_flows", preset.max_flows))
-        return [list(f) for f in wl.schedule(num_hosts, link_rate)]
+        return wl.schedule(num_hosts, link_rate)
     if kind == "incast":
         fan_in = layer.get("fan_in", preset.incast_fan_in)
         if fan_in >= num_hosts:
@@ -119,7 +120,7 @@ def _layer_flows(layer: dict, num_hosts: int, link_rate: float,
             flow_bytes=layer.get("flow_bytes", preset.incast_flow_bytes),
             duration_ns=layer.get("duration_ns", preset.duration_ns),
             seed=_layer_seed(campaign_name, campaign_seed, layer))
-        return [list(f) for f in wl.schedule(num_hosts, link_rate)]
+        return wl.schedule(num_hosts, link_rate)
     if kind == "bursting":
         ring = list(hosts) if hosts is not None else list(range(num_hosts))
         stride = layer.get("stride", 1)
@@ -152,19 +153,28 @@ def _apply_axes(assignment: dict, groups: list[dict], topo: dict,
     """Push one grid combo's values into the per-point blocks (in place)."""
     for group in groups:
         value = assignment[group["name"]]
-        root, rest = group["axis"].split(".", 1)
-        if root == "spec":
-            topo[rest] = value
-        elif root == "workload":
-            layer_name, fld = rest.split(".")
-            layer = next(l for l in layers if l["name"] == layer_name)
-            layer[fld] = value
-        elif root == "sim":
-            sim[rest] = value
-        elif root == "chaos":
-            assert chaos is not None   # guaranteed by validation
-            chaos[rest] = value
+        columns = value if "axes" in group else [value]
+        for axis, column in zip(group_axes(group), columns):
+            root, rest = axis.split(".", 1)
+            if root == "spec":
+                topo[rest] = column
+            elif root == "workload":
+                layer_name, fld = rest.split(".")
+                layer = next(l for l in layers if l["name"] == layer_name)
+                layer[fld] = column
+            elif root == "sim":
+                sim[rest] = column
+            elif root == "chaos":
+                assert chaos is not None   # guaranteed by validation
+                chaos[rest] = column
     return chaos
+
+
+def _label(value: Any) -> str:
+    """A group value as it reads in a point id (zipped: joined by '-')."""
+    if isinstance(value, list):
+        return "-".join(str(v) for v in value)
+    return str(value)
 
 
 def _compile_chaos(chaos: Optional[dict], point_id: str) -> Optional[dict]:
@@ -212,7 +222,8 @@ def compile_campaign(spec: dict, preset: str | ScalePreset = "default"
     seen_ids: set[str] = set()
     for combo in itertools.product(*(g["values"] for g in groups)):
         assignment = {g["name"]: v for g, v in zip(groups, combo)}
-        point_id = ".".join(f"{g['name']}-{v}" for g, v in zip(groups, combo))
+        point_id = ".".join(f"{g['name']}-{_label(v)}"
+                            for g, v in zip(groups, combo))
         if point_id in seen_ids:
             raise CampaignError("groups", f"duplicate point id {point_id!r}")
         seen_ids.add(point_id)
@@ -250,9 +261,9 @@ def compile_campaign(spec: dict, preset: str | ScalePreset = "default"
         except (TypeError, ValueError) as exc:
             raise CampaignError("topology", f"{exc} (point {point_id})")
 
-        flows: list[list[int]] = []
+        flows: list[list] = []
         for i, layer in enumerate(layers):
-            flows.extend(_layer_flows(
+            flows.extend([*flow, layer["name"]] for flow in _layer_flows(
                 layer, net_spec.num_hosts, net_spec.link_rate, scale,
                 name, seed, f"workload[{i}]"))
         if not flows:
@@ -277,7 +288,8 @@ def compile_campaign(spec: dict, preset: str | ScalePreset = "default"
         key=f"campaign-{name}",
         title=spec.get("title", f"campaign {name}"),
         preset=scale.name,
-        groups=tuple((g["name"], g["axis"]) for g in groups),
+        groups=tuple({k: v for k, v in g.items() if k != "values"}
+                     for g in groups),
         metrics=tuple(spec.get("metrics", DEFAULT_METRICS)),
         points=tuple(points),
         assignments=tuple(assignments),
@@ -307,7 +319,8 @@ def merge_campaign(compiled: CompiledCampaign,
     return ExperimentResult(
         experiment=compiled.key, title=compiled.title, rows=rows,
         notes=f"preset={compiled.preset}; groups=" + ", ".join(
-            f"{gname}:{axis}" for gname, axis in compiled.groups))
+            f"{g['name']}:{'+'.join(group_axes(g))}"
+            for g in compiled.groups))
 
 
 # ---------------------------------------------------------------- execution

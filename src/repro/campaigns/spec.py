@@ -22,10 +22,15 @@ Schema (top-level keys; everything else is rejected)::
           "load": 0.1, ...},             # kind-specific fields, see below
      ],
      "groups": [                         # required, non-empty, ordered:
-         {"name": "fanin",               #   each group varies EXACTLY one
-          "axis": "workload.incast.fan_in",  # axis over its values; the
-          "values": [4, 8, 12]},         #   grid is the cartesian product
-     ],                                  #   (first group outermost)
+         {"name": "fanin",               #   a group varies one axis over
+          "axis": "workload.incast.fan_in",  # its values; the grid is the
+          "values": [4, 8, 12]},         #   cartesian product (first
+         {"name": "scheme",              #   group outermost).  A zipped
+          "axes": ["spec.transport",     #   group's "axes" (>= 2) move in
+                   "spec.lb"],           #   lockstep: each value holds
+          "values": [["gbn", "ecmp"],    #   one entry per axis
+                     ["dcp", "ar"]]},
+     ],
      "chaos": {"scenario": "loss_burst", # optional failure schedule built
                "loss_rate": 0.3, ...},   #   from repro.chaos.scenarios
      "metrics": ["goodput_gbps", ...],   # optional column selection
@@ -53,10 +58,16 @@ Workload kinds:
     One full-mesh shuffle over ``hosts`` (default: all), ``total_bytes``
     split evenly, starting at ``start_ns``.
 
+Every layer's flows reach the point as ``[src, dst, size_bytes,
+start_ns, layer name]`` rows: the name is each flow's tag, which a
+merge can read back from the payload's flow records.
+
 Axes name what a group varies, dotted from one of four roots:
 ``spec.<NetworkSpec field>`` (scalar fields only),
 ``workload.<layer name>.<field>``, ``sim.<field>`` and
-``chaos.<builder kwarg>`` / ``chaos.scenario``.
+``chaos.<builder kwarg>`` / ``chaos.scenario``.  A zipped group's
+columns are checked like one-axis values, and no axis appears twice
+across all groups.
 
 Validation is *strict*: unknown fields anywhere, empty groups, malformed
 chaos schedules, out-of-range loads etc. are all rejected with a
@@ -301,78 +312,85 @@ def validate_chaos_schedule(chaos: dict, path: str = "chaos") -> None:
 
 # --------------------------------------------------------------------- axes
 def _validate_axis(axis: Any, values: list, layers: list[dict],
-                   chaos: dict | None, path: str) -> None:
+                   chaos: dict | None, where: str, cell: str) -> None:
+    """Check one axis path (reported at ``where``) and the column of
+    values it takes (value ``j`` reported at ``cell.format(j)``)."""
     if not isinstance(axis, str) or "." not in axis:
-        raise CampaignError(f"{path}.axis",
+        raise CampaignError(where,
                             f"axis must be a dotted path (spec.*, "
                             f"workload.<layer>.*, sim.*, chaos.*), "
                             f"got {axis!r}")
     root, rest = axis.split(".", 1)
     if root == "spec":
         if rest not in _SPEC_AXIS_FIELDS:
-            raise CampaignError(f"{path}.axis",
+            raise CampaignError(where,
                                 f"unknown NetworkSpec field {rest!r} "
                                 "(dict-typed fields cannot be an axis)")
         for j, value in enumerate(values):
             if not _is_scalar(value):
-                raise CampaignError(f"{path}.values[{j}]",
+                raise CampaignError(cell.format(j),
                                     f"expected a scalar, got {value!r}")
     elif root == "workload":
         parts = rest.split(".")
         if len(parts) != 2:
-            raise CampaignError(f"{path}.axis",
+            raise CampaignError(where,
                                 "workload axis must be "
                                 "workload.<layer name>.<field>")
         layer_name, field = parts
         layer = next((l for l in layers if l["name"] == layer_name), None)
         if layer is None:
-            raise CampaignError(f"{path}.axis",
+            raise CampaignError(where,
                                 f"no workload layer named {layer_name!r}; "
                                 f"have {[l['name'] for l in layers]}")
         for j, value in enumerate(values):
-            validate_layer_field(layer["kind"], field, value,
-                                 f"{path}.values[{j}]")
+            validate_layer_field(layer["kind"], field, value, cell.format(j))
     elif root == "sim":
         if rest not in SIM_FIELDS:
-            raise CampaignError(f"{path}.axis",
+            raise CampaignError(where,
                                 f"unknown sim field {rest!r}; expected one "
                                 f"of {sorted(SIM_FIELDS)}")
         check, expect = SIM_FIELDS[rest]
         for j, value in enumerate(values):
             if not check(value):
-                raise CampaignError(f"{path}.values[{j}]",
+                raise CampaignError(cell.format(j),
                                     f"expected {expect}, got {value!r}")
     elif root == "chaos":
         if chaos is None:
-            raise CampaignError(f"{path}.axis",
+            raise CampaignError(where,
                                 "chaos axis needs a top-level chaos block")
         if rest == "scenario":
             for j, value in enumerate(values):
                 if value != "none" and value not in CHAOS_BUILDERS:
                     raise CampaignError(
-                        f"{path}.values[{j}]",
+                        cell.format(j),
                         f"unknown scenario {value!r}; expected one of "
                         f"{['none'] + sorted(CHAOS_BUILDERS)}")
         else:
             base = chaos.get("scenario")
             if base == "none":
-                raise CampaignError(f"{path}.axis",
+                raise CampaignError(where,
                                     "cannot vary overrides of scenario "
                                     "'none'")
             if rest not in _chaos_params(base):
                 raise CampaignError(
-                    f"{path}.axis",
+                    where,
                     f"unknown override {rest!r} for scenario {base!r}; "
                     f"expected one of {sorted(_chaos_params(base))}")
             for j, value in enumerate(values):
                 if not (_is_num(value) or isinstance(value, bool)
                         or value is None):
-                    raise CampaignError(f"{path}.values[{j}]",
+                    raise CampaignError(cell.format(j),
                                         f"expected a number, got {value!r}")
     else:
-        raise CampaignError(f"{path}.axis",
+        raise CampaignError(where,
                             f"unknown axis root {root!r}; expected one of "
                             "['chaos', 'sim', 'spec', 'workload']")
+
+
+def group_axes(group: dict) -> list[str]:
+    """The axes a validated group varies: its one ``axis``, or the
+    ``axes`` of a zipped group."""
+    return group["axes"] if "axes" in group else [group["axis"]]
 
 
 # ----------------------------------------------------------------- campaign
@@ -443,10 +461,10 @@ def validate_campaign(spec: Any) -> dict:
         if not isinstance(group, dict):
             raise CampaignError(path, "group must be a dict")
         for key in group:
-            if key not in ("name", "axis", "values"):
+            if key not in ("name", "axis", "axes", "values"):
                 raise CampaignError(f"{path}.{key}",
                                     "unknown group field; expected "
-                                    "['axis', 'name', 'values']")
+                                    "['axes', 'axis', 'name', 'values']")
         gname = group.get("name")
         if not _identifier(gname):
             raise CampaignError(f"{path}.name",
@@ -463,12 +481,35 @@ def validate_campaign(spec: Any) -> dict:
         if len(set(reprs)) != len(reprs):
             raise CampaignError(f"{path}.values",
                                 "values must be distinct")
-        axis = group.get("axis")
-        _validate_axis(axis, values, layers, chaos, path)
-        if axis in seen_axes:
-            raise CampaignError(f"{path}.axis",
-                                f"duplicate axis {axis!r} across groups")
-        seen_axes.add(axis)
+        zipped = "axes" in group
+        if zipped:
+            # The axes move in lockstep: each value holds one per axis.
+            axes = group["axes"]
+            if "axis" in group:
+                raise CampaignError(f"{path}.axes",
+                                    "give either 'axis' or 'axes', not both")
+            if not isinstance(axes, list) or len(axes) < 2:
+                raise CampaignError(f"{path}.axes",
+                                    "expected a list of >= 2 axes, got "
+                                    f"{axes!r}")
+            for j, value in enumerate(values):
+                if not isinstance(value, list) or len(value) != len(axes):
+                    raise CampaignError(f"{path}.values[{j}]",
+                                        f"expected a list of {len(axes)} "
+                                        f"values (one per axis), got "
+                                        f"{value!r}")
+            columns = list(zip(*values))
+        else:
+            axes, columns = [group.get("axis")], [values]
+        for k, (axis, column) in enumerate(zip(axes, columns)):
+            where = f"{path}.axes[{k}]" if zipped else f"{path}.axis"
+            cell = (f"{path}.values[{{}}][{k}]" if zipped
+                    else f"{path}.values[{{}}]")
+            _validate_axis(axis, column, layers, chaos, where, cell)
+            if axis in seen_axes:
+                raise CampaignError(where,
+                                    f"duplicate axis {axis!r} across groups")
+            seen_axes.add(axis)
 
     if "metrics" in spec:
         metrics = spec["metrics"]

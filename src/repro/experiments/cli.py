@@ -278,8 +278,7 @@ def main(argv: list[str] | None = None) -> int:
                         compiled = campaigns_by_key[key]
                         metrics_lines += write_campaign_jsonl(
                             metrics_fh, key, compiled.name,
-                            [{"name": g, "axis": a}
-                             for g, a in compiled.groups],
+                            list(compiled.groups),
                             [p.point_id for p in compiled.points])
                     metrics_lines += write_metrics_jsonl(
                         metrics_fh, key, result.metrics)

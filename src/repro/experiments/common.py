@@ -22,7 +22,6 @@ from repro.net.topology import Fabric, build_clos, build_direct, build_testbed
 from repro.rnic.base import (Flow, Host, HostNic, QueuePair, RnicTransport,
                              TransportConfig)
 from repro.sim.engine import Simulator
-from repro.sim.rng import SeedSequence
 from repro.sim.units import bdp_bytes, serialization_ns
 
 
@@ -41,7 +40,6 @@ class Network:
                              f"(expected 'packet' or 'hybrid')")
         self.spec = spec
         self.sim = Simulator()
-        self.seeds = SeedSequence(spec.seed)
         self.tconfig = self._transport_config()
         self.transports: list[RnicTransport] = []
         self.hosts: list[Host] = []

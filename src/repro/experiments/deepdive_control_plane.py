@@ -15,7 +15,7 @@ queues alongside the flows.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
@@ -27,18 +27,21 @@ POINT_RUNNER = "repro.experiments.deepdive_control_plane.run_point"
 RECEIVER = 0
 
 
-def sweep(p: ScalePreset, fan_in: Optional[int] = None,
-          flow_bytes: int = 100_000) -> list[SweepPoint]:
-    """One point: ``fan_in`` (default: the preset's) senders to host 0."""
-    fan_in = fan_in or p.incast_fan_in
+#: Bytes each incast sender posts.
+FLOW_BYTES = 100_000
+
+
+def sweep(p: ScalePreset) -> list[SweepPoint]:
+    """One point: the preset's incast fan-in of senders to host 0."""
     spec = NetworkSpec(
         transport="dcp", lb="ar", topology="clos", num_hosts=p.num_hosts,
         num_leaves=p.num_leaves, num_spines=p.num_spines,
         link_rate=p.link_rate, seed=131, incast_radix=p.incast_fan_in,
         buffer_bytes=p.buffer_bytes // 4)
-    senders = [h for h in range(p.num_hosts) if h != RECEIVER][:fan_in]
-    return [SweepPoint(f"incast{fan_in}", spec, {
-        "flows": [[s, RECEIVER, flow_bytes, 0] for s in senders],
+    senders = [h for h in range(p.num_hosts)
+               if h != RECEIVER][:p.incast_fan_in]
+    return [SweepPoint(f"incast{p.incast_fan_in}", spec, {
+        "flows": [[s, RECEIVER, FLOW_BYTES, 0] for s in senders],
         "max_events": 100_000_000})]
 
 
@@ -76,8 +79,7 @@ def run_point(spec: NetworkSpec, params: dict) -> dict[str, Any]:
         }
 
 
-def merge(payloads: list, p: ScalePreset, fan_in: Optional[int] = None,
-          flow_bytes: int = 100_000) -> ExperimentResult:
+def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     (pl,) = payloads
     rows = (
         ("peak data queue (KB)", pl["peak_data_bytes"] / 1000,
@@ -93,6 +95,6 @@ def merge(payloads: list, p: ScalePreset, fan_in: Optional[int] = None,
     )
     return ExperimentResult(
         "deepdive",
-        f"Control plane under a {fan_in or p.incast_fan_in}-to-1 incast",
+        f"Control plane under a {p.incast_fan_in}-to-1 incast",
         rows=[{"metric": m, "value": v, "reference": r}
               for m, v, r in rows])

@@ -8,32 +8,43 @@ grows (1.6x-72x worse than DCP between 0.01% and 5%).
 
 from __future__ import annotations
 
+from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
 
 LOSS_RATES = (0.0, 0.0001, 0.001, 0.005, 0.01, 0.02, 0.05)
 SCHEMES = ("dcp", "gbn")     # gbn: the CX5's Go-Back-N
 
-POINT_RUNNER = "repro.runner.points.simulate_flows"
+
+def long_flow_campaign(name: str, p: ScalePreset, schemes: tuple,
+                       seed: int, max_events: int) -> dict:
+    """One cross-switch long flow on the testbed per (loss rate, scheme)
+    — the shape Fig 10 and Fig 17 share."""
+    return {
+        "name": name,
+        # num_leaves/num_spines keep NetworkSpec's defaults (4): the
+        # testbed has neither, but every field is hashed.
+        "topology": {"topology": "testbed", "num_hosts": p.testbed_hosts,
+                     "cross_links": p.testbed_cross_links, "lb": "ecmp",
+                     "num_leaves": 4, "num_spines": 4},
+        "workload": [{"kind": "flows", "name": "long", "flows": [
+            [0, p.testbed_hosts // 2, p.long_flow_bytes, 0]]}],
+        "groups": [
+            {"name": "loss", "axis": "spec.loss_rate",
+             "values": list(LOSS_RATES)},
+            {"name": "scheme", "axis": "spec.transport",
+             "values": list(schemes)},
+        ],
+        "sim": {"max_events": max_events},
+        "seed": seed,
+    }
 
 
-def sweep(p: ScalePreset) -> list[SweepPoint]:
+def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
     """One point per (loss rate, scheme): a cross-switch long flow."""
-    points = []
-    for loss in LOSS_RATES:
-        for scheme in SCHEMES:
-            spec = NetworkSpec(
-                transport=scheme, topology="testbed",
-                num_hosts=p.testbed_hosts, cross_links=p.testbed_cross_links,
-                link_rate=p.link_rate, loss_rate=loss, lb="ecmp", seed=11,
-                buffer_bytes=p.buffer_bytes)
-            flow = [0, p.testbed_hosts // 2, p.long_flow_bytes, 0, "long"]
-            points.append(SweepPoint(f"{scheme}-loss{loss:g}", spec,
-                                     {"flows": [flow],
-                                      "max_events": 80_000_000}))
-    return points
+    return compile_campaign(
+        long_flow_campaign("fig10", p, SCHEMES, 11, 80_000_000), p).points
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

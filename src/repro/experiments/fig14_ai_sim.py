@@ -9,7 +9,7 @@ PFC for AllReduce, 5-46% for AllToAll).
 
 from __future__ import annotations
 
-from repro.analysis.fct import cdf_points, percentile
+from repro.analysis.fct import percentile
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
@@ -84,14 +84,3 @@ def merge(payloads: list, p: ScalePreset,
     result.notes = ("paper: DCP lowest JCT (38%/44%/61% under MP-RDMA/IRN/"
                     "PFC for AllReduce); tail FCT explains JCT")
     return result
-
-
-def fct_cdf(payloads: list, kind: str) -> dict[str, list]:
-    """Fig 14b/d: CDF of individual flow FCTs (ms) per scheme, from the
-    payloads of :func:`sweep`."""
-    by_point = dict(zip(((k, label) for k in KINDS
-                         for label, _t, _lb in SCHEMES), payloads))
-    return {label: cdf_points([fct / 1e6
-                               for fct in by_point[kind, label]["fcts_ns"]],
-                              points=50)
-            for label, _transport, _lb in SCHEMES}

@@ -11,8 +11,8 @@ lossless schemes).
 from __future__ import annotations
 
 from repro.analysis.fct import overall_percentiles, slowdowns
+from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
 from repro.experiments.fig13_websearch import SCHEMES as _FIG13_SCHEMES
-from repro.experiments.fig13_websearch import websearch_point
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.runner import SweepPoint
@@ -27,8 +27,6 @@ LOAD = 0.5
 SCHEMES = _FIG13_SCHEMES + (("sdr-ar", "sdr", "ar"),
                             ("rifl-ecmp", "rifl", "ecmp"))
 
-POINT_RUNNER = "repro.runner.points.simulate_flows"
-
 
 def _buffer_bytes(transport: str, p: ScalePreset, spine_delay: int) -> int:
     """Lossless schemes get PFC-headroom-sized buffers, like the paper's
@@ -42,14 +40,23 @@ def _buffer_bytes(transport: str, p: ScalePreset, spine_delay: int) -> int:
     return buffer
 
 
-def sweep(p: ScalePreset) -> list[SweepPoint]:
-    """One point per (distance, scheme)."""
-    return [websearch_point(
-                f"{dist_label}-{label}", transport, lb, LOAD, p, seed=91,
-                spine_delay_ns=spine_delay,
-                buffer_bytes=_buffer_bytes(transport, p, spine_delay))
-            for dist_label, spine_delay in DISTANCES
-            for label, transport, lb in SCHEMES]
+def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
+    """One point per (distance, scheme).  The buffer depends on both, so
+    delay, transport, LB and buffer form one zipped group."""
+    return compile_campaign({
+        "name": "fig15",
+        "workload": [{"kind": "poisson", "name": "bg", "load": LOAD,
+                      "seed": 91}],
+        "groups": [{
+            "name": "run",
+            "axes": ["spec.spine_link_delay_ns", "spec.transport",
+                     "spec.lb", "spec.buffer_bytes"],
+            "values": [[delay, t, lb, _buffer_bytes(t, p, delay)]
+                       for _dist, delay in DISTANCES
+                       for _label, t, lb in SCHEMES]}],
+        "sim": {"max_events": 250_000_000},
+        "seed": 91,
+    }, p).points
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

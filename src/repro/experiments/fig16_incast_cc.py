@@ -10,69 +10,49 @@ below MP-RDMA/IRN).  MP-RDMA always runs its native adaptive window.
 from __future__ import annotations
 
 from repro.analysis.fct import overall_percentiles, slowdowns, switch_total
+from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
-from repro.workload.distributions import websearch
-from repro.workload.flows import IncastWorkload, PoissonWorkload, layout
 
 SCHEMES = (("irn", "ar"), ("mp_rdma", "ecmp"), ("dcp", "ar"))
 CCS = ("none", "dcqcn")
 
 SEED = 101
 
-POINT_RUNNER = "repro.runner.points.simulate_flows"
+#: The distinct simulations as ``[cc, transport, lb]``.  MP-RDMA keeps
+#: its native window whatever the CC column says, so it runs once
+#: (under "none") and both its rows read that point.
+RUNS = [[cc, t, lb] for cc in CCS for t, lb in SCHEMES
+        if cc == "none" or t != "mp_rdma"]
 
 
-def _runs_cc(transport: str, cc: str) -> str:
-    """The CC a row's simulation runs: MP-RDMA keeps its native window
-    whatever the column says, so both its rows read one point."""
-    return "none" if transport == "mp_rdma" else cc
-
-
-def _point_keys() -> list[tuple[str, str, str]]:
-    """``(cc, transport, lb)`` of each distinct simulation."""
-    keys = []
-    for cc in CCS:
-        for transport, lb in SCHEMES:
-            key = (_runs_cc(transport, cc), transport, lb)
-            if key not in keys:
-                keys.append(key)
-    return keys
-
-
-def sweep(p: ScalePreset) -> list[SweepPoint]:
+def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
     """One point per distinct (CC, scheme)."""
-    points = []
-    for cc, transport, lb in _point_keys():
-        spec = NetworkSpec(
-            transport=transport, topology="clos", num_hosts=p.num_hosts,
-            num_leaves=p.num_leaves, num_spines=p.num_spines,
-            link_rate=p.link_rate, lb=lb, seed=SEED, cc=cc,
-            buffer_bytes=p.buffer_bytes // 2)
-        bg = PoissonWorkload(
-            load=0.5, size_dist=websearch(scale=p.ws_scale),
-            duration_ns=p.duration_ns, seed=SEED,
-            max_flows=p.max_flows, tag="bg")
-        incast = IncastWorkload(
-            load=0.05, fan_in=p.incast_fan_in,
-            flow_bytes=p.incast_flow_bytes, duration_ns=p.duration_ns,
-            seed=SEED + 1)
-        points.append(SweepPoint(
-            f"{cc}-{transport}", spec,
-            {"flows": layout(spec, bg, incast),
-             "max_events": 250_000_000}))
-    return points
+    return compile_campaign({
+        "name": "fig16",
+        "topology": {"buffer_bytes": p.buffer_bytes // 2},
+        "workload": [
+            {"kind": "poisson", "name": "bg", "load": 0.5, "seed": SEED},
+            {"kind": "incast", "name": "incast", "load": 0.05,
+             "seed": SEED + 1},
+        ],
+        "groups": [{"name": "run",
+                    "axes": ["spec.cc", "spec.transport", "spec.lb"],
+                    "values": RUNS}],
+        "sim": {"max_events": 250_000_000},
+        "seed": SEED,
+    }, p).points
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "fig16", "Incast + WebSearch 0.5: P50/P99 slowdown w/ and w/o CC")
-    by_key = dict(zip(_point_keys(), payloads))
+    by_run = {tuple(run): payload for run, payload in zip(RUNS, payloads)}
     for cc in CCS:
         for transport, lb in SCHEMES:
-            payload = by_key[_runs_cc(transport, cc), transport, lb]
+            payload = by_run.get((cc, transport, lb),
+                                 by_run["none", transport, lb])
             sds = slowdowns(payload)
             stats = overall_percentiles(sds)
             result.rows.append({

@@ -11,43 +11,30 @@ timers: loss costs retransmissions but no RTOs) and RIFL (hop-by-hop
 link-layer retx: the end-to-end transport never sees the loss at all,
 paying only hop round trips).
 
-This experiment declares its (scheme x loss-rate) grid as sweep points,
-so ``repro.runner`` can shard it across processes and cache each
-goodput measurement by spec hash.
+This experiment declares its (loss-rate x scheme) grid as a campaign
+spec — Fig 10's, over every scheme — so ``repro.runner`` can shard it
+across processes and cache each goodput measurement by spec hash.
 """
 
 from __future__ import annotations
 
+from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
+from repro.experiments.fig10_loss_recovery import (LOSS_RATES,
+                                                   long_flow_campaign)
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.experiments.spec import TRANSPORTS, NetworkSpec
+from repro.experiments.spec import TRANSPORTS
 from repro.runner import SweepPoint
 
-LOSS_RATES = (0.0, 0.0001, 0.001, 0.005, 0.01, 0.02, 0.05)
 #: Every transport in the registry, so a newly registered scheme lands
 #: in this comparison automatically (alphabetical: column order only).
 SCHEMES = tuple(sorted(TRANSPORTS))
 
-#: Point runner shared with other single/multi-flow sweeps.
-POINT_RUNNER = "repro.runner.points.simulate_flows"
 
-
-def sweep(p: ScalePreset) -> list[SweepPoint]:
+def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
     """One point per (loss rate, scheme): a lone long flow's goodput."""
-    points = []
-    for loss in LOSS_RATES:
-        for scheme in SCHEMES:
-            spec = NetworkSpec(
-                transport=scheme, topology="testbed",
-                num_hosts=p.testbed_hosts, cross_links=p.testbed_cross_links,
-                link_rate=p.link_rate, loss_rate=loss, lb="ecmp", seed=17,
-                buffer_bytes=p.buffer_bytes)
-            params = {
-                "flows": [[0, p.testbed_hosts // 2, p.long_flow_bytes, 0]],
-                "max_events": 120_000_000,
-            }
-            points.append(SweepPoint(f"{scheme}-loss{loss:g}", spec, params))
-    return points
+    return compile_campaign(
+        long_flow_campaign("fig17", p, SCHEMES, 17, 120_000_000), p).points
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

@@ -13,39 +13,32 @@ flow size (Fig 1a) and the CDF of the ratio per size class (Fig 1b).
 from __future__ import annotations
 
 from repro.analysis.fct import percentile, switch_total
+from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
-from repro.workload.distributions import websearch, websearch_class
-from repro.workload.flows import PoissonWorkload, layout
+from repro.workload.distributions import websearch_class
 
 SCHEMES = ("irn", "dcp")
 
 SEED = 41
 
-POINT_RUNNER = "repro.runner.points.simulate_flows"
 
-
-def sweep(p: ScalePreset) -> list[SweepPoint]:
+def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
     """One point per scheme."""
-    points = []
-    for scheme in SCHEMES:
-        spec = NetworkSpec(
-            transport=scheme, topology="clos", num_hosts=p.num_hosts,
-            num_leaves=p.num_leaves, num_spines=p.num_spines,
-            link_rate=p.link_rate, lb="ar", seed=SEED,
-            # Large buffer + high trim threshold: congestion never drops
-            # or trims, isolating the pure reordering effect the figure
-            # targets.
-            buffer_bytes=8 * p.buffer_bytes,
-            trim_threshold_bytes=2 * p.buffer_bytes)
-        wl = PoissonWorkload(load=0.3, size_dist=websearch(scale=p.ws_scale),
-                             duration_ns=p.duration_ns, seed=SEED,
-                             max_flows=p.max_flows)
-        points.append(SweepPoint(scheme, spec, {"flows": layout(spec, wl),
-                                                "max_events": 150_000_000}))
-    return points
+    return compile_campaign({
+        "name": "fig1",
+        # Large buffer + high trim threshold: congestion never drops or
+        # trims, isolating the pure reordering effect the figure targets.
+        "topology": {"lb": "ar", "buffer_bytes": 8 * p.buffer_bytes,
+                     "trim_threshold_bytes": 2 * p.buffer_bytes},
+        "workload": [{"kind": "poisson", "name": "bg", "load": 0.3,
+                      "seed": SEED}],
+        "groups": [{"name": "scheme", "axis": "spec.transport",
+                    "values": list(SCHEMES)}],
+        "sim": {"max_events": 150_000_000},
+        "seed": SEED,
+    }, p).points
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

@@ -10,40 +10,33 @@ HO packets and hits zero timeouts.
 from __future__ import annotations
 
 from repro.analysis.fct import switch_total
+from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
-from repro.workload.distributions import websearch
-from repro.workload.flows import IncastWorkload, PoissonWorkload, layout
 
 CONFIGS = (("irn", "ecmp"), ("irn", "ar"), ("dcp", "ar"))
 
 SEED = 51
 
-POINT_RUNNER = "repro.runner.points.simulate_flows"
 
-
-def sweep(p: ScalePreset) -> list[SweepPoint]:
-    """One point per (scheme, load balancer)."""
-    points = []
-    for scheme, lb in CONFIGS:
-        spec = NetworkSpec(
-            transport=scheme, topology="clos", num_hosts=p.num_hosts,
-            num_leaves=p.num_leaves, num_spines=p.num_spines,
-            link_rate=p.link_rate, lb=lb, seed=SEED,
-            # deliberately tight buffers so the incast causes real loss
-            buffer_bytes=p.buffer_bytes // 4)
-        bg = PoissonWorkload(load=0.3, size_dist=websearch(scale=p.ws_scale),
-                             duration_ns=p.duration_ns, seed=SEED, tag="bg",
-                             max_flows=p.max_flows)
-        incast = IncastWorkload(load=0.1, fan_in=p.incast_fan_in,
-                                flow_bytes=p.incast_flow_bytes,
-                                duration_ns=p.duration_ns, seed=SEED + 1)
-        points.append(SweepPoint(f"{scheme}-{lb}", spec,
-                                 {"flows": layout(spec, bg, incast),
-                                  "max_events": 150_000_000}))
-    return points
+def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
+    """One point per (scheme, load balancer).  The merge splits timeouts
+    by flow tag, which is the layer name: ``bg`` or ``incast``."""
+    return compile_campaign({
+        "name": "fig2",
+        # deliberately tight buffers so the incast causes real loss
+        "topology": {"buffer_bytes": p.buffer_bytes // 4},
+        "workload": [
+            {"kind": "poisson", "name": "bg", "load": 0.3, "seed": SEED},
+            {"kind": "incast", "name": "incast", "load": 0.1,
+             "seed": SEED + 1},
+        ],
+        "groups": [{"name": "scheme", "axes": ["spec.transport", "spec.lb"],
+                    "values": [list(c) for c in CONFIGS]}],
+        "sim": {"max_events": 150_000_000},
+        "seed": SEED,
+    }, p).points
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

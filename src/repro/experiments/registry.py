@@ -67,7 +67,7 @@ REGISTRY: dict[str, ExperimentEntry] = {
         ExperimentEntry("fig13", "repro.experiments.fig13_websearch",
                         "Fig 13", "WebSearch FCT slowdown", True),
         ExperimentEntry("fig14", "repro.experiments.fig14_ai_sim",
-                        "Fig 14", "Simulated collectives JCT + FCT CDF", True),
+                        "Fig 14", "Simulated collectives JCT", True),
         ExperimentEntry("fig15", "repro.experiments.fig15_crossdc",
                         "Fig 15", "Cross-DC FCT slowdown", True),
         ExperimentEntry("fig16", "repro.experiments.fig16_incast_cc",

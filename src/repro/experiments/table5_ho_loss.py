@@ -12,49 +12,44 @@ host count allows.
 from __future__ import annotations
 
 from repro.analysis.fct import switch_total
+from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
 from repro.core.header import ho_data_size_ratio, wrr_weight
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
-from repro.workload.distributions import websearch
-from repro.workload.flows import IncastWorkload, PoissonWorkload, layout
 
 RADICES = (22, 16)
 CCS = ("none", "dcqcn")
 SEED = 111
-
-POINT_RUNNER = "repro.runner.points.simulate_flows"
 
 
 def _fans(p: ScalePreset) -> tuple[int, int]:
     return (p.incast_fan_in, min(p.num_hosts - 1, 2 * p.incast_fan_in))
 
 
-def sweep(p: ScalePreset) -> list[SweepPoint]:
-    """One point per (N, fan-in, CC)."""
-    points = []
-    for radix in RADICES:
-        for fan in _fans(p):
-            for cc in CCS:
-                spec = NetworkSpec(
-                    transport="dcp", topology="clos", num_hosts=p.num_hosts,
-                    num_leaves=p.num_leaves, num_spines=p.num_spines,
-                    link_rate=p.link_rate, lb="ar", seed=SEED, cc=cc,
-                    incast_radix=radix, buffer_bytes=p.buffer_bytes // 2,
-                    control_queue_bytes=64_000)
-                bg = PoissonWorkload(
-                    load=0.3, size_dist=websearch(scale=p.ws_scale),
-                    duration_ns=p.duration_ns, seed=SEED,
-                    max_flows=p.max_flows)
-                incast = IncastWorkload(
-                    load=0.1, fan_in=fan, flow_bytes=p.incast_flow_bytes,
-                    duration_ns=p.duration_ns, seed=SEED + 1)
-                points.append(SweepPoint(
-                    f"n{radix}-fan{fan}-{cc}", spec,
-                    {"flows": layout(spec, bg, incast),
-                     "max_events": 250_000_000}))
-    return points
+def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
+    """One point per (N, fan-in, CC): WebSearch 0.3 plus incast 0.1 on
+    half buffers."""
+    return compile_campaign({
+        "name": "table5",
+        "topology": {"transport": "dcp", "lb": "ar",
+                     "buffer_bytes": p.buffer_bytes // 2,
+                     "control_queue_bytes": 64_000},
+        "workload": [
+            {"kind": "poisson", "name": "bg", "load": 0.3, "seed": SEED},
+            {"kind": "incast", "name": "incast", "load": 0.1,
+             "seed": SEED + 1},
+        ],
+        "groups": [
+            {"name": "n", "axis": "spec.incast_radix",
+             "values": list(RADICES)},
+            {"name": "fan", "axis": "workload.incast.fan_in",
+             "values": list(_fans(p))},
+            {"name": "cc", "axis": "spec.cc", "values": list(CCS)},
+        ],
+        "sim": {"max_events": 250_000_000},
+        "seed": SEED,
+    }, p).points
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

@@ -24,6 +24,8 @@ record shapes (validated by :mod:`repro.obs.schema`):
     Header for a campaign run (``dcp-experiment campaign <name>``):
     the campaign's parameter grid and the point ids it lowered to, so
     a consumer can pivot the flat metrics records back into the grid.
+    A zipped group carries ``"axes": [A1, A2, ...]`` instead of
+    ``"axis"``: its axes take their values in lockstep.
 
 ``metrics_by_point`` maps point id -> the ``metrics`` payload produced
 by :meth:`repro.obs.registry.MetricsRegistry.to_payload`; for non-sweep

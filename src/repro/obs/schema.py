@@ -77,6 +77,18 @@ BREAKDOWN_COMPONENTS = frozenset({
     "retx_stall_ns", "pause_stall_ns", "reorder_ns"})
 
 
+def _campaign_group(group: object) -> bool:
+    """A header group: ``{"name", "axis"}``, or ``{"name", "axes"}``
+    for a zipped group whose axes vary in lockstep."""
+    if not isinstance(group, dict) or not isinstance(group.get("name"), str):
+        return False
+    if "axes" in group:
+        axes = group["axes"]
+        return ("axis" not in group and isinstance(axes, list)
+                and len(axes) >= 2 and all(isinstance(a, str) for a in axes))
+    return isinstance(group.get("axis"), str)
+
+
 def known_metric(name: str) -> bool:
     return _KNOWN.fullmatch(_DEDUP_SUFFIX.sub("", name)) is not None
 
@@ -115,11 +127,10 @@ def validate_record(record: object) -> list[str]:
             errors.append("campaign groups is not a non-empty list")
         else:
             for i, group in enumerate(groups):
-                if (not isinstance(group, dict)
-                        or not isinstance(group.get("name"), str)
-                        or not isinstance(group.get("axis"), str)):
-                    errors.append(f"campaign group {i} needs string "
-                                  "'name' and 'axis'")
+                if not _campaign_group(group):
+                    errors.append(f"campaign group {i} needs a string "
+                                  "'name' and either a string 'axis' or "
+                                  "a zipped group's 'axes' (>= 2 strings)")
         points = record["points"]
         if not isinstance(points, list) or not points \
                 or not all(isinstance(p, str) for p in points):

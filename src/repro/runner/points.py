@@ -149,8 +149,8 @@ def simulate_flows(spec: NetworkSpec, params: dict) -> dict[str, Any]:
          "chaos": {...},                # optional failure scenario
          "telemetry": {...}}            # optional, see module docstring
 
-    A flow may carry a fifth element, its ``tag`` (``"bg"``,
-    ``"incast"``).  The payload carries one record per flow, in posting
+    A flow may carry a fifth element, its ``tag`` (a campaign posts its
+    layer name, e.g. ``"bg"``, ``"incast"``).  The payload carries one record per flow, in posting
     order (FCT and its empty-fabric ideal, goodput, packet and timeout
     counts, the tag), the events processed, and a ``metrics`` snapshot
     whose ``switch.<name>.<field>`` counters hold the switch totals —

@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.experiments.spec import NetworkSpec
 from repro.workload.distributions import EmpiricalSizeDistribution
 
 
@@ -26,7 +25,6 @@ class PoissonWorkload:
     size_dist: EmpiricalSizeDistribution
     duration_ns: int
     seed: int = 1
-    tag: str = "bg"
     hosts: Optional[list[int]] = None
     max_flows: Optional[int] = None
 
@@ -77,7 +75,6 @@ class IncastWorkload:
     flow_bytes: int
     duration_ns: int
     seed: int = 2
-    tag: str = "incast"
 
     def schedule(self, num_hosts: int, link_rate: float
                  ) -> list[tuple[int, int, int, int]]:
@@ -102,14 +99,3 @@ class IncastWorkload:
             for s in senders:
                 arrivals.append((s, receiver, self.flow_bytes, int(t)))
         return arrivals
-
-
-def layout(spec: NetworkSpec,
-           *workloads: PoissonWorkload | IncastWorkload) -> list[list]:
-    """The :meth:`schedule` of each workload in turn, on ``spec``'s hosts
-    and link rate, as :func:`repro.runner.points.simulate_flows` rows
-    ``[src, dst, size_bytes, start_ns, tag]``."""
-    return [[src, dst, size, start, wl.tag]
-            for wl in workloads
-            for src, dst, size, start in wl.schedule(spec.num_hosts,
-                                                     spec.link_rate)]

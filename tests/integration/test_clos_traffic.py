@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.common import build_network
 from repro.workload.distributions import websearch
-from repro.workload.flows import IncastWorkload, PoissonWorkload, layout
+from repro.workload.flows import IncastWorkload, PoissonWorkload
 
 TRANSPORT_LB = [("dcp", "ar"), ("irn", "ar"), ("irn", "ecmp"),
                 ("gbn", "ecmp"), ("mp_rdma", "ecmp"),
@@ -12,9 +12,10 @@ TRANSPORT_LB = [("dcp", "ar"), ("irn", "ar"), ("irn", "ecmp"),
 
 
 def _open(net, workload):
-    """Open every ``layout`` row of ``workload`` on ``net``."""
-    return [net.open_flow(src, dst, size, start, tag=tag)
-            for src, dst, size, start, tag in layout(net.spec, workload)]
+    """Open every row of ``workload``'s schedule on ``net``."""
+    return [net.open_flow(src, dst, size, start)
+            for src, dst, size, start in workload.schedule(
+                net.spec.num_hosts, net.spec.link_rate)]
 
 
 @pytest.mark.parametrize("transport,lb", TRANSPORT_LB)

@@ -59,6 +59,15 @@ def test_fig10_quick_shape():
     assert 0.8 < clean["dcp_over_cx5"] < 1.25
 
 
+def test_fig14_ideal_bounds():
+    from repro.experiments import fig14_ai_sim as fig14
+    from repro.experiments.presets import get_preset
+    quick = get_preset("quick")
+    ar = fig14.ideal_jct_ns("allreduce", quick)
+    a2a = fig14.ideal_jct_ns("alltoall", quick)
+    assert ar > a2a > 0  # the ring makes 2(k-1) serial steps
+
+
 def test_result_table_formatting():
     r = ExperimentResult("x", "demo",
                          rows=[{"a": 1, "b": 2.5}, {"a": 3, "c": "z"}])

@@ -62,7 +62,7 @@ def test_fig8_point_exact(point):
 def _fig13_dcp(load: float, fidelity: str) -> dict:
     """fig13's dcp-ar point at ``load``, simulated at ``fidelity``."""
     (point,) = [pt for pt in fig13.sweep(get_preset("quick"), fidelity)
-                if pt.point_id == f"load{load:g}-dcp-ar"]
+                if pt.point_id == f"load-{load}.scheme-dcp-ar"]
     return simulate_flows(point.spec, point.params)
 
 

@@ -3,7 +3,7 @@
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from repro.analysis.fct import cdf_points, percentile, slowdown_bins
+from repro.analysis.fct import percentile, slowdown_bins
 
 finite_floats = st.floats(min_value=0.0, max_value=1e9,
                           allow_nan=False, allow_infinity=False)
@@ -31,17 +31,6 @@ def test_percentile_translation_invariance(values, shift):
     base = percentile(values, 90)
     moved = percentile(shifted, 90)
     assert abs(moved - (base + shift)) < 1e-6 * max(1.0, base + shift)
-
-
-@given(st.lists(finite_floats, min_size=1, max_size=300))
-def test_cdf_is_valid_distribution(values):
-    pts = cdf_points(values)
-    probs = [p for _v, p in pts]
-    vals = [v for v, _p in pts]
-    assert probs == sorted(probs)
-    assert vals == sorted(vals)
-    assert probs[-1] == 1.0
-    assert all(0 < p <= 1 for p in probs)
 
 
 @given(st.lists(st.tuples(st.integers(1_000, 30_000_000),

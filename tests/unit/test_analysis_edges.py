@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro.analysis.fct import (cdf_points, goodput_gbps, jain_fairness,
+from repro.analysis.fct import (goodput_gbps, jain_fairness,
                                 overall_percentiles, percentile,
                                 retransmission_ratio, slowdown_bins)
 from repro.analysis.models import (ASIC_CATALOG, lossless_distance_km,
@@ -47,7 +47,6 @@ class TestZeroLengthFlows:
         assert sum(b.count for b in stats) == 1
 
     def test_empty_inputs(self):
-        assert cdf_points([]) == []
         assert math.isnan(overall_percentiles([])["p50"])
         with pytest.raises(ValueError):
             percentile([], 50)

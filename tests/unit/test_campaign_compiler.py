@@ -1,4 +1,7 @@
-"""Campaign compilation: grid shapes, preset defaults, chaos, merge."""
+"""Campaign compilation: grid shapes, preset defaults, chaos, merge, and
+the figures that declare their sweeps as campaign specs."""
+
+import hashlib
 
 import pytest
 
@@ -7,7 +10,8 @@ from repro.campaigns import (CampaignError, DEFAULT_METRICS, POINT_RUNNER,
                              merge_campaign)
 from repro.campaigns.spec import validate_campaign
 from repro.experiments.presets import get_preset
-from repro.runner.spec_hash import cache_key
+from repro.experiments.registry import get_entry
+from repro.runner.spec_hash import cache_key, canonical_json
 from repro.workload.flows import IncastWorkload, PoissonWorkload
 
 
@@ -37,6 +41,20 @@ class TestGrid:
         assert [p.point_id for p in c.points[:3]] == [
             "transport-gbn.mtu-500", "transport-gbn.mtu-1000",
             "transport-gbn.mtu-2000"]
+        # a zipped group is one loop whose axes move in lockstep
+        c = compile_campaign(tiny_spec(groups=[
+            {"name": "mtu", "axis": "spec.mtu_payload",
+             "values": [500, 1000]},
+            {"name": "scheme", "axes": ["spec.transport", "spec.lb"],
+             "values": [["gbn", "ecmp"], ["dcp", "ar"], ["irn", "ar"]]},
+        ]), "quick")
+        assert [p.point_id for p in c.points[:3]] == [
+            "mtu-500.scheme-gbn-ecmp", "mtu-500.scheme-dcp-ar",
+            "mtu-500.scheme-irn-ar"]
+        assert len(c.points) == 6
+        assert [(p.spec.transport, p.spec.lb) for p in c.points[:3]] == [
+            ("gbn", "ecmp"), ("dcp", "ar"), ("irn", "ar")]
+        assert c.assignments[1] == {"mtu": 500, "scheme": ["dcp", "ar"]}
 
     def test_assignments_follow_points(self):
         c = compile_campaign(tiny_spec(), "quick")
@@ -170,6 +188,7 @@ class TestLayerLayout:
             {"kind": "flows", "name": "b", "flows": [[1, 0, 200, 0]]}])
         flows = compile_campaign(spec, "quick").points[0].params["flows"]
         assert [f[2] for f in flows] == [100, 200]
+        assert [f[4] for f in flows] == ["a", "b"]     # layer-name tags
 
     def test_poisson_layer_matches_workload_schedule(self):
         # The compiled layout must equal what PoissonWorkload.schedule
@@ -184,8 +203,8 @@ class TestLayerLayout:
         wl = PoissonWorkload(load=0.2, size_dist=websearch(preset.ws_scale),
                              duration_ns=preset.duration_ns, seed=123,
                              max_flows=20)
-        expected = [list(f) for f in wl.schedule(preset.num_hosts,
-                                                 preset.link_rate)]
+        expected = [[*f, "bg"] for f in wl.schedule(preset.num_hosts,
+                                                    preset.link_rate)]
         assert c.points[0].params["flows"] == expected
 
     def test_incast_layer_matches_workload_schedule(self):
@@ -198,8 +217,8 @@ class TestLayerLayout:
         wl = IncastWorkload(load=0.1, fan_in=4,
                             flow_bytes=preset.incast_flow_bytes,
                             duration_ns=preset.duration_ns, seed=9)
-        expected = [list(f) for f in wl.schedule(preset.num_hosts,
-                                                 preset.link_rate)]
+        expected = [[*f, "in"] for f in wl.schedule(preset.num_hosts,
+                                                    preset.link_rate)]
         assert c.points[0].params["flows"] == expected
 
 
@@ -253,3 +272,42 @@ class TestLibrary:
         c = compile_campaign(get_campaign("link_integrity_soak"), "quick")
         assert {a["transport"] for a in c.assignments} == set(TRANSPORTS)
         assert all("chaos" in p.params for p in c.points)
+
+
+#: One digest per figure key and preset over each point's spec, flow
+#: rows without their tag and other params, in sweep order.  Recorded
+#: from the hand-written sweeps these figures had before they declared
+#: campaign specs, so default and full are pinned without running them.
+FIGURE_DIGESTS = {
+    "table5": {"quick": "4727d4ecd9478328", "default": "d1274844896fb642",
+               "full": "1ed9435149564914"},
+    "fig1": {"quick": "9113ed1e88e4338b", "default": "ab48cddc3fe3ae2a",
+             "full": "c67a824a177c156b"},
+    "fig2": {"quick": "f841624ffcad7a11", "default": "c09f76a7ffbe8522",
+             "full": "2a1fc023c9738f70"},
+    "fig10": {"quick": "b2fb8a9fe3016dbc", "default": "0852dc87bd580335",
+              "full": "849c0552745b2997"},
+    "fig13": {"quick": "8aa826ce7e1fd27a", "default": "67338321a06b8311",
+              "full": "9b738100cc28a01b"},
+    "fig15": {"quick": "01787ccc0e56d8c1", "default": "602edf6c622ccfb1",
+              "full": "ddee9975545b7ecf"},
+    "fig16": {"quick": "5b02142543a0b230", "default": "9ce7edee950123e1",
+              "full": "0de028f8d585718b"},
+    "fig17": {"quick": "ec95f26cf562b1f1", "default": "58b8d4174bf1fce4",
+              "full": "bffe8f0f03a26e1c"},
+}
+
+
+def _sweep_digest(key: str, preset: str) -> str:
+    points = get_entry(key).load_module().sweep(get_preset(preset))
+    rows = [[p.spec.to_dict(), [f[:4] for f in p.params["flows"]],
+             {k: v for k, v in p.params.items() if k != "flows"}]
+            for p in points]
+    return hashlib.sha256(canonical_json(rows).encode()).hexdigest()[:16]
+
+
+class TestFigureCampaigns:
+    @pytest.mark.parametrize("preset", ["quick", "default", "full"])
+    @pytest.mark.parametrize("key", list(FIGURE_DIGESTS))
+    def test_sweep_is_pinned(self, key, preset):
+        assert _sweep_digest(key, preset) == FIGURE_DIGESTS[key][preset]

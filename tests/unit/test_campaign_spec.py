@@ -25,6 +25,9 @@ def err(spec) -> CampaignError:
 class TestTopLevel:
     def test_valid_spec_passes(self):
         validate_campaign(base_spec())
+        validate_campaign(base_spec(groups=[
+            {"name": "scheme", "axes": ["spec.transport", "spec.lb"],
+             "values": [["gbn", "ecmp"], ["dcp", "ar"]]}]))
 
     def test_not_a_dict(self):
         assert "must be a dict" in str(err([1, 2]))
@@ -131,6 +134,32 @@ class TestGroups:
             {"name": "a", "axis": "spec.transport", "values": ["dcp"]},
             {"name": "b", "axis": "spec.transport", "values": ["gbn"]}]))
         assert e.path == "groups[1].axis"
+
+    @pytest.mark.parametrize("groups,path,words", [
+        ([{"name": "g", "axes": "spec.transport", "values": [["dcp"]]}],
+         "groups[0].axes", ">= 2 axes"),
+        ([{"name": "g", "axes": ["spec.transport"], "values": [["dcp"]]}],
+         "groups[0].axes", ">= 2 axes"),
+        ([{"name": "g", "axis": "spec.cc", "axes": ["spec.transport",
+                                                    "spec.lb"],
+           "values": [["dcp", "ar"]]}],
+         "groups[0].axes", "not both"),
+        ([{"name": "g", "axes": ["spec.transport", "spec.lb"],
+           "values": [["dcp", "ar"], ["gbn"]]}],
+         "groups[0].values[1]", "one per axis"),
+        ([{"name": "g", "axes": ["spec.transport", "sim.max_events"],
+           "values": [["dcp", 10], ["gbn", 0]]}],
+         "groups[0].values[1][1]", "positive integer"),
+        ([{"name": "a", "axis": "spec.lb", "values": ["ar"]},
+          {"name": "b", "axes": ["spec.transport", "spec.lb"],
+           "values": [["dcp", "ar"]]}],
+         "groups[1].axes[1]", "duplicate axis"),
+    ], ids=["axes-not-list", "one-axis", "axis-and-axes", "value-length",
+            "bad-column-value", "duplicate-axis"])
+    def test_zipped_group_rejected(self, groups, path, words):
+        e = err(base_spec(groups=groups))
+        assert e.path == path
+        assert words in e.message
 
     def test_unknown_group_field(self):
         e = err(base_spec(groups=[

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.analysis.fct import (cdf_points, goodput_gbps,
-                                overall_percentiles, percentile,
-                                retransmission_ratio, slowdown_bins)
+from repro.analysis.fct import (goodput_gbps, overall_percentiles,
+                                percentile, retransmission_ratio,
+                                slowdown_bins)
 from repro.rnic.base import Flow
 
 
@@ -74,17 +74,6 @@ class TestOverall:
     def test_empty(self):
         stats = overall_percentiles([])
         assert stats["p50"] != stats["p50"]  # NaN
-
-
-class TestCdf:
-    def test_monotone_and_complete(self):
-        pts = cdf_points(list(range(100)))
-        probs = [p for _v, p in pts]
-        assert probs == sorted(probs)
-        assert probs[-1] == 1.0
-
-    def test_empty(self):
-        assert cdf_points([]) == []
 
 
 class TestGoodput:

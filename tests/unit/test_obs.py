@@ -232,6 +232,18 @@ class TestSchema:
                     "name": "flow.fct_us", "bounds": [1.0], "counts": [1],
                     "total": 1, "sum": 0.5}
         assert validate_record(bad_hist)      # needs len(bounds)+1 counts
+        header = {"type": "campaign", "experiment": "campaign-c",
+                  "name": "c", "points": ["cc-none.scheme-dcp-ar"],
+                  "groups": [{"name": "cc", "axis": "spec.cc"},
+                             {"name": "scheme",
+                              "axes": ["spec.transport", "spec.lb"]}]}
+        assert validate_record(header) == []
+        # a zipped group names >= 2 axes, and never 'axis' beside them
+        assert validate_record({**header, "groups": [
+            {"name": "scheme", "axes": ["spec.transport"]}]})
+        assert validate_record({**header, "groups": [
+            {"name": "scheme", "axis": "spec.cc",
+             "axes": ["spec.transport", "spec.lb"]}]})
 
     def test_validate_lines(self):
         lines = [
