@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from repro.net.packet import PAYLOAD_KINDS
 from repro.obs.registry import CounterBlock
@@ -23,9 +23,18 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Device(Protocol):
-    """Anything that can terminate a link."""
+    """Anything that can terminate a link.
 
-    def receive(self, packet: "Packet", in_port: int) -> None: ...
+    ``receive`` takes every packet a link delivers; the link has stamped
+    the device's own port index on ``packet.ingress_hint`` (a switch
+    reads it, a host ignores it).  PFC PAUSE/RESUME frames are link-level
+    control frames and arrive on ``pfc_frame`` instead, stamped the same
+    way, so the data path never tests for them.
+    """
+
+    def receive(self, packet: "Packet") -> None: ...
+
+    def pfc_frame(self, frame: "Packet") -> None: ...
 
 
 class LinkStats(CounterBlock):
@@ -49,10 +58,14 @@ class Link:
     ``loss_rate`` injects random corruption drops on DATA packets, the
     cable-level analogue of the switch's forced-loss testbed methodology
     (Fig 10/17); control traffic is never dropped by injection, matching
-    :meth:`Switch._forward`.  Drops are drawn from a private RNG seeded
+    :meth:`Switch.receive`.  Drops are drawn from a private RNG seeded
     from ``(loss_seed, name)`` so a rebuilt topology replays the same
-    loss pattern.  Every discard — injected loss or a downed link —
-    leaves a ``drop`` marker with a ``reason`` field.
+    loss pattern.  The RNG is built on the first draw, not with the
+    link: most fabrics never draw (a 256-host Clos has 1 536 links), and
+    a link whose ``loss_rate`` is raised mid-run (chaos ``loss_burst``)
+    draws the stream a link built lossy would.  Every discard — injected
+    loss or a downed link — leaves a ``drop`` marker with a ``reason``
+    field.
     """
 
     def __init__(self, sim: Simulator, dst: Device, dst_port: int,
@@ -68,7 +81,8 @@ class Link:
         self.prop_delay_ns = prop_delay_ns
         self.name = name
         self.loss_rate = loss_rate
-        self._loss_rng = random.Random(loss_seed ^ zlib.crc32(name.encode()))
+        self._loss_seed = loss_seed ^ zlib.crc32(name.encode())
+        self._loss_rng: Optional[random.Random] = None
         self.stats = LinkStats()
         metrics.register_block(f"link.{name}", self.stats)
         self.up = True
@@ -77,7 +91,9 @@ class Link:
         self._rx = dst.receive
 
     def deliver(self, packet: "Packet") -> None:
-        """Start propagating ``packet``; it arrives after the link delay.
+        """Start propagating ``packet``; it arrives after the link delay
+        at ``dst.receive(packet)``, with ``packet.ingress_hint`` set to
+        ``dst_port``.
 
         A downed link (``up = False``) discards traffic, which models
         the link/switch failures that DCP's coarse timeout fallback
@@ -90,9 +106,11 @@ class Link:
                 sp.mark(self.sim.now, "drop", packet.flow_id, self.name,
                         {"psn": packet.psn, "reason": "link_down"})
             return
-        if self.loss_rate > 0.0:
-            if (packet.kind in PAYLOAD_KINDS
-                    and self._loss_rng.random() < self.loss_rate):
+        if self.loss_rate > 0.0 and packet.kind in PAYLOAD_KINDS:
+            rng = self._loss_rng
+            if rng is None:
+                rng = self._loss_rng = random.Random(self._loss_seed)
+            if rng.random() < self.loss_rate:
                 self.stats.dropped_loss += 1
                 sp = spans._active
                 if sp is not None:
@@ -106,4 +124,5 @@ class Link:
         sp = spans._active
         if sp is not None:
             sp.propagate(packet, self.sim.now, self.prop_delay_ns, self.name)
-        self.sim.call_after(self.prop_delay_ns, self._rx, packet, self.dst_port)
+        packet.ingress_hint = self.dst_port
+        self.sim.call_after(self.prop_delay_ns, self._rx, packet)

@@ -22,11 +22,16 @@ There is no free-list pool: on ten interleaved whole-benchmark pairs
 (EXPERIMENTS.md "Performance") recycling instances won no resolved pair
 on any of the seven workloads.  It saved ~50 ns of a multi-µs packet
 trip and paid that back in one extra call at every drop and delivery.
+
+:class:`PacketKind` and :class:`DcpTag` are namespaces of plain ints,
+not ``enum`` members: on CPython 3.11 every ``Enum`` member read goes
+through the ``EnumType`` attribute hook at several times the cost of a
+class attribute, and a delivered packet makes 5-15 of them.  Compare
+kinds with ``==``.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from typing import Optional, TYPE_CHECKING
 
@@ -34,8 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 
-class DcpTag(enum.IntEnum):
-    """The two ToS bits reserved by DCP (§4.2)."""
+class DcpTag:
+    """The two ToS bits reserved by DCP (§4.2), as plain ints."""
 
     NON_DCP = 0b00
     DCP_ACK = 0b01
@@ -43,8 +48,9 @@ class DcpTag(enum.IntEnum):
     DCP_HO = 0b11
 
 
-class PacketKind(enum.IntEnum):
-    """Protocol-level packet type (finer grained than the DCP tag)."""
+class PacketKind:
+    """Protocol-level packet type (finer grained than the DCP tag), as
+    plain ints; :data:`KIND_NAMES` maps them back to names."""
 
     DATA = 1            # RDMA data segment
     ACK = 2             # cumulative acknowledgment (eMSN / ePSN)
@@ -56,6 +62,11 @@ class PacketKind(enum.IntEnum):
     RESUME = 8          # PFC RESUME frame
     TCP_DATA = 9
     TCP_ACK = 10
+
+
+#: Kind value -> name, for reprs and messages.
+KIND_NAMES = {value: name for name, value in vars(PacketKind).items()
+              if not name.startswith("_")}
 
 
 #: Payload-carrying kinds, the targets of forced loss injection
@@ -108,13 +119,13 @@ class Packet:
         "ho_returned", "timestamp_ns", "hops", "ingress_hint", "uid",
     )
 
-    def __init__(self, src: int, dst: int, kind: PacketKind, size_bytes: int,
+    def __init__(self, src: int, dst: int, kind: int, size_bytes: int,
                  payload_bytes: int = 0, flow_id: int = -1, qpn: int = -1,
                  src_qpn: int = -1, psn: int = -1, msn: int = -1,
                  ssn: int = -1, msg_len_pkts: int = 0, msg_len_bytes: int = 0,
                  msg_offset_pkts: int = 0, sretry_no: int = 0, emsn: int = -1,
                  ack_psn: int = -1, sack_psn: int = -1, sack_bitmap: int = 0,
-                 dcp_tag: DcpTag = DcpTag.NON_DCP, ecn_capable: bool = True,
+                 dcp_tag: int = DcpTag.NON_DCP, ecn_capable: bool = True,
                  ecn_ce: bool = False, entropy: int = 0, priority: int = 0,
                  pause_priority: int = 0, pause_duration_ns: int = 0,
                  is_retransmit: bool = False, ho_returned: bool = False,
@@ -150,7 +161,7 @@ class Packet:
         self.ho_returned = ho_returned  # HO already turned around by receiver
         self.timestamp_ns = timestamp_ns    # sender send time (RACK-TLP)
         self.hops = hops
-        self.ingress_hint = ingress_hint    # transient: ingress port at switch
+        self.ingress_hint = ingress_hint    # port the last link delivered to
         self.uid = next(_packet_ids) if uid < 0 else uid
 
     # ---------------------------------------------------------------- DCP
@@ -161,7 +172,7 @@ class Packet:
         57 bytes on the wire.  All identity fields are preserved, which
         is exactly what lets the sender retransmit precisely.
         """
-        if self.dcp_tag is not DcpTag.DCP_DATA:
+        if self.dcp_tag != DcpTag.DCP_DATA:
             raise ValueError("only DCP data packets can be trimmed")
         self.kind = PacketKind.HO
         self.dcp_tag = DcpTag.DCP_HO
@@ -174,7 +185,7 @@ class Packet:
         Swaps source/destination addresses and QPNs so the HO packet
         travels back to the sender.
         """
-        if self.kind is not PacketKind.HO:
+        if self.kind != PacketKind.HO:
             raise ValueError("only HO packets are turned around")
         self.src, self.dst = self.dst, self.src
         self.qpn, self.src_qpn = self.src_qpn, self.qpn
@@ -184,15 +195,15 @@ class Packet:
     @property
     def is_control(self) -> bool:
         """True for packets the DCP switch serves from the control queue."""
-        return self.kind is PacketKind.HO
+        return self.kind == PacketKind.HO
 
     @property
     def is_droppable_under_congestion(self) -> bool:
         """§4.2: non-DCP and DCP ACK packets are dropped when congested."""
         return self.dcp_tag in (DcpTag.NON_DCP, DcpTag.DCP_ACK)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Packet({self.kind.name} {self.src}->{self.dst} flow={self.flow_id} "
+    def __repr__(self) -> str:
+        return (f"Packet({KIND_NAMES.get(self.kind, self.kind)} {self.src}->{self.dst} flow={self.flow_id} "
                 f"psn={self.psn} msn={self.msn} size={self.size_bytes}"
                 f"{' RTX' if self.is_retransmit else ''}"
                 f"{' CE' if self.ecn_ce else ''})")
@@ -269,7 +280,7 @@ def make_data_packet(src: int, dst: int, flow_id: int = -1, qpn: int = -1,
 
 
 def make_ack(src: int, dst: int, flow_id: int = -1, qpn: int = -1,
-             src_qpn: int = -1, kind: PacketKind = PacketKind.ACK,
+             src_qpn: int = -1, kind: int = PacketKind.ACK,
              ack_psn: int = -1, emsn: int = -1, sack_psn: int = -1,
              sack_bitmap: int = 0, timestamp_ns: int = -1,
              dcp: bool = False, entropy: int = 0, priority: int = 0,

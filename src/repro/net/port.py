@@ -165,13 +165,12 @@ class EgressPort:
         # latency keeps the control plane lossless), PFC ingress counter.
         switch = self.switch
         switch.buffered_bytes -= size
-        if sp is not None and packet.kind is PacketKind.HO:
+        if sp is not None and packet.kind == PacketKind.HO:
             sp.mark(self.sim.now, "ctrlq", packet.flow_id, switch.name,
                     {"psn": packet.psn})
         pfc = switch.pfc
         if pfc is not None:
             pfc.release(packet.ingress_hint, packet)
-        packet.ingress_hint = -1
         link = self.link
         if link is not None:
             link.deliver(packet)

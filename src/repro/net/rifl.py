@@ -139,8 +139,8 @@ class RiflShim:
         sp = spans._active
         if sp is not None:
             sp.propagate(packet, self.sim.now, link.prop_delay_ns, link.name)
-        self.sim.call_after(link.prop_delay_ns, link._rx, packet,
-                            link.dst_port)
+        packet.ingress_hint = link.dst_port
+        self.sim.call_after(link.prop_delay_ns, link._rx, packet)
 
     # ---------------------------------------------------------- down links
     def _arm_retry(self) -> None:

@@ -169,11 +169,14 @@ class Switch:
         self.routing_table.setdefault(dst, []).append(port_idx)
 
     # ------------------------------------------------------------ receive
-    def receive(self, packet: Packet, in_port: int) -> None:
+    def receive(self, packet: Packet) -> None:
         """The forwarding pipeline, the same for every configuration.
 
-        Decision order: PFC control frames -> routing/LB (consulted only
-        when the route has more than one candidate) -> forced-loss
+        The ingress port is ``packet.ingress_hint``, stamped by the link
+        that delivered the packet; it stays on the packet until the
+        egress port releases the PFC charge.  PFC frames never come
+        here (:meth:`pfc_frame`).  Decision order: routing/LB (consulted
+        only when the route has more than one candidate) -> forced-loss
         draw (one RNG draw per payload packet, only where ``loss_rate >
         0``) -> branch table keyed on ``(DcpTag, queue-state)`` that
         resolves trim / drop / control queue -> shared buffer -> ECN ->
@@ -183,12 +186,6 @@ class Switch:
         where an idle port starts sending it.
         """
         kind = packet.kind
-        if kind is PacketKind.PAUSE:
-            self.ports[in_port].pause(DATA_CLASS)
-            return
-        if kind is PacketKind.RESUME:
-            self.ports[in_port].resume(DATA_CLASS)
-            return
         candidates = self.routing_table.get(packet.dst)
         if not candidates:
             raise KeyError(f"{self.name}: no route to host {packet.dst}")
@@ -213,7 +210,7 @@ class Switch:
                 stats.dropped_buffer += 1
                 return
             marker = self.ecn_markers[egress]
-            if marker is not None and kind is PacketKind.DATA:
+            if marker is not None and kind == PacketKind.DATA:
                 if marker.maybe_mark(packet, data_q.bytes):
                     stats.ecn_marked += 1
                     sp = spans._active
@@ -260,17 +257,29 @@ class Switch:
                 sp.mark(self.sim.now, "drop", packet.flow_id, self.name,
                         {"psn": packet.psn, "reason": reason})
             return
-        packet.ingress_hint = in_port
         self.buffered_bytes += packet.size_bytes
         if self.pfc is not None:
-            self.pfc.charge(in_port, packet)
+            self.pfc.charge(packet.ingress_hint, packet)
         port.enqueue(packet, cls)
+
+    def pfc_frame(self, frame: Packet) -> None:
+        """A PFC PAUSE/RESUME from the neighbour behind port
+        ``frame.ingress_hint``: stop or restart that port's data class.
+
+        Link-level control frames: no routing, buffering or counters."""
+        port = self.ports[frame.ingress_hint]
+        if frame.kind == PacketKind.PAUSE:
+            port.pause(DATA_CLASS)
+        else:
+            port.resume(DATA_CLASS)
 
     # ------------------------------------------------------------ control
     def _send_pfc_frame(self, in_port: int, frame: Packet) -> None:
         """Deliver a PAUSE/RESUME to the neighbour behind ``in_port``.
 
-        Control frames bypass queueing; they only see propagation delay.
+        Control frames bypass queueing and the link's counters; they only
+        see propagation delay, and arrive on the neighbour's ``pfc_frame``
+        stamped with the neighbour's port, as a link stamps a packet.
         """
         neighbor_info = self.neighbors.get(in_port)
         if neighbor_info is None:
@@ -278,7 +287,8 @@ class Switch:
         neighbor, their_port = neighbor_info
         link = self.ports[in_port].link
         delay = link.prop_delay_ns if link is not None else 0
-        self.sim.call_after(delay, neighbor.receive, frame, their_port)
+        frame.ingress_hint = their_port
+        self.sim.call_after(delay, neighbor.pfc_frame, frame)
 
     # -------------------------------------------------------------- stats
     def queue_bytes(self, egress: int) -> int:

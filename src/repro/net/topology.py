@@ -1,8 +1,9 @@
 """Topology builders: two-layer CLOS, the paper's testbed, direct links.
 
 Builders take already-constructed host objects (anything implementing
-``receive(packet, in_port)`` with a ``nic`` attribute) and wire them to
-switches with full-duplex links, filling in routing tables.  The
+``receive(packet)`` and ``pfc_frame(frame)`` with a ``nic`` attribute —
+the :class:`repro.net.link.Device` protocol) and wire them to switches
+with full-duplex links, filling in routing tables.  The
 resulting :class:`Fabric` exposes ideal-FCT helpers used for slowdown
 metrics.
 """

@@ -589,48 +589,38 @@ class RnicTransport(Entity):
             self.nic.kick()
 
     # ----------------------------------------------------------- receiving
-    def receive(self, packet: Packet, in_port: int = 0) -> None:
+    def receive(self, packet: Packet) -> None:
         """Wire-side entry point: dispatch straight to the handler.
 
         Hosts bind their ingress links directly to this method, so a
         delivered packet pays exactly one dispatch frame.  Handlers only
         read the packet (retransmissions are rebuilt from message
         state); the one exception is HO, which the receiver turns around
-        and re-sends as the *same object* (§4.1).  PFC frames act on the
-        NIC and stop here.
+        and re-sends as the *same object* (§4.1).  PFC frames reach the
+        NIC through :meth:`Host.pfc_frame`, never here.
         """
         qp = self.qps.get(packet.qpn)
         if qp is None:
-            kind = packet.kind
-            if kind is PacketKind.PAUSE:
-                self.nic.pause()
-            elif kind is PacketKind.RESUME:
-                self.nic.resume()
-            # else: stale packet for a destroyed QP
-        else:
-            kind = packet.kind
-            if kind is PacketKind.DATA:
-                sp = spans._active
-                if sp is not None:
-                    sp.data_arrival(packet.flow_id, packet.psn, self.sim.now,
-                                    self._actor)
-                self._on_data(qp, packet)
-            elif kind is PacketKind.ACK:
-                self._on_ack(qp, packet)
-            elif kind is PacketKind.SACK:
-                self._on_sack(qp, packet)
-            elif kind is PacketKind.NAK:
-                self._on_nak(qp, packet)
-            elif kind is PacketKind.HO:
-                self._on_ho(qp, packet)
-            elif kind is PacketKind.CNP:
-                qp.cc.on_cnp(self.sim.now)
-            elif kind is PacketKind.PAUSE:
-                self.nic.pause()
-            elif kind is PacketKind.RESUME:
-                self.nic.resume()
-            else:  # pragma: no cover
-                raise ValueError(f"unexpected packet kind {kind}")
+            return                      # stale packet for a destroyed QP
+        kind = packet.kind
+        if kind == PacketKind.DATA:
+            sp = spans._active
+            if sp is not None:
+                sp.data_arrival(packet.flow_id, packet.psn, self.sim.now,
+                                self._actor)
+            self._on_data(qp, packet)
+        elif kind == PacketKind.ACK:
+            self._on_ack(qp, packet)
+        elif kind == PacketKind.SACK:
+            self._on_sack(qp, packet)
+        elif kind == PacketKind.NAK:
+            self._on_nak(qp, packet)
+        elif kind == PacketKind.HO:
+            self._on_ho(qp, packet)
+        elif kind == PacketKind.CNP:
+            qp.cc.on_cnp(self.sim.now)
+        else:  # pragma: no cover
+            raise ValueError(f"unexpected packet kind {kind}")
 
     # --- hooks subclasses override ---------------------------------------
     def _qp_poll(self, qp: QueuePair, now: int):
@@ -730,10 +720,18 @@ class Host(Entity):
         # dispatch, skipping a per-packet forwarding frame here.
         self.receive = transport.receive
 
-    def receive(self, packet: Packet, in_port: int) -> None:  # type: ignore[no-redef]
+    def receive(self, packet: Packet) -> None:  # type: ignore[no-redef]
         # Shadowed by the instance attribute set in __init__; kept so
         # the Device protocol reads naturally on the class.
-        self.transport.receive(packet, in_port)
+        self.transport.receive(packet)
+
+    def pfc_frame(self, frame: Packet) -> None:
+        """A PFC PAUSE/RESUME from the attached switch port: stop or
+        restart the NIC's transmitter."""
+        if frame.kind == PacketKind.PAUSE:
+            self.nic.pause()
+        else:
+            self.nic.resume()
 
     def __repr__(self) -> str:
         # Stable across processes: link names derive from device reprs,

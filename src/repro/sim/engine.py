@@ -2,7 +2,7 @@
 
 The whole reproduction is built on this deliberately minimal engine: an
 integer-nanosecond clock driving one binary heap (``heapq``) of
-``(time, seq, token, callback, args)`` entries.  The global sequence
+``(time, seq, token, callback, arg)`` entries.  The global sequence
 number makes the fired order the total order ``(time, seq)``: FIFO at
 equal timestamps, which is load-bearing — transports rely on
 ACK-before-data causality at shared timestamps.
@@ -19,8 +19,13 @@ new ``(when, seq)`` key and its old entry is re-filed there, uncounted,
 when it surfaces, so an armed timer owns exactly one heap entry.
 
 Callbacks are plain callables, no coroutine machinery: per-event overhead
-stays low enough for packet-level simulation in pure Python.  Times are
-integer nanoseconds; unit constants live in :mod:`repro.sim.units`.
+stays low enough for packet-level simulation in pure Python.  Every entry
+carries exactly one argument slot: an uncancellable entry
+(:meth:`Simulator.call_after`) fires ``fn(arg)`` and a timer entry fires
+``callback()``, so the run loop never spreads an argument tuple
+(``fn(*args)`` is CPython's generic call, about 100 ns per event more
+than a one-argument call).  Times are integer nanoseconds; unit
+constants live in :mod:`repro.sim.units`.
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ class Simulator:
         #: the hybrid-fidelity controller treats it as a standing
         #: falsifier (chaos runs are packet-level end to end).
         self.chaos_active: bool = False
-        # --- event store: (when, seq, token_or_None, callback, args) ------
+        # --- event store: (when, seq, token_or_None, callback, arg) -------
         # (when, seq) is unique, so comparisons never reach the callback.
         self._heap: list[tuple] = []
         self._seqn: int = 0
@@ -110,7 +115,7 @@ class Simulator:
         self._seqn = seq = self._seqn + 1
         when = self.now + delay
         token = CancelledToken(self, when, seq)
-        heapq.heappush(self._heap, (when, seq, token, callback, ()))
+        heapq.heappush(self._heap, (when, seq, token, callback, None))
         if self._heap_dead * 2 > len(self._heap):
             self._compact_heap()
         return token
@@ -140,18 +145,19 @@ class Simulator:
         token._callback = callback
         return token
 
-    def call_after(self, delay: int, fn: Callable, *args) -> None:
-        """Schedule ``fn(*args)`` ``delay`` ns from now, uncancellably.
+    def call_after(self, delay: int, fn: Callable[[object], None],
+                   arg: object) -> None:
+        """Schedule ``fn(arg)`` ``delay`` ns from now, uncancellably.
 
         The fast-path twin of :meth:`schedule`: no token is allocated and
-        positional arguments ride in the entry itself, so hot callers
-        (link propagation, serialization completion) avoid one closure
-        per packet hop.
+        the one argument rides in the entry itself, so hot callers (link
+        propagation, serialization completion) avoid one closure per
+        packet hop.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         self._seqn = seq = self._seqn + 1
-        heapq.heappush(self._heap, (self.now + delay, seq, None, fn, args))
+        heapq.heappush(self._heap, (self.now + delay, seq, None, fn, arg))
 
     def schedule_at(self, when: int, callback: Callable[[], None]) -> CancelledToken:
         """Schedule ``callback`` at absolute time ``when`` (ns)."""
@@ -176,7 +182,7 @@ class Simulator:
         the key recorded on its token."""
         token._at = token._when
         heapq.heapreplace(self._heap, (token._when, token._seq, token,
-                                       token._callback, ()))
+                                       token._callback, None))
 
     def peek_time(self) -> Optional[int]:
         """Time of the next pending (non-cancelled) event, or None."""
@@ -222,30 +228,35 @@ class Simulator:
                 if until is not None:
                     self.now = until
                 return
-            entry = heap[0]
-            token = entry[2]
-            if token is not None:
-                if token.cancelled:
-                    pop(heap)
-                    self._heap_dead -= 1
-                    continue
-                if token._seq != entry[1]:
-                    # Deferred by reschedule(): nothing fires and
-                    # nothing is counted.
-                    self._refile(token)
-                    continue
-            when = entry[0]
+            when, seq, token, fn, arg = heap[0]
+            if token is None:
+                if when > horizon:
+                    self.now = until
+                    return
+                pop(heap)
+                self.now = when
+                self.events_processed += 1
+                fn(arg)
+                continue
+            if token.cancelled:
+                pop(heap)
+                self._heap_dead -= 1
+                continue
+            if token._seq != seq:
+                # Deferred by reschedule(): nothing fires and nothing is
+                # counted.
+                self._refile(token)
+                continue
             if when > horizon:
                 self.now = until
                 return
             pop(heap)
-            if token is not None:
-                # Fired: detach so a late cancel() is not miscounted as
-                # a dead heap entry.
-                token._owner = None
+            # Fired: detach so a late cancel() is not miscounted as a
+            # dead heap entry.
+            token._owner = None
             self.now = when
             self.events_processed += 1
-            entry[3](*entry[4])
+            fn()
 
     def step(self) -> bool:
         """Run the single next event.  Returns False when idle."""

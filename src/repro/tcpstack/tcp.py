@@ -81,7 +81,8 @@ class TcpTransport(WindowTransport):
         st.timer.restart(self.config.rto_ns)
         self._activate(qp)
 
-    def _on_tcp_ack(self, qp: QueuePair, packet: Packet) -> None:
+    def _on_tcp_ack(self, packet: Packet) -> None:
+        qp = self.qps[packet.qpn]
         st = self._send_state(qp)
         ack = packet.ack_psn + 1
         if ack > st.snd_una:
@@ -108,7 +109,8 @@ class TcpTransport(WindowTransport):
         self._activate(qp)
 
     # ------------------------------------------------------------ receiver
-    def _on_tcp_data(self, qp: QueuePair, packet: Packet) -> None:
+    def _on_tcp_data(self, packet: Packet) -> None:
+        qp = self.qps[packet.qpn]
         st = qp.rx_state
         if st is None:
             st = self._recv_state(qp)
@@ -122,31 +124,25 @@ class TcpTransport(WindowTransport):
         self._send_ack(qp, PacketKind.TCP_ACK, st.epsn - 1)
 
     # ----------------------------------------------------------- dispatch
-    def receive(self, packet: Packet, in_port: int = 0) -> None:
+    def receive(self, packet: Packet) -> None:
         """Every packet pays the receive-path stack costs first.
 
         The deferred callback is the kind-specific handler itself (no
-        dispatch trampoline).
+        dispatch trampoline).  It takes the packet alone and looks its
+        QP up again; QPs are never unregistered, so that cannot miss.
         """
+        if packet.qpn not in self.qps:
+            return
         kind = packet.kind
-        if kind is PacketKind.PAUSE:
-            self.nic.pause()
-            return
-        if kind is PacketKind.RESUME:
-            self.nic.resume()
-            return
-        qp = self.qps.get(packet.qpn)
-        if qp is None:
-            return
-        if kind is PacketKind.TCP_DATA:
+        if kind == PacketKind.TCP_DATA:
             fn = self._on_tcp_data
-        elif kind is PacketKind.TCP_ACK:
+        elif kind == PacketKind.TCP_ACK:
             fn = self._on_tcp_ack
         else:
             fn = self._drop
-        self.sim.call_after(self._rx_delay_ns, fn, qp, packet)
+        self.sim.call_after(self._rx_delay_ns, fn, packet)
 
-    def _drop(self, qp: QueuePair, packet: Packet) -> None:
+    def _drop(self, packet: Packet) -> None:
         """No-op, but still scheduled: the deferred event is part of the
         pinned event stream."""
 

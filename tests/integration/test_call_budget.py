@@ -9,8 +9,7 @@ after the packet-path fusion (the egress port as one unit, DCP's
 new-data probe), so a change that adds frames back to a hop fails here
 before it shows in the benchmark.
 
-Counted with CPython 3.10.13, 3.11 and 3.12.1 (the CI matrix is 3.10
-and 3.12).  The three agree to the first decimal, except the GBN
+Counted with CPython 3.10.13, 3.11 and 3.12.1 (the CI matrix).  The three agree to the first decimal, except the GBN
 "before" count, 95.1 on 3.12; one budget per cell holds on all of them:
 
 =====================  ==========  =====  ======  ===========

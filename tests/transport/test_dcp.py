@@ -31,7 +31,7 @@ def test_data_packets_are_dcp_tagged():
     flow = send_flow(sim, a, b, 5_000)
     sim.step()  # execute the scheduled post_flow
     pkt = a.poll_tx()
-    assert pkt.dcp_tag is DcpTag.DCP_DATA
+    assert pkt.dcp_tag == DcpTag.DCP_DATA
     assert pkt.msn == 0
     assert pkt.sretry_no == 0
     assert pkt.msg_len_pkts == 5
@@ -136,7 +136,7 @@ def test_coarse_timeout_covers_broken_control_plane():
     orig_deliver = nic_link.deliver
 
     def lossy_deliver(packet):
-        if packet.kind is PacketKind.DATA:
+        if packet.kind == PacketKind.DATA:
             count[0] += 1
             if count[0] % 10 == 0 and count[0] <= 50:
                 packet.trim()  # switch would trim; HO then black-holed
@@ -192,7 +192,7 @@ def test_ack_loss_tolerated():
     orig = b.nic.send_control
 
     def drop_some_acks(packet):
-        if packet.kind is PacketKind.ACK and dropped[0] < 2:
+        if packet.kind == PacketKind.ACK and dropped[0] < 2:
             dropped[0] += 1
             return
         orig(packet)

@@ -26,7 +26,7 @@ class TestGbnEdges:
         orig = b.nic.send_control
 
         def count(pkt):
-            if pkt.kind is PacketKind.NAK:
+            if pkt.kind == PacketKind.NAK:
                 naks.append(pkt.ack_psn)
             orig(pkt)
 
@@ -37,7 +37,7 @@ class TestGbnEdges:
         dropped = set()
 
         def lossy(pkt):
-            if (pkt.kind is PacketKind.DATA and pkt.psn in (5, 6, 7)
+            if (pkt.kind == PacketKind.DATA and pkt.psn in (5, 6, 7)
                     and pkt.psn not in dropped):
                 dropped.add(pkt.psn)
                 return

@@ -48,7 +48,7 @@ def test_tlp_probe_recovers_tail_loss():
 
     def drop_tail(packet):
         from repro.net.packet import PacketKind
-        if (packet.kind is PacketKind.DATA and packet.psn == 9
+        if (packet.kind == PacketKind.DATA and packet.psn == 9
                 and not state["dropped"]):
             state["dropped"] = True
             return

@@ -50,8 +50,15 @@ def _recv_harness(config: TransportConfig | None = None,
     acks = []
     b.nic.send_control = acks.append
     mtu = b.config.mtu_payload
-    # The software TCP stack names its (post-stack-delay) handler apart.
-    on_data = getattr(b, "_on_tcp_data", b._on_data)
+    # The software TCP stack names its (post-stack-delay) handler apart,
+    # and that handler finds the QP from the packet itself.
+    tcp_on_data = getattr(b, "_on_tcp_data", None)
+
+    def on_data(qp, packet) -> None:
+        if tcp_on_data is not None:
+            tcp_on_data(packet)
+        else:
+            b._on_data(qp, packet)
 
     def push(psn: int) -> None:
         on_data(qp_b, make_data_packet(

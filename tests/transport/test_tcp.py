@@ -49,7 +49,7 @@ def test_fast_retransmit_on_triple_dupack():
 
     def drop_one(packet):
         from repro.net.packet import PacketKind
-        if (packet.kind is PacketKind.TCP_DATA and packet.psn == 20
+        if (packet.kind == PacketKind.TCP_DATA and packet.psn == 20
                 and not state["dropped"]):
             state["dropped"] = True
             return
@@ -72,7 +72,7 @@ def test_rto_fallback():
 
     def drop_tail(packet):
         from repro.net.packet import PacketKind
-        if (packet.kind is PacketKind.TCP_DATA and packet.psn == 2
+        if (packet.kind == PacketKind.TCP_DATA and packet.psn == 2
                 and not state["dropped"]):
             state["dropped"] = True
             return

@@ -42,6 +42,39 @@ def test_negative_delay_rejected():
         sim.schedule(-1, lambda: None)
 
 
+def test_call_after_fires_fn_with_its_one_argument_once():
+    sim = Simulator()
+    calls = []
+    payload = object()
+    sim.call_after(30, calls.append, payload)
+    sim.call_after(10, calls.append, None)
+    sim.run()
+    assert calls == [None, payload]
+    assert calls[1] is payload
+    assert sim.events_processed == 2 and sim.pending() == 0
+
+
+def test_timer_entries_fire_without_an_argument():
+    """A token-carrying entry calls its callback with no argument, on
+    every path that files one: schedule, and a reschedule deferred past
+    its heap entry."""
+    sim = Simulator()
+    seen = []
+    sim.schedule(10, lambda *a: seen.append(("schedule", a)))
+    token = sim.schedule(20, lambda *a: seen.append(("stale", a)))
+    sim.reschedule(token, 40, lambda *a: seen.append(("deferred", a)))
+    sim.run()
+    assert seen == [("schedule", ()), ("deferred", ())]
+    assert sim.now == 40
+
+
+def test_call_after_negative_delay_rejected():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.call_after(-1, print, None)
+    assert sim.pending() == 0
+
+
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
@@ -261,13 +294,16 @@ class _Recorder:
         if key is not None:
             self.cancelled_by.setdefault(key, self._running)
 
-    def _fire(self, key, fn=None, args=()):
+    def _fire(self, key, fn=None, arg=None):
         assert self.sim.now == key[0]
         assert self.sim._heap_dead == _dead_in_heap(self.sim)
         self._running = key
         self.fired.append(key)
         if fn is not None:
-            fn(*args)
+            fn(arg)
+
+    def _fire_packed(self, payload):
+        self._fire(*payload)
 
     def _on_timer(self, i):
         self._fire(self.timer_keys[i])
@@ -280,8 +316,11 @@ class _Recorder:
         token = self.sim.schedule(delay, lambda: self._fire(key))
         self.tokens.append((key, token))
 
-    def call_after(self, delay, fn, *args):
-        self.sim.call_after(delay, self._fire, self._key(delay), fn, args)
+    def call_after(self, delay, fn, arg):
+        # The engine passes one argument: key, callee and its argument
+        # ride packed in a tuple.
+        self.sim.call_after(delay, self._fire_packed,
+                            (self._key(delay), fn, arg))
 
     def cancel(self, pick):
         if self.tokens:
@@ -407,7 +446,7 @@ def test_timer_churn_keeps_the_heap_bounded():
     restarts = 0
     worst = 0
 
-    def hop():
+    def hop(_):
         nonlocal restarts, worst
         for _ in range(5):
             # Deadlines wander up and down: both restart paths run.
@@ -416,11 +455,11 @@ def test_timer_churn_keeps_the_heap_bounded():
             restarts += 1
             worst = max(worst, sim.pending())
         if restarts < 50_000:
-            sim.call_after(100, hop)
+            sim.call_after(100, hop, None)
 
     for timer in timers:
         timer.restart(1_000_000)
-    sim.call_after(100, hop)
+    sim.call_after(100, hop, None)
     sim.run()
     assert restarts == 50_000
     assert worst <= 2 * live + 2

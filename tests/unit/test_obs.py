@@ -265,7 +265,7 @@ class TestLinkDropTracing:
         sim = Simulator()
 
         class _Sink:
-            def receive(self, packet, in_port):
+            def receive(self, packet):
                 pass
 
         return sim, Link(sim, _Sink(), 0, prop_delay_ns=10, name="l0",

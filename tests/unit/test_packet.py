@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from repro.net.packet import (ACK_PACKET_BYTES, CNP_PACKET_BYTES,
                               DCP_DATA_HEADER_BYTES, HO_PACKET_BYTES,
                               PAUSE_FRAME_BYTES, ROCE_DATA_HEADER_BYTES,
-                              DcpTag, Packet, PacketKind, make_ack, make_cnp,
-                              make_data_packet)
+                              KIND_NAMES, DcpTag, Packet, PacketKind,
+                              make_ack, make_cnp, make_data_packet)
 from repro.net.pfc import make_pause, make_resume
 from repro.sim.engine import Simulator
 
@@ -34,12 +34,12 @@ def test_data_packet_sizes():
     pkt = _data(dcp=True)
     assert pkt.size_bytes == DCP_DATA_HEADER_BYTES + 1000
     assert pkt.payload_bytes == 1000
-    assert pkt.dcp_tag is DcpTag.DCP_DATA
+    assert pkt.dcp_tag == DcpTag.DCP_DATA
 
 
 def test_non_dcp_packet_tag():
     pkt = _data(dcp=False)
-    assert pkt.dcp_tag is DcpTag.NON_DCP
+    assert pkt.dcp_tag == DcpTag.NON_DCP
     assert pkt.is_droppable_under_congestion
 
 
@@ -47,8 +47,8 @@ def test_trim_preserves_identity_fields():
     pkt = _data()
     uid = pkt.uid
     pkt.trim()
-    assert pkt.kind is PacketKind.HO
-    assert pkt.dcp_tag is DcpTag.DCP_HO
+    assert pkt.kind == PacketKind.HO
+    assert pkt.dcp_tag == DcpTag.DCP_HO
     assert pkt.size_bytes == HO_PACKET_BYTES
     assert pkt.payload_bytes == 0
     # Identity preserved: this is what makes retransmission precise.
@@ -90,19 +90,48 @@ def test_ho_is_control_class():
     assert pkt.is_control
 
 
+def _members(namespace):
+    return {name: value for name, value in vars(namespace).items()
+            if not name.startswith("_")}
+
+
+def test_kinds_and_tags_are_plain_ints():
+    """Kinds and tags are plain ints (no ``enum`` attribute hook on the
+    packet path) with their wire values; ``KIND_NAMES`` inverts kinds."""
+    kinds = _members(PacketKind)
+    tags = _members(DcpTag)
+    assert kinds == {"DATA": 1, "ACK": 2, "SACK": 3, "NAK": 4, "HO": 5,
+                     "CNP": 6, "PAUSE": 7, "RESUME": 8, "TCP_DATA": 9,
+                     "TCP_ACK": 10}
+    assert tags == {"NON_DCP": 0, "DCP_ACK": 1, "DCP_DATA": 2, "DCP_HO": 3}
+    assert all(type(v) is int for v in (*kinds.values(), *tags.values()))
+    assert KIND_NAMES == {value: name for name, value in kinds.items()}
+    packet = _data()
+    assert type(packet.kind) is int and type(packet.dcp_tag) is int
+
+
+def test_repr_names_the_kind():
+    pkt = _data()
+    assert repr(pkt) == ("Packet(DATA 1->2 flow=5 psn=3 msn=0 size="
+                         f"{DCP_DATA_HEADER_BYTES + 1000})")
+    pkt.trim()
+    assert repr(pkt).startswith("Packet(HO 1->2 ")
+    assert repr(make_pause(0)).startswith("Packet(PAUSE -1->-1 ")
+
+
 def test_ack_builder():
     ack = make_ack(2, 1, flow_id=5, qpn=10, src_qpn=11, ack_psn=7, emsn=2,
                    dcp=True)
-    assert ack.kind is PacketKind.ACK
+    assert ack.kind == PacketKind.ACK
     assert ack.size_bytes == ACK_PACKET_BYTES
-    assert ack.dcp_tag is DcpTag.DCP_ACK
+    assert ack.dcp_tag == DcpTag.DCP_ACK
     assert ack.is_droppable_under_congestion
     assert (ack.ack_psn, ack.emsn) == (7, 2)
 
 
 def test_cnp_builder():
     cnp = make_cnp(2, 1, flow_id=5, qpn=10, src_qpn=11)
-    assert cnp.kind is PacketKind.CNP
+    assert cnp.kind == PacketKind.CNP
 
 
 def test_payload_bounds_checked():

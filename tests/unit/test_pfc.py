@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind, make_data_packet
 from repro.net.pfc import PfcConfig, PfcController, make_pause, make_resume
+from repro.net.routing import EcmpLoadBalancer
+from repro.net.switch import DATA_CLASS, Switch, SwitchConfig
+from repro.rnic.base import Host, HostNic, TransportConfig
+from repro.rnic.gbn import GbnTransport
 from repro.sim.engine import Simulator
 
 
@@ -62,9 +67,9 @@ def test_local_traffic_not_charged():
 
 
 def test_frame_builders():
-    assert make_pause(3).kind is PacketKind.PAUSE
+    assert make_pause(3).kind == PacketKind.PAUSE
     assert make_pause(3).pause_priority == 3
-    assert make_resume(1).kind is PacketKind.RESUME
+    assert make_resume(1).kind == PacketKind.RESUME
 
 
 def test_per_port_independence():
@@ -76,6 +81,66 @@ def test_per_port_independence():
     assert frames == [0]
     pfc.charge(1, _pkt(400))
     assert frames == [0]  # port 1 below xoff
+
+
+def _pfc_switch(sim, name):
+    return Switch(sim, 0, SwitchConfig(
+        num_ports=3, rate_bits_per_ns=100.0, buffer_bytes=1_000_000,
+        pfc=PfcConfig(xoff_bytes=2000, xon_bytes=1000)),
+        EcmpLoadBalancer(), name=name)
+
+
+def _frame(make, port):
+    frame = make(0)
+    frame.ingress_hint = port
+    return frame
+
+
+def test_pause_frame_pauses_the_port_it_arrived_on():
+    """A PAUSE on ``pfc_frame`` stops the data class of the port named by
+    its ingress hint and nothing else: no route, buffer or counter of
+    the forwarding pipeline moves, and a RESUME undoes it."""
+    sim = Simulator()
+    sw = _pfc_switch(sim, "sw")
+    sw.add_route(7, 1)
+    routes = {dst: list(ports) for dst, ports in sw.routing_table.items()}
+    stats = sw.stats.as_dict()
+    sw.pfc_frame(_frame(make_pause, 2))
+    assert [p.paused_classes for p in sw.ports] == [set(), set(), {DATA_CLASS}]
+    sw.pfc_frame(_frame(make_resume, 2))
+    assert [p.paused_classes for p in sw.ports] == [set(), set(), set()]
+    assert sw.routing_table == routes
+    assert sw.buffered_bytes == 0
+    assert sw.pfc.ingress_bytes == [0, 0, 0]
+    assert sw.stats.as_dict() == stats
+    assert sim.pending() == 0
+
+
+def test_pfc_frame_reaches_the_neighbours_port_after_propagation():
+    """XOFF at a switch sends the frame to the neighbour behind the
+    congested ingress port: one event, one link delay later, on the
+    neighbour's port facing back, bypassing the link's counters."""
+    sim = Simulator()
+    a, b = _pfc_switch(sim, "a"), _pfc_switch(sim, "b")
+    a_to_b = Link(sim, b, 1, prop_delay_ns=500, name="a->b")
+    a.attach(2, a_to_b, b, 1)
+    b.attach(1, Link(sim, a, 2, prop_delay_ns=500, name="b->a"), a, 2)
+    a.pfc.charge(2, _pkt(3000))
+    sim.run()
+    assert (sim.now, sim.events_processed) == (500, 1)
+    assert [p.paused_classes for p in b.ports] == [set(), {DATA_CLASS}, set()]
+    assert not any(p.paused_classes for p in a.ports)
+    assert a_to_b.stats.delivered_packets == 0
+
+
+def test_pfc_frame_pauses_a_host_nic():
+    sim = Simulator()
+    host = Host(sim, 0, HostNic(sim, 100.0, name="nic0"),
+                GbnTransport(sim, 0, TransportConfig()))
+    host.pfc_frame(_frame(make_pause, 0))
+    assert host.nic.paused
+    host.pfc_frame(_frame(make_resume, 0))
+    assert not host.nic.paused
 
 
 def test_end_to_end_lossless_under_pfc():

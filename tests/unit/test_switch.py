@@ -17,8 +17,17 @@ class Sink:
     def __init__(self):
         self.received = []
 
-    def receive(self, packet, in_port):
+    def receive(self, packet):
         self.received.append(packet)
+
+    def pfc_frame(self, frame):
+        self.received.append(frame)
+
+
+def arrive(sw, packet, in_port):
+    """Hand ``packet`` to ``sw`` as a link delivering on ``in_port`` does."""
+    packet.ingress_hint = in_port
+    sw.receive(packet)
 
 
 def make_switch(sim, **cfg_overrides):
@@ -49,7 +58,7 @@ def test_forwarding():
     sim = Simulator()
     sw = make_switch(sim)
     sink = attach_sink(sim, sw, 1)
-    sw.receive(data_pkt(), in_port=0)
+    arrive(sw, data_pkt(), 0)
     sim.run()
     assert len(sink.received) == 1
     assert sw.stats.forwarded == 1
@@ -59,7 +68,7 @@ def test_unknown_destination_raises():
     sim = Simulator()
     sw = make_switch(sim)
     with pytest.raises(KeyError):
-        sw.receive(data_pkt(dst=77), in_port=0)
+        arrive(sw, data_pkt(dst=77), 0)
 
 
 def test_trimming_over_threshold():
@@ -68,12 +77,12 @@ def test_trimming_over_threshold():
     sink = attach_sink(sim, sw, 1)
     # Fill the data queue beyond the threshold without letting it drain.
     for i in range(10):
-        sw.receive(data_pkt(psn=i), in_port=0)
+        arrive(sw, data_pkt(psn=i), 0)
     assert sw.stats.trimmed > 0
     sim.run()
     kinds = {p.kind for p in sink.received}
     assert PacketKind.HO in kinds and PacketKind.DATA in kinds
-    trimmed = [p for p in sink.received if p.kind is PacketKind.HO]
+    trimmed = [p for p in sink.received if p.kind == PacketKind.HO]
     assert all(p.size_bytes == 57 for p in trimmed)
 
 
@@ -82,7 +91,7 @@ def test_non_dcp_dropped_over_threshold():
     sw = make_switch(sim, enable_trimming=True, trim_threshold_bytes=3000)
     attach_sink(sim, sw, 1)
     for i in range(10):
-        sw.receive(data_pkt(psn=i, dcp=False), in_port=0)
+        arrive(sw, data_pkt(psn=i, dcp=False), 0)
     assert sw.stats.dropped_congestion > 0
     assert sw.stats.trimmed == 0
 
@@ -92,10 +101,10 @@ def test_dcp_ack_dropped_over_threshold():
     sw = make_switch(sim, enable_trimming=True, trim_threshold_bytes=2500)
     attach_sink(sim, sw, 1)
     for i in range(5):
-        sw.receive(data_pkt(psn=i), in_port=0)
+        arrive(sw, data_pkt(psn=i), 0)
     ack = make_ack(9, 1, flow_id=1, qpn=1, src_qpn=2, ack_psn=0, dcp=True)
     before = sw.stats.acks_dropped
-    sw.receive(ack, in_port=0)
+    arrive(sw, ack, 0)
     assert sw.stats.acks_dropped == before + 1
 
 
@@ -105,7 +114,7 @@ def test_ho_goes_to_control_queue():
     attach_sink(sim, sw, 1)
     ho = data_pkt()
     ho.trim()
-    sw.receive(ho, in_port=0)
+    arrive(sw, ho, 0)
     assert sw.stats.ho_enqueued == 1
 
 
@@ -116,7 +125,7 @@ def test_control_queue_overflow_counts_ho_drop():
     for _ in range(5):
         ho = data_pkt()
         ho.trim()
-        sw.receive(ho, in_port=0)
+        arrive(sw, ho, 0)
     assert sw.stats.ho_dropped > 0
 
 
@@ -124,7 +133,7 @@ def test_forced_loss_drops_non_dcp():
     sim = Simulator()
     sw = make_switch(sim, loss_rate=1.0)
     attach_sink(sim, sw, 1)
-    sw.receive(data_pkt(dcp=False), in_port=0)
+    arrive(sw, data_pkt(dcp=False), 0)
     assert sw.stats.dropped_forced == 1
 
 
@@ -132,7 +141,7 @@ def test_forced_loss_trims_dcp_when_trimming():
     sim = Simulator()
     sw = make_switch(sim, loss_rate=1.0, enable_trimming=True)
     attach_sink(sim, sw, 1)
-    sw.receive(data_pkt(dcp=True), in_port=0)
+    arrive(sw, data_pkt(dcp=True), 0)
     assert sw.stats.trimmed == 1
     assert sw.stats.dropped_forced == 0
 
@@ -142,7 +151,7 @@ def test_shared_buffer_admission():
     sw = make_switch(sim, buffer_bytes=2500)
     attach_sink(sim, sw, 1)
     for i in range(5):
-        sw.receive(data_pkt(psn=i), in_port=0)
+        arrive(sw, data_pkt(psn=i), 0)
     assert sw.stats.dropped_buffer > 0
 
 
@@ -151,7 +160,7 @@ def test_data_queue_capacity_drop():
     sw = make_switch(sim, data_queue_bytes=2200)
     attach_sink(sim, sw, 1)
     for i in range(5):
-        sw.receive(data_pkt(psn=i), in_port=0)
+        arrive(sw, data_pkt(psn=i), 0)
     assert sw.stats.dropped_congestion > 0
 
 
@@ -163,7 +172,7 @@ def test_ecn_marks_when_congested():
     # The first packet is pulled onto the wire immediately; subsequent
     # arrivals see a standing queue and must be marked (kmax = 1 byte).
     for i in range(6):
-        sw.receive(data_pkt(psn=i), in_port=0)
+        arrive(sw, data_pkt(psn=i), 0)
     sim.run()
     assert any(p.ecn_ce for p in sink.received)
     assert sw.stats.ecn_marked >= 1
@@ -173,7 +182,7 @@ def test_buffer_released_after_forwarding():
     sim = Simulator()
     sw = make_switch(sim)
     attach_sink(sim, sw, 1)
-    sw.receive(data_pkt(), in_port=0)
+    arrive(sw, data_pkt(), 0)
     assert sw.buffered_bytes > 0
     sim.run()
     assert sw.buffered_bytes == 0
@@ -187,10 +196,10 @@ def test_wrr_control_priority_under_contention():
     sink = attach_sink(sim, sw, 1)
     # enqueue 20 data and 20 HO packets while the port is busy
     for i in range(20):
-        sw.receive(data_pkt(psn=i), in_port=0)
+        arrive(sw, data_pkt(psn=i), 0)
         ho = data_pkt(psn=100 + i)
         ho.trim()
-        sw.receive(ho, in_port=0)
+        arrive(sw, ho, 0)
     sim.run()
     arrivals = [p.kind for p in sink.received]
     # among the first 10 arrivals HO should dominate (weight 4:1)
@@ -259,8 +268,8 @@ def _decisions(loss_rate, variant):
         payload_pkts = 0
         for _ in range(2):
             for pkt in _scripted_arrivals():
-                payload_pkts += pkt.kind is PacketKind.DATA
-                sw.receive(pkt, in_port=0)
+                payload_pkts += pkt.kind == PacketKind.DATA
+                arrive(sw, pkt, 0)
             sim.run()
     finally:
         spans.install(None)
@@ -306,21 +315,21 @@ def test_forced_loss_is_drawn_before_the_trim_decision():
     attach_sink(sim, sw, 1)
     rng = sw._loss_rng = ScriptedRng(lose_on={5, 6})
     for i in range(4):              # draws 1-4, all kept: congest the queue
-        sw.receive(data_pkt(psn=i), in_port=0)
+        arrive(sw, data_pkt(psn=i), 0)
     assert sw.ports[1].queues[DATA_CLASS].bytes > 1500
     assert sw.stats.trimmed == 1
-    sw.receive(data_pkt(psn=10, dcp=False), in_port=0)      # draw 5: lost
+    arrive(sw, data_pkt(psn=10, dcp=False), 0)      # draw 5: lost
     assert sw.stats.dropped_forced == 1
     assert sw.stats.dropped_congestion == 0
-    sw.receive(data_pkt(psn=11), in_port=0)                 # draw 6: lost
+    arrive(sw, data_pkt(psn=11), 0)                 # draw 6: lost
     assert sw.stats.trimmed == 2 and sw.stats.dropped_forced == 1
-    sw.receive(data_pkt(psn=12, dcp=False), in_port=0)      # draw 7: kept,
+    arrive(sw, data_pkt(psn=12, dcp=False), 0)      # draw 7: kept,
     assert sw.stats.dropped_congestion == 1                 # then congested
     ack = make_ack(9, 1, flow_id=1, qpn=1, src_qpn=2, ack_psn=0, dcp=True)
-    sw.receive(ack, in_port=0)
+    arrive(sw, ack, 0)
     ho = data_pkt(psn=13)
     ho.trim()
-    sw.receive(ho, in_port=0)
+    arrive(sw, ho, 0)
     assert rng.draws == 7
 
 
@@ -355,8 +364,8 @@ def test_single_candidate_short_circuits():
     sw.add_route(dst=1, port_idx=1)
     sw.add_route(dst=2, port_idx=0)
     sw.add_route(dst=2, port_idx=2)
-    sw.receive(data_pkt(dst=1), in_port=0)
-    sw.receive(data_pkt(dst=2, psn=1), in_port=1)
+    arrive(sw, data_pkt(dst=1), 0)
+    arrive(sw, data_pkt(dst=2, psn=1), 1)
     sim.run()
     assert [len(s.received) for s in sinks] == [0, 1, 1]
     assert lb.calls == [[0, 2]]
