@@ -203,7 +203,8 @@ class Packet:
         return self.dcp_tag in (DcpTag.NON_DCP, DcpTag.DCP_ACK)
 
     def __repr__(self) -> str:
-        return (f"Packet({KIND_NAMES.get(self.kind, self.kind)} {self.src}->{self.dst} flow={self.flow_id} "
+        kind = KIND_NAMES.get(self.kind, self.kind)
+        return (f"Packet({kind} {self.src}->{self.dst} flow={self.flow_id} "
                 f"psn={self.psn} msn={self.msn} size={self.size_bytes}"
                 f"{' RTX' if self.is_retransmit else ''}"
                 f"{' CE' if self.ecn_ce else ''})")

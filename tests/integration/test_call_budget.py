@@ -9,8 +9,9 @@ after the packet-path fusion (the egress port as one unit, DCP's
 new-data probe), so a change that adds frames back to a hop fails here
 before it shows in the benchmark.
 
-Counted with CPython 3.10.13, 3.11 and 3.12.1 (the CI matrix).  The three agree to the first decimal, except the GBN
-"before" count, 95.1 on 3.12; one budget per cell holds on all of them:
+Counted with CPython 3.10.13, 3.11 and 3.12.1 (the CI matrix).  The
+three agree to the first decimal, except the GBN "before" count, 95.1
+on 3.12; one budget per cell holds on all of them:
 
 =====================  ==========  =====  ======  ===========
 cell                   before      after  budget  shared probe
@@ -23,7 +24,9 @@ The last column is the count once the window transports share one
 sender probe and GBN's fused copy is gone (CPython 3.11).  In-place
 timer restarts had taken the two cells from "after" to 25.3 and 63.9
 before that; GBN pays about 5.5 frames a packet for the shared probe's
-hooks, inside the same budget.
+hooks, inside the same budget.  One-argument events, plain-int packet
+kinds and the separate PFC frame entry point left both counts exactly
+where they were: they remove interpreter work inside frames, not frames.
 """
 
 import os

@@ -7,6 +7,8 @@ per-hole timers — plus the §4.5 coarse fallback and Swift integration.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.experiments.common import build_network
 from repro.net.packet import PacketKind, make_data_packet
 from repro.rnic.base import Flow, RnicTransport, TransportConfig
@@ -52,16 +54,10 @@ def _recv_harness(config: TransportConfig | None = None,
     mtu = b.config.mtu_payload
     # The software TCP stack names its (post-stack-delay) handler apart,
     # and that handler finds the QP from the packet itself.
-    tcp_on_data = getattr(b, "_on_tcp_data", None)
-
-    def on_data(qp, packet) -> None:
-        if tcp_on_data is not None:
-            tcp_on_data(packet)
-        else:
-            b._on_data(qp, packet)
+    on_data = getattr(b, "_on_tcp_data", partial(b._on_data, qp_b))
 
     def push(psn: int) -> None:
-        on_data(qp_b, make_data_packet(
+        on_data(make_data_packet(
             0, 1, flow_id=flow.flow_id, qpn=qp_b.qpn, src_qpn=qp_a.qpn,
             psn=psn, msn=0, payload=mtu, mtu_payload=mtu, msg_len_pkts=10,
             msg_len_bytes=10 * mtu, msg_offset_pkts=psn, dcp=False,
