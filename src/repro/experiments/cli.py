@@ -47,9 +47,8 @@ import time
 from contextlib import nullcontext
 
 from repro.experiments.registry import REGISTRY, run_experiment
-from repro.obs import (write_breakdown_jsonl, write_metrics_jsonl,
-                       write_perfetto)
-from repro.obs.export import write_campaign_jsonl
+from repro.obs.export import (write_breakdown_jsonl, write_campaign_jsonl,
+                              write_metrics_jsonl)
 from repro.runner import ExperimentRunner, ResultCache
 
 
@@ -240,6 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         profiler.enable()
 
     def flush_perfetto() -> None:
+        from repro.obs.spans import write_perfetto   # only spans need it
         with open(args.perfetto_out, "w") as fh:
             events = write_perfetto(fh, perfetto_points)
         print(f"[perfetto: {events} events -> {args.perfetto_out}]")

@@ -65,6 +65,10 @@ def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
                 ho_total = switch_total(payload, "ho_enqueued")
                 ho_lost = switch_total(payload, "ho_dropped")
                 total = max(1, ho_total + ho_lost)
+                # A point that stopped at ``max_events`` has flows still
+                # open: its counts are a snapshot, not a loss ratio.
+                flows = payload["flows"]
+                open_flows = sum(1 for f in flows if not f["completed"])
                 result.rows.append({
                     "N": radix,
                     "incast": f"{fan}-to-1",
@@ -73,7 +77,9 @@ def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
                         wrr_weight(radix, ho_data_size_ratio()), 2),
                     "ho_packets": ho_total,
                     "ho_lost": ho_lost,
-                    "loss_ratio": f"{ho_lost / total:.3%}",
+                    "loss_ratio": (
+                        f"incomplete: {open_flows}/{len(flows)} flows open"
+                        if open_flows else f"{ho_lost / total:.3%}"),
                 })
     result.notes = ("paper: 0% everywhere except N=16, 255:1, no CC "
                     "(0.16%); CC removes all HO loss")

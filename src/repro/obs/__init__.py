@@ -20,27 +20,27 @@ discipline per emit site.
 """
 
 from repro._lazy import lazy_exports
-from repro.obs import registry as metrics
 from repro.obs.export import (SCHEMA_VERSION, breakdown_records,
                               metrics_records, write_breakdown_jsonl,
                               write_metrics_jsonl)
-from repro.obs.registry import (Counter, CounterBlock, Gauge, Histogram,
-                                MetricsRegistry)
 
 
 # MetricsSampler is loaded lazily: it imports repro.sim.engine, which
 # an import of this harness-side package must not load (DESIGN.md
-# "Import layers").  schema and spans are lazy because both run as
-# ``python -m``: importing them here would load each a second time as
-# ``__main__``.
+# "Import layers").  The registry is lazy because a cache replay, which
+# only exports payloads, never builds one.  schema and spans are lazy
+# because both run as ``python -m``: importing them here would load
+# each a second time as ``__main__``.
 __getattr__ = lazy_exports(__name__, {
+    "repro.obs.registry": ("Counter", "CounterBlock", "Gauge", "Histogram",
+                           "MetricsRegistry"),
     "repro.obs.sampler": ("MetricsSampler",),
     "repro.obs.schema": ("KNOWN_METRIC_PATTERNS", "known_metric",
                          "validate_file", "validate_lines", "validate_path",
                          "validate_perfetto"),
     "repro.obs.spans": ("SPAN_KINDS", "SpanTracker", "perfetto_trace",
                         "write_perfetto"),
-})
+}, aliases={"metrics": "repro.obs.registry"})
 
 __all__ = [
     "Counter",

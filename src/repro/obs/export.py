@@ -30,11 +30,23 @@ record shapes (validated by :mod:`repro.obs.schema`):
 ``metrics_by_point`` maps point id -> the ``metrics`` payload produced
 by :meth:`repro.obs.registry.MetricsRegistry.to_payload`; for non-sweep
 experiments the CLI uses the single pseudo-point ``"run"``.
+
+:func:`metrics_records` is the record API and the reference encoding:
+``_dump(record)`` per record.  :func:`write_metrics_jsonl` writes the
+same bytes without a Python call per record.  Counter and gauge records
+(all but a few dozen lines of a sweep's file) are filled into two
+``%`` templates per point, the escaped name and the number's ``repr``
+being the only per-record parts.  A block the templates cannot render
+exactly (a ``bool``, ``None``, NaN/±inf or other value, or a
+non-``str`` name) goes through ``_dump`` record by record, like the
+meta, histogram and series records.  Lines are written one point at a
+time, so the file is never held in memory.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterator, TextIO
 
 #: Schema version stamped into every meta record.
@@ -44,6 +56,13 @@ SCHEMA_VERSION = 1
 #: One encoder for every record: ``json.dumps`` with non-default options
 #: builds a new ``JSONEncoder`` per call, once per exported line.
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: What :func:`write_metrics_jsonl` renders from a template: ``str``
+#: names, exact ``int``/``float`` values, and no ``repr`` that ``json``
+#: spells differently (``NaN``, ``Infinity``, ``-Infinity``).
+_STR = frozenset({str})
+_NUMBER = frozenset({int, float})
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
 
 # ------------------------------------------------------------------ metrics
@@ -66,11 +85,49 @@ def metrics_records(experiment: str,
 
 def write_metrics_jsonl(fh: TextIO, experiment: str,
                         metrics_by_point: dict[str, dict]) -> int:
-    """Write one experiment's metrics to ``fh``; returns lines written."""
-    n = 0
-    for record in metrics_records(experiment, metrics_by_point):
-        fh.write(_dump(record) + "\n")
-        n += 1
+    """Write one experiment's metrics to ``fh``; returns lines written.
+
+    The bytes are those of ``_dump(r) + "\\n"`` for each record ``r`` of
+    :func:`metrics_records` (see the module docstring).
+    """
+    fh.write(_dump({"type": "meta", "schema": SCHEMA_VERSION,
+                    "experiment": experiment,
+                    "points": list(metrics_by_point)}) + "\n")
+    n = 1
+    # ``sort_keys`` orders a scalar record's keys experiment, name,
+    # point, type, value.  The templates are ``%`` formats: a literal
+    # ``%`` in an id is doubled.
+    head = ('{"experiment":' + _dump(experiment)).replace("%", "%%")
+    for point, payload in metrics_by_point.items():
+        base = {"experiment": experiment, "point": point}
+        tail = (',"name":%s,"point":' + _dump(point).replace("%", "%%")
+                + ',"type":"')
+        lines = []
+        for kind in ("counter", "gauge"):
+            scalars = payload.get(kind + "s", {})
+            # ``repr`` of an exact int or float is how ``json`` renders
+            # it, unless the float is NaN or ±inf.
+            texts = (list(map(repr, scalars.values()))
+                     if set(map(type, scalars.values())) <= _NUMBER
+                     else None)
+            if (texts is not None and set(map(type, scalars)) <= _STR
+                    and _NON_FINITE.isdisjoint(texts)):
+                template = head + tail + kind + '","value":%s}\n'
+                lines += map(template.__mod__,
+                             zip(map(encode_basestring_ascii, scalars),
+                                 texts))
+            else:
+                lines += [_dump({"type": kind, "name": name, "value": value,
+                                 **base}) + "\n"
+                          for name, value in scalars.items()]
+        for name, hist in payload.get("histograms", {}).items():
+            lines.append(_dump({"type": "histogram", "name": name, **hist,
+                                **base}) + "\n")
+        for name, series in payload.get("series", {}).items():
+            lines.append(_dump({"type": "series", "name": name, **series,
+                                **base}) + "\n")
+        fh.write("".join(lines))
+        n += len(lines)
     return n
 
 

@@ -127,6 +127,10 @@ class ResultCache:
                 # the bytes are the same.
                 fh.write(json.dumps(envelope, sort_keys=True,
                                     separators=(",", ":")))
+            # A rewritten key (a healed corrupt entry, or a second
+            # writer) replaces a file the estimate already counts.
+            replaced = (self._file_bytes(path)
+                        if self._approx_bytes is not None else 0)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -139,24 +143,23 @@ class ResultCache:
             if self._approx_bytes is None:
                 self._approx_bytes = self._scan_bytes()
             else:
-                try:
-                    self._approx_bytes += path.stat().st_size
-                except OSError:
-                    pass
+                self._approx_bytes += self._file_bytes(path) - replaced
             if self._approx_bytes > self.max_bytes:
                 self._evict(keep=path)
 
     # ------------------------------------------------------------ eviction
+    @staticmethod
+    def _file_bytes(path: Path) -> int:
+        """Size of ``path``; 0 if it is not there."""
+        try:
+            return path.stat().st_size
+        except OSError:
+            return 0
+
     def _scan_bytes(self) -> int:
         if not self.root.is_dir():
             return 0
-        total = 0
-        for entry in self.root.glob("*/*.json"):
-            try:
-                total += entry.stat().st_size
-            except OSError:
-                pass
-        return total
+        return sum(map(self._file_bytes, self.root.glob("*/*.json")))
 
     def _evict(self, keep: Path) -> None:
         """Unlink oldest-mtime entries until the budget holds again.

@@ -36,7 +36,6 @@ from typing import Any, Callable, Optional, Sequence
 from repro.experiments.spec import NetworkSpec
 from repro.runner.cache import ResultCache
 from repro.runner.spec_hash import cache_key, canonicalize
-from repro.sim.rng import SeedSequence
 
 #: ``fork`` shares the warm interpreter with workers (cheap, and the
 #: parent's imports come along); ``spawn`` is the fallback where fork is
@@ -75,6 +74,9 @@ def _execute_point(task: tuple[int, str, str, str, dict, dict]) -> tuple[int, An
     first, so any component that (incorrectly) reaches for module-level
     :mod:`random` still behaves identically under any worker schedule.
     """
+    # Imported here, the one place that uses it: a replay executes no
+    # point and so never loads the simulator's ``repro.sim`` package.
+    from repro.sim.rng import SeedSequence
     index, runner_path, experiment, point_id, spec_dict, params = task
     seeds = SeedSequence(int(spec_dict.get("seed", 1))).spawn(
         f"{experiment}:{point_id}")

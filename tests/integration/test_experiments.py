@@ -68,6 +68,32 @@ def test_fig14_ideal_bounds():
     assert ar > a2a > 0  # the ring makes 2(k-1) serial steps
 
 
+def test_table5_names_the_open_flows_of_an_unfinished_point():
+    # A point that stopped at ``max_events`` (flows still open) prints
+    # no loss ratio; finished points keep theirs.
+    from repro.experiments import table5_ho_loss as table5
+    from repro.experiments.presets import get_preset
+
+    def payload(enqueued, dropped, open_flows=0):
+        flows = ([{"completed": True}] * (4 - open_flows)
+                 + [{"completed": False}] * open_flows)
+        return {"flows": flows, "metrics": {"counters": {
+            "switch.leaf0.ho_enqueued": enqueued,
+            "switch.leaf0.ho_dropped": dropped,
+            "link.l0.ho_dropped": 99}}}
+
+    quick = get_preset("quick")
+    cells = len(table5.sweep(quick))
+    payloads = [payload(1000, 0)] * cells
+    payloads[2] = payload(930, 70, open_flows=1)
+    rows = table5.merge(payloads, quick).rows
+    assert len(rows) == cells
+    assert rows[2]["loss_ratio"] == "incomplete: 1/4 flows open"
+    assert (rows[2]["ho_packets"], rows[2]["ho_lost"]) == (930, 70)
+    assert {r["loss_ratio"] for i, r in enumerate(rows) if i != 2} == {
+        "0.000%"}
+
+
 def test_result_table_formatting():
     r = ExperimentResult("x", "demo",
                          rows=[{"a": 1, "b": 2.5}, {"a": 3, "c": "z"}])

@@ -49,8 +49,17 @@ HARNESS = frozenset({
     "repro.net", "repro.net.packet",
 })
 
+#: Harness-side modules that a cache replay does not run, so it may not
+#: load them: the metrics registry (a replay builds none) and the span
+#: recorder (only ``--breakdown`` / ``--perfetto-out`` use it).  The
+#: seed tree, ``repro.sim.rng``, is left out by the CLI import and by
+#: replays of keys that declare their flows without it (``robustness``);
+#: the campaign compiler draws flow layouts from it.
+NOT_ON_REPLAY = ("repro.obs.registry", "repro.obs.spans")
+
 #: Prepended to every child script: ``simulator_modules()`` lists the
-#: loaded ``repro`` modules that are not harness-side.
+#: loaded ``repro`` modules that are not harness-side, ``loaded(names)``
+#: the loaded ones of ``names``.
 PRELUDE = f'''
 import sys
 
@@ -60,6 +69,9 @@ def simulator_modules():
     return sorted(m for m in sys.modules
                   if (m == "repro" or m.startswith("repro."))
                   and m not in HARNESS)
+
+def loaded(names):
+    return sorted(m for m in names if m in sys.modules)
 '''
 
 
@@ -82,10 +94,12 @@ def _table(stdout: str) -> str:
                                     "repro.obs.export",
                                     "repro.experiments.cli"])
 def test_harness_module_imports_without_the_simulator(module):
-    _python('''
+    unused = NOT_ON_REPLAY + ("repro.sim.rng",)
+    _python(f'''
 import importlib
 importlib.import_module(sys.argv[1])
 assert simulator_modules() == [], simulator_modules()
+assert loaded({unused!r}) == [], loaded({unused!r})
 ''', module)
 
 
@@ -131,10 +145,13 @@ def test_cache_replay_never_loads_the_simulator(argv, tmp_path, capsys):
     populated = capsys.readouterr().out
     assert ("[runner: " in populated) == simulated
     assert "0 simulations executed" not in populated
-    replayed = _python('''
+    unused = NOT_ON_REPLAY + (("repro.sim.rng",)
+                              if argv[0] == "robustness" else ())
+    replayed = _python(f'''
 from repro.experiments import cli
 assert cli.main(sys.argv[1:]) == 0
 assert simulator_modules() == [], simulator_modules()
+assert loaded({unused!r}) == [], loaded({unused!r})
 assert "multiprocessing" not in sys.modules
 ''', *argv, "--metrics-out", str(tmp_path / "metrics.jsonl"))
     if simulated:

@@ -13,12 +13,14 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.common import build_network
 from repro.net.link import Link
 from repro.obs import registry as metrics
 from repro.obs import spans
-from repro.obs.export import metrics_records, write_metrics_jsonl
+from repro.obs.export import _dump, metrics_records, write_metrics_jsonl
 from repro.obs.registry import (Counter, CounterBlock, Gauge, Histogram,
                                 MetricsRegistry)
 from repro.obs.sampler import MetricsSampler
@@ -198,6 +200,44 @@ class TestExport:
             '"type":"histogram"}\n'
             '{"experiment":"unit","name":"q","point":"p0",'
             '"times_ns":[0,20000],"type":"series","values":[0.0,1e-09]}\n')
+
+
+# Ids and names that JSON must escape: quotes, backslashes, control
+# and non-ASCII characters (a surrogate pair once encoded), and ``%``
+# (the writer's templates are ``%`` formats), beside arbitrary text.
+_ids = st.one_of(st.text(max_size=8), st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\n\t", "é", "☃", "\U0001d11e",
+     'a"b\\c\u2028', "%s%%", "%"]))
+_scalars = st.one_of(
+    st.integers(), st.sampled_from([2**64 + 1, -(2**70), -1]),
+    st.booleans(), st.none(), st.floats(),
+    st.sampled_from([-0.0, 1e-09, 1e16, float("nan"), float("inf"),
+                     float("-inf")]))
+_numbers = st.lists(st.one_of(st.integers(), st.floats()), max_size=4)
+_histograms = st.fixed_dictionaries({
+    "bounds": _numbers, "counts": _numbers, "total": st.integers(),
+    "sum": st.floats()})
+_series = st.fixed_dictionaries({"times_ns": _numbers, "values": _numbers})
+_payloads = st.fixed_dictionaries({}, optional={
+    "counters": st.dictionaries(_ids, _scalars, max_size=6),
+    "gauges": st.dictionaries(_ids, _scalars, max_size=6),
+    "histograms": st.dictionaries(_ids, _histograms, max_size=2),
+    "series": st.dictionaries(_ids, _series, max_size=2)})
+
+
+class TestWriterMatchesReference:
+    """``write_metrics_jsonl`` renders counters and gauges from
+    templates; its bytes must be the reference encoding's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(experiment=_ids,
+           by_point=st.dictionaries(_ids, _payloads, max_size=3))
+    def test_same_bytes_as_dumping_each_record(self, experiment, by_point):
+        buf = io.StringIO()
+        n = write_metrics_jsonl(buf, experiment, by_point)
+        records = list(metrics_records(experiment, by_point))
+        assert buf.getvalue() == "".join(_dump(r) + "\n" for r in records)
+        assert n == len(records)
 
 
 # ---------------------------------------------------------------- schema

@@ -279,6 +279,22 @@ class TestCacheEviction:
         # estimate was dropped with the entries).
         assert 0 < len(cache) < 10
 
+    def test_rewriting_a_key_counts_only_its_size_change(self, tmp_path,
+                                                         monkeypatch):
+        # A healed corrupt entry or a second writer rewrites a key whose
+        # file the running estimate already holds.
+        evictions = []
+        monkeypatch.setattr(ResultCache, "_evict",
+                            lambda self, keep: evictions.append(keep))
+        cache = ResultCache(root=tmp_path, max_mb=0.05)
+        cache.put("other000", {"blob": "y" * 9_000})
+        for i in range(6):
+            cache.put("cafef00d", {"blob": "x" * (9_000 + i)})
+        on_disk = sum(p.stat().st_size for p in tmp_path.glob("*/*.json"))
+        assert cache._approx_bytes == on_disk
+        assert on_disk < cache.max_bytes
+        assert evictions == []
+
 
 # --------------------------------------------------------------- runner
 class TestExperimentRunner:
