@@ -9,8 +9,9 @@ groups on a CLOS fabric and compares job completion times.
 Run:  python examples/ai_collectives.py
 """
 
-from repro.experiments.common import build_network
-from repro.workload.collective import run_grouped_collectives
+from repro.experiments.spec import NetworkSpec
+from repro.runner.points import simulate_flows
+from repro.workload.collective import collective_rows, group_jcts
 
 GROUPS = 4
 GROUP_SIZE = 4
@@ -28,17 +29,21 @@ def main() -> None:
           f"{TOTAL_BYTES // 1000} KB per group\n")
     print(f"{'scheme':>24} {'mean JCT':>10} {'max JCT':>10} "
           f"{'timeouts':>8} {'retx':>6}")
+    # One row per ring step; a step after the first names the row whose
+    # receive completion starts it.
+    rows = collective_rows(
+        "allreduce", [range(g * GROUP_SIZE, (g + 1) * GROUP_SIZE)
+                      for g in range(GROUPS)], TOTAL_BYTES)
     for transport, lb, label in SCHEMES:
-        net = build_network(
+        spec = NetworkSpec(
             transport=transport, lb=lb, topology="clos",
             num_hosts=GROUPS * GROUP_SIZE, num_leaves=2, num_spines=2,
             link_rate=10.0, seed=13)
-        groups = run_grouped_collectives(net, "allreduce", GROUPS,
-                                         GROUP_SIZE, TOTAL_BYTES)
-        net.run_until_flows_done(max_events=60_000_000)
-        jcts = [g.jct_ns() / 1e6 for g in groups]
-        timeouts = sum(f.stats.timeouts for f in net.flows)
-        retx = sum(f.stats.retx_pkts_sent for f in net.flows)
+        flows = simulate_flows(spec, {"flows": rows,
+                                      "max_events": 60_000_000})["flows"]
+        jcts = [jct / 1e6 for jct in group_jcts(flows)]
+        timeouts = sum(f["timeouts"] for f in flows)
+        retx = sum(f["retx_pkts"] for f in flows)
         print(f"{label:>24} {sum(jcts) / len(jcts):>9.2f}ms "
               f"{max(jcts):>9.2f}ms {timeouts:>8} {retx:>6}")
 

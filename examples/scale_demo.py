@@ -15,8 +15,9 @@ Run:  PYTHONPATH=src python examples/scale_demo.py
 
 import time
 
-from repro.experiments.common import build_network
-from repro.workload.collective import run_grouped_collectives
+from repro.experiments.spec import NetworkSpec
+from repro.runner.points import simulate_flows
+from repro.workload.collective import collective_rows, group_jcts
 
 HOSTS = 256
 HOSTS_PER_LEAF = 8
@@ -29,21 +30,23 @@ def main() -> None:
           f"({TOTAL_BYTES // 1000} KB each)\n")
     print(f"{'fidelity':>8} {'wall':>8} {'events':>9} {'mean JCT':>10} "
           f"{'max JCT':>10}")
+    rows = collective_rows(
+        "allreduce", [range(g * HOSTS_PER_LEAF, (g + 1) * HOSTS_PER_LEAF)
+                      for g in range(leaves)], TOTAL_BYTES)
     for fidelity in ("hybrid",):
-        net = build_network(
+        spec = NetworkSpec(
             transport="dcp", lb="ar", topology="clos",
             num_hosts=HOSTS, num_leaves=leaves, num_spines=leaves // 2,
             link_rate=10.0, seed=73, fidelity=fidelity)
         t0 = time.perf_counter()
-        groups = run_grouped_collectives(net, "allreduce", leaves,
-                                         HOSTS_PER_LEAF, TOTAL_BYTES)
-        net.run_until_flows_done(max_events=400_000_000)
+        payload = simulate_flows(spec, {"flows": rows,
+                                        "max_events": 400_000_000})
         wall = time.perf_counter() - t0
-        jcts = [g.jct_ns() / 1e6 for g in groups]
-        print(f"{fidelity:>8} {wall:>7.2f}s {net.sim.events_processed:>9} "
+        jcts = [jct / 1e6 for jct in group_jcts(payload["flows"])]
+        print(f"{fidelity:>8} {wall:>7.2f}s {payload['events']:>9} "
               f"{sum(jcts) / len(jcts):>9.3f}ms {max(jcts):>9.3f}ms")
 
-    summary = net.fidelity.summary()
+    summary = payload["fluid"]
     print(f"\nfidelity controller: {summary['fluid_flows']} flows ran fluid, "
           f"{summary['packet_flows']} packet-level, "
           f"{summary['escalations']} escalations")

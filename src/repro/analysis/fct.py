@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.workload.distributions import WEBSEARCH_BINS_KB
 
@@ -100,6 +100,16 @@ def slowdowns(payload: dict) -> list[tuple[int, float]]:
     at 1."""
     return [(r["size_bytes"], max(1.0, r["fct_ns"] / r["ideal_fct_ns"]))
             for r in payload["flows"] if r["completed"]]
+
+
+def incomplete_note(payload: dict) -> Optional[str]:
+    """``"incomplete: K/N flows open"`` when ``K`` of the payload's ``N``
+    flow records did not complete (a merge prints it instead of figures
+    that would be a snapshot), else ``None``."""
+    flows = payload["flows"]
+    still_open = sum(1 for r in flows if not r["completed"])
+    return (f"incomplete: {still_open}/{len(flows)} flows open"
+            if still_open else None)
 
 
 def switch_total(payload: dict, field: str) -> int:

@@ -8,6 +8,8 @@ generators) and reads the flow records back for analysis.
 from __future__ import annotations
 
 import importlib
+from collections import defaultdict
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from repro.cc.base import CongestionControl, StaticWindowCc
@@ -19,10 +21,15 @@ from repro.net.pfc import PfcConfig
 from repro.net.routing import make_load_balancer
 from repro.net.switch import SwitchConfig
 from repro.net.topology import Fabric, build_clos, build_direct, build_testbed
+from repro.obs import spans
 from repro.rnic.base import (Flow, Host, HostNic, QueuePair, RnicTransport,
                              TransportConfig)
 from repro.sim.engine import Simulator
 from repro.sim.units import bdp_bytes, serialization_ns
+
+
+#: Events run between the drain loop's checks for open flows.
+DRAIN_CHUNK_EVENTS = 2_000_000
 
 
 def _transport_class(name: str) -> type[RnicTransport]:
@@ -229,21 +236,16 @@ class Network:
                     flow_id=self.spec.seed * 1_000_000 + self._next_flow_id)
         flow.on_complete = on_complete
         self.flows.append(flow)
-        if reuse_qp:
-            qp = self._pair_qps.get((src, dst))
-            if qp is None:
-                qp, peer = RnicTransport.connect(
-                    self.transports[src], self.transports[dst],
-                    cc_a=self._make_cc())
-                qp.entropy = 2 * flow.flow_id
-                peer.entropy = 2 * flow.flow_id + 1
-                self._pair_qps[(src, dst)] = qp
-        else:
+        if spans._active is not None:
+            spans._active.note_flow(flow.flow_id, start_ns)
+        qp = self._pair_qps.get((src, dst)) if reuse_qp else None
+        if qp is None:
             qp, peer = RnicTransport.connect(
                 self.transports[src], self.transports[dst],
                 cc_a=self._make_cc())
             qp.entropy = 2 * flow.flow_id
             peer.entropy = 2 * flow.flow_id + 1
+            self._pair_qps.setdefault((src, dst), qp)
         self.transports[dst].expect_flow(flow)
         if self.fidelity is not None:
             # Hybrid tier: the controller decides fluid vs packet at the
@@ -257,16 +259,50 @@ class Network:
                           lambda: self.transports[src].post_flow(qp, flow))
         return flow
 
+    def open_rows(self, rows: Sequence[Sequence]) -> list[Optional[Flow]]:
+        """Open rows ``[src, dst, size_bytes, start_ns, tag?, after?]``.
+
+        A row with ``after`` opens when that earlier row's flow completes
+        at its receiver, at that moment rather than at its ``start_ns``,
+        on the QP its (src, dst) pair already holds.  Returns one flow
+        slot per row; a chained row not opened (yet) holds ``None``."""
+        opened: list[Optional[Flow]] = [None] * len(rows)
+        successors: defaultdict[int, list[int]] = defaultdict(list)
+        for i, row in enumerate(rows):
+            if len(row) > 5:
+                if not 0 <= row[5] < i:
+                    raise ValueError(f"row {i}: after={row[5]} does not "
+                                     f"name an earlier row")
+                successors[row[5]].append(i)
+
+        def open_row(i: int) -> None:
+            src, dst, size, start, *rest = rows[i]
+            chained = len(rest) > 1
+            opened[i] = self.open_flow(
+                int(src), int(dst), int(size),
+                self.sim.now if chained else int(start),
+                tag=str(rest[0]) if rest else "", reuse_qp=chained,
+                on_complete=(partial(open_successors, i)
+                             if i in successors else None))
+
+        def open_successors(i: int, _flow: Flow) -> None:
+            for k in successors[i]:
+                open_row(k)
+
+        for i, row in enumerate(rows):
+            if len(row) <= 5:
+                open_row(i)
+        return opened
+
     # ----------------------------------------------------------------- run
-    def run_until_flows_done(self, flows: Optional[Sequence[Flow]] = None,
-                             max_events: int = 500_000_000,
+    def run_until_flows_done(self, max_events: int = 500_000_000,
                              settle_ns: int = 0) -> None:
-        """Run until every flow in ``flows`` (default: all) completes."""
-        flows = list(flows if flows is not None else self.flows)
+        """Run until every flow completes, those that completion
+        callbacks open mid-run (chained rows) included."""
         budget = max_events
-        while budget > 0 and any(not f.completed for f in flows):
+        while budget > 0 and any(not f.completed for f in self.flows):
             before = self.sim.events_processed
-            self.sim.run(max_events=min(budget, 2_000_000))
+            self.sim.run(max_events=min(budget, DRAIN_CHUNK_EVENTS))
             consumed = self.sim.events_processed - before
             if consumed == 0:
                 break

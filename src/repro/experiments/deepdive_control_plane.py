@@ -59,8 +59,7 @@ def run_point(spec: NetworkSpec, params: dict) -> dict[str, Any]:
         ctrl_series = sampler.watch("ctrl_q",
                                     lambda: victim_port.queues[1].bytes)
         sampler.start(until_ns=5_000_000)
-        flows = [net.open_flow(int(s), int(d), int(size), int(start))
-                 for s, d, size, start in params["flows"]]
+        flows = net.open_rows(params["flows"])
         net.run_until_flows_done(max_events=int(params["max_events"]))
         sampler.stop()
         cfg = victim_leaf.config

@@ -9,11 +9,12 @@ PFC for AllReduce, 5-46% for AllToAll).
 
 from __future__ import annotations
 
-from repro.analysis.fct import percentile
+from repro.analysis.fct import incomplete_note, percentile
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
+from repro.workload.collective import collective_rows, group_jcts
 
 SCHEMES = (
     ("pfc-ecmp", "gbn", "ecmp"),
@@ -23,7 +24,7 @@ SCHEMES = (
 )
 KINDS = ("allreduce", "alltoall")
 
-POINT_RUNNER = "repro.runner.points.simulate_collectives"
+POINT_RUNNER = "repro.runner.points.simulate_flows"
 
 
 def sweep(p: ScalePreset, fidelity: str = "packet") -> list[SweepPoint]:
@@ -40,8 +41,8 @@ def sweep(p: ScalePreset, fidelity: str = "packet") -> list[SweepPoint]:
                 num_leaves=p.num_leaves, num_spines=p.num_spines,
                 link_rate=p.link_rate, lb=lb, seed=71,
                 buffer_bytes=p.buffer_bytes, fidelity=fidelity)
-            params = {"kind": kind, "tag": kind, "groups": groups,
-                      "total_bytes": p.collective_bytes,
+            params = {"flows": collective_rows(kind, groups,
+                                               p.collective_bytes),
                       "max_events": 300_000_000}
             points.append(SweepPoint(f"{kind}-{label}", spec, params))
     return points
@@ -65,16 +66,19 @@ def merge(payloads: list, p: ScalePreset,
     for kind in KINDS:
         for label, _transport, _lb in SCHEMES:
             payload = next(it)
-            jcts = payload["jcts_ns"]
-            result.rows.append({
-                "collective": kind,
-                "scheme": label,
-                "mean_jct_ms": sum(jcts) / len(jcts) / 1e6,
-                "max_jct_ms": max(jcts) / 1e6,
-                "p95_fct_ms": percentile(payload["fcts_ns"], 95) / 1e6,
-                "timeouts": payload["timeouts"],
-                "retx": payload["retx"],
-            })
+            flows = payload["flows"]
+            # A point with a flow open prints that instead of its JCTs.
+            row = {"collective": kind, "scheme": label,
+                   "mean_jct_ms": incomplete_note(payload)}
+            result.rows.append(row)
+            if row["mean_jct_ms"] is None:
+                jcts = group_jcts(flows)
+                fcts = [f["fct_ns"] for f in flows]
+                row.update(mean_jct_ms=sum(jcts) / len(jcts) / 1e6,
+                           max_jct_ms=max(jcts) / 1e6,
+                           p95_fct_ms=percentile(fcts, 95) / 1e6,
+                           timeouts=sum(f["timeouts"] for f in flows),
+                           retx=sum(f["retx_pkts"] for f in flows))
         result.rows.append({
             "collective": kind,
             "scheme": "ideal",

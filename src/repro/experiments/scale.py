@@ -9,21 +9,26 @@ host count with the fidelity tier (``packet`` | ``hybrid``,
 full-grid run stays inside a CI budget, and the merge extrapolates the
 packet cost linearly to score the hybrid speedup at scale.
 
-Caveat: ``wall_s`` is measured inside the point runner
-(:func:`repro.runner.points.simulate_collectives`), so it rides the
-result cache like any other payload field — a cached replay reports the
-wall time of the run that *produced* the entry.  That is deliberate:
-cached experiment reruns should not overwrite a real measurement with a
-near-zero one; pass ``--no-cache`` to measure afresh.
+Caveat: ``wall_s`` is measured by :func:`run_point` (the one point
+runner that reads a clock), so it rides the result cache like any other
+payload field — a cached replay reports the wall time of the run that
+*produced* the entry.  That is deliberate: cached experiment reruns
+should not overwrite a real measurement with a near-zero one; pass
+``--no-cache`` to measure afresh.
 """
 
 from __future__ import annotations
 
+import time
+from statistics import fmean
+
+from repro.analysis.fct import incomplete_note
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
+from repro.workload.collective import collective_rows, group_jcts
 
-POINT_RUNNER = "repro.runner.points.simulate_collectives"
+POINT_RUNNER = "repro.experiments.scale.run_point"
 
 #: Host grid per preset.  Hybrid runs the whole grid; packet mode stops
 #: at PACKET_MAX_HOSTS and the merge extrapolates beyond it.
@@ -50,13 +55,22 @@ def point_spec(p, fidelity: str, hosts: int) -> tuple[NetworkSpec, dict]:
         num_spines=max(2, leaves // 2),
         link_rate=p.link_rate, buffer_bytes=p.buffer_bytes,
         seed=73, fidelity=fidelity)
-    params = {"kind": "allreduce", "tag": "allreduce",
-              "groups": [list(range(g * HOSTS_PER_LEAF,
-                                    (g + 1) * HOSTS_PER_LEAF))
-                         for g in range(leaves)],
-              "total_bytes": p.collective_bytes,
+    groups = [list(range(g * HOSTS_PER_LEAF, (g + 1) * HOSTS_PER_LEAF))
+              for g in range(leaves)]
+    params = {"flows": collective_rows("allreduce", groups,
+                                       p.collective_bytes),
               "max_events": 400_000_000}
     return spec, params
+
+
+def run_point(spec: NetworkSpec, params: dict) -> dict:
+    """:func:`~repro.runner.points.simulate_flows` plus the cell and
+    ``wall_s``, the wall time it took (network build plus run)."""
+    from repro.runner.points import simulate_flows  # no simulator on replay
+    t0 = time.perf_counter()
+    payload = simulate_flows(spec, params)
+    return {**payload, "wall_s": time.perf_counter() - t0,
+            "hosts": spec.num_hosts, "fidelity": spec.fidelity}
 
 
 def sweep(p) -> list[SweepPoint]:
@@ -87,8 +101,10 @@ def merge(payloads, p) -> ExperimentResult:
             "events": pl["events"],
             "events_per_sec": pl["events"] / pl["wall_s"]
             if pl["wall_s"] > 0 else float("inf"),
-            "flows": pl["flows"],
-            "mean_jct_ms": sum(pl["jcts_ns"]) / len(pl["jcts_ns"]) / 1e6,
+            "flows": len(pl["flows"]),
+            # A group with a flow open has no JCT.
+            "mean_jct_ms": (incomplete_note(pl)
+                            or fmean(group_jcts(pl["flows"])) / 1e6),
         }
         if pl["fidelity"] == "hybrid":
             fluid = pl.get("fluid") or {}

@@ -11,7 +11,7 @@ host count allows.
 
 from __future__ import annotations
 
-from repro.analysis.fct import switch_total
+from repro.analysis.fct import incomplete_note, switch_total
 from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
 from repro.core.header import ho_data_size_ratio, wrr_weight
 from repro.experiments.presets import ScalePreset
@@ -65,10 +65,6 @@ def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
                 ho_total = switch_total(payload, "ho_enqueued")
                 ho_lost = switch_total(payload, "ho_dropped")
                 total = max(1, ho_total + ho_lost)
-                # A point that stopped at ``max_events`` has flows still
-                # open: its counts are a snapshot, not a loss ratio.
-                flows = payload["flows"]
-                open_flows = sum(1 for f in flows if not f["completed"])
                 result.rows.append({
                     "N": radix,
                     "incast": f"{fan}-to-1",
@@ -77,9 +73,10 @@ def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
                         wrr_weight(radix, ho_data_size_ratio()), 2),
                     "ho_packets": ho_total,
                     "ho_lost": ho_lost,
-                    "loss_ratio": (
-                        f"incomplete: {open_flows}/{len(flows)} flows open"
-                        if open_flows else f"{ho_lost / total:.3%}"),
+                    # A point that stopped at ``max_events`` has flows
+                    # still open: its counts are a snapshot, not a ratio.
+                    "loss_ratio": (incomplete_note(payload)
+                                   or f"{ho_lost / total:.3%}"),
                 })
     result.notes = ("paper: 0% everywhere except N=16, 255:1, no CC "
                     "(0.16%); CC removes all HO loss")

@@ -1,16 +1,16 @@
 """Reusable point runners: module-level ``fn(spec, params) -> payload``.
 
 Point runners execute inside pool workers, so they live at module level
-(picklable by dotted path) and must return JSON-safe payloads.  Two
-generic runners cover nearly every experiment: :func:`simulate_flows`
-("open N flows, drain, report per-flow stats": the flow-driven figures,
-campaigns, the conformance suite) and :func:`simulate_collectives`
-("start one collective per member group, report JCTs": fig12, fig14,
-scale).  A figure-specific runner lives next to its experiment module
-(deepdive's queue sampler).  This module only writes payloads: a
-figure's ``merge`` reads a :func:`simulate_flows` payload back with
-:func:`repro.analysis.fct.slowdowns` and
-:func:`repro.analysis.fct.switch_total`, which a cache replay can
+(picklable by dotted path) and must return JSON-safe payloads.  One
+generic runner covers nearly every experiment: :func:`simulate_flows`
+("open these flow rows, drain, report per-flow stats": the flow-driven
+figures, the collectives of fig12/fig14/scale as chained rows,
+campaigns, the conformance suite).  A figure-specific runner lives next
+to its experiment module: deepdive's queue sampler, and scale's wrapper
+that adds the wall time.  This module only writes payloads: a figure's
+``merge`` reads a :func:`simulate_flows` payload back with
+:mod:`repro.analysis.fct` (slowdowns, switch totals, open flows) and
+:func:`repro.workload.collective.group_jcts`, which a cache replay can
 import without the simulator.
 
 Telemetry: every point carries a ``metrics`` payload (counters are
@@ -41,7 +41,6 @@ across workers.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Optional, Sequence
 
 from repro.analysis.fct import goodput_gbps
@@ -51,13 +50,10 @@ from repro.obs import registry as metrics
 from repro.obs import spans
 from repro.obs.registry import Gauge, MetricsRegistry
 from repro.rnic.base import Flow
-from repro.workload.collective import AllToAll, RingAllReduce
 
 #: Fixed FCT histogram buckets (microseconds): sub-RTT to multi-ms tail.
 FCT_US_BOUNDS = (10.0, 30.0, 100.0, 300.0, 1_000.0, 3_000.0, 10_000.0,
                  30_000.0, 100_000.0)
-
-COLLECTIVES = {"allreduce": RingAllReduce, "alltoall": AllToAll}
 
 
 class PointTelemetry:
@@ -150,11 +146,17 @@ def simulate_flows(spec: NetworkSpec, params: dict) -> dict[str, Any]:
          "telemetry": {...}}            # optional, see module docstring
 
     A flow may carry a fifth element, its ``tag`` (a campaign posts its
-    layer name, e.g. ``"bg"``, ``"incast"``).  The payload carries one record per flow, in posting
-    order (FCT and its empty-fabric ideal, goodput, packet and timeout
-    counts, the tag), the events processed, and a ``metrics`` snapshot
-    whose ``switch.<name>.<field>`` counters hold the switch totals —
-    enough for FCT/slowdown analysis without re-running anything.
+    layer name, e.g. ``"bg"``, ``"incast"``), and a sixth, ``after``:
+    the index of an earlier row whose receive completion opens this
+    one, at that moment, on the QP its (src, dst) pair already holds (a
+    ring-AllReduce step, :mod:`repro.workload.collective`).  The payload
+    carries one record per declared row, in row order (FCT and its
+    empty-fabric ideal, goodput, packet and timeout counts, the tag; a
+    chained row that was never posted has ``completed: False``,
+    ``start_ns`` and ``fct_ns`` None), the events processed, and a
+    ``metrics`` snapshot whose ``switch.<name>.<field>`` counters hold
+    the switch totals — enough for FCT/slowdown and JCT analysis without
+    re-running anything.
 
     ``chaos`` is a declarative failure scenario
     (:mod:`repro.chaos.scenarios`), applied to the built network before
@@ -168,7 +170,8 @@ def simulate_flows(spec: NetworkSpec, params: dict) -> dict[str, Any]:
     (``telemetry.sample_interval_ns > 0``, the CLI's
     ``--sample-interval-ns``) adds a series for every other registered
     gauge — switch queue depths, port busy time, NIC counters — at the
-    asked cadence, on chaos and plain points alike.
+    asked cadence, on chaos and plain points alike.  A chaos point takes
+    no chained rows: recovery is read per row from t=0.
     """
     with PointTelemetry(params) as tel:
         net = tel.network(spec)
@@ -180,15 +183,13 @@ def simulate_flows(spec: NetworkSpec, params: dict) -> dict[str, Any]:
             # which most points never need.
             from repro.chaos.scenarios import apply_scenario
             injector = apply_scenario(net, chaos_cfg)
-        flows = [net.open_flow(int(src), int(dst), int(size), int(start),
-                               tag=str(tag[0]) if tag else "")
-                 for src, dst, size, start, *tag in params["flows"]]
-        if tel.tracker is not None:
-            for f in flows:
-                tel.tracker.note_flow(f.flow_id, f.start_ns)
+        rows = params["flows"]
+        flows = net.open_rows(rows)
         interval_ns = tel.interval_ns
         watched = None      # the user asked for sampling: every gauge
         if chaos_cfg:
+            if None in flows:
+                raise ValueError("a chaos point takes no chained rows")
             # Receiver-side delivery progress per flow — the raw series
             # the recovery-time metric is computed from.  Registered
             # before the sampler so it watches them from t=0.
@@ -207,7 +208,19 @@ def simulate_flows(spec: NetworkSpec, params: dict) -> dict[str, Any]:
             max_events=int(params.get("max_events", 20_000_000)),
             settle_ns=int(params.get("settle_ns", 0)))
         records = []
-        for f in flows:
+        for row, f in zip(rows, flows):
+            if f is None:
+                # A chained row whose predecessor never completed.
+                src, dst, size = (int(v) for v in row[:3])
+                records.append({
+                    "src": src, "dst": dst, "size_bytes": size,
+                    "start_ns": None, "tag": str(row[4]),
+                    "completed": False, "fct_ns": None,
+                    "ideal_fct_ns": net.fabric.ideal_fct_ns(src, dst, size),
+                    "goodput_gbps": 0.0, "rx_bytes": 0,
+                    "data_pkts_sent": 0, "retx_pkts": 0, "timeouts": 0,
+                    "dup_pkts_received": 0})
+                continue
             if f.completed:
                 fct_hist.observe(f.fct_ns() / 1000.0)
             records.append({
@@ -229,48 +242,10 @@ def simulate_flows(spec: NetworkSpec, params: dict) -> dict[str, Any]:
             })
         payload: dict[str, Any] = {
             "flows": records, "events": net.sim.events_processed,
-            "end_ns": net.sim.now, **tel.report(net, flows),
+            "end_ns": net.sim.now, **tel.report(net, net.flows),
         }
         if injector is not None:
             from repro.chaos.recovery import chaos_summary
             payload["chaos"] = chaos_summary(net, injector, chaos_cfg,
                                              flows, tel.registry)
         return payload
-
-
-def simulate_collectives(spec: NetworkSpec, params: dict) -> dict[str, Any]:
-    """Start one collective per member group together; report JCTs.
-
-    ``params``: ``kind`` (``"allreduce"`` | ``"alltoall"``), ``groups``
-    (one member list per collective), ``tag`` (flow tags become
-    ``<tag>.g<group>``), ``total_bytes`` per collective, ``max_events``
-    and the optional ``telemetry``.  The payload carries each group's
-    JCT (``jcts_ns``), every flow's FCT (``fcts_ns``, group by group),
-    timeout/retransmission totals and ``wall_s`` — build plus run, which
-    rides the cache: a replay reports the run that made the entry.
-    """
-    t0 = time.perf_counter()
-    with PointTelemetry(params) as tel:
-        net = tel.network(spec)
-        collective = COLLECTIVES[params["kind"]]
-        groups = [collective(net, members, params["total_bytes"],
-                             tag=f"{params['tag']}.g{g}").start()
-                  for g, members in enumerate(params["groups"])]
-        if tel.interval_ns > 0:
-            tel.sample(net, tel.interval_ns)
-        net.run_until_flows_done(
-            max_events=int(params.get("max_events", 400_000_000)))
-        wall_s = time.perf_counter() - t0
-        return {
-            "hosts": spec.num_hosts,
-            "fidelity": spec.fidelity,
-            "wall_s": wall_s,
-            "events": net.sim.events_processed,
-            "flows": len(net.flows),
-            "incomplete": sum(1 for f in net.flows if not f.completed),
-            "jcts_ns": [g.jct_ns() for g in groups],
-            "fcts_ns": [fct for g in groups for fct in g.fcts_ns()],
-            "timeouts": sum(f.stats.timeouts for f in net.flows),
-            "retx": sum(f.stats.retx_pkts_sent for f in net.flows),
-            **tel.report(net, net.flows),
-        }

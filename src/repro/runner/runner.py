@@ -154,10 +154,11 @@ class ExperimentRunner:
                 method = self.mp_method or next(
                     m for m in _MP_METHODS
                     if m in multiprocessing.get_all_start_methods())
-                # Load the point runner's module (and through it the
-                # simulator) once, before forking, so every worker
-                # inherits it instead of importing it again.
+                # Load the point runner and the simulator once, before
+                # forking, so every worker inherits them instead of
+                # importing them again.
                 _resolve(point_runner)
+                importlib.import_module("repro.runner.points")
                 ctx = multiprocessing.get_context(method)
                 workers = min(self.jobs, len(pending))
                 with ctx.Pool(processes=workers) as pool:

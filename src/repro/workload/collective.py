@@ -1,136 +1,92 @@
-"""Collective-communication workloads: Ring-AllReduce and AllToAll (§6.2).
+"""Collective-communication workloads as flow rows (§6.2).
 
 Both collectives are modelled at the flow level, the way the paper's
-NS3 simulation does:
+NS3 simulation does, as :func:`repro.runner.points.simulate_flows` rows:
 
 * **Ring-AllReduce**: the group's total traffic ``T`` is partitioned
   into ``k`` slices.  The algorithm runs ``2(k-1)`` synchronized steps;
   in each step host ``i`` sends one slice (``T/k`` bytes) to its ring
   successor and may only start step ``s+1`` after its step-``s``
-  receive completes.
+  receive completes: that row's ``after`` names the row it waited for.
 * **AllToAll**: ``T`` is partitioned into ``k`` slices and every member
   sends one slice to every other member, all at once.
 
 The *job completion time* (JCT) of a group is the completion time of
 its last flow; AI workloads are synchronized, so one straggler flow
-delays the whole collective (Fig 14's explanation).
+delays the whole collective (Fig 14's explanation).  Harness-side: no
+simulator is loaded to declare rows or read JCTs back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import re
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.experiments.common import Network
-from repro.rnic.base import Flow
-
-
-@dataclass
-class CollectiveResult:
-    """Flows and timing of one collective operation."""
-
-    group: list[int]
-    flows: list[Flow] = field(default_factory=list)
-    start_ns: int = 0
-
-    def jct_ns(self) -> int:
-        """Completion time of the slowest flow, relative to the start."""
-        if not self.flows:
-            raise ValueError("collective produced no flows")
-        incomplete = [f for f in self.flows if not f.completed]
-        if incomplete:
-            raise ValueError(f"{len(incomplete)} flows still running")
-        return max(f.rx_complete_ns for f in self.flows) - self.start_ns
-
-    def fcts_ns(self) -> list[int]:
-        return [f.fct_ns() for f in self.flows]
+if TYPE_CHECKING:
+    from repro.experiments.common import Network
+    from repro.rnic.base import Flow
 
 
-class RingAllReduce:
-    """Ring-AllReduce over one group of hosts."""
-
-    def __init__(self, net: Network, group: list[int], total_bytes: int,
-                 start_ns: int = 0, tag: str = "allreduce") -> None:
-        if len(group) < 2:
-            raise ValueError("a ring needs at least two members")
-        self.net = net
-        self.group = list(group)
-        self.k = len(group)
-        self.slice_bytes = max(1, total_bytes // self.k)
-        self.steps = 2 * (self.k - 1)
-        self.tag = tag
-        self.result = CollectiveResult(group=list(group), start_ns=start_ns)
-        self._start_ns = start_ns
-
-    def start(self) -> CollectiveResult:
-        for idx in range(self.k):
-            self._launch_step(idx, step=0)
-        return self.result
-
-    def _launch_step(self, sender_idx: int, step: int) -> None:
-        if step >= self.steps:
-            return
-        src = self.group[sender_idx]
-        dst = self.group[(sender_idx + 1) % self.k]
-        start = self._start_ns if step == 0 else self.net.sim.now
-
-        def advance(_flow: Flow, idx=sender_idx, s=step) -> None:
-            # The *receiver* of this flow has finished step s; it may now
-            # transmit its step s+1 slice.
-            self._launch_step((idx + 1) % self.k, s + 1)
-
-        flow = self.net.open_flow(src, dst, self.slice_bytes, start,
-                                  tag=f"{self.tag}.s{step}", reuse_qp=True,
-                                  on_complete=advance)
-        self.result.flows.append(flow)
-
-
-class AllToAll:
-    """Full-mesh shuffle over one group of hosts."""
-
-    def __init__(self, net: Network, group: list[int], total_bytes: int,
-                 start_ns: int = 0, tag: str = "alltoall") -> None:
-        if len(group) < 2:
-            raise ValueError("alltoall needs at least two members")
-        self.net = net
-        self.group = list(group)
-        self.slice_bytes = max(1, total_bytes // len(group))
-        self.tag = tag
-        self.result = CollectiveResult(group=list(group), start_ns=start_ns)
-        self._start_ns = start_ns
-
-    def start(self) -> CollectiveResult:
-        for src in self.group:
-            for dst in self.group:
-                if src == dst:
-                    continue
-                flow = self.net.open_flow(src, dst, self.slice_bytes,
-                                          self._start_ns, tag=self.tag,
-                                          reuse_qp=True)
-                self.result.flows.append(flow)
-        return self.result
+def collective_rows(kind: str, groups: Sequence[Sequence[int]],
+                    total_bytes: int, tag: str = "",
+                    start_ns: int = 0) -> list[list]:
+    """Rows for one ``kind`` (``"allreduce"`` | ``"alltoall"``)
+    collective per member list, all starting at ``start_ns``.  Flow tags
+    are ``<tag>.g<group>`` (``tag`` defaults to ``kind``), plus
+    ``.s<step>`` on a ring step."""
+    if kind not in ("allreduce", "alltoall"):
+        raise ValueError(f"unknown collective {kind!r}")
+    rows: list[list] = []
+    for g, members in enumerate(groups):
+        k = len(members)
+        if k < 2:
+            raise ValueError(f"{kind} needs at least two members")
+        size = max(1, total_bytes // k)
+        name = f"{tag or kind}.g{g}"
+        if kind == "alltoall":
+            rows.extend([src, dst, size, start_ns, name]
+                        for src in members for dst in members if src != dst)
+            continue
+        ring = [(members[i], members[(i + 1) % k]) for i in range(k)]
+        first = len(rows)
+        rows.extend([src, dst, size, start_ns, f"{name}.s0"]
+                    for src, dst in ring)
+        for step in range(1, 2 * (k - 1)):
+            # Sender i's step waits for the previous step's row into i.
+            prev, tag_s = first + (step - 1) * k, f"{name}.s{step}"
+            rows.extend([src, dst, size, start_ns, tag_s, prev + (i - 1) % k]
+                        for i, (src, dst) in enumerate(ring))
+    return rows
 
 
 def run_grouped_collectives(net: Network, kind: str, num_groups: int,
                             group_size: int, total_bytes: int,
-                            start_ns: int = 0) -> list[CollectiveResult]:
-    """Launch one collective per group, all starting simultaneously.
-
-    Groups are contiguous host ranges (hosts 0..group_size-1 are group
-    0, etc.), matching the paper's 16-servers-per-group arrangement.
-    """
+                            start_ns: int = 0) -> list[Optional[Flow]]:
+    """Open one collective per group of contiguous hosts (the paper's
+    16-servers-per-group arrangement) on ``net``, all starting together;
+    returns ``net.open_rows``'s per-row flow slots."""
     if num_groups * group_size > net.spec.num_hosts:
         raise ValueError("not enough hosts for the requested groups")
-    results = []
-    for g in range(num_groups):
-        group = list(range(g * group_size, (g + 1) * group_size))
-        if kind == "allreduce":
-            coll = RingAllReduce(net, group, total_bytes, start_ns,
-                                 tag=f"allreduce.g{g}")
-        elif kind == "alltoall":
-            coll = AllToAll(net, group, total_bytes, start_ns,
-                            tag=f"alltoall.g{g}")
-        else:
-            raise ValueError(f"unknown collective {kind!r}")
-        results.append(coll.start())
-    return results
+    groups = [range(g * group_size, (g + 1) * group_size)
+              for g in range(num_groups)]
+    return net.open_rows(collective_rows(kind, groups, total_bytes,
+                                         start_ns=start_ns))
+
+
+def group_jcts(records: Sequence[dict]) -> list[int]:
+    """Each group's JCT from per-flow records, in first-row order: the
+    latest ``start_ns + fct_ns`` of the records whose tag (without
+    ``.s<step>``) names the group, minus their earliest start.  A group
+    with a flow open or never posted has none: :class:`ValueError`."""
+    groups: dict[str, list[dict]] = {}
+    for rec in records:
+        name = re.sub(r"\.s\d+$", "", rec["tag"])
+        groups.setdefault(name, []).append(rec)
+    jcts = []
+    for name, recs in groups.items():
+        still_open = sum(1 for r in recs if not r["completed"])
+        if still_open:
+            raise ValueError(f"{name}: {still_open} flows still running")
+        jcts.append(max(r["start_ns"] + r["fct_ns"] for r in recs)
+                    - min(r["start_ns"] for r in recs))
+    return jcts

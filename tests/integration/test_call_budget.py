@@ -35,7 +35,7 @@ from collections import Counter
 
 import repro
 from repro.experiments.common import Network, NetworkSpec
-from repro.workload.collective import run_grouped_collectives
+from repro.workload.collective import collective_rows
 
 _REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
 _MTU = 1_000
@@ -70,7 +70,8 @@ def _calls_per_packet(net: Network) -> tuple[float, Counter]:
 
 def test_dcp_ar_allreduce_calls_per_packet():
     net = _clos16("dcp", "ar")
-    run_grouped_collectives(net, "allreduce", 2, 8, 80_000)
+    net.open_rows(collective_rows("allreduce", [range(8), range(8, 16)],
+                                  80_000))
     per_packet, by_layer = _calls_per_packet(net)
     assert per_packet <= 30.0, (per_packet, dict(by_layer))
 

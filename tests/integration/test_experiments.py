@@ -94,6 +94,41 @@ def test_table5_names_the_open_flows_of_an_unfinished_point():
         "0.000%"}
 
 
+@pytest.mark.parametrize("key", ["fig12", "fig14", "scale"])
+def test_a_collective_point_with_open_flows_reports_them(key):
+    # A group whose flows did not all complete (a ring step never
+    # posted, or the budget ran out) has no JCT: the merge names the
+    # open flows instead of raising; finished points keep their JCTs.
+    from repro.experiments.presets import get_preset
+    from repro.experiments.registry import get_entry
+
+    mod = get_entry(key).load_module()
+    quick = get_preset("quick")
+    points = mod.sweep(quick)
+
+    def payload(point, open_rows=0):
+        rows = point.params["flows"]
+        flows = [{"tag": row[4], "completed": True, "start_ns": 0,
+                  "fct_ns": 1_000_000 + i, "timeouts": 0, "retx_pkts": 0}
+                 for i, row in enumerate(rows)]
+        for rec in flows[len(flows) - open_rows:]:
+            rec.update(completed=False, start_ns=None, fct_ns=None)
+        return {"flows": flows, "events": 10, "wall_s": 0.5,
+                "hosts": point.spec.num_hosts,
+                "fidelity": point.spec.fidelity,
+                "fluid": {"fluid_flows": 0, "escalations": 0}}
+
+    payloads = [payload(pt) for pt in points]
+    payloads[1] = payload(points[1], open_rows=3)
+    rows = [r for r in mod.merge(payloads, quick).rows
+            if r.get("scheme") != "ideal"]
+    assert len(rows) == len(points)
+    total = len(points[1].params["flows"])
+    assert rows[1]["mean_jct_ms"] == f"incomplete: 3/{total} flows open"
+    assert all(isinstance(r["mean_jct_ms"], float)
+               for i, r in enumerate(rows) if i != 1)
+
+
 def test_result_table_formatting():
     r = ExperimentResult("x", "demo",
                          rows=[{"a": 1, "b": 2.5}, {"a": 3, "c": "z"}])

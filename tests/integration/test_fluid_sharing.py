@@ -13,7 +13,7 @@ from types import SimpleNamespace
 from repro.experiments.common import build_network
 from repro.sim import fidelity
 from repro.sim.fidelity import SCHEDULE_MEMO_BOUND, FluidTimeline
-from repro.workload.collective import run_grouped_collectives
+from repro.workload.collective import collective_rows
 
 
 def _count_constructions(monkeypatch) -> list:
@@ -39,7 +39,8 @@ def test_one_timeline_per_key_on_a_64_host_allreduce(monkeypatch):
     net = build_network(transport="dcp", lb="ar", cc="none", topology="clos",
                         num_hosts=64, num_leaves=8, num_spines=4,
                         link_rate=10.0, seed=73, fidelity="hybrid")
-    run_grouped_collectives(net, "allreduce", 8, 8, 400_000)
+    net.open_rows(collective_rows(
+        "allreduce", [range(g * 8, (g + 1) * 8) for g in range(8)], 400_000))
     net.run_until_flows_done(max_events=10_000_000)
     ctrl, fab = net.fidelity, net.fabric
     assert ctrl.fluid_flows == len(net.flows) == 896

@@ -25,9 +25,10 @@ from repro.experiments import fig8_basic_perf as fig8
 from repro.experiments import fig13_websearch as fig13
 from repro.experiments.common import build_network
 from repro.experiments.presets import get_preset
-from repro.runner.points import simulate_collectives, simulate_flows
+from repro.experiments.spec import NetworkSpec
+from repro.runner.points import simulate_flows
 from repro.sim.fidelity import FLUID_TRANSPORTS
-from repro.workload.collective import run_grouped_collectives
+from repro.workload.collective import collective_rows, group_jcts
 
 
 def _rel_diff(hybrid: float, packet: float) -> float:
@@ -101,14 +102,15 @@ def test_collective_jct_within_tolerance():
     model does not — DESIGN.md records this as accepted divergence).
     """
     jcts = {}
+    rows = collective_rows("allreduce", [range(8), range(8, 16)], 400_000)
     for fidelity in ("packet", "hybrid"):
-        net = build_network(
+        spec = NetworkSpec(
             transport="dcp", lb="ar", topology="clos", num_hosts=16,
             num_leaves=2, num_spines=2, link_rate=10.0, seed=73,
             fidelity=fidelity)
-        groups = run_grouped_collectives(net, "allreduce", 2, 8, 400_000)
-        net.run_until_flows_done(max_events=100_000_000)
-        jcts[fidelity] = max(g.jct_ns() for g in groups)
+        payload = simulate_flows(spec, {"flows": rows,
+                                        "max_events": 100_000_000})
+        jcts[fidelity] = max(group_jcts(payload["flows"]))
     assert _rel_diff(jcts["hybrid"], jcts["packet"]) < 0.03
 
 
@@ -165,11 +167,11 @@ def test_scale_hybrid_event_stream_pinned(hosts, events, flows):
     from repro.experiments import scale
 
     spec, params = scale.point_spec(get_preset("quick"), "hybrid", hosts)
-    payload = simulate_collectives(spec, params)
+    payload = scale.run_point(spec, params)
     assert payload["events"] == events
-    assert payload["flows"] == flows
-    assert payload["incomplete"] == 0
-    jcts = payload["jcts_ns"]
+    assert len(payload["flows"]) == flows
+    assert all(f["completed"] for f in payload["flows"])
+    jcts = group_jcts(payload["flows"])
     assert round(sum(jcts) / len(jcts) / 1e6, 4) == 0.6413
     assert payload["fluid"]["fluid_flows"] == flows
     assert payload["fluid"]["packet_flows"] == 0

@@ -41,8 +41,8 @@ HARNESS = frozenset({
     "repro.campaigns", "repro.campaigns.compiler",
     "repro.campaigns.library", "repro.campaigns.metrics",
     "repro.campaigns.spec",
-    "repro.workload", "repro.workload.distributions",
-    "repro.workload.flows",
+    "repro.workload", "repro.workload.collective",
+    "repro.workload.distributions", "repro.workload.flows",
     "repro.analysis", "repro.analysis.fct", "repro.analysis.latency",
     "repro.analysis.models", "repro.analysis.resources",
     "repro.core", "repro.core.header", "repro.core.tracking",
@@ -159,9 +159,7 @@ assert "multiprocessing" not in sys.modules
     assert _table(replayed) == _table(populated)
 
 
-def test_parent_loads_the_simulator_before_forking_workers(tmp_path):
-    # Workers inherit what the parent imported; were the simulator not
-    # loaded by then, every worker would import it again.
+def _forks_with_the_simulator_loaded(key: str, points: int, cache) -> None:
     out = _python('''
 import multiprocessing
 from repro.experiments import cli
@@ -175,11 +173,22 @@ def get_context(method=None):
 
 multiprocessing.get_context = get_context
 assert simulator_modules() == []
-assert cli.main(["fig8", "--preset", "quick", "--jobs", "2",
-                 "--cache-dir", sys.argv[1]]) == 0
-''', str(tmp_path / "cache"))
+assert cli.main([sys.argv[1], "--preset", "quick", "--jobs", "2",
+                 "--cache-dir", sys.argv[2]]) == 0
+''', key, str(cache))
     assert "common loaded before the pool: True" in out
-    assert "[runner: 6 simulations executed" in out
+    assert f"[runner: {points} simulations executed" in out
+
+
+def test_parent_loads_the_simulator_before_forking_workers(tmp_path):
+    # Workers inherit what the parent imported; were the simulator not
+    # loaded by then, every worker would import it again.
+    _forks_with_the_simulator_loaded("fig8", 6, tmp_path / "cache")
+
+
+def test_a_figure_runner_outside_points_still_forks_loaded(tmp_path):
+    # scale's own point runner imports the simulator only when it runs.
+    _forks_with_the_simulator_loaded("scale", 4, tmp_path / "cache")
 
 
 @pytest.mark.parametrize("argv", [["repro.obs.schema"],
