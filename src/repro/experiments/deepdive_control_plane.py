@@ -1,7 +1,7 @@
 """Deep dive (§6.3 narrative): watch the control plane absorb an incast.
 
-Samples data-queue and control-queue occupancy at the incast victim's
-leaf port while an N-to-1 burst lands, and reports:
+Reads the exact data-queue and control-queue peaks at the incast
+victim's leaf port after an N-to-1 burst lands, and reports:
 
 * peak data-queue depth vs the trim threshold (trimming engages);
 * peak control-queue depth vs its capacity (HO headroom);
@@ -9,8 +9,8 @@ leaf port while an N-to-1 burst lands, and reports:
 * whether any HO packet was lost.
 
 This is the microscopic view behind Table 5's robustness claim.  Its
-one point runs in :func:`run_point`, which samples the victim port's
-queues alongside the flows.
+one point runs in :func:`run_point`, which reads the victim port's
+queue high-water marks (``max_bytes_seen``, kept on every enqueue).
 """
 
 from __future__ import annotations
@@ -46,26 +46,18 @@ def sweep(p: ScalePreset) -> list[SweepPoint]:
 
 
 def run_point(spec: NetworkSpec, params: dict) -> dict[str, Any]:
-    """Run the incast while sampling the victim port's two queues."""
-    from repro.obs.sampler import MetricsSampler
+    """Run the incast; report the victim port's two queue peaks."""
     from repro.runner.points import PointTelemetry
     with PointTelemetry(params) as tel:
         net = tel.network(spec)
         victim_leaf = net.fabric.switches[0]
         victim_port = victim_leaf.ports[RECEIVER]   # its down port on leaf 0
-        sampler = MetricsSampler(net.sim, None, interval_ns=2_000)
-        data_series = sampler.watch("data_q",
-                                    lambda: victim_port.queues[0].bytes)
-        ctrl_series = sampler.watch("ctrl_q",
-                                    lambda: victim_port.queues[1].bytes)
-        sampler.start(until_ns=5_000_000)
         flows = net.open_rows(params["flows"])
         net.run_until_flows_done(max_events=int(params["max_events"]))
-        sampler.stop()
         cfg = victim_leaf.config
         return {
-            "peak_data_bytes": data_series.max(),
-            "peak_ctrl_bytes": ctrl_series.max(),
+            "peak_data_bytes": victim_port.queues[0].max_bytes_seen,
+            "peak_ctrl_bytes": victim_port.queues[1].max_bytes_seen,
             "trim_threshold_bytes": cfg.trim_threshold_bytes,
             "control_queue_bytes": cfg.control_queue_bytes,
             "trimmed": net.fabric.switch_stats_sum("trimmed"),

@@ -9,7 +9,8 @@ slowdown among them (paper: 5-16% under IRN/MP-RDMA tails).
 
 from __future__ import annotations
 
-from repro.analysis.fct import overall_percentiles, slowdown_bins, slowdowns
+from repro.analysis.fct import (incomplete_note, overall_percentiles,
+                                slowdown_bins, slowdowns)
 from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
@@ -61,7 +62,8 @@ def merge(payloads: list, p: ScalePreset,
                 "load": load,
                 "scheme": label,
                 "flows": len(sds),
-                "p50": stats["p50"],
+                # Percentiles of survivors: say so if a flow is open.
+                "p50": incomplete_note(payload) or stats["p50"],
                 "p95": stats["p95"],
                 "p99": stats["p99"],
                 "large_flow_p95": (max(b.p95 for b in large_bins)

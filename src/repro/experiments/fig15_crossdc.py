@@ -10,7 +10,8 @@ lossless schemes).
 
 from __future__ import annotations
 
-from repro.analysis.fct import overall_percentiles, slowdowns
+from repro.analysis.fct import (incomplete_note, overall_percentiles,
+                                slowdowns)
 from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
 from repro.experiments.fig13_websearch import SCHEMES as _FIG13_SCHEMES
 from repro.experiments.presets import ScalePreset
@@ -72,7 +73,8 @@ def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
                 "distance": dist_label,
                 "scheme": label,
                 "flows": len(sds),
-                "p50": stats["p50"],
+                # Percentiles of survivors: say so if a flow is open.
+                "p50": incomplete_note(payload) or stats["p50"],
                 "p95": stats["p95"],
                 "buffer_mb": _buffer_bytes(transport, p, spine_delay) / 1e6,
                 "timeouts": sum(f["timeouts"] for f in payload["flows"]),

@@ -9,7 +9,8 @@ below MP-RDMA/IRN).  MP-RDMA always runs its native adaptive window.
 
 from __future__ import annotations
 
-from repro.analysis.fct import overall_percentiles, slowdowns, switch_total
+from repro.analysis.fct import (incomplete_note, overall_percentiles,
+                                slowdowns, switch_total)
 from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
@@ -59,7 +60,8 @@ def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
                 "cc": cc,
                 "scheme": transport,
                 "flows": len(sds),
-                "p50": stats["p50"],
+                # Percentiles of survivors: say so if a flow is open.
+                "p50": incomplete_note(payload) or stats["p50"],
                 "p99": stats["p99"],
                 "timeouts": sum(f["timeouts"] for f in payload["flows"]),
                 "trims": switch_total(payload, "trimmed"),

@@ -48,7 +48,11 @@ from typing import Any, Optional
 #: kind (drops, trims, HO, PFC, hop repairs, failures); RIFL hops record
 #: propagation and paused switch ports record pause spans.  Untraced
 #: payloads are unchanged.
-CACHE_VERSION = 12
+#: v13: a fluid flow is two events (launch, completion), so every hybrid
+#: payload's ``events`` shrinks; mixed-regime hybrid points (packets and
+#: fluid flows) re-read the fabric on the controller's own tick, so their
+#: escalation times and answers may move.  Packet payloads are unchanged.
+CACHE_VERSION = 13
 
 
 def default_cache_dir() -> Path:

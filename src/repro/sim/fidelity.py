@@ -45,8 +45,15 @@ that with two cooperating pieces:
   times pass with empty queues and no new signals, *new* flows qualify
   for the fluid tier again.  An escalated flow never returns to fluid.
 
+  A fluid flow costs two events: its launch, and one completion event
+  at ``start_ns + fct_ns`` that credits the whole flow.  The fabric is
+  re-read at every launch and, while a fluid flow is active, by one
+  controller tick per base RTT — but only once the network has built a
+  packet: before that no counter the scan reads can have moved.
+
 Accepted divergence (also stated in DESIGN.md): fluid flows produce
-exact FCTs, goodput, rx_bytes and NIC tx gauges, but their packets
+exact FCTs, goodput and rx_bytes, and their NIC tx gauges and flow
+counters advance once, at completion or escalation; their packets
 never traverse switch counters, and receiver-side ACK bandwidth is not
 modeled (ACKs are ~5 % of reverse-direction capacity at 1000 B MTU).
 """
@@ -69,10 +76,10 @@ FLUID_TRANSPORTS = frozenset({"gbn", "irn", "dcp", "sdr", "timeout",
 #: never throttles an uncontended flow below line rate).
 FLUID_CCS = frozenset({"none", "window"})
 
-#: Most (timeline, quantum rows) pairs a controller keeps for sharing.
-#: A constant, not a tunable: a collective needs a handful, and a
-#: heavy-tailed size distribution must not grow the memo without limit.
-SCHEDULE_MEMO_BOUND = 256
+#: Most timelines a controller keeps for sharing.  A constant, not a
+#: tunable: a collective needs a handful, and a heavy-tailed size
+#: distribution must not grow the memo without limit.
+TIMELINE_MEMO_BOUND = 256
 
 #: Cross-zone fluid flows stay under this share of the zone's parallel
 #: uplinks (the ``zone_utilization`` falsifier, non-ECMP fabrics).
@@ -80,9 +87,6 @@ UTILIZATION_THRESHOLD = 0.85
 #: Quiet base RTTs (empty queues, no congestion signal) before new
 #: flows may run fluid again.
 QUIET_RTTS = 8
-#: Most quanta a fluid flow's deliveries are replayed in; the
-#: controller refreshes once per base RTT and spaces quanta by that.
-MAX_QUANTA = 32
 #: Most decisions kept in :attr:`FidelityController.log`.
 MAX_LOG = 512
 
@@ -199,63 +203,34 @@ class FluidTimeline:
             k = full + 1
         return min(msgs * self._msg_pkts + k, self.total_pkts)
 
-    def sample_schedule(self, max_quanta: int, min_spacing_ns: int
-                        ) -> tuple[tuple[int, int, int, int], ...]:
-        """Quantum rows ``(n, delivery_ns, cum_payload, cum_wire)`` — the
-        evenly spaced checkpoints, always ending at the last packet, that
-        the controller schedules instead of per-packet events.
-
-        The quantum count adapts to the flow: one checkpoint per
-        ``min_spacing_ns`` of delivery time (so short flows get one or
-        two events, not ``max_quanta``), capped at ``max_quanta``.
-        """
-        total = self.total_pkts
-        duration = max(1, self.fct_ns() - self.delivery_ns(1))
-        quanta = min(max_quanta, total, 1 + duration // max(1, min_spacing_ns))
-        step = -(-total // max(1, quanta))
-        return tuple((n, self.delivery_ns(n), self.payload_upto(n),
-                      self.wire_upto(n))
-                     for n in (*range(step, total, step), total))
-
 
 class _FluidFlow:
     """Book-keeping for one flow currently running in the fluid tier."""
 
-    __slots__ = ("flow", "qp", "nic", "start_ns", "timeline", "samples",
-                 "next_sample", "delivered_pkts", "delivered_payload",
-                 "delivered_wire", "tick", "token", "state")
+    __slots__ = ("flow", "qp", "start_ns", "timeline", "token", "state")
 
-    def __init__(self, flow, qp, nic, start_ns: int,
-                 timeline: FluidTimeline,
-                 samples: tuple[tuple[int, int, int, int], ...]) -> None:
+    def __init__(self, flow, qp, start_ns: int,
+                 timeline: FluidTimeline) -> None:
         self.flow = flow
         self.qp = qp
-        self.nic = nic                # the source NIC (tx gauges)
         self.start_ns = start_ns      # what the shared times are relative to
-        self.timeline = timeline      # shared and read-only, like the rows:
-        self.samples = samples        # (n, delivery_ns, payload, wire)
-        self.tick = None              # the flow's one quantum callback
-        self.next_sample = 0
-        self.delivered_pkts = 0
-        self.delivered_payload = 0
-        self.delivered_wire = 0
-        self.token = None
+        self.timeline = timeline      # shared and read-only
+        self.token = None             # the pending completion event
         self.state = "fluid"          # fluid -> escalated | done
 
 
 class _Active:
     """Resource footprint of any in-flight flow (fluid or packet)."""
 
-    __slots__ = ("src", "dst", "src_zone", "dst_zone", "mode", "fluid")
+    __slots__ = ("src", "dst", "src_zone", "dst_zone", "fluid")
 
     def __init__(self, src: int, dst: int, src_zone: int, dst_zone: int,
-                 mode: str, fluid: Optional[_FluidFlow]) -> None:
+                 fluid: Optional[_FluidFlow]) -> None:
         self.src = src
         self.dst = dst
         self.src_zone = src_zone
         self.dst_zone = dst_zone
-        self.mode = mode              # "fluid" | "packet"
-        self.fluid = fluid
+        self.fluid = fluid            # None: on the packet path
 
 
 class FidelityController:
@@ -288,8 +263,8 @@ class FidelityController:
             if net.transports else False
         self._header = (DCP_DATA_HEADER_BYTES if dcp_wire
                         else ROCE_DATA_HEADER_BYTES)
-        # (size, NIC rate, hops, oneway_ns) -> shared (timeline, rows)
-        self._schedules: dict[tuple, tuple] = {}
+        # (size, NIC rate, hops, oneway_ns) -> shared timeline
+        self._timelines: dict[tuple, FluidTimeline] = {}
         # --- resource occupancy ------------------------------------------
         self._active: dict[int, _Active] = {}      # flow_id -> footprint
         self._src_count: dict[int, int] = {}       # host -> active egress flows
@@ -300,6 +275,7 @@ class FidelityController:
         self._zone_in: dict[int, int] = {}         # zone -> cross flows entering
         self._cross_total = 0
         # --- congestion-signal snapshot ----------------------------------
+        self._tick_token = None     # the pending refresh tick, if any
         self._last_refresh_ns = -1
         self._last_signal_ns = -(1 << 62)
         self._last_queued = 0
@@ -364,19 +340,15 @@ class FidelityController:
     def _queued_bytes(self) -> int:
         return sum(sw.buffered_bytes for sw in self.net.fabric.switches)
 
-    def _refresh(self, force: bool = False) -> int:
+    def _refresh(self) -> int:
         """Re-read fabric signals; escalate all fluid flows on new ones.
 
-        Returns the fabric queue occupancy as of the latest scan.
-        Throttled to one scan per ``refresh_ns`` unless ``force``
-        (admissions force, quantum ticks ride the throttle) — and never
+        Returns the fabric queue occupancy as of the latest scan.  Never
         more than one scan per sim instant, so a barrage of same-tick
         launches (collective steps) shares a single fabric sweep.
         """
         now = self.sim.now
-        if (now == self._last_refresh_ns
-                or (not force
-                    and now - self._last_refresh_ns < self.refresh_ns)):
+        if now == self._last_refresh_ns:
             return self._last_queued
         self._last_refresh_ns = now
         queued = self._queued_bytes()
@@ -390,6 +362,33 @@ class FidelityController:
             for ff in list(self._src_fluid.values()):
                 self.escalate(ff, "congestion_signal")
         return queued
+
+    def _arm_tick(self) -> None:
+        """Keep one refresh tick pending while a fluid flow is active in
+        a network that has built a packet.  Called after every launch
+        and tick: only a launch (a packet flow, an escalation) builds a
+        network's first packet, and only a fluid start adds a fluid
+        flow."""
+        if (self._tick_token is None and self._src_fluid
+                and self.sim.packet_seq):
+            self._tick_token = self.sim.schedule(self.refresh_ns, self._tick)
+
+    def _tick(self) -> None:
+        self._tick_token = None
+        self._refresh()
+        self._arm_tick()
+
+    def _drop_fluid(self, ff: _FluidFlow) -> None:
+        """``ff`` no longer holds its hosts; the last one out stops the
+        tick."""
+        flow = ff.flow
+        if self._src_fluid.get(flow.src) is ff:
+            del self._src_fluid[flow.src]
+        if self._dst_fluid.get(flow.dst) is ff:
+            del self._dst_fluid[flow.dst]
+        if not self._src_fluid and self._tick_token is not None:
+            self._tick_token.cancel()
+            self._tick_token = None
 
     # ---------------------------------------------------------- admission
     def _zone_of(self, host: int) -> int:
@@ -429,7 +428,8 @@ class FidelityController:
         return None
 
     def _launch(self, qp, flow) -> None:
-        queued = self._refresh(force=True)
+        # Packet-free, the scan would read the counters it started from.
+        queued = self._refresh() if self.sim.packet_seq else 0
         # A new flow contends with any incumbent fluid flow on either
         # endpoint: the incumbent's idle-path assumption just broke.
         for ff in (self._src_fluid.get(flow.src),
@@ -441,12 +441,12 @@ class FidelityController:
             self._start_fluid(qp, flow)
         else:
             self._start_packet(qp, flow, reason)
+        self._arm_tick()
 
-    def _occupy(self, flow, mode: str,
-                fluid: Optional[_FluidFlow]) -> _Active:
+    def _occupy(self, flow, fluid: Optional[_FluidFlow]) -> _Active:
         src_zone = self._zone_of(flow.src)
         dst_zone = self._zone_of(flow.dst)
-        rec = _Active(flow.src, flow.dst, src_zone, dst_zone, mode, fluid)
+        rec = _Active(flow.src, flow.dst, src_zone, dst_zone, fluid)
         self._active[flow.flow_id] = rec
         self._src_count[flow.src] = self._src_count.get(flow.src, 0) + 1
         self._dst_count[flow.dst] = self._dst_count.get(flow.dst, 0) + 1
@@ -470,10 +470,7 @@ class FidelityController:
             self._zone_in[rec.dst_zone] -= 1
             self._cross_total -= 1
         if rec.fluid is not None:
-            if self._src_fluid.get(rec.src) is rec.fluid:
-                del self._src_fluid[rec.src]
-            if self._dst_fluid.get(rec.dst) is rec.fluid:
-                del self._dst_fluid[rec.dst]
+            self._drop_fluid(rec.fluid)
             if rec.fluid.state == "fluid":
                 rec.fluid.state = "done"
 
@@ -494,77 +491,59 @@ class FidelityController:
         if flow.size_bytes > 0:
             # Zero-size flows never complete (the packet engine posts no
             # messages for them), so they must not pin host resources.
-            self._occupy(flow, "packet", None)
+            self._occupy(flow, None)
         self.net.transports[flow.src].post_flow(qp, flow)
 
     # --------------------------------------------------------- fluid path
-    def schedule_for(self, flow) -> tuple:
-        """The (timeline, quantum rows) ``flow`` runs on in the fluid tier.
+    def timeline_for(self, flow) -> FluidTimeline:
+        """The timeline ``flow`` runs on in the fluid tier.
 
-        Both are start-relative and read-only, so every flow of equal
+        It is start-relative and read-only, so every flow of equal
         (size, NIC rate, store-and-forward hops, one-way delay) shares
-        one pair, kept least-recently-used-first in ``_schedules``.
+        one, kept least-recently-used-first in ``_timelines``.
         """
         fab = self.net.fabric
         nic = self.net.hosts[flow.src].nic
         hops = fab.store_forward_hops(flow.src, flow.dst)
         oneway_ns = fab.base_oneway_ns(flow.src, flow.dst)
         key = (flow.size_bytes, nic.rate, hops, oneway_ns)
-        memo = self._schedules
-        entry = memo.pop(key, None)
-        if entry is None:
+        memo = self._timelines
+        timeline = memo.pop(key, None)
+        if timeline is None:
             timeline = FluidTimeline(flow.size_bytes, self._mtu, self._chunk,
                                      self._header, nic.ser_ns, hops, oneway_ns)
-            entry = (timeline, timeline.sample_schedule(MAX_QUANTA,
-                                                        self.refresh_ns))
-            if len(memo) >= SCHEDULE_MEMO_BOUND:
+            if len(memo) >= TIMELINE_MEMO_BOUND:
                 del memo[next(iter(memo))]
-        memo[key] = entry
-        return entry
+        memo[key] = timeline
+        return timeline
 
     def _start_fluid(self, qp, flow) -> None:
-        ff = _FluidFlow(flow, qp, self.net.hosts[flow.src].nic, self.sim.now,
-                        *self.schedule_for(flow))
-        ff.tick = partial(self._quantum, ff)
+        ff = _FluidFlow(flow, qp, self.sim.now, self.timeline_for(flow))
         self.fluid_flows += 1
-        self._occupy(flow, "fluid", ff)
+        self._occupy(flow, ff)
         self._note(flow, "fluid", "uncontended")
-        self._schedule_quantum(ff)
+        tl = ff.timeline
+        ff.token = self.sim.schedule(
+            tl.fct_ns(), partial(self._advance, ff, tl.total_pkts))
 
-    def _schedule_quantum(self, ff: _FluidFlow) -> None:
-        when = ff.start_ns + ff.samples[ff.next_sample][1]
-        ff.token = self.sim.schedule(max(0, when - self.sim.now), ff.tick)
+    def _advance(self, ff: _FluidFlow, n: int) -> None:
+        """Deliver the flow's first ``n`` packets and sync the gauges.
 
-    def _advance(self, ff: _FluidFlow, n: int, payload_cum: int,
-                 wire_cum: int) -> None:
-        """Deliver everything up to packet ``n`` and sync the gauges."""
-        delta = n - ff.delivered_pkts
-        if delta <= 0:
+        Runs at most once per flow: at its completion event, or when it
+        is escalated (which cancels that event).
+        """
+        if not n:
             return
         flow = ff.flow
-        payload = payload_cum - ff.delivered_payload
-        nic = ff.nic
-        nic.tx_packets += delta
-        nic.tx_bytes += wire_cum - ff.delivered_wire
-        flow.stats.data_pkts_sent += delta
-        flow.stats.acks_received += delta
-        ff.delivered_pkts = n
-        ff.delivered_payload = payload_cum
-        ff.delivered_wire = wire_cum
         tl = ff.timeline
+        nic = self.net.hosts[flow.src].nic
+        nic.tx_packets += n
+        nic.tx_bytes += tl.wire_upto(n)
+        flow.stats.data_pkts_sent += n
+        flow.stats.acks_received += n
         if n == tl.total_pkts:
             flow.tx_complete_ns = ff.start_ns + tl.serialized_ns(n)
-        flow.deliver(payload, self.sim.now)
-
-    def _quantum(self, ff: _FluidFlow) -> None:
-        if ff.state != "fluid":
-            return
-        n, _when, payload_cum, wire_cum = ff.samples[ff.next_sample]
-        ff.next_sample += 1
-        self._advance(ff, n, payload_cum, wire_cum)
-        if ff.state == "fluid" and ff.next_sample < len(ff.samples):
-            self._schedule_quantum(ff)
-        self._refresh()
+        flow.deliver(tl.payload_upto(n), self.sim.now)
 
     def escalate(self, ff: _FluidFlow, reason: str) -> None:
         """Drop a fluid flow to the packet path, mid-flight.
@@ -583,17 +562,12 @@ class FidelityController:
         flow = ff.flow
         self._note(flow, "escalate", reason)
         tl = ff.timeline
-        sent = max(tl.sent_count_by(self.sim.now - ff.start_ns),
-                   ff.delivered_pkts)
-        self._advance(ff, sent, tl.payload_upto(sent), tl.wire_upto(sent))
+        sent = tl.sent_count_by(self.sim.now - ff.start_ns)
+        self._advance(ff, sent)
         rec = self._active.get(flow.flow_id)
         if rec is not None:
-            rec.mode = "packet"
             rec.fluid = None
-        if self._src_fluid.get(flow.src) is ff:
-            del self._src_fluid[flow.src]
-        if self._dst_fluid.get(flow.dst) is ff:
-            del self._dst_fluid[flow.dst]
+        self._drop_fluid(ff)
         if flow.completed:
             return
         remaining = flow.size_bytes - tl.payload_upto(sent)

@@ -273,7 +273,7 @@ def test_v7_cache_entry_is_a_counted_miss_and_rewritten_as_current(tmp_path):
         "scope", [point], robustness.POINT_RUNNER)
     (path,) = (tmp_path / "cache").rglob("*.json")
     envelope = json.loads(path.read_text(encoding="utf-8"))
-    assert envelope["version"] == CACHE_VERSION == 12
+    assert envelope["version"] == CACHE_VERSION == 13
     fresh = path.read_bytes()
     envelope["version"] = 7
     path.write_text(json.dumps(envelope), encoding="utf-8")

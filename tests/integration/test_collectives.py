@@ -201,25 +201,46 @@ def test_drain_waits_for_flows_opened_after_a_chunk(monkeypatch):
 # ------------------------------------------------------ pinned posting
 #: Per quick fig12/fig14/scale point: sha256 over every flow it posts,
 #: ``(flow_id, src, dst, size, start_ns, rx_complete_ns, qp.entropy)``
-#: in posting order, then the event count.  Recorded from the collective
-#: runner these figures had before they declared chained flow rows.
-COLLECTIVE_DIGESTS = {
-    ("fig12", "allreduce-dcp-ar"): "536a9f6caea561fd",
-    ("fig12", "allreduce-cx5-ecmp"): "a0df5d90a4e0bc62",
-    ("fig12", "alltoall-dcp-ar"): "308f62612bc27214",
-    ("fig12", "alltoall-cx5-ecmp"): "32ed0055f279ee02",
-    ("fig14", "allreduce-pfc-ecmp"): "2bc6498da25cb2ab",
-    ("fig14", "allreduce-irn-ar"): "2bc6498da25cb2ab",
-    ("fig14", "allreduce-mp-rdma"): "2bc6498da25cb2ab",
-    ("fig14", "allreduce-dcp-ar"): "0c7ae679db727943",
-    ("fig14", "alltoall-pfc-ecmp"): "387a1d13df8484f4",
-    ("fig14", "alltoall-irn-ar"): "387a1d13df8484f4",
-    ("fig14", "alltoall-mp-rdma"): "5e5d1cb48a27ed99",
-    ("fig14", "alltoall-dcp-ar"): "36ba43677e209f9a",
-    ("scale", "packet-16"): "85431c255c203690",
-    ("scale", "packet-64"): "77acaaa1f6cad524",
-    ("scale", "hybrid-16"): "4fe40c22709906f4",
-    ("scale", "hybrid-64"): "e72d91f5aa9410b0",
+#: in posting order: the answers, which no change to how a point drives
+#: the event engine may move.
+COLLECTIVE_FLOW_DIGESTS = {
+    ("fig12", "allreduce-dcp-ar"): "dabb982f5d61549f",
+    ("fig12", "allreduce-cx5-ecmp"): "f26b8f03e0c8db66",
+    ("fig12", "alltoall-dcp-ar"): "f17af80ac63ee143",
+    ("fig12", "alltoall-cx5-ecmp"): "ccdaef1d6a41240d",
+    ("fig14", "allreduce-pfc-ecmp"): "3d70a2da9a7edbb1",
+    ("fig14", "allreduce-irn-ar"): "3d70a2da9a7edbb1",
+    ("fig14", "allreduce-mp-rdma"): "3d70a2da9a7edbb1",
+    ("fig14", "allreduce-dcp-ar"): "3cbf02e1253982b5",
+    ("fig14", "alltoall-pfc-ecmp"): "cab85b9a7e7bdc8d",
+    ("fig14", "alltoall-irn-ar"): "cab85b9a7e7bdc8d",
+    ("fig14", "alltoall-mp-rdma"): "6fedef4dc2591aba",
+    ("fig14", "alltoall-dcp-ar"): "0ce86a1f6ea3554b",
+    ("scale", "packet-16"): "c4920baf38213415",
+    ("scale", "packet-64"): "1ec71b4989ad89ec",
+    ("scale", "hybrid-16"): "6aac5d4f1d1aca44",
+    ("scale", "hybrid-64"): "7c7891650be56cca",
+}
+
+#: ... and what each point costs the event engine: the model, not the
+#: answer.  A hybrid point is two events per fluid flow.
+COLLECTIVE_EVENTS = {
+    ("fig12", "allreduce-dcp-ar"): 30_048,
+    ("fig12", "allreduce-cx5-ecmp"): 49_578,
+    ("fig12", "alltoall-dcp-ar"): 16_024,
+    ("fig12", "alltoall-cx5-ecmp"): 25_624,
+    ("fig14", "allreduce-pfc-ecmp"): 38_448,
+    ("fig14", "allreduce-irn-ar"): 38_448,
+    ("fig14", "allreduce-mp-rdma"): 38_448,
+    ("fig14", "allreduce-dcp-ar"): 23_088,
+    ("fig14", "alltoall-pfc-ecmp"): 19_224,
+    ("fig14", "alltoall-irn-ar"): 19_224,
+    ("fig14", "alltoall-mp-rdma"): 19_224,
+    ("fig14", "alltoall-dcp-ar"): 11_544,
+    ("scale", "packet-16"): 53_984,
+    ("scale", "packet-64"): 215_936,
+    ("scale", "hybrid-16"): 448,
+    ("scale", "hybrid-64"): 1_792,
 }
 
 
@@ -241,7 +262,7 @@ def test_collective_points_post_the_pinned_flows(monkeypatch):
     monkeypatch.setattr(RnicTransport, "post_flow", post_flow)
     monkeypatch.setattr(fidelity.FidelityController, "register", register)
     monkeypatch.setattr(points.PointTelemetry, "network", network)
-    got = {}
+    got, events = {}, {}
     for key in ("fig12", "fig14", "scale"):
         mod = get_entry(key).load_module()
         for point in mod.sweep(get_preset("quick")):
@@ -254,6 +275,7 @@ def test_collective_points_post_the_pinned_flows(monkeypatch):
                 digest.update(repr((f.flow_id, f.src, f.dst, f.size_bytes,
                                     f.start_ns, f.rx_complete_ns,
                                     entropy[f.flow_id])).encode())
-            digest.update(b"events=%d" % net.sim.events_processed)
             got[key, point.point_id] = digest.hexdigest()[:16]
-    assert got == COLLECTIVE_DIGESTS
+            events[key, point.point_id] = net.sim.events_processed
+    assert got == COLLECTIVE_FLOW_DIGESTS
+    assert events == COLLECTIVE_EVENTS

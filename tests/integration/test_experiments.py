@@ -94,6 +94,33 @@ def test_table5_names_the_open_flows_of_an_unfinished_point():
         "0.000%"}
 
 
+@pytest.mark.parametrize("key", ["fig13", "fig15", "fig16"])
+def test_survivor_percentiles_name_the_open_flows(key):
+    # Slowdown percentiles are over completed flows only, so a point
+    # with flows still open prints that in its first percentile cell;
+    # finished points keep their figures.
+    from repro.experiments.presets import get_preset
+    from repro.experiments.registry import get_entry
+
+    mod = get_entry(key).load_module()
+    quick = get_preset("quick")
+
+    def payload(open_flows=0):
+        flows = [{"size_bytes": 10_000 * i, "completed": True,
+                  "fct_ns": 30_000 * i, "ideal_fct_ns": 10_000 * i,
+                  "timeouts": 0, "retx_pkts": 0} for i in range(1, 5)]
+        for rec in flows[len(flows) - open_flows:]:
+            rec.update(completed=False, fct_ns=None)
+        return {"flows": flows, "metrics": {"counters": {}}}
+
+    payloads = [payload() for _ in mod.sweep(quick)]
+    payloads[0] = payload(open_flows=1)
+    rows = mod.merge(payloads, quick).rows
+    assert rows[0]["p50"] == "incomplete: 1/4 flows open"
+    assert rows[0]["flows"] == 3
+    assert all(r["p50"] == 3.0 for r in rows[1:])
+
+
 @pytest.mark.parametrize("key", ["fig12", "fig14", "scale"])
 def test_a_collective_point_with_open_flows_reports_them(key):
     # A group whose flows did not all complete (a ring step never

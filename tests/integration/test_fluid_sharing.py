@@ -1,10 +1,10 @@
-"""Starting a fluid flow is O(1) and shared: the work counters.
+"""Running a fluid flow is O(1) and shared: the work counters.
 
-Wall time is noisy; these counts are not.  One timeline per distinct
-(size, NIC rate, hops, one-way delay) however many flows run on it, a
-constructor whose call count does not depend on the flow size, a memo
-that stays under its bound, and sharing that leaks nothing from one
-flow into the next.
+Wall time is noisy; these counts are not.  Two events per fluid flow,
+one timeline per distinct (size, NIC rate, hops, one-way delay) however
+many flows run on it, a constructor whose call count does not depend on
+the flow size, a memo that stays under its bound, and sharing that
+leaks nothing from one flow into the next.
 """
 
 import sys
@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 from repro.experiments.common import build_network
 from repro.sim import fidelity
-from repro.sim.fidelity import SCHEDULE_MEMO_BOUND, FluidTimeline
+from repro.sim.fidelity import TIMELINE_MEMO_BOUND, FluidTimeline
 from repro.workload.collective import collective_rows
 
 
@@ -47,8 +47,27 @@ def test_one_timeline_per_key_on_a_64_host_allreduce(monkeypatch):
     keys = {(f.size_bytes, net.hosts[f.src].nic.rate,
              fab.store_forward_hops(f.src, f.dst),
              fab.base_oneway_ns(f.src, f.dst)) for f in net.flows}
-    assert set(ctrl._schedules) == keys
+    assert set(ctrl._timelines) == keys
     assert len(built) == len(keys) <= 2
+
+
+def test_a_packet_free_network_runs_two_events_per_fluid_flow():
+    """Launch and completion, nothing else: no refresh tick and no
+    fabric scan run before the network has built a packet."""
+    net = build_network(transport="dcp", lb="ar", cc="none", topology="clos",
+                        num_hosts=32, num_leaves=4, num_spines=2,
+                        link_rate=10.0, seed=73, fidelity="hybrid")
+    ctrl = net.fidelity
+    scans = []
+    real = ctrl._read_signals
+    ctrl._read_signals = lambda: scans.append(net.sim.now) or real()
+    net.open_rows(collective_rows(
+        "allreduce", [range(g * 8, (g + 1) * 8) for g in range(4)], 400_000))
+    net.run_until_flows_done(max_events=10_000_000)
+    assert net.sim.packet_seq == 0 and not scans
+    assert ctrl.fluid_flows == len(net.flows) == 448
+    assert all(f.completed for f in net.flows)
+    assert net.sim.events_processed == 2 * ctrl.fluid_flows
 
 
 def _python_calls(fn) -> int:
@@ -76,11 +95,6 @@ def test_construction_cost_does_not_depend_on_flow_size():
     assert small == _python_calls(lambda: build(1_000_000_000))
     assert small == _python_calls(lambda: build(999_999_937))  # ragged end
     assert small < 20
-    # ... and neither do the quantum rows, once both flows are long
-    # enough to get every quantum.
-    rows = [_python_calls(lambda tl=build(size): tl.sample_schedule(32, 8_000))
-            for size in (10_000_000, 1_000_000_000)]
-    assert rows[0] == rows[1]
 
 
 def test_memo_stays_under_its_bound():
@@ -88,15 +102,15 @@ def test_memo_stays_under_its_bound():
                         link_rate=100.0, seed=1, fidelity="hybrid")
     ctrl = net.fidelity
     first = SimpleNamespace(src=0, dst=1, size_bytes=1)
-    kept = ctrl.schedule_for(first)
+    kept = ctrl.timeline_for(first)
     for size in range(2, 10_001):
-        ctrl.schedule_for(SimpleNamespace(src=0, dst=1, size_bytes=size))
+        ctrl.timeline_for(SimpleNamespace(src=0, dst=1, size_bytes=size))
         if size % 100 == 0:     # keep the first one recently used
-            assert ctrl.schedule_for(first) is kept
-        assert len(ctrl._schedules) <= SCHEDULE_MEMO_BOUND
-    assert len(ctrl._schedules) == SCHEDULE_MEMO_BOUND
+            assert ctrl.timeline_for(first) is kept
+        assert len(ctrl._timelines) <= TIMELINE_MEMO_BOUND
+    assert len(ctrl._timelines) == TIMELINE_MEMO_BOUND
     # Least recently used goes first: size 2 is long gone, 10 000 is not.
-    sizes = {key[0] for key in ctrl._schedules}
+    sizes = {key[0] for key in ctrl._timelines}
     assert 1 in sizes and 10_000 in sizes and 2 not in sizes
 
 
@@ -118,8 +132,7 @@ def test_sharing_survives_an_escalated_flow(monkeypatch):
     early = net.open_flow(0, 1, size, 7_000)
     snapshot = []
     net.sim.schedule(7_001, lambda: snapshot.extend(
-        (tl, _state(tl), rows, tuple(map(tuple, rows)))
-        for tl, rows in ctrl._schedules.values()))
+        (tl, _state(tl)) for tl in ctrl._timelines.values()))
     intruder = net.open_flow(2, 1, 40_000, 107_000)   # same receiver
     late = net.open_flow(4, 5, size, late_ns)
     net.run_until_flows_done(max_events=10_000_000)
@@ -130,9 +143,8 @@ def test_sharing_survives_an_escalated_flow(monkeypatch):
     assert summary["reasons"] == {"uncontended": 2, "dst_contention": 1,
                                   "new_flow_contention": 1}
     assert built == [size]                      # early and late shared it
-    (timeline, state, rows, rows_then), = snapshot
-    (shared, shared_rows), = ctrl._schedules.values()
-    assert shared is timeline and shared_rows is rows
+    (timeline, state), = snapshot
+    shared, = ctrl._timelines.values()
+    assert shared is timeline
     assert _state(timeline) == state
-    assert tuple(map(tuple, rows)) == rows_then
     assert late.fct_ns() == lone.fct_ns()

@@ -157,13 +157,46 @@ def test_unequal_link_rates_spec_is_packet_identical(lb, fct_ns):
     assert summary["reasons"] == {"unequal_link_rates": 1}
 
 
+# ------------------------------------------------- mid-flight falsifier
+def test_a_signal_raised_mid_flight_escalates_within_one_refresh():
+    """A congestion signal raised while a fluid flow runs escalates it,
+    with no launch after the signal to notice it: once the network has
+    built a packet, the controller's own tick re-reads the fabric every
+    ``refresh_ns`` while a fluid flow is active."""
+    net = build_network(transport="dcp", lb="ar", cc="none", topology="clos",
+                        num_hosts=8, num_leaves=2, num_spines=2,
+                        link_rate=10.0, seed=5, fidelity="hybrid")
+    ctrl = net.fidelity
+    net.open_flow(0, 1, 40_000, 0)
+    net.open_flow(2, 1, 40_000, 1_000)   # same receiver: both go packet
+    start_ns = 5_000_000                 # long after the quiet period
+    late = net.open_flow(4, 5, 2_000_000, start_ns)
+    raised_ns = start_ns + 300_000       # mid-flight: the flow takes ~1.6 ms
+    stats = net.fabric.switches[0].stats
+
+    def mark() -> None:
+        stats.ecn_marked += 1
+
+    net.sim.schedule(raised_ns, mark)
+    net.run_until_flows_done(max_events=10_000_000)
+
+    assert late.completed
+    (entry,) = [e for e in ctrl.log if e["flow_id"] == late.flow_id
+                and e["action"] == "escalate"]
+    assert entry["reason"] == "congestion_signal"
+    assert raised_ns <= entry["t_ns"] <= raised_ns + ctrl.refresh_ns
+    # No fluid flow is left, so no tick is either.
+    assert ctrl._tick_token is None
+
+
 # ------------------------------------------------- pinned event stream
 @pytest.mark.parametrize("hosts, events, flows",
-                         [(16, 1_568, 224), (64, 6_272, 896)])
+                         [(16, 448, 224), (64, 1_792, 896)])
 def test_scale_hybrid_event_stream_pinned(hosts, events, flows):
-    """The `scale` quick hybrid rows, exactly: the quanta a fluid flow
-    is replayed in (how many, and when) are part of the model, so any
-    change to how a timeline is built must leave these where they are."""
+    """The `scale` quick hybrid rows, exactly: every flow runs fluid and
+    costs two events (launch, completion), and the JCT is the closed
+    form's, so any change to how a timeline is built or a fluid flow is
+    scheduled must leave these where they are."""
     from repro.experiments import scale
 
     spec, params = scale.point_spec(get_preset("quick"), "hybrid", hosts)

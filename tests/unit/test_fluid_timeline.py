@@ -127,26 +127,6 @@ def test_sent_count_at_and_around_every_packet_boundary(case):
     assert tl.sent_count_by(nic_done[-1] * 3 + 10**9) == len(nic_done)
 
 
-@settings(max_examples=120, deadline=None)
-@given(case=_cases(), max_quanta=st.integers(1, 64),
-       spacing=st.sampled_from([1, 2_000, 8_000, 1_000_000]))
-def test_sample_schedule_rows(case, max_quanta, spacing):
-    tl, (payloads, _nic_done, delivered) = _build(case)
-    rows = tl.sample_schedule(max_quanta, spacing)
-    assert 1 <= len(rows) <= max_quanta
-    assert rows[-1][0] == tl.total_pkts
-    assert rows[-1][2] == case["size"]
-    cum_payload = list(accumulate(payloads))
-    last = (0, -1, 0, 0)
-    for row in rows:
-        n, when, payload, wire = row
-        assert all(a > b for a, b in zip(row, last)), (row, last)
-        assert when == delivered[n - 1]
-        assert payload == cum_payload[n - 1]
-        assert wire == payload + n * case["header"]
-        last = row
-
-
 def test_index_outside_the_flow_is_an_error():
     tl = FluidTimeline(10_000, 1000, 5000, 58, lambda b: b, 1, 0)
     assert tl.total_pkts == 10
