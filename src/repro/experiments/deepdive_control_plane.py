@@ -10,7 +10,7 @@ victim's leaf port after an N-to-1 burst lands, and reports:
 
 This is the microscopic view behind Table 5's robustness claim.  Its
 one point runs in :func:`run_point`, which reads the victim port's
-queue high-water marks (``max_bytes_seen``, kept on every enqueue).
+queue high-water marks (``max_bytes_seen``, raised when a packet waits).
 """
 
 from __future__ import annotations

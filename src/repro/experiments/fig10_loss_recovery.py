@@ -8,6 +8,7 @@ grows (1.6x-72x worse than DCP between 0.01% and 5%).
 
 from __future__ import annotations
 
+from repro.analysis.fct import incomplete_note
 from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
@@ -47,19 +48,20 @@ def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
         long_flow_campaign("fig10", p, SCHEMES, 11, 80_000_000), p).points
 
 
+def goodput_cell(payload: dict) -> float | str:
+    """The long flow's goodput, or the note saying it never finished."""
+    return incomplete_note(payload) or payload["flows"][0]["goodput_gbps"]
+
+
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "fig10", f"Loss recovery efficiency at {p.link_rate:.0f} Gbps links")
     it = iter(payloads)
     for loss in LOSS_RATES:
-        # goodput_gbps is 0.0 for a flow that did not complete
-        dcp = next(it)["flows"][0]["goodput_gbps"]
-        cx5 = next(it)["flows"][0]["goodput_gbps"]
-        result.rows.append({
-            "loss_rate": f"{loss:.2%}",
-            "dcp_gbps": dcp,
-            "cx5_gbps": cx5,
-            "dcp_over_cx5": dcp / cx5 if cx5 > 0 else float("inf"),
-        })
+        dcp, cx5 = goodput_cell(next(it)), goodput_cell(next(it))
+        # A completed flow's goodput is positive; with one open, no ratio.
+        ratio = "-" if str in (type(dcp), type(cx5)) else dcp / cx5
+        result.rows.append({"loss_rate": f"{loss:.2%}", "dcp_gbps": dcp,
+                            "cx5_gbps": cx5, "dcp_over_cx5": ratio})
     result.notes = "paper: DCP 1.6x (0.01%) to 72x (5%) over CX5"
     return result

@@ -19,7 +19,7 @@ across processes and cache each goodput measurement by spec hash.
 from __future__ import annotations
 
 from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
-from repro.experiments.fig10_loss_recovery import (LOSS_RATES,
+from repro.experiments.fig10_loss_recovery import (LOSS_RATES, goodput_cell,
                                                    long_flow_campaign)
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
@@ -45,7 +45,7 @@ def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     for loss in LOSS_RATES:
         row = {"loss_rate": f"{loss:.2%}"}
         for scheme in SCHEMES:
-            row[f"{scheme}_gbps"] = next(it)["flows"][0]["goodput_gbps"]
+            row[f"{scheme}_gbps"] = goodput_cell(next(it))
         result.rows.append(row)
     result.notes = ("paper: DCP up to 22%/98%/99% above RACK-TLP/IRN/"
                     "timeout; timeout degrades sharply with loss")

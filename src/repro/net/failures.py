@@ -168,26 +168,27 @@ class FailureInjector:
         if reverse is not None:
             self._watch(reverse)
 
-        #: (routing table, dst, original index of ``port`` in the entry)
-        removed: list[tuple[dict, int, int]] = []
+        #: (dst, original index of ``port`` in the entry)
+        removed: list[tuple[int, int]] = []
 
         def fail() -> None:
             self._down(link)
             self._down(reverse)
             if converge_routing:
-                for dst, ports in switch.routing_table.items():
+                table = switch.routing_table
+                for dst, ports in table.items():
                     if len(ports) > 1 and port in ports:
-                        removed.append((switch.routing_table, dst,
-                                        ports.index(port)))
-                        ports.remove(port)
+                        removed.append((dst, ports.index(port)))
+                        table[dst] = tuple(p for p in ports if p != port)
 
         def recover() -> None:
             self._restore(link)
             self._restore(reverse)
-            for table, dst, index in removed:
+            table = switch.routing_table
+            for dst, index in removed:
                 entry = table[dst]
-                if port not in entry:  # guard against double-append
-                    entry.insert(min(index, len(entry)), port)
+                if port not in entry:  # guard against double-insert
+                    table[dst] = entry[:index] + (port,) + entry[index:]
             removed.clear()
 
         event = FailureEvent("link", f"{switch.name}.p{port}", at_ns,

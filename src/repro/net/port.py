@@ -109,14 +109,14 @@ class EgressPort:
             q.dropped_bytes += size
             return False
         q.enqueued_packets += 1
-        if total > q.max_bytes_seen:
-            q.max_bytes_seen = total
         sp = spans._active
         if sp is not None:
             sp.note_enqueue(packet.uid, self.sim.now)
         if self.busy or cls in self.paused_classes:
             q._items.append(packet)
             q.bytes = total
+            if total > q.max_bytes_seen:
+                q.max_bytes_seen = total
             self.buffered_bytes += size
             return True
         self.busy = True

@@ -116,20 +116,17 @@ class Switch:
             # Per-port occupancy/utilization gauges for the sampler:
             # queue-depth series around trim events is the headline
             # telemetry deliverable (Fig 8 analysis).
-            metrics.gauge(f"switch.{self.name}.p{i}.data_bytes",
-                          lambda q=data_q: float(q.bytes))
-            metrics.gauge(f"switch.{self.name}.p{i}.ctrl_bytes",
-                          lambda q=ctrl_q: float(q.bytes))
-            metrics.gauge(f"switch.{self.name}.p{i}.busy_ns",
-                          lambda p=port: float(p.busy_ns))
+            metrics.gauge(f"switch.{self.name}.p{i}.data_bytes", data_q, "bytes")
+            metrics.gauge(f"switch.{self.name}.p{i}.ctrl_bytes", ctrl_q, "bytes")
+            metrics.gauge(f"switch.{self.name}.p{i}.busy_ns", port, "busy_ns")
             if config.red is not None:
                 self.ecn_markers.append(
                     EcnMarker(config.red,
                               random.Random(config.loss_seed ^ (switch_id * 31 + i))))
             else:
                 self.ecn_markers.append(None)
-        # dst host id -> candidate egress port indices
-        self.routing_table: dict[int, list[int]] = {}
+        # dst host id -> candidate egress ports (a shared tuple: swap, never edit)
+        self.routing_table: dict[int, tuple[int, ...]] = {}
         # in_port -> (neighbour device, neighbour's port index facing us)
         self.neighbors: dict[int, tuple[object, int]] = {}
         self.pfc: Optional[PfcController] = None
@@ -164,9 +161,6 @@ class Switch:
         """Connect egress ``port_idx`` to ``link`` toward ``neighbor``."""
         self.ports[port_idx].link = link
         self.neighbors[port_idx] = (neighbor, neighbor_port)
-
-    def add_route(self, dst: int, port_idx: int) -> None:
-        self.routing_table.setdefault(dst, []).append(port_idx)
 
     # ------------------------------------------------------------ receive
     def receive(self, packet: Packet) -> None:
@@ -289,7 +283,3 @@ class Switch:
         delay = link.prop_delay_ns if link is not None else 0
         frame.ingress_hint = their_port
         self.sim.call_after(delay, neighbor.pfc_frame, frame)
-
-    # -------------------------------------------------------------- stats
-    def queue_bytes(self, egress: int) -> int:
-        return self.ports[egress].buffered_bytes

@@ -153,16 +153,16 @@ def build_clos(sim: Simulator, hosts: Sequence, num_leaves: int, num_spines: int
             _wire_switch_to_switch(sim, leaf, hosts_per_leaf + si, spine, li,
                                    spine_link_delay_ns)
 
-    # Routing tables, one list per (switch, destination): the failure
-    # injector edits entries in place, so no two may share a list.
-    uplinks = [hosts_per_leaf + si for si in range(num_spines)]
+    # One immutable tuple per candidate set, shared; failures swap entries.
+    uplinks = tuple(hosts_per_leaf + si for si in range(num_spines))
+    down = [(port,) for port in range(max(hosts_per_leaf, num_leaves))]
     for dst, host in enumerate(hosts):
         dst_leaf = dst // hosts_per_leaf
         for li, leaf in enumerate(leaves):
             leaf.routing_table[host.host_id] = (
-                [dst % hosts_per_leaf] if li == dst_leaf else uplinks.copy())
+                down[dst % hosts_per_leaf] if li == dst_leaf else uplinks)
         for spine in spines:
-            spine.routing_table[host.host_id] = [dst_leaf]
+            spine.routing_table[host.host_id] = down[dst_leaf]
 
     def oneway(src: int, dst: int) -> int:
         if src // hosts_per_leaf == dst // hosts_per_leaf:
@@ -219,12 +219,13 @@ def build_testbed(sim: Simulator, hosts: Sequence,
         _wire_switch_to_switch(sim, sw1, half + c, sw2, half + c,
                                cross_link_delay_ns)
 
-    # One list per (switch, destination), as in build_clos.
-    uplinks = [half + c for c in range(cross_links)]
+    # Shared immutable entries, as in build_clos.
+    uplinks = tuple(half + c for c in range(cross_links))
+    down = [(port,) for port in range(half)]
     for dst, host in enumerate(hosts):
         local_sw, remote_sw = (sw1, sw2) if dst < half else (sw2, sw1)
-        local_sw.routing_table[host.host_id] = [dst % half]
-        remote_sw.routing_table[host.host_id] = uplinks.copy()
+        local_sw.routing_table[host.host_id] = down[dst % half]
+        remote_sw.routing_table[host.host_id] = uplinks
 
     def oneway(src: int, dst: int) -> int:
         if (src < half) == (dst < half):

@@ -4,37 +4,31 @@ The registry follows the same discipline as :mod:`repro.obs.spans`: a
 module-level ``_active`` registry that components consult once at
 *construction* time, so the steady-state disabled path costs a single
 ``None`` check (and the per-event path costs nothing at all — counters
-are plain Python ints on :class:`Counter` objects that exist whether or
-not a registry is installed).
+are plain Python ints on objects that exist whether or not a registry
+is installed).
 
 Three instrument kinds:
 
-* :class:`Counter` — a monotonically growing integer.  Components hold
-  the object and bump ``counter.value`` directly on hot paths;
-  registration just makes the same object visible to serialization.
-* :class:`Gauge` — a zero-argument probe read on demand.  Gauges cost
-  nothing until someone reads them (the sampler, or
+* counters — monotonically growing integers that components bump as
+  plain ints on hot paths (a :class:`Counter`, or a field of a
+  :class:`CounterBlock`: ``SwitchStats``, ``FlowStats``, link counters).
+* gauges — read on demand, as ``obj.attr`` or a probe's result, so
+  they cost nothing until someone reads them (the sampler, or
   :meth:`MetricsRegistry.to_payload` at collection time).
 * :class:`Histogram` — fixed bucket bounds chosen at registration, so
   two runs always produce structurally identical payloads.
 
-:class:`CounterBlock` is the migration vehicle for the pre-existing
-stats dataclasses (``SwitchStats``, ``FlowStats``, link counters): a
-subclass declares ``FIELDS`` (doubling as ``__slots__``), each field is
-a plain slot int, and registration wraps the fields in read-through
-:class:`FieldCounter` views — ``stats.trimmed += 1`` keeps working for
-every call site at the cost of a plain attribute increment.
-
-Serialization (:meth:`MetricsRegistry.to_payload`) is deterministic:
-JSON-safe scalars only, names in registration (insertion) order, and
-duplicate registrations disambiguated with a stable ``#N`` suffix so a
-process that builds several networks in sequence still produces a
-well-defined payload.
+Registration records each component once and builds no object per
+instrument (a 256-host fabric has ~13 500); names and values are built
+when read.  Serialization is deterministic: JSON-safe scalars only,
+names in registration order, and duplicate names disambiguated with a
+stable ``#N`` suffix so a process that builds several networks in
+sequence still produces a well-defined payload.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 
 class Counter:
@@ -54,16 +48,17 @@ class Counter:
 
 
 class Gauge:
-    """A named probe evaluated on demand (by the sampler or at export)."""
+    """A named ``obj.attr`` (or ``obj()``), built for a reader that asks."""
 
-    __slots__ = ("name", "probe")
+    __slots__ = ("name", "obj", "attr")
 
-    def __init__(self, name: str, probe: Callable[[], float]) -> None:
+    def __init__(self, name: str, obj: Any, attr: Optional[str] = None) -> None:
         self.name = name
-        self.probe = probe
+        self.obj = obj
+        self.attr = attr
 
     def read(self) -> float:
-        return float(self.probe())
+        return float(self.obj() if self.attr is None else getattr(self.obj, self.attr))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Gauge({self.name})"
@@ -104,12 +99,7 @@ class Histogram:
 
 
 class FieldCounter:
-    """Read-through counter view over one :class:`CounterBlock` field.
-
-    Duck-types :class:`Counter` for serialization (``.value``) while the
-    backing storage stays a plain slot int on the block — increments on
-    the hot path never pay a property or dict indirection.
-    """
+    """Live read/write view of one :class:`CounterBlock` field."""
 
     __slots__ = ("name", "block", "field")
 
@@ -134,9 +124,8 @@ class CounterBlock:
 
     Subclasses declare ``FIELDS`` and ``__slots__ = FIELDS``; every
     field is a plain int initialized to zero, so ``stats.field += 1``
-    costs a plain attribute increment and nothing more.  The
-    registry sees the live values through :class:`FieldCounter` views
-    created at registration time and read only at export.
+    costs a plain attribute increment and nothing more.  A registry
+    records the block itself and reads the fields at export.
     """
 
     FIELDS: tuple[str, ...] = ()
@@ -152,16 +141,22 @@ class CounterBlock:
             raise KeyError(f"{type(self).__name__} has no field {field!r}")
         return FieldCounter(field, self, field)
 
-    def counters(self) -> Iterable[tuple[str, FieldCounter]]:
-        return ((name, FieldCounter(name, self, name))
-                for name in self.FIELDS)
-
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.FIELDS}
 
     def __repr__(self) -> str:  # pragma: no cover
         inner = " ".join(f"{n}={getattr(self, n)}" for n in self.FIELDS)
         return f"{type(self).__name__}({inner})"
+
+
+def _unique(taken, name: str) -> str:
+    """``name``, or ``name#N`` with the smallest ``N >= 2`` not in ``taken``."""
+    if name not in taken:
+        return name
+    n = 2
+    while f"{name}#{n}" in taken:
+        n += 1
+    return f"{name}#{n}"
 
 
 class MetricsRegistry:
@@ -174,46 +169,52 @@ class MetricsRegistry:
 
     def __init__(self, per_flow: bool = False) -> None:
         self.per_flow = per_flow
-        #: name -> Counter or FieldCounter (anything with ``.value``).
-        self._counters: dict[str, Any] = {}
-        self._gauges: dict[str, Gauge] = {}
+        #: ``(prefix, CounterBlock)`` or ``(name, counter)``, in order.
+        self._counters: list[tuple[str, Any]] = []
+        #: ``(name, obj, attr)``: ``obj.attr``, or ``obj()`` if no attr.
+        self._gauges: list[tuple[str, Any, Optional[str]]] = []
         self._histograms: dict[str, Histogram] = {}
         #: name -> Series, filled in by :class:`repro.obs.sampler.MetricsSampler`.
         self.series: dict = {}
 
     # -------------------------------------------------------- registration
-    @staticmethod
-    def _unique(table: dict, name: str) -> str:
-        if name not in table:
-            return name
-        n = 2
-        while f"{name}#{n}" in table:
-            n += 1
-        return f"{name}#{n}"
+    def _counter_table(self, read: bool) -> dict[str, Any]:
+        """Final name -> value (``read``) or ``(obj, attr)``, in order."""
+        out: dict[str, Any] = {}
+        for key, obj in self._counters:
+            if isinstance(obj, CounterBlock):
+                prefix = key + "."
+                for field in obj.FIELDS:
+                    name = prefix + field
+                    if name in out:
+                        name = _unique(out, name)
+                    out[name] = getattr(obj, field) if read else (obj, field)
+            else:
+                key = _unique(out, key)
+                out[key] = obj.value if read else (obj, None)
+        return out
 
-    def counter(self, name: str) -> Counter:
-        """Get-or-create a registry-owned counter (ad-hoc metrics)."""
-        c = self._counters.get(name)
-        if c is None:
-            c = Counter(name)
-            self._counters[name] = c
-        return c
+    def counter(self, name: str) -> Any:
+        """Get-or-create ``name``; a block field's name gives its view."""
+        obj, field = self._counter_table(read=False).get(name, (None, None))
+        if obj is None:
+            obj = Counter(name)
+            self._counters.append((name, obj))
+        return obj if field is None else obj.counter(field)
 
     def register_counter(self, name: str, counter: Any) -> str:
         """Expose an externally owned counter; returns the final name."""
-        name = self._unique(self._counters, name)
-        self._counters[name] = counter
+        name = _unique(self._counter_table(read=False), name)
+        self._counters.append((name, counter))
         return name
 
     def register_block(self, prefix: str, block: CounterBlock) -> None:
-        """Expose every counter of ``block`` as ``<prefix>.<field>``."""
-        for field, counter in block.counters():
-            self.register_counter(f"{prefix}.{field}", counter)
+        """Expose every field of ``block`` as ``<prefix>.<field>``."""
+        self._counters.append((prefix, block))
 
-    def gauge(self, name: str, probe: Callable[[], float]) -> Gauge:
-        g = Gauge(self._unique(self._gauges, name), probe)
-        self._gauges[g.name] = g
-        return g
+    def gauge(self, name: str, obj: Any, attr: Optional[str] = None) -> None:
+        """Expose ``obj.attr`` (``obj()`` when ``attr`` is None) as ``name``."""
+        self._gauges.append((name, obj, attr))
 
     def histogram(self, name: str, bounds: Iterable[float]) -> Histogram:
         h = self._histograms.get(name)
@@ -222,13 +223,22 @@ class MetricsRegistry:
             self._histograms[name] = h
         return h
 
-    def gauges(self) -> Iterable[tuple[str, Gauge]]:
-        return self._gauges.items()
+    def _gauge_table(self, read: bool) -> dict[str, Any]:
+        """Final name -> value (``read``) or :class:`Gauge`, in order."""
+        out: dict[str, Any] = {}
+        for name, obj, attr in self._gauges:
+            if name in out:
+                name = _unique(out, name)
+            out[name] = (float(obj() if attr is None else getattr(obj, attr))
+                         if read else Gauge(name, obj, attr))
+        return out
+
+    def gauges(self, prefix: str = "") -> list[Gauge]:
+        """The gauges whose final name starts with ``prefix``."""
+        return [g for name, g in self._gauge_table(read=False).items()
+                if name.startswith(prefix)]
 
     # ------------------------------------------------------- serialization
-    def read_gauges(self) -> dict[str, float]:
-        return {name: g.read() for name, g in self._gauges.items()}
-
     def to_payload(self) -> dict[str, Any]:
         """JSON-safe snapshot, names in registration order.
 
@@ -237,8 +247,8 @@ class MetricsRegistry:
         :data:`repro.runner.cache.CACHE_VERSION`.
         """
         return {
-            "counters": {n: c.value for n, c in self._counters.items()},
-            "gauges": self.read_gauges(),
+            "counters": self._counter_table(read=True),
+            "gauges": self._gauge_table(read=True),
             "histograms": {
                 n: {"bounds": list(h.bounds), "counts": list(h.counts),
                     "total": h.total, "sum": h.sum}
@@ -271,13 +281,13 @@ def register_block(prefix: str, block: CounterBlock) -> None:
         _active.register_block(prefix, block)
 
 
-def gauge(name: str, probe: Callable[[], float]) -> None:
+def gauge(name: str, obj: Any, attr: Optional[str] = None) -> None:
     """Register a gauge on the active registry (no-op when disabled)."""
     if _active is not None:
-        _active.gauge(name, probe)
+        _active.gauge(name, obj, attr)
 
 
-def counter(name: str) -> Counter:
+def counter(name: str) -> Any:
     """Get-or-create ``name`` on the active registry.
 
     With no registry installed the caller gets a detached throwaway

@@ -70,7 +70,7 @@ class MetricsSampler:
         if registry is None:
             return
         if gauges is None:
-            gauges = [gauge for _, gauge in registry.gauges()]
+            gauges = registry.gauges()
         for gauge in gauges:
             self.watch(gauge.name, gauge.read)
         # Share the dict: series appear in registry.to_payload().

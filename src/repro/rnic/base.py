@@ -322,9 +322,8 @@ class HostNic:
         # instead of taxing every transmit with a counter indirection.
         self.tx_packets = 0
         self.tx_bytes = 0
-        metrics.gauge(f"nic.{name}.tx_packets",
-                      lambda: float(self.tx_packets))
-        metrics.gauge(f"nic.{name}.tx_bytes", lambda: float(self.tx_bytes))
+        metrics.gauge(f"nic.{name}.tx_packets", self, "tx_packets")
+        metrics.gauge(f"nic.{name}.tx_bytes", self, "tx_bytes")
 
     def bind(self, source) -> None:
         self.source = source
@@ -448,7 +447,7 @@ class RnicTransport(Entity):
         self._actor = f"{self.name}{host_id}"
         metrics.register_block(f"rnic.{self._actor}", self.stats)
         metrics.gauge(f"rnic.{self._actor}.inflight_bytes",
-                      lambda: float(self.inflight_bytes()))
+                      self.inflight_bytes)
         #: flow_id -> Flow for flows whose data this host receives.
         self.rx_flows: dict[int, Flow] = {}
         #: qpn -> private sender / receiver state (also cached on the QP).

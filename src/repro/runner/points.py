@@ -97,8 +97,7 @@ class PointTelemetry:
     def network(self, spec: NetworkSpec) -> Network:
         """Build ``spec``'s network with an ``engine.events`` gauge."""
         net = Network(spec)
-        self.registry.gauge("engine.events",
-                            lambda: float(net.sim.events_processed))
+        self.registry.gauge("engine.events", net.sim, "events_processed")
         return net
 
     def sample(self, net: Network, interval_ns: int,
@@ -193,15 +192,13 @@ def simulate_flows(spec: NetworkSpec, params: dict) -> dict[str, Any]:
             # Receiver-side delivery progress per flow — the raw series
             # the recovery-time metric is computed from.  Registered
             # before the sampler so it watches them from t=0.
-            delivery_gauges = [
-                tel.registry.gauge(f"chaos.flow.{i}.rx_bytes",
-                                   lambda f=flow: float(f.rx_bytes))
-                for i, flow in enumerate(flows)]
+            for i, flow in enumerate(flows):
+                tel.registry.gauge(f"chaos.flow.{i}.rx_bytes", flow, "rx_bytes")
             if interval_ns <= 0:
                 # Sampling is on only because recovery needs these
                 # series, so they are all it records.
                 interval_ns = int(chaos_cfg.get("sample_interval_ns", 10_000))
-                watched = delivery_gauges
+                watched = tel.registry.gauges("chaos.flow.")
         if interval_ns > 0:
             tel.sample(net, interval_ns, watched)
         net.run_until_flows_done(

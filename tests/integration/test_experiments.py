@@ -156,6 +156,31 @@ def test_a_collective_point_with_open_flows_reports_them(key):
                for i, r in enumerate(rows) if i != 1)
 
 
+@pytest.mark.parametrize("key", ["fig10", "fig17"])
+def test_a_long_flow_that_never_finished_is_not_a_goodput(key):
+    # A run that stops at max_events leaves goodput_gbps at 0.0; the
+    # cell names the open flow instead, and fig10's ratio is left out.
+    from repro.experiments.presets import get_preset
+    from repro.experiments.registry import get_entry
+
+    mod = get_entry(key).load_module()
+    quick = get_preset("quick")
+
+    def payload(completed=True):
+        return {"flows": [{"completed": completed,
+                           "goodput_gbps": 8.0 if completed else 0.0}]}
+
+    payloads = [payload() for _ in mod.sweep(quick)]
+    payloads[1] = payload(completed=False)
+    rows = mod.merge(payloads, quick).rows
+    cells = [v for row in rows for k, v in row.items() if k.endswith("_gbps")]
+    assert cells[1] == "incomplete: 1/1 flows open"
+    assert cells[:1] + cells[2:] == [8.0] * (len(cells) - 1)
+    if key == "fig10":
+        assert rows[0]["dcp_over_cx5"] == "-"
+        assert {r["dcp_over_cx5"] for r in rows[1:]} == {1.0}
+
+
 def test_result_table_formatting():
     r = ExperimentResult("x", "demo",
                          rows=[{"a": 1, "b": 2.5}, {"a": 3, "c": "z"}])

@@ -50,10 +50,16 @@ class _ReferencePort:
         self.buffered_bytes = 0
 
     def enqueue(self, packet: Packet, cls: int) -> bool:
-        if not self.queues[cls].push(packet):
+        q = self.queues[cls]
+        peak = q.max_bytes_seen
+        if not q.push(packet):
             return False
         self.buffered_bytes += packet.size_bytes
         if not self.busy:
+            if cls not in self.paused_classes:
+                # Picked at once: the packet never waited in the queue,
+                # so it does not raise the high-water mark.
+                q.max_bytes_seen = peak
             self._send_next()
         return True
 

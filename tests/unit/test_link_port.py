@@ -165,7 +165,7 @@ class TestEgressPort:
         sw = Switch(sim, 0, SwitchConfig(num_ports=2, rate_bits_per_ns=100.0),
                     EcmpLoadBalancer())
         sw.attach(0, Link(sim, sink, 3, prop_delay_ns=100), sink, 3)
-        sw.add_route(1, 0)
+        sw.routing_table[1] = (0,)
         p = _pkt()
         p.ingress_hint = 1
         sw.receive(p)

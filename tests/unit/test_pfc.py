@@ -102,8 +102,8 @@ def test_pause_frame_pauses_the_port_it_arrived_on():
     the forwarding pipeline moves, and a RESUME undoes it."""
     sim = Simulator()
     sw = _pfc_switch(sim, "sw")
-    sw.add_route(7, 1)
-    routes = {dst: list(ports) for dst, ports in sw.routing_table.items()}
+    sw.routing_table[7] = (1,)
+    routes = dict(sw.routing_table)
     stats = sw.stats.as_dict()
     sw.pfc_frame(_frame(make_pause, 2))
     assert [p.paused_classes for p in sw.ports] == [set(), set(), {DATA_CLASS}]

@@ -43,7 +43,7 @@ def attach_sink(sim, sw, port):
     sink = Sink()
     link = Link(sim, sink, 0, prop_delay_ns=10)
     sw.attach(port, link, sink, 0)
-    sw.add_route(dst=port, port_idx=port)
+    sw.routing_table[port] = (port,)
     return sink
 
 
@@ -361,11 +361,29 @@ def test_single_candidate_short_circuits():
         sink = Sink()
         sw.attach(port, Link(sim, sink, 0, prop_delay_ns=10), sink, 0)
         sinks.append(sink)
-    sw.add_route(dst=1, port_idx=1)
-    sw.add_route(dst=2, port_idx=0)
-    sw.add_route(dst=2, port_idx=2)
+    sw.routing_table.update({1: (1,), 2: (0, 2)})
     arrive(sw, data_pkt(dst=1), 0)
     arrive(sw, data_pkt(dst=2, psn=1), 1)
     sim.run()
     assert [len(s.received) for s in sinks] == [0, 1, 1]
     assert lb.calls == [[0, 2]]
+
+
+@pytest.mark.parametrize("transport", ["dcp", "gbn"])
+def test_a_packet_sent_straight_on_never_raises_the_high_water_mark(
+        transport):
+    """``max_bytes_seen`` counts bytes that waited: a one-packet flow
+    (and its ACK) crossing an idle Clos finds every port idle, so each
+    queue it passes counts the packet and stays at a peak of 0."""
+    from repro.experiments.common import build_network
+
+    net = build_network(transport=transport, topology="clos", num_hosts=8,
+                        num_leaves=2, num_spines=2, link_rate=10.0,
+                        lb="ecmp", seed=3)
+    flow = net.open_flow(0, 7, 1000, 0)
+    net.run_until_flows_done(max_events=100_000)
+    assert flow.completed
+    queues = [q for sw in net.fabric.switches for port in sw.ports
+              for q in port.queues]
+    assert sum(q.enqueued_packets for q in queues) == 6   # 3 hops each way
+    assert [q.max_bytes_seen for q in queues] == [0] * len(queues)

@@ -48,7 +48,7 @@ class TestClos:
         hosts = _hosts(sim, 8)
         fab = build_clos(sim, hosts, 2, 2, _cfg, EcmpLoadBalancer)
         leaf0 = fab.switches[0]
-        assert leaf0.routing_table[0] == [0]       # local host, down port
+        assert leaf0.routing_table[0] == (0,)      # local host, down port
         assert len(leaf0.routing_table[7]) == 2    # remote host, all uplinks
 
     def test_spine_routes_to_leaf(self):
@@ -56,8 +56,8 @@ class TestClos:
         hosts = _hosts(sim, 8)
         fab = build_clos(sim, hosts, 2, 2, _cfg, EcmpLoadBalancer)
         spine = fab.switches[2]
-        assert spine.routing_table[0] == [0]
-        assert spine.routing_table[5] == [1]
+        assert spine.routing_table[0] == (0,)
+        assert spine.routing_table[5] == (1,)
 
     def test_oneway_delay_intra_vs_inter_rack(self):
         sim = Simulator()
@@ -92,9 +92,9 @@ class TestTestbed:
         fab = build_testbed(sim, hosts, _cfg, EcmpLoadBalancer,
                             cross_links=4)
         sw1, sw2 = fab.switches
-        assert sw1.routing_table[0] == [0]
+        assert sw1.routing_table[0] == (0,)
         assert len(sw1.routing_table[5]) == 4   # remote: all cross links
-        assert sw2.routing_table[5] == [1]
+        assert sw2.routing_table[5] == (1,)
 
     def test_odd_hosts_rejected(self):
         sim = Simulator()
@@ -127,7 +127,11 @@ class TestDelivery:
             build_network(transport="gbn", topology="direct", num_hosts=3)
 
 
-# ------------------------------------------ routing tables, one list each
+# ------------------------------ routing tables, shared immutable entries
+def _add_route(sw, dst, port):
+    sw.routing_table.setdefault(dst, []).append(port)
+
+
 def _clos_by_add_route(fab, num_leaves, num_spines):
     """The per-port ``add_route`` construction the builder replaced."""
     hosts_per_leaf = len(fab.hosts) // num_leaves
@@ -136,12 +140,12 @@ def _clos_by_add_route(fab, num_leaves, num_spines):
         dst_leaf = dst // hosts_per_leaf
         for li, leaf in enumerate(leaves):
             if li == dst_leaf:
-                leaf.add_route(host.host_id, dst % hosts_per_leaf)
+                _add_route(leaf, host.host_id, dst % hosts_per_leaf)
             else:
                 for si in range(num_spines):
-                    leaf.add_route(host.host_id, hosts_per_leaf + si)
+                    _add_route(leaf, host.host_id, hosts_per_leaf + si)
         for spine in spines:
-            spine.add_route(host.host_id, dst_leaf)
+            _add_route(spine, host.host_id, dst_leaf)
 
 
 def _testbed_by_add_route(fab, cross_links):
@@ -149,21 +153,26 @@ def _testbed_by_add_route(fab, cross_links):
     sw1, sw2 = fab.switches
     for dst, host in enumerate(fab.hosts):
         local_sw, remote_sw = (sw1, sw2) if dst < half else (sw2, sw1)
-        local_sw.add_route(host.host_id, dst % half)
+        _add_route(local_sw, host.host_id, dst % half)
         for c in range(cross_links):
-            remote_sw.add_route(host.host_id, half + c)
+            _add_route(remote_sw, host.host_id, half + c)
 
 
 def _assert_tables_match_add_route(fab, rebuild):
     built = [list(sw.routing_table.items()) for sw in fab.switches]
     entries = [ports for table in built for _, ports in table]
-    # FailureInjector(converge_routing=True) edits entries in place.
-    assert len({id(ports) for ports in entries}) == len(entries)
+    # Entries may be shared, so none may be editable in place
+    # (FailureInjector(converge_routing=True) swaps them instead).
+    assert all(type(ports) is tuple for ports in entries)
+    # One object per distinct candidate set.
+    assert len({id(ports) for ports in entries}) == len(set(entries))
     for sw in fab.switches:
         sw.routing_table = {}
     rebuild()
     # Same keys, same insertion order, same candidate order.
-    assert built == [list(sw.routing_table.items()) for sw in fab.switches]
+    assert built == [[(dst, tuple(ports))
+                      for dst, ports in sw.routing_table.items()]
+                     for sw in fab.switches]
 
 
 @pytest.mark.parametrize("num_hosts,num_leaves,num_spines", [
