@@ -32,7 +32,7 @@ from repro.campaigns.spec import (CHAOS_BUILDERS, CampaignError, group_axes,
                                   validate_campaign, validate_chaos_schedule)
 from repro.experiments.presets import ScalePreset, get_preset
 from repro.experiments.result import ExperimentResult
-from repro.experiments.spec import TRANSPORTS, NetworkSpec
+from repro.experiments.spec import NetworkSpec
 from repro.runner.runner import ExperimentRunner, SweepPoint
 from repro.sim.rng import SeedSequence
 from repro.workload.distributions import (FixedSizeDistribution, websearch)
@@ -44,10 +44,6 @@ POINT_RUNNER = "repro.runner.points.simulate_flows"
 
 #: Default event budget per point (matches the heaviest figure sweeps).
 DEFAULT_MAX_EVENTS = 60_000_000
-
-_VALID_CC = ("none", "window", "dcqcn", "swift")
-_VALID_LB = ("ecmp", "ar", "spray")
-_VALID_TOPOLOGY = ("clos", "testbed", "direct")
 
 #: ScalePreset fields that seed the topology block when the campaign
 #: leaves them unset — the knob ``--preset`` turns for campaigns.
@@ -211,7 +207,6 @@ def compile_campaign(spec: dict, preset: str | ScalePreset = "default"
     name = spec["name"]
     seed = spec.get("seed", 1)
     groups = spec["groups"]
-    known_transports = sorted(TRANSPORTS)
 
     base_topo: dict = {f: getattr(scale, f) for f in _PRESET_TOPOLOGY_FIELDS}
     base_topo.update(spec.get("topology", {}))
@@ -234,32 +229,15 @@ def compile_campaign(spec: dict, preset: str | ScalePreset = "default"
         chaos = copy.deepcopy(spec.get("chaos"))
         _apply_axes(assignment, groups, topo, layers, sim, chaos)
 
-        if topo.get("transport", "dcp") not in known_transports:
-            raise CampaignError("topology.transport",
-                                f"unknown transport "
-                                f"{topo.get('transport')!r} (point "
-                                f"{point_id}); expected one of "
-                                f"{known_transports}")
-        if topo.get("cc", "none") not in _VALID_CC:
-            raise CampaignError("topology.cc",
-                                f"unknown cc {topo.get('cc')!r} (point "
-                                f"{point_id}); expected one of "
-                                f"{list(_VALID_CC)}")
-        if topo.get("lb", "ar") not in _VALID_LB:
-            raise CampaignError("topology.lb",
-                                f"unknown lb {topo.get('lb')!r} (point "
-                                f"{point_id}); expected one of "
-                                f"{list(_VALID_LB)}")
-        if topo.get("topology", "clos") not in _VALID_TOPOLOGY:
-            raise CampaignError("topology.topology",
-                                f"unknown topology "
-                                f"{topo.get('topology')!r} (point "
-                                f"{point_id}); expected one of "
-                                f"{list(_VALID_TOPOLOGY)}")
         try:
             net_spec = NetworkSpec.from_dict(topo)
         except (TypeError, ValueError) as exc:
             raise CampaignError("topology", f"{exc} (point {point_id})")
+        undeclared = net_spec.undeclared_choice()
+        if undeclared is not None:
+            field, message = undeclared
+            raise CampaignError(f"topology.{field}",
+                                f"{message} (point {point_id})")
 
         flows: list[list] = []
         for i, layer in enumerate(layers):

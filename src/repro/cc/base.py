@@ -25,9 +25,6 @@ class CongestionControl:
 
     paces = False
     wants_ack = False
-    #: True when the scheme consumes RTT samples (``on_rtt``).  Transports
-    #: that stamp/echo send timestamps only compute the sample when asked.
-    wants_rtt = False
     #: Static window size when the scheme is a plain ``window - outstanding``
     #: cap (the hot send path then skips the ``available_window`` call);
     #: None means the scheme computes its window dynamically.
@@ -47,9 +44,6 @@ class CongestionControl:
 
     def on_cnp(self, now_ns: int) -> None:
         """A DCQCN congestion notification arrived."""
-
-    def on_rtt(self, rtt_ns: int, now_ns: int) -> None:
-        """A fresh RTT sample (timestamp-echoing transports, Swift)."""
 
     def on_timeout(self, now_ns: int) -> None:
         """The QP suffered a retransmission timeout."""

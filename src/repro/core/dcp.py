@@ -67,8 +67,8 @@ class _DcpRecvState:
 
     __slots__ = ("tracker",)
 
-    def __init__(self, tracked_messages: int) -> None:
-        self.tracker = CounterTracker(tracked_messages=tracked_messages)
+    def __init__(self) -> None:
+        self.tracker = CounterTracker()
 
 
 class DcpTransport(RnicTransport):
@@ -95,7 +95,7 @@ class DcpTransport(RnicTransport):
         return st
 
     def _new_recv_state(self, qp: QueuePair) -> _DcpRecvState:
-        return _DcpRecvState(tracked_messages=8)
+        return _DcpRecvState()
 
     def _coarse_ns(self, qp: QueuePair, st: _DcpSendState) -> int:
         """Coarse-timeout duration, scaled to the unacked backlog.

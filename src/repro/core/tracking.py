@@ -1,129 +1,22 @@
-"""Receiver-side packet tracking schemes (§4.5, Fig 6, Table 3, Fig 7).
+"""DCP's receiver-side packet tracking (§4.5, Fig 6c).
 
-Three implementations of "which packets of a message have arrived":
+:class:`CounterTracker` is the bitmap-free scheme the DCP receiver runs:
+a per-message packet counter with ``mcf``/``cf`` flags, an eMSN that
+advances over contiguously completed messages, and the sRetryNo
+reconciliation that restores exactly-once counting after a coarse
+timeout.
 
-* :class:`BdpBitmapTracker` — fixed BDP-sized bitmap per QP (IRN/SRNIC
-  style, Fig 6a): O(1) access, large memory.
-* :class:`LinkedChunkTracker` — chunk pool with on-demand linking
-  (MELO/LEFT style, Fig 6b): memory grows with OOO degree, O(n) access.
-* :class:`CounterTracker` — DCP's bitmap-free per-message counter with
-  ``mcf``/``cf`` flags and sRetryNo reconciliation (Fig 6c): O(1)
-  access, log2(n) bits.
-
-All three expose ``record(psn/offset)`` and memory/latency accounting so
-Table 3 and Fig 7 can be produced from the same objects the transport
-uses.
+Table 3 and Fig 7 compare it with a BDP-sized bitmap (Fig 6a) and a
+linked chunk pool (Fig 6b).  Those numbers come from the closed forms in
+:mod:`repro.analysis.models` (``tracking_memory_bytes``,
+``tracking_access_cycles``), which take this class's
+:data:`~CounterTracker.BITS_PER_MESSAGE`; no simulated transport runs
+either of the other two schemes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-class BdpBitmapTracker:
-    """Fixed-size circular bitmap, one bit per in-flight packet."""
-
-    def __init__(self, window_pkts: int) -> None:
-        if window_pkts <= 0:
-            raise ValueError("window must be positive")
-        self.window_pkts = window_pkts
-        self.head_psn = 0
-        self._bits = [False] * window_pkts
-        self.accesses = 0
-
-    @property
-    def memory_bits(self) -> int:
-        return self.window_pkts
-
-    def record(self, psn: int) -> bool:
-        """Mark ``psn`` received; returns False for duplicates.
-
-        Access cost is constant: index = (psn - head) mod window.
-        """
-        offset = psn - self.head_psn
-        if offset < 0:
-            return False  # before the window: duplicate of delivered data
-        if offset >= self.window_pkts:
-            raise ValueError(f"PSN {psn} beyond the BDP window")
-        self.accesses += 1
-        idx = psn % self.window_pkts
-        if self._bits[idx]:
-            return False
-        self._bits[idx] = True
-        return True
-
-    def advance(self) -> int:
-        """Slide the head past contiguously received packets; returns head."""
-        while self._bits[self.head_psn % self.window_pkts]:
-            self._bits[self.head_psn % self.window_pkts] = False
-            self.head_psn += 1
-        return self.head_psn
-
-    def access_steps(self, psn: int) -> int:
-        """Pipeline steps to reach ``psn``'s bit: always 2 (addr + access)."""
-        return 2
-
-
-class LinkedChunkTracker:
-    """Linked list of fixed-size bitmap chunks allocated on demand."""
-
-    def __init__(self, chunk_bits: int = 128) -> None:
-        if chunk_bits <= 0:
-            raise ValueError("chunk size must be positive")
-        self.chunk_bits = chunk_bits
-        self.head_psn = 0
-        self._chunks: list[list[bool]] = [[False] * chunk_bits]
-        self.accesses = 0
-        self.max_chunks = 1
-
-    @property
-    def memory_bits(self) -> int:
-        return len(self._chunks) * self.chunk_bits
-
-    def _chunk_index(self, psn: int) -> int:
-        return (psn - self.head_psn) // self.chunk_bits
-
-    def record(self, psn: int) -> bool:
-        offset = psn - self.head_psn
-        if offset < 0:
-            return False
-        ci = offset // self.chunk_bits
-        while ci >= len(self._chunks):
-            self._chunks.append([False] * self.chunk_bits)
-        self.max_chunks = max(self.max_chunks, len(self._chunks))
-        self.accesses += self.access_steps(psn)
-        bit = offset % self.chunk_bits
-        if self._chunks[ci][bit]:
-            return False
-        self._chunks[ci][bit] = True
-        return True
-
-    def advance(self) -> int:
-        while self._chunks and self._chunks[0][(0) % self.chunk_bits]:
-            # pop fully-delivered leading bits
-            chunk = self._chunks[0]
-            consumed = 0
-            for bit in chunk:
-                if bit:
-                    consumed += 1
-                else:
-                    break
-            if consumed == self.chunk_bits:
-                self._chunks.pop(0)
-                self.head_psn += self.chunk_bits
-                if not self._chunks:
-                    self._chunks.append([False] * self.chunk_bits)
-                continue
-            # partially consumed chunk: shift within the chunk
-            del chunk[:consumed]
-            chunk.extend([False] * consumed)
-            self.head_psn += consumed
-            break
-        return self.head_psn
-
-    def access_steps(self, psn: int) -> int:
-        """Walking the chain costs O(chunk index) steps (Fig 7)."""
-        return 2 + self._chunk_index(max(psn, self.head_psn))
+from dataclasses import dataclass
 
 
 @dataclass
@@ -148,16 +41,10 @@ class CounterTracker:
     #: bits per message: 14-bit counter + mcf + cf (§4.5 -> 2 bytes/message)
     BITS_PER_MESSAGE = 16
 
-    def __init__(self, tracked_messages: int = 8) -> None:
-        self.tracked_messages = tracked_messages
+    def __init__(self) -> None:
         self.emsn = 0
         self.tracks: dict[int, MessageTrack] = {}
-        self.accesses = 0
         self.completed_out_of_order = 0
-
-    @property
-    def memory_bits(self) -> int:
-        return self.tracked_messages * self.BITS_PER_MESSAGE + 24  # + eMSN reg
 
     def begin_message(self, msn: int, expected_pkts: int) -> MessageTrack:
         track = self.tracks.get(msn)
@@ -174,7 +61,6 @@ class CounterTracker:
         retry round resets the counter; packets from an older round are
         discarded.
         """
-        self.accesses += 1
         if msn < self.emsn:
             return False  # message already completed and expired
         track = self.begin_message(msn, expected_pkts)
@@ -211,7 +97,3 @@ class CounterTracker:
             del self.tracks[self.emsn]
             self.emsn += 1
         return self.emsn, cqes
-
-    def access_steps(self, psn_or_offset: int = 0) -> int:
-        """Constant per-packet cost: locate counter, increment (Fig 7)."""
-        return 2

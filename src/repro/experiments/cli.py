@@ -47,6 +47,7 @@ import time
 from contextlib import nullcontext
 
 from repro.experiments.registry import REGISTRY, run_experiment
+from repro.experiments.spec import CHOICES
 from repro.obs.export import (write_breakdown_jsonl, write_campaign_jsonl,
                               write_metrics_jsonl)
 from repro.runner import ExperimentRunner, ResultCache
@@ -116,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
                              "beyond the budget evict the oldest entries "
                              "(default: unbounded)")
     parser.add_argument("--fidelity", default=None,
-                        choices=("packet", "hybrid"),
+                        choices=CHOICES["fidelity"],
                         help="simulation fidelity for experiments that "
                              "support it (fig13/fig14): 'packet' simulates "
                              "every byte, 'hybrid' runs uncontended flows "

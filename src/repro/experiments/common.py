@@ -25,7 +25,7 @@ from repro.obs import spans
 from repro.rnic.base import (Flow, Host, HostNic, QueuePair, RnicTransport,
                              TransportConfig)
 from repro.sim.engine import Simulator
-from repro.sim.units import bdp_bytes, serialization_ns
+from repro.sim.units import bdp_bytes
 
 
 #: Events run between the drain loop's checks for open flows.
@@ -42,9 +42,9 @@ class Network:
     """A fully wired simulated network ready to carry flows."""
 
     def __init__(self, spec: NetworkSpec) -> None:
-        if spec.fidelity not in ("packet", "hybrid"):
-            raise ValueError(f"unknown fidelity {spec.fidelity!r} "
-                             f"(expected 'packet' or 'hybrid')")
+        undeclared = spec.undeclared_choice()
+        if undeclared is not None:
+            raise ValueError(undeclared[1])
         self.spec = spec
         self.sim = Simulator()
         self.tconfig = self._transport_config()
@@ -157,15 +157,13 @@ class Network:
                 cross_link_delay_ns=spec.spine_link_delay_ns,
                 cross_port_rates=spec.cross_port_rates,
                 rate=spec.link_rate)
-        elif spec.topology == "direct":
+        else:  # "direct"
             if spec.num_hosts != 2:
                 raise ValueError("direct topology needs exactly 2 hosts")
             fab = build_direct(self.sim, self.hosts[0], self.hosts[1],
                                prop_delay_ns=spec.host_link_delay_ns,
                                rate=spec.link_rate, loss_rate=spec.loss_rate,
                                loss_seed=spec.seed)
-        else:
-            raise ValueError(f"unknown topology {spec.topology!r}")
         fab.mtu_payload = spec.mtu_payload
         if spec.transport == "rifl":
             # Hop-by-hop link-layer retransmission: every link gets a
@@ -199,28 +197,11 @@ class Network:
                 window = max(window, self.tconfig.max_message_bytes
                              + self.tconfig.window_bytes)
             return StaticWindowCc(window_bytes=window)
-        if spec.cc == "swift":
-            # Delay-target AIMD: target = base RTT plus queueing slack
-            # of a few MTUs per hop, scaled off the fabric like the RTO
-            # floors above.
-            from repro.cc.swift import SwiftCc, SwiftParams
-            base_rtt = 2 * self._estimate_oneway_ns()
-            mtu_ser = serialization_ns(
-                spec.mtu_payload + 100, spec.link_rate)
-            window = self.tconfig.window_bytes
-            return SwiftCc(SwiftParams(
-                target_delay_ns=base_rtt + 16 * mtu_ser,
-                mtu_bytes=spec.mtu_payload,
-                initial_cwnd_bytes=window,
-                min_cwnd_bytes=2 * spec.mtu_payload,
-                max_cwnd_bytes=4 * window))
-        if spec.cc == "none":
-            # Every RNIC transport ships a BDP flow-control window even
-            # "without CC" (§6.2 gives IRN one; the DCP-RNIC prototype is
-            # equally window-limited).  The §6.3 HO-storm effect still
-            # emerges because N incast windows overwhelm one egress port.
-            return StaticWindowCc(window_bytes=self.tconfig.window_bytes)
-        raise ValueError(f"unknown cc {self.spec.cc!r}")
+        # cc="none": every RNIC transport ships a BDP flow-control window
+        # even "without CC" (§6.2 gives IRN one; the DCP-RNIC prototype is
+        # equally window-limited).  The §6.3 HO-storm effect still
+        # emerges because N incast windows overwhelm one egress port.
+        return StaticWindowCc(window_bytes=self.tconfig.window_bytes)
 
     # --------------------------------------------------------------- flows
     def open_flow(self, src: int, dst: int, size_bytes: int, start_ns: int,

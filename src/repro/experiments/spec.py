@@ -29,15 +29,27 @@ TRANSPORTS: dict[str, str] = {
     "rifl": "repro.rnic.rifl.RiflTransport",
 }
 
+#: The values each choice field of :class:`NetworkSpec` accepts.  The
+#: campaign compiler checks every point against this table and
+#: ``common.Network`` refuses a spec it does not cover, both with the
+#: message :meth:`NetworkSpec.undeclared_choice` builds.
+CHOICES: dict[str, tuple[str, ...]] = {
+    "transport": tuple(TRANSPORTS),
+    "cc": ("none", "window", "dcqcn"),
+    "lb": ("ecmp", "ar", "spray"),
+    "topology": ("clos", "testbed", "direct"),
+    "fidelity": ("packet", "hybrid"),
+}
+
 
 @dataclass
 class NetworkSpec:
     """Declarative description of one simulated network."""
 
     transport: str = "dcp"                 # any TRANSPORTS key
-    cc: str = "none"                       # none|window|dcqcn|swift
-    lb: str = "ar"                         # ecmp|ar|spray
-    topology: str = "clos"                 # clos|testbed|direct
+    cc: str = "none"                       # any CHOICES["cc"] value
+    lb: str = "ar"                         # any CHOICES["lb"] value
+    topology: str = "clos"                 # any CHOICES["topology"] value
     num_hosts: int = 32
     num_leaves: int = 4
     num_spines: int = 4
@@ -65,6 +77,16 @@ class NetworkSpec:
     # testbed-specific
     cross_links: int = 8
     cross_port_rates: Optional[dict[int, float]] = None
+
+    def undeclared_choice(self) -> Optional[tuple[str, str]]:
+        """``(field, message)`` for the first choice field holding a value
+        :data:`CHOICES` does not declare, or None when all are declared."""
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                return name, (f"unknown {name} {value!r}; expected one of "
+                              f"{sorted(allowed)}")
+        return None
 
     def needs_pfc(self) -> bool:
         """GBN ("PFC" baseline) and MP-RDMA require a lossless fabric."""

@@ -116,7 +116,7 @@ class Packet:
         "msg_len_bytes", "msg_offset_pkts", "sretry_no", "emsn", "ack_psn",
         "sack_psn", "sack_bitmap", "dcp_tag", "ecn_capable", "ecn_ce", "entropy",
         "priority", "pause_priority", "pause_duration_ns", "is_retransmit",
-        "ho_returned", "timestamp_ns", "hops", "ingress_hint", "uid",
+        "ho_returned", "hops", "ingress_hint", "uid",
     )
 
     def __init__(self, src: int, dst: int, kind: int, size_bytes: int,
@@ -129,8 +129,8 @@ class Packet:
                  ecn_ce: bool = False, entropy: int = 0, priority: int = 0,
                  pause_priority: int = 0, pause_duration_ns: int = 0,
                  is_retransmit: bool = False, ho_returned: bool = False,
-                 timestamp_ns: int = -1, hops: int = 0,
-                 ingress_hint: int = -1, uid: int = -1) -> None:
+                 hops: int = 0, ingress_hint: int = -1,
+                 uid: int = -1) -> None:
         self.src = src
         self.dst = dst
         self.kind = kind
@@ -159,7 +159,6 @@ class Packet:
         self.pause_duration_ns = pause_duration_ns
         self.is_retransmit = is_retransmit
         self.ho_returned = ho_returned  # HO already turned around by receiver
-        self.timestamp_ns = timestamp_ns    # sender send time (RACK-TLP)
         self.hops = hops
         self.ingress_hint = ingress_hint    # port the last link delivered to
         self.uid = next(_packet_ids) if uid < 0 else uid
@@ -273,7 +272,6 @@ def make_data_packet(src: int, dst: int, flow_id: int = -1, qpn: int = -1,
     p.pause_duration_ns = 0
     p.is_retransmit = is_retransmit
     p.ho_returned = False
-    p.timestamp_ns = -1
     p.hops = 0
     p.ingress_hint = -1
     p.uid = uid
@@ -283,14 +281,13 @@ def make_data_packet(src: int, dst: int, flow_id: int = -1, qpn: int = -1,
 def make_ack(src: int, dst: int, flow_id: int = -1, qpn: int = -1,
              src_qpn: int = -1, kind: int = PacketKind.ACK,
              ack_psn: int = -1, emsn: int = -1, sack_psn: int = -1,
-             sack_bitmap: int = 0, timestamp_ns: int = -1,
-             dcp: bool = False, entropy: int = 0, priority: int = 0,
+             sack_bitmap: int = 0, dcp: bool = False, entropy: int = 0,
+             priority: int = 0,
              sim: Optional["Simulator"] = None) -> Packet:
     """Build an acknowledgment (ACK/SACK/NAK) packet.
 
     ``sack_bitmap`` is SDR's ack vector (bit *i* acknowledges PSN
-    ``ack_psn + 1 + i``); ``timestamp_ns`` echoes the data packet's send
-    timestamp so delay-based CC (Swift) can sample RTT at the sender.
+    ``ack_psn + 1 + i``).
     """
     # Slot stores and uid by hand; see make_data_packet.
     if sim is None:
@@ -326,7 +323,6 @@ def make_ack(src: int, dst: int, flow_id: int = -1, qpn: int = -1,
     p.pause_duration_ns = 0
     p.is_retransmit = False
     p.ho_returned = False
-    p.timestamp_ns = timestamp_ns
     p.hops = 0
     p.ingress_hint = -1
     p.uid = uid

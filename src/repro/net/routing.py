@@ -95,54 +95,12 @@ class SprayLoadBalancer:
         return candidates[cur % len(candidates)]
 
 
-class FlowletLoadBalancer:
-    """Flowlet switching (CONGA/LetFlow-style, §8).
-
-    A flow keeps its current path until an inter-packet gap larger than
-    ``gap_ns`` is observed; the next packet may then pick a new
-    (least-loaded) path without reordering risk.  The paper's point:
-    RDMA traffic rarely exhibits such gaps, so flowlet LB degenerates
-    toward flow-level behaviour — reproducible here by comparing path
-    counts against :class:`SprayLoadBalancer` under a smooth flow.
-    """
-
-    name = "flowlet"
-    packet_level = False
-
-    def __init__(self, gap_ns: int = 50_000) -> None:
-        if gap_ns <= 0:
-            raise ValueError("flowlet gap must be positive")
-        self.gap_ns = gap_ns
-        # (switch id, flow id) -> (last seen ns, current port)
-        self._state: dict[tuple[int, int], tuple[int, int]] = {}
-        self.flowlet_switches = 0
-
-    def pick(self, switch: "Switch", packet: Packet, candidates: Sequence[int]) -> int:
-        key = (switch.switch_id, packet.flow_id)
-        now = switch.sim.now
-        last = self._state.get(key)
-        if last is not None:
-            last_ns, port = last
-            if now - last_ns < self.gap_ns and port in candidates:
-                self._state[key] = (now, port)
-                return port
-        # gap expired (or new flow): start a flowlet on the best path
-        best = min(switch.ports[c].buffered_bytes for c in candidates)
-        ties = [c for c in candidates if switch.ports[c].buffered_bytes == best]
-        port = ties[flow_hash(packet) % len(ties)]
-        if last is not None and last[1] != port:
-            self.flowlet_switches += 1
-        self._state[key] = (now, port)
-        return port
-
-
 def make_load_balancer(name: str, **kwargs) -> object:
-    """Factory for ``NetworkSpec.lb``: "ecmp", "ar", "spray" or "flowlet"."""
+    """Factory for ``NetworkSpec.lb``: "ecmp", "ar" or "spray"."""
     table = {
         "ecmp": EcmpLoadBalancer,
         "ar": AdaptiveLoadBalancer,
         "spray": SprayLoadBalancer,
-        "flowlet": FlowletLoadBalancer,
     }
     try:
         return table[name](**kwargs)

@@ -98,27 +98,6 @@ class Histogram:
         return f"Histogram({self.name} n={self.total})"
 
 
-class FieldCounter:
-    """Live read/write view of one :class:`CounterBlock` field."""
-
-    __slots__ = ("name", "block", "field")
-
-    def __init__(self, name: str, block: "CounterBlock", field: str) -> None:
-        self.name = name
-        self.block = block
-        self.field = field
-
-    @property
-    def value(self) -> int:
-        return getattr(self.block, self.field)
-
-    def inc(self, n: int = 1) -> None:
-        setattr(self.block, self.field, getattr(self.block, self.field) + n)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"FieldCounter({self.name}={self.value})"
-
-
 class CounterBlock:
     """A fixed set of int counters stored as plain slot attributes.
 
@@ -134,12 +113,6 @@ class CounterBlock:
     def __init__(self) -> None:
         for name in self.FIELDS:
             setattr(self, name, 0)
-
-    def counter(self, field: str) -> FieldCounter:
-        """A live view of ``field`` (for registries and tests)."""
-        if field not in self.FIELDS:
-            raise KeyError(f"{type(self).__name__} has no field {field!r}")
-        return FieldCounter(field, self, field)
 
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.FIELDS}
@@ -169,8 +142,10 @@ class MetricsRegistry:
 
     def __init__(self, per_flow: bool = False) -> None:
         self.per_flow = per_flow
-        #: ``(prefix, CounterBlock)`` or ``(name, counter)``, in order.
+        #: ``(prefix, CounterBlock)`` or ``(name, Counter)``, in order.
         self._counters: list[tuple[str, Any]] = []
+        #: name -> the plain :class:`Counter` :meth:`counter` made for it.
+        self._named: dict[str, Counter] = {}
         #: ``(name, obj, attr)``: ``obj.attr``, or ``obj()`` if no attr.
         self._gauges: list[tuple[str, Any, Optional[str]]] = []
         self._histograms: dict[str, Histogram] = {}
@@ -178,9 +153,9 @@ class MetricsRegistry:
         self.series: dict = {}
 
     # -------------------------------------------------------- registration
-    def _counter_table(self, read: bool) -> dict[str, Any]:
-        """Final name -> value (``read``) or ``(obj, attr)``, in order."""
-        out: dict[str, Any] = {}
+    def _counter_values(self) -> dict[str, int]:
+        """Final name -> value, in registration order."""
+        out: dict[str, int] = {}
         for key, obj in self._counters:
             if isinstance(obj, CounterBlock):
                 prefix = key + "."
@@ -188,25 +163,18 @@ class MetricsRegistry:
                     name = prefix + field
                     if name in out:
                         name = _unique(out, name)
-                    out[name] = getattr(obj, field) if read else (obj, field)
+                    out[name] = getattr(obj, field)
             else:
-                key = _unique(out, key)
-                out[key] = obj.value if read else (obj, None)
+                out[_unique(out, key)] = obj.value
         return out
 
-    def counter(self, name: str) -> Any:
-        """Get-or-create ``name``; a block field's name gives its view."""
-        obj, field = self._counter_table(read=False).get(name, (None, None))
-        if obj is None:
-            obj = Counter(name)
-            self._counters.append((name, obj))
-        return obj if field is None else obj.counter(field)
-
-    def register_counter(self, name: str, counter: Any) -> str:
-        """Expose an externally owned counter; returns the final name."""
-        name = _unique(self._counter_table(read=False), name)
-        self._counters.append((name, counter))
-        return name
+    def counter(self, name: str) -> Counter:
+        """Get-or-create the plain counter ``name``."""
+        c = self._named.get(name)
+        if c is None:
+            c = self._named[name] = Counter(name)
+            self._counters.append((name, c))
+        return c
 
     def register_block(self, prefix: str, block: CounterBlock) -> None:
         """Expose every field of ``block`` as ``<prefix>.<field>``."""
@@ -247,7 +215,7 @@ class MetricsRegistry:
         :data:`repro.runner.cache.CACHE_VERSION`.
         """
         return {
-            "counters": self._counter_table(read=True),
+            "counters": self._counter_values(),
             "gauges": self._gauge_table(read=True),
             "histograms": {
                 n: {"bounds": list(h.bounds), "counts": list(h.counts),

@@ -62,7 +62,6 @@ class RackTlpTransport(WindowTransport):
     # -------------------------------------------------------------- sender
     def _on_transmit(self, qp: QueuePair, st: _RackSendState, psn: int,
                      packet: Packet) -> None:
-        packet.timestamp_ns = self.sim.now
         st.sent_ts[psn] = self.sim.now  # per-packet timestamp memory (the cost)
         self._arm_timers(qp, st)
 

@@ -90,7 +90,6 @@ class SdrTransport(WindowTransport):
     def _on_transmit(self, qp: QueuePair, st: _SdrSendState, psn: int,
                      packet: Packet) -> None:
         now = self.sim.now
-        packet.timestamp_ns = now       # echoed by the ack (Swift RTT)
         # Every transmission gets its own hole deadline.  Deadlines are
         # pushed in nondecreasing order (always now + hole_to), so an
         # armed timer is never later than the true head.
@@ -145,9 +144,6 @@ class SdrTransport(WindowTransport):
 
     def _advance_cumulative(self, qp: QueuePair, st: _SdrSendState,
                             packet: Packet) -> None:
-        cc = qp.cc
-        if cc.wants_rtt and packet.timestamp_ns >= 0:
-            cc.on_rtt(self.sim.now - packet.timestamp_ns, self.sim.now)
         new_una = packet.ack_psn + 1
         if new_una <= st.snd_una:
             return
@@ -222,5 +218,4 @@ class SdrTransport(WindowTransport):
                 if off < SACK_VECTOR_BITS:
                     bitmap |= 1 << off
         self._send_ack(qp, PacketKind.SACK if bitmap else PacketKind.ACK,
-                       st.epsn - 1, sack_bitmap=bitmap,
-                       timestamp_ns=packet.timestamp_ns)
+                       st.epsn - 1, sack_bitmap=bitmap)

@@ -211,11 +211,6 @@ class WindowTransport(RnicTransport):
         st = qp.tx_state
         if st is None:
             st = self._send_state(qp)
-        cc = qp.cc
-        if cc.wants_rtt and packet.timestamp_ns >= 0:
-            # The receiver echoes the data packet's send timestamp; only
-            # senders that stamp (RIFL) produce samples.
-            cc.on_rtt(self.sim.now - packet.timestamp_ns, self.sim.now)
         new_una = packet.ack_psn + 1
         if new_una <= st.snd_una:
             return
@@ -259,14 +254,13 @@ class WindowTransport(RnicTransport):
         return IN_ORDER
 
     def _on_data(self, qp: QueuePair, packet: Packet) -> None:
-        """Cumulative-ACK receiver: one ACK per arrival, timestamp echoed."""
+        """Cumulative-ACK receiver: one ACK per arrival."""
         st = qp.rx_state
         if st is None:
             st = self._recv_state(qp)
         self.maybe_send_cnp(qp, packet)
         self._accept(st, packet)
-        self._send_ack(qp, PacketKind.ACK, st.epsn - 1,
-                       timestamp_ns=packet.timestamp_ns)
+        self._send_ack(qp, PacketKind.ACK, st.epsn - 1)
 
     def _on_data_sack(self, qp: QueuePair, packet: Packet) -> None:
         """IRN-style receiver: a SACK names each out-of-order arrival."""
@@ -281,12 +275,12 @@ class WindowTransport(RnicTransport):
 
     def _send_ack(self, qp: QueuePair, kind: PacketKind, ack_psn: int,
                   sack_psn: int = -1, sack_bitmap: int = 0,
-                  timestamp_ns: int = -1, ecn_ce: bool = False) -> None:
+                  ecn_ce: bool = False) -> None:
         # Positional make_ack: (flow_id, qpn, src_qpn, kind, ack_psn, emsn,
-        # sack_psn, sack_bitmap, timestamp_ns, dcp, entropy, priority, sim).
+        # sack_psn, sack_bitmap, dcp, entropy, priority, sim).
         ack = make_ack(self.host_id, qp.peer_host_id, -1, qp.peer_qpn,
                        qp.qpn, kind, ack_psn, -1, sack_psn, sack_bitmap,
-                       timestamp_ns, False, qp.entropy, 0, self.sim)
+                       False, qp.entropy, 0, self.sim)
         if ecn_ce:
             ack.ecn_ce = True
         self.nic.send_control(ack)

@@ -5,11 +5,11 @@ argue for:
 
 * batched RetransQ fetch vs the naive per-HO fetch strawman;
 * the WRR weight rule vs an undersized control queue share;
-* bitmap-free counters vs a BDP bitmap (processing-cost view).
+* bitmap-free counters vs a linked chunk (processing-cost view).
 """
 
 from repro.analysis.fct import goodput_gbps
-from repro.core.tracking import CounterTracker, LinkedChunkTracker
+from repro.analysis.models import tracking_access_cycles
 from repro.experiments.common import build_network
 
 
@@ -58,15 +58,17 @@ def test_ablation_wrr_weight():
 
 def test_ablation_tracking_cost():
     """Bitmap-free counting does constant work per packet while the
-    linked chunk's cost grows with OOO degree (Fig 7's microscopic view)."""
-    counter = CounterTracker()
-    chunk = LinkedChunkTracker(chunk_bits=128)
-    counter_cost = chunk_cost = 0
+    linked chunk's cost grows with OOO degree: the per-packet cycles
+    behind Fig 7."""
     # interleave two far-apart PSN ranges: high OOO degree
     psns = [p for pair in zip(range(0, 400), range(400, 800)) for p in pair]
-    for i, psn in enumerate(psns):
-        counter_cost += counter.access_steps()
-        counter.record(i // 100, 100, 0)
-        chunk_cost += chunk.access_steps(psn)
-        chunk.record(psn)
+    frontier = counter_cost = chunk_cost = 0
+    for psn in psns:
+        counter_cost += tracking_access_cycles("dcp", psn - frontier)
+        chunk_cost += tracking_access_cycles("linked_chunk", psn - frontier)
+        if psn == frontier:
+            frontier += 1
+    assert counter_cost == 2 * len(psns)
     assert counter_cost < chunk_cost
+    assert [tracking_access_cycles("linked_chunk", d)
+            for d in (0, 127, 128, 512)] == [2, 2, 3, 6]

@@ -28,17 +28,17 @@ class TestNetworkSpec:
                        for sw in net.fabric.switches)
 
     def test_unknown_transport_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown transport 'quic'"):
             build_network(transport="quic")
 
     def test_unknown_cc_rejected(self):
-        net = build_network(transport="dcp", num_hosts=8, num_leaves=2,
-                            num_spines=2, cc="vegas")
-        with pytest.raises(ValueError):
-            net.open_flow(0, 1, 100, 0)
+        # Refused when the network is built, before any flow asks for a CC.
+        with pytest.raises(ValueError, match="unknown cc 'vegas'"):
+            build_network(transport="dcp", num_hosts=8, num_leaves=2,
+                          num_spines=2, cc="vegas")
 
     def test_unknown_topology_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown topology 'torus'"):
             build_network(transport="dcp", topology="torus")
 
     def test_transport_override_validation(self):

@@ -1,38 +1,9 @@
-"""Property-based tests: the three tracking schemes against an oracle."""
+"""Property-based tests: DCP's counter tracker against an oracle."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.tracking import (BdpBitmapTracker, CounterTracker,
-                                 LinkedChunkTracker)
-
-
-@given(st.lists(st.integers(0, 63), min_size=1, max_size=300))
-def test_bdp_bitmap_matches_set_oracle(psns):
-    tracker = BdpBitmapTracker(window_pkts=64)
-    oracle: set[int] = set()
-    for psn in psns:
-        accepted = tracker.record(psn)
-        assert accepted == (psn not in oracle)
-        oracle.add(psn)
-
-
-@given(st.lists(st.integers(0, 500), min_size=1, max_size=300))
-def test_linked_chunk_matches_set_oracle(psns):
-    tracker = LinkedChunkTracker(chunk_bits=16)
-    oracle: set[int] = set()
-    for psn in psns:
-        accepted = tracker.record(psn)
-        assert accepted == (psn not in oracle)
-        oracle.add(psn)
-
-
-@given(st.lists(st.integers(0, 500), min_size=1, max_size=200))
-def test_linked_chunk_memory_bounded_by_max_psn(psns):
-    tracker = LinkedChunkTracker(chunk_bits=16)
-    for psn in psns:
-        tracker.record(psn)
-    assert tracker.memory_bits <= (max(psns) // 16 + 1) * 16
+from repro.core.tracking import CounterTracker
 
 
 @given(st.data())

@@ -28,8 +28,8 @@ means to alter a transport's behaviour regenerates them.  The values in
 
 None of those cells congests a queue, so a second set pins a 12->1
 incast on a 16-host Clos under each congestion control (``_INCAST_CCS``):
-ECN marks, CNPs, DCQCN pacing gates and Swift's adaptive window are
-what its ``_INCAST_DIGESTS`` exercise.  The same command prints both.
+ECN marks, CNPs and DCQCN pacing gates are what its ``_INCAST_DIGESTS``
+exercise.  The same command prints both.
 """
 
 from __future__ import annotations
@@ -149,10 +149,9 @@ _DIGESTS = {
 }
 
 
-#: Congestion controls of the incast cells: a static window, rate-based
-#: DCQCN (ECN marks -> CNPs -> pacing) and delay-based Swift (no fixed
-#: window).
-_INCAST_CCS = ("none", "dcqcn", "swift")
+#: Congestion controls of the incast cells: a static window and rate-based
+#: DCQCN (ECN marks -> CNPs -> pacing).
+_INCAST_CCS = ("none", "dcqcn")
 _INCAST_SENDERS = range(1, 13)
 _INCAST_BYTES = 40_000
 
@@ -172,31 +171,22 @@ def _run_incast_cell(transport: str, cc: str):
 _INCAST_DIGESTS = {
     ('dcp', 'none'): '9a83a0acadf5d9a0',
     ('dcp', 'dcqcn'): '32706428f520cfb0',
-    ('dcp', 'swift'): '9a83a0acadf5d9a0',
     ('gbn', 'none'): 'a66d5699c835f469',
     ('gbn', 'dcqcn'): '68659672a2d98eec',
-    ('gbn', 'swift'): 'a66d5699c835f469',
     ('irn', 'none'): '884838d1cd464e44',
     ('irn', 'dcqcn'): '386279fe50975bcc',
-    ('irn', 'swift'): '1e6498d000120b17',
     ('mp_rdma', 'none'): '28078942ffb7c092',
     ('mp_rdma', 'dcqcn'): 'fb598f16977a26f1',
-    ('mp_rdma', 'swift'): '28078942ffb7c092',
     ('rack_tlp', 'none'): 'd91b2015482812b7',
     ('rack_tlp', 'dcqcn'): '72020101cdf47471',
-    ('rack_tlp', 'swift'): 'd91b2015482812b7',
     ('rifl', 'none'): '78f64bf34de3953c',
     ('rifl', 'dcqcn'): '6886927f37231974',
-    ('rifl', 'swift'): 'cdbaeb603134151f',
     ('sdr', 'none'): '83d0767d3e170ce4',
     ('sdr', 'dcqcn'): 'fa67236e085d6c89',
-    ('sdr', 'swift'): 'ad764ffa9ea8093e',
     ('tcp', 'none'): '66f21ca3196ad40a',
     ('tcp', 'dcqcn'): '66f21ca3196ad40a',
-    ('tcp', 'swift'): '66f21ca3196ad40a',
     ('timeout', 'none'): '78f64bf34de3953c',
     ('timeout', 'dcqcn'): '6886927f37231974',
-    ('timeout', 'swift'): 'b11a6cba8b2d3c9e',
 }
 
 

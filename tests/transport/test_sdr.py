@@ -2,7 +2,7 @@
 
 Covers the three mechanisms that make SDR a distinct point on the
 reliability frontier — the ack vector, the bounded reorder buffer, and
-per-hole timers — plus the §4.5 coarse fallback and Swift integration.
+per-hole timers — plus the §4.5 coarse fallback.
 """
 
 from __future__ import annotations
@@ -152,15 +152,3 @@ def test_coarse_fires_on_dead_path_then_recovers():
     coarse = sum(t.stats.coarse_timeouts for t in net.transports)
     assert coarse >= 1                        # fallback did the crossing
     assert flow.stats.timeouts >= coarse      # superset accounting holds
-
-
-# ---------------------------------------------------------------- swift
-def test_swift_cc_rides_on_sdr():
-    net = build_network(transport="sdr", topology="testbed", num_hosts=4,
-                        cross_links=1, link_rate=10.0, loss_rate=0.01,
-                        lb="ecmp", cc="swift", seed=63)
-    flow = net.open_flow(0, 2, 200_000, 0)
-    net.run_until_flows_done(max_events=60_000_000)
-    assert flow.completed
-    ccs = [qp.cc for t in net.transports for qp in t.qps.values()]
-    assert any(getattr(cc, "rtt_samples", 0) > 0 for cc in ccs)

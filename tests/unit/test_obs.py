@@ -79,14 +79,6 @@ class TestPrimitives:
         b.misses = 2
         assert b.hits == 3
         assert b.as_dict() == {"hits": 3, "misses": 2}
-        view = b.counter("hits")
-        assert view.value == 3
-        b.hits += 1
-        assert view.value == 4                # live read-through
-        view.inc(2)
-        assert b.hits == 6                    # and write-through
-        with pytest.raises(KeyError):
-            b.counter("nope")
 
 
 # -------------------------------------------------------------- registry

@@ -186,7 +186,7 @@ _ack_args = st.fixed_dictionaries({
     "ack_psn": st.integers(-1, 1 << 24), "emsn": st.integers(-1, 1 << 24),
     "sack_psn": st.integers(-1, 1 << 24),
     "sack_bitmap": st.integers(0, (1 << 64) - 1),
-    "timestamp_ns": st.integers(-1, 1 << 40), "dcp": st.booleans(),
+    "dcp": st.booleans(),
     "entropy": st.integers(0, 1 << 16), "priority": st.integers(0, 7),
 })
 

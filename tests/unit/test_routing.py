@@ -88,53 +88,3 @@ def test_factory():
     assert isinstance(make_load_balancer("spray"), SprayLoadBalancer)
     with pytest.raises(ValueError):
         make_load_balancer("nope")
-
-
-class TestFlowlet:
-    def _switch_with_sim(self):
-        sw = _switch()
-        return sw
-
-    def test_sticky_within_gap(self):
-        from repro.net.routing import FlowletLoadBalancer
-        sw = self._switch_with_sim()
-        lb = FlowletLoadBalancer(gap_ns=1_000)
-        first = lb.pick(sw, _pkt(flow_id=3), [0, 1, 2, 3])
-        # back-to-back packets (sim clock unchanged) stay on the path
-        for _ in range(5):
-            assert lb.pick(sw, _pkt(flow_id=3), [0, 1, 2, 3]) == first
-
-    def test_switches_after_gap(self):
-        from repro.net.routing import FlowletLoadBalancer
-        sw = self._switch_with_sim()
-        lb = FlowletLoadBalancer(gap_ns=100)
-        p = _pkt(flow_id=3)
-        first = lb.pick(sw, p, [0, 1])
-        # make the current path congested, then let the flowlet expire
-        _load(sw.ports[first], _pkt())
-        _load(sw.ports[first], _pkt())
-        sw.sim.schedule(1_000, lambda: None)
-        sw.sim.run()
-        assert sw.sim.now >= 100
-        second = lb.pick(sw, _pkt(flow_id=3), [0, 1])
-        assert second != first
-        assert lb.flowlet_switches == 1
-
-    def test_continuous_flow_uses_one_path(self):
-        """The paper's point: RDMA flows rarely pause, so flowlet LB
-        degenerates to a single path (unlike spraying)."""
-        from repro.net.routing import FlowletLoadBalancer
-        sw = self._switch_with_sim()
-        lb = FlowletLoadBalancer(gap_ns=50_000)
-        picks = {lb.pick(sw, _pkt(flow_id=9), [0, 1, 2, 3])
-                 for _ in range(200)}
-        assert len(picks) == 1
-
-    def test_gap_validation(self):
-        from repro.net.routing import FlowletLoadBalancer
-        with pytest.raises(ValueError):
-            FlowletLoadBalancer(gap_ns=0)
-
-    def test_factory_knows_flowlet(self):
-        from repro.net.routing import FlowletLoadBalancer
-        assert isinstance(make_load_balancer("flowlet"), FlowletLoadBalancer)

@@ -349,8 +349,8 @@ class _RecordingBalancer:
 def test_single_candidate_short_circuits():
     """A one-port route forwards without the load balancer; a multi-port
     route still asks it.  Exact for every balancer: each used to return
-    ``candidates[0]`` for one candidate without touching its RNG, cursor
-    or flowlet state."""
+    ``candidates[0]`` for one candidate without touching its RNG or
+    cursor."""
     sim = Simulator()
     cfg = SwitchConfig(num_ports=3, rate_bits_per_ns=100.0,
                        buffer_bytes=1_000_000)

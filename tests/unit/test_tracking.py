@@ -1,82 +1,33 @@
-"""Unit tests for the three packet-tracking schemes (§4.5, Fig 6)."""
+"""Unit tests for the packet-tracking schemes (§4.5, Fig 6).
 
-import pytest
+DCP's :class:`CounterTracker` is tested as the receiver runs it.  The
+BDP bitmap and the linked chunk exist only as the Table 3 / Fig 7 cost
+model in :mod:`repro.analysis.models`, so their tests check the numbers
+those tables print.
+"""
 
-from repro.core.tracking import (BdpBitmapTracker, CounterTracker,
-                                 LinkedChunkTracker)
+from repro.analysis.models import tracking_access_cycles, tracking_memory_bytes
+from repro.core.tracking import CounterTracker
 
 
 class TestBdpBitmap:
-    def test_record_and_duplicate(self):
-        t = BdpBitmapTracker(window_pkts=64)
-        assert t.record(0)
-        assert not t.record(0)
-
-    def test_out_of_order_within_window(self):
-        t = BdpBitmapTracker(window_pkts=64)
-        assert t.record(5)
-        assert t.record(1)
-        assert t.record(0)
-
-    def test_advance_slides_head(self):
-        t = BdpBitmapTracker(window_pkts=8)
-        for psn in (0, 1, 2):
-            t.record(psn)
-        assert t.advance() == 3
-        assert t.record(8)  # window now covers [3, 11)
-
-    def test_beyond_window_rejected(self):
-        t = BdpBitmapTracker(window_pkts=8)
-        with pytest.raises(ValueError):
-            t.record(8)
-
-    def test_before_head_is_duplicate(self):
-        t = BdpBitmapTracker(window_pkts=8)
-        t.record(0)
-        t.advance()
-        assert not t.record(0)
-
     def test_constant_access_cost(self):
-        t = BdpBitmapTracker(window_pkts=512)
-        assert t.access_steps(0) == t.access_steps(511) == 2
+        assert (tracking_access_cycles("bdp", 0)
+                == tracking_access_cycles("bdp", 511) == 2)
 
     def test_memory_is_window_bits(self):
-        assert BdpBitmapTracker(window_pkts=2560).memory_bits == 2560
+        assert tracking_memory_bytes("bdp", bdp_pkts=2560) == (320, 320)
 
 
 class TestLinkedChunk:
     def test_grows_on_demand(self):
-        t = LinkedChunkTracker(chunk_bits=16)
-        assert t.memory_bits == 16
-        t.record(40)  # chunk index 2
-        assert t.memory_bits == 48
+        # Up to one BDP bitmap (2560 bits = 320 B), then no further.
+        assert [tracking_memory_bytes("linked_chunk", ooo_degree=d)[1]
+                for d in (128, 1024, 2560, 10_000)] == [80, 128, 320, 320]
 
     def test_access_cost_grows_with_ooo(self):
-        t = LinkedChunkTracker(chunk_bits=16)
-        assert t.access_steps(0) == 2
-        assert t.access_steps(40) == 4
-        assert t.access_steps(160) == 12
-
-    def test_duplicates(self):
-        t = LinkedChunkTracker(chunk_bits=16)
-        assert t.record(3)
-        assert not t.record(3)
-
-    def test_advance_frees_leading_chunks(self):
-        t = LinkedChunkTracker(chunk_bits=4)
-        for psn in range(4):
-            t.record(psn)
-        t.record(6)
-        head = t.advance()
-        assert head == 4
-        assert t.record(5)
-
-    def test_before_head_duplicate(self):
-        t = LinkedChunkTracker(chunk_bits=4)
-        for psn in range(4):
-            t.record(psn)
-        t.advance()
-        assert not t.record(0)
+        assert [tracking_access_cycles("linked_chunk", d, chunk_bits=16)
+                for d in (0, 40, 160)] == [2, 4, 12]
 
 
 class TestCounterTracker:
@@ -130,14 +81,13 @@ class TestCounterTracker:
         assert t.tracks[0].counter == before
 
     def test_memory_is_tiny(self):
-        # 8 messages x 2 B (Table 3's 32 B per QP, §4.5) + eMSN register
-        t = CounterTracker(tracked_messages=8)
-        assert t.memory_bits == 8 * 16 + 24
-        assert t.memory_bits // 8 <= 32 + 3
+        # 8 messages x 2 B + the eMSN/rRetryNo registers: Table 3's 32 B
+        assert CounterTracker.BITS_PER_MESSAGE == 16
+        assert tracking_memory_bytes("dcp", tracked_messages=8) == (32, 32)
 
     def test_constant_access(self):
-        t = CounterTracker()
-        assert t.access_steps() == 2
+        assert {tracking_access_cycles("dcp", d)
+                for d in (0, 128, 10_000)} == {2}
 
     def test_counter_overcount_guarded_by_mcf(self):
         t = CounterTracker()
