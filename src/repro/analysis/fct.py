@@ -112,6 +112,12 @@ def incomplete_note(payload: dict) -> Optional[str]:
             if still_open else None)
 
 
+def goodput_cell(payload: dict) -> float | str:
+    """The point's first flow's goodput, or the note saying it (or
+    another flow of the point) never finished."""
+    return incomplete_note(payload) or payload["flows"][0]["goodput_gbps"]
+
+
 def switch_total(payload: dict, field: str) -> int:
     """A :class:`~repro.net.switch.SwitchStats` field summed over every
     switch of the point (its ``switch.<name>.<field>`` counters)."""

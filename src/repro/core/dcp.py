@@ -177,8 +177,7 @@ class DcpTransport(RnicTransport):
         packet = make_data_packet(
             self.host_id, qp.peer_host_id, msg.flow.flow_id, qp.peer_qpn,
             qp.qpn, psn, msn, payload, mtu, msg.num_pkts, msg.size_bytes,
-            off, True, msg.ssn, st.sretry.get(msn, 0), qp.entropy, False, 0,
-            self.sim)
+            True, msg.ssn, st.sretry.get(msn, 0), qp.entropy, False, self.sim)
         qp.outstanding_bytes = out + payload
         out_bytes = st.msg_out_bytes
         out_bytes[msn] = out_bytes.get(msn, 0) + payload
@@ -241,8 +240,8 @@ class DcpTransport(RnicTransport):
         packet = make_data_packet(
             self.host_id, qp.peer_host_id, msg.flow.flow_id, qp.peer_qpn,
             qp.qpn, psn, msg.msn, payload, mtu, msg.num_pkts,
-            msg.size_bytes, off, True, msg.ssn, st.sretry.get(msg.msn, 0),
-            qp.entropy, True, 0, self.sim)
+            msg.size_bytes, True, msg.ssn, st.sretry.get(msg.msn, 0),
+            qp.entropy, True, self.sim)
         qp.outstanding_bytes += payload
         st.msg_out_bytes[msg.msn] = st.msg_out_bytes.get(msg.msn, 0) + payload
         self.count_retransmit(msg.flow)

@@ -8,7 +8,7 @@ grows (1.6x-72x worse than DCP between 0.01% and 5%).
 
 from __future__ import annotations
 
-from repro.analysis.fct import incomplete_note
+from repro.analysis.fct import goodput_cell
 from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
@@ -46,11 +46,6 @@ def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
     """One point per (loss rate, scheme): a cross-switch long flow."""
     return compile_campaign(
         long_flow_campaign("fig10", p, SCHEMES, 11, 80_000_000), p).points
-
-
-def goodput_cell(payload: dict) -> float | str:
-    """The long flow's goodput, or the note saying it never finished."""
-    return incomplete_note(payload) or payload["flows"][0]["goodput_gbps"]
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

@@ -14,6 +14,7 @@ testbed plot corresponds to the collision (worst) draw.
 
 from __future__ import annotations
 
+from repro.analysis.fct import incomplete_note
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
@@ -51,9 +52,14 @@ def sweep(p: ScalePreset) -> list[SweepPoint]:
                          for s in CX5_SEEDS)]]
 
 
-def _avg_goodput(payload: dict) -> float:
-    goodputs = [f["goodput_gbps"] for f in payload["flows"] if f["completed"]]
-    return sum(goodputs) / len(goodputs) if goodputs else 0.0
+def _avg_goodput(payloads: list) -> tuple[float | str, float | str]:
+    """Mean and worst per-point average goodput over ``payloads``, or
+    the note counting their open flows in both cells."""
+    note = incomplete_note({"flows": [f for pl in payloads
+                                      for f in pl["flows"]]})
+    avgs = [sum(f["goodput_gbps"] for f in pl["flows"]) / len(pl["flows"])
+            for pl in payloads]
+    return (note, note) if note else (sum(avgs) / len(avgs), min(avgs))
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
@@ -61,13 +67,13 @@ def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
         "fig11", "Average goodput of 2 flows over unequal paths (Gbps)")
     it = iter(payloads)
     for ratio in CAPACITY_RATIOS:
-        dcp = _avg_goodput(next(it))
-        cx5 = [_avg_goodput(next(it)) for _ in CX5_SEEDS]
+        dcp, _ = _avg_goodput([next(it)])
+        cx5_mean, cx5_worst = _avg_goodput([next(it) for _ in CX5_SEEDS])
         result.rows.append({
             "capacity_ratio": f"{ratio[0]}:{ratio[1]}",
             "dcp_ar_gbps": dcp,
-            "cx5_ecmp_mean_gbps": sum(cx5) / len(cx5),
-            "cx5_ecmp_worst_gbps": min(cx5),
+            "cx5_ecmp_mean_gbps": cx5_mean,
+            "cx5_ecmp_worst_gbps": cx5_worst,
         })
     result.notes = ("paper: DCP goodput stable across ratios; CX5 degrades "
                     "under non-equal capacities (its testbed draw matches "

@@ -12,7 +12,7 @@ flow size (Fig 1a) and the CDF of the ratio per size class (Fig 1b).
 
 from __future__ import annotations
 
-from repro.analysis.fct import percentile, switch_total
+from repro.analysis.fct import incomplete_note, percentile, switch_total
 from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
@@ -61,8 +61,9 @@ def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
                            + switch_total(payload, "dropped_buffer")),
             "trims": switch_total(payload, "trimmed"),
             "flows_with_retx": f"{spurious / max(1, len(all_ratios)):.0%}",
-            "mean_retx_ratio": (sum(all_ratios) / len(all_ratios)
-                                if all_ratios else 0.0),
+            # Ratios of survivors: say so if a flow is open.
+            "mean_retx_ratio": incomplete_note(payload) or (
+                sum(all_ratios) / len(all_ratios) if all_ratios else 0.0),
             "p95_retx_ratio": percentile(all_ratios, 95) if all_ratios else 0.0,
         }
         for cls in ("small", "medium", "large"):

@@ -16,6 +16,7 @@ end-to-end one) separate from RTO-prone recovery as distance grows.
 
 from __future__ import annotations
 
+from repro.analysis.fct import goodput_cell
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
@@ -58,16 +59,14 @@ def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
         "longhaul", "Goodput over long-haul cross-switch links")
     it = iter(payloads)
     for km in DISTANCES_KM:
-        # goodput_gbps is 0.0 for a flow that did not complete
         row = {
             "distance_km": km,
             "one_hop_delay_us": fiber_delay_ns(km) / 1000,
-            "goodput_gbps": next(it)["flows"][0]["goodput_gbps"],
+            "goodput_gbps": goodput_cell(next(it)),
             "line_rate_gbps": p.link_rate,
         }
         for transport in TRANSPORTS:
-            row[f"{transport}_lossy_gbps"] = next(it)["flows"][0][
-                "goodput_gbps"]
+            row[f"{transport}_lossy_gbps"] = goodput_cell(next(it))
         result.rows.append(row)
     result.notes = ("paper: ~85 Gbps of 100 Gbps at 10 km, stable; "
                     f"*_lossy columns add {LOSS_RATE:.1%} forced loss")

@@ -35,8 +35,6 @@ class EcnMarker:
     def __init__(self, profile: RedProfile, rng: random.Random | None = None) -> None:
         self.profile = profile
         self.rng = rng or random.Random(0xECD)
-        self.marked = 0
-        self.seen = 0
 
     def mark_probability(self, queue_bytes: int) -> float:
         p = self.profile
@@ -49,13 +47,11 @@ class EcnMarker:
 
     def maybe_mark(self, packet: Packet, queue_bytes: int) -> bool:
         """Mark ``packet`` CE with the RED probability; returns True if marked."""
-        self.seen += 1
         if not packet.ecn_capable:
             return False
         prob = self.mark_probability(queue_bytes)
         if prob > 0.0 and (prob >= 1.0 or self.rng.random() < prob):
             packet.ecn_ce = True
-            self.marked += 1
             return True
         return False
 

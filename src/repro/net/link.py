@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from heapq import heappush
 from typing import TYPE_CHECKING, Optional, Protocol
 
 from repro.net.packet import PAYLOAD_KINDS
@@ -87,7 +88,8 @@ class Link:
         metrics.register_block(f"link.{name}", self.stats)
         self.up = True
         # Hot path: the destination never changes after wiring, so the
-        # arrival callback is resolved once instead of per packet.
+        # arrival callback is resolved once instead of per packet, and
+        # ``deliver`` posts it straight onto the simulator's heap.
         self._rx = dst.receive
 
     def deliver(self, packet: "Packet") -> None:
@@ -120,9 +122,12 @@ class Link:
         stats = self.stats
         stats.delivered_packets += 1
         stats.delivered_bytes += packet.size_bytes
-        packet.hops += 1
+        sim = self.sim
         sp = spans._active
         if sp is not None:
-            sp.propagate(packet, self.sim.now, self.prop_delay_ns, self.name)
+            sp.propagate(packet, sim.now, self.prop_delay_ns, self.name)
         packet.ingress_hint = self.dst_port
-        self.sim.call_after(self.prop_delay_ns, self._rx, packet)
+        # What call_after would push (DESIGN.md "Event engine contract").
+        sim._seqn = seq = sim._seqn + 1
+        heappush(sim._heap,
+                 (sim.now + self.prop_delay_ns, seq, None, self._rx, packet))

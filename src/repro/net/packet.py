@@ -113,24 +113,21 @@ class Packet:
     __slots__ = (
         "src", "dst", "kind", "size_bytes", "payload_bytes", "flow_id",
         "qpn", "src_qpn", "psn", "msn", "ssn", "msg_len_pkts",
-        "msg_len_bytes", "msg_offset_pkts", "sretry_no", "emsn", "ack_psn",
-        "sack_psn", "sack_bitmap", "dcp_tag", "ecn_capable", "ecn_ce", "entropy",
-        "priority", "pause_priority", "pause_duration_ns", "is_retransmit",
-        "ho_returned", "hops", "ingress_hint", "uid",
+        "msg_len_bytes", "sretry_no", "emsn", "ack_psn", "sack_psn",
+        "sack_bitmap", "dcp_tag", "ecn_capable", "ecn_ce", "entropy",
+        "is_retransmit", "ho_returned", "ingress_hint", "uid",
     )
 
     def __init__(self, src: int, dst: int, kind: int, size_bytes: int,
                  payload_bytes: int = 0, flow_id: int = -1, qpn: int = -1,
                  src_qpn: int = -1, psn: int = -1, msn: int = -1,
                  ssn: int = -1, msg_len_pkts: int = 0, msg_len_bytes: int = 0,
-                 msg_offset_pkts: int = 0, sretry_no: int = 0, emsn: int = -1,
-                 ack_psn: int = -1, sack_psn: int = -1, sack_bitmap: int = 0,
+                 sretry_no: int = 0, emsn: int = -1, ack_psn: int = -1,
+                 sack_psn: int = -1, sack_bitmap: int = 0,
                  dcp_tag: int = DcpTag.NON_DCP, ecn_capable: bool = True,
-                 ecn_ce: bool = False, entropy: int = 0, priority: int = 0,
-                 pause_priority: int = 0, pause_duration_ns: int = 0,
+                 ecn_ce: bool = False, entropy: int = 0,
                  is_retransmit: bool = False, ho_returned: bool = False,
-                 hops: int = 0, ingress_hint: int = -1,
-                 uid: int = -1) -> None:
+                 ingress_hint: int = -1, uid: int = -1) -> None:
         self.src = src
         self.dst = dst
         self.kind = kind
@@ -144,7 +141,6 @@ class Packet:
         self.ssn = ssn                  # send sequence number (two-sided ops)
         self.msg_len_pkts = msg_len_pkts    # packets in this message (RETH length)
         self.msg_len_bytes = msg_len_bytes
-        self.msg_offset_pkts = msg_offset_pkts  # index within its message
         self.sretry_no = sretry_no      # sender retry number (§4.5 fallback)
         self.emsn = emsn                # cumulative expected MSN (ACK packets)
         self.ack_psn = ack_psn          # cumulative PSN (ACK/SACK)
@@ -154,12 +150,8 @@ class Packet:
         self.ecn_capable = ecn_capable
         self.ecn_ce = ecn_ce            # congestion-experienced mark
         self.entropy = entropy          # ECMP hash input; per-path for MP-RDMA
-        self.priority = priority        # PFC priority class
-        self.pause_priority = pause_priority  # class a PAUSE/RESUME refers to
-        self.pause_duration_ns = pause_duration_ns
         self.is_retransmit = is_retransmit
         self.ho_returned = ho_returned  # HO already turned around by receiver
-        self.hops = hops
         self.ingress_hint = ingress_hint    # port the last link delivered to
         self.uid = next(_packet_ids) if uid < 0 else uid
 
@@ -221,10 +213,8 @@ def make_data_packet(src: int, dst: int, flow_id: int = -1, qpn: int = -1,
                      src_qpn: int = -1, psn: int = -1, msn: int = -1,
                      payload: int = 0, mtu_payload: int = 0,
                      msg_len_pkts: int = 0, msg_len_bytes: int = 0,
-                     msg_offset_pkts: int = 0, dcp: bool = False,
-                     ssn: int = -1, sretry_no: int = 0,
+                     dcp: bool = False, ssn: int = -1, sretry_no: int = 0,
                      entropy: int = 0, is_retransmit: bool = False,
-                     priority: int = 0,
                      sim: Optional["Simulator"] = None) -> Packet:
     """Build a data packet with the right header overhead.
 
@@ -257,7 +247,6 @@ def make_data_packet(src: int, dst: int, flow_id: int = -1, qpn: int = -1,
     p.ssn = ssn
     p.msg_len_pkts = msg_len_pkts
     p.msg_len_bytes = msg_len_bytes
-    p.msg_offset_pkts = msg_offset_pkts
     p.sretry_no = sretry_no
     p.emsn = -1
     p.ack_psn = -1
@@ -267,12 +256,8 @@ def make_data_packet(src: int, dst: int, flow_id: int = -1, qpn: int = -1,
     p.ecn_capable = True
     p.ecn_ce = False
     p.entropy = entropy
-    p.priority = priority
-    p.pause_priority = 0
-    p.pause_duration_ns = 0
     p.is_retransmit = is_retransmit
     p.ho_returned = False
-    p.hops = 0
     p.ingress_hint = -1
     p.uid = uid
     return p
@@ -282,7 +267,6 @@ def make_ack(src: int, dst: int, flow_id: int = -1, qpn: int = -1,
              src_qpn: int = -1, kind: int = PacketKind.ACK,
              ack_psn: int = -1, emsn: int = -1, sack_psn: int = -1,
              sack_bitmap: int = 0, dcp: bool = False, entropy: int = 0,
-             priority: int = 0,
              sim: Optional["Simulator"] = None) -> Packet:
     """Build an acknowledgment (ACK/SACK/NAK) packet.
 
@@ -308,7 +292,6 @@ def make_ack(src: int, dst: int, flow_id: int = -1, qpn: int = -1,
     p.ssn = -1
     p.msg_len_pkts = 0
     p.msg_len_bytes = 0
-    p.msg_offset_pkts = 0
     p.sretry_no = 0
     p.emsn = emsn
     p.ack_psn = ack_psn
@@ -318,12 +301,8 @@ def make_ack(src: int, dst: int, flow_id: int = -1, qpn: int = -1,
     p.ecn_capable = True
     p.ecn_ce = False
     p.entropy = entropy
-    p.priority = priority
-    p.pause_priority = 0
-    p.pause_duration_ns = 0
     p.is_retransmit = False
     p.ho_returned = False
-    p.hops = 0
     p.ingress_hint = -1
     p.uid = uid
     return p

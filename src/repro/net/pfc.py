@@ -41,7 +41,6 @@ class PfcConfig:
 
     xoff_bytes: int
     xon_bytes: int
-    priority: int = 0
 
     def __post_init__(self) -> None:
         if self.xon_bytes > self.xoff_bytes:
@@ -50,18 +49,18 @@ class PfcConfig:
             raise ValueError("thresholds must be non-negative")
 
 
-def make_pause(priority: int, sim: Optional["Simulator"] = None) -> Packet:
-    """Build a PAUSE frame for ``priority``."""
+def make_pause(sim: Optional["Simulator"] = None) -> Packet:
+    """Build a PAUSE frame (it pauses the data class, the one PFC class)."""
     return Packet(src=-1, dst=-1, kind=PacketKind.PAUSE,
-                  size_bytes=PAUSE_FRAME_BYTES, pause_priority=priority,
-                  ecn_capable=False, uid=next_uid(sim))
+                  size_bytes=PAUSE_FRAME_BYTES, ecn_capable=False,
+                  uid=next_uid(sim))
 
 
-def make_resume(priority: int, sim: Optional["Simulator"] = None) -> Packet:
-    """Build a RESUME (zero-quanta PAUSE) frame for ``priority``."""
+def make_resume(sim: Optional["Simulator"] = None) -> Packet:
+    """Build a RESUME (zero-quanta PAUSE) frame."""
     return Packet(src=-1, dst=-1, kind=PacketKind.RESUME,
-                  size_bytes=PAUSE_FRAME_BYTES, pause_priority=priority,
-                  ecn_capable=False, uid=next_uid(sim))
+                  size_bytes=PAUSE_FRAME_BYTES, ecn_capable=False,
+                  uid=next_uid(sim))
 
 
 class PfcController:
@@ -103,7 +102,7 @@ class PfcController:
                         {"action": "pause", "port": in_port,
                          "ingress_bytes": self.ingress_bytes[in_port]})
             self.send_frame(in_port,
-                            make_pause(self.config.priority, sim=self.sim))
+                            make_pause(sim=self.sim))
 
     def release(self, in_port: int, packet: Packet) -> None:
         """Account a buffered packet leaving the switch."""
@@ -121,4 +120,4 @@ class PfcController:
                         {"action": "resume", "port": in_port,
                          "ingress_bytes": self.ingress_bytes[in_port]})
             self.send_frame(in_port,
-                            make_resume(self.config.priority, sim=self.sim))
+                            make_resume(sim=self.sim))

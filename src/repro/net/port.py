@@ -8,12 +8,17 @@ individual traffic classes.
 Queue, scheduler and transmitter are one unit (as in the OMNeT++ RoCEv2
 model): a switch hop runs in two port handlers, ``enqueue`` and
 ``_tx_done``, which do the queue bookkeeping, the owning switch's
-dequeue accounting and the next pick themselves.  Besides them a hop
-calls only ``link.deliver`` and the engine's ``call_after``.
+dequeue accounting and the next pick themselves.  The port owns its
+wire too: ``on_wire`` is the packet being serialized, and its
+completion goes straight onto the simulator's heap as
+``(now + ser, seq, None, _tx_done, port)`` (DESIGN.md "Event engine
+contract"), so besides the two handlers a hop calls only
+``link.deliver``.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Optional
 
 from repro.net.link import Link
@@ -55,10 +60,9 @@ class EgressPort:
         # backlogged, or a class paused.
         self.scheduler = WrrScheduler(queues, [1.0, switch.config.wrr_weight])
         self.name = name
-        self.busy = False
+        #: The packet being serialized; None while the port is idle.
+        self.on_wire: Optional[Packet] = None
         self.paused_classes: set[int] = set()
-        self.tx_packets = 0
-        self.tx_bytes = 0
         self.busy_ns = 0
         # Running buffer total, maintained at every enqueue/dequeue so
         # adaptive routing and the metrics sampler read a plain int
@@ -87,8 +91,8 @@ class EgressPort:
         sp = spans._active
         if sp is not None and not self.paused_classes:
             sp.resume(self.name, self.sim.now)
-        if not self.busy:
-            self._send_next()
+        if self.on_wire is None:
+            _tx_done(self)
 
     # --------------------------------------------------------------- data
     def enqueue(self, packet: Packet, cls: int = 0) -> bool:
@@ -108,101 +112,94 @@ class EgressPort:
             q.dropped_packets += 1
             q.dropped_bytes += size
             return False
-        q.enqueued_packets += 1
         sp = spans._active
         if sp is not None:
             sp.note_enqueue(packet.uid, self.sim.now)
-        if self.busy or cls in self.paused_classes:
+        if self.on_wire is not None or cls in self.paused_classes:
             q._items.append(packet)
             q.bytes = total
             if total > q.max_bytes_seen:
                 q.max_bytes_seen = total
             self.buffered_bytes += size
             return True
-        self.busy = True
+        self.on_wire = packet
         rate = self._int_rate
         if rate:
             ser = -(-size * 8 // rate)
         else:
             ser = serialization_ns(size, self.rate)
         self.busy_ns += ser
-        self.sim.call_after(ser, self._tx_done, packet)
+        sim = self.sim
+        sim._seqn = seq = sim._seqn + 1
+        heappush(sim._heap, (sim.now + ser, seq, None, _tx_done, self))
         return True
 
-    def _send_next(self) -> None:
-        """Start the scheduler's pick, if any (after a PFC RESUME)."""
-        idx = self.scheduler.select(blocked=self.paused_classes)
-        if idx is None:
-            return
-        q = self.queues[idx]
-        packet = q.pop()
-        size = packet.size_bytes
-        self.buffered_bytes -= size
-        self.busy = True
-        rate = self._int_rate
-        if rate:
-            ser = -(-size * 8 // rate)
-        else:
-            ser = serialization_ns(size, self.rate)
-        self.busy_ns += ser
-        self.sim.call_after(ser, self._tx_done, packet)
+    def utilization(self, elapsed_ns: int) -> float:
+        """Fraction of ``elapsed_ns`` the wire was busy."""
+        return self.busy_ns / elapsed_ns if elapsed_ns > 0 else 0.0
 
-    def _tx_done(self, packet: Packet) -> None:
-        self.busy = False
+
+def _tx_done(port: EgressPort) -> None:
+    """``port.on_wire`` is serialized: release it, then start the next
+    pick.  :meth:`EgressPort.resume` calls it on an idle port for the
+    pick alone.
+
+    A module function, not a method: the heap entry carries the port as
+    its argument, so no bound method is made per packet.
+    """
+    rate = port._int_rate
+    sim = port.sim
+    packet = port.on_wire
+    if packet is not None:
+        port.on_wire = None
         size = packet.size_bytes
-        self.tx_packets += 1
-        self.tx_bytes += size
-        rate = self._int_rate
         sp = spans._active
         if sp is not None:
             if rate:
                 ser = -(-size * 8 // rate)
             else:
-                ser = serialization_ns(size, self.rate)
-            sp.port_tx(packet, self.sim.now, ser, self.name)
+                ser = serialization_ns(size, port.rate)
+            sp.port_tx(packet, sim.now, ser, port.name)
         # The packet leaves the switch: shared buffer, the ctrlq marker
-        # (WRR served the control queue ahead of data, §4.2 — this drain
-        # latency keeps the control plane lossless), PFC ingress counter.
-        switch = self.switch
+        # (WRR served the control queue ahead of data, §4.2 — this
+        # drain latency keeps the control plane lossless), PFC ingress
+        # counter.
+        switch = port.switch
         switch.buffered_bytes -= size
         if sp is not None and packet.kind == PacketKind.HO:
-            sp.mark(self.sim.now, "ctrlq", packet.flow_id, switch.name,
+            sp.mark(sim.now, "ctrlq", packet.flow_id, switch.name,
                     {"psn": packet.psn})
         pfc = switch.pfc
         if pfc is not None:
             pfc.release(packet.ingress_hint, packet)
-        link = self.link
+        link = port.link
         if link is not None:
             link.deliver(packet)
-        # Next pick.  With nothing paused and at most one class
-        # backlogged the WRR answer is forced (and leaves its credits
-        # untouched), so the scheduler is asked only for real choices.
-        queues = self.queues
-        data_q, ctrl_q = queues
-        paused = self.paused_classes
-        if paused:
-            idx = self.scheduler.select(paused)
-            if idx is None:
-                return
-            q = queues[idx]
-        elif data_q._items:
-            q = queues[self.scheduler.select(())] if ctrl_q._items else data_q
-        elif ctrl_q._items:
-            q = ctrl_q
-        else:
+    # Next pick.  With nothing paused and at most one class
+    # backlogged the WRR answer is forced (and leaves its credits
+    # untouched), so the scheduler is asked only for real choices.
+    queues = port.queues
+    data_q, ctrl_q = queues
+    paused = port.paused_classes
+    if paused:
+        idx = port.scheduler.select(paused)
+        if idx is None:
             return
-        packet = q._items.popleft()
-        size = packet.size_bytes
-        q.bytes -= size
-        self.buffered_bytes -= size
-        self.busy = True
-        if rate:
-            ser = -(-size * 8 // rate)
-        else:
-            ser = serialization_ns(size, self.rate)
-        self.busy_ns += ser
-        self.sim.call_after(ser, self._tx_done, packet)
-
-    def utilization(self, elapsed_ns: int) -> float:
-        """Fraction of ``elapsed_ns`` the wire was busy."""
-        return self.busy_ns / elapsed_ns if elapsed_ns > 0 else 0.0
+        q = queues[idx]
+    elif data_q._items:
+        q = queues[port.scheduler.select(())] if ctrl_q._items else data_q
+    elif ctrl_q._items:
+        q = ctrl_q
+    else:
+        return
+    port.on_wire = packet = q._items.popleft()
+    size = packet.size_bytes
+    q.bytes -= size
+    port.buffered_bytes -= size
+    if rate:
+        ser = -(-size * 8 // rate)
+    else:
+        ser = serialization_ns(size, port.rate)
+    port.busy_ns += ser
+    sim._seqn = seq = sim._seqn + 1
+    heappush(sim._heap, (sim.now + ser, seq, None, _tx_done, port))

@@ -32,7 +32,6 @@ class ByteQueue:
         self.capacity_bytes = capacity_bytes
         self._items: deque[Packet] = deque()
         self.bytes = 0
-        self.enqueued_packets = 0
         self.dropped_packets = 0
         self.dropped_bytes = 0
         self.max_bytes_seen = 0
@@ -59,7 +58,6 @@ class ByteQueue:
             return False
         self._items.append(packet)
         self.bytes = total
-        self.enqueued_packets += 1
         if total > self.max_bytes_seen:
             self.max_bytes_seen = total
         return True

@@ -135,7 +135,6 @@ class RiflShim:
         stats.delivered_packets += 1
         stats.delivered_bytes += packet.size_bytes
         self.stats.delivered += 1
-        packet.hops += 1
         sp = spans._active
         if sp is not None:
             sp.propagate(packet, self.sim.now, link.prop_delay_ns, link.name)

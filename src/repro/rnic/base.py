@@ -22,6 +22,7 @@ import itertools
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Callable, Optional
 
 from repro.cc.base import CongestionControl, StaticWindowCc
@@ -300,12 +301,14 @@ class HostNic:
     Control responses (ACKs, CNPs, turned-around HO packets) sit in a
     strict-priority FIFO; data packets are pulled from the transport on
     demand, so CC decisions are made at the moment the wire frees up.
+    ``on_wire`` is the packet being serialized; its completion goes
+    straight onto the simulator's heap as ``(now + ser, seq, None,
+    _tx_done, nic)``, as in :class:`repro.net.port.EgressPort`.
     """
 
     def __init__(self, sim: Simulator, rate_bits_per_ns: float,
                  name: str = "nic") -> None:
         self.sim = sim
-        self._call_after = sim.call_after   # bound-method cache (hot path)
         self.rate = rate_bits_per_ns
         # Integer line rates skip the float path in serialization; the
         # rounding matches serialization_ns exactly.
@@ -315,7 +318,8 @@ class HostNic:
         self.link = None
         self.source = None               # the transport (poll_tx provider)
         self.ctrl: deque[Packet] = deque()
-        self.busy = False
+        #: The packet being serialized; None while the transmitter is idle.
+        self.on_wire: Optional[Packet] = None
         self.paused = False
         # Plain ints on purpose: _tx_done is the hottest per-packet path
         # on direct topologies, so the registry observes them as gauges
@@ -336,21 +340,23 @@ class HostNic:
         return serialization_ns(size_bytes, self.rate)
 
     def send_control(self, packet: Packet) -> None:
-        if self.busy or self.paused or self.link is None:
+        if self.on_wire is not None or self.paused or self.link is None:
             self.ctrl.append(packet)
             return
-        # Idle transmitter: put the frame straight on the wire (kick()
-        # inlined; the FIFO is drained first so ordering is preserved).
+        # Idle transmitter: put the frame straight on the wire (the
+        # FIFO is drained first so ordering is preserved).
         if self.ctrl:
             self.ctrl.append(packet)
             packet = self.ctrl.popleft()
-        self.busy = True
+        self.on_wire = packet
         rate = self._int_rate
         if rate:
             ser = -(-packet.size_bytes * 8 // rate)
         else:
             ser = serialization_ns(packet.size_bytes, self.rate)
-        self._call_after(ser, self._tx_done, packet)
+        sim = self.sim
+        sim._seqn = seq = sim._seqn + 1
+        heappush(sim._heap, (sim.now + ser, seq, None, _tx_done, self))
 
     def pause(self) -> None:
         sp = spans._active
@@ -363,57 +369,50 @@ class HostNic:
         if sp is not None and self.paused:
             sp.resume(self.name, self.sim.now)
         self.paused = False
-        self.kick()
+        if self.on_wire is None:
+            _tx_done(self)
 
-    def kick(self) -> None:
-        """Try to put the next packet on the wire."""
-        if self.busy or self.paused or self.link is None:
-            return
-        packet: Optional[Packet] = None
-        if self.ctrl:
-            packet = self.ctrl.popleft()
-        elif self.source is not None:
-            packet = self.source.poll_tx()
-        if packet is None:
-            return
-        self.busy = True
-        rate = self._int_rate
-        if rate:
-            ser = -(-packet.size_bytes * 8 // rate)
-        else:
-            ser = serialization_ns(packet.size_bytes, self.rate)
-        self._call_after(ser, self._tx_done, packet)
 
-    def _tx_done(self, packet: Packet) -> None:
-        self.busy = False
-        self.tx_packets += 1
-        self.tx_bytes += packet.size_bytes
+def _tx_done(nic: HostNic) -> None:
+    """``nic.on_wire`` is serialized: hand it to the link, then pull the
+    next packet.  Called on an idle NIC (``on_wire`` None), it only
+    pulls: that is how a PFC RESUME, a newly active QP and a pacing
+    wake-up restart the transmitter.
+
+    A module function, not a method: the heap entry carries the NIC as
+    its argument, so no bound method is made per packet.
+    """
+    sim = nic.sim
+    packet = nic.on_wire
+    if packet is not None:
+        nic.on_wire = None
+        nic.tx_packets += 1
+        nic.tx_bytes += packet.size_bytes
         sp = spans._active
         if sp is not None:
-            sp.nic_tx(packet, self.sim.now, self.ser_ns(packet.size_bytes),
-                      self.name)
-        # Always through the method: tests (and chaos scenarios) wrap
+            sp.nic_tx(packet, sim.now, nic.ser_ns(packet.size_bytes),
+                      nic.name)
+        # Always through the method: RIFL's shim and tests replace
         # link.deliver on the instance, so the Tx path must not bypass it.
-        self.link.deliver(packet)
-        # kick() inlined — this is the hottest transmit site, and the
-        # transmitter is known idle here.
-        if self.paused:
-            return
-        if self.ctrl:
-            nxt = self.ctrl.popleft()
-        elif self.source is not None:
-            nxt = self.source.poll_tx()
-        else:
-            return
-        if nxt is None:
-            return
-        self.busy = True
-        rate = self._int_rate
-        if rate:
-            ser = -(-nxt.size_bytes * 8 // rate)
-        else:
-            ser = serialization_ns(nxt.size_bytes, self.rate)
-        self._call_after(ser, self._tx_done, nxt)
+        nic.link.deliver(packet)
+    if nic.paused or nic.link is None:
+        return
+    if nic.ctrl:
+        nxt = nic.ctrl.popleft()
+    elif nic.source is not None:
+        nxt = nic.source.poll_tx()
+    else:
+        return
+    if nxt is None:
+        return
+    nic.on_wire = nxt
+    rate = nic._int_rate
+    if rate:
+        ser = -(-nxt.size_bytes * 8 // rate)
+    else:
+        ser = serialization_ns(nxt.size_bytes, nic.rate)
+    sim._seqn = seq = sim._seqn + 1
+    heappush(sim._heap, (sim.now + ser, seq, None, _tx_done, nic))
 
 
 class RnicTransport(Entity):
@@ -512,8 +511,8 @@ class RnicTransport(Entity):
             self._rr.append(qp)
             self._rr_member.add(qp.qpn)
         nic = self.nic
-        if nic is not None and not nic.busy:
-            nic.kick()
+        if nic is not None and nic.on_wire is None:
+            _tx_done(nic)
 
     def _send_state(self, qp: QueuePair):
         st = qp.tx_state
@@ -584,8 +583,9 @@ class RnicTransport(Entity):
 
     def _kick_now(self) -> None:
         self._kick_token = None
-        if self.nic is not None:
-            self.nic.kick()
+        nic = self.nic
+        if nic is not None and nic.on_wire is None:
+            _tx_done(nic)
 
     # ----------------------------------------------------------- receiving
     def receive(self, packet: Packet) -> None:

@@ -172,8 +172,8 @@ class WindowTransport(RnicTransport):
         packet = make_data_packet(
             self.host_id, qp.peer_host_id, msg.flow.flow_id, qp.peer_qpn,
             qp.qpn, psn, msg.msn, payload, self.config.mtu_payload,
-            msg.num_pkts, msg.size_bytes, psn - msg.base_psn, False, -1, 0,
-            qp.entropy, is_retx, 0, self.sim)
+            msg.num_pkts, msg.size_bytes, False, -1, 0, qp.entropy, is_retx,
+            self.sim)
         if is_retx:
             self.count_retransmit(msg.flow)
         else:
@@ -277,10 +277,10 @@ class WindowTransport(RnicTransport):
                   sack_psn: int = -1, sack_bitmap: int = 0,
                   ecn_ce: bool = False) -> None:
         # Positional make_ack: (flow_id, qpn, src_qpn, kind, ack_psn, emsn,
-        # sack_psn, sack_bitmap, dcp, entropy, priority, sim).
+        # sack_psn, sack_bitmap, dcp, entropy, sim).
         ack = make_ack(self.host_id, qp.peer_host_id, -1, qp.peer_qpn,
                        qp.qpn, kind, ack_psn, -1, sack_psn, sack_bitmap,
-                       False, qp.entropy, 0, self.sim)
+                       False, qp.entropy, self.sim)
         if ecn_ce:
             ack.ecn_ce = True
         self.nic.send_control(ack)

@@ -99,6 +99,9 @@ class Simulator:
         self.chaos_active: bool = False
         # --- event store: (when, seq, token_or_None, callback, arg) -------
         # (when, seq) is unique, so comparisons never reach the callback.
+        # Besides this class, only the per-packet transmit sites in
+        # net/port.py, net/link.py and rnic/base.py push onto it, with
+        # exactly call_after's entry and _seqn step.
         self._heap: list[tuple] = []
         self._seqn: int = 0
         #: Cancelled entries still in the heap (CancelledToken.cancel bumps it).
@@ -150,9 +153,11 @@ class Simulator:
         """Schedule ``fn(arg)`` ``delay`` ns from now, uncancellably.
 
         The fast-path twin of :meth:`schedule`: no token is allocated and
-        the one argument rides in the entry itself, so hot callers (link
-        propagation, serialization completion) avoid one closure per
-        packet hop.
+        the one argument rides in the entry itself, so a caller needs no
+        closure.  The per-packet events (serialization completion in
+        ``EgressPort`` and ``HostNic``, propagation in ``Link``) push
+        this same entry themselves, without this frame (DESIGN.md
+        "Event engine contract").
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")

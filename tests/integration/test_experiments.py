@@ -181,6 +181,46 @@ def test_a_long_flow_that_never_finished_is_not_a_goodput(key):
         assert {r["dcp_over_cx5"] for r in rows[1:]} == {1.0}
 
 
+@pytest.mark.parametrize("key, flows_per_point, open_point, cells", [
+    ("longhaul", 1, 1, {(0, "dcp_lossy_gbps"): "1/1"}),
+    # Point 2 is the second CX5 seed at 1:1: both CX5 cells count the
+    # open flow among the five seeds' ten flows.
+    ("fig11", 2, 2, {(0, "cx5_ecmp_mean_gbps"): "1/10",
+                     (0, "cx5_ecmp_worst_gbps"): "1/10"}),
+    ("fig1", 2, 1, {(1, "mean_retx_ratio"): "1/2"}),
+])
+def test_a_merge_names_open_flows_instead_of_survivors_figures(
+        key, flows_per_point, open_point, cells):
+    # Synthetic payloads: every flow finished at 8 Gbps with 1 of 10
+    # packets retransmitted, except the last flow of point open_point,
+    # which stopped at max_events.  Only the cells built from that
+    # point name it; with every flow finished, no cell does.
+    from repro.experiments.presets import get_preset
+    from repro.experiments.registry import get_entry
+
+    mod = get_entry(key).load_module()
+    quick = get_preset("quick")
+
+    def notes(open_point):
+        def flow(completed):
+            return {"completed": completed, "size_bytes": 10_000,
+                    "goodput_gbps": 8.0 if completed else 0.0,
+                    "data_pkts_sent": 10, "retx_pkts": 1}
+        payloads = [{"flows": [flow(True) for _ in range(flows_per_point)],
+                     "metrics": {"counters": {}}} for _ in mod.sweep(quick)]
+        if open_point is not None:
+            payloads[open_point]["flows"][-1] = flow(False)
+        rows = mod.merge(payloads, quick).rows
+        return {(i, k): v for i, row in enumerate(rows)
+                for k, v in row.items()
+                if isinstance(v, str) and v.startswith("incomplete")}
+
+    assert notes(open_point) == {
+        cell: f"incomplete: {count} flows open"
+        for cell, count in cells.items()}
+    assert notes(None) == {}
+
+
 def test_result_table_formatting():
     r = ExperimentResult("x", "demo",
                          rows=[{"a": 1, "b": 2.5}, {"a": 3, "c": "z"}])

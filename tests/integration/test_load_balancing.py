@@ -13,7 +13,8 @@ def _single_flow_goodput(lb: str, transport: str = "dcp",
     net.run_until_flows_done(max_events=30_000_000)
     assert flow.completed, lb
     sw1 = net.fabric.switches[0]
-    cross_tx = [sw1.ports[2 + c].tx_packets for c in range(4)]
+    cross_tx = [sw1.ports[2 + c].link.stats.delivered_packets
+                for c in range(4)]
     return goodput_gbps(flow), cross_tx
 
 
@@ -35,7 +36,8 @@ def test_ar_spreads_under_contention():
     net.run_until_flows_done(max_events=30_000_000)
     assert flow.completed
     sw1 = net.fabric.switches[0]
-    cross_tx = [sw1.ports[2 + c].tx_packets for c in range(4)]
+    cross_tx = [sw1.ports[2 + c].link.stats.delivered_packets
+                for c in range(4)]
     used = sum(1 for t in cross_tx if t > 50)
     assert used >= 3, f"ar used only {used} paths: {cross_tx}"
     # uncongested case: one path, deterministically

@@ -6,7 +6,9 @@ forced.  The reference model below is that port written the long way:
 every packet is pushed, every pick is ``WrrScheduler.select`` over the
 paused set, every dequeue is a pop.  Random two-class enqueue / pause /
 resume / run sequences must give both the same departures at the same
-times and the same queue, port and scheduler state after every step.
+times and the same queue, port and scheduler state after every step,
+and every packet either port accepted must leave it once the classes
+are resumed.
 """
 
 from hypothesis import given, settings
@@ -45,7 +47,7 @@ class _ReferencePort:
         self.scheduler = WrrScheduler(self.queues, [1.0, weight])
         self.link = _Wire(sim)
         self.paused_classes: set[int] = set()
-        self.busy = False
+        self.on_wire = None
         self.busy_ns = 0
         self.buffered_bytes = 0
 
@@ -55,7 +57,7 @@ class _ReferencePort:
         if not q.push(packet):
             return False
         self.buffered_bytes += packet.size_bytes
-        if not self.busy:
+        if self.on_wire is None:
             if cls not in self.paused_classes:
                 # Picked at once: the packet never waited in the queue,
                 # so it does not raise the high-water mark.
@@ -68,7 +70,7 @@ class _ReferencePort:
 
     def resume(self, cls: int) -> None:
         self.paused_classes.discard(cls)
-        if not self.busy:
+        if self.on_wire is None:
             self._send_next()
 
     def _send_next(self) -> None:
@@ -77,13 +79,13 @@ class _ReferencePort:
             return
         packet = self.queues[idx].pop()
         self.buffered_bytes -= packet.size_bytes
-        self.busy = True
+        self.on_wire = packet
         ser = serialization_ns(packet.size_bytes, self.rate)
         self.busy_ns += ser
         self.sim.call_after(ser, self._tx_done, packet)
 
     def _tx_done(self, packet: Packet) -> None:
-        self.busy = False
+        self.on_wire = None
         self.link.deliver(packet)
         self._send_next()
 
@@ -105,10 +107,11 @@ def _packet(uid: int, cls: int, size: int) -> Packet:
 
 
 def _state(port) -> tuple:
-    queues = tuple((q.bytes, len(q), q.enqueued_packets, q.max_bytes_seen,
+    queues = tuple((q.bytes, [p.uid for p in q._items], q.max_bytes_seen,
                     q.dropped_packets, q.dropped_bytes) for q in port.queues)
     sched = port.scheduler
-    return (queues, port.busy, port.busy_ns, port.buffered_bytes,
+    on_wire = port.on_wire.uid if port.on_wire is not None else None
+    return (queues, on_wire, port.busy_ns, port.buffered_bytes,
             sorted(port.paused_classes), list(sched._credits), sched._cursor)
 
 
@@ -127,11 +130,14 @@ def test_fused_port_matches_the_reference_queue_path(ops, rate, weight):
     sims = (Simulator(), Simulator())
     fused = _fused_port(sims[0], rate, weight)
     ref = _ReferencePort(sims[1], rate, weight)
+    accepted = []
     for uid, op in enumerate(ops):
         if op[0] == "enqueue":
             _, cls, size = op
-            assert (fused.enqueue(_packet(uid, cls, size), cls)
-                    == ref.enqueue(_packet(uid, cls, size), cls))
+            ok = fused.enqueue(_packet(uid, cls, size), cls)
+            assert ok == ref.enqueue(_packet(uid, cls, size), cls)
+            if ok:
+                accepted.append(uid)
         elif op[0] == "pause":
             fused.pause(op[1])
             ref.pause(op[1])
@@ -150,4 +156,4 @@ def test_fused_port_matches_the_reference_queue_path(ops, rate, weight):
         sim.run()
     assert _state(fused) == _state(ref)
     assert fused.link.departures == ref.link.departures
-    assert fused.tx_packets == len(ref.link.departures)
+    assert sorted(uid for _t, uid in fused.link.departures) == accepted

@@ -144,8 +144,7 @@ class TestDcpEdges:
         ho = make_data_packet(0, 1, flow_id=flow.flow_id, qpn=qp.peer_qpn,
                               src_qpn=qp.qpn, psn=0, msn=0, payload=1000,
                               mtu_payload=1000, msg_len_pkts=10,
-                              msg_len_bytes=10_000, msg_offset_pkts=0,
-                              dcp=True)
+                              msg_len_bytes=10_000, dcp=True)
         ho.trim()
         ho.turn_around()
         before = a.stats.stale_ho
@@ -198,8 +197,7 @@ class TestMalformedInput:
         stray = make_data_packet(9, 1, flow_id=1, qpn=99999, src_qpn=1,
                                  psn=0, msn=0, payload=1000,
                                  mtu_payload=1000, msg_len_pkts=1,
-                                 msg_len_bytes=1000, msg_offset_pkts=0,
-                                 dcp=True)
+                                 msg_len_bytes=1000, dcp=True)
         b.receive(stray)  # silently ignored (stale/destroyed QP)
         drain(sim)
         assert flow.completed

@@ -60,8 +60,7 @@ def _recv_harness(config: TransportConfig | None = None,
         on_data(make_data_packet(
             0, 1, flow_id=flow.flow_id, qpn=qp_b.qpn, src_qpn=qp_a.qpn,
             psn=psn, msn=0, payload=mtu, mtu_payload=mtu, msg_len_pkts=10,
-            msg_len_bytes=10 * mtu, msg_offset_pkts=psn, dcp=False,
-            entropy=0))
+            msg_len_bytes=10 * mtu, dcp=False, entropy=0))
 
     return sim, b, flow, acks, push
 

@@ -308,7 +308,7 @@ class TestLinkDropTracing:
         return make_data_packet(0, 1, flow_id=42, qpn=1, src_qpn=2, psn=7,
                                 msn=0, payload=1000, mtu_payload=1000,
                                 msg_len_pkts=1, msg_len_bytes=1000,
-                                msg_offset_pkts=0, dcp=False)
+                                dcp=False)
 
     def test_down_link_drop_is_counted_and_traced(self):
         tracker = SpanTracker()

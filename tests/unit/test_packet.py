@@ -16,8 +16,7 @@ from repro.sim.engine import Simulator
 def _data(dcp=True, payload=1000):
     return make_data_packet(1, 2, flow_id=5, qpn=10, src_qpn=11, psn=3, msn=0,
                             payload=payload, mtu_payload=1000,
-                            msg_len_pkts=4, msg_len_bytes=4000,
-                            msg_offset_pkts=3, dcp=dcp)
+                            msg_len_pkts=4, msg_len_bytes=4000, dcp=dcp)
 
 
 def test_ho_packet_is_57_bytes():
@@ -116,7 +115,7 @@ def test_repr_names_the_kind():
                          f"{DCP_DATA_HEADER_BYTES + 1000})")
     pkt.trim()
     assert repr(pkt).startswith("Packet(HO 1->2 ")
-    assert repr(make_pause(0)).startswith("Packet(PAUSE -1->-1 ")
+    assert repr(make_pause()).startswith("Packet(PAUSE -1->-1 ")
 
 
 def test_ack_builder():
@@ -148,7 +147,7 @@ def test_uids_unique():
 def test_last_packet_shorter_payload():
     pkt = make_data_packet(1, 2, flow_id=1, qpn=1, src_qpn=2, psn=0, msn=0,
                            payload=100, mtu_payload=1000, msg_len_pkts=1,
-                           msg_len_bytes=100, msg_offset_pkts=0, dcp=True)
+                           msg_len_bytes=100, dcp=True)
     assert pkt.size_bytes == DCP_DATA_HEADER_BYTES + 100
 
 
@@ -174,10 +173,8 @@ _data_args = st.fixed_dictionaries({
     "payload": st.integers(1, 4096),
     "msg_len_pkts": st.integers(0, 1 << 16),
     "msg_len_bytes": st.integers(0, 1 << 30),
-    "msg_offset_pkts": st.integers(0, 1 << 16),
     "dcp": st.booleans(), "ssn": _ids, "sretry_no": st.integers(0, 7),
     "entropy": st.integers(0, 1 << 16), "is_retransmit": st.booleans(),
-    "priority": st.integers(0, 7),
 })
 _ack_args = st.fixed_dictionaries({
     "flow_id": _ids, "qpn": _ids, "src_qpn": _ids,
@@ -187,7 +184,7 @@ _ack_args = st.fixed_dictionaries({
     "sack_psn": st.integers(-1, 1 << 24),
     "sack_bitmap": st.integers(0, (1 << 64) - 1),
     "dcp": st.booleans(),
-    "entropy": st.integers(0, 1 << 16), "priority": st.integers(0, 7),
+    "entropy": st.integers(0, 1 << 16),
 })
 
 
@@ -217,11 +214,9 @@ def test_make_ack_stores_every_slot(args, with_sim):
         dcp_tag=DcpTag.DCP_ACK if dcp else DcpTag.NON_DCP, **fields)
 
 
-@given(flow_id=_ids, qpn=_ids, src_qpn=_ids, dcp=st.booleans(),
-       priority=st.integers(0, 7))
+@given(flow_id=_ids, qpn=_ids, src_qpn=_ids, dcp=st.booleans())
 @settings(max_examples=25, deadline=None)
-def test_control_frame_factories_store_every_slot(flow_id, qpn, src_qpn, dcp,
-                                                  priority):
+def test_control_frame_factories_store_every_slot(flow_id, qpn, src_qpn, dcp):
     _assert_same_as_init(
         make_cnp(5, 6, flow_id=flow_id, qpn=qpn, src_qpn=src_qpn, dcp=dcp),
         src=5, dst=6, kind=PacketKind.CNP, size_bytes=CNP_PACKET_BYTES,
@@ -230,9 +225,8 @@ def test_control_frame_factories_store_every_slot(flow_id, qpn, src_qpn, dcp,
     for make, kind in ((make_pause, PacketKind.PAUSE),
                        (make_resume, PacketKind.RESUME)):
         _assert_same_as_init(
-            make(priority), src=-1, dst=-1, kind=kind,
-            size_bytes=PAUSE_FRAME_BYTES, pause_priority=priority,
-            ecn_capable=False)
+            make(), src=-1, dst=-1, kind=kind,
+            size_bytes=PAUSE_FRAME_BYTES, ecn_capable=False)
 
 
 # ------------------------------------------------------------------- uids
@@ -242,8 +236,8 @@ def _build_one_of_each(sim):
         make_data_packet(1, 2, psn=0, payload=100, mtu_payload=100, sim=sim),
         make_ack(2, 1, ack_psn=0, sim=sim),
         make_cnp(2, 1, flow_id=0, qpn=0, src_qpn=0, sim=sim),
-        make_pause(0, sim=sim),
-        make_resume(0, sim=sim),
+        make_pause(sim=sim),
+        make_resume(sim=sim),
         make_data_packet(1, 2, psn=1, payload=100, mtu_payload=100, sim=sim),
     ]
 

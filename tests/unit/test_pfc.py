@@ -67,9 +67,8 @@ def test_local_traffic_not_charged():
 
 
 def test_frame_builders():
-    assert make_pause(3).kind == PacketKind.PAUSE
-    assert make_pause(3).pause_priority == 3
-    assert make_resume(1).kind == PacketKind.RESUME
+    assert make_pause().kind == PacketKind.PAUSE
+    assert make_resume().kind == PacketKind.RESUME
 
 
 def test_per_port_independence():
@@ -91,7 +90,7 @@ def _pfc_switch(sim, name):
 
 
 def _frame(make, port):
-    frame = make(0)
+    frame = make()
     frame.ingress_hint = port
     return frame
 

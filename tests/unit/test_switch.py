@@ -50,8 +50,7 @@ def attach_sink(sim, sw, port):
 def data_pkt(dst=1, dcp=True, psn=0):
     return make_data_packet(9, dst, flow_id=1, qpn=1, src_qpn=2, psn=psn,
                             msn=0, payload=1000, mtu_payload=1000,
-                            msg_len_pkts=10, msg_len_bytes=10_000,
-                            msg_offset_pkts=psn, dcp=dcp)
+                            msg_len_pkts=10, msg_len_bytes=10_000, dcp=dcp)
 
 
 def test_forwarding():
@@ -383,7 +382,8 @@ def test_a_packet_sent_straight_on_never_raises_the_high_water_mark(
     flow = net.open_flow(0, 7, 1000, 0)
     net.run_until_flows_done(max_events=100_000)
     assert flow.completed
-    queues = [q for sw in net.fabric.switches for port in sw.ports
-              for q in port.queues]
-    assert sum(q.enqueued_packets for q in queues) == 6   # 3 hops each way
+    switches = net.fabric.switches
+    queues = [q for sw in switches for port in sw.ports for q in port.queues]
+    assert sum(sw.stats.forwarded + sw.stats.ho_enqueued
+               for sw in switches) == 6                  # 3 hops each way
     assert [q.max_bytes_seen for q in queues] == [0] * len(queues)
