@@ -34,18 +34,17 @@ def main() -> None:
     rows = collective_rows(
         "allreduce", [range(g * HOSTS_PER_LEAF, (g + 1) * HOSTS_PER_LEAF)
                       for g in range(leaves)], TOTAL_BYTES)
-    for fidelity in ("hybrid",):
-        spec = NetworkSpec(
-            transport="dcp", lb="ar", topology="clos",
-            num_hosts=HOSTS, num_leaves=leaves, num_spines=leaves // 2,
-            link_rate=10.0, seed=73, fidelity=fidelity)
-        t0 = time.perf_counter()
-        payload = simulate_flows(spec, {"flows": rows,
-                                        "max_events": 400_000_000})
-        wall = time.perf_counter() - t0
-        jcts = [jct / 1e6 for jct in group_jcts(payload["flows"])]
-        print(f"{fidelity:>8} {wall:>7.2f}s {payload['events']:>9} "
-              f"{sum(jcts) / len(jcts):>9.3f}ms {max(jcts):>9.3f}ms")
+    spec = NetworkSpec(
+        transport="dcp", lb="ar", topology="clos",
+        num_hosts=HOSTS, num_leaves=leaves, num_spines=leaves // 2,
+        link_rate=10.0, seed=73, fidelity="hybrid")
+    t0 = time.perf_counter()
+    payload = simulate_flows(spec, {"flows": rows,
+                                    "max_events": 400_000_000})
+    wall = time.perf_counter() - t0
+    jcts = [jct / 1e6 for jct in group_jcts(payload["flows"])]
+    print(f"{spec.fidelity:>8} {wall:>7.2f}s {payload['events']:>9} "
+          f"{sum(jcts) / len(jcts):>9.3f}ms {max(jcts):>9.3f}ms")
 
     summary = payload["fluid"]
     print(f"\nfidelity controller: {summary['fluid_flows']} flows ran fluid, "

@@ -133,14 +133,6 @@ def goodput_gbps(flow: Flow) -> float:
     return flow.size_bytes * 8 / fct
 
 
-def retransmission_ratio(flow: Flow) -> float:
-    """Retransmitted packets over the packets the flow needed."""
-    total = flow.stats.data_pkts_sent
-    if total == 0:
-        return 0.0
-    return flow.stats.retx_pkts_sent / total
-
-
 def jain_fairness(values: Sequence[float]) -> float:
     """Jain's fairness index: 1.0 = perfectly fair, 1/n = one hog.
 

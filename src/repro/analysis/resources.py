@@ -30,9 +30,6 @@ class ResourceEstimate:
     #: relative logic blocks (header parse/build paths, schedulers)
     logic_units: int
 
-    def total_sram_mb(self, num_qps: int) -> float:
-        return (self.qp_register_bits + self.qp_sram_bits) * num_qps / 8 / 1e6
-
 
 # Shared base cost of any RoCE RNIC: QPC (PSNs, MTT base, CC state),
 # DMA engine, MAC.  Units: bits for state, abstract units for logic.

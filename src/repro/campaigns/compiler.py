@@ -13,7 +13,8 @@ carries over to campaigns for free.
 Workload layers are laid out at *compile* time (every flow becomes an
 explicit ``[src, dst, size_bytes, start_ns, layer name]`` row in the
 point's params; the layer name is the flow's tag, which only a merge
-reads), so stochastic layers contribute nothing at run time: the
+reads; a collective layer's ring steps add the index of the row they
+wait for), so stochastic layers contribute nothing at run time: the
 Poisson/incast schedules come from the pure ``schedule()`` methods in
 :mod:`repro.workload.flows`, seeded per layer from the campaign seed via
 :class:`~repro.sim.rng.SeedSequence`.
@@ -35,6 +36,7 @@ from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
 from repro.runner.runner import ExperimentRunner, SweepPoint
 from repro.sim.rng import SeedSequence
+from repro.workload.collective import collective_rows
 from repro.workload.distributions import (FixedSizeDistribution, websearch)
 from repro.workload.flows import IncastWorkload, PoissonWorkload
 
@@ -75,8 +77,9 @@ def _layer_seed(campaign_name: str, campaign_seed: int, layer: dict) -> int:
 
 def _layer_flows(layer: dict, num_hosts: int, link_rate: float,
                  preset: ScalePreset, campaign_name: str,
-                 campaign_seed: int, path: str) -> Sequence[Sequence[int]]:
-    """Lay one workload layer out as ``(src, dst, size, start)`` rows."""
+                 campaign_seed: int, path: str) -> Sequence[Sequence]:
+    """Lay one workload layer out as ``(src, dst, size, start)`` rows
+    (a collective's come tagged, chained from its own first row)."""
     kind = layer["kind"]
     hosts = layer.get("hosts")
     if hosts is not None:
@@ -85,6 +88,7 @@ def _layer_flows(layer: dict, num_hosts: int, link_rate: float,
             raise CampaignError(f"{path}.hosts",
                                 f"hosts {bad} out of range for "
                                 f"num_hosts={num_hosts}")
+    ring = list(hosts) if hosts is not None else list(range(num_hosts))
     if kind == "flows":
         for i, (src, dst, _size, _start) in enumerate(layer["flows"]):
             if src >= num_hosts or dst >= num_hosts:
@@ -118,7 +122,6 @@ def _layer_flows(layer: dict, num_hosts: int, link_rate: float,
             seed=_layer_seed(campaign_name, campaign_seed, layer))
         return wl.schedule(num_hosts, link_rate)
     if kind == "bursting":
-        ring = list(hosts) if hosts is not None else list(range(num_hosts))
         stride = layer.get("stride", 1)
         if stride % len(ring) == 0:
             raise CampaignError(f"{path}.stride",
@@ -131,21 +134,24 @@ def _layer_flows(layer: dict, num_hosts: int, link_rate: float,
                  start + b * period]
                 for b in range(layer["bursts"])
                 for i, src in enumerate(ring)]
-    if kind == "alltoall":
-        ring = list(hosts) if hosts is not None else list(range(num_hosts))
-        total = layer.get("total_bytes", preset.collective_bytes)
-        pairs = len(ring) * (len(ring) - 1)
-        slice_bytes = max(1, total // pairs)
-        start = layer.get("start_ns", 0)
-        return [[src, dst, slice_bytes, start]
-                for src in ring for dst in ring if dst != src]
+    if kind == "collective":
+        k = layer.get("group_size", len(ring))
+        if len(ring) % k:
+            raise CampaignError(f"{path}.group_size",
+                                f"group_size {k} does not divide "
+                                f"{len(ring)} hosts")
+        return collective_rows(
+            layer["collective"],
+            [ring[i:i + k] for i in range(0, len(ring), k)],
+            layer.get("total_bytes", preset.collective_bytes),
+            layer["name"], layer.get("start_ns", 0))
     raise CampaignError(path, f"unhandled workload kind {kind!r}")
 
 
 # ------------------------------------------------------------- compilation
 def _apply_axes(assignment: dict, groups: list[dict], topo: dict,
                 layers: list[dict], sim: dict,
-                chaos: Optional[dict]) -> Optional[dict]:
+                chaos: Optional[dict]) -> None:
     """Push one grid combo's values into the per-point blocks (in place)."""
     for group in groups:
         value = assignment[group["name"]]
@@ -163,7 +169,6 @@ def _apply_axes(assignment: dict, groups: list[dict], topo: dict,
             elif root == "chaos":
                 assert chaos is not None   # guaranteed by validation
                 chaos[rest] = column
-    return chaos
 
 
 def _label(value: Any) -> str:
@@ -241,9 +246,16 @@ def compile_campaign(spec: dict, preset: str | ScalePreset = "default"
 
         flows: list[list] = []
         for i, layer in enumerate(layers):
-            flows.extend([*flow, layer["name"]] for flow in _layer_flows(
-                layer, net_spec.num_hosts, net_spec.link_rate, scale,
-                name, seed, f"workload[{i}]"))
+            rows = _layer_flows(layer, net_spec.num_hosts,
+                                net_spec.link_rate, scale, name, seed,
+                                f"workload[{i}]")
+            if layer["kind"] != "collective":
+                flows.extend([*flow, layer["name"]] for flow in rows)
+                continue
+            # A ring step's ``after`` counts from this layer's first row.
+            first = len(flows)
+            flows.extend(row[:5] + [row[5] + first] if len(row) > 5
+                         else row for row in rows)
         if not flows:
             raise CampaignError("workload",
                                 f"point {point_id} laid out zero flows")

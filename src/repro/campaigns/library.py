@@ -97,7 +97,8 @@ CAMPAIGNS: dict[str, dict] = {
         "workload": [
             {"kind": "poisson", "name": "websearch", "load": 0.3,
              "max_flows": 60},
-            {"kind": "alltoall", "name": "collective",
+            {"kind": "collective", "name": "collective",
+             "collective": "alltoall",
              "hosts": [0, 1, 2, 3, 4, 5, 6, 7], "start_ns": 100_000},
         ],
         "groups": [

@@ -54,13 +54,18 @@ Workload kinds:
     Synchronized bursts: every ``period_ns`` each host sends
     ``burst_bytes`` to the host ``stride`` positions ahead, ``bursts``
     times, starting at ``start_ns`` — all senders fire simultaneously.
-``alltoall``
-    One full-mesh shuffle over ``hosts`` (default: all), ``total_bytes``
-    split evenly, starting at ``start_ns``.
+``collective``
+    ``collective_rows``' ``collective`` (required: ``"allreduce"`` |
+    ``"alltoall"``) per consecutive ``group_size`` slice of ``hosts``
+    (default: all; ``group_size`` defaults to ``len(hosts)`` and must
+    divide it, so the order of ``hosts`` is the placement), each flow
+    ``total_bytes // group_size`` bytes, from ``start_ns``.
 
 Every layer's flows reach the point as ``[src, dst, size_bytes,
 start_ns, layer name]`` rows: the name is each flow's tag, which a
-merge can read back from the payload's flow records.
+merge can read back from the payload's flow records.  A collective's
+rows keep ``collective_rows``' tags (``<layer>.g<g>[.s<step>]``) and
+``after`` index.
 
 Axes name what a group varies, dotted from one of four roots:
 ``spec.<NetworkSpec field>`` (scalar fields only),
@@ -128,6 +133,7 @@ def _is_flow_list(v: Any) -> bool:
 _LOAD = (lambda v: _is_num(v) and 0 < v < 1, "a load in (0, 1)")
 _POS_INT = (lambda v: _is_int(v) and v > 0, "a positive integer")
 _NONNEG_INT = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+_AT_LEAST_2 = (lambda v: _is_int(v) and v >= 2, "an integer >= 2")
 _POS_NUM = (lambda v: _is_num(v) and v > 0, "a positive number")
 _FRACTION = (lambda v: _is_num(v) and 0 <= v < 1, "a fraction in [0, 1)")
 _INT = (_is_int, "an integer")
@@ -155,7 +161,7 @@ WORKLOAD_FIELDS: dict[str, dict[str, tuple[Callable[[Any], bool], str, bool]]] =
     },
     "incast": {
         "load": (*_LOAD, True),
-        "fan_in": (lambda v: _is_int(v) and v >= 2, "an integer >= 2", False),
+        "fan_in": (*_AT_LEAST_2, False),
         "flow_bytes": (*_POS_INT, False),
         "duration_ns": (*_POS_INT, False),
         "seed": (*_INT, False),
@@ -168,9 +174,12 @@ WORKLOAD_FIELDS: dict[str, dict[str, tuple[Callable[[Any], bool], str, bool]]] =
         "start_ns": (*_NONNEG_INT, False),
         "hosts": (*_HOSTS, False),
     },
-    "alltoall": {
-        "total_bytes": (*_POS_INT, False),
+    "collective": {
+        "collective": (lambda v: v in ("allreduce", "alltoall"),
+                       "'allreduce' or 'alltoall'", True),
         "hosts": (*_HOSTS, False),
+        "group_size": (*_AT_LEAST_2, False),
+        "total_bytes": (*_POS_INT, False),
         "start_ns": (*_NONNEG_INT, False),
     },
 }

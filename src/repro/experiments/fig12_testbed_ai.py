@@ -4,56 +4,60 @@ The 16-RNIC testbed (Fig 9) arranged into four groups, each running
 AllReduce or AllToAll; groups start together and contend on the
 cross-switch links.  Shape: DCP+AR cuts JCT versus CX5+ECMP (paper: up
 to 33% for AllReduce, 42% for AllToAll) because ECMP collisions on the
-parallel links serialize some groups' traffic.
+parallel links serialize some groups' traffic.  The grid is one
+campaign spec: a ``collective`` layer over the interleaved
+:func:`_placement`, crossed with the zipped (transport, lb) group.
 """
 
 from __future__ import annotations
 
 from repro.analysis.fct import incomplete_note
+from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
-from repro.workload.collective import collective_rows, group_jcts
+from repro.workload.collective import group_jcts
 
 SCHEMES = (("dcp-ar", "dcp", "ar"), ("cx5-ecmp", "gbn", "ecmp"))
-KINDS = (("allreduce", "ar"), ("alltoall", "a2a"))
-
-POINT_RUNNER = "repro.runner.points.simulate_flows"
+KINDS = ("allreduce", "alltoall")
 
 
-def _groups(hosts: int, group_size: int = 4) -> list[list[int]]:
-    """Interleave group membership across the two switches so every
-    collective crosses the fabric (like the paper's cabling)."""
+def _placement(hosts: int) -> list[int]:
+    """Hosts in group order, four per group: group ``g`` is hosts
+    ``2g, 2g+1`` on the first switch and the same pair on the second,
+    so every collective crosses the fabric (like the paper's cabling)."""
     half = hosts // 2
-    return [[m for m in (2 * g, 2 * g + 1, half + 2 * g, half + 2 * g + 1)
-             if m < hosts]
-            for g in range(hosts // group_size)]
+    return [m for g in range(hosts // 4)
+            for m in (2 * g, 2 * g + 1, half + 2 * g, half + 2 * g + 1)]
 
 
-def sweep(p: ScalePreset) -> list[SweepPoint]:
+def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
     """One point per (collective, scheme)."""
-    points = []
-    for kind, tag in KINDS:
-        for label, transport, lb in SCHEMES:
-            spec = NetworkSpec(
-                transport=transport, topology="testbed",
-                num_hosts=p.testbed_hosts,
-                cross_links=p.testbed_cross_links, link_rate=p.link_rate,
-                lb=lb, seed=81, buffer_bytes=p.buffer_bytes)
-            params = {"flows": collective_rows(
-                          kind, _groups(p.testbed_hosts),
-                          p.collective_bytes, tag),
-                      "max_events": 200_000_000}
-            points.append(SweepPoint(f"{kind}-{label}", spec, params))
-    return points
+    return compile_campaign({
+        "name": "fig12",
+        "topology": {"topology": "testbed", "num_hosts": p.testbed_hosts,
+                     "cross_links": p.testbed_cross_links,
+                     "num_leaves": 4, "num_spines": 4},
+        "workload": [{"kind": "collective", "name": "coll",
+                      "collective": KINDS[0],
+                      "hosts": _placement(p.testbed_hosts),
+                      "group_size": 4}],
+        "groups": [
+            {"name": "collective", "axis": "workload.coll.collective",
+             "values": list(KINDS)},
+            {"name": "scheme", "axes": ["spec.transport", "spec.lb"],
+             "values": [[t, lb] for _label, t, lb in SCHEMES]},
+        ],
+        "sim": {"max_events": 200_000_000},
+        "seed": 81,
+    }, p).points
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "fig12", "Testbed AI workloads: per-group completion time (ms)")
     it = iter(payloads)
-    for kind, _tag in KINDS:
+    for kind in KINDS:
         for label, _transport, _lb in SCHEMES:
             payload = next(it)
             # A point with a flow open prints that instead of its JCTs.

@@ -4,17 +4,18 @@ Groups of servers each run one collective, all starting together.  JCT
 is the last flow of a group; the "Ideal" row is the contention-free
 lower bound.  Shape to preserve: DCP posts the lowest JCT and the best
 individual-flow tail FCT (paper: 38-61% lower JCT than MP-RDMA / IRN /
-PFC for AllReduce, 5-46% for AllToAll).
+PFC for AllReduce, 5-46% for AllToAll).  The grid is one campaign spec:
+a ``collective`` layer crossed with the zipped (transport, lb) group.
 """
 
 from __future__ import annotations
 
 from repro.analysis.fct import incomplete_note, percentile
+from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
-from repro.workload.collective import collective_rows, group_jcts
+from repro.workload.collective import group_jcts
 
 SCHEMES = (
     ("pfc-ecmp", "gbn", "ecmp"),
@@ -24,28 +25,28 @@ SCHEMES = (
 )
 KINDS = ("allreduce", "alltoall")
 
-POINT_RUNNER = "repro.runner.points.simulate_flows"
 
-
-def sweep(p: ScalePreset, fidelity: str = "packet") -> list[SweepPoint]:
+def sweep(p: ScalePreset, fidelity: str = "packet"
+          ) -> tuple[SweepPoint, ...]:
     """One point per (collective, scheme); groups are contiguous host
     ranges, like the paper's 16-servers-per-group arrangement."""
     k = p.collective_group_size
-    groups = [list(range(g * k, (g + 1) * k))
-              for g in range(p.collective_groups)]
-    points = []
-    for kind in KINDS:
-        for label, transport, lb in SCHEMES:
-            spec = NetworkSpec(
-                transport=transport, topology="clos", num_hosts=p.num_hosts,
-                num_leaves=p.num_leaves, num_spines=p.num_spines,
-                link_rate=p.link_rate, lb=lb, seed=71,
-                buffer_bytes=p.buffer_bytes, fidelity=fidelity)
-            params = {"flows": collective_rows(kind, groups,
-                                               p.collective_bytes),
-                      "max_events": 300_000_000}
-            points.append(SweepPoint(f"{kind}-{label}", spec, params))
-    return points
+    return compile_campaign({
+        "name": "fig14",
+        "topology": {"topology": "clos", "fidelity": fidelity},
+        "workload": [{"kind": "collective", "name": "coll",
+                      "collective": KINDS[0],
+                      "hosts": list(range(p.collective_groups * k)),
+                      "group_size": k}],
+        "groups": [
+            {"name": "collective", "axis": "workload.coll.collective",
+             "values": list(KINDS)},
+            {"name": "scheme", "axes": ["spec.transport", "spec.lb"],
+             "values": [[t, lb] for _label, t, lb in SCHEMES]},
+        ],
+        "sim": {"max_events": 300_000_000},
+        "seed": 71,
+    }, p).points
 
 
 def ideal_jct_ns(kind: str, preset) -> float:

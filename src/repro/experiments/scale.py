@@ -5,9 +5,11 @@ Each point runs a fig14-style AI collective (ring-AllReduce, one group
 per leaf) on a two-layer CLOS and reports how long the *simulation*
 took and how many scheduler events it consumed.  The grid crosses the
 host count with the fidelity tier (``packet`` | ``hybrid``,
-:mod:`repro.sim.fidelity`); packet mode is capped at 64 hosts so the
-full-grid run stays inside a CI budget, and the merge extrapolates the
-packet cost linearly to score the hybrid speedup at scale.
+:mod:`repro.sim.fidelity`) as one campaign spec whose zipped ``cell``
+group moves fidelity, host, leaf and spine counts together; packet mode
+is capped at 64 hosts so the full-grid run stays inside a CI budget,
+and the merge extrapolates the packet cost linearly to score the hybrid
+speedup at scale.
 
 Caveat: ``wall_s`` is measured by :func:`run_point` (the one point
 runner that reads a clock), so it rides the result cache like any other
@@ -23,10 +25,11 @@ import time
 from statistics import fmean
 
 from repro.analysis.fct import incomplete_note
+from repro.campaigns.compiler import compile_campaign
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
-from repro.workload.collective import collective_rows, group_jcts
+from repro.workload.collective import group_jcts
 
 POINT_RUNNER = "repro.experiments.scale.run_point"
 
@@ -41,28 +44,6 @@ PACKET_MAX_HOSTS = 64
 HOSTS_PER_LEAF = 8
 
 
-def point_spec(p, fidelity: str, hosts: int) -> tuple[NetworkSpec, dict]:
-    """Spec + params for one (fidelity, hosts) cell.
-
-    One ring-AllReduce per leaf (groups are contiguous host ranges, so
-    a group == a leaf): the traffic pattern fig14 uses, and the one the
-    fluid tier handles best — which is the point of the experiment.
-    """
-    leaves = max(2, hosts // HOSTS_PER_LEAF)
-    spec = NetworkSpec(
-        transport="dcp", cc="none", lb="ar", topology="clos",
-        num_hosts=hosts, num_leaves=leaves,
-        num_spines=max(2, leaves // 2),
-        link_rate=p.link_rate, buffer_bytes=p.buffer_bytes,
-        seed=73, fidelity=fidelity)
-    groups = [list(range(g * HOSTS_PER_LEAF, (g + 1) * HOSTS_PER_LEAF))
-              for g in range(leaves)]
-    params = {"flows": collective_rows("allreduce", groups,
-                                       p.collective_bytes),
-              "max_events": 400_000_000}
-    return spec, params
-
-
 def run_point(spec: NetworkSpec, params: dict) -> dict:
     """:func:`~repro.runner.points.simulate_flows` plus the cell and
     ``wall_s``, the wall time it took (network build plus run)."""
@@ -73,15 +54,31 @@ def run_point(spec: NetworkSpec, params: dict) -> dict:
             "hosts": spec.num_hosts, "fidelity": spec.fidelity}
 
 
-def sweep(p) -> list[SweepPoint]:
-    points = []
+def sweep(p) -> tuple[SweepPoint, ...]:
+    """One point per (fidelity, hosts) cell: one ring-AllReduce per
+    leaf (groups of HOSTS_PER_LEAF consecutive hosts, so a group is a
+    leaf), the pattern the fluid tier handles best, which is the point
+    of the experiment."""
+    cells = []
     for fidelity in ("packet", "hybrid"):
         for hosts in HOST_GRIDS.get(p.name, HOST_GRIDS["default"]):
             if fidelity == "packet" and hosts > PACKET_MAX_HOSTS:
                 continue
-            spec, params = point_spec(p, fidelity, hosts)
-            points.append(SweepPoint(f"{fidelity}-{hosts}", spec, params))
-    return points
+            leaves = max(2, hosts // HOSTS_PER_LEAF)
+            cells.append([fidelity, hosts, leaves, max(2, leaves // 2)])
+    return compile_campaign({
+        "name": "scale",
+        "topology": {"transport": "dcp", "lb": "ar", "topology": "clos"},
+        "workload": [{"kind": "collective", "name": "ring",
+                      "collective": "allreduce",
+                      "group_size": HOSTS_PER_LEAF}],
+        "groups": [{"name": "cell",
+                    "axes": ["spec.fidelity", "spec.num_hosts",
+                             "spec.num_leaves", "spec.num_spines"],
+                    "values": cells}],
+        "sim": {"max_events": 400_000_000},
+        "seed": 73,
+    }, p).points
 
 
 def merge(payloads, p) -> ExperimentResult:

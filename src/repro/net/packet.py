@@ -184,11 +184,6 @@ class Packet:
 
     # ------------------------------------------------------------- helpers
     @property
-    def is_control(self) -> bool:
-        """True for packets the DCP switch serves from the control queue."""
-        return self.kind == PacketKind.HO
-
-    @property
     def is_droppable_under_congestion(self) -> bool:
         """§4.2: non-DCP and DCP ACK packets are dropped when congested."""
         return self.dcp_tag in (DcpTag.NON_DCP, DcpTag.DCP_ACK)

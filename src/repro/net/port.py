@@ -73,10 +73,6 @@ class EgressPort:
         self._int_rate = (int(rate_bits_per_ns)
                           if float(rate_bits_per_ns).is_integer() else 0)
 
-    @property
-    def buffered_packets(self) -> int:
-        return sum(len(q) for q in self.queues)
-
     # ------------------------------------------------------------ control
     def pause(self, cls: int) -> None:
         """PFC PAUSE: stop serving traffic class ``cls``."""

@@ -68,9 +68,6 @@ class ByteQueue:
         self.bytes -= packet.size_bytes
         return packet
 
-    def peek(self) -> Optional[Packet]:
-        return self._items[0] if self._items else None
-
     def clear(self) -> None:
         self._items.clear()
         self.bytes = 0

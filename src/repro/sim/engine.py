@@ -164,10 +164,6 @@ class Simulator:
         self._seqn = seq = self._seqn + 1
         heapq.heappush(self._heap, (self.now + delay, seq, None, fn, arg))
 
-    def schedule_at(self, when: int, callback: Callable[[], None]) -> CancelledToken:
-        """Schedule ``callback`` at absolute time ``when`` (ns)."""
-        return self.schedule(when - self.now, callback)
-
     def _compact_heap(self) -> None:
         """Drop cancelled entries and re-heapify.
 

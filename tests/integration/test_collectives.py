@@ -204,43 +204,43 @@ def test_drain_waits_for_flows_opened_after_a_chunk(monkeypatch):
 #: in posting order: the answers, which no change to how a point drives
 #: the event engine may move.
 COLLECTIVE_FLOW_DIGESTS = {
-    ("fig12", "allreduce-dcp-ar"): "dabb982f5d61549f",
-    ("fig12", "allreduce-cx5-ecmp"): "f26b8f03e0c8db66",
-    ("fig12", "alltoall-dcp-ar"): "f17af80ac63ee143",
-    ("fig12", "alltoall-cx5-ecmp"): "ccdaef1d6a41240d",
-    ("fig14", "allreduce-pfc-ecmp"): "3d70a2da9a7edbb1",
-    ("fig14", "allreduce-irn-ar"): "3d70a2da9a7edbb1",
-    ("fig14", "allreduce-mp-rdma"): "3d70a2da9a7edbb1",
-    ("fig14", "allreduce-dcp-ar"): "3cbf02e1253982b5",
-    ("fig14", "alltoall-pfc-ecmp"): "cab85b9a7e7bdc8d",
-    ("fig14", "alltoall-irn-ar"): "cab85b9a7e7bdc8d",
-    ("fig14", "alltoall-mp-rdma"): "6fedef4dc2591aba",
-    ("fig14", "alltoall-dcp-ar"): "0ce86a1f6ea3554b",
-    ("scale", "packet-16"): "c4920baf38213415",
-    ("scale", "packet-64"): "1ec71b4989ad89ec",
-    ("scale", "hybrid-16"): "6aac5d4f1d1aca44",
-    ("scale", "hybrid-64"): "7c7891650be56cca",
+    ("fig12", "collective-allreduce.scheme-dcp-ar"): "dabb982f5d61549f",
+    ("fig12", "collective-allreduce.scheme-gbn-ecmp"): "f26b8f03e0c8db66",
+    ("fig12", "collective-alltoall.scheme-dcp-ar"): "f17af80ac63ee143",
+    ("fig12", "collective-alltoall.scheme-gbn-ecmp"): "ccdaef1d6a41240d",
+    ("fig14", "collective-allreduce.scheme-gbn-ecmp"): "3d70a2da9a7edbb1",
+    ("fig14", "collective-allreduce.scheme-irn-ar"): "3d70a2da9a7edbb1",
+    ("fig14", "collective-allreduce.scheme-mp_rdma-ecmp"): "3d70a2da9a7edbb1",
+    ("fig14", "collective-allreduce.scheme-dcp-ar"): "3cbf02e1253982b5",
+    ("fig14", "collective-alltoall.scheme-gbn-ecmp"): "cab85b9a7e7bdc8d",
+    ("fig14", "collective-alltoall.scheme-irn-ar"): "cab85b9a7e7bdc8d",
+    ("fig14", "collective-alltoall.scheme-mp_rdma-ecmp"): "6fedef4dc2591aba",
+    ("fig14", "collective-alltoall.scheme-dcp-ar"): "0ce86a1f6ea3554b",
+    ("scale", "cell-packet-16-2-2"): "c4920baf38213415",
+    ("scale", "cell-packet-64-8-4"): "1ec71b4989ad89ec",
+    ("scale", "cell-hybrid-16-2-2"): "6aac5d4f1d1aca44",
+    ("scale", "cell-hybrid-64-8-4"): "7c7891650be56cca",
 }
 
 #: ... and what each point costs the event engine: the model, not the
 #: answer.  A hybrid point is two events per fluid flow.
 COLLECTIVE_EVENTS = {
-    ("fig12", "allreduce-dcp-ar"): 30_048,
-    ("fig12", "allreduce-cx5-ecmp"): 49_578,
-    ("fig12", "alltoall-dcp-ar"): 16_024,
-    ("fig12", "alltoall-cx5-ecmp"): 25_624,
-    ("fig14", "allreduce-pfc-ecmp"): 38_448,
-    ("fig14", "allreduce-irn-ar"): 38_448,
-    ("fig14", "allreduce-mp-rdma"): 38_448,
-    ("fig14", "allreduce-dcp-ar"): 23_088,
-    ("fig14", "alltoall-pfc-ecmp"): 19_224,
-    ("fig14", "alltoall-irn-ar"): 19_224,
-    ("fig14", "alltoall-mp-rdma"): 19_224,
-    ("fig14", "alltoall-dcp-ar"): 11_544,
-    ("scale", "packet-16"): 53_984,
-    ("scale", "packet-64"): 215_936,
-    ("scale", "hybrid-16"): 448,
-    ("scale", "hybrid-64"): 1_792,
+    ("fig12", "collective-allreduce.scheme-dcp-ar"): 30_048,
+    ("fig12", "collective-allreduce.scheme-gbn-ecmp"): 49_578,
+    ("fig12", "collective-alltoall.scheme-dcp-ar"): 16_024,
+    ("fig12", "collective-alltoall.scheme-gbn-ecmp"): 25_624,
+    ("fig14", "collective-allreduce.scheme-gbn-ecmp"): 38_448,
+    ("fig14", "collective-allreduce.scheme-irn-ar"): 38_448,
+    ("fig14", "collective-allreduce.scheme-mp_rdma-ecmp"): 38_448,
+    ("fig14", "collective-allreduce.scheme-dcp-ar"): 23_088,
+    ("fig14", "collective-alltoall.scheme-gbn-ecmp"): 19_224,
+    ("fig14", "collective-alltoall.scheme-irn-ar"): 19_224,
+    ("fig14", "collective-alltoall.scheme-mp_rdma-ecmp"): 19_224,
+    ("fig14", "collective-alltoall.scheme-dcp-ar"): 11_544,
+    ("scale", "cell-packet-16-2-2"): 53_984,
+    ("scale", "cell-packet-64-8-4"): 215_936,
+    ("scale", "cell-hybrid-16-2-2"): 448,
+    ("scale", "cell-hybrid-64-8-4"): 1_792,
 }
 
 

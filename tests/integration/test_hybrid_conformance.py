@@ -199,8 +199,9 @@ def test_scale_hybrid_event_stream_pinned(hosts, events, flows):
     scheduled must leave these where they are."""
     from repro.experiments import scale
 
-    spec, params = scale.point_spec(get_preset("quick"), "hybrid", hosts)
-    payload = scale.run_point(spec, params)
+    point, = [pt for pt in scale.sweep(get_preset("quick"))
+              if pt.spec.fidelity == "hybrid" and pt.spec.num_hosts == hosts]
+    payload = scale.run_point(point.spec, point.params)
     assert payload["events"] == events
     assert len(payload["flows"]) == flows
     assert all(f["completed"] for f in payload["flows"])

@@ -2,6 +2,8 @@
 
 * same spec -> identical point ids, spec dicts and cache keys (and the
   input spec is never mutated);
+* a collective layer's chained rows wait on rows of their own ring,
+  whatever layers come before it;
 * chaos schedules hash into the cache key;
 * random invalid mutations (unknown fields, empty groups, malformed
   chaos schedules) are rejected with pointed errors.
@@ -39,6 +41,14 @@ bursting_layers = st.builds(
     st.integers(100, 50_000), st.integers(1_000, 500_000),
     st.integers(1, 4), st.integers(1, 3))
 
+collective_layers = st.builds(
+    lambda kind, group_size, total, hosts: {
+        "kind": "collective", "collective": kind, "group_size": group_size,
+        "total_bytes": total, **({"hosts": hosts} if hosts else {})},
+    st.sampled_from(["allreduce", "alltoall"]), st.sampled_from([2, 4]),
+    st.integers(1_000, 1_000_000),
+    st.one_of(st.none(), st.permutations(range(4))))
+
 transport_groups = st.lists(
     st.sampled_from(_TRANSPORTS), min_size=1, max_size=4, unique=True,
 ).map(lambda ts: {"name": "transport", "axis": "spec.transport",
@@ -51,7 +61,11 @@ mtu_groups = st.lists(
 
 @st.composite
 def campaign_specs(draw):
-    layers = [draw(st.one_of(flows_layers, bursting_layers))]
+    layers = [draw(st.one_of(flows_layers, bursting_layers,
+                             collective_layers))]
+    if draw(st.booleans()):
+        # A second, chained layer: its ``after`` indices must shift.
+        layers.append({**draw(collective_layers), "name": "ring2"})
     groups = [draw(transport_groups)]
     if draw(st.booleans()):
         groups.append(draw(mtu_groups))
@@ -87,6 +101,19 @@ def test_compile_is_pure(spec):
     # point ids are unique within one compilation
     ids = [p.point_id for p in a.points]
     assert len(set(ids)) == len(ids)
+
+
+@_fast
+@given(campaign_specs())
+def test_a_chained_row_waits_for_an_earlier_receive_into_its_sender(spec):
+    for point in compile_campaign(spec, "quick").points:
+        flows = point.params["flows"]
+        for i, row in enumerate(flows):
+            if len(row) == 6:
+                assert 0 <= row[5] < i
+                assert flows[row[5]][1] == row[0]
+                assert flows[row[5]][4].rsplit(".s", 1)[0] == \
+                    row[4].rsplit(".s", 1)[0]
 
 
 @_fast

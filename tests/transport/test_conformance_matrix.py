@@ -16,13 +16,16 @@ Receiver-side duplicate *packets* are fine (that's what
 ``dup_pkts_received`` counts) as long as they are discarded, not
 re-delivered.
 
-Every cell also pins its **event stream**: a digest over each flow's
+Every cell also pins its **answers and its event stream**, as two
+parts that are both compared for equality: a digest over each flow's
 ``(fct_ns, tx_complete_ns, rx_bytes, retx_pkts_sent, timeouts,
-dup_pkts_received)`` plus ``sim.now``, ``sim.events_processed`` and
-``sim.packet_seq``.  The simulator is deterministic, so a refactor that
-moves transport code must reproduce these bit for bit; a change that
-means to alter a transport's behaviour regenerates them.  The values in
-``_DIGESTS`` were generated at commit 2f39c13 with
+dup_pkts_received)`` plus ``sim.now``, and the exact
+``sim.events_processed`` and ``sim.packet_seq`` next to it.  The
+simulator is deterministic, so a refactor that moves transport code
+must reproduce both bit for bit; a change that means to alter a
+transport's behaviour regenerates them, and the failure says whether
+the answers moved or only the events did.  The values in ``_DIGESTS``
+were generated with
 
     PYTHONPATH=src:. python tests/transport/test_conformance_matrix.py
 
@@ -82,70 +85,77 @@ def _run_matrix_cell(transport: str, topology: str, loss_rate: float):
     return net, flows
 
 
-def _digest(net, flows) -> str:
-    """Fingerprint of one cell's event stream (see module docstring)."""
+def _stream(net, flows) -> tuple[str, int, int]:
+    """One cell's answers digest, then its exact engine counts (see
+    module docstring)."""
     rows = [(f.fct_ns(), f.tx_complete_ns, f.rx_bytes, f.stats.retx_pkts_sent,
              f.stats.timeouts, f.stats.dup_pkts_received) for f in flows]
-    stream = (rows, net.sim.now, net.sim.events_processed,
-              net.sim.packet_seq)
-    return hashlib.sha256(repr(stream).encode()).hexdigest()[:16]
+    answers = hashlib.sha256(repr((rows, net.sim.now)).encode()).hexdigest()
+    return answers[:16], net.sim.events_processed, net.sim.packet_seq
+
+
+def _assert_pinned(cell: str, got: tuple, want: tuple) -> None:
+    assert got[0] == want[0], f"{cell}: answers moved"
+    assert got[1:] == want[1:], (
+        f"{cell}: answers held but (events, packet_seq) moved from "
+        f"{want[1:]} to {got[1:]}")
 
 
 _DIGESTS = {
-    ('dcp', 'direct', 0.0): 'fcf9cdbd997c65d6',
-    ('dcp', 'direct', 0.01): '29a01d024e63e4c7',
-    ('dcp', 'direct', 0.05): '037a07d8e9ad3f83',
-    ('dcp', 'clos', 0.0): 'b4e99e59b887821a',
-    ('dcp', 'clos', 0.01): 'd695c5d2b57d5a18',
-    ('dcp', 'clos', 0.05): 'c262ef7d60c95a3a',
-    ('gbn', 'direct', 0.0): '7a302835199f749f',
-    ('gbn', 'direct', 0.01): '8e477d09c2bb4aed',
-    ('gbn', 'direct', 0.05): 'b228412f92508a8f',
-    ('gbn', 'clos', 0.0): '0c1c798916ee1da0',
-    ('gbn', 'clos', 0.01): 'bd85cb36abc96ec2',
-    ('gbn', 'clos', 0.05): 'f36405aae9f97aed',
-    ('irn', 'direct', 0.0): '7a302835199f749f',
-    ('irn', 'direct', 0.01): '85ba65d2394facb7',
-    ('irn', 'direct', 0.05): 'dd38d690fd9843c2',
-    ('irn', 'clos', 0.0): '0c1c798916ee1da0',
-    ('irn', 'clos', 0.01): '56bd244d4755bdde',
-    ('irn', 'clos', 0.05): '5201b75ae1b16647',
-    ('mp_rdma', 'direct', 0.0): '7a302835199f749f',
-    ('mp_rdma', 'direct', 0.01): '3d648914814efd01',
-    ('mp_rdma', 'direct', 0.05): '37cc5e15d70f395a',
-    ('mp_rdma', 'clos', 0.0): 'c6fd88674a12fb34',
-    ('mp_rdma', 'clos', 0.01): 'df8f9429ff46b8c5',
-    ('mp_rdma', 'clos', 0.05): '227ac65d11a2c4db',
-    ('rack_tlp', 'direct', 0.0): '7a302835199f749f',
-    ('rack_tlp', 'direct', 0.01): '5f335b93004ea95d',
-    ('rack_tlp', 'direct', 0.05): 'bd36a4d13c99e251',
-    ('rack_tlp', 'clos', 0.0): '0c1c798916ee1da0',
-    ('rack_tlp', 'clos', 0.01): '1fce0032c623d230',
-    ('rack_tlp', 'clos', 0.05): 'ec6d12ad2ef8dcc3',
-    ('rifl', 'direct', 0.0): '7a302835199f749f',
-    ('rifl', 'direct', 0.01): '7a302835199f749f',
-    ('rifl', 'direct', 0.05): '7fafe13243095a13',
-    ('rifl', 'clos', 0.0): '0c1c798916ee1da0',
-    ('rifl', 'clos', 0.01): '5ed4f7428fb27cb5',
-    ('rifl', 'clos', 0.05): '8b3b04913c088fc6',
-    ('sdr', 'direct', 0.0): '7a302835199f749f',
-    ('sdr', 'direct', 0.01): 'dc2e33365342dc46',
-    ('sdr', 'direct', 0.05): 'df4832ce6f3fe357',
-    ('sdr', 'clos', 0.0): '0c1c798916ee1da0',
-    ('sdr', 'clos', 0.01): 'ac6e1c39f1134e8e',
-    ('sdr', 'clos', 0.05): '5c1edb7d98eb8b3d',
-    ('tcp', 'direct', 0.0): '26ad918fb0d2c61e',
-    ('tcp', 'direct', 0.01): '10433814cf316815',
-    ('tcp', 'direct', 0.05): '2f4edcc4a64b8089',
-    ('tcp', 'clos', 0.0): 'd666544459a75880',
-    ('tcp', 'clos', 0.01): '0a9f682b2763f2e3',
-    ('tcp', 'clos', 0.05): '70eb483649917b3e',
-    ('timeout', 'direct', 0.0): '7a302835199f749f',
-    ('timeout', 'direct', 0.01): '6572ef05bc126dba',
-    ('timeout', 'direct', 0.05): '65072371795b0f33',
-    ('timeout', 'clos', 0.0): '0c1c798916ee1da0',
-    ('timeout', 'clos', 0.01): '6d0fd18f4c526015',
-    ('timeout', 'clos', 0.05): '43deb3318163f125',
+    ('dcp', 'direct', 0.0): ('995f867599d91c19', 241, 119),
+    ('dcp', 'direct', 0.01): ('2e4a38c24cd76503', 253, 125),
+    ('dcp', 'direct', 0.05): ('5f15043026955291', 268, 133),
+    ('dcp', 'clos', 0.0): ('78675176d048340e', 867, 108),
+    ('dcp', 'clos', 0.01): ('c5287318977ae6cf', 869, 106),
+    ('dcp', 'clos', 0.05): ('148e4163e0b8d795', 1022, 114),
+    ('gbn', 'direct', 0.0): ('3e951e30da38f048', 383, 190),
+    ('gbn', 'direct', 0.01): ('9ac36aba6303d2ac', 407, 203),
+    ('gbn', 'direct', 0.05): ('a88436f07d2e2ea0', 430, 216),
+    ('gbn', 'clos', 0.0): ('457f6b891bb3b794', 1443, 180),
+    ('gbn', 'clos', 0.01): ('02bd830b64b33444', 1763, 221),
+    ('gbn', 'clos', 0.05): ('cf91feb349330d04', 3103, 407),
+    ('irn', 'direct', 0.0): ('3e951e30da38f048', 383, 190),
+    ('irn', 'direct', 0.01): ('5d32091d856c9650', 385, 192),
+    ('irn', 'direct', 0.05): ('c7a84f957d58ecfd', 388, 195),
+    ('irn', 'clos', 0.0): ('457f6b891bb3b794', 1443, 180),
+    ('irn', 'clos', 0.01): ('f17dbad6d0a18be1', 1485, 186),
+    ('irn', 'clos', 0.05): ('fbb86a8d94fb1b77', 1492, 192),
+    ('mp_rdma', 'direct', 0.0): ('3e951e30da38f048', 383, 190),
+    ('mp_rdma', 'direct', 0.01): ('cbb4257b469beb90', 439, 218),
+    ('mp_rdma', 'direct', 0.05): ('7c94eed10e6ef8d3', 455, 227),
+    ('mp_rdma', 'clos', 0.0): ('151bc52796afe777', 1443, 180),
+    ('mp_rdma', 'clos', 0.01): ('54181c9b6e3700af', 1793, 225),
+    ('mp_rdma', 'clos', 0.05): ('9b1d7c98997cbcdf', 2688, 347),
+    ('rack_tlp', 'direct', 0.0): ('3e951e30da38f048', 383, 190),
+    ('rack_tlp', 'direct', 0.01): ('4d93c4e8c217a40e', 402, 192),
+    ('rack_tlp', 'direct', 0.05): ('c6e459acd2189785', 408, 195),
+    ('rack_tlp', 'clos', 0.0): ('457f6b891bb3b794', 1443, 180),
+    ('rack_tlp', 'clos', 0.01): ('c9d3736123ebf9c8', 1455, 182),
+    ('rack_tlp', 'clos', 0.05): ('9a569528c602a2b9', 1539, 192),
+    ('rifl', 'direct', 0.0): ('3e951e30da38f048', 383, 190),
+    ('rifl', 'direct', 0.01): ('3e951e30da38f048', 383, 190),
+    ('rifl', 'direct', 0.05): ('c7aed8ca8e07aae1', 387, 190),
+    ('rifl', 'clos', 0.0): ('457f6b891bb3b794', 1443, 180),
+    ('rifl', 'clos', 0.01): ('a6ac3baa04042a65', 1448, 180),
+    ('rifl', 'clos', 0.05): ('aa1eaf410a17e743', 1466, 180),
+    ('sdr', 'direct', 0.0): ('3e951e30da38f048', 383, 190),
+    ('sdr', 'direct', 0.01): ('d18b24c00a0151ad', 385, 192),
+    ('sdr', 'direct', 0.05): ('ccfcbb123bbec88d', 388, 195),
+    ('sdr', 'clos', 0.0): ('457f6b891bb3b794', 1443, 180),
+    ('sdr', 'clos', 0.01): ('dde24641fdc5173c', 1453, 182),
+    ('sdr', 'clos', 0.05): ('1449af4130b130b7', 1545, 192),
+    ('tcp', 'direct', 0.0): ('2e89361dcf91442f', 573, 190),
+    ('tcp', 'direct', 0.01): ('0c3c01d1c8cf4210', 797, 266),
+    ('tcp', 'direct', 0.05): ('206d394ec33aa19b', 782, 263),
+    ('tcp', 'clos', 0.0): ('42c37ac83995fce6', 1623, 180),
+    ('tcp', 'clos', 0.01): ('e5e076909d9cc768', 2302, 257),
+    ('tcp', 'clos', 0.05): ('2d9f30025ce953d5', 2806, 322),
+    ('timeout', 'direct', 0.0): ('3e951e30da38f048', 383, 190),
+    ('timeout', 'direct', 0.01): ('62f8fd61c0fe134e', 411, 204),
+    ('timeout', 'direct', 0.05): ('09ffd9e0875e8407', 431, 215),
+    ('timeout', 'clos', 0.0): ('457f6b891bb3b794', 1443, 180),
+    ('timeout', 'clos', 0.01): ('4fa5d6b53194f383', 1873, 235),
+    ('timeout', 'clos', 0.05): ('cb99f114713f3d86', 2499, 322),
 }
 
 
@@ -169,24 +179,24 @@ def _run_incast_cell(transport: str, cc: str):
 
 
 _INCAST_DIGESTS = {
-    ('dcp', 'none'): '9a83a0acadf5d9a0',
-    ('dcp', 'dcqcn'): '32706428f520cfb0',
-    ('gbn', 'none'): 'a66d5699c835f469',
-    ('gbn', 'dcqcn'): '68659672a2d98eec',
-    ('irn', 'none'): '884838d1cd464e44',
-    ('irn', 'dcqcn'): '386279fe50975bcc',
-    ('mp_rdma', 'none'): '28078942ffb7c092',
-    ('mp_rdma', 'dcqcn'): 'fb598f16977a26f1',
-    ('rack_tlp', 'none'): 'd91b2015482812b7',
-    ('rack_tlp', 'dcqcn'): '72020101cdf47471',
-    ('rifl', 'none'): '78f64bf34de3953c',
-    ('rifl', 'dcqcn'): '6886927f37231974',
-    ('sdr', 'none'): '83d0767d3e170ce4',
-    ('sdr', 'dcqcn'): 'fa67236e085d6c89',
-    ('tcp', 'none'): '66f21ca3196ad40a',
-    ('tcp', 'dcqcn'): '66f21ca3196ad40a',
-    ('timeout', 'none'): '78f64bf34de3953c',
-    ('timeout', 'dcqcn'): '6886927f37231974',
+    ('dcp', 'none'): ('daf8092b82bd402f', 20617, 2156),
+    ('dcp', 'dcqcn'): ('47145a3bdabb36c5', 19950, 2071),
+    ('gbn', 'none'): ('fc62cf4370135cc6', 5456, 964),
+    ('gbn', 'dcqcn'): ('fe3a0aab6c277272', 5953, 1022),
+    ('irn', 'none'): ('4ff4c27344791e7f', 6299, 1332),
+    ('irn', 'dcqcn'): ('5b1752551c80669b', 6735, 1320),
+    ('mp_rdma', 'none'): ('580fdb7dc3ce3ece', 5468, 976),
+    ('mp_rdma', 'dcqcn'): ('398afd3b72ec7d19', 5961, 1030),
+    ('rack_tlp', 'none'): ('3bcbe16d7d99e58c', 7553, 1462),
+    ('rack_tlp', 'dcqcn'): ('4a29fa00039e0932', 7831, 1472),
+    ('rifl', 'none'): ('bf4e1a88848fb831', 7161, 1582),
+    ('rifl', 'dcqcn'): ('28eb9a1718a785f6', 8776, 1733),
+    ('sdr', 'none'): ('178127a15c43faff', 6971, 1394),
+    ('sdr', 'dcqcn'): ('1ab04952f12e1a04', 7014, 1398),
+    ('tcp', 'none'): ('651834c3b1ec8922', 8161, 1274),
+    ('tcp', 'dcqcn'): ('651834c3b1ec8922', 8161, 1274),
+    ('timeout', 'none'): ('bf4e1a88848fb831', 7161, 1582),
+    ('timeout', 'dcqcn'): ('28eb9a1718a785f6', 8776, 1733),
 }
 
 
@@ -207,8 +217,9 @@ def test_exactly_once_delivery(transport: str, topology: str,
             f"for a {flow.size_bytes}-byte flow "
             f"({'duplicate' if flow.rx_bytes > flow.size_bytes else 'missing'}"
             " delivery)")
-    assert _digest(net, flows) == _DIGESTS[transport, topology, loss_rate], (
-        f"{transport}/{topology}/loss={loss_rate}: event stream moved")
+    _assert_pinned(f"{transport}/{topology}/loss={loss_rate}",
+                   _stream(net, flows), _DIGESTS[transport, topology,
+                                                 loss_rate])
 
 
 @pytest.mark.parametrize("cc", _INCAST_CCS)
@@ -219,8 +230,8 @@ def test_incast_under_congestion_control(transport: str, cc: str) -> None:
         assert flow.completed and flow.rx_bytes == flow.size_bytes, (
             f"{transport}/incast/{cc}: flow {flow.src}->0 delivered "
             f"{flow.rx_bytes}/{flow.size_bytes} bytes")
-    assert _digest(net, flows) == _INCAST_DIGESTS[transport, cc], (
-        f"{transport}/incast/{cc}: event stream moved")
+    _assert_pinned(f"{transport}/incast/{cc}", _stream(net, flows),
+                   _INCAST_DIGESTS[transport, cc])
 
 
 @pytest.mark.parametrize("transport", [t for t in TRANSPORTS if t != "tcp"])
@@ -271,12 +282,12 @@ if __name__ == "__main__":
     for _t in TRANSPORTS:
         for _topo in ("direct", "clos"):
             for _loss in LOSS_RATES:
-                _d = _digest(*_run_matrix_cell(_t, _topo, _loss))
+                _d = _stream(*_run_matrix_cell(_t, _topo, _loss))
                 print(f"    ({_t!r}, {_topo!r}, {_loss!r}): {_d!r},")
     print("}")
     print("_INCAST_DIGESTS = {")
     for _t in TRANSPORTS:
         for _cc in _INCAST_CCS:
-            _d = _digest(*_run_incast_cell(_t, _cc))
+            _d = _stream(*_run_incast_cell(_t, _cc))
             print(f"    ({_t!r}, {_cc!r}): {_d!r},")
     print("}")

@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis.fct import (goodput_gbps, jain_fairness,
                                 overall_percentiles, percentile,
-                                retransmission_ratio, slowdown_bins)
+                                slowdown_bins)
 from repro.analysis.models import (ASIC_CATALOG, lossless_distance_km,
                                    theoretical_packet_rate_mpps,
                                    tracking_memory_bytes)
@@ -24,21 +24,16 @@ from repro.rnic.base import Flow
 from repro.sim.units import fiber_delay_ns
 
 
-def _flow(size, fct_ns, sent=0, retx=0):
+def _flow(size, fct_ns):
     f = Flow(0, 1, size, start_ns=0)
     f.rx_bytes = size
     f.rx_complete_ns = fct_ns
-    f.stats.data_pkts_sent = sent
-    f.stats.retx_pkts_sent = retx
     return f
 
 
 class TestZeroLengthFlows:
     def test_goodput_is_zero_not_an_error(self):
         assert goodput_gbps(_flow(0, 1_000)) == 0.0
-
-    def test_retransmission_ratio_with_no_packets(self):
-        assert retransmission_ratio(_flow(0, 1_000, sent=0)) == 0.0
 
     def test_slowdown_bins_accept_zero_size(self):
         # A zero-byte flow has no meaningful size bin; it must land in
@@ -73,7 +68,7 @@ class TestSubMtuFlows:
 
     def test_one_packet_goodput(self):
         # 64 B in 2 us = 0.256 Gbps; tiny but well-defined.
-        assert goodput_gbps(_flow(64, 2_000, sent=1)) == pytest.approx(0.256)
+        assert goodput_gbps(_flow(64, 2_000)) == pytest.approx(0.256)
 
 
 class TestCrossDcRtts:

@@ -112,6 +112,23 @@ class TestCrossChecks:
             compile_campaign(spec, "quick")
         assert "fan_in" in str(exc.value)
 
+    def test_collective_group_size_must_divide_hosts(self):
+        spec = tiny_spec(
+            topology={"topology": "clos"},
+            workload=[{"kind": "flows", "flows": [[0, 1, 100, 0]]},
+                      {"kind": "collective", "collective": "alltoall",
+                       "hosts": [0, 1, 2, 3, 4, 5], "group_size": 4}])
+        with pytest.raises(CampaignError) as exc:
+            compile_campaign(spec, "quick")
+        assert exc.value.path == "workload[1].group_size"
+        # The default host list is the whole fabric (16 hosts at quick).
+        del spec["workload"][1]["hosts"]
+        spec["workload"][1]["group_size"] = 3
+        with pytest.raises(CampaignError) as exc:
+            compile_campaign(spec, "quick")
+        assert exc.value.path == "workload[1].group_size"
+        assert "does not divide 16 hosts" in str(exc.value)
+
     def test_chaos_override_must_fit_swept_scenario(self):
         # The scenario axis swaps in pfc_storm, which has no loss_rate.
         spec = tiny_spec(
@@ -174,13 +191,64 @@ class TestLayerLayout:
         spec = tiny_spec(
             topology={"topology": "clos", "num_hosts": 4, "num_leaves": 2,
                       "num_spines": 2},
-            workload=[{"kind": "alltoall", "total_bytes": 24_000,
-                       "start_ns": 50}])
+            workload=[{"kind": "collective", "collective": "alltoall",
+                       "total_bytes": 24_000, "start_ns": 50}])
         flows = compile_campaign(spec, "quick").points[0].params["flows"]
         assert len(flows) == 12         # 4*3 ordered pairs
         assert {(f[0], f[1]) for f in flows} == {
             (a, b) for a in range(4) for b in range(4) if a != b}
-        assert all(f[2] == 2000 and f[3] == 50 for f in flows)
+        # Each rank's share of the total goes to every peer.
+        assert all(f[2] == 24_000 // 4 and f[3] == 50 for f in flows)
+        assert {f[4] for f in flows} == {"collective.g0"}
+
+    def test_collective_chains_point_at_their_own_rows(self):
+        # A ring after a Poisson layer: every step's ``after`` names the
+        # earlier step of its own ring that delivered into its sender.
+        spec = tiny_spec(
+            topology={"topology": "clos"},
+            workload=[{"kind": "poisson", "name": "bg", "load": 0.2,
+                       "seed": 3, "max_flows": 5},
+                      {"kind": "collective", "name": "ring",
+                       "collective": "allreduce", "hosts": [0, 1, 2, 3],
+                       "total_bytes": 40_000}])
+        flows = compile_campaign(spec, "quick").points[0].params["flows"]
+        first = sum(1 for f in flows if f[4] == "bg")
+        ring = flows[first:]
+        assert first == 5 and len(ring) == 4 * 2 * 3
+        chained = [f for f in ring if len(f) == 6]
+        assert len(chained) == 4 * 5
+        for src, _dst, _size, _start, tag, after in chained:
+            step = int(tag.rsplit(".s", 1)[1])
+            assert after >= first
+            assert flows[after][1] == src
+            assert flows[after][4] == f"ring.g0.s{step - 1}"
+
+    def test_collective_groups_slice_hosts_in_order(self):
+        spec = tiny_spec(
+            topology={"topology": "clos"},
+            workload=[{"kind": "collective", "name": "c",
+                       "collective": "alltoall", "group_size": 2,
+                       "hosts": [0, 5, 2, 7], "total_bytes": 1_000}])
+        flows = compile_campaign(spec, "quick").points[0].params["flows"]
+        assert [(f[0], f[1], f[2], f[4]) for f in flows] == [
+            (0, 5, 500, "c.g0"), (5, 0, 500, "c.g0"),
+            (2, 7, 500, "c.g1"), (7, 2, 500, "c.g1")]
+
+    def test_collective_kind_is_an_axis(self):
+        spec = tiny_spec(
+            topology={"topology": "clos"},
+            workload=[{"kind": "collective", "name": "c",
+                       "collective": "allreduce", "hosts": [0, 1, 2, 3]}],
+            groups=[{"name": "coll", "axis": "workload.c.collective",
+                     "values": ["allreduce", "alltoall"]}])
+        ring, mesh = compile_campaign(spec, "quick").points
+        assert len(ring.params["flows"]) == 4 * 2 * 3
+        assert len(mesh.params["flows"]) == 4 * 3
+        assert ring.point_id == "coll-allreduce"
+        spec["groups"][0]["values"] = ["allreduce", "scatter"]
+        with pytest.raises(CampaignError) as exc:
+            compile_campaign(spec, "quick")
+        assert exc.value.path == "groups[0].values[1]"
 
     def test_layers_post_in_order(self):
         spec = tiny_spec(workload=[
@@ -275,9 +343,10 @@ class TestLibrary:
 
 
 #: One digest per figure key and preset over each point's spec, flow
-#: rows without their tag and other params, in sweep order.  Recorded
-#: from the hand-written sweeps these figures had before they declared
-#: campaign specs, so default and full are pinned without running them.
+#: rows without their tag (a chained row keeps its ``after``) and other
+#: params, in sweep order.  Recorded from the hand-written sweeps these
+#: keys had before they declared campaign specs, so default and full
+#: are pinned without running them.
 FIGURE_DIGESTS = {
     "table5": {"quick": "4727d4ecd9478328", "default": "d1274844896fb642",
                "full": "1ed9435149564914"},
@@ -295,12 +364,18 @@ FIGURE_DIGESTS = {
               "full": "0de028f8d585718b"},
     "fig17": {"quick": "ec95f26cf562b1f1", "default": "58b8d4174bf1fce4",
               "full": "bffe8f0f03a26e1c"},
+    "fig12": {"quick": "47e1f0b21e601943", "default": "396b7bb28aa038a1",
+              "full": "e88c5e4c898720de"},
+    "fig14": {"quick": "7ff13ec03fd3bdcc", "default": "bf4195626fd0d54b",
+              "full": "abe8f91710db2bab"},
+    "scale": {"quick": "6732905a53f5e28c", "default": "e1fc3ce9d738bc2d",
+              "full": "1e01de9b1c3e818b"},
 }
 
 
 def _sweep_digest(key: str, preset: str) -> str:
     points = get_entry(key).load_module().sweep(get_preset(preset))
-    rows = [[p.spec.to_dict(), [f[:4] for f in p.params["flows"]],
+    rows = [[p.spec.to_dict(), [f[:4] + f[5:] for f in p.params["flows"]],
              {k: v for k, v in p.params.items() if k != "flows"}]
             for p in points]
     return hashlib.sha256(canonical_json(rows).encode()).hexdigest()[:16]

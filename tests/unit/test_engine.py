@@ -132,14 +132,6 @@ def test_events_scheduled_during_run_execute():
     assert order == ["first", "nested", "last"]
 
 
-def test_schedule_at_absolute_time():
-    sim = Simulator()
-    seen = []
-    sim.schedule(10, lambda: sim.schedule_at(50, lambda: seen.append(sim.now)))
-    sim.run()
-    assert seen == [50]
-
-
 def test_peek_time_skips_cancelled():
     sim = Simulator()
     t1 = sim.schedule(10, lambda: None)

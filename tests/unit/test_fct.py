@@ -3,17 +3,14 @@
 import pytest
 
 from repro.analysis.fct import (goodput_gbps, overall_percentiles,
-                                percentile, retransmission_ratio,
-                                slowdown_bins)
+                                percentile, slowdown_bins)
 from repro.rnic.base import Flow
 
 
-def _flow(size, fct_ns, retx=0, sent=None):
+def _flow(size, fct_ns):
     f = Flow(0, 1, size, start_ns=0)
     f.rx_bytes = size
     f.rx_complete_ns = fct_ns
-    f.stats.data_pkts_sent = sent if sent is not None else max(1, size // 1000)
-    f.stats.retx_pkts_sent = retx
     return f
 
 
@@ -86,13 +83,3 @@ class TestGoodput:
         f = Flow(0, 1, 100, 0)
         with pytest.raises(ValueError):
             goodput_gbps(f)
-
-
-class TestRetxRatio:
-    def test_ratio(self):
-        f = _flow(10_000, 100, retx=5, sent=10)
-        assert retransmission_ratio(f) == pytest.approx(0.5)
-
-    def test_zero_sent(self):
-        f = _flow(10_000, 100, retx=0, sent=0)
-        assert retransmission_ratio(f) == 0.0

@@ -181,4 +181,3 @@ class TestEgressPort:
         port.enqueue(_pkt(300))
         port.enqueue(_pkt(200))
         assert port.buffered_bytes == 500
-        assert port.buffered_packets == 2

@@ -83,10 +83,11 @@ def test_turn_around_only_for_ho():
 
 
 def test_ho_is_control_class():
+    # The DCP switch serves HO packets from the control queue.
     pkt = _data()
-    assert not pkt.is_control
+    assert pkt.kind == PacketKind.DATA
     pkt.trim()
-    assert pkt.is_control
+    assert pkt.kind == PacketKind.HO
 
 
 def _members(namespace):

@@ -48,14 +48,6 @@ class TestByteQueue:
         q.pop()
         assert q.max_bytes_seen == 200
 
-    def test_peek(self):
-        q = ByteQueue()
-        assert q.peek() is None
-        p = _pkt()
-        q.push(p)
-        assert q.peek() is p
-        assert len(q) == 1
-
 
 class TestWrrScheduler:
     def _drain_counts(self, weights, rounds=1200, blocked=()):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.resources import ResourceEstimate, estimate, table4_rows
+from repro.analysis.resources import estimate, table4_rows
 
 
 def test_dcp_delta_is_small():
@@ -32,12 +32,6 @@ def test_ordering_matches_paper():
 def test_dcp_counters_match_tracking_design():
     # 8 messages x 16 bits: the CounterTracker footprint.
     assert estimate("dcp").qp_sram_bits == 8 * 16
-
-
-def test_total_sram_helper():
-    est = ResourceEstimate("x", qp_register_bits=80, qp_sram_bits=720,
-                           logic_units=1)
-    assert est.total_sram_mb(10_000) == pytest.approx(1.0)
 
 
 def test_unknown_scheme():

@@ -25,7 +25,7 @@ def _load(port, packet):
     """Park a packet in the data queue without starting the transmitter.
 
     Goes through ``enqueue`` (with the class paused) so the port's
-    running ``buffered_bytes``/``buffered_packets`` totals stay in
+    running ``buffered_bytes`` total stays in
     sync — adaptive balancers read those, not the queues.
     """
     port.pause(0)
