@@ -6,9 +6,9 @@ caching, ``--jobs N`` sharding and telemetry come for free.  See
 EXPERIMENTS.md "Campaigns" and ``dcp-experiment campaign list``.
 """
 
-from repro.campaigns.compiler import (CompiledCampaign, POINT_RUNNER,
-                                      compile_campaign, merge_campaign,
-                                      run_campaign, run_compiled)
+from repro.campaigns.compiler import (CompiledCampaign, compile_campaign,
+                                      merge_campaign, run_campaign,
+                                      run_compiled)
 from repro.campaigns.library import (CAMPAIGNS, campaign_names,
                                      get_campaign, load_campaign)
 from repro.campaigns.metrics import DEFAULT_METRICS, METRIC_COLUMNS
@@ -16,7 +16,7 @@ from repro.campaigns.spec import CampaignError, validate_campaign
 
 __all__ = [
     "CAMPAIGNS", "CampaignError", "CompiledCampaign", "DEFAULT_METRICS",
-    "METRIC_COLUMNS", "POINT_RUNNER", "campaign_names", "compile_campaign",
+    "METRIC_COLUMNS", "campaign_names", "compile_campaign",
     "get_campaign", "load_campaign", "merge_campaign", "run_campaign",
     "run_compiled", "validate_campaign",
 ]

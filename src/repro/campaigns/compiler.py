@@ -32,17 +32,15 @@ from repro.campaigns.metrics import DEFAULT_METRICS, METRIC_COLUMNS
 from repro.campaigns.spec import (CHAOS_BUILDERS, CampaignError, group_axes,
                                   validate_campaign, validate_chaos_schedule)
 from repro.experiments.presets import ScalePreset, get_preset
+from repro.experiments.registry import (DEFAULT_POINT_RUNNER,
+                                        attach_runner_telemetry)
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
-from repro.runner.runner import ExperimentRunner, SweepPoint
+from repro.runner.runner import ExperimentRunner, SweepPoint, serial_runner
 from repro.sim.rng import SeedSequence
 from repro.workload.collective import collective_rows
 from repro.workload.distributions import (FixedSizeDistribution, websearch)
 from repro.workload.flows import IncastWorkload, PoissonWorkload
-
-#: Campaigns run through the same generic point runner as the
-#: conformance suite — one spec, a flow layout, optional chaos.
-POINT_RUNNER = "repro.runner.points.simulate_flows"
 
 #: Default event budget per point (matches the heaviest figure sweeps).
 DEFAULT_MAX_EVENTS = 60_000_000
@@ -171,11 +169,12 @@ def _apply_axes(assignment: dict, groups: list[dict], topo: dict,
                 chaos[rest] = column
 
 
-def _label(value: Any) -> str:
-    """A group value as it reads in a point id (zipped: joined by '-')."""
-    if isinstance(value, list):
-        return "-".join(str(v) for v in value)
-    return str(value)
+def _labels(group: dict) -> list[str]:
+    """A group's values as point ids read them: its ``labels``, else
+    each value's scalars (a zipped value's joined by '-')."""
+    return group.get("labels") or [
+        "-".join(map(str, v)) if isinstance(v, list) else str(v)
+        for v in group["values"]]
 
 
 def _compile_chaos(chaos: Optional[dict], point_id: str) -> Optional[dict]:
@@ -220,10 +219,11 @@ def compile_campaign(spec: dict, preset: str | ScalePreset = "default"
     points: list[SweepPoint] = []
     assignments: list[dict] = []
     seen_ids: set[str] = set()
-    for combo in itertools.product(*(g["values"] for g in groups)):
-        assignment = {g["name"]: v for g, v in zip(groups, combo)}
-        point_id = ".".join(f"{g['name']}-{_label(v)}"
-                            for g, v in zip(groups, combo))
+    for combo in itertools.product(*(zip(g["values"], _labels(g))
+                                     for g in groups)):
+        assignment = {g["name"]: v for g, (v, _) in zip(groups, combo)}
+        point_id = ".".join(f"{g['name']}-{label}"
+                            for g, (_, label) in zip(groups, combo))
         if point_id in seen_ids:
             raise CampaignError("groups", f"duplicate point id {point_id!r}")
         seen_ids.add(point_id)
@@ -318,12 +318,10 @@ def run_compiled(compiled: CompiledCampaign,
                  runner: Optional[ExperimentRunner] = None
                  ) -> ExperimentResult:
     """Run a compiled campaign through the runner and merge the table."""
-    from repro.experiments.registry import attach_runner_telemetry
-    from repro.runner.runner import serial_runner
     if runner is None:
         runner = serial_runner()
     payloads = runner.run_points(compiled.key, list(compiled.points),
-                                 POINT_RUNNER)
+                                 DEFAULT_POINT_RUNNER)
     result = merge_campaign(compiled, payloads)
     attach_runner_telemetry(result, runner)
     return result

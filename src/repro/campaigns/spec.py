@@ -68,11 +68,16 @@ rows keep ``collective_rows``' tags (``<layer>.g<g>[.s<step>]``) and
 ``after`` index.
 
 Axes name what a group varies, dotted from one of four roots:
-``spec.<NetworkSpec field>`` (scalar fields only),
-``workload.<layer name>.<field>``, ``sim.<field>`` and
-``chaos.<builder kwarg>`` / ``chaos.scenario``.  A zipped group's
-columns are checked like one-axis values, and no axis appears twice
-across all groups.
+``spec.<NetworkSpec field>``, ``workload.<layer name>.<field>``,
+``sim.<field>`` and ``chaos.<builder kwarg>`` / ``chaos.scenario``.  A
+``spec.*`` value is in the field's ``NetworkSpec.to_dict`` form: a
+scalar, or for the two dict-typed fields a ``cross_port_rates`` pair
+list (``[[0, 10.0], [1, 2.5]]``) and a ``transport_overrides`` dict.  A
+zipped group's columns are checked like one-axis values, and no axis
+appears twice across all groups.  A group's optional ``labels`` (one
+distinct identifier per value, required when a value is not a scalar)
+name its values in point ids, ``<group>-<label>`` joined by ``.``;
+without them a value reads as its scalar (zipped: joined by ``-``).
 
 Validation is *strict*: unknown fields anywhere, empty groups, malformed
 chaos schedules, out-of-range loads etc. are all rejected with a
@@ -198,13 +203,11 @@ CHAOS_BUILDERS: dict[str, Callable[..., dict]] = {
     "pfc_storm": chaos_scenarios.pfc_storm,
 }
 
-#: NetworkSpec fields an axis may vary (scalars only: the two dict-typed
-#: fields cannot name a single varied value).
-_SPEC_AXIS_FIELDS = tuple(
-    f.name for f in dataclass_fields(NetworkSpec)
-    if f.name not in ("transport_overrides", "cross_port_rates"))
-_ALL_SPEC_FIELDS = tuple(f.name for f in dataclass_fields(NetworkSpec))
+_SPEC_FIELDS = tuple(f.name for f in dataclass_fields(NetworkSpec))
+#: The NetworkSpec fields whose values are not scalars.
+_DICT_SPEC_FIELDS = ("transport_overrides", "cross_port_rates")
 
+_GROUP_FIELDS = ("name", "axis", "axes", "values", "labels")
 _TOP_LEVEL = ("name", "title", "description", "topology", "workload",
               "groups", "chaos", "metrics", "sim", "seed")
 
@@ -320,6 +323,22 @@ def validate_chaos_schedule(chaos: dict, path: str = "chaos") -> None:
 
 
 # --------------------------------------------------------------------- axes
+def _validate_spec_value(field: str, value: Any, path: str) -> None:
+    """Check one ``spec.<field>`` axis value: a scalar, or a dict-typed
+    field's ``NetworkSpec.to_dict`` form."""
+    if field not in _DICT_SPEC_FIELDS:
+        if not _is_scalar(value):
+            raise CampaignError(path, f"expected a scalar, got {value!r}")
+        return
+    try:
+        if NetworkSpec.from_dict({field: value}).to_dict()[field] == value:
+            return
+    except (AttributeError, TypeError, ValueError):
+        pass
+    raise CampaignError(path, f"NetworkSpec.from_dict refuses {value!r} "
+                        f"as {field} (expected its to_dict form)")
+
+
 def _validate_axis(axis: Any, values: list, layers: list[dict],
                    chaos: dict | None, where: str, cell: str) -> None:
     """Check one axis path (reported at ``where``) and the column of
@@ -331,14 +350,10 @@ def _validate_axis(axis: Any, values: list, layers: list[dict],
                             f"got {axis!r}")
     root, rest = axis.split(".", 1)
     if root == "spec":
-        if rest not in _SPEC_AXIS_FIELDS:
-            raise CampaignError(where,
-                                f"unknown NetworkSpec field {rest!r} "
-                                "(dict-typed fields cannot be an axis)")
+        if rest not in _SPEC_FIELDS:
+            raise CampaignError(where, f"unknown NetworkSpec field {rest!r}")
         for j, value in enumerate(values):
-            if not _is_scalar(value):
-                raise CampaignError(cell.format(j),
-                                    f"expected a scalar, got {value!r}")
+            _validate_spec_value(rest, value, cell.format(j))
     elif root == "workload":
         parts = rest.split(".")
         if len(parts) != 2:
@@ -396,6 +411,24 @@ def _validate_axis(axis: Any, values: list, layers: list[dict],
                             "['chaos', 'sim', 'spec', 'workload']")
 
 
+def _validate_labels(labels: Any, values: list, columns: list,
+                     path: str) -> None:
+    """``labels``, when given, name each value with a distinct
+    identifier; they are required when a value is not a scalar."""
+    if labels is None:
+        bad = next((v for column in columns for v in column
+                    if not _is_scalar(v)), None)
+        if bad is not None:
+            raise CampaignError(path, f"required: value {bad!r} is not a "
+                                "scalar, so each value needs a label")
+        return
+    if not (isinstance(labels, list) and len(labels) == len(values)
+            and all(map(_identifier, labels))
+            and len(set(labels)) == len(labels)):
+        raise CampaignError(path, f"expected {len(values)} distinct "
+                            f"identifiers (one per value), got {labels!r}")
+
+
 def group_axes(group: dict) -> list[str]:
     """The axes a validated group varies: its one ``axis``, or the
     ``axes`` of a zipped group."""
@@ -436,7 +469,7 @@ def validate_campaign(spec: Any) -> dict:
         raise CampaignError("topology", "topology block must be a dict of "
                             "NetworkSpec fields")
     for key in topology:
-        if key not in _ALL_SPEC_FIELDS:
+        if key not in _SPEC_FIELDS:
             raise CampaignError(f"topology.{key}",
                                 "unknown NetworkSpec field")
 
@@ -470,10 +503,10 @@ def validate_campaign(spec: Any) -> dict:
         if not isinstance(group, dict):
             raise CampaignError(path, "group must be a dict")
         for key in group:
-            if key not in ("name", "axis", "axes", "values"):
+            if key not in _GROUP_FIELDS:
                 raise CampaignError(f"{path}.{key}",
                                     "unknown group field; expected "
-                                    "['axes', 'axis', 'name', 'values']")
+                                    f"{sorted(_GROUP_FIELDS)}")
         gname = group.get("name")
         if not _identifier(gname):
             raise CampaignError(f"{path}.name",
@@ -519,6 +552,8 @@ def validate_campaign(spec: Any) -> dict:
                 raise CampaignError(where,
                                     f"duplicate axis {axis!r} across groups")
             seen_axes.add(axis)
+        _validate_labels(group.get("labels"), values, columns,
+                         f"{path}.labels")
 
     if "metrics" in spec:
         metrics = spec["metrics"]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
@@ -31,18 +32,22 @@ RECEIVER = 0
 FLOW_BYTES = 100_000
 
 
-def sweep(p: ScalePreset) -> list[SweepPoint]:
+def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
     """One point: the preset's incast fan-in of senders to host 0."""
-    spec = NetworkSpec(
-        transport="dcp", lb="ar", topology="clos", num_hosts=p.num_hosts,
-        num_leaves=p.num_leaves, num_spines=p.num_spines,
-        link_rate=p.link_rate, seed=131, incast_radix=p.incast_fan_in,
-        buffer_bytes=p.buffer_bytes // 4)
     senders = [h for h in range(p.num_hosts)
                if h != RECEIVER][:p.incast_fan_in]
-    return [SweepPoint(f"incast{p.incast_fan_in}", spec, {
-        "flows": [[s, RECEIVER, FLOW_BYTES, 0] for s in senders],
-        "max_events": 100_000_000})]
+    return compile_campaign({
+        "name": "deepdive",
+        "topology": {"transport": "dcp", "lb": "ar", "topology": "clos",
+                     "buffer_bytes": p.buffer_bytes // 4},
+        "workload": [{"kind": "flows", "name": "incast",
+                      "flows": [[s, RECEIVER, FLOW_BYTES, 0]
+                                for s in senders]}],
+        "groups": [{"name": "incast", "axis": "spec.incast_radix",
+                    "values": [p.incast_fan_in]}],
+        "sim": {"max_events": 100_000_000},
+        "seed": 131,
+    }, p).points
 
 
 def run_point(spec: NetworkSpec, params: dict) -> dict[str, Any]:

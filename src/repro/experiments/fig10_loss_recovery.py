@@ -9,7 +9,7 @@ grows (1.6x-72x worse than DCP between 0.01% and 5%).
 from __future__ import annotations
 
 from repro.analysis.fct import goodput_cell
-from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
+from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.runner import SweepPoint

@@ -10,46 +10,50 @@ and collapses when flows land on the slow link.
 CX5+ECMP's fate depends on which paths the flow hashes draw, so it is
 reported as a mean and a worst case over several seeds; the paper's
 testbed plot corresponds to the collision (worst) draw.
+
+The grid is one campaign spec: the capacity ratio (a
+``spec.cross_port_rates`` axis) x a zipped (transport, lb, cc, seed) group.
 """
 
 from __future__ import annotations
 
 from repro.analysis.fct import incomplete_note
+from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
 
 CAPACITY_RATIOS = ((1, 1), (1, 4), (1, 10))
 DCP_SEED = 21
 CX5_SEEDS = (21, 22, 23, 24, 25)
 
-POINT_RUNNER = "repro.runner.points.simulate_flows"
 
-
-def _point(scheme: str, lb: str, ratio: tuple[int, int], p: ScalePreset,
-           seed: int) -> SweepPoint:
-    rate = p.link_rate
-    spec = NetworkSpec(
-        transport=scheme, topology="testbed", num_hosts=4, cross_links=2,
-        link_rate=rate, lb=lb, seed=seed, buffer_bytes=p.buffer_bytes,
-        # window flow control so offered load tracks the path capacity
-        # (the FPGA testbed's DCP-RNIC is window-limited too)
-        cc="window" if scheme == "dcp" else "none",
-        cross_port_rates={0: rate, 1: rate / ratio[1]})
-    return SweepPoint(
-        f"{ratio[0]}to{ratio[1]}-{scheme}-{lb}-seed{seed}", spec,
-        {"flows": [[0, 2, p.long_flow_bytes, 0, "a"],
-                   [1, 3, p.long_flow_bytes, 0, "b"]],
-         "max_events": 120_000_000})
-
-
-def sweep(p: ScalePreset) -> list[SweepPoint]:
+def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
     """Per capacity ratio: one DCP+AR point, then CX5+ECMP per seed."""
-    return [pt for ratio in CAPACITY_RATIOS
-            for pt in [_point("dcp", "ar", ratio, p, DCP_SEED),
-                       *(_point("gbn", "ecmp", ratio, p, s)
-                         for s in CX5_SEEDS)]]
+    rate = p.link_rate
+    return compile_campaign({
+        "name": "fig11",
+        "topology": {"topology": "testbed", "num_hosts": 4,
+                     "cross_links": 2, "num_leaves": 4, "num_spines": 4},
+        "workload": [
+            {"kind": "flows", "name": "a",
+             "flows": [[0, 2, p.long_flow_bytes, 0]]},
+            {"kind": "flows", "name": "b",
+             "flows": [[1, 3, p.long_flow_bytes, 0]]}],
+        "groups": [
+            {"name": "ratio", "axis": "spec.cross_port_rates",
+             "values": [[[0, rate], [1, rate / slow]]
+                        for _, slow in CAPACITY_RATIOS],
+             "labels": [f"{fast}to{slow}" for fast, slow in CAPACITY_RATIOS]},
+            # window flow control on DCP so offered load tracks the path
+            # capacity (the FPGA testbed's DCP-RNIC is window-limited too)
+            {"name": "run",
+             "axes": ["spec.transport", "spec.lb", "spec.cc", "spec.seed"],
+             "values": [["dcp", "ar", "window", DCP_SEED],
+                        *(["gbn", "ecmp", "none", s] for s in CX5_SEEDS)]},
+        ],
+        "sim": {"max_events": 120_000_000},
+    }, p).points
 
 
 def _avg_goodput(payloads: list) -> tuple[float | str, float | str]:

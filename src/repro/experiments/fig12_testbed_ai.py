@@ -12,7 +12,7 @@ campaign spec: a ``collective`` layer over the interleaved
 from __future__ import annotations
 
 from repro.analysis.fct import incomplete_note
-from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
+from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.runner import SweepPoint

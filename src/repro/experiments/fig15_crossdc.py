@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.analysis.fct import (incomplete_note, overall_percentiles,
                                 slowdowns)
-from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
+from repro.campaigns.compiler import compile_campaign
 from repro.experiments.fig13_websearch import SCHEMES as _FIG13_SCHEMES
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult

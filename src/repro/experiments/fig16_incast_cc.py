@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.analysis.fct import (incomplete_note, overall_percentiles,
                                 slowdowns, switch_total)
-from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
+from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.runner import SweepPoint

@@ -19,7 +19,7 @@ across processes and cache each goodput measurement by spec hash.
 from __future__ import annotations
 
 from repro.analysis.fct import goodput_cell
-from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
+from repro.campaigns.compiler import compile_campaign
 from repro.experiments.fig10_loss_recovery import (LOSS_RATES,
                                                    long_flow_campaign)
 from repro.experiments.presets import ScalePreset

@@ -13,7 +13,7 @@ flow size (Fig 1a) and the CDF of the ratio per size class (Fig 1b).
 from __future__ import annotations
 
 from repro.analysis.fct import incomplete_note, percentile, switch_total
-from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
+from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.runner import SweepPoint

@@ -10,7 +10,7 @@ HO packets and hits zero timeouts.
 from __future__ import annotations
 
 from repro.analysis.fct import switch_total
-from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
+from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.runner import SweepPoint

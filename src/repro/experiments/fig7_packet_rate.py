@@ -9,13 +9,6 @@ from repro.experiments.result import ExperimentResult
 OOO_DEGREES = tuple(range(0, 449, 64))
 CLOCK_MHZ = 300.0
 
-POINT_RUNNER = None     # analytic: the sweep is empty
-
-
-def sweep(p: ScalePreset) -> list:
-    return []
-
-
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "fig7", f"Theoretical packet rate (Mpps) at {CLOCK_MHZ:.0f} MHz")

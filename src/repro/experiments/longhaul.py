@@ -12,14 +12,17 @@ run with a small forced loss rate across the recovery-scheme frontier
 a timeout costs a full long-haul RTT of idle pipe, so SDR's per-hole
 timers and RIFL's hop-local repair (a hop round trip, not an
 end-to-end one) separate from RTO-prone recovery as distance grows.
+
+The grid is one campaign spec: a zipped ``distance`` group (delay and
+flow size) x a zipped (transport, loss rate) group.
 """
 
 from __future__ import annotations
 
 from repro.analysis.fct import goodput_cell
+from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
 from repro.sim.units import fiber_delay_ns
 
@@ -30,28 +33,37 @@ TRANSPORTS = ("dcp", "irn", "sdr", "rifl")
 #: stays lossless to preserve the paper's original claim).
 LOSS_RATE = 1e-3
 
-POINT_RUNNER = "repro.runner.points.simulate_flows"
 
-
-def _point(p: ScalePreset, km: float, transport: str,
-           loss: float) -> SweepPoint:
-    delay = fiber_delay_ns(km)
-    spec = NetworkSpec(
-        transport=transport, topology="testbed", num_hosts=4, cross_links=1,
-        link_rate=p.link_rate, loss_rate=loss, lb="ecmp", seed=31,
-        buffer_bytes=p.buffer_bytes, spine_link_delay_ns=delay)
+def _haul(p: ScalePreset, km: float) -> list[list[int]]:
+    """One flow across the cross-switch link, several BDPs long."""
     size = max(p.long_flow_bytes,
-               int(p.link_rate / 8 * delay * 6))  # several BDPs
-    return SweepPoint(f"{km:g}km-{transport}-loss{loss:g}", spec,
-                      {"flows": [[0, 2, size, 0, "haul"]],
-                       "max_events": 120_000_000})
+               int(p.link_rate / 8 * fiber_delay_ns(km) * 6))
+    return [[0, 2, size, 0]]
 
 
-def sweep(p: ScalePreset) -> list[SweepPoint]:
+def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
     """Per distance: lossless DCP, then every transport under loss."""
-    return [pt for km in DISTANCES_KM
-            for pt in [_point(p, km, "dcp", 0.0),
-                       *(_point(p, km, t, LOSS_RATE) for t in TRANSPORTS)]]
+    return compile_campaign({
+        "name": "longhaul",
+        "topology": {"topology": "testbed", "num_hosts": 4,
+                     "cross_links": 1, "lb": "ecmp",
+                     "num_leaves": 4, "num_spines": 4},
+        # The distance group replaces this layer's flow at every point.
+        "workload": [{"kind": "flows", "name": "haul",
+                      "flows": _haul(p, DISTANCES_KM[0])}],
+        "groups": [
+            {"name": "distance",
+             "axes": ["spec.spine_link_delay_ns", "workload.haul.flows"],
+             "values": [[fiber_delay_ns(km), _haul(p, km)]
+                        for km in DISTANCES_KM],
+             "labels": [f"{km:g}km" for km in DISTANCES_KM]},
+            {"name": "run", "axes": ["spec.transport", "spec.loss_rate"],
+             "values": [["dcp", 0.0],
+                        *([t, LOSS_RATE] for t in TRANSPORTS)]},
+        ],
+        "sim": {"max_events": 120_000_000},
+        "seed": 31,
+    }, p).points
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

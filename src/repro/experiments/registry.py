@@ -1,14 +1,13 @@
 """Registry mapping every paper table/figure to its regeneration module.
 
-Every experiment module exports the three attributes the runner uses to
-shard it:
+Every experiment module exports what the runner needs to shard it:
 
-* ``sweep(preset, **opts) -> list[SweepPoint]`` — the experiment's grid
-  (empty for the analytic tables, which simulate nothing);
 * ``merge(payloads, preset, **opts) -> ExperimentResult`` — fold ordered
-  point payloads back into the table;
-* ``POINT_RUNNER`` — dotted path of the per-point worker function (None
-  when the sweep is empty).
+  point payloads back into the table (an analytic table gets none);
+* a simulated key's ``sweep(preset, **opts)`` — its points (for every
+  key but ``robustness``, a campaign spec's);
+* optionally ``POINT_RUNNER`` — dotted path of the per-point worker
+  function, when it is not :data:`DEFAULT_POINT_RUNNER`.
 
 :func:`run_experiment` is the one driver from spec to table.
 """
@@ -17,11 +16,15 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.experiments.presets import get_preset
 from repro.experiments.result import ExperimentResult
-from repro.runner.runner import ExperimentRunner, serial_runner
+from repro.runner.runner import ExperimentRunner, SweepPoint, serial_runner
+
+#: The point runner of every key whose module declares none: one spec,
+#: a flow layout, optional chaos.
+DEFAULT_POINT_RUNNER = "repro.runner.points.simulate_flows"
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,16 @@ class ExperimentEntry:
 
     def load_module(self) -> Any:
         return importlib.import_module(self.module)
+
+    def points(self, preset: Any, **opts: Any) -> Sequence[SweepPoint]:
+        """The key's sweep points at ``preset`` (none when analytic)."""
+        return (self.load_module().sweep(get_preset(preset), **opts)
+                if self.simulation else ())
+
+    def point_runner(self) -> str:
+        """Dotted path of the function that runs one of its points."""
+        return getattr(self.load_module(), "POINT_RUNNER",
+                       DEFAULT_POINT_RUNNER)
 
 
 REGISTRY: dict[str, ExperimentEntry] = {
@@ -115,8 +128,10 @@ def run_experiment(key: str, preset: str = "default",
     reach both the module's ``sweep`` and its ``merge`` (robustness's
     ``chaos``, fig13/fig14's ``fidelity``).
     """
-    mod = get_entry(key).load_module()
+    entry = get_entry(key)
     p = get_preset(preset)
     runner = runner if runner is not None else serial_runner()
-    payloads = runner.run_points(key, mod.sweep(p, **opts), mod.POINT_RUNNER)
-    return attach_runner_telemetry(mod.merge(payloads, p, **opts), runner)
+    payloads = runner.run_points(key, entry.points(p, **opts),
+                                 entry.point_runner())
+    return attach_runner_telemetry(
+        entry.load_module().merge(payloads, p, **opts), runner)

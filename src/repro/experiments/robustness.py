@@ -45,9 +45,6 @@ TRANSPORTS = tuple(sorted(TRANSPORT_PATHS))
 _TIMERS = {"rto_ns": 400_000, "rto_low_ns": 150_000,
            "coarse_timeout_ns": 400_000}
 
-POINT_RUNNER = "repro.runner.points.simulate_flows"
-
-
 def _flow_bytes(p: ScalePreset) -> int:
     """Big enough that every scenario's window lands mid-flow."""
     return max(240_000, p.long_flow_bytes // 5)

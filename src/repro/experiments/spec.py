@@ -36,7 +36,7 @@ TRANSPORTS: dict[str, str] = {
 CHOICES: dict[str, tuple[str, ...]] = {
     "transport": tuple(TRANSPORTS),
     "cc": ("none", "window", "dcqcn"),
-    "lb": ("ecmp", "ar", "spray"),
+    "lb": ("ecmp", "ar"),
     "topology": ("clos", "testbed", "direct"),
     "fidelity": ("packet", "hybrid"),
 }

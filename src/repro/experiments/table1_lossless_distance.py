@@ -6,13 +6,6 @@ from repro.analysis.models import ASIC_CATALOG, lossless_distance_km
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 
-POINT_RUNNER = None     # analytic: the sweep is empty
-
-
-def sweep(p: ScalePreset) -> list:
-    return []
-
-
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "table1", "Max lossless communication distance with PFC (Eq. 1)")

@@ -12,13 +12,6 @@ from repro.analysis.models import REQUIREMENTS_MATRIX
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 
-POINT_RUNNER = None     # analytic: the sweep is empty
-
-
-def sweep(p: ScalePreset) -> list:
-    return []
-
-
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult("table2", "DCP vs closely related works (R1-R4)")
     for scheme, reqs in REQUIREMENTS_MATRIX.items():

@@ -8,13 +8,6 @@ from repro.experiments.result import ExperimentResult
 
 NUM_QPS = 10_000
 
-POINT_RUNNER = None     # analytic: the sweep is empty
-
-
-def sweep(p: ScalePreset) -> list:
-    return []
-
-
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "table3", "Memory overhead for packet tracking (400G x 10us intra-DC)")

@@ -14,13 +14,6 @@ from repro.analysis.resources import table4_rows
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 
-POINT_RUNNER = None     # analytic: the sweep is empty
-
-
-def sweep(p: ScalePreset) -> list:
-    return []
-
-
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "table4", "RNIC resource inventory (substitute for FPGA synthesis)")

@@ -12,7 +12,7 @@ host count allows.
 from __future__ import annotations
 
 from repro.analysis.fct import incomplete_note, switch_total
-from repro.campaigns.compiler import POINT_RUNNER, compile_campaign
+from repro.campaigns.compiler import compile_campaign
 from repro.core.header import ho_data_size_ratio, wrr_weight
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult

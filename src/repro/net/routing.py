@@ -8,7 +8,6 @@ single-candidate route without consulting it):
 * :class:`EcmpLoadBalancer` — flow-level hashing (the RoCE default).
 * :class:`AdaptiveLoadBalancer` — per-packet least-queue adaptive
   routing, as implemented in the paper's P4 switch (§5).
-* :class:`SprayLoadBalancer` — per-packet round-robin packet spraying.
 """
 
 from __future__ import annotations
@@ -79,28 +78,11 @@ class AdaptiveLoadBalancer:
         return ties[flow_hash(packet) % len(ties)]
 
 
-class SprayLoadBalancer:
-    """Per-packet round-robin spraying over the candidate set."""
-
-    name = "spray"
-    packet_level = True
-
-    def __init__(self) -> None:
-        self._cursor: dict[int, int] = {}
-
-    def pick(self, switch: "Switch", packet: Packet, candidates: Sequence[int]) -> int:
-        key = id(switch) & 0xFFFFFFFF
-        cur = self._cursor.get(key, 0)
-        self._cursor[key] = cur + 1
-        return candidates[cur % len(candidates)]
-
-
 def make_load_balancer(name: str, **kwargs) -> object:
-    """Factory for ``NetworkSpec.lb``: "ecmp", "ar" or "spray"."""
+    """Factory for ``NetworkSpec.lb``: "ecmp" or "ar"."""
     table = {
         "ecmp": EcmpLoadBalancer,
         "ar": AdaptiveLoadBalancer,
-        "spray": SprayLoadBalancer,
     }
     try:
         return table[name](**kwargs)

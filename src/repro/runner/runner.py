@@ -121,13 +121,12 @@ class ExperimentRunner:
 
     # ----------------------------------------------------------- execution
     def run_points(self, experiment: str, points: Sequence[SweepPoint],
-                   point_runner: Optional[str]) -> list[Any]:
+                   point_runner: str) -> list[Any]:
         """Run every point, serving from cache; returns payloads in order.
 
         ``point_runner`` is the dotted path of a module-level callable
         ``fn(spec, params) -> payload`` — a path rather than a function
         object so it pickles into pool workers under any start method.
-        An analytic experiment's empty sweep passes None.
         """
         if self.telemetry is not None:
             points = [SweepPoint(p.point_id, p.spec,

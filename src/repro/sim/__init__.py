@@ -7,12 +7,10 @@ __all__ = [
     "Entity",
     "Simulator",
     "SeedSequence",
-    "run_until_quiet",
     "units",
 ]
 
 __getattr__ = lazy_exports(__name__, {
-    "repro.sim.engine": ("CancelledToken", "Entity", "Simulator",
-                         "run_until_quiet"),
+    "repro.sim.engine": ("CancelledToken", "Entity", "Simulator"),
     "repro.sim.rng": ("SeedSequence",),
 })

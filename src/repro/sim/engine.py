@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Optional
 
-__all__ = ["CancelledToken", "Entity", "Simulator", "run_until_quiet"]
+__all__ = ["CancelledToken", "Entity", "Simulator"]
 
 
 class CancelledToken:
@@ -202,10 +202,6 @@ class Simulator:
                 break
         return heap[0][0] if heap else None
 
-    def pending(self) -> int:
-        """Number of queued (possibly cancelled) events."""
-        return len(self._heap)
-
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None) -> None:
         """Run events until the heap empties, ``until`` is reached, or
@@ -281,15 +277,3 @@ class Entity:
     def after(self, delay: int, callback: Callable[[], None]) -> CancelledToken:
         return self.sim.schedule(delay, callback)
 
-
-def run_until_quiet(sim: Simulator,
-                    guard: Optional[Callable[[], object]] = None,
-                    max_events: int = 200_000_000) -> None:
-    """Drain the simulator completely (convenience for tests).
-
-    ``guard``, when given, runs after the drain; it is expected to raise
-    (assert) if the simulation left bad state behind.
-    """
-    sim.run(max_events=max_events)
-    if guard is not None:
-        guard()

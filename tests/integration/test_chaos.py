@@ -16,7 +16,7 @@ import pytest
 from repro.chaos.scenarios import SCENARIOS, apply_scenario, get_scenario
 from repro.experiments import cli, robustness
 from repro.experiments.presets import get_preset
-from repro.experiments.registry import run_experiment
+from repro.experiments.registry import DEFAULT_POINT_RUNNER, run_experiment
 from repro.runner import (CACHE_VERSION, ExperimentRunner, ResultCache,
                           SweepPoint)
 from repro.runner.points import simulate_flows
@@ -198,10 +198,10 @@ def test_asking_for_sampling_records_every_gauge(tmp_path):
                        _params("link_flap"))
     cache = ResultCache(root=tmp_path / "cache")
     ExperimentRunner(jobs=1, cache=cache).run_points(
-        "scope", [point], robustness.POINT_RUNNER)
+        "scope", [point], DEFAULT_POINT_RUNNER)
     sampled = ExperimentRunner(
         jobs=1, cache=cache, telemetry={"sample_interval_ns": 10_000})
-    sampled.run_points("scope", [point], robustness.POINT_RUNNER)
+    sampled.run_points("scope", [point], DEFAULT_POINT_RUNNER)
     assert sampled.simulations_executed == 1        # miss by design
     assert len(cache) == 2
     assert len(sampled.last_metrics["dcp-flap"]["series"]) == 35
@@ -270,7 +270,7 @@ def test_v7_cache_entry_is_a_counted_miss_and_rewritten_as_current(tmp_path):
                        _params("link_flap"))
     cache = ResultCache(root=tmp_path / "cache")
     ExperimentRunner(jobs=1, cache=cache).run_points(
-        "scope", [point], robustness.POINT_RUNNER)
+        "scope", [point], DEFAULT_POINT_RUNNER)
     (path,) = (tmp_path / "cache").rglob("*.json")
     envelope = json.loads(path.read_text(encoding="utf-8"))
     assert envelope["version"] == CACHE_VERSION == 13
@@ -280,7 +280,7 @@ def test_v7_cache_entry_is_a_counted_miss_and_rewritten_as_current(tmp_path):
 
     cache = ResultCache(root=tmp_path / "cache")
     rerun = ExperimentRunner(jobs=1, cache=cache)
-    rerun.run_points("scope", [point], robustness.POINT_RUNNER)
+    rerun.run_points("scope", [point], DEFAULT_POINT_RUNNER)
     assert rerun.simulations_executed == 1
     stats = cache.stats()
     assert (stats["hits"], stats["misses"], stats["corrupt"]) == (0, 1, 1)

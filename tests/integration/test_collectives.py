@@ -264,11 +264,11 @@ def test_collective_points_post_the_pinned_flows(monkeypatch):
     monkeypatch.setattr(points.PointTelemetry, "network", network)
     got, events = {}, {}
     for key in ("fig12", "fig14", "scale"):
-        mod = get_entry(key).load_module()
-        for point in mod.sweep(get_preset("quick")):
+        entry = get_entry(key)
+        for point in entry.points(get_preset("quick")):
             entropy.clear()
             nets.clear()
-            _resolve(mod.POINT_RUNNER)(point.spec, point.params)
+            _resolve(entry.point_runner())(point.spec, point.params)
             net, = nets
             digest = hashlib.sha256()
             for f in net.flows:

@@ -182,6 +182,8 @@ def test_a_long_flow_that_never_finished_is_not_a_goodput(key):
 
 
 @pytest.mark.parametrize("key, flows_per_point, open_point, cells", [
+    # Point 1 is gbn's latency probe.
+    ("fig8", 1, 1, {(0, "latency_us"): "1/1"}),
     ("longhaul", 1, 1, {(0, "dcp_lossy_gbps"): "1/1"}),
     # Point 2 is the second CX5 seed at 1:1: both CX5 cells count the
     # open flow among the five seeds' ten flows.
@@ -204,6 +206,7 @@ def test_a_merge_names_open_flows_instead_of_survivors_figures(
     def notes(open_point):
         def flow(completed):
             return {"completed": completed, "size_bytes": 10_000,
+                    "fct_ns": 10_000 if completed else None,
                     "goodput_gbps": 8.0 if completed else 0.0,
                     "data_pkts_sent": 10, "retx_pkts": 1}
         payloads = [{"flows": [flow(True) for _ in range(flows_per_point)],

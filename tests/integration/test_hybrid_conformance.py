@@ -36,8 +36,9 @@ def _rel_diff(hybrid: float, packet: float) -> float:
 
 
 # --------------------------------------------------------------- fig8
-@pytest.mark.parametrize("point", fig8.sweep(get_preset("quick")),
-                         ids=lambda pt: pt.point_id)
+@pytest.mark.parametrize(
+    "point", fig8.sweep(get_preset("quick")),
+    ids=lambda pt: f"{pt.spec.transport}-{pt.point_id.rsplit('-', 1)[1]}")
 def test_fig8_point_exact(point):
     """Every fig8 point is one uncontended flow: hybrid must be exact.
 

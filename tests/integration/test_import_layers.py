@@ -107,14 +107,14 @@ def test_declaring_every_sweep_and_campaign_stays_harness_side():
     # What the first cache hit of any key needs: its module, its points
     # (flow layout included) and every library campaign compiled.
     out = _python('''
-import importlib
 from repro.campaigns import CAMPAIGNS, compile_campaign, get_campaign
 from repro.experiments.presets import get_preset
 from repro.experiments.registry import REGISTRY
 
 quick = get_preset("quick")
-points = [len(importlib.import_module(entry.module).sweep(quick))
-          for entry in REGISTRY.values()]
+for entry in REGISTRY.values():
+    entry.load_module()
+points = [len(entry.points(quick)) for entry in REGISTRY.values()]
 points += [len(compile_campaign(get_campaign(name), quick).points)
            for name in sorted(CAMPAIGNS)]
 assert simulator_modules() == [], simulator_modules()

@@ -21,10 +21,11 @@ def test_r1_no_pfc_dependence():
 
 
 def test_r2_packet_level_lb_compatibility():
-    """R2: per-packet spraying causes zero spurious retransmissions."""
+    """R2: per-packet adaptive routing causes zero spurious
+    retransmissions."""
     net = build_network(transport="dcp", topology="clos", num_hosts=8,
                         num_leaves=2, num_spines=2, link_rate=10.0,
-                        lb="spray", seed=62, buffer_bytes=8_000_000,
+                        lb="ar", seed=62, buffer_bytes=8_000_000,
                         trim_threshold_bytes=8_000_000)
     flows = [net.open_flow(i, (i + 4) % 8, 200_000, 0) for i in range(4)]
     net.run_until_flows_done(max_events=30_000_000)

@@ -1,7 +1,7 @@
 """Property tests: campaign compilation is pure and strict.
 
-* same spec -> identical point ids, spec dicts and cache keys (and the
-  input spec is never mutated);
+* same spec -> identical, unique point ids (labelled groups included),
+  spec dicts and cache keys (and the input spec is never mutated);
 * a collective layer's chained rows wait on rows of their own ring,
   whatever layers come before it;
 * chaos schedules hash into the cache key;
@@ -60,6 +60,22 @@ mtu_groups = st.lists(
 
 
 @st.composite
+def rates_groups(draw):
+    """A labelled ``spec.cross_port_rates`` group (its values are pair
+    lists, so every value needs a label)."""
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from([1.0, 2.5, 10.0]),
+                  st.sampled_from([1.0, 2.5, 10.0])),
+        min_size=1, max_size=3, unique=True))
+    labels = draw(st.lists(st.from_regex(r"[a-z0-9_-]{1,6}", fullmatch=True),
+                           min_size=len(pairs), max_size=len(pairs),
+                           unique=True))
+    return {"name": "rates", "axis": "spec.cross_port_rates",
+            "values": [[[0, a], [1, b]] for a, b in pairs],
+            "labels": labels}
+
+
+@st.composite
 def campaign_specs(draw):
     layers = [draw(st.one_of(flows_layers, bursting_layers,
                              collective_layers))]
@@ -69,6 +85,8 @@ def campaign_specs(draw):
     groups = [draw(transport_groups)]
     if draw(st.booleans()):
         groups.append(draw(mtu_groups))
+    if draw(st.booleans()):
+        groups.append(draw(rates_groups()))
     spec = {
         "name": draw(st.sampled_from(["c1", "soak", "mix-2"])),
         "topology": {"topology": "direct", "num_hosts": 4},

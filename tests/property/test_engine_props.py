@@ -126,9 +126,9 @@ def test_cancellation_is_lazy_entries_stay_in_heap(entries):
             token.cancel()
             cancelled += 1
     # Lazy: the heap still holds every entry, cancelled or not.
-    assert sim.pending() == len(entries)
+    assert len(sim._heap) == len(entries)
     sim.run()
-    assert sim.pending() == 0
+    assert len(sim._heap) == 0
     assert sim.events_processed == len(entries) - cancelled
 
 

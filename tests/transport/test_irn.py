@@ -30,9 +30,11 @@ def test_spurious_retransmissions_under_packet_spray():
     """Issue #1 (§2.2): packet-level LB + IRN => spurious retransmission."""
     net = build_network(transport="irn", topology="testbed", num_hosts=4,
                         cross_links=4, link_rate=10.0, loss_rate=0.0,
-                        lb="spray", seed=14,
-                        # skew: one slow path forces persistent reordering
-                        cross_port_rates={0: 10.0, 1: 10.0, 2: 10.0, 3: 2.5})
+                        lb="ar", seed=14,
+                        # cross links slower than the NIC make AR spread
+                        # packets; the quarter-rate one forces persistent
+                        # reordering
+                        cross_port_rates={0: 5.0, 1: 5.0, 2: 5.0, 3: 1.25})
     flow = net.open_flow(0, 2, 500_000, 0)
     net.run_until_flows_done(max_events=30_000_000)
     assert flow.completed
@@ -92,7 +94,7 @@ def test_tail_loss_needs_rto():
 def test_exactly_once_payload_accounting():
     net = build_network(transport="irn", topology="testbed", num_hosts=4,
                         cross_links=2, link_rate=10.0, loss_rate=0.05,
-                        lb="spray", seed=19)
+                        lb="ar", seed=19)
     flow = net.open_flow(0, 2, 300_000, 0)
     net.run_until_flows_done(max_events=40_000_000)
     assert flow.completed

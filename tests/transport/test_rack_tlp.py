@@ -29,11 +29,13 @@ def test_reordering_tolerated_without_spurious_retx():
     """One reordering-window of tolerance: pure reordering, no retx."""
     net = build_network(transport="rack_tlp", topology="testbed",
                         num_hosts=4, cross_links=2, link_rate=10.0,
-                        loss_rate=0.0, lb="spray", seed=42)
+                        loss_rate=0.0, lb="ar", seed=42,
+                        # half-rate cross links: AR uses both
+                        cross_port_rates={0: 5.0, 1: 5.0})
     flow = net.open_flow(0, 2, 300_000, 0)
     net.run_until_flows_done(max_events=30_000_000)
     assert flow.completed
-    # equal-rate spraying keeps skew below min RTT: no spurious marks
+    # equal-rate paths keep skew below min RTT: no spurious marks
     assert flow.stats.retx_pkts_sent == 0
 
 

@@ -39,7 +39,9 @@ def test_order_tolerant_reception():
     """Spectrum-style OOO acceptance: reordering alone costs nothing."""
     net = build_network(transport="timeout", topology="testbed", num_hosts=4,
                         cross_links=2, link_rate=10.0, loss_rate=0.0,
-                        lb="spray", seed=53)
+                        lb="ar", seed=53,
+                        # half-rate cross links: AR uses both
+                        cross_port_rates={0: 5.0, 1: 5.0})
     flow = net.open_flow(0, 2, 300_000, 0)
     net.run_until_flows_done(max_events=30_000_000)
     assert flow.completed

@@ -5,9 +5,8 @@ import hashlib
 
 import pytest
 
-from repro.campaigns import (CampaignError, DEFAULT_METRICS, POINT_RUNNER,
-                             campaign_names, compile_campaign, get_campaign,
-                             merge_campaign)
+from repro.campaigns import (CampaignError, DEFAULT_METRICS, campaign_names,
+                             compile_campaign, get_campaign, merge_campaign)
 from repro.campaigns.spec import validate_campaign
 from repro.experiments.presets import get_preset
 from repro.experiments.registry import get_entry
@@ -65,7 +64,6 @@ class TestGrid:
         c = compile_campaign(tiny_spec(), "quick")
         assert c.key == "campaign-tiny"
         assert c.metrics == DEFAULT_METRICS
-        assert POINT_RUNNER == "repro.runner.points.simulate_flows"
 
     def test_preset_fills_topology(self):
         spec = tiny_spec(topology={"topology": "clos"})
@@ -88,6 +86,81 @@ class TestGrid:
             {"name": "ev", "axis": "sim.max_events",
              "values": [1000, 2000]}]), "quick")
         assert [p.params["max_events"] for p in c.points] == [1000, 2000]
+
+
+class TestLabelsAndDictAxes:
+    RATES = [[[0, 10.0], [1, 10.0]], [[0, 10.0], [1, 2.5]]]
+
+    def rates_spec(self, **group):
+        return tiny_spec(
+            topology={"topology": "testbed", "num_hosts": 4,
+                      "cross_links": 2},
+            workload=[{"kind": "flows", "name": "pair",
+                       "flows": [[0, 2, 5000, 0]]}],
+            groups=[{"name": "ratio", "axis": "spec.cross_port_rates",
+                     "values": self.RATES, "labels": ["1to1", "1to4"],
+                     **group}])
+
+    def test_labels_name_the_values_in_point_ids(self):
+        c = compile_campaign(tiny_spec(groups=[
+            {"name": "probe", "axes": ["spec.window_bytes",
+                                       "workload.pair.flows"],
+             "values": [[None, [[0, 1, 64, 0]]],
+                        [200_000, [[0, 1, 50_000, 0]]]],
+             "labels": ["lat", "tput"]},
+            {"name": "transport", "axis": "spec.transport",
+             "values": ["gbn", "dcp"], "labels": ["cx5", "dcp"]},
+        ]), "quick")
+        assert [p.point_id for p in c.points] == [
+            "probe-lat.transport-cx5", "probe-lat.transport-dcp",
+            "probe-tput.transport-cx5", "probe-tput.transport-dcp"]
+        assert [p.params["flows"][0][2] for p in c.points] == [
+            64, 64, 50_000, 50_000]
+        assert c.assignments[3] == {
+            "probe": [200_000, [[0, 1, 50_000, 0]]], "transport": "dcp"}
+
+    def test_a_non_scalar_value_needs_labels(self):
+        spec = self.rates_spec()
+        del spec["groups"][0]["labels"]
+        with pytest.raises(CampaignError) as exc:
+            compile_campaign(spec, "quick")
+        assert exc.value.path == "groups[0].labels"
+        assert "not a scalar" in exc.value.message
+
+    @pytest.mark.parametrize("labels", [["1to1"], ["a", "a"], ["a", "b c"]])
+    def test_missing_duplicate_or_malformed_labels(self, labels):
+        with pytest.raises(CampaignError) as exc:
+            compile_campaign(self.rates_spec(labels=labels), "quick")
+        assert exc.value.path == "groups[0].labels"
+
+    def test_cross_port_rates_axis(self):
+        c = compile_campaign(self.rates_spec(), "quick")
+        assert [p.point_id for p in c.points] == ["ratio-1to1", "ratio-1to4"]
+        assert [p.spec.cross_port_rates for p in c.points] == [
+            {0: 10.0, 1: 10.0}, {0: 10.0, 1: 2.5}]
+        assert [p.spec.to_dict()["cross_port_rates"]
+                for p in c.points] == self.RATES
+
+    @pytest.mark.parametrize("bad", [
+        [[0, 10.0], [1]],            # a pair missing its rate
+        [[0, "fast"]],               # a rate that is not a number
+        {0: 10.0},                   # the dict, not its pair list
+        [[1, 2.5], [0, 10.0]],       # pairs out of to_dict's order
+    ])
+    def test_malformed_pair_list_names_the_value(self, bad):
+        with pytest.raises(CampaignError) as exc:
+            compile_campaign(self.rates_spec(values=[self.RATES[0], bad]),
+                             "quick")
+        assert exc.value.path == "groups[0].values[1]"
+        assert "NetworkSpec.from_dict refuses" in exc.value.message
+
+    def test_transport_overrides_axis(self):
+        c = compile_campaign(tiny_spec(groups=[
+            {"name": "timers", "axis": "spec.transport_overrides",
+             "values": [{}, {"rto_ns": 400_000}], "labels": ["dflt", "rto"]},
+        ]), "quick")
+        assert [p.spec.transport_overrides for p in c.points] == [
+            {}, {"rto_ns": 400_000}]
 
 
 class TestCrossChecks:
@@ -370,6 +443,14 @@ FIGURE_DIGESTS = {
               "full": "abe8f91710db2bab"},
     "scale": {"quick": "6732905a53f5e28c", "default": "e1fc3ce9d738bc2d",
               "full": "1e01de9b1c3e818b"},
+    "fig8": {"quick": "7bdb2d9b84dade3a", "default": "232fc801dd7426ef",
+             "full": "5c0ca685569df0ef"},
+    "fig11": {"quick": "7d2bb459e1ab68d7", "default": "8e32afed2f1e5522",
+              "full": "ba36ef616e1e188f"},
+    "longhaul": {"quick": "63700b96b4e8e650", "default": "d246ca8c38473f19",
+                 "full": "ea4433f3af288142"},
+    "deepdive": {"quick": "961a104877c54d32", "default": "e80d6f9e4192985d",
+                 "full": "946644715202a85a"},
 }
 
 

@@ -178,10 +178,12 @@ class TestGroups:
         assert e.path == "groups[0].axis"
 
     def test_dict_spec_field_rejected(self):
+        # A dict-typed field takes its to_dict form (a dict), not pairs.
         e = err(base_spec(groups=[
             {"name": "g", "axis": "spec.transport_overrides",
-             "values": [{}]}]))
-        assert "cannot be an axis" in e.message
+             "values": [{}, [["rto_ns", 400_000]]], "labels": ["a", "b"]}]))
+        assert e.path == "groups[0].values[1]"
+        assert "NetworkSpec.from_dict refuses" in e.message
 
     def test_workload_axis_unknown_layer(self):
         e = err(base_spec(groups=[

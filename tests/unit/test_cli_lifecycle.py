@@ -112,7 +112,7 @@ class TestMetricsAttachmentSymmetry:
                          "--breakdown"]) == 0
         assert captured["result"].metrics, \
             "point metrics not attached without --metrics-out"
-        assert "dcp-tput" in captured["result"].metrics
+        assert "scheme-dcp.probe-tput" in captured["result"].metrics
 
     def test_attachment_identical_with_and_without_metrics_out(
             self, tmp_path, monkeypatch, capsys):
@@ -123,7 +123,7 @@ class TestMetricsAttachmentSymmetry:
         cli.main([*argv, "--metrics-out", str(tmp_path / "m.jsonl")])
         with_flag = set(captured["result"].metrics)
         assert without_flag == with_flag == {
-            f"{scheme}-{kind}" for scheme in ("gbn", "dcp", "tcp")
+            f"scheme-{scheme}.probe-{kind}" for scheme in ("gbn", "dcp", "tcp")
             for kind in ("tput", "lat")}
 
 
@@ -177,8 +177,9 @@ def test_flag_tables_match_the_sweep_signatures():
     from repro.experiments.registry import REGISTRY
 
     def takers(param):
-        return tuple(key for key, entry in REGISTRY.items() if param in
-                     inspect.signature(entry.load_module().sweep).parameters)
+        return tuple(key for key, entry in REGISTRY.items()
+                     if entry.simulation and param in inspect.signature(
+                         entry.load_module().sweep).parameters)
 
     assert takers("chaos") == cli.TAKES_CHAOS
     assert takers("fidelity") == cli.TAKES_FIDELITY

@@ -51,7 +51,7 @@ def test_call_after_fires_fn_with_its_one_argument_once():
     sim.run()
     assert calls == [None, payload]
     assert calls[1] is payload
-    assert sim.events_processed == 2 and sim.pending() == 0
+    assert sim.events_processed == 2 and len(sim._heap) == 0
 
 
 def test_timer_entries_fire_without_an_argument():
@@ -72,7 +72,7 @@ def test_call_after_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.call_after(-1, print, None)
-    assert sim.pending() == 0
+    assert len(sim._heap) == 0
 
 
 def test_cancelled_event_does_not_fire():
@@ -382,7 +382,7 @@ def test_fired_stream_is_the_sorted_when_seq_order(ops):
     assert rec.fired == expected
     assert sim.events_processed == len(expected)
     assert sim.now == (expected[-1][0] if expected else 0)
-    assert sim.pending() == 0 and sim._heap_dead == 0
+    assert len(sim._heap) == 0 and sim._heap_dead == 0
 
 
 @settings(deadline=None, max_examples=150)
@@ -424,7 +424,7 @@ def test_dead_count_matches_cancelled_entries_in_heap(ops):
         assert sim.events_processed == len(rec.fired)
     sim.run()
     assert rec.fired == rec.expected()
-    assert sim.pending() == 0 and sim._heap_dead == 0
+    assert len(sim._heap) == 0 and sim._heap_dead == 0
 
 
 def test_timer_churn_keeps_the_heap_bounded():
@@ -445,7 +445,7 @@ def test_timer_churn_keeps_the_heap_bounded():
             timers[restarts % len(timers)].restart(
                 300_000 + (restarts * 7919) % 700_000)
             restarts += 1
-            worst = max(worst, sim.pending())
+            worst = max(worst, len(sim._heap))
         if restarts < 50_000:
             sim.call_after(100, hop, None)
 
@@ -455,7 +455,7 @@ def test_timer_churn_keeps_the_heap_bounded():
     sim.run()
     assert restarts == 50_000
     assert worst <= 2 * live + 2
-    assert sim.pending() == 0 and sim._heap_dead == 0
+    assert len(sim._heap) == 0 and sim._heap_dead == 0
 
 
 def test_later_deadline_restarts_keep_one_heap_entry():
@@ -470,13 +470,13 @@ def test_later_deadline_restarts_keep_one_heap_entry():
     seqn = sim._seqn
     for i in range(1_000):
         timer.restart(1_000 + i)
-        assert sim.pending() == 1 and sim._heap_dead == 0
+        assert len(sim._heap) == 1 and sim._heap_dead == 0
     assert sim._seqn == seqn + 1_000
     assert sim.peek_time() == 1_999
     sim.run()
     assert fired == [1_999]
     assert sim.events_processed == 1
-    assert sim.pending() == 0 and sim._heap_dead == 0
+    assert len(sim._heap) == 0 and sim._heap_dead == 0
 
 
 def test_run_until_between_a_deferred_entry_and_its_recorded_time():
@@ -489,10 +489,10 @@ def test_run_until_between_a_deferred_entry_and_its_recorded_time():
     sim.schedule(300, lambda: fired.append(("first", sim.now)))
     token = sim.reschedule(token, 300, lambda: fired.append(("moved", sim.now)))
     sim.schedule(300, lambda: fired.append(("last", sim.now)))
-    assert sim.pending() == 3
+    assert len(sim._heap) == 3
     sim.run(until=200)
     assert fired == [] and sim.now == 200 and sim.events_processed == 0
-    assert sim.pending() == 3 and sim._heap_dead == 0
+    assert len(sim._heap) == 3 and sim._heap_dead == 0
     sim.run()
     assert fired == [("first", 300), ("moved", 300), ("last", 300)]
     assert sim.events_processed == 3
@@ -504,7 +504,7 @@ def test_reschedule_to_an_earlier_time_cancels_and_schedules():
     old = sim.schedule(500, lambda: fired.append("old"))
     new = sim.reschedule(old, 200, lambda: fired.append("new"))
     assert new is not old and old.cancelled
-    assert sim.pending() == 2 and sim._heap_dead == 1
+    assert len(sim._heap) == 2 and sim._heap_dead == 1
     sim.run()
     assert fired == ["new"] and sim.now == 200
     assert sim.events_processed == 1
@@ -534,7 +534,7 @@ def test_run_until_skips_a_cancelled_head_and_keeps_the_live_tail():
     sim.run(until=100)
     assert fired == [] and sim.now == 100
     assert sim.events_processed == 0
-    assert sim.pending() == 2 and sim._heap_dead == 0
+    assert len(sim._heap) == 2 and sim._heap_dead == 0
     # Scheduled later for the same instant: fires after both.
     sim.schedule(100, lambda: fired.append(("third", sim.now)))
     sim.run()
@@ -564,6 +564,6 @@ def test_cancelled_entries_do_not_fire_or_count(delays, cancel_at):
     tokens.extend(sim.schedule(d, lambda i=i: fired.append(i))
                   for i, d in enumerate(delays))
     sim.run()
-    assert sim.pending() == 0
+    assert len(sim._heap) == 0
     assert sorted(fired) == [i for i, d in enumerate(delays) if d < cancel_at]
     assert sim.events_processed == 1 + len(fired)

@@ -112,7 +112,7 @@ def test_pause_frame_pauses_the_port_it_arrived_on():
     assert sw.buffered_bytes == 0
     assert sw.pfc.ingress_bytes == [0, 0, 0]
     assert sw.stats.as_dict() == stats
-    assert sim.pending() == 0
+    assert len(sim._heap) == 0
 
 
 def test_pfc_frame_reaches_the_neighbours_port_after_propagation():

@@ -4,8 +4,7 @@ import pytest
 
 from repro.net.packet import Packet, PacketKind
 from repro.net.routing import (AdaptiveLoadBalancer, EcmpLoadBalancer,
-                               SprayLoadBalancer, flow_hash,
-                               make_load_balancer)
+                               flow_hash, make_load_balancer)
 from repro.net.switch import Switch, SwitchConfig
 from repro.sim.engine import Simulator
 
@@ -75,16 +74,8 @@ def test_adaptive_tie_break_deterministic():
     assert a == b
 
 
-def test_spray_round_robins():
-    sw = _switch()
-    lb = SprayLoadBalancer()
-    picks = [lb.pick(sw, _pkt(), [0, 1, 2]) for _ in range(6)]
-    assert picks == [0, 1, 2, 0, 1, 2]
-
-
 def test_factory():
     assert isinstance(make_load_balancer("ecmp"), EcmpLoadBalancer)
     assert isinstance(make_load_balancer("ar"), AdaptiveLoadBalancer)
-    assert isinstance(make_load_balancer("spray"), SprayLoadBalancer)
     with pytest.raises(ValueError):
         make_load_balancer("nope")

@@ -21,6 +21,7 @@ from repro.runner import (ExperimentRunner, ResultCache, SweepPoint,
                           cache_key, canonical_json, canonicalize,
                           serial_runner)
 from repro.runner.cache import CACHE_VERSION
+from repro.runner.runner import _resolve
 
 POINT_RUNNER = "repro.runner.points.simulate_flows"
 
@@ -472,14 +473,16 @@ class TestTelemetryDeterminism:
 class TestRegistryIntegration:
     @pytest.mark.parametrize("key", list(REGISTRY))
     def test_every_experiment_declares_a_sweep(self, key):
-        """One path from spec to table: every key exports sweep/merge/
-        POINT_RUNNER, and every point's spec and params canonicalize
-        (so it hashes into a cache key)."""
-        mod = REGISTRY[key].load_module()
-        points = mod.sweep(get_preset("quick"))
+        """One path from spec to table: every key exports merge, a
+        simulated key a sweep (an analytic one none), the registry names
+        a point runner that resolves, and every point's spec and params
+        canonicalize (so it hashes into a cache key)."""
+        entry = REGISTRY[key]
+        mod = entry.load_module()
+        points = entry.points(get_preset("quick"))
         assert callable(mod.merge)
-        assert bool(points) == REGISTRY[key].simulation
-        assert (mod.POINT_RUNNER is None) == (not points)
+        assert hasattr(mod, "sweep") == bool(points) == entry.simulation
+        assert callable(_resolve(entry.point_runner()))
         assert len({p.point_id for p in points}) == len(points)
         for point in points:
             assert isinstance(point.spec, NetworkSpec)
@@ -492,7 +495,7 @@ class TestRegistryIntegration:
     def test_no_sweep_simulates_the_same_point_twice(self, key, preset):
         """Two points with one spec and one params dict would simulate
         the same thing twice; the merge should reuse one payload."""
-        points = REGISTRY[key].load_module().sweep(get_preset(preset))
+        points = REGISTRY[key].points(get_preset(preset))
         seen = {}
         for point in points:
             what = canonical_json([point.spec.to_dict(), point.params])
