@@ -5,10 +5,14 @@ from repro.experiments.common import build_network
 
 
 def _single_flow_goodput(lb: str, transport: str = "dcp",
-                         size: int = 800_000) -> tuple[float, list[int]]:
+                         size: int = 800_000,
+                         cross_rate: float | None = None
+                         ) -> tuple[float, list[int]]:
+    rates = None if cross_rate is None else {i: cross_rate for i in range(4)}
     net = build_network(transport=transport, topology="testbed", num_hosts=4,
                         cross_links=4, link_rate=10.0, lb=lb, seed=19,
-                        cc="window", window_bytes=120_000)
+                        cc="window", window_bytes=120_000,
+                        cross_port_rates=rates)
     flow = net.open_flow(0, 2, size, 0)
     net.run_until_flows_done(max_events=30_000_000)
     assert flow.completed, lb
@@ -18,20 +22,19 @@ def _single_flow_goodput(lb: str, transport: str = "dcp",
     return goodput_gbps(flow), cross_tx
 
 
+def test_spray_uses_all_paths():
+    """Per-packet load balancing reaches every path: AR over cross links
+    slower than the source sprays the flow across all four."""
+    _g, cross_tx = _single_flow_goodput("ar", cross_rate=3.0)
+    used = sum(1 for t in cross_tx if t > 50)
+    assert used == 4, f"ar used only {used} paths: {cross_tx}"
+
+
 def test_ar_spreads_under_contention():
     """AR follows queue depth: with cross links slower than the source,
     queues build and packets fan out; with idle equal paths it correctly
     stays put (no gratuitous reordering)."""
-    net = build_network(transport="dcp", topology="testbed", num_hosts=4,
-                        cross_links=4, link_rate=10.0, lb="ar", seed=19,
-                        cc="window", window_bytes=120_000,
-                        cross_port_rates={i: 3.0 for i in range(4)})
-    flow = net.open_flow(0, 2, 800_000, 0)
-    net.run_until_flows_done(max_events=30_000_000)
-    assert flow.completed
-    sw1 = net.fabric.switches[0]
-    cross_tx = [sw1.ports[2 + c].link.stats.delivered_packets
-                for c in range(4)]
+    _g, cross_tx = _single_flow_goodput("ar", cross_rate=3.0)
     used = sum(1 for t in cross_tx if t > 50)
     assert used == 4, f"ar used only {used} paths: {cross_tx}"
     # uncongested case: one path, deterministically
