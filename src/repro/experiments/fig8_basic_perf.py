@@ -13,7 +13,7 @@ moves the window and the flow together (``tput``: one bulk flow of
 
 from __future__ import annotations
 
-from repro.analysis.fct import incomplete_note
+from repro.analysis.fct import goodput_cell, incomplete_note
 from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
@@ -62,8 +62,7 @@ def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
         tput, lat = next(it), next(it)
         result.rows.append({
             "scheme": scheme,
-            "throughput_gbps": (incomplete_note(tput)
-                                or tput["flows"][0]["goodput_gbps"]),
+            "throughput_gbps": goodput_cell(tput),
             "latency_us": (incomplete_note(lat)
                            or lat["flows"][0]["fct_ns"] / 1_000),
         })

@@ -30,6 +30,10 @@ def test_r2_packet_level_lb_compatibility():
     flows = [net.open_flow(i, (i + 4) % 8, 200_000, 0) for i in range(4)]
     net.run_until_flows_done(max_events=30_000_000)
     assert all(f.completed for f in flows)
+    # the four flows share leaf0's two uplinks (ports 4 and 5)
+    leaf0 = net.fabric.switches[0]
+    assert all(leaf0.ports[4 + s].link.stats.delivered_packets > 0
+               for s in range(2))
     assert sum(f.stats.retx_pkts_sent for f in flows) == 0
 
 

@@ -58,10 +58,14 @@ def test_trims_recovered_precisely():
 
 def test_exactly_once_delivery():
     """The §4.5 'exactly once' property under loss + reordering."""
-    net = _lossy_net(loss=0.05, lb="ar")
+    # half-rate cross links: AR spreads the flow over both, reordering it
+    net = _lossy_net(loss=0.05, lb="ar", cross_port_rates={0: 5.0, 1: 5.0})
     flow = net.open_flow(0, 2, 400_000, 0)
     net.run_until_flows_done(max_events=40_000_000)
     assert flow.completed
+    sw1 = net.fabric.switches[0]
+    assert all(sw1.ports[2 + c].link.stats.delivered_packets > 0
+               for c in range(2))
     assert flow.rx_bytes == 400_000
     assert flow.stats.dup_pkts_received == 0
 

@@ -94,8 +94,13 @@ def test_tail_loss_needs_rto():
 def test_exactly_once_payload_accounting():
     net = build_network(transport="irn", topology="testbed", num_hosts=4,
                         cross_links=2, link_rate=10.0, loss_rate=0.05,
-                        lb="ar", seed=19)
+                        lb="ar", seed=19,
+                        # half-rate cross links: AR reorders over both
+                        cross_port_rates={0: 5.0, 1: 5.0})
     flow = net.open_flow(0, 2, 300_000, 0)
     net.run_until_flows_done(max_events=40_000_000)
     assert flow.completed
+    sw1 = net.fabric.switches[0]
+    assert all(sw1.ports[2 + c].link.stats.delivered_packets > 0
+               for c in range(2))
     assert flow.rx_bytes == 300_000

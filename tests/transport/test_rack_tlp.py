@@ -35,6 +35,9 @@ def test_reordering_tolerated_without_spurious_retx():
     flow = net.open_flow(0, 2, 300_000, 0)
     net.run_until_flows_done(max_events=30_000_000)
     assert flow.completed
+    sw1 = net.fabric.switches[0]
+    assert all(sw1.ports[2 + c].link.stats.delivered_packets > 0
+               for c in range(2))
     # equal-rate paths keep skew below min RTT: no spurious marks
     assert flow.stats.retx_pkts_sent == 0
 
