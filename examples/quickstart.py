@@ -72,8 +72,7 @@ def sweep_demo(jobs: int, cache_dir: str | None) -> None:
         for loss in loss_rates
     ]
     runner = ExperimentRunner(jobs=jobs, cache=ResultCache(root=cache_dir))
-    payloads = runner.run_points("quickstart", points,
-                                 "repro.runner.points.simulate_flows")
+    payloads = runner.run_points("quickstart", points)
     print(f"\nloss sweep via repro.runner ({jobs} jobs):")
     print(f"{'loss':>6} {'FCT (us)':>10} {'goodput (Gbps)':>15} {'retx':>5}")
     for loss, payload in zip(loss_rates, payloads):

@@ -62,8 +62,9 @@ def main() -> None:
               "closed-form schedule is exact here.")
 
     print(f"\nA packet-level run of the same job costs ~{HOSTS // 8}x more "
-          f"events per host\ngroup; see `dcp-experiment scale` for the "
-          f"measured wall-time curve.")
+          f"events per host\ngroup; `dcp-experiment scale` tabulates events "
+          f"per cell, and\n`python3 -m bench --workload hybrid256` measures "
+          f"the wall time.")
 
 
 if __name__ == "__main__":

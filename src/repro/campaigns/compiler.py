@@ -4,8 +4,8 @@ The compiler is a *pure* function of ``(spec, preset)``: the same inputs
 always produce the same point ids, the same :class:`NetworkSpec` dicts,
 the same params — and therefore the same cache keys.  That is the whole
 trick: once a campaign lowers to ordinary
-:class:`~repro.runner.runner.SweepPoint` lists driven by the existing
-generic point runner, spec-hash caching, ``--jobs N`` sharding,
+:class:`~repro.runner.runner.SweepPoint` lists driven by the one
+point runner, spec-hash caching, ``--jobs N`` sharding,
 telemetry/spans and breakdown attribution all apply unchanged, and the
 serial == parallel == cache-replay bit-identity the runner guarantees
 carries over to campaigns for free.
@@ -32,8 +32,7 @@ from repro.campaigns.metrics import DEFAULT_METRICS, METRIC_COLUMNS
 from repro.campaigns.spec import (CHAOS_BUILDERS, CampaignError, group_axes,
                                   validate_campaign, validate_chaos_schedule)
 from repro.experiments.presets import ScalePreset, get_preset
-from repro.experiments.registry import (DEFAULT_POINT_RUNNER,
-                                        attach_runner_telemetry)
+from repro.experiments.registry import attach_runner_telemetry
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
 from repro.runner.runner import ExperimentRunner, SweepPoint, serial_runner
@@ -320,8 +319,7 @@ def run_compiled(compiled: CompiledCampaign,
     """Run a compiled campaign through the runner and merge the table."""
     if runner is None:
         runner = serial_runner()
-    payloads = runner.run_points(compiled.key, list(compiled.points),
-                                 DEFAULT_POINT_RUNNER)
+    payloads = runner.run_points(compiled.key, list(compiled.points))
     result = merge_campaign(compiled, payloads)
     attach_runner_telemetry(result, runner)
     return result

@@ -74,10 +74,12 @@ Axes name what a group varies, dotted from one of four roots:
 scalar, or for the two dict-typed fields a ``cross_port_rates`` pair
 list (``[[0, 10.0], [1, 2.5]]``) and a ``transport_overrides`` dict.  A
 zipped group's columns are checked like one-axis values, and no axis
-appears twice across all groups.  A group's optional ``labels`` (one
-distinct identifier per value, required when a value is not a scalar)
-name its values in point ids, ``<group>-<label>`` joined by ``.``;
-without them a value reads as its scalar (zipped: joined by ``-``).
+appears twice across all groups.  A layer may leave out a required
+field that a ``workload.<layer>.<field>`` axis sets at every point.  A
+group's optional ``labels`` (one distinct identifier per value,
+required when a value is not a scalar) name its values in point ids,
+``<group>-<label>`` joined by ``.``; without them a value reads as its
+scalar (zipped: joined by ``-``).
 
 Validation is *strict*: unknown fields anywhere, empty groups, malformed
 chaos schedules, out-of-range loads etc. are all rejected with a
@@ -218,7 +220,21 @@ def _identifier(value: Any) -> bool:
 
 
 # ------------------------------------------------------------------- layers
-def _validate_layer(layer: Any, path: str) -> dict:
+def _axes_named(groups: Any) -> set[str]:
+    """Every axis string the (not yet validated) groups name."""
+    named: set[str] = set()
+    for group in groups if isinstance(groups, list) else ():
+        if isinstance(group, dict):
+            axes = group.get("axes", [group.get("axis")])
+            if isinstance(axes, list):
+                named.update(a for a in axes if isinstance(a, str))
+    return named
+
+
+def _validate_layer(layer: Any, path: str, fed: set[str]) -> dict:
+    """Check one workload layer.  A required field may be left out
+    exactly when ``fed``, the axes the groups name, holds
+    ``workload.<layer>.<field>``: that group sets it at every point."""
     if not isinstance(layer, dict):
         raise CampaignError(path, "workload layer must be a dict")
     kind = layer.get("kind")
@@ -243,11 +259,13 @@ def _validate_layer(layer: Any, path: str) -> dict:
         if not check(value):
             raise CampaignError(f"{path}.{key}",
                                 f"expected {expect}, got {value!r}")
+    have = set(layer) | {key for key in fields
+                         if f"workload.{out['name']}.{key}" in fed}
     for key, (_check, _expect, required) in fields.items():
-        if required and key not in layer:
+        if required and key not in have:
             raise CampaignError(f"{path}.{key}", "required field is missing")
     if kind == "poisson" and layer.get("size_dist") == "fixed" \
-            and "size_bytes" not in layer:
+            and "size_bytes" not in have:
         raise CampaignError(f"{path}.size_bytes",
                             "size_dist 'fixed' requires size_bytes")
     return out
@@ -477,7 +495,9 @@ def validate_campaign(spec: Any) -> dict:
     if not isinstance(workload, list) or not workload:
         raise CampaignError("workload",
                             "required: a non-empty list of workload layers")
-    layers = [_validate_layer(layer, f"workload[{i}]")
+    groups = spec.get("groups")
+    fed = _axes_named(groups)
+    layers = [_validate_layer(layer, f"workload[{i}]", fed)
               for i, layer in enumerate(workload)]
     names = [l["name"] for l in layers]
     for i, lname in enumerate(names):
@@ -491,7 +511,6 @@ def validate_campaign(spec: Any) -> dict:
         chaos = _validate_chaos(spec["chaos"])
         out["chaos"] = chaos
 
-    groups = spec.get("groups")
     if not isinstance(groups, list) or not groups:
         raise CampaignError("groups",
                             "required: a non-empty list of groups, each "

@@ -9,24 +9,24 @@ victim's leaf port after an N-to-1 burst lands, and reports:
 * whether any HO packet was lost.
 
 This is the microscopic view behind Table 5's robustness claim.  Its
-one point runs in :func:`run_point`, which reads the victim port's
-queue high-water marks (``max_bytes_seen``, raised when a packet waits).
+one point runs through :func:`~repro.runner.points.simulate_flows`; the
+merge reads the victim port's entry of the payload's ``queues`` block
+(exact high-water marks, ``max_bytes_seen``, raised when a packet
+waits) and the victim leaf's ``ho_enqueued`` counter.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
+from repro.analysis.fct import switch_total
 from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.experiments.spec import NetworkSpec
 from repro.runner import SweepPoint
 
-POINT_RUNNER = "repro.experiments.deepdive_control_plane.run_point"
-
 RECEIVER = 0
-
+#: The receiver's leaf and its down port to the receiver.
+VICTIM_LEAF = "leaf0"
+VICTIM_PORT = f"{VICTIM_LEAF}.p{RECEIVER}"
 
 #: Bytes each incast sender posts.
 FLOW_BYTES = 100_000
@@ -50,44 +50,23 @@ def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
     }, p).points
 
 
-def run_point(spec: NetworkSpec, params: dict) -> dict[str, Any]:
-    """Run the incast; report the victim port's two queue peaks."""
-    from repro.runner.points import PointTelemetry
-    with PointTelemetry(params) as tel:
-        net = tel.network(spec)
-        victim_leaf = net.fabric.switches[0]
-        victim_port = victim_leaf.ports[RECEIVER]   # its down port on leaf 0
-        flows = net.open_rows(params["flows"])
-        net.run_until_flows_done(max_events=int(params["max_events"]))
-        cfg = victim_leaf.config
-        return {
-            "peak_data_bytes": victim_port.queues[0].max_bytes_seen,
-            "peak_ctrl_bytes": victim_port.queues[1].max_bytes_seen,
-            "trim_threshold_bytes": cfg.trim_threshold_bytes,
-            "control_queue_bytes": cfg.control_queue_bytes,
-            "trimmed": net.fabric.switch_stats_sum("trimmed"),
-            "victim_ho_enqueued": victim_leaf.stats.ho_enqueued,
-            "ho_lost": net.fabric.switch_stats_sum("ho_dropped"),
-            "completed": sum(1 for f in flows if f.completed),
-            "flows": len(flows),
-            "timeouts": sum(f.stats.timeouts for f in flows),
-            **tel.report(net, flows),
-        }
-
-
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     (pl,) = payloads
+    data_peak, trim_at, ctrl_peak, ctrl_cap = pl["queues"][VICTIM_PORT]
+    flows = pl["flows"]
+    ho_enqueued = pl["metrics"]["counters"][
+        f"switch.{VICTIM_LEAF}.ho_enqueued"]
     rows = (
-        ("peak data queue (KB)", pl["peak_data_bytes"] / 1000,
-         f"trim threshold {pl['trim_threshold_bytes'] / 1000} KB"),
-        ("peak control queue (KB)", pl["peak_ctrl_bytes"] / 1000,
-         f"capacity {pl['control_queue_bytes'] / 1000} KB"),
-        ("packets trimmed", pl["trimmed"],
-         f"{pl['victim_ho_enqueued']} HO enqueued at the victim leaf"),
-        ("HO packets lost", pl["ho_lost"],
+        ("peak data queue (KB)", data_peak / 1000,
+         f"trim threshold {trim_at / 1000} KB"),
+        ("peak control queue (KB)", ctrl_peak / 1000,
+         f"capacity {ctrl_cap / 1000} KB"),
+        ("packets trimmed", switch_total(pl, "trimmed"),
+         f"{ho_enqueued} HO enqueued at the victim leaf"),
+        ("HO packets lost", switch_total(pl, "ho_dropped"),
          "paper: 'HO packet loss is very rare'"),
-        ("flows completed", pl["completed"],
-         f"of {pl['flows']}; timeouts {pl['timeouts']}"),
+        ("flows completed", sum(1 for f in flows if f["completed"]),
+         f"of {len(flows)}; timeouts {sum(f['timeouts'] for f in flows)}"),
     )
     return ExperimentResult(
         "deepdive",

@@ -39,7 +39,6 @@ def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
                      "cross_links": p.testbed_cross_links,
                      "num_leaves": 4, "num_spines": 4},
         "workload": [{"kind": "collective", "name": "coll",
-                      "collective": KINDS[0],
                       "hosts": _placement(p.testbed_hosts),
                       "group_size": 4}],
         "groups": [

@@ -32,8 +32,7 @@ def sweep(p: ScalePreset, fidelity: str = "packet"
     return compile_campaign({
         "name": "fig13",
         "topology": {"fidelity": fidelity},
-        "workload": [{"kind": "poisson", "name": "bg", "load": LOADS[0],
-                      "seed": 61}],
+        "workload": [{"kind": "poisson", "name": "bg", "seed": 61}],
         "groups": [
             {"name": "load", "axis": "workload.bg.load",
              "values": list(LOADS)},

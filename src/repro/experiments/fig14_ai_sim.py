@@ -35,7 +35,6 @@ def sweep(p: ScalePreset, fidelity: str = "packet"
         "name": "fig14",
         "topology": {"topology": "clos", "fidelity": fidelity},
         "workload": [{"kind": "collective", "name": "coll",
-                      "collective": KINDS[0],
                       "hosts": list(range(p.collective_groups * k)),
                       "group_size": k}],
         "groups": [

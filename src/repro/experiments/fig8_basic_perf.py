@@ -23,7 +23,6 @@ SCHEMES = ("gbn", "dcp", "tcp")
 
 _RATE = 100.0        # direct-connect runs are cheap; keep the paper's 100 Gbps
 _MESSAGE_BYTES = 512_000
-_LATENCY_PROBE = [[0, 1, 64, 0]]
 
 
 def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
@@ -36,9 +35,7 @@ def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
                      "link_rate": _RATE, "host_link_delay_ns": 500,
                      "num_leaves": 4, "num_spines": 4,
                      "buffer_bytes": 4_000_000},
-        # The probe group replaces this layer's flow at every point.
-        "workload": [{"kind": "flows", "name": "probe",
-                      "flows": _LATENCY_PROBE}],
+        "workload": [{"kind": "flows", "name": "probe"}],
         "groups": [
             {"name": "scheme", "axis": "spec.transport",
              "values": list(SCHEMES)},
@@ -47,7 +44,7 @@ def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
              "values": [
                  [max(4 * _MESSAGE_BYTES, 262_144),
                   [[0, 1, messages * _MESSAGE_BYTES, 0]]],
-                 [None, _LATENCY_PROBE]],
+                 [None, [[0, 1, 64, 0]]]],
              "labels": ["tput", "lat"]},
         ],
         "sim": {"max_events": 500_000_000},

@@ -48,9 +48,7 @@ def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
         "topology": {"topology": "testbed", "num_hosts": 4,
                      "cross_links": 1, "lb": "ecmp",
                      "num_leaves": 4, "num_spines": 4},
-        # The distance group replaces this layer's flow at every point.
-        "workload": [{"kind": "flows", "name": "haul",
-                      "flows": _haul(p, DISTANCES_KM[0])}],
+        "workload": [{"kind": "flows", "name": "haul"}],
         "groups": [
             {"name": "distance",
              "axes": ["spec.spine_link_delay_ns", "workload.haul.flows"],

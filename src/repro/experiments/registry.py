@@ -5,9 +5,8 @@ Every experiment module exports what the runner needs to shard it:
 * ``merge(payloads, preset, **opts) -> ExperimentResult`` — fold ordered
   point payloads back into the table (an analytic table gets none);
 * a simulated key's ``sweep(preset, **opts)`` — its points (for every
-  key but ``robustness``, a campaign spec's);
-* optionally ``POINT_RUNNER`` — dotted path of the per-point worker
-  function, when it is not :data:`DEFAULT_POINT_RUNNER`.
+  key but ``robustness``, a campaign spec's), each of which the runner
+  executes through :func:`repro.runner.points.simulate_flows`.
 
 :func:`run_experiment` is the one driver from spec to table.
 """
@@ -21,11 +20,6 @@ from typing import Any, Optional, Sequence
 from repro.experiments.presets import get_preset
 from repro.experiments.result import ExperimentResult
 from repro.runner.runner import ExperimentRunner, SweepPoint, serial_runner
-
-#: The point runner of every key whose module declares none: one spec,
-#: a flow layout, optional chaos.
-DEFAULT_POINT_RUNNER = "repro.runner.points.simulate_flows"
-
 
 @dataclass(frozen=True)
 class ExperimentEntry:
@@ -44,11 +38,6 @@ class ExperimentEntry:
         """The key's sweep points at ``preset`` (none when analytic)."""
         return (self.load_module().sweep(get_preset(preset), **opts)
                 if self.simulation else ())
-
-    def point_runner(self) -> str:
-        """Dotted path of the function that runs one of its points."""
-        return getattr(self.load_module(), "POINT_RUNNER",
-                       DEFAULT_POINT_RUNNER)
 
 
 REGISTRY: dict[str, ExperimentEntry] = {
@@ -94,8 +83,8 @@ REGISTRY: dict[str, ExperimentEntry] = {
         ExperimentEntry("deepdive", "repro.experiments.deepdive_control_plane",
                         "§6.3", "Queue-level view of the lossless CP", True),
         ExperimentEntry("scale", "repro.experiments.scale",
-                        "§6.2", "Wall-time/events vs hosts, packet vs "
-                        "hybrid fidelity", True),
+                        "§6.2", "Events vs hosts, packet vs hybrid "
+                        "fidelity", True),
     )
 }
 
@@ -131,7 +120,6 @@ def run_experiment(key: str, preset: str = "default",
     entry = get_entry(key)
     p = get_preset(preset)
     runner = runner if runner is not None else serial_runner()
-    payloads = runner.run_points(key, entry.points(p, **opts),
-                                 entry.point_runner())
+    payloads = runner.run_points(key, entry.points(p, **opts))
     return attach_runner_telemetry(
         entry.load_module().merge(payloads, p, **opts), runner)

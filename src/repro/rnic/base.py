@@ -30,7 +30,7 @@ from repro.net.packet import Packet, PacketKind, make_cnp
 from repro.obs import registry as metrics
 from repro.obs import spans
 from repro.obs.registry import CounterBlock
-from repro.sim.engine import CancelledToken, Entity, Simulator
+from repro.sim.engine import CancelledToken, Simulator
 from repro.sim.units import serialization_ns
 
 _qpn_counter = itertools.count(1)
@@ -415,7 +415,7 @@ def _tx_done(nic: HostNic) -> None:
     heappush(sim._heap, (sim.now + ser, seq, None, _tx_done, nic))
 
 
-class RnicTransport(Entity):
+class RnicTransport:
     """Base class for all transports (GBN, IRN, MP-RDMA, DCP, ...).
 
     Subclasses implement:
@@ -433,7 +433,7 @@ class RnicTransport(Entity):
     name = "base"
 
     def __init__(self, sim: Simulator, host_id: int, config: TransportConfig) -> None:
-        super().__init__(sim)
+        self.sim = sim
         self.host_id = host_id
         self.config = config
         self.nic: Optional[HostNic] = None
@@ -704,12 +704,12 @@ class RnicTransport(Entity):
         self.count_timeout(flow, **detail)
 
 
-class Host(Entity):
+class Host:
     """A server: one NIC, one transport, application callbacks."""
 
     def __init__(self, sim: Simulator, host_id: int, nic: HostNic,
                  transport: RnicTransport) -> None:
-        super().__init__(sim)
+        self.sim = sim
         self.host_id = host_id
         self.nic = nic
         self.transport = transport

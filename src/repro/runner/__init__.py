@@ -5,9 +5,9 @@ Public surface::
     from repro.runner import ExperimentRunner, SweepPoint, ResultCache
 
     runner = ExperimentRunner(jobs=4)
-    payloads = runner.run_points("fig17", points,
-                                 "repro.runner.points.simulate_flows")
+    payloads = runner.run_points("fig17", points)
 
+Every point runs through :func:`repro.runner.points.simulate_flows`.
 See :mod:`repro.runner.runner` for the determinism and caching
 contract.
 """

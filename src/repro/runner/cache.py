@@ -52,7 +52,10 @@ from typing import Any, Optional
 #: payload's ``events`` shrinks; mixed-regime hybrid points (packets and
 #: fluid flows) re-read the fabric on the controller's own tick, so their
 #: escalation times and answers may move.  Packet payloads are unchanged.
-CACHE_VERSION = 13
+#: v14: every payload gains a ``queues`` block (each switch port's queue
+#: peaks and limits), which deepdive's merge reads; deepdive and scale
+#: points run through ``simulate_flows`` and lose their own fields.
+CACHE_VERSION = 14
 
 
 def default_cache_dir() -> Path:

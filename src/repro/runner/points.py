@@ -1,17 +1,14 @@
-"""Reusable point runners: module-level ``fn(spec, params) -> payload``.
+"""The point runner: ``simulate_flows(spec, params) -> payload``.
 
-Point runners execute inside pool workers, so they live at module level
-(picklable by dotted path) and must return JSON-safe payloads.  One
-generic runner covers nearly every experiment: :func:`simulate_flows`
-("open these flow rows, drain, report per-flow stats": the flow-driven
-figures, the collectives of fig12/fig14/scale as chained rows,
-campaigns, the conformance suite).  A figure-specific runner lives next
-to its experiment module: deepdive's queue sampler, and scale's wrapper
-that adds the wall time.  This module only writes payloads: a figure's
-``merge`` reads a :func:`simulate_flows` payload back with
-:mod:`repro.analysis.fct` (slowdowns, switch totals, open flows) and
-:func:`repro.workload.collective.group_jcts`, which a cache replay can
-import without the simulator.
+Every sweep point runs through :func:`simulate_flows` ("open these flow
+rows, drain, report per-flow stats": the flow-driven figures, the
+collectives of fig12/fig14/scale as chained rows, deepdive's incast,
+campaigns, the conformance suite), inside a pool worker or inline, and
+returns a JSON-safe payload.  This module only writes payloads: a
+figure's ``merge`` reads one back with :mod:`repro.analysis.fct`
+(slowdowns, switch totals, open flows), its ``queues`` block (switch
+queue peaks) and :func:`repro.workload.collective.group_jcts`, which a
+cache replay can import without the simulator.
 
 Telemetry: every point carries a ``metrics`` payload (counters are
 always on — the registry costs nothing extra once components hold their
@@ -133,6 +130,26 @@ class PointTelemetry:
         return blocks
 
 
+def queue_peaks(net: Network) -> dict[str, list[int]]:
+    """Port name -> ``[data peak, data limit, ctrl peak, ctrl limit]``
+    for every switch port whose data or control queue ever held a
+    waiting byte.  A peak is the queue's ``max_bytes_seen``; a limit is
+    the depth at which the switch acts on the queue: the trim threshold
+    for a trimming data queue, the queue's capacity otherwise."""
+    block = {}
+    for switch in net.fabric.switches:
+        cfg = switch.config
+        for port in switch.ports:
+            data, ctrl = port.queues
+            if data.max_bytes_seen or ctrl.max_bytes_seen:
+                block[port.name] = [
+                    data.max_bytes_seen,
+                    (cfg.trim_threshold_bytes if cfg.enable_trimming
+                     else data.capacity_bytes),
+                    ctrl.max_bytes_seen, ctrl.capacity_bytes]
+    return block
+
+
 def simulate_flows(spec: NetworkSpec, params: dict) -> dict[str, Any]:
     """Build ``spec``'s network, run the declared flows, report stats.
 
@@ -152,9 +169,10 @@ def simulate_flows(spec: NetworkSpec, params: dict) -> dict[str, Any]:
     carries one record per declared row, in row order (FCT and its
     empty-fabric ideal, goodput, packet and timeout counts, the tag; a
     chained row that was never posted has ``completed: False``,
-    ``start_ns`` and ``fct_ns`` None), the events processed, and a
+    ``start_ns`` and ``fct_ns`` None), the events processed, a
     ``metrics`` snapshot whose ``switch.<name>.<field>`` counters hold
-    the switch totals — enough for FCT/slowdown and JCT analysis without
+    the switch totals, and the ``queues`` block of :func:`queue_peaks`
+    — enough for FCT/slowdown, JCT and queue-depth analysis without
     re-running anything.
 
     ``chaos`` is a declarative failure scenario
@@ -239,7 +257,8 @@ def simulate_flows(spec: NetworkSpec, params: dict) -> dict[str, Any]:
             })
         payload: dict[str, Any] = {
             "flows": records, "events": net.sim.events_processed,
-            "end_ns": net.sim.now, **tel.report(net, net.flows),
+            "end_ns": net.sim.now, "queues": queue_peaks(net),
+            **tel.report(net, net.flows),
         }
         if injector is not None:
             from repro.chaos.recovery import chaos_summary

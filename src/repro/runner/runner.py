@@ -20,18 +20,18 @@ properties hold by construction:
   through :func:`canonicalize` whether it came from a worker, the
   inline path or the cache, so the merge input is identical either way.
 
+Every point runs through :func:`repro.runner.points.simulate_flows`.
 This module is harness-side (DESIGN.md "Import layers"): it imports the
-spec, never the simulator.  The point runner is resolved by dotted path
-only when a point actually executes, so a run served wholly from the
-cache loads no simulator code at all.
+spec, never the simulator.  The point runner is imported only when a
+point actually executes, so a run served wholly from the cache loads no
+simulator code at all.
 """
 
 from __future__ import annotations
 
-import importlib
 import random as _global_random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.experiments.spec import NetworkSpec
 from repro.runner.cache import ResultCache
@@ -47,8 +47,9 @@ _MP_METHODS = ("fork", "spawn")
 class SweepPoint:
     """One shardable unit of an experiment: a spec plus extra inputs.
 
-    ``params`` must be JSON-safe; it reaches the point runner verbatim
-    and participates in the cache key.
+    ``params`` must be JSON-safe; it reaches
+    :func:`~repro.runner.points.simulate_flows` verbatim and
+    participates in the cache key.
     """
 
     point_id: str
@@ -56,33 +57,23 @@ class SweepPoint:
     params: dict = field(default_factory=dict)
 
 
-def _resolve(dotted: str) -> Callable[[NetworkSpec, dict], Any]:
-    """Import ``pkg.module.fn`` and return ``fn``."""
-    module_name, _, fn_name = dotted.rpartition(".")
-    if not module_name:
-        raise ValueError(f"point runner {dotted!r} is not a dotted path")
-    fn = getattr(importlib.import_module(module_name), fn_name)
-    if not callable(fn):
-        raise TypeError(f"point runner {dotted!r} is not callable")
-    return fn
-
-
-def _execute_point(task: tuple[int, str, str, str, dict, dict]) -> tuple[int, Any]:
+def _execute_point(task: tuple[int, str, str, dict, dict]) -> tuple[int, Any]:
     """Run one sweep point (top-level so it pickles into pool workers).
 
     Reseeds the global RNG from a per-point ``SeedSequence`` spawn
     first, so any component that (incorrectly) reaches for module-level
     :mod:`random` still behaves identically under any worker schedule.
     """
-    # Imported here, the one place that uses it: a replay executes no
-    # point and so never loads the simulator's ``repro.sim`` package.
+    # Imported here, the one place that uses them: a replay executes no
+    # point and so never loads the simulator.
+    from repro.runner.points import simulate_flows
     from repro.sim.rng import SeedSequence
-    index, runner_path, experiment, point_id, spec_dict, params = task
+    index, experiment, point_id, spec_dict, params = task
     seeds = SeedSequence(int(spec_dict.get("seed", 1))).spawn(
         f"{experiment}:{point_id}")
     _global_random.seed(seeds.stream("global-random").getrandbits(64))
     spec = NetworkSpec.from_dict(spec_dict)
-    payload = _resolve(runner_path)(spec, params)
+    payload = simulate_flows(spec, params)
     return index, canonicalize(payload)
 
 
@@ -109,25 +100,19 @@ class ExperimentRunner:
         #: computed: a traced run is a different computation, so it must
         #: not serve (or poison) untraced cache entries.
         self.telemetry = telemetry
-        #: point_id -> metrics payload / span payload / flow breakdowns from the latest run_points call, in
-        #: sweep-point order (for JSONL and Perfetto export).
+        #: point_id -> metrics payload / span payload / flow breakdowns
+        #: from the latest run_points call, in sweep-point order (for
+        #: JSONL and Perfetto export).
         self.last_metrics: dict[str, Any] = {}
         self.last_spans: dict[str, Any] = {}
         self.last_breakdowns: dict[str, Any] = {}
-        #: Experiment key of the latest run_points call.
-        self.last_experiment: Optional[str] = None
         #: Simulations actually executed (cache misses) since construction.
         self.simulations_executed = 0
 
     # ----------------------------------------------------------- execution
-    def run_points(self, experiment: str, points: Sequence[SweepPoint],
-                   point_runner: str) -> list[Any]:
-        """Run every point, serving from cache; returns payloads in order.
-
-        ``point_runner`` is the dotted path of a module-level callable
-        ``fn(spec, params) -> payload`` — a path rather than a function
-        object so it pickles into pool workers under any start method.
-        """
+    def run_points(self, experiment: str,
+                   points: Sequence[SweepPoint]) -> list[Any]:
+        """Run every point, serving from cache; returns payloads in order."""
         if self.telemetry is not None:
             points = [SweepPoint(p.point_id, p.spec,
                                  {**p.params, "telemetry": self.telemetry})
@@ -135,13 +120,13 @@ class ExperimentRunner:
         keys = [cache_key(experiment, p.point_id, p.spec, p.params)
                 for p in points]
         payloads: dict[int, Any] = {}
-        pending: list[tuple[int, str, str, str, dict, dict]] = []
+        pending: list[tuple[int, str, str, dict, dict]] = []
         for i, (point, key) in enumerate(zip(points, keys)):
             cached = self.cache.get(key)
             if cached is not None:
                 payloads[i] = cached
             else:
-                pending.append((i, point_runner, experiment, point.point_id,
+                pending.append((i, experiment, point.point_id,
                                 point.spec.to_dict(), dict(point.params)))
 
         if pending:
@@ -156,8 +141,7 @@ class ExperimentRunner:
                 # Load the point runner and the simulator once, before
                 # forking, so every worker inherits them instead of
                 # importing them again.
-                _resolve(point_runner)
-                importlib.import_module("repro.runner.points")
+                import repro.runner.points  # noqa: F401
                 ctx = multiprocessing.get_context(method)
                 workers = min(self.jobs, len(pending))
                 with ctx.Pool(processes=workers) as pool:
@@ -175,14 +159,9 @@ class ExperimentRunner:
         ordered = [payloads[i] for i in range(len(points))]
         # Harvest telemetry for export.  Cached payloads carry their
         # metrics too, so a fully cache-served run still exports.
-        # Consecutive run_points calls for the *same* experiment (an
-        # experiment may run several sweeps) accumulate; a new
-        # experiment resets the harvest.
-        if self.last_experiment != experiment:
-            self.last_metrics = {}
-            self.last_spans = {}
-            self.last_breakdowns = {}
-        self.last_experiment = experiment
+        self.last_metrics = {}
+        self.last_spans = {}
+        self.last_breakdowns = {}
         for point, payload in zip(points, ordered):
             if isinstance(payload, dict):
                 if "metrics" in payload:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Optional
 
-__all__ = ["CancelledToken", "Entity", "Simulator"]
+__all__ = ["CancelledToken", "Simulator"]
 
 
 class CancelledToken:
@@ -260,20 +260,3 @@ class Simulator:
         before = self.events_processed
         self.run(max_events=1)
         return self.events_processed > before
-
-
-class Entity:
-    """Base class for simulated objects that need the shared clock:
-    ``self.sim`` plus :meth:`after`, a wrapper on :meth:`Simulator.schedule`.
-    """
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-
-    @property
-    def now(self) -> int:
-        return self.sim.now
-
-    def after(self, delay: int, callback: Callable[[], None]) -> CancelledToken:
-        return self.sim.schedule(delay, callback)
-

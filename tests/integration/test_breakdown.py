@@ -284,8 +284,6 @@ def test_markers_pin_kind_and_detail() -> None:
 
 
 class TestBreakdownDeterminism:
-    POINT_RUNNER = "repro.runner.points.simulate_flows"
-
     def _points(self) -> list[SweepPoint]:
         return [SweepPoint(f"{t}-1pct", _spec(t, 0.01), {"flows": _FLOWS})
                 for t in ("gbn", "dcp", "sdr", "rifl")]
@@ -296,8 +294,8 @@ class TestBreakdownDeterminism:
                                   cache=ResultCache(root=tmp_path / "s"))
         parallel = ExperimentRunner(jobs=2, telemetry=SPAN_TELEMETRY,
                                     cache=ResultCache(root=tmp_path / "p"))
-        pay_s = serial.run_points("bd", points, self.POINT_RUNNER)
-        pay_p = parallel.run_points("bd", points, self.POINT_RUNNER)
+        pay_s = serial.run_points("bd", points)
+        pay_p = parallel.run_points("bd", points)
         assert canonical_json(pay_s) == canonical_json(pay_p)
         assert canonical_json(serial.last_breakdowns) == canonical_json(
             parallel.last_breakdowns)
@@ -306,7 +304,7 @@ class TestBreakdownDeterminism:
 
         replay = ExperimentRunner(jobs=2, telemetry=SPAN_TELEMETRY,
                                   cache=ResultCache(root=tmp_path / "p"))
-        pay_c = replay.run_points("bd", points, self.POINT_RUNNER)
+        pay_c = replay.run_points("bd", points)
         assert replay.simulations_executed == 0
         assert canonical_json(pay_c) == canonical_json(pay_s)
         assert canonical_json(replay.last_breakdowns) == canonical_json(
@@ -331,10 +329,10 @@ class TestBreakdownDeterminism:
     def test_span_telemetry_changes_cache_key(self, tmp_path):
         points = self._points()[:1]
         plain = ExperimentRunner(jobs=1, cache=ResultCache(root=tmp_path))
-        plain.run_points("bd", points, self.POINT_RUNNER)
+        plain.run_points("bd", points)
         assert plain.simulations_executed == 1
         spanned = ExperimentRunner(jobs=1, telemetry=SPAN_TELEMETRY,
                                    cache=ResultCache(root=tmp_path))
-        spanned.run_points("bd", points, self.POINT_RUNNER)
+        spanned.run_points("bd", points)
         assert spanned.simulations_executed == 1       # miss by design
         assert spanned.last_breakdowns

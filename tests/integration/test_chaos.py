@@ -16,7 +16,7 @@ import pytest
 from repro.chaos.scenarios import SCENARIOS, apply_scenario, get_scenario
 from repro.experiments import cli, robustness
 from repro.experiments.presets import get_preset
-from repro.experiments.registry import DEFAULT_POINT_RUNNER, run_experiment
+from repro.experiments.registry import run_experiment
 from repro.runner import (CACHE_VERSION, ExperimentRunner, ResultCache,
                           SweepPoint)
 from repro.runner.points import simulate_flows
@@ -197,11 +197,10 @@ def test_asking_for_sampling_records_every_gauge(tmp_path):
     point = SweepPoint("dcp-flap", robustness._spec("dcp", QUICK),
                        _params("link_flap"))
     cache = ResultCache(root=tmp_path / "cache")
-    ExperimentRunner(jobs=1, cache=cache).run_points(
-        "scope", [point], DEFAULT_POINT_RUNNER)
+    ExperimentRunner(jobs=1, cache=cache).run_points("scope", [point])
     sampled = ExperimentRunner(
         jobs=1, cache=cache, telemetry={"sample_interval_ns": 10_000})
-    sampled.run_points("scope", [point], DEFAULT_POINT_RUNNER)
+    sampled.run_points("scope", [point])
     assert sampled.simulations_executed == 1        # miss by design
     assert len(cache) == 2
     assert len(sampled.last_metrics["dcp-flap"]["series"]) == 35
@@ -269,18 +268,17 @@ def test_v7_cache_entry_is_a_counted_miss_and_rewritten_as_current(tmp_path):
     point = SweepPoint("dcp-flap", robustness._spec("dcp", QUICK),
                        _params("link_flap"))
     cache = ResultCache(root=tmp_path / "cache")
-    ExperimentRunner(jobs=1, cache=cache).run_points(
-        "scope", [point], DEFAULT_POINT_RUNNER)
+    ExperimentRunner(jobs=1, cache=cache).run_points("scope", [point])
     (path,) = (tmp_path / "cache").rglob("*.json")
     envelope = json.loads(path.read_text(encoding="utf-8"))
-    assert envelope["version"] == CACHE_VERSION == 13
+    assert envelope["version"] == CACHE_VERSION == 14
     fresh = path.read_bytes()
     envelope["version"] = 7
     path.write_text(json.dumps(envelope), encoding="utf-8")
 
     cache = ResultCache(root=tmp_path / "cache")
     rerun = ExperimentRunner(jobs=1, cache=cache)
-    rerun.run_points("scope", [point], DEFAULT_POINT_RUNNER)
+    rerun.run_points("scope", [point])
     assert rerun.simulations_executed == 1
     stats = cache.stats()
     assert (stats["hits"], stats["misses"], stats["corrupt"]) == (0, 1, 1)

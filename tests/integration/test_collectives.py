@@ -12,7 +12,6 @@ from repro.experiments.registry import get_entry
 from repro.rnic.base import RnicTransport
 from repro.runner import points
 from repro.runner.points import simulate_flows
-from repro.runner.runner import _resolve
 from repro.sim import fidelity
 from repro.workload.collective import (collective_rows, group_jcts,
                                        run_grouped_collectives)
@@ -264,11 +263,10 @@ def test_collective_points_post_the_pinned_flows(monkeypatch):
     monkeypatch.setattr(points.PointTelemetry, "network", network)
     got, events = {}, {}
     for key in ("fig12", "fig14", "scale"):
-        entry = get_entry(key)
-        for point in entry.points(get_preset("quick")):
+        for point in get_entry(key).points(get_preset("quick")):
             entropy.clear()
             nets.clear()
-            _resolve(entry.point_runner())(point.spec, point.params)
+            simulate_flows(point.spec, point.params)
             net, = nets
             digest = hashlib.sha256()
             for f in net.flows:

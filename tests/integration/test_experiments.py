@@ -140,9 +140,7 @@ def test_a_collective_point_with_open_flows_reports_them(key):
                  for i, row in enumerate(rows)]
         for rec in flows[len(flows) - open_rows:]:
             rec.update(completed=False, start_ns=None, fct_ns=None)
-        return {"flows": flows, "events": 10, "wall_s": 0.5,
-                "hosts": point.spec.num_hosts,
-                "fidelity": point.spec.fidelity,
+        return {"flows": flows, "events": 10,
                 "fluid": {"fluid_flows": 0, "escalations": 0}}
 
     payloads = [payload(pt) for pt in points]

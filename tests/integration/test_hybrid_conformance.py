@@ -202,7 +202,7 @@ def test_scale_hybrid_event_stream_pinned(hosts, events, flows):
 
     point, = [pt for pt in scale.sweep(get_preset("quick"))
               if pt.spec.fidelity == "hybrid" and pt.spec.num_hosts == hosts]
-    payload = scale.run_point(point.spec, point.params)
+    payload = simulate_flows(point.spec, point.params)
     assert payload["events"] == events
     assert len(payload["flows"]) == flows
     assert all(f["completed"] for f in payload["flows"])

@@ -218,7 +218,7 @@ def test_package_level_names_still_resolve():
 from repro import Simulator
 from repro.experiments import Network, NetworkSpec, build_network, REGISTRY
 from repro.experiments.common import NetworkSpec as CommonSpec
-from repro.sim import Entity, SeedSequence, units
+from repro.sim import SeedSequence, units
 from repro.chaos import SCENARIOS, apply_scenario, chaos_summary
 import repro.experiments.common, repro.experiments.spec, repro.sim.engine
 

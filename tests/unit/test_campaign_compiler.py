@@ -119,6 +119,23 @@ class TestLabelsAndDictAxes:
         assert c.assignments[3] == {
             "probe": [200_000, [[0, 1, 50_000, 0]]], "transport": "dcp"}
 
+    def test_an_axis_supplies_a_required_layer_field(self):
+        # The layer names no flows: the group sets them at every point.
+        c = compile_campaign(tiny_spec(
+            workload=[{"kind": "flows", "name": "pair"}],
+            groups=[{"name": "size", "axis": "workload.pair.flows",
+                     "values": [[[0, 1, 64, 0]], [[0, 1, 5000, 0]]],
+                     "labels": ["small", "big"]}]), "quick")
+        assert [p.params["flows"] for p in c.points] == [
+            [[0, 1, 64, 0, "pair"]], [[0, 1, 5000, 0, "pair"]]]
+
+    def test_a_required_field_no_axis_sets_is_missing(self):
+        with pytest.raises(CampaignError) as exc:
+            compile_campaign(tiny_spec(
+                workload=[{"kind": "flows", "name": "pair"}]), "quick")
+        assert exc.value.path == "workload[0].flows"
+        assert "required" in exc.value.message
+
     def test_a_non_scalar_value_needs_labels(self):
         spec = self.rates_spec()
         del spec["groups"][0]["labels"]

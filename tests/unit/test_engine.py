@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rnic.base import RestartableTimer
-from repro.sim.engine import Entity, Simulator
+from repro.sim.engine import Simulator
 
 
 def test_events_run_in_time_order():
@@ -146,23 +146,6 @@ def test_step_returns_false_when_idle():
     sim.schedule(1, lambda: None)
     assert sim.step() is True
     assert sim.step() is False
-
-
-def test_entity_after_uses_shared_clock():
-    sim = Simulator()
-
-    class Thing(Entity):
-        def __init__(self, sim):
-            super().__init__(sim)
-            self.fired_at = None
-
-        def go(self):
-            self.after(7, lambda: setattr(self, "fired_at", self.now))
-
-    thing = Thing(sim)
-    sim.schedule(3, thing.go)
-    sim.run()
-    assert thing.fired_at == 10
 
 
 def test_events_processed_counter():

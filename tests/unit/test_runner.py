@@ -21,9 +21,6 @@ from repro.runner import (ExperimentRunner, ResultCache, SweepPoint,
                           cache_key, canonical_json, canonicalize,
                           serial_runner)
 from repro.runner.cache import CACHE_VERSION
-from repro.runner.runner import _resolve
-
-POINT_RUNNER = "repro.runner.points.simulate_flows"
 
 
 def _points(n: int = 4, seed0: int = 11) -> list[SweepPoint]:
@@ -305,7 +302,7 @@ class TestExperimentRunner:
 
     def test_serial_runner_executes_without_cache(self):
         runner = serial_runner()
-        payloads = runner.run_points("unit", _points(2), POINT_RUNNER)
+        payloads = runner.run_points("unit", _points(2))
         assert runner.simulations_executed == 2
         assert all(rec["completed"] and rec["rx_bytes"] == rec["size_bytes"]
                    for p in payloads for rec in p["flows"])
@@ -313,11 +310,11 @@ class TestExperimentRunner:
     def test_second_run_is_served_entirely_from_cache(self, tmp_path):
         points = _points(3)
         first = ExperimentRunner(jobs=1, cache=ResultCache(root=tmp_path))
-        payloads1 = first.run_points("unit", points, POINT_RUNNER)
+        payloads1 = first.run_points("unit", points)
         assert first.simulations_executed == 3
 
         second = ExperimentRunner(jobs=1, cache=ResultCache(root=tmp_path))
-        payloads2 = second.run_points("unit", points, POINT_RUNNER)
+        payloads2 = second.run_points("unit", points)
         assert second.simulations_executed == 0          # zero sims re-run
         assert second.cache.hits == 3
         assert payloads1 == payloads2
@@ -325,7 +322,7 @@ class TestExperimentRunner:
     def test_spec_change_invalidates_only_that_point(self, tmp_path):
         points = _points(3)
         runner = ExperimentRunner(jobs=1, cache=ResultCache(root=tmp_path))
-        runner.run_points("unit", points, POINT_RUNNER)
+        runner.run_points("unit", points)
 
         changed = list(points)
         changed[1] = SweepPoint(points[1].point_id,
@@ -334,7 +331,7 @@ class TestExperimentRunner:
                                             loss_rate=0.02, seed=12),
                                 points[1].params)
         rerun = ExperimentRunner(jobs=1, cache=ResultCache(root=tmp_path))
-        rerun.run_points("unit", changed, POINT_RUNNER)
+        rerun.run_points("unit", changed)
         assert rerun.simulations_executed == 1
         assert rerun.cache.hits == 2
 
@@ -348,8 +345,8 @@ class TestDeterminism:
                                   cache=ResultCache(root=tmp_path / "s"))
         parallel = ExperimentRunner(jobs=4,
                                     cache=ResultCache(root=tmp_path / "p"))
-        payloads_s = serial.run_points("det", points, POINT_RUNNER)
-        payloads_p = parallel.run_points("det", points, POINT_RUNNER)
+        payloads_s = serial.run_points("det", points)
+        payloads_p = parallel.run_points("det", points)
         assert serial.simulations_executed == 6
         assert parallel.simulations_executed == 6
         assert canonical_json(payloads_s) == canonical_json(payloads_p)
@@ -358,10 +355,10 @@ class TestDeterminism:
         """Cache entries are interchangeable between serial and parallel."""
         points = _points(4)
         serial = ExperimentRunner(jobs=1, cache=ResultCache(root=tmp_path))
-        payloads_s = serial.run_points("det", points, POINT_RUNNER)
+        payloads_s = serial.run_points("det", points)
 
         parallel = ExperimentRunner(jobs=4, cache=ResultCache(root=tmp_path))
-        payloads_p = parallel.run_points("det", points, POINT_RUNNER)
+        payloads_p = parallel.run_points("det", points)
         assert parallel.simulations_executed == 0        # all from cache
         assert payloads_s == payloads_p
 
@@ -395,8 +392,8 @@ class TestTelemetryDeterminism:
                                   cache=ResultCache(root=tmp_path / "s"))
         parallel = ExperimentRunner(jobs=2, telemetry=TELEMETRY,
                                     cache=ResultCache(root=tmp_path / "p"))
-        pay_s = serial.run_points("tel", points, POINT_RUNNER)
-        pay_p = parallel.run_points("tel", points, POINT_RUNNER)
+        pay_s = serial.run_points("tel", points)
+        pay_p = parallel.run_points("tel", points)
         assert canonical_json(pay_s) == canonical_json(pay_p)
         assert canonical_json(serial.last_metrics) == canonical_json(
             parallel.last_metrics)
@@ -405,7 +402,7 @@ class TestTelemetryDeterminism:
 
         replay = ExperimentRunner(jobs=2, telemetry=TELEMETRY,
                                   cache=ResultCache(root=tmp_path / "p"))
-        pay_c = replay.run_points("tel", points, POINT_RUNNER)
+        pay_c = replay.run_points("tel", points)
         assert replay.simulations_executed == 0
         assert canonical_json(pay_c) == canonical_json(pay_s)
         assert canonical_json(replay.last_metrics) == canonical_json(
@@ -416,7 +413,7 @@ class TestTelemetryDeterminism:
     def test_points_carry_metrics_and_requested_traces(self):
         runner = ExperimentRunner(jobs=1, telemetry=TELEMETRY,
                                   cache=ResultCache(enabled=False))
-        payloads = runner.run_points("tel", _points(2), POINT_RUNNER)
+        payloads = runner.run_points("tel", _points(2))
         for p in payloads:
             assert p["metrics"]["counters"]    # instrumented fleet counted
             assert "spans" in p
@@ -424,7 +421,6 @@ class TestTelemetryDeterminism:
         assert any(mark[1] == "drop"
                    for t in runner.last_spans.values()
                    for mark in t["marks"])
-        assert runner.last_experiment == "tel"
 
     @pytest.mark.parametrize("telemetry", [
         {"trace": {"max_records": 10}},
@@ -437,23 +433,23 @@ class TestTelemetryDeterminism:
                                   cache=ResultCache(enabled=False))
         (bad,) = set(telemetry) - {"spans"}
         with pytest.raises(ValueError, match=f"unknown telemetry key '{bad}'"):
-            runner.run_points("tel", _points(1), POINT_RUNNER)
+            runner.run_points("tel", _points(1))
 
     def test_telemetry_changes_cache_key(self, tmp_path):
         """A traced/sampled run is a different computation: it must not
         serve from (or poison) the untraced cache entries."""
         points = _points(2)
         plain = ExperimentRunner(jobs=1, cache=ResultCache(root=tmp_path))
-        plain.run_points("tel", points, POINT_RUNNER)
+        plain.run_points("tel", points)
         assert plain.simulations_executed == 2
 
         traced = ExperimentRunner(jobs=1, telemetry=TELEMETRY,
                                   cache=ResultCache(root=tmp_path))
-        traced.run_points("tel", points, POINT_RUNNER)
+        traced.run_points("tel", points)
         assert traced.simulations_executed == 2   # cache miss by design
 
         plain2 = ExperimentRunner(jobs=1, cache=ResultCache(root=tmp_path))
-        plain2.run_points("tel", points, POINT_RUNNER)
+        plain2.run_points("tel", points)
         assert plain2.simulations_executed == 0   # untraced entries intact
 
     def test_metrics_survive_result_round_trip(self, tmp_path):
@@ -474,15 +470,13 @@ class TestRegistryIntegration:
     @pytest.mark.parametrize("key", list(REGISTRY))
     def test_every_experiment_declares_a_sweep(self, key):
         """One path from spec to table: every key exports merge, a
-        simulated key a sweep (an analytic one none), the registry names
-        a point runner that resolves, and every point's spec and params
-        canonicalize (so it hashes into a cache key)."""
+        simulated key a sweep (an analytic one none), and every point's
+        spec and params canonicalize (so it hashes into a cache key)."""
         entry = REGISTRY[key]
         mod = entry.load_module()
         points = entry.points(get_preset("quick"))
         assert callable(mod.merge)
         assert hasattr(mod, "sweep") == bool(points) == entry.simulation
-        assert callable(_resolve(entry.point_runner()))
         assert len({p.point_id for p in points}) == len(points)
         for point in points:
             assert isinstance(point.spec, NetworkSpec)
