@@ -7,8 +7,7 @@ EXPERIMENTS.md "Campaigns" and ``dcp-experiment campaign list``.
 """
 
 from repro.campaigns.compiler import (CompiledCampaign, compile_campaign,
-                                      merge_campaign, run_campaign,
-                                      run_compiled)
+                                      merge_campaign, run_campaign)
 from repro.campaigns.library import (CAMPAIGNS, campaign_names,
                                      get_campaign, load_campaign)
 from repro.campaigns.metrics import DEFAULT_METRICS, METRIC_COLUMNS
@@ -18,5 +17,5 @@ __all__ = [
     "CAMPAIGNS", "CampaignError", "CompiledCampaign", "DEFAULT_METRICS",
     "METRIC_COLUMNS", "campaign_names", "compile_campaign",
     "get_campaign", "load_campaign", "merge_campaign", "run_campaign",
-    "run_compiled", "validate_campaign",
+    "validate_campaign",
 ]

@@ -8,7 +8,12 @@ trick: once a campaign lowers to ordinary
 point runner, spec-hash caching, ``--jobs N`` sharding,
 telemetry/spans and breakdown attribution all apply unchanged, and the
 serial == parallel == cache-replay bit-identity the runner guarantees
-carries over to campaigns for free.
+carries over to campaigns for free.  The points and
+:func:`merge_campaign` bound to them are the (points, merge) pair every
+registry key also hands the harness's one driver,
+:func:`repro.experiments.registry.run_sweep`.  The registry's modules
+import this one, so only :func:`run_campaign` reaches up to the driver,
+at call time.
 
 Workload layers are laid out at *compile* time (every flow becomes an
 explicit ``[src, dst, size_bytes, start_ns, layer name]`` row in the
@@ -26,16 +31,16 @@ import copy
 import inspect
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Optional, Sequence
 
 from repro.campaigns.metrics import DEFAULT_METRICS, METRIC_COLUMNS
 from repro.campaigns.spec import (CHAOS_BUILDERS, CampaignError, group_axes,
                                   validate_campaign, validate_chaos_schedule)
 from repro.experiments.presets import ScalePreset, get_preset
-from repro.experiments.registry import attach_runner_telemetry
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
-from repro.runner.runner import ExperimentRunner, SweepPoint, serial_runner
+from repro.runner.runner import ExperimentRunner, SweepPoint
 from repro.sim.rng import SeedSequence
 from repro.workload.collective import collective_rows
 from repro.workload.distributions import (FixedSizeDistribution, websearch)
@@ -263,8 +268,6 @@ def compile_campaign(spec: dict, preset: str | ScalePreset = "default"
             "flows": flows,
             "max_events": sim.get("max_events", DEFAULT_MAX_EVENTS),
         }
-        if "settle_ns" in sim:
-            params["settle_ns"] = sim["settle_ns"]
         compiled_chaos = _compile_chaos(chaos, point_id)
         if compiled_chaos is not None:
             params["chaos"] = compiled_chaos
@@ -313,22 +316,15 @@ def merge_campaign(compiled: CompiledCampaign,
 
 
 # ---------------------------------------------------------------- execution
-def run_compiled(compiled: CompiledCampaign,
-                 runner: Optional[ExperimentRunner] = None
-                 ) -> ExperimentResult:
-    """Run a compiled campaign through the runner and merge the table."""
-    if runner is None:
-        runner = serial_runner()
-    payloads = runner.run_points(compiled.key, list(compiled.points))
-    result = merge_campaign(compiled, payloads)
-    attach_runner_telemetry(result, runner)
-    return result
-
-
 def run_campaign(source, preset: str | ScalePreset = "default",
                  runner: Optional[ExperimentRunner] = None
                  ) -> ExperimentResult:
-    """Load (name, path or dict), compile and run a campaign."""
+    """Load (name, path or dict), compile and run a campaign through
+    the harness's one driver, :func:`repro.experiments.registry.run_sweep`.
+    """
     from repro.campaigns.library import load_campaign
+    from repro.experiments.registry import run_sweep
     spec = source if isinstance(source, dict) else load_campaign(source)
-    return run_compiled(compile_campaign(spec, preset), runner)
+    compiled = compile_campaign(spec, preset)
+    return run_sweep(compiled.key, compiled.points,
+                     partial(merge_campaign, compiled), runner)

@@ -34,8 +34,7 @@ Schema (top-level keys; everything else is rejected)::
      "chaos": {"scenario": "loss_burst", # optional failure schedule built
                "loss_rate": 0.3, ...},   #   from repro.chaos.scenarios
      "metrics": ["goodput_gbps", ...],   # optional column selection
-     "sim": {"max_events": 60000000,     # optional drain budget
-             "settle_ns": 0},
+     "sim": {"max_events": 60000000},    # optional drain budget
      "seed": 1}                          # optional campaign seed
 
 Workload kinds:
@@ -193,7 +192,6 @@ WORKLOAD_FIELDS: dict[str, dict[str, tuple[Callable[[Any], bool], str, bool]]] =
 
 SIM_FIELDS: dict[str, tuple[Callable[[Any], bool], str]] = {
     "max_events": _POS_INT,
-    "settle_ns": _NONNEG_INT,
 }
 
 #: Scenario builders a campaign's ``chaos`` block may reference; kwargs

@@ -12,6 +12,9 @@ Campaigns (:mod:`repro.campaigns`) run through the same machinery:
 library name or JSON/py-literal file — to sweep points and executes it
 exactly like a figure sweep (same cache, same ``--jobs``, same telemetry
 flags); ``dcp-experiment campaign list`` enumerates the library.
+A key and a campaign both run through
+:func:`repro.experiments.registry.run_sweep`, and every export below
+reads the result it returns, never the runner.
 
 Telemetry export:
 
@@ -45,19 +48,13 @@ import argparse
 import sys
 import time
 from contextlib import nullcontext
+from functools import partial
 
-from repro.experiments.registry import REGISTRY, run_experiment
+from repro.experiments.registry import REGISTRY, run_experiment, run_sweep
 from repro.experiments.spec import CHOICES
 from repro.obs.export import (write_breakdown_jsonl, write_campaign_jsonl,
                               write_metrics_jsonl)
 from repro.runner import ExperimentRunner, ResultCache
-
-
-#: Experiments whose ``sweep()`` takes the flag; ``all`` hands it to
-#: these only.  Tables, not ``inspect``: checking must not import
-#: experiment modules.
-TAKES_CHAOS = ("robustness",)
-TAKES_FIDELITY = ("fig13", "fig14")
 
 
 def build_telemetry(args: argparse.Namespace) -> dict | None:
@@ -173,10 +170,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.chaos not in SCENARIOS:
             parser.error(f"unknown chaos scenario {args.chaos!r} "
                          f"(choose from {', '.join(SCENARIOS)}, or 'list')")
-    for flag, value, takers in (("--chaos", args.chaos, TAKES_CHAOS),
-                                ("--fidelity", args.fidelity, TAKES_FIDELITY)):
+    # Read off the registry entries, not ``inspect``: checking must not
+    # import experiment modules.
+    key_opts = {"chaos": args.chaos, "fidelity": args.fidelity}
+    for opt, value in key_opts.items():
+        takers = [key for key, entry in REGISTRY.items() if opt in entry.takes]
         if value is not None and args.experiment not in (*takers, "all"):
-            parser.error(f"{flag} does not apply to {args.experiment!r} "
+            parser.error(f"--{opt} does not apply to {args.experiment!r} "
                          f"(accepted by {', '.join(takers)}, or 'all')")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
@@ -211,22 +211,21 @@ def main(argv: list[str] | None = None) -> int:
         print_campaign_list()
         return 0
 
-    #: campaign-key -> CompiledCampaign for runs launched via the
-    #: campaign subcommand (drives the 'campaign' JSONL record and the
-    #: compiled-points execution path below).
-    campaigns_by_key: dict[str, "object"] = {}
+    #: The campaign subcommand's CompiledCampaign: its points and bound
+    #: merge run through run_sweep like a key's, plus a 'campaign' JSONL
+    #: header record.
+    compiled = None
     if args.experiment == "campaign":
         if args.target is None or args.target == "list":
             print_campaign_list()
             return 0
         from repro.campaigns import (CampaignError, compile_campaign,
-                                     load_campaign)
+                                     load_campaign, merge_campaign)
         try:
             compiled = compile_campaign(load_campaign(args.target),
                                         args.preset)
         except (CampaignError, ValueError) as exc:
             parser.error(f"campaign {args.target!r}: {exc}")
-        campaigns_by_key[compiled.key] = compiled
 
     runner = build_runner(args)
     metrics_lines = 0
@@ -249,21 +248,20 @@ def main(argv: list[str] | None = None) -> int:
         with (open(args.metrics_out, "w") if args.metrics_out
               else nullcontext()) as metrics_fh:
             keys = (list(REGISTRY) if args.experiment == "all"
-                    else list(campaigns_by_key) if campaigns_by_key
+                    else [compiled.key] if compiled is not None
                     else [args.experiment])
             for key in keys:
                 start = time.time()
-                if key in campaigns_by_key:
-                    from repro.campaigns import run_compiled
-                    result = run_compiled(campaigns_by_key[key], runner)
+                if compiled is not None:
+                    result = run_sweep(key, compiled.points,
+                                       partial(merge_campaign, compiled),
+                                       runner)
                 else:
                     # ``chaos`` and ``fidelity`` reach only the sweeps
                     # that take them (under ``all``).
-                    opts = {}
-                    if args.chaos is not None and key in TAKES_CHAOS:
-                        opts["chaos"] = args.chaos
-                    if args.fidelity is not None and key in TAKES_FIDELITY:
-                        opts["fidelity"] = args.fidelity
+                    opts = {opt: value for opt, value in key_opts.items()
+                            if value is not None
+                            and opt in REGISTRY[key].takes}
                     result = run_experiment(key, preset=args.preset,
                                             runner=runner, **opts)
                 result.print_table()
@@ -272,11 +270,10 @@ def main(argv: list[str] | None = None) -> int:
                     print()
                 print(f"[{key} finished in {time.time() - start:.1f}s]\n")
 
-                # The exports read the points the runner just harvested
-                # (cached points carry their telemetry too).
+                # The exports read the blocks run_sweep attached from
+                # the points' payloads (cached ones carry them too).
                 if metrics_fh is not None:
-                    if key in campaigns_by_key:
-                        compiled = campaigns_by_key[key]
+                    if compiled is not None:
                         metrics_lines += write_campaign_jsonl(
                             metrics_fh, key, compiled.name,
                             list(compiled.groups),
@@ -285,9 +282,9 @@ def main(argv: list[str] | None = None) -> int:
                         metrics_fh, key, result.metrics)
                     if args.breakdown:
                         metrics_lines += write_breakdown_jsonl(
-                            metrics_fh, key, runner.last_breakdowns)
+                            metrics_fh, key, result.breakdown)
                 if args.perfetto_out:
-                    for point, payload in runner.last_spans.items():
+                    for point, payload in result.spans.items():
                         perfetto_points[f"{key}/{point}"] = payload
     except BaseException:
         # A failure partway through (e.g. experiment 7 of 'all') must

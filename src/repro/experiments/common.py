@@ -276,8 +276,7 @@ class Network:
         return opened
 
     # ----------------------------------------------------------------- run
-    def run_until_flows_done(self, max_events: int = 500_000_000,
-                             settle_ns: int = 0) -> None:
+    def run_until_flows_done(self, max_events: int = 500_000_000) -> None:
         """Run until every flow completes, those that completion
         callbacks open mid-run (chained rows) included."""
         budget = max_events
@@ -288,8 +287,6 @@ class Network:
             if consumed == 0:
                 break
             budget -= consumed
-        if settle_ns:
-            self.sim.run(until=self.sim.now + settle_ns)
 
     # --------------------------------------------------------------- stats
     def completed_flows(self) -> list[Flow]:

@@ -8,14 +8,17 @@ Every experiment module exports what the runner needs to shard it:
   key but ``robustness``, a campaign spec's), each of which the runner
   executes through :func:`repro.runner.points.simulate_flows`.
 
-:func:`run_experiment` is the one driver from spec to table.
+:func:`run_sweep` is the one driver from points to table: a registry key
+(:func:`run_experiment`) and a compiled campaign (its points, and
+:func:`~repro.campaigns.compiler.merge_campaign` bound to it) both run
+through it.
 """
 
 from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.experiments.presets import get_preset
 from repro.experiments.result import ExperimentResult
@@ -30,6 +33,9 @@ class ExperimentEntry:
     paper_ref: str
     description: str
     simulation: bool          # False -> analytic, runs instantly
+    #: Per-key CLI options its ``sweep`` and ``merge`` take
+    #: (``chaos``, ``fidelity``); ``all`` hands each only to its takers.
+    takes: tuple[str, ...] = ()
 
     def load_module(self) -> Any:
         return importlib.import_module(self.module)
@@ -67,9 +73,11 @@ REGISTRY: dict[str, ExperimentEntry] = {
         ExperimentEntry("fig12", "repro.experiments.fig12_testbed_ai",
                         "Fig 12", "Testbed AllReduce/AllToAll JCT", True),
         ExperimentEntry("fig13", "repro.experiments.fig13_websearch",
-                        "Fig 13", "WebSearch FCT slowdown", True),
+                        "Fig 13", "WebSearch FCT slowdown", True,
+                        takes=("fidelity",)),
         ExperimentEntry("fig14", "repro.experiments.fig14_ai_sim",
-                        "Fig 14", "Simulated collectives JCT", True),
+                        "Fig 14", "Simulated collectives JCT", True,
+                        takes=("fidelity",)),
         ExperimentEntry("fig15", "repro.experiments.fig15_crossdc",
                         "Fig 15", "Cross-DC FCT slowdown", True),
         ExperimentEntry("fig16", "repro.experiments.fig16_incast_cc",
@@ -77,7 +85,8 @@ REGISTRY: dict[str, ExperimentEntry] = {
         ExperimentEntry("fig17", "repro.experiments.fig17_loss_schemes",
                         "Fig 17", "Recovery schemes vs loss rate", True),
         ExperimentEntry("robustness", "repro.experiments.robustness",
-                        "§4.5", "Failure recovery: chaos scenario sweep", True),
+                        "§4.5", "Failure recovery: chaos scenario sweep", True,
+                        takes=("chaos",)),
         ExperimentEntry("longhaul", "repro.experiments.longhaul",
                         "§6.1", "10 km long-haul goodput", True),
         ExperimentEntry("deepdive", "repro.experiments.deepdive_control_plane",
@@ -97,29 +106,38 @@ def get_entry(key: str) -> ExperimentEntry:
                          f"choose from {sorted(REGISTRY)}") from None
 
 
-def attach_runner_telemetry(result: ExperimentResult,
-                            runner: ExperimentRunner) -> ExperimentResult:
-    """Attach the metrics and breakdowns of the points ``runner`` just
-    ran.  Shared by :func:`run_experiment` and the campaign executor, so
-    every path hands back the same result object whether or not an
-    export flag was set."""
-    result.metrics = dict(runner.last_metrics)
-    result.breakdown = dict(runner.last_breakdowns)
+def run_sweep(key: str, points: Sequence[SweepPoint],
+              merge: Callable[[list[Any]], ExperimentResult],
+              runner: Optional[ExperimentRunner] = None) -> ExperimentResult:
+    """Run ``points`` under ``key``, fold their payloads with ``merge``.
+
+    Then attach, per point id in sweep-point order, each payload's
+    ``metrics``, ``breakdown`` and ``spans`` blocks to the result's
+    fields of those names.  Cached payloads carry their blocks too, so
+    a replay exports what the first run did.  ``runner`` defaults to
+    serial and uncached.
+    """
+    runner = runner if runner is not None else serial_runner()
+    payloads = runner.run_points(key, points)
+    result = merge(payloads)
+    for name in ("metrics", "breakdown", "spans"):
+        setattr(result, name, {point.point_id: payload[name]
+                               for point, payload in zip(points, payloads)
+                               if name in payload})
     return result
 
 
 def run_experiment(key: str, preset: str = "default",
                    runner: Optional[ExperimentRunner] = None,
                    **opts: Any) -> ExperimentResult:
-    """Run one experiment by key (e.g. ``fig13``): sweep, run, merge.
+    """Run one experiment by key (e.g. ``fig13``) through :func:`run_sweep`.
 
     ``runner`` executes the points (default: serial, uncached); ``opts``
-    reach both the module's ``sweep`` and its ``merge`` (robustness's
-    ``chaos``, fig13/fig14's ``fidelity``).
+    reach both the module's ``sweep`` and its ``merge`` (the entry's
+    ``takes``: robustness's ``chaos``, fig13/fig14's ``fidelity``).
     """
     entry = get_entry(key)
     p = get_preset(preset)
-    runner = runner if runner is not None else serial_runner()
-    payloads = runner.run_points(key, entry.points(p, **opts))
-    return attach_runner_telemetry(
-        entry.load_module().merge(payloads, p, **opts), runner)
+    merge = entry.load_module().merge
+    return run_sweep(key, entry.points(p, **opts),
+                     lambda payloads: merge(payloads, p, **opts), runner)

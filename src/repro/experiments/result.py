@@ -15,12 +15,17 @@ class ExperimentResult:
     rows: list[dict[str, Any]] = field(default_factory=list)
     notes: str = ""
     #: point_id -> metrics payload (``MetricsRegistry.to_payload`` form);
-    #: attached by run_experiment from the points' payloads.
+    #: attached by :func:`repro.experiments.registry.run_sweep` from the
+    #: points' payloads, like the two blocks below.
     metrics: dict[str, Any] = field(default_factory=dict)
     #: point_id -> list of per-flow FCT breakdown dicts
     #: (:func:`repro.analysis.latency.flow_breakdown` components);
-    #: attached when span tracing was enabled (``--breakdown``).
+    #: present when span tracing was enabled (``--breakdown``).
     breakdown: dict[str, Any] = field(default_factory=dict)
+    #: point_id -> span payload (``SpanTracker.to_payload`` form);
+    #: present when span tracing was enabled (``--breakdown``,
+    #: ``--perfetto-out``).
+    spans: dict[str, Any] = field(default_factory=dict)
 
     def columns(self) -> list[str]:
         cols: list[str] = []

@@ -78,14 +78,14 @@ class AdaptiveLoadBalancer:
         return ties[flow_hash(packet) % len(ties)]
 
 
-def make_load_balancer(name: str, **kwargs) -> object:
+def make_load_balancer(name: str) -> object:
     """Factory for ``NetworkSpec.lb``: "ecmp" or "ar"."""
     table = {
         "ecmp": EcmpLoadBalancer,
         "ar": AdaptiveLoadBalancer,
     }
     try:
-        return table[name](**kwargs)
+        return table[name]()
     except KeyError:
         raise ValueError(f"unknown load balancer {name!r}; "
                          f"expected one of {sorted(table)}") from None

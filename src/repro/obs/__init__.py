@@ -8,7 +8,7 @@ Public surface::
     metrics.install(registry)          # components register at build time
     net = build_network(...)           # switches/links/RNICs self-register
     sampler = MetricsSampler(net.sim, registry, interval_ns=20_000)
-    sampler.start()
+    sampler.start()                    # registry's gauges -> its series
     net.run_until_flows_done()
     payload = registry.to_payload()    # deterministic JSON-safe snapshot
     metrics.install(None)

@@ -133,15 +133,9 @@ def _unique(taken, name: str) -> str:
 
 
 class MetricsRegistry:
-    """Holds every registered instrument; serializes deterministically.
+    """Holds every registered instrument; serializes deterministically."""
 
-    ``per_flow=True`` additionally registers each flow's
-    ``FlowStats`` block under ``flow.<id>.*`` — off by default because
-    workload experiments open thousands of flows.
-    """
-
-    def __init__(self, per_flow: bool = False) -> None:
-        self.per_flow = per_flow
+    def __init__(self) -> None:
         #: ``(prefix, CounterBlock)`` or ``(name, Counter)``, in order.
         self._counters: list[tuple[str, Any]] = []
         #: name -> the plain :class:`Counter` :meth:`counter` made for it.

@@ -1,14 +1,11 @@
 """Sim-clock-driven periodic sampling into time series.
 
-A :class:`MetricsSampler` snapshots named probes each ``interval_ns``
-of *simulated* time into :class:`Series`.  Handed a
-:class:`~repro.obs.registry.MetricsRegistry`, it watches that
-registry's gauges (by default every gauge registered at construction
-time) and shares its series dict with the registry, so
-``registry.to_payload()`` carries the time series alongside the final
-counter values.  Without a registry the caller adds probes with
-:meth:`MetricsSampler.watch` and reads the series off the sampler (the
-deep-dive watches a victim port's two queues this way).
+A :class:`MetricsSampler` snapshots a
+:class:`~repro.obs.registry.MetricsRegistry`'s gauges (by default every
+gauge registered at construction time) each ``interval_ns`` of
+*simulated* time into :class:`Series`, and shares its series dict with
+the registry, so ``registry.to_payload()`` carries the time series
+alongside the final counter values.
 
 Sampling scope is declared, not ambient: a series costs a float per
 tick in the sampler and again in every copy of the payload (worker
@@ -26,7 +23,7 @@ CLI exposes it as ``--sample-interval-ns``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.obs.registry import Gauge, MetricsRegistry
 from repro.sim.engine import Simulator
@@ -44,43 +41,30 @@ class Series:
         self.times_ns.append(t)
         self.values.append(v)
 
-    def max(self) -> float:
-        return max(self.values) if self.values else 0.0
-
 
 class MetricsSampler:
-    """Samples ``gauges`` (default: every gauge of ``registry``), plus
-    any probe passed to :meth:`watch`, into named :class:`Series`.
+    """Samples ``gauges`` (default: every gauge of ``registry``) into
+    named :class:`Series`.
 
     Gauges registered *after* construction are not watched — build the
     network (which registers its gauges) first, then the sampler.
     """
 
-    def __init__(self, sim: Simulator, registry: Optional[MetricsRegistry],
+    def __init__(self, sim: Simulator, registry: MetricsRegistry,
                  interval_ns: int,
                  gauges: Optional[Iterable[Gauge]] = None) -> None:
         if interval_ns <= 0:
             raise ValueError("interval must be positive")
         self.sim = sim
         self.interval_ns = interval_ns
-        self.series: dict[str, Series] = {}
-        self._probes: dict[str, Callable[[], float]] = {}
-        self._stop_at: Optional[int] = None
-        self._running = False
-        if registry is None:
-            return
         if gauges is None:
             gauges = registry.gauges()
-        for gauge in gauges:
-            self.watch(gauge.name, gauge.read)
+        self._probes = {gauge.name: gauge.read for gauge in gauges}
         # Share the dict: series appear in registry.to_payload().
-        registry.series = self.series
-
-    def watch(self, name: str, probe: Callable[[], float]) -> Series:
-        series = Series(name)
-        self.series[name] = series
-        self._probes[name] = probe
-        return series
+        self.series = registry.series = {
+            name: Series(name) for name in self._probes}
+        self._stop_at: Optional[int] = None
+        self._running = False
 
     def start(self, until_ns: Optional[int] = None) -> None:
         self._stop_at = until_ns

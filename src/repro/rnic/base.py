@@ -68,10 +68,9 @@ class TransportConfig:
 class FlowStats(CounterBlock):
     """Counters accumulated per flow; consumed by the analysis layer.
 
-    Registered as ``flow.<flow_id>.*`` only when the installed registry
-    asked for per-flow metrics (``MetricsRegistry(per_flow=True)``) —
-    incast workloads create thousands of flows and most experiments only
-    need the aggregates.
+    Never registered with the metrics registry: incast workloads create
+    thousands of flows, and a point reports each flow's counters in its
+    own ``flows`` records instead.
     """
 
     FIELDS = ("data_pkts_sent", "retx_pkts_sent", "timeouts",
@@ -112,9 +111,6 @@ class Flow:
         self.tx_complete_ns: Optional[int] = None
         self.rx_bytes = 0
         self.stats = FlowStats()
-        reg = metrics.active()
-        if reg is not None and reg.per_flow:
-            reg.register_block(f"flow.{self.flow_id}", self.stats)
         self.on_complete: Optional[Callable[["Flow"], None]] = None
 
     def deliver(self, payload_bytes: int, now_ns: int) -> None:

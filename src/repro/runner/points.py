@@ -21,8 +21,7 @@ with ``sample_interval_ns``; a chaos scenario's delivery series
 otherwise; none by default)::
 
     {"telemetry": {"spans": {"max_spans": N},
-                   "sample_interval_ns": 20_000,
-                   "per_flow": false}}
+                   "sample_interval_ns": 20_000}}
 
 With ``spans`` present a :class:`repro.obs.spans.SpanTracker` records
 per-packet lifecycle intervals and instant markers (drops, trims,
@@ -65,13 +64,12 @@ class PointTelemetry:
 
     def __init__(self, params: dict) -> None:
         telemetry = params.get("telemetry") or {}
-        known = ("per_flow", "sample_interval_ns", "spans")
+        known = ("sample_interval_ns", "spans")
         for key in sorted(telemetry):
             if key not in known:
                 raise ValueError(f"unknown telemetry key {key!r} "
                                  f"(known: {', '.join(known)})")
-        self.registry = MetricsRegistry(
-            per_flow=bool(telemetry.get("per_flow")))
+        self.registry = MetricsRegistry()
         #: Gauge-sampling cadence the user asked for (0: none).
         self.interval_ns = int(telemetry.get("sample_interval_ns", 0))
         self.tracker = self._sampler = None
@@ -157,7 +155,6 @@ def simulate_flows(spec: NetworkSpec, params: dict) -> dict[str, Any]:
 
         {"flows": [[src, dst, size_bytes, start_ns], ...],
          "max_events": 20_000_000,      # optional drain budget
-         "settle_ns": 0,                # optional post-completion drain
          "chaos": {...},                # optional failure scenario
          "telemetry": {...}}            # optional, see module docstring
 
@@ -220,8 +217,7 @@ def simulate_flows(spec: NetworkSpec, params: dict) -> dict[str, Any]:
         if interval_ns > 0:
             tel.sample(net, interval_ns, watched)
         net.run_until_flows_done(
-            max_events=int(params.get("max_events", 20_000_000)),
-            settle_ns=int(params.get("settle_ns", 0)))
+            max_events=int(params.get("max_events", 20_000_000)))
         records = []
         for row, f in zip(rows, flows):
             if f is None:

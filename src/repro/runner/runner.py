@@ -20,6 +20,12 @@ properties hold by construction:
   through :func:`canonicalize` whether it came from a worker, the
   inline path or the cache, so the merge input is identical either way.
 
+The runner returns payloads and keeps nothing per call: a point's
+``metrics``, ``spans`` and ``breakdown`` blocks ride in its payload, and
+:func:`repro.experiments.registry.run_sweep` attaches them to the
+result.  Only :attr:`ExperimentRunner.simulations_executed` and the
+cache's stats count across calls.
+
 Every point runs through :func:`repro.runner.points.simulate_flows`.
 This module is harness-side (DESIGN.md "Import layers"): it imports the
 spec, never the simulator.  The point runner is imported only when a
@@ -86,33 +92,24 @@ class ExperimentRunner:
     """
 
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
-                 mp_method: Optional[str] = None,
                  telemetry: Optional[dict] = None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache if cache is not None else ResultCache()
-        #: Start method for the pool; ``None`` picks the first available
-        #: of ``_MP_METHODS`` when a pool is actually made.
-        self.mp_method = mp_method
         #: Extra ``telemetry`` param injected into every point (spans,
         #: gauge sampling).  Injection happens *before* cache keys are
         #: computed: a traced run is a different computation, so it must
         #: not serve (or poison) untraced cache entries.
         self.telemetry = telemetry
-        #: point_id -> metrics payload / span payload / flow breakdowns
-        #: from the latest run_points call, in sweep-point order (for
-        #: JSONL and Perfetto export).
-        self.last_metrics: dict[str, Any] = {}
-        self.last_spans: dict[str, Any] = {}
-        self.last_breakdowns: dict[str, Any] = {}
         #: Simulations actually executed (cache misses) since construction.
         self.simulations_executed = 0
 
     # ----------------------------------------------------------- execution
     def run_points(self, experiment: str,
                    points: Sequence[SweepPoint]) -> list[Any]:
-        """Run every point, serving from cache; returns payloads in order."""
+        """Run every point, serving from cache; returns payloads in
+        sweep-point order (cached payloads carry their telemetry too)."""
         if self.telemetry is not None:
             points = [SweepPoint(p.point_id, p.spec,
                                  {**p.params, "telemetry": self.telemetry})
@@ -135,7 +132,7 @@ class ExperimentRunner:
                 # multiprocessing is imported only where a pool is made:
                 # serial runs and cache replays never load it.
                 import multiprocessing
-                method = self.mp_method or next(
+                method = next(
                     m for m in _MP_METHODS
                     if m in multiprocessing.get_all_start_methods())
                 # Load the point runner and the simulator once, before
@@ -156,21 +153,7 @@ class ExperimentRunner:
                     payloads[index] = payload
                     self.cache.put(keys[index], payload)
 
-        ordered = [payloads[i] for i in range(len(points))]
-        # Harvest telemetry for export.  Cached payloads carry their
-        # metrics too, so a fully cache-served run still exports.
-        self.last_metrics = {}
-        self.last_spans = {}
-        self.last_breakdowns = {}
-        for point, payload in zip(points, ordered):
-            if isinstance(payload, dict):
-                if "metrics" in payload:
-                    self.last_metrics[point.point_id] = payload["metrics"]
-                if "spans" in payload:
-                    self.last_spans[point.point_id] = payload["spans"]
-                if "breakdown" in payload:
-                    self.last_breakdowns[point.point_id] = payload["breakdown"]
-        return ordered
+        return [payloads[i] for i in range(len(points))]
 
 
 def serial_runner() -> ExperimentRunner:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import repro.experiments.cli as cli
-from repro.campaigns import compile_campaign, run_campaign, run_compiled
+from repro.campaigns import compile_campaign, run_campaign
 from repro.obs.schema import validate_file
 from repro.runner import ExperimentRunner, ResultCache, canonical_json
 
@@ -27,15 +27,14 @@ TINY = {
 
 class TestBitIdentity:
     def test_serial_parallel_replay_identical(self, tmp_path):
-        compiled = compile_campaign(TINY, "quick")
         serial_cache = tmp_path / "serial"
-        serial = run_compiled(compiled, ExperimentRunner(
+        serial = run_campaign(TINY, "quick", ExperimentRunner(
             jobs=1, cache=ResultCache(root=serial_cache)))
-        parallel = run_compiled(compiled, ExperimentRunner(
+        parallel = run_campaign(TINY, "quick", ExperimentRunner(
             jobs=2, cache=ResultCache(root=tmp_path / "par")))
         replayer = ExperimentRunner(jobs=1,
                                     cache=ResultCache(root=serial_cache))
-        replay = run_compiled(compiled, replayer)
+        replay = run_campaign(TINY, "quick", replayer)
         assert replayer.simulations_executed == 0   # pure cache replay
         s, p, r = (canonical_json([res.rows, res.metrics, res.breakdown])
                    for res in (serial, parallel, replay))

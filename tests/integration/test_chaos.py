@@ -200,10 +200,10 @@ def test_asking_for_sampling_records_every_gauge(tmp_path):
     ExperimentRunner(jobs=1, cache=cache).run_points("scope", [point])
     sampled = ExperimentRunner(
         jobs=1, cache=cache, telemetry={"sample_interval_ns": 10_000})
-    sampled.run_points("scope", [point])
+    (payload,) = sampled.run_points("scope", [point])
     assert sampled.simulations_executed == 1        # miss by design
     assert len(cache) == 2
-    assert len(sampled.last_metrics["dcp-flap"]["series"]) == 35
+    assert len(payload["metrics"]["series"]) == 35
 
 
 def test_missing_delivery_series_is_an_error_not_a_zero(monkeypatch):

@@ -103,6 +103,15 @@ assert loaded({unused!r}) == [], loaded({unused!r})
 ''', module)
 
 
+def test_the_campaign_compiler_loads_no_registry():
+    """The registry's modules compile campaign specs, so the compiler
+    sits below the registry and must not import it."""
+    _python('''
+import repro.campaigns.compiler
+assert loaded(["repro.experiments.registry"]) == []
+''')
+
+
 def test_declaring_every_sweep_and_campaign_stays_harness_side():
     # What the first cache hit of any key needs: its module, its points
     # (flow layout included) and every library campaign compiled.

@@ -66,8 +66,6 @@ class _Tee:
     """Installed as the active registry: every registration reaches
     both, and the registry under test answers."""
 
-    per_flow = True
-
     def __init__(self, registry, reference):
         self.registry = registry
         self.reference = reference
@@ -87,7 +85,7 @@ class _Tee:
 
 
 def test_payload_equals_the_eager_expansion():
-    registry = MetricsRegistry(per_flow=True)
+    registry = MetricsRegistry()
     reference = _EagerRegistry()
     metrics.install(_Tee(registry, reference))
     try:
@@ -124,7 +122,6 @@ def test_payload_equals_the_eager_expansion():
             == leaf0.stats.forwarded > 0)
     assert any(n.startswith("pfc.") for n in payload["counters"])
     assert any(n.startswith("rifl.") for n in payload["counters"])
-    assert any(n.startswith("flow.") for n in payload["counters"])
     assert [g.name for g in registry.gauges()] == [n for n, _ in gauges]
     assert [g.name for g in registry.gauges("chaos.")] == [
         n for n, _ in gauges if n.startswith("chaos.")]

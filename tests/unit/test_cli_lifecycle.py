@@ -2,8 +2,9 @@
 
 Pins the three bugfix behaviors: the metrics handle does not leak when
 the Perfetto trace open fails, Perfetto points collected before a
-mid-run failure are flushed, and harvested metrics reach
-``result.metrics`` whether or not ``--metrics-out`` was given.
+mid-run failure are flushed, and the points' metrics reach
+``result.metrics`` whether or not ``--metrics-out`` was given.  Every
+export reads the result ``run_experiment`` returns, never the runner.
 """
 
 import builtins
@@ -67,13 +68,14 @@ class TestPartialPerfettoFlush:
         perfetto_path = tmp_path / "run.perfetto.json"
         calls = []
 
-        def fake_run(key, runner, **kwargs):
+        def fake_run(key, **kwargs):
             calls.append(key)
             if len(calls) >= 2:
                 raise RuntimeError("experiment 2 exploded")
-            # What the runner harvests from a span-recording point.
-            runner.last_spans = {"p0": spans.SpanTracker().to_payload()}
-            return ExperimentResult(key, "fake", rows=[{"v": 1}])
+            # What run_sweep attaches from a span-recording point.
+            return ExperimentResult(
+                key, "fake", rows=[{"v": 1}],
+                spans={"p0": spans.SpanTracker().to_payload()})
 
         # Two fake registry keys; the second raises after the first has
         # contributed its span payload to perfetto_points.
@@ -88,6 +90,9 @@ class TestPartialPerfettoFlush:
         assert perfetto_path.is_file()
         trace = json.loads(perfetto_path.read_text())
         assert "traceEvents" in trace
+        # k1's point, read off its result.
+        assert [e["args"]["name"] for e in trace["traceEvents"]
+                if e["name"] == "process_name"] == ["k1/p0"]
 
 
 class TestMetricsAttachmentSymmetry:
@@ -171,18 +176,16 @@ def test_misapplied_chaos_or_fidelity_is_a_usage_error(
 
 
 def test_flag_tables_match_the_sweep_signatures():
-    """The tables the usage check reads name exactly the experiments
-    whose sweep() has the parameter."""
+    """The options a registry entry ``takes`` (which the usage check
+    reads) are exactly the per-key parameters its sweep() has."""
     import inspect
     from repro.experiments.registry import REGISTRY
 
-    def takers(param):
-        return tuple(key for key, entry in REGISTRY.items()
-                     if entry.simulation and param in inspect.signature(
-                         entry.load_module().sweep).parameters)
-
-    assert takers("chaos") == cli.TAKES_CHAOS
-    assert takers("fidelity") == cli.TAKES_FIDELITY
+    for key, entry in REGISTRY.items():
+        params = (inspect.signature(entry.load_module().sweep).parameters
+                  if entry.simulation else {})
+        assert entry.takes == tuple(
+            opt for opt in ("chaos", "fidelity") if opt in params), key
 
 
 def test_all_still_accepts_chaos_and_fidelity(monkeypatch):
@@ -194,8 +197,8 @@ def test_all_still_accepts_chaos_and_fidelity(monkeypatch):
         return ExperimentResult(key, "stub")
 
     monkeypatch.setattr(cli, "run_experiment", fake_run)
-    monkeypatch.setattr(cli, "REGISTRY", {"robustness": None, "fig13": None,
-                                          "table1": None})
+    monkeypatch.setattr(cli, "REGISTRY", {
+        key: cli.REGISTRY[key] for key in ("robustness", "fig13", "table1")})
     assert cli.main(["all", "--chaos", "link_flap", "--fidelity", "hybrid",
                      "--no-cache"]) == 0
     assert calls == [("robustness", "link_flap", None),

@@ -1,4 +1,11 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit tests for the discrete-event engine.
+
+Besides the basic contract (time order, FIFO ties, ``until`` and
+``max_events`` bounds, cancellation), a property test holds the engine,
+reschedules and timer restarts included, to an implementation-free
+model: every reschedule or restart is a cancel plus a new schedule, and
+the fired order is the sorted order of the surviving keys.
+"""
 
 import pytest
 from hypothesis import given, settings

@@ -37,7 +37,13 @@ def _points(n: int = 4, seed0: int = 11) -> list[SweepPoint]:
 
 def _result_json(result: ExperimentResult) -> str:
     """Everything a result carries, in its canonical JSON form."""
-    return canonical_json([result.rows, result.metrics, result.breakdown])
+    return canonical_json([result.rows, result.metrics, result.breakdown,
+                           result.spans])
+
+
+def _blocks(payloads: list, name: str) -> str:
+    """Every payload's ``name`` block, in sweep-point order."""
+    return canonical_json([payload[name] for payload in payloads])
 
 
 # --------------------------------------------------------- spec hashing
@@ -395,20 +401,16 @@ class TestTelemetryDeterminism:
         pay_s = serial.run_points("tel", points)
         pay_p = parallel.run_points("tel", points)
         assert canonical_json(pay_s) == canonical_json(pay_p)
-        assert canonical_json(serial.last_metrics) == canonical_json(
-            parallel.last_metrics)
-        assert canonical_json(serial.last_spans) == canonical_json(
-            parallel.last_spans)
+        for name in ("metrics", "spans"):
+            assert _blocks(pay_s, name) == _blocks(pay_p, name)
 
         replay = ExperimentRunner(jobs=2, telemetry=TELEMETRY,
                                   cache=ResultCache(root=tmp_path / "p"))
         pay_c = replay.run_points("tel", points)
         assert replay.simulations_executed == 0
         assert canonical_json(pay_c) == canonical_json(pay_s)
-        assert canonical_json(replay.last_metrics) == canonical_json(
-            serial.last_metrics)
-        assert canonical_json(replay.last_spans) == canonical_json(
-            serial.last_spans)
+        for name in ("metrics", "spans"):
+            assert _blocks(pay_c, name) == _blocks(pay_s, name)
 
     def test_points_carry_metrics_and_requested_traces(self):
         runner = ExperimentRunner(jobs=1, telemetry=TELEMETRY,
@@ -419,8 +421,8 @@ class TestTelemetryDeterminism:
             assert "spans" in p
         # loss_rate=0.02 points must record drops somewhere
         assert any(mark[1] == "drop"
-                   for t in runner.last_spans.values()
-                   for mark in t["marks"])
+                   for p in payloads
+                   for mark in p["spans"]["marks"])
 
     @pytest.mark.parametrize("telemetry", [
         {"trace": {"max_records": 10}},
@@ -463,6 +465,21 @@ class TestTelemetryDeterminism:
         replay = run_experiment("fig8", preset="quick", runner=replayer)
         assert replayer.simulations_executed == 0
         assert canonical_json(replay.metrics) == canonical_json(result.metrics)
+
+    def test_run_experiment_attaches_each_points_spans(self, tmp_path):
+        """A span-recording run hands back ``result.spans``: point id ->
+        that point's payload ``spans`` block, in sweep-point order, read
+        off the payloads rather than any runner state."""
+        from repro.experiments.registry import run_experiment
+        runner = ExperimentRunner(jobs=1, cache=ResultCache(root=tmp_path),
+                                  telemetry={"spans": {"max_spans": 50_000}})
+        result = run_experiment("fig8", preset="quick", runner=runner)
+        points = REGISTRY["fig8"].points(get_preset("quick"))
+        payloads = runner.run_points("fig8", points)    # served from cache
+        assert runner.simulations_executed == len(points)
+        assert list(result.spans) == [p.point_id for p in points]
+        for point, payload in zip(points, payloads):
+            assert result.spans[point.point_id] == payload["spans"]
 
 
 # ------------------------------------------------------ registry wiring

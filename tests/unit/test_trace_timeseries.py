@@ -4,6 +4,8 @@ import pytest
 
 from repro.experiments.common import build_network
 from repro.net.failures import FailureInjector
+from repro.obs import registry as metrics
+from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import MetricsSampler, Series
 from repro.sim.engine import Simulator
 
@@ -15,43 +17,51 @@ class TestSeries:
             s.append(t, v)
         assert s.times_ns == [0, 10, 20]
         assert s.values == [0.0, 10.0, 0.0]
-        assert s.max() == 10.0
-
-    def test_empty(self):
-        assert Series("q").max() == 0.0
 
 
 class TestSampler:
     def test_samples_at_interval(self):
         sim = Simulator()
         state = {"v": 0}
-        sampler = MetricsSampler(sim, None, interval_ns=100)
-        series = sampler.watch("v", lambda: state["v"])
+        reg = MetricsRegistry()
+        reg.gauge("v", lambda: state["v"])
+        sampler = MetricsSampler(sim, reg, interval_ns=100)
         sampler.start(until_ns=1_000)
         sim.schedule(450, lambda: state.__setitem__("v", 7))
         sim.run(until=2_000)
+        series = sampler.series["v"]
         assert len(series.times_ns) == 11  # t=0..1000 inclusive
         assert series.values[0] == 0
         assert series.values[-1] == 7
 
     def test_samples_switch_queue_depths(self):
-        net = build_network(transport="dcp", topology="clos", num_hosts=8,
-                            num_leaves=2, num_spines=2, link_rate=10.0,
-                            lb="ar", seed=3, buffer_bytes=300_000)
-        sampler = MetricsSampler(net.sim, None, interval_ns=5_000)
-        port = net.fabric.switches[0].ports[0]
-        data_series = sampler.watch("data", lambda: port.queues[0].bytes)
-        ctrl_series = sampler.watch("ctrl", lambda: port.queues[1].bytes)
+        reg = MetricsRegistry()
+        metrics.install(reg)
+        try:
+            net = build_network(transport="dcp", topology="clos",
+                                num_hosts=8, num_leaves=2, num_spines=2,
+                                link_rate=10.0, lb="ar", seed=3,
+                                buffer_bytes=300_000)
+        finally:
+            metrics.install(None)
+        queues = [g for g in reg.gauges("switch.leaf0.p0.")
+                  if not g.name.endswith(".busy_ns")]
+        sampler = MetricsSampler(net.sim, reg, interval_ns=5_000,
+                                 gauges=queues)
         sampler.start(until_ns=500_000)
         for s in (1, 2, 3, 4):
             net.open_flow(s, 0, 60_000, 0)
         net.run_until_flows_done(max_events=20_000_000)
-        assert data_series.max() > 0  # the incast built a queue
-        assert len(ctrl_series.values) == len(data_series.values)
+        series = reg.to_payload()["series"]
+        assert list(series) == ["switch.leaf0.p0.data_bytes",
+                                "switch.leaf0.p0.ctrl_bytes"]
+        data, ctrl = series.values()
+        assert max(data["values"]) > 0  # the incast built a queue
+        assert len(ctrl["values"]) == len(data["values"])
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
-            MetricsSampler(Simulator(), None, interval_ns=0)
+            MetricsSampler(Simulator(), MetricsRegistry(), interval_ns=0)
 
     def test_unbounded_sampler_goes_dormant_when_sim_drains(self):
         # start() without until_ns must not keep the heap alive forever:
@@ -59,11 +69,13 @@ class TestSampler:
         # last real event instead of sampling until max_events.
         sim = Simulator()
         state = {"v": 0}
-        sampler = MetricsSampler(sim, None, interval_ns=100)
-        series = sampler.watch("v", lambda: state["v"])
+        reg = MetricsRegistry()
+        reg.gauge("v", lambda: state["v"])
+        sampler = MetricsSampler(sim, reg, interval_ns=100)
         sampler.start()
         sim.schedule(450, lambda: state.__setitem__("v", 7))
         sim.run(max_events=1_000_000)
+        series = sampler.series["v"]
         assert sim.peek_time() is None  # heap fully drained
         assert series.times_ns[-1] <= 550  # one tick past the last event
         assert series.values[-1] == 7
