@@ -13,9 +13,7 @@ Run:  python examples/failure_timeline.py [transport]
 
 import sys
 
-from repro.chaos.scenarios import get_scenario
-from repro.experiments import robustness
-from repro.experiments.presets import get_preset
+from repro.experiments.registry import REGISTRY
 from repro.runner.points import simulate_flows
 
 CHART_WIDTH = 64
@@ -44,14 +42,11 @@ def strip_chart(times_ns, values, size_bytes, end_ns) -> str:
 
 
 def main(transport: str = "dcp") -> None:
-    preset = get_preset("quick")
-    scenario = get_scenario("link_flap")
-    size = robustness._flow_bytes(preset)
-    payload = simulate_flows(robustness._spec(transport, preset), {
-        "flows": [[0, 2, size, 0], [1, 3, size, 10_000]],
-        "max_events": 60_000_000,
-        "chaos": scenario,
-    })
+    # The robustness sweep's own quick point for this cell.
+    (point,) = [p for p in REGISTRY["robustness"].points(
+                    "quick", chaos="link_flap")
+                if p.spec.transport == transport]
+    payload = simulate_flows(point.spec, point.params)
     chaos = payload["chaos"]
     end_ns = payload["end_ns"]
 

@@ -4,18 +4,21 @@ A campaign is a JSON/py-literal spec (:mod:`repro.campaigns.spec`) that
 :func:`compile_campaign` lowers to ordinary runner sweep points, so
 caching, ``--jobs N`` sharding and telemetry come for free.  See
 EXPERIMENTS.md "Campaigns" and ``dcp-experiment campaign list``.
+The names resolve on first use (:mod:`repro._lazy`): a key's replay
+imports the compiler and must not pay for the rest.
 """
 
-from repro.campaigns.compiler import (CompiledCampaign, compile_campaign,
-                                      merge_campaign, run_campaign)
-from repro.campaigns.library import (CAMPAIGNS, campaign_names,
-                                     get_campaign, load_campaign)
-from repro.campaigns.metrics import DEFAULT_METRICS, METRIC_COLUMNS
-from repro.campaigns.spec import CampaignError, validate_campaign
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CAMPAIGNS", "CampaignError", "CompiledCampaign", "DEFAULT_METRICS",
-    "METRIC_COLUMNS", "campaign_names", "compile_campaign",
-    "get_campaign", "load_campaign", "merge_campaign", "run_campaign",
-    "validate_campaign",
-]
+_EXPORTS = {
+    "repro.campaigns.compiler": ("CampaignError", "CompiledCampaign",
+                                 "DEFAULT_METRICS", "compile_campaign",
+                                 "lower_campaign", "merge_campaign",
+                                 "run_campaign"),
+    "repro.campaigns.library": ("CAMPAIGNS", "campaign_names",
+                                "get_campaign", "load_campaign"),
+    "repro.campaigns.metrics": ("METRIC_COLUMNS",),
+    "repro.campaigns.spec": ("validate_campaign",),
+}
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

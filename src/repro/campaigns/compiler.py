@@ -1,19 +1,21 @@
-"""Compile validated campaign specs into runner sweep points.
+"""Lower campaign specs to runner sweep points: the only place a key's
+or a campaign's points are built.
 
-The compiler is a *pure* function of ``(spec, preset)``: the same inputs
+Lowering is a *pure* function of ``(spec, preset)``: the same inputs
 always produce the same point ids, the same :class:`NetworkSpec` dicts,
-the same params — and therefore the same cache keys.  That is the whole
-trick: once a campaign lowers to ordinary
-:class:`~repro.runner.runner.SweepPoint` lists driven by the one
-point runner, spec-hash caching, ``--jobs N`` sharding,
-telemetry/spans and breakdown attribution all apply unchanged, and the
-serial == parallel == cache-replay bit-identity the runner guarantees
-carries over to campaigns for free.  The points and
-:func:`merge_campaign` bound to them are the (points, merge) pair every
-registry key also hands the harness's one driver,
-:func:`repro.experiments.registry.run_sweep`.  The registry's modules
-import this one, so only :func:`run_campaign` reaches up to the driver,
-at call time.
+the same params — and therefore the same cache keys — so spec-hash
+caching, ``--jobs N`` sharding, telemetry and the one point runner's
+serial == parallel == cache-replay bit-identity carry over for free.
+
+:func:`compile_campaign` validates first, for outside input (a library
+name or spec file, a registry key at a custom :class:`ScalePreset`);
+:func:`lower_campaign` is the lowering alone, which the registry calls
+for its keys' specs at the named presets (program data that a tier-1
+test validates).  Each import sits where a spec uses it — a layer
+kind's generator, the seed tree, the chaos library, the validator, the
+metric columns — so a key's replay loads only what it runs (DESIGN.md
+"Import layers").  Only :func:`run_campaign` reaches up to the driver,
+:func:`repro.experiments.registry.run_sweep`, at call time.
 
 Workload layers are laid out at *compile* time (every flow becomes an
 explicit ``[src, dst, size_bytes, start_ns, layer name]`` row in the
@@ -27,27 +29,23 @@ Poisson/incast schedules come from the pure ``schedule()`` methods in
 
 from __future__ import annotations
 
-import copy
-import inspect
 import itertools
-from dataclasses import dataclass
 from functools import partial
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
-from repro.campaigns.metrics import DEFAULT_METRICS, METRIC_COLUMNS
-from repro.campaigns.spec import (CHAOS_BUILDERS, CampaignError, group_axes,
-                                  validate_campaign, validate_chaos_schedule)
 from repro.experiments.presets import ScalePreset, get_preset
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import NetworkSpec
 from repro.runner.runner import ExperimentRunner, SweepPoint
-from repro.sim.rng import SeedSequence
-from repro.workload.collective import collective_rows
-from repro.workload.distributions import (FixedSizeDistribution, websearch)
-from repro.workload.flows import IncastWorkload, PoissonWorkload
 
 #: Default event budget per point (matches the heaviest figure sweeps).
 DEFAULT_MAX_EVENTS = 60_000_000
+
+#: The columns a campaign gets when its spec has no ``metrics`` block
+#: (:data:`repro.campaigns.metrics.METRIC_COLUMNS` names them all).
+DEFAULT_METRICS: tuple[str, ...] = (
+    "flows", "completed", "goodput_gbps", "fct_p50_us", "fct_p99_us",
+    "retx", "timeouts")
 
 #: ScalePreset fields that seed the topology block when the campaign
 #: leaves them unset — the knob ``--preset`` turns for campaigns.
@@ -55,9 +53,24 @@ _PRESET_TOPOLOGY_FIELDS = ("num_hosts", "num_leaves", "num_spines",
                            "link_rate", "buffer_bytes")
 
 
-@dataclass(frozen=True)
-class CompiledCampaign:
-    """A campaign lowered to sweep points plus everything merge needs."""
+class CampaignError(ValueError):
+    """A campaign spec failed validation; ``path`` points at the culprit."""
+
+    def __init__(self, path: str, message: str) -> None:
+        self.path = path
+        self.message = message
+        super().__init__(f"{path}: {message}" if path else message)
+
+
+def group_axes(group: dict) -> list[str]:
+    """The axes a validated group varies: its one ``axis``, or the
+    ``axes`` of a zipped group."""
+    return group["axes"] if "axes" in group else [group["axis"]]
+
+
+class CompiledCampaign(NamedTuple):
+    """A campaign lowered to sweep points plus everything merge needs
+    (a named tuple: a frozen dataclass costs a replay ~1 ms to define)."""
 
     name: str
     key: str                       # runner experiment key ("campaign-<name>")
@@ -73,6 +86,7 @@ class CompiledCampaign:
 def _layer_seed(campaign_name: str, campaign_seed: int, layer: dict) -> int:
     if "seed" in layer:
         return layer["seed"]
+    from repro.sim.rng import SeedSequence
     seq = SeedSequence(campaign_seed).spawn(f"campaign:{campaign_name}")
     return seq.stream(f"workload:{layer['name']}").getrandbits(32)
 
@@ -99,6 +113,9 @@ def _layer_flows(layer: dict, num_hosts: int, link_rate: float,
                                     f"num_hosts={num_hosts}")
         return layer["flows"]
     if kind == "poisson":
+        from repro.workload.distributions import (FixedSizeDistribution,
+                                                  websearch)
+        from repro.workload.flows import PoissonWorkload
         if layer.get("size_dist", "websearch") == "fixed":
             dist = FixedSizeDistribution(layer["size_bytes"])
         else:
@@ -117,6 +134,7 @@ def _layer_flows(layer: dict, num_hosts: int, link_rate: float,
             raise CampaignError(f"{path}.fan_in",
                                 f"fan_in {fan_in} must be below "
                                 f"num_hosts={num_hosts}")
+        from repro.workload.flows import IncastWorkload
         wl = IncastWorkload(
             load=layer["load"], fan_in=fan_in,
             flow_bytes=layer.get("flow_bytes", preset.incast_flow_bytes),
@@ -142,6 +160,7 @@ def _layer_flows(layer: dict, num_hosts: int, link_rate: float,
             raise CampaignError(f"{path}.group_size",
                                 f"group_size {k} does not divide "
                                 f"{len(ring)} hosts")
+        from repro.workload.collective import collective_rows
         return collective_rows(
             layer["collective"],
             [ring[i:i + k] for i in range(0, len(ring), k)],
@@ -181,36 +200,41 @@ def _labels(group: dict) -> list[str]:
         for v in group["values"]]
 
 
-def _compile_chaos(chaos: Optional[dict], point_id: str) -> Optional[dict]:
-    """Build the scenario dict a point carries (None for 'none')."""
-    if chaos is None or chaos["scenario"] == "none":
-        return None
+def _compile_chaos(chaos: dict) -> dict:
+    """The scenario dict a point carries: its builder's output with the
+    block's overrides, or a copy of a library-only scenario (``none``)."""
+    from repro.chaos.scenarios import BUILDERS, get_scenario
     scenario = chaos["scenario"]
-    builder = CHAOS_BUILDERS[scenario]
-    kwargs = {k: v for k, v in chaos.items() if k != "scenario"}
-    allowed = set(inspect.signature(builder).parameters) - {"name"}
-    for key in sorted(kwargs):
-        if key not in allowed:
-            raise CampaignError(
-                f"chaos.{key}",
-                f"override does not apply to scenario {scenario!r} "
-                f"(point {point_id}); expected one of {sorted(allowed)}")
-    validate_chaos_schedule({**chaos}, "chaos")
-    return builder(**kwargs)
+    if scenario in BUILDERS:
+        return BUILDERS[scenario](**{k: v for k, v in chaos.items()
+                                     if k != "scenario"})
+    return get_scenario(scenario)
 
 
 def compile_campaign(spec: dict, preset: str | ScalePreset = "default"
                      ) -> CompiledCampaign:
-    """Lower a campaign spec to sweep points at one scale preset.
+    """Validate a campaign spec strictly, then lower it at one preset.
+
+    Raises :class:`CampaignError` on invalid specs (see
+    :func:`~repro.campaigns.spec.validate_campaign`) and on what
+    :func:`lower_campaign` rejects.
+    """
+    from repro.campaigns.spec import validate_campaign
+    return lower_campaign(validate_campaign(spec), preset)
+
+
+def lower_campaign(spec: dict, preset: str | ScalePreset = "default"
+                   ) -> CompiledCampaign:
+    """Lower a validated campaign spec to sweep points at one preset.
 
     Pure: identical ``(spec, preset)`` inputs yield identical point ids,
     spec dicts and params — and therefore identical runner cache keys.
-    Raises :class:`~repro.campaigns.spec.CampaignError` on invalid specs
-    and on cross-field problems only visible with the preset applied
-    (hosts out of range, incast fan-in >= host count, unknown transport
-    names, chaos overrides that do not fit the scenario).
+    ``spec`` must be in the form :func:`validate_campaign` returns
+    (every layer named).  Raises :class:`CampaignError` only on
+    cross-field problems visible once the preset applies: hosts out of
+    range, incast fan-in >= host count, a group size that does not
+    divide the hosts, unknown choices such as a transport name.
     """
-    spec = validate_campaign(spec)
     scale = get_preset(preset)
     name = spec["name"]
     seed = spec.get("seed", 1)
@@ -232,10 +256,12 @@ def compile_campaign(spec: dict, preset: str | ScalePreset = "default"
             raise CampaignError("groups", f"duplicate point id {point_id!r}")
         seen_ids.add(point_id)
 
+        # Axes set top-level fields and layout builds fresh rows, so
+        # one-level copies keep every point's blocks its own.
         topo = dict(base_topo)
-        layers = copy.deepcopy(spec["workload"])
+        layers = [dict(layer) for layer in spec["workload"]]
         sim = dict(spec.get("sim", {}))
-        chaos = copy.deepcopy(spec.get("chaos"))
+        chaos = dict(spec["chaos"]) if "chaos" in spec else None
         _apply_axes(assignment, groups, topo, layers, sim, chaos)
 
         try:
@@ -268,9 +294,8 @@ def compile_campaign(spec: dict, preset: str | ScalePreset = "default"
             "flows": flows,
             "max_events": sim.get("max_events", DEFAULT_MAX_EVENTS),
         }
-        compiled_chaos = _compile_chaos(chaos, point_id)
-        if compiled_chaos is not None:
-            params["chaos"] = compiled_chaos
+        if chaos is not None:
+            params["chaos"] = _compile_chaos(chaos)
 
         points.append(SweepPoint(point_id, net_spec, params))
         assignments.append(assignment)
@@ -302,6 +327,7 @@ def merge_campaign(compiled: CompiledCampaign,
         raise ValueError(f"campaign {compiled.name!r} expected "
                          f"{len(compiled.points)} payloads, got "
                          f"{len(payloads)}")
+    from repro.campaigns.metrics import METRIC_COLUMNS
     rows = []
     for assignment, payload in zip(compiled.assignments, payloads):
         row = dict(assignment)

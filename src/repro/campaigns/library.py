@@ -125,15 +125,19 @@ def get_campaign(name: str) -> dict:
 
 
 def load_campaign(source: str | Path) -> dict:
-    """Resolve ``source`` to a campaign spec dict.
+    """Resolve ``source`` to a validated campaign spec dict.
 
     A library name wins; otherwise ``source`` must be a file holding the
     spec as JSON or a Python literal (``ast.literal_eval`` — the
     "py-literal" form, which permits trailing commas, single quotes and
-    ``1_000_000`` separators).
+    ``1_000_000`` separators).  Raises
+    :class:`~repro.campaigns.compiler.CampaignError` on an invalid spec
+    (:func:`~repro.campaigns.spec.validate_campaign`, whose normalized
+    copy it returns).
     """
+    from repro.campaigns.spec import validate_campaign
     if isinstance(source, str) and source in CAMPAIGNS:
-        return get_campaign(source)
+        return validate_campaign(CAMPAIGNS[source])
     path = Path(source)
     if not path.is_file():
         raise ValueError(f"{source!r} is neither a library campaign "
@@ -150,4 +154,4 @@ def load_campaign(source: str | Path) -> dict:
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: campaign spec must be a dict, got "
                          f"{type(loaded).__name__}")
-    return loaded
+    return validate_campaign(loaded)

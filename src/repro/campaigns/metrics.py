@@ -7,9 +7,11 @@ inline path or the result cache — the same contract the runner's merge
 functions rely on.
 
 The chaos columns (``recovery_us``, ``retx_storm``, ``coarse_to``) read
-the payload's ``chaos`` block and render ``""`` when the point ran
-without a chaos schedule, so a campaign that varies ``chaos.scenario``
-over ``"none"`` still merges into one rectangular table.
+the payload's ``chaos`` block and render ``""`` when the campaign has no
+``chaos`` block.  Scenario ``"none"`` is the empty scenario, as under
+``--chaos none``: its points report a ``chaos`` block (no injection, so
+zero recovery), and a campaign that varies ``chaos.scenario`` over it
+merges into one rectangular table of numbers.
 """
 
 from __future__ import annotations
@@ -56,13 +58,8 @@ METRIC_COLUMNS: dict[str, Callable[[dict], Any]] = {
     "dup_pkts": lambda p: sum(f["dup_pkts_received"] for f in p["flows"]),
     "events": lambda p: p["events"],
     "end_us": lambda p: p["end_ns"] / 1000.0,
-    # chaos-only columns (empty string without a chaos schedule)
+    # chaos columns (empty string when the campaign has no chaos block)
     "recovery_us": lambda p: _chaos_field(p, "recovery_ns", scale=1000.0),
     "retx_storm": lambda p: _chaos_field(p, "retx_storm_pkts"),
     "coarse_to": lambda p: _chaos_field(p, "coarse_timeouts"),
 }
-
-#: The columns a campaign gets when its spec has no ``metrics`` block.
-DEFAULT_METRICS: tuple[str, ...] = (
-    "flows", "completed", "goodput_gbps", "fct_p50_us", "fct_p99_us",
-    "retx", "timeouts")

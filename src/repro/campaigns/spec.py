@@ -31,8 +31,8 @@ Schema (top-level keys; everything else is rejected)::
           "values": [["gbn", "ecmp"],    #   one entry per axis
                      ["dcp", "ar"]]},
      ],
-     "chaos": {"scenario": "loss_burst", # optional failure schedule built
-               "loss_rate": 0.3, ...},   #   from repro.chaos.scenarios
+     "chaos": {"scenario": "loss_burst", # optional failure schedule: a
+               "loss_rate": 0.3, ...},   #   repro.chaos.scenarios name
      "metrics": ["goodput_gbps", ...],   # optional column selection
      "sim": {"max_events": 60000000},    # optional drain budget
      "seed": 1}                          # optional campaign seed
@@ -80,6 +80,11 @@ required when a value is not a scalar) name its values in point ids,
 ``<group>-<label>`` joined by ``.``; without them a value reads as its
 scalar (zipped: joined by ``-``).
 
+A ``chaos.scenario`` is any ``--chaos`` name
+(:data:`repro.chaos.scenarios.SCENARIOS`) and runs what ``--chaos``
+does (``none``: nothing injected, a ``chaos`` block still reported);
+only the four builder-backed ones take overrides, checked per point.
+
 Validation is *strict*: unknown fields anywhere, empty groups, malformed
 chaos schedules, out-of-range loads etc. are all rejected with a
 :class:`CampaignError` whose message starts with the JSON path of the
@@ -90,21 +95,14 @@ from __future__ import annotations
 
 import copy
 import inspect
+import itertools
 from dataclasses import fields as dataclass_fields
 from typing import Any, Callable
 
+from repro.campaigns.compiler import CampaignError, group_axes
 from repro.campaigns.metrics import METRIC_COLUMNS
-from repro.chaos import scenarios as chaos_scenarios
+from repro.chaos.scenarios import BUILDERS, SCENARIOS
 from repro.experiments.spec import NetworkSpec
-
-
-class CampaignError(ValueError):
-    """A campaign spec failed validation; ``path`` points at the culprit."""
-
-    def __init__(self, path: str, message: str) -> None:
-        self.path = path
-        self.message = message
-        super().__init__(f"{path}: {message}" if path else message)
 
 
 # ----------------------------------------------------------- field checkers
@@ -194,15 +192,6 @@ SIM_FIELDS: dict[str, tuple[Callable[[Any], bool], str]] = {
     "max_events": _POS_INT,
 }
 
-#: Scenario builders a campaign's ``chaos`` block may reference; kwargs
-#: are validated against each builder's signature (minus ``name``).
-CHAOS_BUILDERS: dict[str, Callable[..., dict]] = {
-    "link_flap": chaos_scenarios.link_flap,
-    "switch_blackout": chaos_scenarios.switch_blackout,
-    "loss_burst": chaos_scenarios.loss_burst,
-    "pfc_storm": chaos_scenarios.pfc_storm,
-}
-
 _SPEC_FIELDS = tuple(f.name for f in dataclass_fields(NetworkSpec))
 #: The NetworkSpec fields whose values are not scalars.
 _DICT_SPEC_FIELDS = ("transport_overrides", "cross_port_rates")
@@ -286,32 +275,31 @@ def validate_layer_field(kind: str, field: str, value: Any,
 
 # -------------------------------------------------------------------- chaos
 def _chaos_params(scenario: str) -> list[str]:
-    sig = inspect.signature(CHAOS_BUILDERS[scenario])
+    """The overrides ``scenario`` takes: its builder's keyword arguments
+    but ``name``, and none for a library-only scenario (``none``,
+    ``double_flap``, ``link_flap_converge``)."""
+    if scenario not in BUILDERS:
+        return []
+    sig = inspect.signature(BUILDERS[scenario])
     return [p for p in sig.parameters if p != "name"]
 
 
+def _check_scenario(scenario: Any, path: str) -> None:
+    if scenario not in SCENARIOS:
+        raise CampaignError(path, f"unknown scenario {scenario!r}; expected "
+                            f"one of {list(SCENARIOS)}")
+
+
 def _validate_chaos(chaos: Any, path: str = "chaos") -> dict:
+    """The block's shape: a known scenario and well-typed overrides
+    (:func:`_validate_chaos_points` fits them to each point's scenario)."""
     if not isinstance(chaos, dict):
         raise CampaignError(path, "chaos block must be a dict")
     scenario = chaos.get("scenario")
     if scenario is None:
         raise CampaignError(f"{path}.scenario", "required field is missing")
-    if scenario != "none" and scenario not in CHAOS_BUILDERS:
-        raise CampaignError(f"{path}.scenario",
-                            f"unknown scenario {scenario!r}; expected one of "
-                            f"{['none'] + sorted(CHAOS_BUILDERS)}")
-    extra = sorted(set(chaos) - {"scenario"})
-    if scenario == "none":
-        if extra:
-            raise CampaignError(f"{path}.{extra[0]}",
-                                "scenario 'none' takes no overrides")
-        return dict(chaos)
-    allowed = _chaos_params(scenario)
-    for key in extra:
-        if key not in allowed:
-            raise CampaignError(f"{path}.{key}",
-                                f"unknown override for scenario {scenario!r}; "
-                                f"expected one of {sorted(allowed)}")
+    _check_scenario(scenario, f"{path}.scenario")
+    for key in sorted(set(chaos) - {"scenario"}):
         value = chaos[key]
         if key == "converge_routing":
             if not isinstance(value, bool):
@@ -320,21 +308,40 @@ def _validate_chaos(chaos: Any, path: str = "chaos") -> dict:
         elif not (_is_num(value) or value is None):
             raise CampaignError(f"{path}.{key}",
                                 f"expected a number, got {value!r}")
-    validate_chaos_schedule(chaos, path)
     return dict(chaos)
 
 
-def validate_chaos_schedule(chaos: dict, path: str = "chaos") -> None:
-    """Cross-field schedule rules (re-run after axis values are applied)."""
-    if chaos.get("scenario") == "link_flap":
-        flaps = chaos.get("flaps", 1)
-        if flaps > 1 and not chaos.get("period_ns"):
-            raise CampaignError(f"{path}.period_ns",
+def _validate_chaos_points(chaos: dict, groups: list[dict]) -> None:
+    """At every combination of the values the groups give ``chaos.*``
+    axes (the block alone if none): the overrides fit that point's
+    scenario, and its schedule holds together."""
+    varying = [g for g in groups
+               if any(a.startswith("chaos.") for a in group_axes(g))]
+    for combo in itertools.product(*(g["values"] for g in varying)):
+        point = dict(chaos)
+        for group, value in zip(varying, combo):
+            columns = value if "axes" in group else [value]
+            for axis, column in zip(group_axes(group), columns):
+                if axis.startswith("chaos."):
+                    point[axis[len("chaos."):]] = column
+        scenario = point.pop("scenario")
+        allowed = _chaos_params(scenario)
+        extra = sorted(set(point) - set(allowed))
+        if extra:
+            raise CampaignError(f"chaos.{extra[0]}", (
+                f"override does not apply to scenario {scenario!r}; "
+                f"expected one of {sorted(allowed)}") if allowed else
+                f"scenario {scenario!r} takes no overrides")
+        flaps = point.get("flaps", 1)
+        if not (_is_int(flaps) and flaps > 0):
+            raise CampaignError("chaos.flaps", f"expected a positive "
+                                f"integer, got {flaps!r}")
+        if flaps > 1 and not point.get("period_ns"):
+            raise CampaignError("chaos.period_ns",
                                 "repeated flaps need a positive period_ns")
-    if "loss_rate" in chaos:
-        rate = chaos["loss_rate"]
+        rate = point.get("loss_rate", 1)
         if not (_is_num(rate) and 0 < rate <= 1):
-            raise CampaignError(f"{path}.loss_rate",
+            raise CampaignError("chaos.loss_rate",
                                 f"expected a rate in (0, 1], got {rate!r}")
 
 
@@ -398,24 +405,12 @@ def _validate_axis(axis: Any, values: list, layers: list[dict],
         if chaos is None:
             raise CampaignError(where,
                                 "chaos axis needs a top-level chaos block")
+        # Whether an override fits a point's scenario is checked per
+        # point (_validate_chaos_points).
         if rest == "scenario":
             for j, value in enumerate(values):
-                if value != "none" and value not in CHAOS_BUILDERS:
-                    raise CampaignError(
-                        cell.format(j),
-                        f"unknown scenario {value!r}; expected one of "
-                        f"{['none'] + sorted(CHAOS_BUILDERS)}")
+                _check_scenario(value, cell.format(j))
         else:
-            base = chaos.get("scenario")
-            if base == "none":
-                raise CampaignError(where,
-                                    "cannot vary overrides of scenario "
-                                    "'none'")
-            if rest not in _chaos_params(base):
-                raise CampaignError(
-                    where,
-                    f"unknown override {rest!r} for scenario {base!r}; "
-                    f"expected one of {sorted(_chaos_params(base))}")
             for j, value in enumerate(values):
                 if not (_is_num(value) or isinstance(value, bool)
                         or value is None):
@@ -443,12 +438,6 @@ def _validate_labels(labels: Any, values: list, columns: list,
             and len(set(labels)) == len(labels)):
         raise CampaignError(path, f"expected {len(values)} distinct "
                             f"identifiers (one per value), got {labels!r}")
-
-
-def group_axes(group: dict) -> list[str]:
-    """The axes a validated group varies: its one ``axis``, or the
-    ``axes`` of a zipped group."""
-    return group["axes"] if "axes" in group else [group["axis"]]
 
 
 # ----------------------------------------------------------------- campaign
@@ -571,6 +560,8 @@ def validate_campaign(spec: Any) -> dict:
             seen_axes.add(axis)
         _validate_labels(group.get("labels"), values, columns,
                          f"{path}.labels")
+    if chaos is not None:
+        _validate_chaos_points(chaos, groups)
 
     if "metrics" in spec:
         metrics = spec["metrics"]

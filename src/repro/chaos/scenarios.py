@@ -112,7 +112,13 @@ def pfc_storm(index: int = 0, at_ns: int = 50_000,
     }])
 
 
-#: The named scenario library (CLI ``--chaos`` choices, robustness sweep).
+#: The builders behind the library: the scenarios a campaign's ``chaos``
+#: block may override (each builder's keyword arguments but ``name``).
+BUILDERS = {"link_flap": link_flap, "switch_blackout": switch_blackout,
+            "loss_burst": loss_burst, "pfc_storm": pfc_storm}
+
+#: The named scenario library: ``--chaos`` choices and a campaign's
+#: ``chaos.scenario`` values (``none`` injects nothing).
 SCENARIOS: dict[str, dict] = {
     "none": _scenario("none", []),
     "link_flap": link_flap(),

@@ -18,10 +18,8 @@ waits) and the victim leaf's ``ho_enqueued`` counter.
 from __future__ import annotations
 
 from repro.analysis.fct import switch_total
-from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.runner import SweepPoint
 
 RECEIVER = 0
 #: The receiver's leaf and its down port to the receiver.
@@ -32,11 +30,11 @@ VICTIM_PORT = f"{VICTIM_LEAF}.p{RECEIVER}"
 FLOW_BYTES = 100_000
 
 
-def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
+def campaign(p: ScalePreset) -> dict:
     """One point: the preset's incast fan-in of senders to host 0."""
     senders = [h for h in range(p.num_hosts)
                if h != RECEIVER][:p.incast_fan_in]
-    return compile_campaign({
+    return {
         "name": "deepdive",
         "topology": {"transport": "dcp", "lb": "ar", "topology": "clos",
                      "buffer_bytes": p.buffer_bytes // 4},
@@ -47,7 +45,7 @@ def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
                     "values": [p.incast_fan_in]}],
         "sim": {"max_events": 100_000_000},
         "seed": 131,
-    }, p).points
+    }
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

@@ -9,10 +9,8 @@ grows (1.6x-72x worse than DCP between 0.01% and 5%).
 from __future__ import annotations
 
 from repro.analysis.fct import goodput_cell
-from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.runner import SweepPoint
 
 LOSS_RATES = (0.0, 0.0001, 0.001, 0.005, 0.01, 0.02, 0.05)
 SCHEMES = ("dcp", "gbn")     # gbn: the CX5's Go-Back-N
@@ -42,10 +40,9 @@ def long_flow_campaign(name: str, p: ScalePreset, schemes: tuple,
     }
 
 
-def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
+def campaign(p: ScalePreset) -> dict:
     """One point per (loss rate, scheme): a cross-switch long flow."""
-    return compile_campaign(
-        long_flow_campaign("fig10", p, SCHEMES, 11, 80_000_000), p).points
+    return long_flow_campaign("fig10", p, SCHEMES, 11, 80_000_000)
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

@@ -18,20 +18,18 @@ The grid is one campaign spec: the capacity ratio (a
 from __future__ import annotations
 
 from repro.analysis.fct import incomplete_note
-from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.runner import SweepPoint
 
 CAPACITY_RATIOS = ((1, 1), (1, 4), (1, 10))
 DCP_SEED = 21
 CX5_SEEDS = (21, 22, 23, 24, 25)
 
 
-def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
+def campaign(p: ScalePreset) -> dict:
     """Per capacity ratio: one DCP+AR point, then CX5+ECMP per seed."""
     rate = p.link_rate
-    return compile_campaign({
+    return {
         "name": "fig11",
         "topology": {"topology": "testbed", "num_hosts": 4,
                      "cross_links": 2, "num_leaves": 4, "num_spines": 4},
@@ -53,7 +51,7 @@ def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
                         *(["gbn", "ecmp", "none", s] for s in CX5_SEEDS)]},
         ],
         "sim": {"max_events": 120_000_000},
-    }, p).points
+    }
 
 
 def _avg_goodput(payloads: list) -> tuple[float | str, float | str]:

@@ -12,10 +12,8 @@ campaign spec: a ``collective`` layer over the interleaved
 from __future__ import annotations
 
 from repro.analysis.fct import incomplete_note
-from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.runner import SweepPoint
 from repro.workload.collective import group_jcts
 
 SCHEMES = (("dcp-ar", "dcp", "ar"), ("cx5-ecmp", "gbn", "ecmp"))
@@ -31,9 +29,9 @@ def _placement(hosts: int) -> list[int]:
             for m in (2 * g, 2 * g + 1, half + 2 * g, half + 2 * g + 1)]
 
 
-def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
+def campaign(p: ScalePreset) -> dict:
     """One point per (collective, scheme)."""
-    return compile_campaign({
+    return {
         "name": "fig12",
         "topology": {"topology": "testbed", "num_hosts": p.testbed_hosts,
                      "cross_links": p.testbed_cross_links,
@@ -49,7 +47,7 @@ def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
         ],
         "sim": {"max_events": 200_000_000},
         "seed": 81,
-    }, p).points
+    }
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

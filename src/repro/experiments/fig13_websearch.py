@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from repro.analysis.fct import (incomplete_note, overall_percentiles,
                                 slowdown_bins, slowdowns)
-from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.runner import SweepPoint
 
 #: (row label, transport, load balancer) — the Fig 13 legend.
 SCHEMES = (
@@ -26,10 +24,9 @@ SCHEMES = (
 LOADS = (0.3, 0.5)
 
 
-def sweep(p: ScalePreset, fidelity: str = "packet"
-          ) -> tuple[SweepPoint, ...]:
+def campaign(p: ScalePreset, fidelity: str = "packet") -> dict:
     """One point per (load, scheme)."""
-    return compile_campaign({
+    return {
         "name": "fig13",
         "topology": {"fidelity": fidelity},
         "workload": [{"kind": "poisson", "name": "bg", "seed": 61}],
@@ -41,7 +38,7 @@ def sweep(p: ScalePreset, fidelity: str = "packet"
         ],
         "sim": {"max_events": 250_000_000},
         "seed": 61,
-    }, p).points
+    }
 
 
 def merge(payloads: list, p: ScalePreset,

@@ -11,10 +11,8 @@ a ``collective`` layer crossed with the zipped (transport, lb) group.
 from __future__ import annotations
 
 from repro.analysis.fct import incomplete_note, percentile
-from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.runner import SweepPoint
 from repro.workload.collective import group_jcts
 
 SCHEMES = (
@@ -26,12 +24,11 @@ SCHEMES = (
 KINDS = ("allreduce", "alltoall")
 
 
-def sweep(p: ScalePreset, fidelity: str = "packet"
-          ) -> tuple[SweepPoint, ...]:
+def campaign(p: ScalePreset, fidelity: str = "packet") -> dict:
     """One point per (collective, scheme); groups are contiguous host
     ranges, like the paper's 16-servers-per-group arrangement."""
     k = p.collective_group_size
-    return compile_campaign({
+    return {
         "name": "fig14",
         "topology": {"topology": "clos", "fidelity": fidelity},
         "workload": [{"kind": "collective", "name": "coll",
@@ -45,7 +42,7 @@ def sweep(p: ScalePreset, fidelity: str = "packet"
         ],
         "sim": {"max_events": 300_000_000},
         "seed": 71,
-    }, p).points
+    }
 
 
 def ideal_jct_ns(kind: str, preset) -> float:

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from repro.analysis.fct import (incomplete_note, overall_percentiles,
                                 slowdowns)
-from repro.campaigns.compiler import compile_campaign
 from repro.experiments.fig13_websearch import SCHEMES as _FIG13_SCHEMES
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.runner import SweepPoint
 
 #: (label, spine one-way delay ns) — scaled-down analogues of 100/1000 km.
 DISTANCES = (("100km", 500_000), ("1000km", 5_000_000))
@@ -41,10 +39,10 @@ def _buffer_bytes(transport: str, p: ScalePreset, spine_delay: int) -> int:
     return buffer
 
 
-def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
+def campaign(p: ScalePreset) -> dict:
     """One point per (distance, scheme).  The buffer depends on both, so
     delay, transport, LB and buffer form one zipped group."""
-    return compile_campaign({
+    return {
         "name": "fig15",
         "workload": [{"kind": "poisson", "name": "bg", "load": LOAD,
                       "seed": 91}],
@@ -57,7 +55,7 @@ def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
                        for _label, t, lb in SCHEMES]}],
         "sim": {"max_events": 250_000_000},
         "seed": 91,
-    }, p).points
+    }
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

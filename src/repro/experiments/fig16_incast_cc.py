@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from repro.analysis.fct import (incomplete_note, overall_percentiles,
                                 slowdowns, switch_total)
-from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.runner import SweepPoint
 
 SCHEMES = (("irn", "ar"), ("mp_rdma", "ecmp"), ("dcp", "ar"))
 CCS = ("none", "dcqcn")
@@ -28,9 +26,9 @@ RUNS = [[cc, t, lb] for cc in CCS for t, lb in SCHEMES
         if cc == "none" or t != "mp_rdma"]
 
 
-def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
+def campaign(p: ScalePreset) -> dict:
     """One point per distinct (CC, scheme)."""
-    return compile_campaign({
+    return {
         "name": "fig16",
         "topology": {"buffer_bytes": p.buffer_bytes // 2},
         "workload": [
@@ -43,7 +41,7 @@ def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
                     "values": RUNS}],
         "sim": {"max_events": 250_000_000},
         "seed": SEED,
-    }, p).points
+    }
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

@@ -19,23 +19,20 @@ across processes and cache each goodput measurement by spec hash.
 from __future__ import annotations
 
 from repro.analysis.fct import goodput_cell
-from repro.campaigns.compiler import compile_campaign
 from repro.experiments.fig10_loss_recovery import (LOSS_RATES,
                                                    long_flow_campaign)
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import TRANSPORTS
-from repro.runner import SweepPoint
 
 #: Every transport in the registry, so a newly registered scheme lands
 #: in this comparison automatically (alphabetical: column order only).
 SCHEMES = tuple(sorted(TRANSPORTS))
 
 
-def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
+def campaign(p: ScalePreset) -> dict:
     """One point per (loss rate, scheme): a lone long flow's goodput."""
-    return compile_campaign(
-        long_flow_campaign("fig17", p, SCHEMES, 17, 120_000_000), p).points
+    return long_flow_campaign("fig17", p, SCHEMES, 17, 120_000_000)
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

@@ -13,10 +13,8 @@ flow size (Fig 1a) and the CDF of the ratio per size class (Fig 1b).
 from __future__ import annotations
 
 from repro.analysis.fct import incomplete_note, percentile, switch_total
-from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.runner import SweepPoint
 from repro.workload.distributions import websearch_class
 
 SCHEMES = ("irn", "dcp")
@@ -24,9 +22,9 @@ SCHEMES = ("irn", "dcp")
 SEED = 41
 
 
-def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
+def campaign(p: ScalePreset) -> dict:
     """One point per scheme."""
-    return compile_campaign({
+    return {
         "name": "fig1",
         # Large buffer + high trim threshold: congestion never drops or
         # trims, isolating the pure reordering effect the figure targets.
@@ -38,7 +36,7 @@ def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
                     "values": list(SCHEMES)}],
         "sim": {"max_events": 150_000_000},
         "seed": SEED,
-    }, p).points
+    }
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

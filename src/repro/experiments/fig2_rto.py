@@ -10,20 +10,18 @@ HO packets and hits zero timeouts.
 from __future__ import annotations
 
 from repro.analysis.fct import switch_total
-from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.runner import SweepPoint
 
 CONFIGS = (("irn", "ecmp"), ("irn", "ar"), ("dcp", "ar"))
 
 SEED = 51
 
 
-def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
+def campaign(p: ScalePreset) -> dict:
     """One point per (scheme, load balancer).  The merge splits timeouts
     by flow tag, which is the layer name: ``bg`` or ``incast``."""
-    return compile_campaign({
+    return {
         "name": "fig2",
         # deliberately tight buffers so the incast causes real loss
         "topology": {"buffer_bytes": p.buffer_bytes // 4},
@@ -36,7 +34,7 @@ def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
                     "values": [list(c) for c in CONFIGS]}],
         "sim": {"max_events": 150_000_000},
         "seed": SEED,
-    }, p).points
+    }
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

@@ -14,10 +14,8 @@ moves the window and the flow together (``tput``: one bulk flow of
 from __future__ import annotations
 
 from repro.analysis.fct import goodput_cell, incomplete_note
-from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.runner import SweepPoint
 
 SCHEMES = ("gbn", "dcp", "tcp")
 
@@ -25,10 +23,10 @@ _RATE = 100.0        # direct-connect runs are cheap; keep the paper's 100 Gbps
 _MESSAGE_BYTES = 512_000
 
 
-def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
+def campaign(p: ScalePreset) -> dict:
     """Two points per scheme: one bulk flow, one 64 B latency probe."""
     messages = max(2, p.long_flow_bytes // _MESSAGE_BYTES)
-    return compile_campaign({
+    return {
         "name": "fig8",
         # Two NICs on a cable: scale fields keep NetworkSpec's defaults.
         "topology": {"topology": "direct", "num_hosts": 2,
@@ -48,7 +46,7 @@ def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
              "labels": ["tput", "lat"]},
         ],
         "sim": {"max_events": 500_000_000},
-    }, p).points
+    }
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

@@ -20,10 +20,8 @@ flow size) x a zipped (transport, loss rate) group.
 from __future__ import annotations
 
 from repro.analysis.fct import goodput_cell
-from repro.campaigns.compiler import compile_campaign
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.runner import SweepPoint
 from repro.sim.units import fiber_delay_ns
 
 DISTANCES_KM = (0.1, 1.0, 10.0)
@@ -41,9 +39,9 @@ def _haul(p: ScalePreset, km: float) -> list[list[int]]:
     return [[0, 2, size, 0]]
 
 
-def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
+def campaign(p: ScalePreset) -> dict:
     """Per distance: lossless DCP, then every transport under loss."""
-    return compile_campaign({
+    return {
         "name": "longhaul",
         "topology": {"topology": "testbed", "num_hosts": 4,
                      "cross_links": 1, "lb": "ecmp",
@@ -61,7 +59,7 @@ def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
         ],
         "sim": {"max_events": 120_000_000},
         "seed": 31,
-    }, p).points
+    }
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

@@ -1,12 +1,13 @@
 """Registry mapping every paper table/figure to its regeneration module.
 
-Every experiment module exports what the runner needs to shard it:
-
-* ``merge(payloads, preset, **opts) -> ExperimentResult`` — fold ordered
-  point payloads back into the table (an analytic table gets none);
-* a simulated key's ``sweep(preset, **opts)`` — its points (for every
-  key but ``robustness``, a campaign spec's), each of which the runner
-  executes through :func:`repro.runner.points.simulate_flows`.
+Every experiment module exports ``merge(payloads, preset, **opts) ->
+ExperimentResult``, which folds ordered point payloads into the table,
+and a simulated key also ``campaign(preset, **opts) -> dict``, its grid
+as a campaign spec (:mod:`repro.campaigns.spec`).
+:meth:`ExperimentEntry.points` lowers the spec with the campaign
+compiler: without the validator at the three named presets, where a
+tier-1 test validates every key's spec, and strictly at a custom
+:class:`ScalePreset`.
 
 :func:`run_sweep` is the one driver from points to table: a registry key
 (:func:`run_experiment`) and a compiled campaign (its points, and
@@ -20,7 +21,7 @@ import importlib
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from repro.experiments.presets import get_preset
+from repro.experiments.presets import PRESETS, get_preset
 from repro.experiments.result import ExperimentResult
 from repro.runner.runner import ExperimentRunner, SweepPoint, serial_runner
 
@@ -33,7 +34,7 @@ class ExperimentEntry:
     paper_ref: str
     description: str
     simulation: bool          # False -> analytic, runs instantly
-    #: Per-key CLI options its ``sweep`` and ``merge`` take
+    #: Per-key CLI options its ``campaign`` and ``merge`` take
     #: (``chaos``, ``fidelity``); ``all`` hands each only to its takers.
     takes: tuple[str, ...] = ()
 
@@ -42,8 +43,13 @@ class ExperimentEntry:
 
     def points(self, preset: Any, **opts: Any) -> Sequence[SweepPoint]:
         """The key's sweep points at ``preset`` (none when analytic)."""
-        return (self.load_module().sweep(get_preset(preset), **opts)
-                if self.simulation else ())
+        if not self.simulation:
+            return ()
+        from repro.campaigns.compiler import compile_campaign, lower_campaign
+        p = get_preset(preset)
+        spec = self.load_module().campaign(p, **opts)
+        named = PRESETS.get(p.name) == p
+        return (lower_campaign if named else compile_campaign)(spec, p).points
 
 
 REGISTRY: dict[str, ExperimentEntry] = {
@@ -133,7 +139,7 @@ def run_experiment(key: str, preset: str = "default",
     """Run one experiment by key (e.g. ``fig13``) through :func:`run_sweep`.
 
     ``runner`` executes the points (default: serial, uncached); ``opts``
-    reach both the module's ``sweep`` and its ``merge`` (the entry's
+    reach both the module's ``campaign`` and its ``merge`` (the entry's
     ``takes``: robustness's ``chaos``, fig13/fig14's ``fidelity``).
     """
     entry = get_entry(key)

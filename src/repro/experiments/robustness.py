@@ -13,10 +13,9 @@ bite, and reports:
 * retransmission-storm size and duplicate-delivery counts,
 * RTO / coarse-timeout fire counts.
 
-Scenarios ride inside each sweep point's ``params`` (see
-:mod:`repro.chaos.scenarios`), so they participate in the spec-hash
-cache key and the sweep shards over ``--jobs N`` unchanged: serial,
-parallel and cache-replayed runs are bit-identical.
+The grid is one campaign spec, ``chaos.scenario`` x ``spec.transport``,
+so each point's scenario rides in its ``params`` and the spec-hash
+cache key: serial, ``--jobs N`` and replayed runs are bit-identical.
 
 The fabric is run in plain-lossy mode (a vanishing ``loss_rate``
 disables the PFC baselines' lossless mode): a crashed switch drops
@@ -28,11 +27,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.chaos.scenarios import get_scenario
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.experiments.spec import NetworkSpec, TRANSPORTS as TRANSPORT_PATHS
-from repro.runner import SweepPoint
+from repro.experiments.spec import TRANSPORTS as TRANSPORT_PATHS
 
 #: Sweep order: baseline first, then escalating failure severity.
 SCENARIO_KEYS = ("none", "link_flap", "switch_blackout", "loss_burst",
@@ -45,40 +42,38 @@ TRANSPORTS = tuple(sorted(TRANSPORT_PATHS))
 _TIMERS = {"rto_ns": 400_000, "rto_low_ns": 150_000,
            "coarse_timeout_ns": 400_000}
 
-def _flow_bytes(p: ScalePreset) -> int:
-    """Big enough that every scenario's window lands mid-flow."""
-    return max(240_000, p.long_flow_bytes // 5)
-
-
-def _spec(transport: str, p: ScalePreset) -> NetworkSpec:
-    # Two switches, one cross cable: every scenario's target is on the
-    # only inter-switch path, so no transport can dodge the failure.
-    return NetworkSpec(
-        transport=transport, topology="testbed", num_hosts=4, cross_links=1,
-        lb="ecmp", link_rate=p.link_rate, buffer_bytes=p.buffer_bytes,
-        loss_rate=1e-9, seed=29, transport_overrides=dict(_TIMERS))
-
 
 def _scenarios(chaos: Optional[str]) -> Sequence[str]:
     return SCENARIO_KEYS if chaos is None else (chaos,)
 
 
-def sweep(p: ScalePreset, chaos: Optional[str] = None) -> list[SweepPoint]:
-    """The scenario x transport grid; ``chaos`` keeps one scenario
-    (:func:`get_scenario` rejects an unknown name)."""
-    size = _flow_bytes(p)
-    points = []
-    for scenario_key in _scenarios(chaos):
-        scenario = get_scenario(scenario_key)
-        for transport in TRANSPORTS:
-            params = {
-                "flows": [[0, 2, size, 0], [1, 3, size, 10_000]],
-                "max_events": 60_000_000,
-                "chaos": scenario,
-            }
-            points.append(SweepPoint(f"{scenario_key}-{transport}",
-                                     _spec(transport, p), params))
-    return points
+def campaign(p: ScalePreset, chaos: Optional[str] = None) -> dict:
+    """The scenario x transport grid; ``chaos`` keeps one scenario of
+    :data:`repro.chaos.scenarios.SCENARIOS`."""
+    # Big enough that every scenario's window lands mid-flow.
+    size = max(240_000, p.long_flow_bytes // 5)
+    return {
+        "name": "robustness",
+        # Two switches, one cross cable: every scenario's target is on
+        # the only inter-switch path, so no transport can dodge the
+        # failure.  num_leaves/num_spines keep NetworkSpec's defaults.
+        "topology": {"topology": "testbed", "num_hosts": 4,
+                     "cross_links": 1, "lb": "ecmp", "loss_rate": 1e-9,
+                     "num_leaves": 4, "num_spines": 4,
+                     "transport_overrides": dict(_TIMERS)},
+        "workload": [{"kind": "flows", "name": "pair",
+                      "flows": [[0, 2, size, 0], [1, 3, size, 10_000]]}],
+        "chaos": {"scenario": "none"},
+        # One-letter group names keep point ids short (``s-none.t-dcp``):
+        # every exported metrics record carries its point's id.
+        "groups": [
+            {"name": "s", "axis": "chaos.scenario",
+             "values": list(_scenarios(chaos))},
+            {"name": "t", "axis": "spec.transport",
+             "values": list(TRANSPORTS)},
+        ],
+        "seed": 29,
+    }
 
 
 def merge(payloads: list, p: ScalePreset,

@@ -20,9 +20,7 @@ from __future__ import annotations
 from statistics import fmean
 
 from repro.analysis.fct import incomplete_note
-from repro.campaigns.compiler import compile_campaign
 from repro.experiments.result import ExperimentResult
-from repro.runner import SweepPoint
 from repro.workload.collective import group_jcts
 
 #: Host grid per preset.  Hybrid runs the whole grid; packet mode stops
@@ -44,7 +42,7 @@ def _cells(p) -> list[tuple[str, int]]:
             if fidelity == "hybrid" or hosts <= PACKET_MAX_HOSTS]
 
 
-def sweep(p) -> tuple[SweepPoint, ...]:
+def campaign(p) -> dict:
     """One point per (fidelity, hosts) cell: one ring-AllReduce per
     leaf (groups of HOSTS_PER_LEAF consecutive hosts, so a group is a
     leaf), the pattern the fluid tier handles best, which is the point
@@ -53,7 +51,7 @@ def sweep(p) -> tuple[SweepPoint, ...]:
     for fidelity, hosts in _cells(p):
         leaves = max(2, hosts // HOSTS_PER_LEAF)
         cells.append([fidelity, hosts, leaves, max(2, leaves // 2)])
-    return compile_campaign({
+    return {
         "name": "scale",
         "topology": {"transport": "dcp", "lb": "ar", "topology": "clos"},
         "workload": [{"kind": "collective", "name": "ring",
@@ -65,7 +63,7 @@ def sweep(p) -> tuple[SweepPoint, ...]:
                     "values": cells}],
         "sim": {"max_events": 400_000_000},
         "seed": 73,
-    }, p).points
+    }
 
 
 def merge(payloads, p) -> ExperimentResult:

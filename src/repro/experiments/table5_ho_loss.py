@@ -12,11 +12,9 @@ host count allows.
 from __future__ import annotations
 
 from repro.analysis.fct import incomplete_note, switch_total
-from repro.campaigns.compiler import compile_campaign
 from repro.core.header import ho_data_size_ratio, wrr_weight
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
-from repro.runner import SweepPoint
 
 RADICES = (22, 16)
 CCS = ("none", "dcqcn")
@@ -27,10 +25,10 @@ def _fans(p: ScalePreset) -> tuple[int, int]:
     return (p.incast_fan_in, min(p.num_hosts - 1, 2 * p.incast_fan_in))
 
 
-def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
+def campaign(p: ScalePreset) -> dict:
     """One point per (N, fan-in, CC): WebSearch 0.3 plus incast 0.1 on
     half buffers."""
-    return compile_campaign({
+    return {
         "name": "table5",
         "topology": {"transport": "dcp", "lb": "ar",
                      "buffer_bytes": p.buffer_bytes // 2,
@@ -49,7 +47,7 @@ def sweep(p: ScalePreset) -> tuple[SweepPoint, ...]:
         ],
         "sim": {"max_events": 250_000_000},
         "seed": SEED,
-    }, p).points
+    }
 
 
 def merge(payloads: list, p: ScalePreset) -> ExperimentResult:

@@ -26,10 +26,9 @@ import pytest
 
 from repro.analysis.latency import COMPONENTS
 from repro.chaos.scenarios import get_scenario
-from repro.experiments import robustness
 from repro.experiments.common import NetworkSpec
 from repro.experiments.presets import PRESETS
-from repro.experiments.registry import run_experiment
+from repro.experiments.registry import REGISTRY, run_experiment
 from repro.experiments.spec import TRANSPORTS as TRANSPORT_PATHS
 from repro.obs import spans as spans_mod
 from repro.runner import (ExperimentRunner, ResultCache, SweepPoint,
@@ -165,8 +164,8 @@ def test_pfc_storm_freeze_is_pause_time(transport: str) -> None:
     """The robustness ``pfc_storm`` point freezes the only inter-switch
     port for a window.  The frozen port records one pause span covering
     the window, which every flow books as ``pause_stall_ns``."""
-    (point,) = [p for p in robustness.sweep(PRESETS["quick"],
-                                            chaos="pfc_storm")
+    (point,) = [p for p in REGISTRY["robustness"].points(
+                    PRESETS["quick"], chaos="pfc_storm")
                 if p.spec.transport == transport]
     (event,) = point.params["chaos"]["events"]
     payload = simulate_flows(point.spec, {**point.params,

@@ -112,3 +112,52 @@ class TestLibraryEndToEnd:
         assert len(result.rows) == 1
         row = result.rows[0]
         assert row["flows"] == 10 + 8 * 7   # poisson cap + 8-host mesh
+
+
+#: TINY with an out-of-range load: every path that takes a spec from
+#: outside rejects it at the same JSON path.
+BAD_LOAD = {**TINY, "workload": [{"kind": "poisson", "name": "bg",
+                                  "load": 1.5}]}
+
+
+class TestStrictPaths:
+    def test_load_campaign_rejects_an_invalid_file(self, tmp_path):
+        from repro.campaigns import CampaignError, load_campaign
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(BAD_LOAD))
+        with pytest.raises(CampaignError) as exc:
+            load_campaign(path)
+        assert exc.value.path == "workload[0].load"
+
+    @pytest.mark.parametrize("as_file", [False, True])
+    def test_run_campaign_rejects_an_invalid_spec(self, tmp_path, as_file):
+        from repro.campaigns import CampaignError
+        source = BAD_LOAD
+        if as_file:
+            source = tmp_path / "bad.json"
+            source.write_text(json.dumps(BAD_LOAD))
+        with pytest.raises(CampaignError) as exc:
+            run_campaign(source, "quick")
+        assert exc.value.path == "workload[0].load"
+
+    def test_cli_campaign_rejects_an_invalid_spec(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(BAD_LOAD))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["campaign", str(path), "--no-cache"])
+        assert exc.value.code == 2
+        assert "workload[0].load: expected a load" in capsys.readouterr().err
+
+    def test_a_custom_preset_compiles_a_key_strictly(self):
+        # At a named preset fig10's spec is program data and is lowered
+        # as is; a custom preset is outside input, so a zero-byte flow
+        # it would lay out is refused before any point exists.
+        from dataclasses import replace
+
+        from repro.campaigns import CampaignError
+        from repro.experiments.presets import get_preset
+        from repro.experiments.registry import run_experiment
+        custom = replace(get_preset("quick"), long_flow_bytes=0)
+        with pytest.raises(CampaignError) as exc:
+            run_experiment("fig10", preset=custom)
+        assert exc.value.path == "workload[0].flows"

@@ -13,29 +13,29 @@ import json
 
 import pytest
 
-from repro.chaos.scenarios import SCENARIOS, apply_scenario, get_scenario
+from repro.chaos.scenarios import SCENARIOS, apply_scenario
 from repro.experiments import cli, robustness
 from repro.experiments.presets import get_preset
-from repro.experiments.registry import run_experiment
+from repro.experiments.registry import REGISTRY, run_experiment
 from repro.runner import (CACHE_VERSION, ExperimentRunner, ResultCache,
                           SweepPoint)
 from repro.runner.points import simulate_flows
 
 QUICK = get_preset("quick")
-FLOW_BYTES = robustness._flow_bytes(QUICK)
 
 
-def _params(scenario_key: str) -> dict:
-    return {
-        "flows": [[0, 2, FLOW_BYTES, 0], [1, 3, FLOW_BYTES, 10_000]],
-        "max_events": 60_000_000,
-        "chaos": get_scenario(scenario_key),
-    }
+def _point(transport: str, scenario_key: str) -> SweepPoint:
+    """The robustness sweep's compiled quick point for one cell."""
+    (point,) = [p for p in REGISTRY["robustness"].points(
+                    QUICK, chaos=scenario_key)
+                if p.spec.transport == transport]
+    return point
 
 
 def _run_point(transport: str, scenario_key: str, telemetry=None) -> dict:
-    return simulate_flows(robustness._spec(transport, QUICK),
-                          {**_params(scenario_key), "telemetry": telemetry})
+    point = _point(transport, scenario_key)
+    return simulate_flows(point.spec,
+                          {**point.params, "telemetry": telemetry})
 
 
 @pytest.mark.parametrize("transport", robustness.TRANSPORTS)
@@ -96,9 +96,10 @@ def test_scenario_library_applies_on_the_testbed():
     from repro.experiments.common import Network
 
     for key in SCENARIOS:
-        net = Network(robustness._spec("dcp", QUICK))
-        injector = apply_scenario(net, get_scenario(key))
-        expected = len(get_scenario(key)["events"])
+        point = _point("dcp", key)
+        net = Network(point.spec)
+        injector = apply_scenario(net, point.params["chaos"])
+        expected = len(SCENARIOS[key]["events"])
         if key in ("link_flap", "link_flap_converge", "double_flap"):
             # flap events expand to one FailureEvent per flap
             assert len(injector.events) >= expected
@@ -194,8 +195,7 @@ def test_asking_for_sampling_records_every_gauge(tmp_path):
         "dcp", "link_flap")["metrics"]["series"]["chaos.flow.0.rx_bytes"]
 
     # ... and a different computation as far as the cache is concerned.
-    point = SweepPoint("dcp-flap", robustness._spec("dcp", QUICK),
-                       _params("link_flap"))
+    point = _point("dcp", "link_flap")
     cache = ResultCache(root=tmp_path / "cache")
     ExperimentRunner(jobs=1, cache=cache).run_points("scope", [point])
     sampled = ExperimentRunner(
@@ -265,8 +265,7 @@ def test_robustness_bytes_identical_serial_parallel_replay(tmp_path, capsys):
 def test_v7_cache_entry_is_a_counted_miss_and_rewritten_as_current(tmp_path):
     """A v7 entry holds the all-gauges series: replaying it would put
     them back into ``--metrics-out``."""
-    point = SweepPoint("dcp-flap", robustness._spec("dcp", QUICK),
-                       _params("link_flap"))
+    point = _point("dcp", "link_flap")
     cache = ResultCache(root=tmp_path / "cache")
     ExperimentRunner(jobs=1, cache=cache).run_points("scope", [point])
     (path,) = (tmp_path / "cache").rglob("*.json")

@@ -5,7 +5,7 @@ payload it reads."""
 import pytest
 
 from repro.experiments.presets import get_preset
-from repro.experiments.registry import run_experiment
+from repro.experiments.registry import REGISTRY, run_experiment
 from repro.experiments.spec import NetworkSpec
 from repro.runner import points
 from repro.runner.points import simulate_flows
@@ -46,7 +46,7 @@ def test_peaks_are_the_victim_queues_high_water_marks(nets):
     # control-queue peak as 11 970 B.
     from repro.experiments import deepdive_control_plane as deepdive
 
-    (point,) = deepdive.sweep(get_preset("default"))
+    (point,) = REGISTRY["deepdive"].points(get_preset("default"))
     payload = simulate_flows(point.spec, point.params)
     (net,) = nets
     data_q, ctrl_q = net.fabric.switches[0].ports[deepdive.RECEIVER].queues

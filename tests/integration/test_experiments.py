@@ -83,7 +83,7 @@ def test_table5_names_the_open_flows_of_an_unfinished_point():
             "link.l0.ho_dropped": 99}}}
 
     quick = get_preset("quick")
-    cells = len(table5.sweep(quick))
+    cells = len(REGISTRY["table5"].points(quick))
     payloads = [payload(1000, 0)] * cells
     payloads[2] = payload(930, 70, open_flows=1)
     rows = table5.merge(payloads, quick).rows
@@ -113,7 +113,7 @@ def test_survivor_percentiles_name_the_open_flows(key):
             rec.update(completed=False, fct_ns=None)
         return {"flows": flows, "metrics": {"counters": {}}}
 
-    payloads = [payload() for _ in mod.sweep(quick)]
+    payloads = [payload() for _ in get_entry(key).points(quick)]
     payloads[0] = payload(open_flows=1)
     rows = mod.merge(payloads, quick).rows
     assert rows[0]["p50"] == "incomplete: 1/4 flows open"
@@ -131,7 +131,7 @@ def test_a_collective_point_with_open_flows_reports_them(key):
 
     mod = get_entry(key).load_module()
     quick = get_preset("quick")
-    points = mod.sweep(quick)
+    points = get_entry(key).points(quick)
 
     def payload(point, open_rows=0):
         rows = point.params["flows"]
@@ -168,7 +168,7 @@ def test_a_long_flow_that_never_finished_is_not_a_goodput(key):
         return {"flows": [{"completed": completed,
                            "goodput_gbps": 8.0 if completed else 0.0}]}
 
-    payloads = [payload() for _ in mod.sweep(quick)]
+    payloads = [payload() for _ in get_entry(key).points(quick)]
     payloads[1] = payload(completed=False)
     rows = mod.merge(payloads, quick).rows
     cells = [v for row in rows for k, v in row.items() if k.endswith("_gbps")]
@@ -208,7 +208,8 @@ def test_a_merge_names_open_flows_instead_of_survivors_figures(
                     "goodput_gbps": 8.0 if completed else 0.0,
                     "data_pkts_sent": 10, "retx_pkts": 1}
         payloads = [{"flows": [flow(True) for _ in range(flows_per_point)],
-                     "metrics": {"counters": {}}} for _ in mod.sweep(quick)]
+                     "metrics": {"counters": {}}}
+                    for _ in get_entry(key).points(quick)]
         if open_point is not None:
             payloads[open_point]["flows"][-1] = flow(False)
         rows = mod.merge(payloads, quick).rows

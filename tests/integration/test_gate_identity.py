@@ -20,11 +20,9 @@ from functools import partial
 
 import pytest
 
-from repro.chaos.scenarios import get_scenario
-from repro.experiments import robustness
 from repro.experiments.common import NetworkSpec
 from repro.experiments.presets import get_preset
-from repro.experiments.registry import run_experiment
+from repro.experiments.registry import REGISTRY, run_experiment
 from repro.runner import ExperimentRunner, ResultCache
 from repro.runner.points import simulate_flows
 from repro.workload.distributions import websearch
@@ -49,13 +47,10 @@ def _lossy_clos_point(transport):
 
 
 def _link_flap_point():
-    quick = get_preset("quick")
-    spec = robustness._spec("dcp", quick)
-    flow_bytes = robustness._flow_bytes(quick)
-    return spec, {"flows": [[0, 2, flow_bytes, 0],
-                            [1, 3, flow_bytes, 10_000]],
-                  "max_events": 60_000_000,
-                  "chaos": get_scenario("link_flap")}
+    (point,) = [p for p in REGISTRY["robustness"].points(
+                    get_preset("quick"), chaos="link_flap")
+                if p.spec.transport == "dcp"]
+    return point.spec, point.params
 
 
 # ------------------------------------------------- the contended Clos cell

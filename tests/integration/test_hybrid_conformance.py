@@ -21,10 +21,9 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.fct import overall_percentiles, slowdowns
-from repro.experiments import fig8_basic_perf as fig8
-from repro.experiments import fig13_websearch as fig13
 from repro.experiments.common import build_network
 from repro.experiments.presets import get_preset
+from repro.experiments.registry import REGISTRY
 from repro.experiments.spec import NetworkSpec
 from repro.runner.points import simulate_flows
 from repro.sim.fidelity import FLUID_TRANSPORTS
@@ -37,7 +36,7 @@ def _rel_diff(hybrid: float, packet: float) -> float:
 
 # --------------------------------------------------------------- fig8
 @pytest.mark.parametrize(
-    "point", fig8.sweep(get_preset("quick")),
+    "point", REGISTRY["fig8"].points(get_preset("quick")),
     ids=lambda pt: f"{pt.spec.transport}-{pt.point_id.rsplit('-', 1)[1]}")
 def test_fig8_point_exact(point):
     """Every fig8 point is one uncontended flow: hybrid must be exact.
@@ -63,7 +62,8 @@ def test_fig8_point_exact(point):
 # -------------------------------------------------------------- fig13
 def _fig13_dcp(load: float, fidelity: str) -> dict:
     """fig13's dcp-ar point at ``load``, simulated at ``fidelity``."""
-    (point,) = [pt for pt in fig13.sweep(get_preset("quick"), fidelity)
+    (point,) = [pt for pt in REGISTRY["fig13"].points(get_preset("quick"),
+                                                      fidelity=fidelity)
                 if pt.point_id == f"load-{load}.scheme-dcp-ar"]
     return simulate_flows(point.spec, point.params)
 
@@ -198,9 +198,7 @@ def test_scale_hybrid_event_stream_pinned(hosts, events, flows):
     costs two events (launch, completion), and the JCT is the closed
     form's, so any change to how a timeline is built or a fluid flow is
     scheduled must leave these where they are."""
-    from repro.experiments import scale
-
-    point, = [pt for pt in scale.sweep(get_preset("quick"))
+    point, = [pt for pt in REGISTRY["scale"].points(get_preset("quick"))
               if pt.spec.fidelity == "hybrid" and pt.spec.num_hosts == hosts]
     payload = simulate_flows(point.spec, point.params)
     assert payload["events"] == events

@@ -24,8 +24,8 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 
 #: The harness side (DESIGN.md "Import layers"): every ``repro`` module
 #: that declaring a sweep, compiling a campaign or replaying a cached
-#: point may load.  The 21 registry modules declare points, so they are
-#: on it; ``experiments.common`` and ``sim.engine`` are not.
+#: point may load.  The 21 registry modules declare campaign specs, so
+#: they are on it; ``experiments.common`` and ``sim.engine`` are not.
 HARNESS = frozenset({
     "repro", "repro._lazy",
     "repro.experiments", "repro.experiments.cli",
@@ -51,11 +51,23 @@ HARNESS = frozenset({
 
 #: Harness-side modules that a cache replay does not run, so it may not
 #: load them: the metrics registry (a replay builds none) and the span
-#: recorder (only ``--breakdown`` / ``--perfetto-out`` use it).  The
-#: seed tree, ``repro.sim.rng``, is left out by the CLI import and by
-#: replays of keys that declare their flows without it (``robustness``);
-#: the campaign compiler draws flow layouts from it.
+#: recorder (only ``--breakdown`` / ``--perfetto-out`` use it).
 NOT_ON_REPLAY = ("repro.obs.registry", "repro.obs.spans")
+
+#: What a registry key's replay also leaves out: its spec is program
+#: data, lowered without the validator, the library or the metric
+#: columns, and every key's layers name their seeds, so none draws one
+#: from the seed tree (a library campaign's may).
+NOT_ON_KEY_REPLAY = ("repro.campaigns.library", "repro.campaigns.metrics",
+                     "repro.campaigns.spec", "repro.sim.rng")
+
+#: Per key, the further modules its replay leaves out: robustness lays
+#: out explicit flows and merges without ``analysis``, so it loads no
+#: workload generator.
+NOT_ON_REPLAY_OF = {
+    "robustness": ("repro.workload", "repro.workload.collective",
+                   "repro.workload.distributions", "repro.workload.flows"),
+}
 
 #: Prepended to every child script: ``simulator_modules()`` lists the
 #: loaded ``repro`` modules that are not harness-side, ``loaded(names)``
@@ -137,6 +149,7 @@ print(len(REGISTRY), len(CAMPAIGNS), sum(points))
 @pytest.mark.parametrize("argv", [
     ["robustness", "--preset", "quick", "--chaos", "none"],
     ["fig8", "--preset", "quick"],
+    ["fig13", "--preset", "quick"],
     ["fig17", "--preset", "quick"],
     ["fig12", "--preset", "quick"],
     ["scale", "--preset", "quick"],
@@ -154,8 +167,9 @@ def test_cache_replay_never_loads_the_simulator(argv, tmp_path, capsys):
     populated = capsys.readouterr().out
     assert ("[runner: " in populated) == simulated
     assert "0 simulations executed" not in populated
-    unused = NOT_ON_REPLAY + (("repro.sim.rng",)
-                              if argv[0] == "robustness" else ())
+    unused = NOT_ON_REPLAY
+    if argv[0] != "campaign":
+        unused += NOT_ON_KEY_REPLAY + NOT_ON_REPLAY_OF.get(argv[0], ())
     replayed = _python(f'''
 from repro.experiments import cli
 assert cli.main(sys.argv[1:]) == 0
@@ -241,8 +255,9 @@ from repro.obs import SpanTracker, spans, validate_path
 import repro.obs.schema
 assert SpanTracker is spans.SpanTracker
 assert validate_path is repro.obs.schema.validate_path
-import repro.chaos, repro.sim
-for package in (repro, repro.sim, repro.experiments, repro.chaos, repro.obs):
+import repro.campaigns, repro.chaos, repro.sim
+for package in (repro, repro.sim, repro.experiments, repro.chaos, repro.obs,
+                repro.campaigns):
     for name in package.__all__:
         getattr(package, name)      # every advertised name resolves
 try:

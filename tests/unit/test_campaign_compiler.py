@@ -1,15 +1,21 @@
 """Campaign compilation: grid shapes, preset defaults, chaos, merge, and
 the figures that declare their sweeps as campaign specs."""
 
+import ast
 import hashlib
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.campaigns import (CampaignError, DEFAULT_METRICS, campaign_names,
                              compile_campaign, get_campaign, merge_campaign)
 from repro.campaigns.spec import validate_campaign
+from repro.chaos.scenarios import SCENARIOS, get_scenario
 from repro.experiments.presets import get_preset
-from repro.experiments.registry import get_entry
+from repro.experiments.registry import REGISTRY, get_entry
+from repro.experiments.spec import CHOICES
 from repro.runner.spec_hash import cache_key, canonical_json
 from repro.workload.flows import IncastWorkload, PoissonWorkload
 
@@ -247,13 +253,23 @@ class TestChaosCompilation:
             assert p.params["chaos"]["name"] == "loss_burst"
             assert p.params["chaos"]["events"][0]["loss_rate"] == 0.25
 
-    def test_scenario_none_means_no_chaos_param(self):
+    def test_scenario_none_is_the_empty_scenario(self):
+        # ``none`` means what ``--chaos none`` runs: nothing injected,
+        # but the point still samples delivery and reports a chaos block.
         spec = self.chaos_spec()
         spec["groups"] = [{"name": "s", "axis": "chaos.scenario",
                            "values": ["loss_burst", "none"]}]
         c = compile_campaign(spec, "quick")
-        assert "chaos" in c.points[0].params
-        assert "chaos" not in c.points[1].params
+        assert c.points[0].params["chaos"]["name"] == "loss_burst"
+        assert c.points[1].params["chaos"] == SCENARIOS["none"]
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_every_cli_scenario_has_a_spec_form(self, scenario):
+        spec = self.chaos_spec()
+        spec["groups"] = [{"name": "s", "axis": "chaos.scenario",
+                           "values": [scenario]}]
+        (point,) = compile_campaign(spec, "quick").points
+        assert point.params["chaos"] == get_scenario(scenario)
 
     def test_chaos_hashes_into_cache_key(self):
         base = compile_campaign(self.chaos_spec(loss_rate=0.2), "quick")
@@ -468,11 +484,20 @@ FIGURE_DIGESTS = {
                  "full": "ea4433f3af288142"},
     "deepdive": {"quick": "961a104877c54d32", "default": "e80d6f9e4192985d",
                  "full": "946644715202a85a"},
+    "robustness": {"quick": "12da3329943ffcf0",
+                   "default": "b8358d84ed42d484",
+                   "full": "fe9bef0c33484b59"},
 }
+
+#: One digest per preset over every simulated key's point ids: a point
+#: id is half a cache key, so a rename orphans every cached entry.
+POINT_ID_DIGESTS = {"quick": "7fe30758147d7503",
+                    "default": "fc4f4ee473118fc3",
+                    "full": "c58a874d0d427312"}
 
 
 def _sweep_digest(key: str, preset: str) -> str:
-    points = get_entry(key).load_module().sweep(get_preset(preset))
+    points = get_entry(key).points(get_preset(preset))
     rows = [[p.spec.to_dict(), [f[:4] + f[5:] for f in p.params["flows"]],
              {k: v for k, v in p.params.items() if k != "flows"}]
             for p in points]
@@ -484,3 +509,44 @@ class TestFigureCampaigns:
     @pytest.mark.parametrize("key", list(FIGURE_DIGESTS))
     def test_sweep_is_pinned(self, key, preset):
         assert _sweep_digest(key, preset) == FIGURE_DIGESTS[key][preset]
+
+    def test_only_the_compiler_builds_sweep_points(self):
+        """No experiment module defines a ``sweep``, and ``SweepPoint(``
+        is written only where the compiler lowers a spec and where the
+        runner re-wraps points with their telemetry param."""
+        src = Path(repro.__file__).parent
+        for path in sorted((src / "experiments").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert "sweep" not in {node.name for node in tree.body
+                                   if isinstance(node, ast.FunctionDef)}, path
+        builders = {str(path.relative_to(src))
+                    for path in src.rglob("*.py")
+                    if "SweepPoint(" in path.read_text(encoding="utf-8")}
+        assert builders == {"campaigns/compiler.py", "runner/runner.py"}
+
+    @pytest.mark.parametrize("preset", ["quick", "default", "full"])
+    def test_point_ids_are_pinned(self, preset):
+        ids = {key: [p.point_id for p in entry.points(get_preset(preset))]
+               for key, entry in REGISTRY.items() if entry.simulation}
+        digest = hashlib.sha256(canonical_json(ids).encode()).hexdigest()
+        assert digest[:16] == POINT_ID_DIGESTS[preset]
+
+    @pytest.mark.parametrize("preset", ["quick", "default", "full"])
+    @pytest.mark.parametrize("key", [key for key, entry in REGISTRY.items()
+                                     if entry.simulation])
+    def test_a_key_spec_is_valid_program_data(self, key, preset):
+        """The registry lowers a key's spec at a named preset without
+        validating it, so at every preset and every value of the
+        options the key takes, the spec must already be valid and in
+        the normal form validation returns."""
+        entry = REGISTRY[key]
+        options = [{}]
+        if "chaos" in entry.takes:
+            options += [{"chaos": name} for name in SCENARIOS]
+        if "fidelity" in entry.takes:
+            options += [{"fidelity": f} for f in CHOICES["fidelity"]]
+        module = entry.load_module()
+        for opts in options:
+            spec = module.campaign(get_preset(preset), **opts)
+            assert validate_campaign(spec) == spec, opts
+

@@ -231,6 +231,11 @@ class TestChaos:
         assert e.path == "chaos.period_ns"
         assert "period_ns" in e.message
 
+    @pytest.mark.parametrize("flaps", [None, 0, 1.5])
+    def test_flaps_must_be_a_positive_integer(self, flaps):
+        e = err(base_spec(chaos={"scenario": "link_flap", "flaps": flaps}))
+        assert e.path == "chaos.flaps"
+
     def test_loss_rate_range(self):
         e = err(base_spec(chaos={"scenario": "loss_burst",
                                  "loss_rate": 1.5}))

@@ -177,12 +177,12 @@ def test_misapplied_chaos_or_fidelity_is_a_usage_error(
 
 def test_flag_tables_match_the_sweep_signatures():
     """The options a registry entry ``takes`` (which the usage check
-    reads) are exactly the per-key parameters its sweep() has."""
+    reads) are exactly the per-key parameters its campaign() has."""
     import inspect
     from repro.experiments.registry import REGISTRY
 
     for key, entry in REGISTRY.items():
-        params = (inspect.signature(entry.load_module().sweep).parameters
+        params = (inspect.signature(entry.load_module().campaign).parameters
                   if entry.simulation else {})
         assert entry.takes == tuple(
             opt for opt in ("chaos", "fidelity") if opt in params), key

@@ -487,13 +487,14 @@ class TestRegistryIntegration:
     @pytest.mark.parametrize("key", list(REGISTRY))
     def test_every_experiment_declares_a_sweep(self, key):
         """One path from spec to table: every key exports merge, a
-        simulated key a sweep (an analytic one none), and every point's
-        spec and params canonicalize (so it hashes into a cache key)."""
+        simulated key a campaign spec (an analytic one none), and every
+        point's spec and params canonicalize (so it hashes into a cache
+        key)."""
         entry = REGISTRY[key]
         mod = entry.load_module()
         points = entry.points(get_preset("quick"))
         assert callable(mod.merge)
-        assert hasattr(mod, "sweep") == bool(points) == entry.simulation
+        assert hasattr(mod, "campaign") == bool(points) == entry.simulation
         assert len({p.point_id for p in points}) == len(points)
         for point in points:
             assert isinstance(point.spec, NetworkSpec)
@@ -515,7 +516,7 @@ class TestRegistryIntegration:
 
     def test_sweep_points_shapes(self):
         from repro.experiments import fig17_loss_schemes as fig17
-        pts = fig17.sweep(get_preset("quick"))
+        pts = REGISTRY["fig17"].points(get_preset("quick"))
         assert len(fig17.SCHEMES) == 9                    # full registry
         assert len(pts) == 7 * 9                          # loss x scheme grid
         assert len({p.point_id for p in pts}) == len(pts)
