@@ -2,7 +2,7 @@
 """Failure timeline: watch a transport ride out a link flap.
 
 Runs two flows across the two-switch testbed while the chaos layer
-flaps the only inter-switch cable (down at 100 us for 150 us), then
+flaps the only inter-switch cable (down at 50 us, up at 170 us), then
 prints the injection/recovery timeline, each flow's delivery progress
 as a strip chart, and the recovery metrics the robustness experiment
 reports — all derived from the same JSON-safe point payload the sweep

@@ -18,7 +18,8 @@ import argparse
 
 from repro.experiments.common import NetworkSpec, build_network
 from repro.obs import spans
-from repro.runner import ExperimentRunner, ResultCache, SweepPoint
+from repro.runner.cache import ResultCache
+from repro.runner.runner import ExperimentRunner, SweepPoint
 
 
 def main() -> None:

@@ -10,7 +10,8 @@ Quickstart::
     net.run_until_flows_done()
     print(flow.fct_ns())
 
-Packages:
+Packages (each ``__init__`` is its docstring alone: import a name from
+the module that defines it, e.g. ``repro.sim.engine.Simulator``):
 
 * :mod:`repro.core` — DCP (the paper's contribution)
 * :mod:`repro.sim` — discrete-event engine
@@ -23,9 +24,3 @@ Packages:
 """
 
 __version__ = "1.0.0"
-
-from repro._lazy import lazy_exports
-
-__all__ = ["Simulator", "__version__"]
-
-__getattr__ = lazy_exports(__name__, {"repro.sim.engine": ("Simulator",)})

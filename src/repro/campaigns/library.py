@@ -13,11 +13,7 @@ import copy
 import json
 from pathlib import Path
 
-#: Timer overrides matching the robustness sweep: tight enough that a
-#: soak's loss bursts resolve within the simulated window on every
-#: transport, including the timeout-only baseline.
-_SOAK_TIMERS = {"rto_ns": 400_000, "rto_low_ns": 150_000,
-                "coarse_timeout_ns": 400_000}
+from repro.chaos.scenarios import RECOVERY_TIMERS
 
 CAMPAIGNS: dict[str, dict] = {
     "bursting": {
@@ -67,7 +63,7 @@ CAMPAIGNS: dict[str, dict] = {
             "two burst severities."),
         "topology": {"topology": "testbed", "num_hosts": 4,
                      "cross_links": 1, "lb": "ecmp", "loss_rate": 1e-9,
-                     "transport_overrides": _SOAK_TIMERS},
+                     "transport_overrides": dict(RECOVERY_TIMERS)},
         "workload": [
             {"kind": "flows", "name": "pair",
              "flows": [[0, 2, 240_000, 0], [1, 3, 240_000, 10_000]]},

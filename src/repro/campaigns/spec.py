@@ -5,8 +5,8 @@ family declaratively — experiments as data, not code (the SpiNNaker
 ``network_tester`` shape: ordered groups, each varying one parameter,
 metrics collected per group).  The compiler
 (:mod:`repro.campaigns.compiler`) lowers a validated spec to ordinary
-runner :class:`~repro.runner.SweepPoint` lists, so spec-hash caching,
-``--jobs N`` sharding and telemetry come for free.
+runner :class:`~repro.runner.runner.SweepPoint` lists, so spec-hash
+caching, ``--jobs N`` sharding and telemetry come for free.
 
 Schema (top-level keys; everything else is rejected)::
 

@@ -130,6 +130,15 @@ SCENARIOS: dict[str, dict] = {
     "pfc_storm": pfc_storm(),
 }
 
+#: Recovery timers shrunk to the scenarios' timescale (§4.5 timings
+#: scaled like everything else in the presets): tight enough that every
+#: window resolves within the simulated run on every transport, the
+#: timeout-only baseline included.  A chaos campaign's
+#: ``transport_overrides`` take a copy; overrides win over the
+#: RTT-derived floors in ``Network._transport_config``.
+RECOVERY_TIMERS = {"rto_ns": 400_000, "rto_low_ns": 150_000,
+                   "coarse_timeout_ns": 400_000}
+
 
 def get_scenario(name: str) -> dict:
     """A deep copy of a library scenario (callers may mutate freely)."""

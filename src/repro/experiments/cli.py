@@ -2,10 +2,10 @@
 
 Every experiment declares sweep points (see
 :mod:`repro.experiments.registry`) and executes through
-:class:`repro.runner.ExperimentRunner`: ``--jobs N`` fans its points
-out over N processes, and completed points are cached by spec hash in
-``--cache-dir`` (default ``~/.cache/repro``) so re-runs are free.
-Serial, parallel and cached runs produce bit-identical results.
+:class:`repro.runner.runner.ExperimentRunner`: ``--jobs N`` fans its
+points out over N processes, and completed points are cached by spec
+hash in ``--cache-dir`` (default ``~/.cache/repro``) so re-runs are
+free.  Serial, parallel and cached runs produce bit-identical results.
 
 Campaigns (:mod:`repro.campaigns`) run through the same machinery:
 ``dcp-experiment campaign <name|path>`` compiles a declarative spec —
@@ -54,7 +54,8 @@ from repro.experiments.registry import REGISTRY, run_experiment, run_sweep
 from repro.experiments.spec import CHOICES
 from repro.obs.export import (write_breakdown_jsonl, write_campaign_jsonl,
                               write_metrics_jsonl)
-from repro.runner import ExperimentRunner, ResultCache
+from repro.runner.cache import ResultCache
+from repro.runner.runner import ExperimentRunner
 
 
 def build_telemetry(args: argparse.Namespace) -> dict | None:
@@ -77,7 +78,7 @@ def build_runner(args: argparse.Namespace) -> ExperimentRunner:
 def print_campaign_list() -> None:
     """Enumerate the built-in campaign library (no compilation needed:
     the grid size is the product of the group value counts)."""
-    from repro.campaigns import CAMPAIGNS
+    from repro.campaigns.library import CAMPAIGNS
     print(f"{'campaign':22s} {'points':6s} title")
     for name in sorted(CAMPAIGNS):
         spec = CAMPAIGNS[name]
@@ -149,11 +150,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--chaos", default=None, metavar="SCENARIO",
                         help="restrict the robustness experiment to one "
                              "named failure scenario ('list' to enumerate)")
-    parser.add_argument("--profile", nargs="?", const="-", default=None,
-                        metavar="PATH",
-                        help="run under cProfile; print cumulative stats, or "
-                             "dump raw pstats to PATH if given (requires "
-                             "--jobs 1: workers cannot be profiled)")
     args = parser.parse_args(argv)
     valid = ("list", "all", "campaign", *REGISTRY)
     if args.experiment not in valid:
@@ -184,10 +180,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--cache-max-mb must be > 0")
     if args.sample_interval_ns < 0:
         parser.error("--sample-interval-ns must be >= 0")
-    if args.profile is not None and args.jobs != 1:
-        parser.error("--profile requires --jobs 1 (worker processes "
-                     "run the simulation; the parent's profile would "
-                     "show only dispatch overhead)")
 
     if args.experiment != "campaign" and args.target is not None:
         parser.error("a second positional argument only applies to "
@@ -219,8 +211,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.target is None or args.target == "list":
             print_campaign_list()
             return 0
-        from repro.campaigns import (CampaignError, compile_campaign,
-                                     load_campaign, merge_campaign)
+        from repro.campaigns.compiler import (CampaignError,
+                                              compile_campaign,
+                                              merge_campaign)
+        from repro.campaigns.library import load_campaign
         try:
             compiled = compile_campaign(load_campaign(args.target),
                                         args.preset)
@@ -232,11 +226,6 @@ def main(argv: list[str] | None = None) -> int:
     #: key -> {"<experiment>/<point>": span payload}, flattened into one
     #: Perfetto trace at exit so multi-experiment runs stay one file.
     perfetto_points: dict[str, dict] = {}
-    profiler = None
-    if args.profile is not None:
-        import cProfile
-        profiler = cProfile.Profile()
-        profiler.enable()
 
     def flush_perfetto() -> None:
         from repro.obs.spans import write_perfetto   # only spans need it
@@ -293,17 +282,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.perfetto_out and perfetto_points:
             flush_perfetto()
         raise
-    finally:
-        if profiler is not None:
-            profiler.disable()
-    if profiler is not None:
-        import pstats
-        if args.profile == "-":
-            pstats.Stats(profiler).sort_stats("cumulative").print_stats(30)
-        else:
-            profiler.dump_stats(args.profile)
-            print(f"[profile: raw pstats -> {args.profile} "
-                  f"(inspect with python -m pstats)]")
     if args.metrics_out:
         print(f"[metrics: {metrics_lines} records -> {args.metrics_out}]")
     if args.perfetto_out:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.chaos.scenarios import RECOVERY_TIMERS
 from repro.experiments.presets import ScalePreset
 from repro.experiments.result import ExperimentResult
 from repro.experiments.spec import TRANSPORTS as TRANSPORT_PATHS
@@ -35,12 +36,6 @@ from repro.experiments.spec import TRANSPORTS as TRANSPORT_PATHS
 SCENARIO_KEYS = ("none", "link_flap", "switch_blackout", "loss_burst",
                  "pfc_storm")
 TRANSPORTS = tuple(sorted(TRANSPORT_PATHS))
-
-#: Failure timers shrunk to the scenario timescale (§4.5 timings scaled
-#: like everything else in the presets); overrides win over the
-#: RTT-derived floors in ``Network._transport_config``.
-_TIMERS = {"rto_ns": 400_000, "rto_low_ns": 150_000,
-           "coarse_timeout_ns": 400_000}
 
 
 def _scenarios(chaos: Optional[str]) -> Sequence[str]:
@@ -60,7 +55,7 @@ def campaign(p: ScalePreset, chaos: Optional[str] = None) -> dict:
         "topology": {"topology": "testbed", "num_hosts": 4,
                      "cross_links": 1, "lb": "ecmp", "loss_rate": 1e-9,
                      "num_leaves": 4, "num_spines": 4,
-                     "transport_overrides": dict(_TIMERS)},
+                     "transport_overrides": dict(RECOVERY_TIMERS)},
         "workload": [{"kind": "flows", "name": "pair",
                       "flows": [[0, 2, size, 0], [1, 3, size, 10_000]]}],
         "chaos": {"scenario": "none"},

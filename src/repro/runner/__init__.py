@@ -1,30 +1,14 @@
 """Parallel experiment runner with spec-hash result caching.
 
-Public surface::
+Public surface, each name from its defining module::
 
-    from repro.runner import ExperimentRunner, SweepPoint, ResultCache
+    from repro.runner.cache import ResultCache
+    from repro.runner.runner import ExperimentRunner, SweepPoint
 
     runner = ExperimentRunner(jobs=4)
     payloads = runner.run_points("fig17", points)
 
-Every point runs through :func:`repro.runner.points.simulate_flows`.
-See :mod:`repro.runner.runner` for the determinism and caching
-contract.
+Every point runs through :func:`repro.runner.points.simulate_flows`;
+cache keys come from :mod:`repro.runner.spec_hash`.  See
+:mod:`repro.runner.runner` for the determinism and caching contract.
 """
-
-from repro.runner.cache import CACHE_VERSION, ResultCache, default_cache_dir
-from repro.runner.runner import (ExperimentRunner, SweepPoint,
-                                 serial_runner)
-from repro.runner.spec_hash import cache_key, canonical_json, canonicalize
-
-__all__ = [
-    "CACHE_VERSION",
-    "ExperimentRunner",
-    "ResultCache",
-    "SweepPoint",
-    "cache_key",
-    "canonical_json",
-    "canonicalize",
-    "default_cache_dir",
-    "serial_runner",
-]

@@ -31,9 +31,10 @@ from repro.experiments.presets import PRESETS
 from repro.experiments.registry import REGISTRY, run_experiment
 from repro.experiments.spec import TRANSPORTS as TRANSPORT_PATHS
 from repro.obs import spans as spans_mod
-from repro.runner import (ExperimentRunner, ResultCache, SweepPoint,
-                          canonical_json)
+from repro.runner.cache import ResultCache
 from repro.runner.points import simulate_flows
+from repro.runner.runner import ExperimentRunner, SweepPoint
+from repro.runner.spec_hash import canonical_json
 
 LOSS_RATES = (0.0, 0.01, 0.05)
 TRANSPORTS = sorted(TRANSPORT_PATHS)

@@ -5,9 +5,11 @@ import json
 import pytest
 
 import repro.experiments.cli as cli
-from repro.campaigns import compile_campaign, run_campaign
+from repro.campaigns.compiler import compile_campaign, run_campaign
 from repro.obs.schema import validate_file
-from repro.runner import ExperimentRunner, ResultCache, canonical_json
+from repro.runner.cache import ResultCache
+from repro.runner.runner import ExperimentRunner
+from repro.runner.spec_hash import canonical_json
 
 TINY = {
     "name": "tiny-int",
@@ -102,7 +104,7 @@ class TestLibraryEndToEnd:
         # One point of a library campaign with a stochastic layer mix:
         # compile, shrink to the first point, run, and check both layers
         # contributed flows.
-        from repro.campaigns import get_campaign
+        from repro.campaigns.library import get_campaign
         spec = get_campaign("multi_tenant_mix")
         spec["groups"] = [{"name": "transport", "axis": "spec.transport",
                            "values": ["dcp"]}]
@@ -122,7 +124,8 @@ BAD_LOAD = {**TINY, "workload": [{"kind": "poisson", "name": "bg",
 
 class TestStrictPaths:
     def test_load_campaign_rejects_an_invalid_file(self, tmp_path):
-        from repro.campaigns import CampaignError, load_campaign
+        from repro.campaigns.compiler import CampaignError
+        from repro.campaigns.library import load_campaign
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(BAD_LOAD))
         with pytest.raises(CampaignError) as exc:
@@ -131,7 +134,7 @@ class TestStrictPaths:
 
     @pytest.mark.parametrize("as_file", [False, True])
     def test_run_campaign_rejects_an_invalid_spec(self, tmp_path, as_file):
-        from repro.campaigns import CampaignError
+        from repro.campaigns.compiler import CampaignError
         source = BAD_LOAD
         if as_file:
             source = tmp_path / "bad.json"
@@ -154,7 +157,7 @@ class TestStrictPaths:
         # it would lay out is refused before any point exists.
         from dataclasses import replace
 
-        from repro.campaigns import CampaignError
+        from repro.campaigns.compiler import CampaignError
         from repro.experiments.presets import get_preset
         from repro.experiments.registry import run_experiment
         custom = replace(get_preset("quick"), long_flow_bytes=0)

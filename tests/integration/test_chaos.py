@@ -17,8 +17,8 @@ from repro.chaos.scenarios import SCENARIOS, apply_scenario
 from repro.experiments import cli, robustness
 from repro.experiments.presets import get_preset
 from repro.experiments.registry import REGISTRY, run_experiment
-from repro.runner import (CACHE_VERSION, ExperimentRunner, ResultCache,
-                          SweepPoint)
+from repro.runner.cache import CACHE_VERSION, ResultCache
+from repro.runner.runner import ExperimentRunner, SweepPoint
 from repro.runner.points import simulate_flows
 
 QUICK = get_preset("quick")

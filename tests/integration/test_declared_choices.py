@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaigns import CampaignError, compile_campaign
+from repro.campaigns.compiler import CampaignError, compile_campaign
 from repro.experiments.common import Network
 from repro.experiments.spec import CHOICES, NetworkSpec
 

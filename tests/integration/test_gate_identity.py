@@ -23,7 +23,8 @@ import pytest
 from repro.experiments.common import NetworkSpec
 from repro.experiments.presets import get_preset
 from repro.experiments.registry import REGISTRY, run_experiment
-from repro.runner import ExperimentRunner, ResultCache
+from repro.runner.cache import ResultCache
+from repro.runner.runner import ExperimentRunner
 from repro.runner.points import simulate_flows
 from repro.workload.distributions import websearch
 from repro.workload.flows import IncastWorkload, PoissonWorkload

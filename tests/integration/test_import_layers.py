@@ -9,6 +9,7 @@ long since imported everything.
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -27,7 +28,7 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 #: point may load.  The 21 registry modules declare campaign specs, so
 #: they are on it; ``experiments.common`` and ``sim.engine`` are not.
 HARNESS = frozenset({
-    "repro", "repro._lazy",
+    "repro",
     "repro.experiments", "repro.experiments.cli",
     "repro.experiments.presets", "repro.experiments.registry",
     "repro.experiments.result", "repro.experiments.spec",
@@ -128,7 +129,8 @@ def test_declaring_every_sweep_and_campaign_stays_harness_side():
     # What the first cache hit of any key needs: its module, its points
     # (flow layout included) and every library campaign compiled.
     out = _python('''
-from repro.campaigns import CAMPAIGNS, compile_campaign, get_campaign
+from repro.campaigns.compiler import compile_campaign
+from repro.campaigns.library import CAMPAIGNS, get_campaign
 from repro.experiments.presets import get_preset
 from repro.experiments.registry import REGISTRY
 
@@ -182,7 +184,11 @@ assert "multiprocessing" not in sys.modules
     assert _table(replayed) == _table(populated)
 
 
-def _forks_with_the_simulator_loaded(key: str, points: int, cache) -> None:
+@pytest.mark.parametrize("key,points", [("fig8", 6), ("scale", 4)])
+def test_parent_loads_the_simulator_before_forking_workers(key, points,
+                                                           tmp_path):
+    # Workers inherit what the parent imported; were the simulator not
+    # loaded by then, every worker would import it again.
     out = _python('''
 import multiprocessing
 from repro.experiments import cli
@@ -198,20 +204,9 @@ multiprocessing.get_context = get_context
 assert simulator_modules() == []
 assert cli.main([sys.argv[1], "--preset", "quick", "--jobs", "2",
                  "--cache-dir", sys.argv[2]]) == 0
-''', key, str(cache))
+''', key, str(tmp_path / "cache"))
     assert "common loaded before the pool: True" in out
     assert f"[runner: {points} simulations executed" in out
-
-
-def test_parent_loads_the_simulator_before_forking_workers(tmp_path):
-    # Workers inherit what the parent imported; were the simulator not
-    # loaded by then, every worker would import it again.
-    _forks_with_the_simulator_loaded("fig8", 6, tmp_path / "cache")
-
-
-def test_a_figure_runner_outside_points_still_forks_loaded(tmp_path):
-    # scale's own point runner imports the simulator only when it runs.
-    _forks_with_the_simulator_loaded("scale", 4, tmp_path / "cache")
 
 
 @pytest.mark.parametrize("argv", [["repro.obs.schema"],
@@ -236,34 +231,22 @@ def test_obs_validator_runs_as_main_without_a_second_import(argv, tmp_path):
     }[argv[0]]
 
 
-def test_package_level_names_still_resolve():
-    _python('''
-from repro import Simulator
-from repro.experiments import Network, NetworkSpec, build_network, REGISTRY
-from repro.experiments.common import NetworkSpec as CommonSpec
-from repro.sim import SeedSequence, units
-from repro.chaos import SCENARIOS, apply_scenario, chaos_summary
-import repro.experiments.common, repro.experiments.spec, repro.sim.engine
-
-assert CommonSpec is NetworkSpec is repro.experiments.spec.NetworkSpec
-assert repro.experiments.common.NetworkSpec is NetworkSpec
-assert Simulator is repro.sim.engine.Simulator is repro.sim.Simulator
-assert build_network(transport="dcp", num_hosts=8, num_leaves=2,
-                     num_spines=2).spec == NetworkSpec(
-    transport="dcp", num_hosts=8, num_leaves=2, num_spines=2)
-from repro.obs import SpanTracker, spans, validate_path
-import repro.obs.schema
-assert SpanTracker is spans.SpanTracker
-assert validate_path is repro.obs.schema.validate_path
-import repro.campaigns, repro.chaos, repro.sim
-for package in (repro, repro.sim, repro.experiments, repro.chaos, repro.obs,
-                repro.campaigns):
-    for name in package.__all__:
-        getattr(package, name)      # every advertised name resolves
-try:
-    repro.sim.no_such_name
-except AttributeError as exc:
-    assert "no_such_name" in str(exc)
-else:
-    raise AssertionError("unknown attribute resolved")
-''')
+def test_a_package_init_holds_only_its_docstring():
+    # Every name has one home, its defining module: a package re-exports
+    # nothing, so there is one import path per name and no import hook.
+    root = Path(SRC) / "repro"
+    assert not (root / "_lazy.py").exists()
+    inits = sorted(root.rglob("__init__.py"))
+    assert len(inits) > 10
+    for path in inits:
+        docstring, *rest = ast.parse(path.read_text()).body
+        assert isinstance(docstring, ast.Expr), path
+        assert isinstance(docstring.value, ast.Constant), path
+        assert isinstance(docstring.value.value, str), path
+        if path.parent == root:
+            assigned = [ast.unparse(target) for node in rest
+                        if isinstance(node, ast.Assign)
+                        for target in node.targets]
+            assert assigned == ["__version__"] and len(rest) == 1, path
+        else:
+            assert rest == [], (path, [ast.unparse(node) for node in rest])

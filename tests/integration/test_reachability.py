@@ -40,7 +40,8 @@ from repro.experiments.registry import REGISTRY
 for entry in REGISTRY.values():
     importlib.import_module(entry.module)
 
-from repro.campaigns import campaign_names, compile_campaign, get_campaign
+from repro.campaigns.compiler import compile_campaign
+from repro.campaigns.library import campaign_names, get_campaign
 for name in campaign_names():
     compile_campaign(get_campaign(name), "quick")
 

@@ -14,8 +14,8 @@ import copy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaigns import (CampaignError, compile_campaign,
-                             validate_campaign)
+from repro.campaigns.compiler import CampaignError, compile_campaign
+from repro.campaigns.spec import validate_campaign
 from repro.runner.spec_hash import cache_key
 
 import pytest

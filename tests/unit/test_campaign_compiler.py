@@ -9,10 +9,11 @@ import pytest
 
 import repro
 
-from repro.campaigns import (CampaignError, DEFAULT_METRICS, campaign_names,
-                             compile_campaign, get_campaign, merge_campaign)
+from repro.campaigns.compiler import (CampaignError, DEFAULT_METRICS,
+                                      compile_campaign, merge_campaign)
+from repro.campaigns.library import campaign_names, get_campaign
 from repro.campaigns.spec import validate_campaign
-from repro.chaos.scenarios import SCENARIOS, get_scenario
+from repro.chaos.scenarios import RECOVERY_TIMERS, SCENARIOS, get_scenario
 from repro.experiments.presets import get_preset
 from repro.experiments.registry import REGISTRY, get_entry
 from repro.experiments.spec import CHOICES
@@ -446,6 +447,14 @@ class TestLibrary:
         c = compile_campaign(get_campaign("link_integrity_soak"), "quick")
         assert {a["transport"] for a in c.assignments} == set(TRANSPORTS)
         assert all("chaos" in p.params for p in c.points)
+
+    @pytest.mark.parametrize("preset", ["quick", "default"])
+    def test_soak_and_robustness_share_the_recovery_timers(self, preset):
+        soak = compile_campaign(get_campaign("link_integrity_soak"), preset)
+        robustness = REGISTRY["robustness"].points(get_preset(preset))
+        for points in (soak.points, robustness):
+            assert {canonical_json(p.spec.transport_overrides)
+                    for p in points} == {canonical_json(RECOVERY_TIMERS)}
 
 
 #: One digest per figure key and preset over each point's spec, flow

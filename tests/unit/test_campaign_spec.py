@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.campaigns import CampaignError, validate_campaign
+from repro.campaigns.compiler import CampaignError
+from repro.campaigns.spec import validate_campaign
 
 
 def base_spec(**overrides):

@@ -17,10 +17,9 @@ from repro.experiments.common import NetworkSpec
 from repro.experiments.presets import get_preset
 from repro.experiments.registry import REGISTRY
 from repro.experiments.result import ExperimentResult
-from repro.runner import (ExperimentRunner, ResultCache, SweepPoint,
-                          cache_key, canonical_json, canonicalize,
-                          serial_runner)
-from repro.runner.cache import CACHE_VERSION
+from repro.runner.cache import CACHE_VERSION, ResultCache
+from repro.runner.runner import ExperimentRunner, SweepPoint, serial_runner
+from repro.runner.spec_hash import cache_key, canonical_json, canonicalize
 
 
 def _points(n: int = 4, seed0: int = 11) -> list[SweepPoint]:
