@@ -35,14 +35,10 @@ semantics — refcounted link downs, positional routing restore):
 Targets are resolved against the *built* fabric, so one scenario applies
 to every topology a sweep uses:
 
-``{"type": "port", "switch": i, "port": p}``
-    Explicit: port ``p`` of ``fabric.switches[i]``.
 ``{"type": "inter_switch", "index": k}``
     The k-th switch-to-switch port in deterministic scan order (switch
     index, then port index) — cross links on the testbed, leaf uplinks
     on the CLOS.
-``{"type": "host_link", "host": h}``
-    The switch port that faces host ``h``.
 ``{"type": "switch", "index": i}``
     A whole switch (``switch_blackout`` only).
 """
@@ -166,27 +162,18 @@ def _inter_switch_ports(fabric) -> list[tuple[Switch, int]]:
 def resolve_target(fabric, target: dict):
     """Resolve a declarative target against a built fabric.
 
-    Returns ``(switch, port)`` for link-like targets or a
+    Returns ``(switch, port)`` for ``{"type": "inter_switch"}`` or a
     :class:`Switch` for ``{"type": "switch"}``.
     """
     ttype = target.get("type")
     if ttype == "switch":
         return fabric.switches[int(target["index"])]
-    if ttype == "port":
-        return fabric.switches[int(target["switch"])], int(target["port"])
     if ttype == "inter_switch":
         ports = _inter_switch_ports(fabric)
         if not ports:
             raise ValueError("topology has no inter-switch links "
                              "(direct topologies cannot host this target)")
         return ports[int(target["index"]) % len(ports)]
-    if ttype == "host_link":
-        host_id = int(target["host"])
-        for sw in fabric.switches:
-            for port_idx, (neighbor, _their_port) in sw.neighbors.items():
-                if getattr(neighbor, "host_id", None) == host_id:
-                    return sw, port_idx
-        raise ValueError(f"no switch port faces host {host_id}")
     raise ValueError(f"unknown chaos target type {ttype!r}")
 
 

@@ -51,7 +51,6 @@ from contextlib import nullcontext
 from functools import partial
 
 from repro.experiments.registry import REGISTRY, run_experiment, run_sweep
-from repro.experiments.spec import CHOICES
 from repro.obs.export import (write_breakdown_jsonl, write_campaign_jsonl,
                               write_metrics_jsonl)
 from repro.runner.cache import ResultCache
@@ -114,12 +113,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="bound the result cache directory; stores "
                              "beyond the budget evict the oldest entries "
                              "(default: unbounded)")
-    parser.add_argument("--fidelity", default=None,
-                        choices=CHOICES["fidelity"],
-                        help="simulation fidelity for experiments that "
-                             "support it (fig13/fig14): 'packet' simulates "
-                             "every byte, 'hybrid' runs uncontended flows "
-                             "analytically (repro.sim.fidelity)")
     parser.add_argument("--clear-cache", action="store_true",
                         help="wipe the result cache, then proceed (or exit "
                              "if no experiment was given)")
@@ -166,14 +159,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.chaos not in SCENARIOS:
             parser.error(f"unknown chaos scenario {args.chaos!r} "
                          f"(choose from {', '.join(SCENARIOS)}, or 'list')")
-    # Read off the registry entries, not ``inspect``: checking must not
-    # import experiment modules.
-    key_opts = {"chaos": args.chaos, "fidelity": args.fidelity}
-    for opt, value in key_opts.items():
-        takers = [key for key, entry in REGISTRY.items() if opt in entry.takes]
-        if value is not None and args.experiment not in (*takers, "all"):
-            parser.error(f"--{opt} does not apply to {args.experiment!r} "
-                         f"(accepted by {', '.join(takers)}, or 'all')")
+        if args.experiment not in ("robustness", "all"):
+            parser.error(f"--chaos does not apply to {args.experiment!r} "
+                         "(accepted by robustness, or 'all')")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.cache_max_mb is not None and args.cache_max_mb <= 0:
@@ -246,11 +234,10 @@ def main(argv: list[str] | None = None) -> int:
                                        partial(merge_campaign, compiled),
                                        runner)
                 else:
-                    # ``chaos`` and ``fidelity`` reach only the sweeps
-                    # that take them (under ``all``).
-                    opts = {opt: value for opt, value in key_opts.items()
-                            if value is not None
-                            and opt in REGISTRY[key].takes}
+                    # Under ``all``, ``--chaos`` reaches robustness only.
+                    opts = ({"chaos": args.chaos}
+                            if key == "robustness" and args.chaos is not None
+                            else {})
                     result = run_experiment(key, preset=args.preset,
                                             runner=runner, **opts)
                 result.print_table()

@@ -24,11 +24,10 @@ SCHEMES = (
 LOADS = (0.3, 0.5)
 
 
-def campaign(p: ScalePreset, fidelity: str = "packet") -> dict:
+def campaign(p: ScalePreset) -> dict:
     """One point per (load, scheme)."""
     return {
         "name": "fig13",
-        "topology": {"fidelity": fidelity},
         "workload": [{"kind": "poisson", "name": "bg", "seed": 61}],
         "groups": [
             {"name": "load", "axis": "workload.bg.load",
@@ -41,8 +40,7 @@ def campaign(p: ScalePreset, fidelity: str = "packet") -> dict:
     }
 
 
-def merge(payloads: list, p: ScalePreset,
-          fidelity: str = "packet") -> ExperimentResult:
+def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "fig13", "WebSearch FCT slowdown (P50/P95) per scheme and load")
     it = iter(payloads)

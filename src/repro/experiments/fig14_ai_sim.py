@@ -24,13 +24,13 @@ SCHEMES = (
 KINDS = ("allreduce", "alltoall")
 
 
-def campaign(p: ScalePreset, fidelity: str = "packet") -> dict:
+def campaign(p: ScalePreset) -> dict:
     """One point per (collective, scheme); groups are contiguous host
     ranges, like the paper's 16-servers-per-group arrangement."""
     k = p.collective_group_size
     return {
         "name": "fig14",
-        "topology": {"topology": "clos", "fidelity": fidelity},
+        "topology": {"topology": "clos"},
         "workload": [{"kind": "collective", "name": "coll",
                       "hosts": list(range(p.collective_groups * k)),
                       "group_size": k}],
@@ -55,8 +55,7 @@ def ideal_jct_ns(kind: str, preset) -> float:
     return (k - 1) * wire  # all slices leave one NIC serially at best
 
 
-def merge(payloads: list, p: ScalePreset,
-          fidelity: str = "packet") -> ExperimentResult:
+def merge(payloads: list, p: ScalePreset) -> ExperimentResult:
     result = ExperimentResult(
         "fig14", "Collective JCT (ms) and per-flow tail FCT")
     it = iter(payloads)

@@ -34,9 +34,6 @@ class ExperimentEntry:
     paper_ref: str
     description: str
     simulation: bool          # False -> analytic, runs instantly
-    #: Per-key CLI options its ``campaign`` and ``merge`` take
-    #: (``chaos``, ``fidelity``); ``all`` hands each only to its takers.
-    takes: tuple[str, ...] = ()
 
     def load_module(self) -> Any:
         return importlib.import_module(self.module)
@@ -79,11 +76,9 @@ REGISTRY: dict[str, ExperimentEntry] = {
         ExperimentEntry("fig12", "repro.experiments.fig12_testbed_ai",
                         "Fig 12", "Testbed AllReduce/AllToAll JCT", True),
         ExperimentEntry("fig13", "repro.experiments.fig13_websearch",
-                        "Fig 13", "WebSearch FCT slowdown", True,
-                        takes=("fidelity",)),
+                        "Fig 13", "WebSearch FCT slowdown", True),
         ExperimentEntry("fig14", "repro.experiments.fig14_ai_sim",
-                        "Fig 14", "Simulated collectives JCT", True,
-                        takes=("fidelity",)),
+                        "Fig 14", "Simulated collectives JCT", True),
         ExperimentEntry("fig15", "repro.experiments.fig15_crossdc",
                         "Fig 15", "Cross-DC FCT slowdown", True),
         ExperimentEntry("fig16", "repro.experiments.fig16_incast_cc",
@@ -91,8 +86,7 @@ REGISTRY: dict[str, ExperimentEntry] = {
         ExperimentEntry("fig17", "repro.experiments.fig17_loss_schemes",
                         "Fig 17", "Recovery schemes vs loss rate", True),
         ExperimentEntry("robustness", "repro.experiments.robustness",
-                        "§4.5", "Failure recovery: chaos scenario sweep", True,
-                        takes=("chaos",)),
+                        "§4.5", "Failure recovery: chaos scenario sweep", True),
         ExperimentEntry("longhaul", "repro.experiments.longhaul",
                         "§6.1", "10 km long-haul goodput", True),
         ExperimentEntry("deepdive", "repro.experiments.deepdive_control_plane",
@@ -139,8 +133,8 @@ def run_experiment(key: str, preset: str = "default",
     """Run one experiment by key (e.g. ``fig13``) through :func:`run_sweep`.
 
     ``runner`` executes the points (default: serial, uncached); ``opts``
-    reach both the module's ``campaign`` and its ``merge`` (the entry's
-    ``takes``: robustness's ``chaos``, fig13/fig14's ``fidelity``).
+    reach both the module's ``campaign`` and its ``merge``.  Only
+    robustness takes one: ``chaos``, the scenario it keeps.
     """
     entry = get_entry(key)
     p = get_preset(preset)

@@ -9,8 +9,8 @@ run.
 
 The cache is optionally size-bounded (``--cache-max-mb``): when a store
 pushes the directory past the budget, the oldest entries by mtime are
-unlinked until it fits again.  Long hybrid-fidelity sweeps churn many
-large payloads, and an unbounded cache directory grows forever.
+unlinked until it fits again.  Every point of every sweep stores a
+payload, so an unbounded cache directory grows forever.
 """
 
 from __future__ import annotations

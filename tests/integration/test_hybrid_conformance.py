@@ -62,10 +62,10 @@ def test_fig8_point_exact(point):
 # -------------------------------------------------------------- fig13
 def _fig13_dcp(load: float, fidelity: str) -> dict:
     """fig13's dcp-ar point at ``load``, simulated at ``fidelity``."""
-    (point,) = [pt for pt in REGISTRY["fig13"].points(get_preset("quick"),
-                                                      fidelity=fidelity)
+    (point,) = [pt for pt in REGISTRY["fig13"].points(get_preset("quick"))
                 if pt.point_id == f"load-{load}.scheme-dcp-ar"]
-    return simulate_flows(point.spec, point.params)
+    return simulate_flows(replace(point.spec, fidelity=fidelity),
+                          point.params)
 
 
 def test_fig13_websearch_within_tolerance():

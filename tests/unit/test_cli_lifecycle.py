@@ -152,17 +152,18 @@ def test_unknown_experiment_key_is_a_usage_error(tmp_path, monkeypatch,
 @pytest.mark.parametrize("argv,needles", [
     (["robustness", "--preset", "quick", "--chaos", "bogus"],
      ("unknown chaos scenario 'bogus'", "choose from", "link_flap")),
-    (["table1", "--chaos", "bogus", "--fidelity", "hybrid"],
+    (["table1", "--chaos", "bogus"],
      ("unknown chaos scenario 'bogus'",)),
     (["table1", "--chaos", "link_flap"],
      ("--chaos does not apply to 'table1'", "robustness")),
-    (["fig8", "--fidelity", "hybrid"],
-     ("--fidelity does not apply to 'fig8'", "fig13, fig14")),
+    (["fig14", "--fidelity", "hybrid"],
+     ("unrecognized arguments: --fidelity hybrid",)),
 ])
 def test_misapplied_chaos_or_fidelity_is_a_usage_error(
         tmp_path, monkeypatch, capsys, argv, needles):
-    """A scenario that does not exist, or a flag the experiment would
-    silently drop, is rejected at parse time like an unknown key."""
+    """A scenario that does not exist, a flag the experiment would
+    silently drop, or the retired ``--fidelity`` flag (the paper tables
+    are packet-tier) is rejected at parse time like an unknown key."""
     monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail(
         "an experiment ran despite a usage error"))
     cache_dir = tmp_path / "cache"
@@ -176,31 +177,36 @@ def test_misapplied_chaos_or_fidelity_is_a_usage_error(
 
 
 def test_flag_tables_match_the_sweep_signatures():
-    """The options a registry entry ``takes`` (which the usage check
-    reads) are exactly the per-key parameters its campaign() has."""
+    """The CLI hands a per-key option to robustness alone, so among the
+    simulated keys only robustness's campaign() and merge() take one
+    (``chaos``); every other simulated key's take the preset and, for
+    merge(), the payloads."""
     import inspect
     from repro.experiments.registry import REGISTRY
 
     for key, entry in REGISTRY.items():
-        params = (inspect.signature(entry.load_module().campaign).parameters
-                  if entry.simulation else {})
-        assert entry.takes == tuple(
-            opt for opt in ("chaos", "fidelity") if opt in params), key
+        if not entry.simulation:
+            continue
+        module = entry.load_module()
+        extra = ["chaos"] if key == "robustness" else []
+        assert list(inspect.signature(module.campaign).parameters) == [
+            "p", *extra], key
+        assert list(inspect.signature(module.merge).parameters) == [
+            "payloads", "p", *extra], key
 
 
-def test_all_still_accepts_chaos_and_fidelity(monkeypatch):
-    """Under ``all`` each flag reaches only the sweeps that take it."""
+def test_all_hands_chaos_to_robustness_alone(monkeypatch):
+    """Under ``all``, ``--chaos`` reaches robustness and no other key."""
     calls = []
 
     def fake_run(key, **kwargs):
-        calls.append((key, kwargs.get("chaos"), kwargs.get("fidelity")))
+        calls.append((key, kwargs.get("chaos")))
         return ExperimentResult(key, "stub")
 
     monkeypatch.setattr(cli, "run_experiment", fake_run)
     monkeypatch.setattr(cli, "REGISTRY", {
         key: cli.REGISTRY[key] for key in ("robustness", "fig13", "table1")})
-    assert cli.main(["all", "--chaos", "link_flap", "--fidelity", "hybrid",
-                     "--no-cache"]) == 0
-    assert calls == [("robustness", "link_flap", None),
-                     ("fig13", None, "hybrid"),
-                     ("table1", None, None)]
+    assert cli.main(["all", "--chaos", "link_flap", "--no-cache"]) == 0
+    assert calls == [("robustness", "link_flap"),
+                     ("fig13", None),
+                     ("table1", None)]
