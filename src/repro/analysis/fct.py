@@ -12,8 +12,7 @@ loaded, so a cache replay does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from repro.workload.distributions import WEBSEARCH_BINS_KB
 
@@ -41,8 +40,7 @@ def percentile(values: Sequence[float], p: float) -> float:
     return ordered[lo] + (ordered[hi] - ordered[lo]) * frac
 
 
-@dataclass(frozen=True)
-class BinStat:
+class BinStat(NamedTuple):
     """Slowdown statistics for one flow-size bin."""
 
     bin_kb: int

@@ -14,7 +14,7 @@ These reproduce every non-simulation number in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.tracking import CounterTracker
 
@@ -22,8 +22,7 @@ from repro.core.tracking import CounterTracker
 FIBER_S_PER_KM = 1_000 / 2e8
 
 
-@dataclass(frozen=True)
-class SwitchAsic:
+class SwitchAsic(NamedTuple):
     """One row of Table 1's ASIC catalog."""
 
     name: str

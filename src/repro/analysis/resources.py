@@ -15,11 +15,10 @@ implementations actually keeps, so it is falsifiable against the code
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ResourceEstimate:
+class ResourceEstimate(NamedTuple):
     """Per-scheme hardware footprint."""
 
     scheme: str

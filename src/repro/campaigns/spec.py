@@ -94,9 +94,7 @@ offending value (e.g. ``workload[0].load``, ``groups[1].axis``).
 from __future__ import annotations
 
 import copy
-import inspect
 import itertools
-from dataclasses import fields as dataclass_fields
 from typing import Any, Callable
 
 from repro.campaigns.compiler import CampaignError, group_axes
@@ -192,7 +190,7 @@ SIM_FIELDS: dict[str, tuple[Callable[[Any], bool], str]] = {
     "max_events": _POS_INT,
 }
 
-_SPEC_FIELDS = tuple(f.name for f in dataclass_fields(NetworkSpec))
+_SPEC_FIELDS = NetworkSpec._fields
 #: The NetworkSpec fields whose values are not scalars.
 _DICT_SPEC_FIELDS = ("transport_overrides", "cross_port_rates")
 
@@ -280,8 +278,8 @@ def _chaos_params(scenario: str) -> list[str]:
     ``double_flap``, ``link_flap_converge``)."""
     if scenario not in BUILDERS:
         return []
-    sig = inspect.signature(BUILDERS[scenario])
-    return [p for p in sig.parameters if p != "name"]
+    code = BUILDERS[scenario].__code__
+    return [p for p in code.co_varnames[:code.co_argcount] if p != "name"]
 
 
 def _check_scenario(scenario: Any, path: str) -> None:

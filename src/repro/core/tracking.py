@@ -16,18 +16,18 @@ either of the other two schemes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass
 class MessageTrack:
     """Per-message tracking state in DCP's bitmap-free scheme (Fig 6c)."""
 
-    expected_pkts: int
-    counter: int = 0
-    mcf: bool = False     # message completion flag
-    cf: bool = False      # CQE flag
-    rretry_no: int = 0    # receiver-side retry round (§4.5)
+    __slots__ = ("expected_pkts", "counter", "mcf", "cf", "rretry_no")
+
+    def __init__(self, expected_pkts: int) -> None:
+        self.expected_pkts = expected_pkts
+        self.counter = 0
+        self.mcf = False      # message completion flag
+        self.cf = False       # CQE flag
+        self.rretry_no = 0    # receiver-side retry round (§4.5)
 
 
 class CounterTracker:

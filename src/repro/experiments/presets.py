@@ -15,11 +15,10 @@ result) are preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ScalePreset:
+class ScalePreset(NamedTuple):
     """One consistent scaling of the paper's evaluation setup."""
 
     name: str

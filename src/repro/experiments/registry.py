@@ -18,15 +18,13 @@ through it.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.experiments.presets import PRESETS, get_preset
 from repro.experiments.result import ExperimentResult
 from repro.runner.runner import ExperimentRunner, SweepPoint, serial_runner
 
-@dataclass(frozen=True)
-class ExperimentEntry:
+class ExperimentEntry(NamedTuple):
     """One reproducible paper result."""
 
     key: str

@@ -2,30 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Optional
 
 
-@dataclass
 class ExperimentResult:
     """Rows regenerating one of the paper's tables or figures."""
 
-    experiment: str
-    title: str
-    rows: list[dict[str, Any]] = field(default_factory=list)
-    notes: str = ""
-    #: point_id -> metrics payload (``MetricsRegistry.to_payload`` form);
-    #: attached by :func:`repro.experiments.registry.run_sweep` from the
-    #: points' payloads, like the two blocks below.
-    metrics: dict[str, Any] = field(default_factory=dict)
-    #: point_id -> list of per-flow FCT breakdown dicts
-    #: (:func:`repro.analysis.latency.flow_breakdown` components);
-    #: present when span tracing was enabled (``--breakdown``).
-    breakdown: dict[str, Any] = field(default_factory=dict)
-    #: point_id -> span payload (``SpanTracker.to_payload`` form);
-    #: present when span tracing was enabled (``--breakdown``,
-    #: ``--perfetto-out``).
-    spans: dict[str, Any] = field(default_factory=dict)
+    def __init__(self, experiment: str, title: str,
+                 rows: Optional[list[dict[str, Any]]] = None,
+                 notes: str = "", metrics: Optional[dict[str, Any]] = None,
+                 breakdown: Optional[dict[str, Any]] = None,
+                 spans: Optional[dict[str, Any]] = None) -> None:
+        self.experiment = experiment
+        self.title = title
+        self.rows = rows if rows is not None else []
+        self.notes = notes
+        #: point_id -> metrics payload (``MetricsRegistry.to_payload``
+        #: form); attached by :func:`repro.experiments.registry.run_sweep`
+        #: from the points' payloads, like the two blocks below.
+        self.metrics = metrics if metrics is not None else {}
+        #: point_id -> list of per-flow FCT breakdown dicts
+        #: (:func:`repro.analysis.latency.flow_breakdown` components);
+        #: present when span tracing was enabled (``--breakdown``).
+        self.breakdown = breakdown if breakdown is not None else {}
+        #: point_id -> span payload (``SpanTracker.to_payload`` form);
+        #: present when span tracing was enabled (``--breakdown``,
+        #: ``--perfetto-out``).
+        self.spans = spans if spans is not None else {}
 
     def columns(self) -> list[str]:
         cols: list[str] = []

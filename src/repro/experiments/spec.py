@@ -3,14 +3,17 @@
 This is the leaf every module that *declares* sweep points imports — it
 pulls in nothing of the simulator, so hashing specs, serving them from
 the result cache and printing the merged table never load the code that
-would execute them.  :mod:`repro.experiments.common` builds a
-``Network`` from a spec and re-exports both names.
+would execute them.  A spec is an immutable named tuple: it is hashed
+into a cache key, so it always describes the network built from it (a
+variant is ``spec._replace(...)``), and declaring it loads no
+``dataclasses``.  :mod:`repro.experiments.common` builds a ``Network``
+from a spec and re-exports both names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 #: Transport name -> dotted path of its class.  Data, so a sweep can
 #: enumerate the schemes without importing nine transport modules;
@@ -42,8 +45,7 @@ CHOICES: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass
-class NetworkSpec:
+class NetworkSpec(NamedTuple):
     """Declarative description of one simulated network."""
 
     transport: str = "dcp"                 # any TRANSPORTS key
@@ -72,8 +74,9 @@ class NetworkSpec:
     # uncontended flows analytically and escalates on falsifiers
     # (see repro.sim.fidelity)
     fidelity: str = "packet"
-    # transport overrides
-    transport_overrides: dict = field(default_factory=dict)
+    # transport overrides (the default is read-only: no spec shares a
+    # mutable dict)
+    transport_overrides: Mapping = MappingProxyType({})
     # testbed-specific
     cross_links: int = 8
     cross_port_rates: Optional[dict[int, float]] = None
@@ -106,24 +109,27 @@ class NetworkSpec:
         here invalidates every cached result — bump
         :data:`repro.runner.cache.CACHE_VERSION` alongside.
         """
-        out: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "cross_port_rates" and value is not None:
-                value = [[int(k), float(v)] for k, v in sorted(value.items())]
-            elif f.name == "transport_overrides":
-                value = dict(sorted(value.items()))
-            out[f.name] = value
+        out = self._asdict()
+        if self.cross_port_rates is not None:
+            out["cross_port_rates"] = [[int(k), float(v)] for k, v
+                                       in sorted(self.cross_port_rates.items())]
+        out["transport_overrides"] = dict(sorted(
+            self.transport_overrides.items()))
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkSpec":
         """Rebuild a spec from :meth:`to_dict` output (cache round-trip)."""
         kwargs = dict(data)
-        unknown = set(kwargs) - {f.name for f in fields(cls)}
+        unknown = set(kwargs) - set(cls._fields)
         if unknown:
             raise ValueError(f"unknown NetworkSpec fields {sorted(unknown)}")
         rates = kwargs.get("cross_port_rates")
         if rates is not None:
             kwargs["cross_port_rates"] = {int(k): float(v) for k, v in rates}
         return cls(**kwargs)
+
+    def __reduce__(self):
+        # Pickle and deepcopy the dict form: the read-only default
+        # ``transport_overrides`` mapping has no pickled form.
+        return NetworkSpec.from_dict, (self.to_dict(),)

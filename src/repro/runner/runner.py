@@ -36,8 +36,7 @@ simulator code at all.
 from __future__ import annotations
 
 import random as _global_random
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from repro.experiments.spec import NetworkSpec
 from repro.runner.cache import ResultCache
@@ -49,8 +48,7 @@ from repro.runner.spec_hash import cache_key, canonicalize
 _MP_METHODS = ("fork", "spawn")
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     """One shardable unit of an experiment: a spec plus extra inputs.
 
     ``params`` must be JSON-safe; it reaches
@@ -60,7 +58,7 @@ class SweepPoint:
 
     point_id: str
     spec: NetworkSpec
-    params: dict = field(default_factory=dict)
+    params: dict
 
 
 def _execute_point(task: tuple[int, str, str, dict, dict]) -> tuple[int, Any]:

@@ -29,6 +29,10 @@ def canonicalize(obj: Any) -> Any:
     """
     if isinstance(obj, _SAFE_SCALARS):
         return obj
+    # Before tuples: a spec is a named tuple, and hashed as its values
+    # it would move every cache key.
+    if isinstance(obj, NetworkSpec):
+        return canonicalize(obj.to_dict())
     if isinstance(obj, (list, tuple)):
         return [canonicalize(v) for v in obj]
     if isinstance(obj, dict):
@@ -38,8 +42,6 @@ def canonicalize(obj: Any) -> Any:
                 raise TypeError(f"unhashable cache-key dict key {key!r}")
             out[str(key)] = canonicalize(obj[key])
         return out
-    if isinstance(obj, NetworkSpec):
-        return canonicalize(obj.to_dict())
     raise TypeError(f"cannot canonicalize {type(obj).__name__}: {obj!r}")
 
 

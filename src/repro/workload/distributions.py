@@ -10,7 +10,7 @@ per-bin statistics line up with the paper's plots bin-for-bin.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Fig 13's twenty flow-size bins (KB), one per 5% probability bucket.
 WEBSEARCH_BINS_KB: tuple[int, ...] = (
@@ -19,8 +19,7 @@ WEBSEARCH_BINS_KB: tuple[int, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class EmpiricalSizeDistribution:
+class EmpiricalSizeDistribution(NamedTuple):
     """Equal-probability bucket distribution with within-bucket jitter.
 
     ``scale`` divides every size — used to shrink workloads so the
@@ -61,8 +60,7 @@ def websearch_class(size_bytes: int, scale: float = 1.0) -> str:
     return "large"
 
 
-@dataclass(frozen=True)
-class FixedSizeDistribution:
+class FixedSizeDistribution(NamedTuple):
     """Degenerate distribution (incast senders, collectives)."""
 
     size_bytes: int

@@ -11,14 +11,12 @@ uniformly random source/destination pairs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.workload.distributions import EmpiricalSizeDistribution
 
 
-@dataclass
-class PoissonWorkload:
+class PoissonWorkload(NamedTuple):
     """Open-loop Poisson flow arrivals over a host set."""
 
     load: float
@@ -60,8 +58,7 @@ class PoissonWorkload:
         return arrivals
 
 
-@dataclass
-class IncastWorkload:
+class IncastWorkload(NamedTuple):
     """Poisson N-to-1 incast events (§2.2 / §6.3).
 
     ``load`` is measured against the aggregate host bandwidth: total

@@ -155,12 +155,10 @@ class TestStrictPaths:
         # At a named preset fig10's spec is program data and is lowered
         # as is; a custom preset is outside input, so a zero-byte flow
         # it would lay out is refused before any point exists.
-        from dataclasses import replace
-
         from repro.campaigns.compiler import CampaignError
         from repro.experiments.presets import get_preset
         from repro.experiments.registry import run_experiment
-        custom = replace(get_preset("quick"), long_flow_bytes=0)
+        custom = get_preset("quick")._replace(long_flow_bytes=0)
         with pytest.raises(CampaignError) as exc:
             run_experiment("fig10", preset=custom)
         assert exc.value.path == "workload[0].flows"

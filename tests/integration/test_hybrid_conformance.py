@@ -16,8 +16,6 @@ Everything runs at the quick preset so the whole module stays inside
 the CI smoke budget.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.analysis.fct import overall_percentiles, slowdowns
@@ -45,9 +43,9 @@ def test_fig8_point_exact(point):
     closed-form schedule; tcp falls outside the whitelist and must
     reproduce the packet path bit-for-bit instead.
     """
-    packet = simulate_flows(replace(point.spec, fidelity="packet"),
+    packet = simulate_flows(point.spec._replace(fidelity="packet"),
                             point.params)
-    hybrid = simulate_flows(replace(point.spec, fidelity="hybrid"),
+    hybrid = simulate_flows(point.spec._replace(fidelity="hybrid"),
                             point.params)
     assert hybrid["flows"][0]["completed"]
     assert hybrid["flows"][0]["fct_ns"] == packet["flows"][0]["fct_ns"]
@@ -64,7 +62,7 @@ def _fig13_dcp(load: float, fidelity: str) -> dict:
     """fig13's dcp-ar point at ``load``, simulated at ``fidelity``."""
     (point,) = [pt for pt in REGISTRY["fig13"].points(get_preset("quick"))
                 if pt.point_id == f"load-{load}.scheme-dcp-ar"]
-    return simulate_flows(replace(point.spec, fidelity=fidelity),
+    return simulate_flows(point.spec._replace(fidelity=fidelity),
                           point.params)
 
 

@@ -50,6 +50,12 @@ HARNESS = frozenset({
     "repro.net", "repro.net.packet",
 })
 
+#: Standard-library modules the harness side never loads: ``dataclasses``
+#: imports ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``)
+#: and execs generated code per class, the largest single cost of a CLI
+#: start.  Harness-side records are named tuples instead.
+NOT_ON_HARNESS_SIDE = ("dataclasses", "inspect")
+
 #: Harness-side modules that a cache replay does not run, so it may not
 #: load them: the metrics registry (a replay builds none) and the span
 #: recorder (only ``--breakdown`` / ``--perfetto-out`` use it).
@@ -113,7 +119,26 @@ import importlib
 importlib.import_module(sys.argv[1])
 assert simulator_modules() == [], simulator_modules()
 assert loaded({unused!r}) == [], loaded({unused!r})
+assert loaded({NOT_ON_HARNESS_SIDE!r}) == [], loaded({NOT_ON_HARNESS_SIDE!r})
 ''', module)
+
+
+def _module_path(module: str) -> Path:
+    path = Path(SRC, *module.split("."))
+    package = path / "__init__.py"
+    return package if package.exists() else path.with_suffix(".py")
+
+
+@pytest.mark.parametrize("module", sorted(HARNESS))
+def test_no_harness_module_imports_dataclasses_or_inspect(module):
+    # The runtime checks see only the modules a given path loads; this
+    # one sees every harness-side module, lazy imports included.
+    tree = ast.parse(_module_path(module).read_text(encoding="utf-8"))
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert imported.isdisjoint(NOT_ON_HARNESS_SIDE), module
 
 
 def test_the_campaign_compiler_loads_no_registry():
@@ -177,6 +202,7 @@ from repro.experiments import cli
 assert cli.main(sys.argv[1:]) == 0
 assert simulator_modules() == [], simulator_modules()
 assert loaded({unused!r}) == [], loaded({unused!r})
+assert loaded({NOT_ON_HARNESS_SIDE!r}) == [], loaded({NOT_ON_HARNESS_SIDE!r})
 assert "multiprocessing" not in sys.modules
 ''', *argv, "--metrics-out", str(tmp_path / "metrics.jsonl"))
     if simulated:

@@ -216,8 +216,7 @@ def test_ack_loss_tolerated():
 def test_window_gates_retransmission_rate():
     """Challenge #2 of §4.3: the CC window regulates retransmissions."""
     from repro.cc.base import StaticWindowCc
-    net = _lossy_net(loss=0.05)
-    net.spec.cc = "window"
+    net = _lossy_net(loss=0.05, cc="window")
     flow = net.open_flow(0, 2, 200_000, 0)
     qp = net._pair_qps.get((0, 2))
     net.run_until_flows_done(max_events=40_000_000)

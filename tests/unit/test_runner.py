@@ -8,6 +8,7 @@ bit-identical).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -75,6 +76,28 @@ class TestSpecHashing:
         spec = NetworkSpec()
         key = cache_key("fig 1/7", "a:b*c", spec)
         assert all(c.isalnum() or c in "-_." for c in key)
+
+    # The canonical form is the on-disk cache's address: a change that
+    # moves these bytes without moving CACHE_VERSION orphans every
+    # stored entry.  The literals were computed at CACHE_VERSION 14.
+    def test_cache_keys_are_pinned(self):
+        assert cache_key("fig99", "pt", NetworkSpec()) == (
+            "fig99.pt-9c1ffdd65e330b30819cdedd14e1e5cb"
+            "68a2ebbf3f84ae7ee0892c06ba6646ff")
+        spec = NetworkSpec(transport="rack_tlp", topology="testbed",
+                           cross_port_rates={3: 2.5, 0: 10.0},
+                           transport_overrides={"rto_ns": 5_000_000}, seed=9)
+        assert cache_key("fig99", "pt", spec, {"flows": [[0, 1, 10, 0]]}) == (
+            "fig99.pt-d38595449fc1fa818caa1814508cb34d"
+            "0ed05ea0e00d607ba3e00383c415c73d")
+
+    def test_robustness_quick_keys_are_pinned(self):
+        points = REGISTRY["robustness"].points(get_preset("quick"))
+        keys = [cache_key("robustness", p.point_id, p.spec, p.params)
+                for p in points]
+        assert len(keys) == 45
+        assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == (
+            "43a3290ef99be9434aa75c168e869c1de49bfb58273fbfd7a5820a45a11e0de9")
 
     def test_spec_round_trips_through_dict(self):
         spec = NetworkSpec(transport="rack_tlp", topology="testbed",
